@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -46,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="projection-frame mode (default: from the document, else automatic)",
         )
         p.add_argument("--samples", type=int, help="samples per segment / CSV resolution")
-        p.add_argument("--seed", type=int, help="seed (fallback: PARAMMP_SEED)")
         p.add_argument("--output", help="write the main result here instead of stdout")
 
     p_plan = sub.add_parser("plan", help="plan a motion and emit the exact path as JSON")
@@ -69,18 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> Optional[int]:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("PARAMMP_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise QueryValidationError([f"PARAMMP_SEED: not an integer: {env!r}"]) from exc
-    return None
-
-
 def _emit(text: str, output: Optional[str]):
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -90,6 +76,10 @@ def _emit(text: str, output: Optional[str]):
 
 
 def _load(args):
+    if args.samples is not None and args.samples < 2:
+        raise QueryValidationError(
+            [f"--samples: expected an integer >= 2, got {args.samples}"]
+        )
     with open(args.input, "r", encoding="utf-8") as handle:
         document = parse_problem(handle.read())
     mode = args.mode.replace("-", "_") if args.mode else None
@@ -133,7 +123,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_verify(args) -> int:
     document, query, mode = _load(args)
-    seed = _resolve_seed(args)
     samples = args.samples or document.options.samples_per_segment
     result = plan(query, mode=mode, snap_tol=document.options.snap_tolerance)
     certificate = certify_separation(result.path, samples_per_segment=samples)
@@ -153,7 +142,6 @@ def _cmd_verify(args) -> int:
         "region": {"j": result.region.j, "t": result.region.t, "c": result.region.c},
         "swap_count": result.swap_count,
         "samples_per_segment": samples,
-        "seed": seed,
         "endpoint_error": {"start": start_err, "goal": goal_err},
         "obstacles_stationary": obstacles_stationary,
         "separation": {
@@ -204,7 +192,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (QueryValidationError, ModeUnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InternalConsistencyError as exc:

@@ -8,11 +8,13 @@ obstacles stay put.  Four primitives cover everything the planner needs:
 * carrying one robot around an obstacle block on a clearance half-circle,
 * splitting coincident projections apart by staggered shifts along the line.
 
-``compose_with_section`` then implements the universal three-phase rule: play
-a deformation's start-side motion forward on [0, 1/3], an inner path on the
-deformed configuration on [1/3, 2/3], and the deformation's goal-side motion
-backward on [2/3, 1].  Nesting this rule once per elementary motion yields the
-final path.
+The planner plays the elementary motions one after another, each in its own
+window of global time (:func:`append_start_side`).  ``compose_with_section``
+implements the three-phase rule for the one deformation that moves goals as
+well as starts: play its start-side motion forward on [0, 1/3], an inner path
+on the deformed configuration on [1/3, 2/3], and its goal-side motion backward
+on [2/3, 1].  Both schedules assemble segments through
+:func:`append_segment`, which merges consecutive rests.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ __all__ = [
     "Deformation",
     "DeformationStage",
     "affine_section",
+    "append_segment",
+    "append_start_side",
     "compose_with_section",
     "desingularize",
     "evaluate_deformation",
@@ -98,14 +102,6 @@ class Deformation:
                         f"goal-side stage does not chain for robot {robot}"
                     )
                 goals[robot] = move.final
-
-    @property
-    def moved_start_robots(self) -> frozenset[int]:
-        return frozenset(r for s in self.stages for r in s.start_moves)
-
-    @property
-    def moved_goal_robots(self) -> frozenset[int]:
-        return frozenset(r for s in self.stages for r in s.goal_moves)
 
     def _positions_at(self, base: np.ndarray, which: str, t) -> np.ndarray:
         positions = np.array(base)
@@ -354,6 +350,49 @@ def _scaled(fraction: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return lo + fraction * (hi - lo)
 
 
+def append_segment(
+    segments: list[PathSegment], robot: int, t0: Fraction, t1: Fraction, move: Move
+):
+    """Append ``robot``'s move on [t0, t1] to its segment list.
+
+    A rest that continues a rest at the same position extends that segment
+    instead, so a robot that waits through several stages has one segment.
+    """
+    if (
+        segments
+        and isinstance(move, LinearMove)
+        and move.is_constant()
+        and isinstance(segments[-1].move, LinearMove)
+        and segments[-1].move.is_constant()
+        and np.array_equal(segments[-1].move.end, move.start)
+    ):
+        prev = segments.pop()
+        segments.append(PathSegment(robot=robot, t0=prev.t0, t1=t1, move=prev.move))
+    else:
+        segments.append(PathSegment(robot=robot, t0=t0, t1=t1, move=move))
+
+
+def append_start_side(
+    segments: list[PathSegment],
+    deformation: Deformation,
+    robot: int,
+    lo: Fraction,
+    hi: Fraction,
+):
+    """Append ``robot``'s start-side motion under ``deformation``, played
+    forward on the global window [lo, hi]; the robot rests through every
+    stage that does not move it."""
+    position = deformation.query.starts[robot]
+    for stage in deformation.stages:
+        move = stage.start_moves.get(robot)
+        if move is None:
+            move = LinearMove(position, position)
+        append_segment(
+            segments, robot, _scaled(stage.t0, lo, hi), _scaled(stage.t1, lo, hi), move
+        )
+        position = move.final
+
+
 def compose_with_section(
     deformation: Deformation,
     inner_section: Callable[[ConfigurationQuery], PiecewisePath],
@@ -363,8 +402,8 @@ def compose_with_section(
     Global time splits into [0, 1/3] (start-side motion forward), [1/3, 2/3]
     (the inner path on the deformed configuration, time-rescaled) and
     [2/3, 1] (goal-side motion backward).  All time bounds are renormalized
-    with exact rational arithmetic, so repeated nesting keeps exact phase
-    boundaries.  Endpoints equal the original query's starts and goals.
+    with exact rational arithmetic.  Endpoints equal the original query's
+    starts and goals.
     """
     deformed = deformation.end_query()
     inner = inner_section(deformed)
@@ -381,56 +420,28 @@ def compose_with_section(
     per_robot_segments: list[list[PathSegment]] = []
     for robot in range(deformation.query.robot_count):
         acc: list[PathSegment] = []
+        append_start_side(acc, deformation, robot, Fraction(0), one_third)
 
-        def emit(t0: Fraction, t1: Fraction, move: Move):
-            # Merge runs of identical rest positions into one segment.
-            if (
-                acc
-                and isinstance(move, LinearMove)
-                and move.is_constant()
-                and isinstance(acc[-1].move, LinearMove)
-                and acc[-1].move.is_constant()
-                and np.array_equal(acc[-1].move.end, move.start)
-            ):
-                prev = acc.pop()
-                acc.append(
-                    PathSegment(robot=robot, t0=prev.t0, t1=t1, move=prev.move)
-                )
-            else:
-                acc.append(PathSegment(robot=robot, t0=t0, t1=t1, move=move))
-
-        # Phase 1: start-side stages forward, compressed into [0, 1/3].
-        position = deformation.query.starts[robot]
-        for stage in deformation.stages:
-            move = stage.start_moves.get(robot)
-            lo = _scaled(stage.t0, Fraction(0), one_third)
-            hi = _scaled(stage.t1, Fraction(0), one_third)
-            if move is None:
-                emit(lo, hi, LinearMove(position, position))
-            else:
-                emit(lo, hi, move)
-                position = move.final
-
-        # Phase 2: the inner path, mapped onto [1/3, 2/3].
         for seg in inner.segments[robot]:
-            emit(
+            append_segment(
+                acc,
+                robot,
                 _scaled(seg.t0, one_third, two_thirds),
                 _scaled(seg.t1, one_third, two_thirds),
                 seg.move,
             )
 
-        # Phase 3: goal-side stages reversed, compressed into [2/3, 1].
+        # Goal-side stages reversed, compressed into [2/3, 1].
         for stage in reversed(deformation.stages):
             move = stage.goal_moves.get(robot)
             lo = _scaled(Fraction(1) - stage.t1, two_thirds, Fraction(1))
             hi = _scaled(Fraction(1) - stage.t0, two_thirds, Fraction(1))
             if move is None:
-                emit(lo, hi, LinearMove(acc[-1].move.final, acc[-1].move.final))
+                position = acc[-1].move.final
+                append_segment(acc, robot, lo, hi, LinearMove(position, position))
             else:
-                emit(lo, hi, reverse_move(move))
+                append_segment(acc, robot, lo, hi, reverse_move(move))
 
         per_robot_segments.append(acc)
 
-    return PiecewisePath(
-        query=deformation.query, segments=tuple(tuple(s) for s in per_robot_segments)
-    )
+    return PiecewisePath(query=deformation.query, segments=per_robot_segments)

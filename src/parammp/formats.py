@@ -36,7 +36,7 @@ __all__ = [
 FORMAT_VERSION = "1"
 
 _TOP_LEVEL_FIELDS = {"version", "dim", "mode", "starts", "goals", "obstacles", "options"}
-_OPTION_FIELDS = {"snap_tolerance", "samples_per_segment", "seed"}
+_OPTION_FIELDS = {"snap_tolerance", "samples_per_segment"}
 _MODES = {"fixed", "obstacle_pair", "obstacle-pair"}
 
 
@@ -44,7 +44,6 @@ _MODES = {"fixed", "obstacle_pair", "obstacle-pair"}
 class ProblemOptions:
     snap_tolerance: float = 0.0
     samples_per_segment: int = 64
-    seed: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,6 @@ class ProblemDocument:
             "snap_tolerance": self.options.snap_tolerance,
             "samples_per_segment": self.options.samples_per_segment,
         }
-        if self.options.seed is not None:
-            doc["options"]["seed"] = self.options.seed
         return json.dumps(doc, indent=2)
 
 
@@ -163,13 +160,7 @@ def parse_problem(text: str) -> ProblemDocument:
                 f"options.samples_per_segment: expected an integer >= 2, got {samples!r}"
             )
             samples = 64
-        seed = raw_options.get("seed")
-        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-            errors.append(f"options.seed: expected an integer, got {seed!r}")
-            seed = None
-        options = ProblemOptions(
-            snap_tolerance=float(snap), samples_per_segment=samples, seed=seed
-        )
+        options = ProblemOptions(snap_tolerance=float(snap), samples_per_segment=samples)
 
     if not errors:
         try:

@@ -3,9 +3,8 @@
 Paths are kept symbolic (segment lists with closed-form evaluation), never
 pre-sampled, so endpoint identities and separation certificates can be checked
 against the defining formulas.  Global segment time bounds are stored as exact
-rationals: the composition rule repeatedly maps paths into the middle third of
-the previous stage and exact arithmetic keeps those boundaries reproducible at
-any nesting depth.
+rationals: the planner places each stage at a fraction of a swap window, and
+exact arithmetic keeps those boundaries reproducible and shared by all robots.
 """
 
 from __future__ import annotations

@@ -10,13 +10,14 @@ produce identical outputs; the construction consults nothing but the query.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
-
-import numpy as np
 
 from .deformations import (
     Deformation,
     affine_section,
+    append_segment,
+    append_start_side,
     compose_with_section,
     desingularize,
     swap_case_a,
@@ -27,10 +28,8 @@ from .geometry import (
     ConfigurationQuery,
     Frame,
     FrameMode,
-    ObstacleBlock,
     OrderingPair,
     RegionLabel,
-    RobotStart,
     Side,
     classify,
     make_frame,
@@ -146,28 +145,44 @@ def generic_section(
     """Path for a generic query (all robot projections pairwise distinct and
     distinct from obstacle projections).
 
-    If the start and goal orderings agree, the path is the straight-line
-    section.  Otherwise the leftmost-inversion swap is performed first and the
-    rule recurses on the deformed configuration, nesting one three-phase
-    composition per swap; the goal side of every swap is the identity.
+    The swaps that sort the start ordering into the goal ordering are played
+    one after another on a flat schedule, then every robot moves straight to
+    its goal; see :func:`_play_swaps`.  With no swaps this is the
+    straight-line section.
     """
     pair = orderings(query, frame, snap_tol)
-    if pair.patterns_equal():
-        return affine_section(query, frame, snap_tol)
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
-    return _section_for_swaps(query, frame, swaps, snap_tol)
+    return _play_swaps(query, frame, swaps, snap_tol)
 
 
-def _section_for_swaps(
+def _play_swaps(
     query: ConfigurationQuery, frame: Frame, swaps: list[Swap], snap_tol: float
 ) -> PiecewisePath:
-    if not swaps:
-        return affine_section(query, frame, snap_tol)
-    deformation = _swap_deformation(query, frame, swaps[0], snap_tol)
-    return compose_with_section(
-        deformation,
-        lambda deformed: _section_for_swaps(deformed, frame, swaps[1:], snap_tol),
-    )
+    """Play ``swaps`` in order, then the straight-line section.
+
+    With k swaps, global time splits into k + 1 equal windows: swap i fills
+    [i/(k+1), (i+1)/(k+1)], one third per stage, and the straight-line
+    section fills [k/(k+1), 1].  Swaps move starts only, so each one is built
+    on the configuration the previous one left and the goals stay put.  The
+    windows depend only on the swap list, which is locally constant wherever
+    the tie pattern is, so the schedule keeps the rule continuous on each
+    domain.
+    """
+    windows = len(swaps) + 1
+    segments = [[] for _ in range(query.robot_count)]
+    current = query
+    for i, swap in enumerate(swaps):
+        deformation = _swap_deformation(current, frame, swap, snap_tol)
+        lo, hi = Fraction(i, windows), Fraction(i + 1, windows)
+        for robot, acc in enumerate(segments):
+            append_start_side(acc, deformation, robot, lo, hi)
+        current = deformation.end_query()
+    straight = affine_section(current, frame, snap_tol)
+    lo = Fraction(len(swaps), windows)
+    for robot, acc in enumerate(segments):
+        (line,) = straight.segments[robot]
+        append_segment(acc, robot, lo, Fraction(1), line.move)
+    return PiecewisePath(query=query, segments=segments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,9 +217,11 @@ def plan(
 ) -> PlanResult:
     """Plan a collision-free motion for a query.
 
-    Generic queries go straight to :func:`generic_section`.  Degenerate ones
-    are first desingularized, and the generic path on the shifted
-    configuration is wrapped in one more three-phase composition, so the
+    Degenerate queries are first desingularized.  The ordering pair and the
+    swap list of the generic configuration (the query itself, or its
+    desingularized image) are computed once and played as in
+    :func:`generic_section`.  For a degenerate query that path is wrapped in
+    the one three-phase composition with the desingularization, so the
     emitted path still starts and ends at the query's own positions.
 
     Raises:
@@ -218,7 +235,6 @@ def plan(
 
     if label.j == 2 * n:
         generic_query = query
-        path = generic_section(query, frame, snap_tol)
     else:
         deformation = desingularize(query, frame, snap_tol)
         generic_query = deformation.end_query()
@@ -228,18 +244,21 @@ def plan(
                 "desingularization failed to reach a generic configuration "
                 f"(expected j={2 * n}, t={label.t}; got j={post_label.j}, t={post_label.t})"
             )
-        path = compose_with_section(
-            deformation, lambda dq: generic_section(dq, frame, snap_tol)
-        )
 
     pair = orderings(generic_query, frame, snap_tol)
-    swap_count = len(transposition_sequence(pair.sigma, pair.sigma_prime))
+    swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
+    if generic_query is query:
+        path = _play_swaps(query, frame, swaps, snap_tol)
+    else:
+        path = compose_with_section(
+            deformation, lambda dq: _play_swaps(dq, frame, swaps, snap_tol)
+        )
     return PlanResult(
         path=path,
         region=label,
         ordering_pair=pair,
         domain_index=label.c,
-        swap_count=swap_count,
+        swap_count=len(swaps),
         mode=mode,
         frame=frame,
     )

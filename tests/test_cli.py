@@ -72,11 +72,16 @@ def test_verify_passes(problem_file, capsys):
     assert report["obstacles_stationary"] is True
 
 
-def test_verify_seed_from_environment(problem_file, capsys, monkeypatch):
-    monkeypatch.setenv("PARAMMP_SEED", "123")
-    assert main(["verify", "--input", str(problem_file)]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["seed"] == 123
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--samples", "1"], ["plan", "--csv", "unused.csv", "--samples", "0"]],
+)
+def test_samples_below_two_is_validation_error(
+    problem_file, tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], "--input", str(problem_file), *argv[1:]]) == 1
+    assert "--samples: expected an integer >= 2" in capsys.readouterr().err
 
 
 def test_components_exact(capsys):
@@ -103,6 +108,11 @@ def test_syntax_error_exit_code(tmp_path, capsys):
 
 def test_missing_file_exit_code(capsys):
     assert main(["plan", "--input", "/nonexistent/problem.json"]) == 1
+
+
+def test_directory_input_exit_code(tmp_path, capsys):
+    assert main(["verify", "--input", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_mode_unsupported_exit_code(tmp_path, capsys):

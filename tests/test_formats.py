@@ -88,7 +88,7 @@ class TestParseProblem:
             starts=((0.0, 1.0, 0.0),),
             goals=((2.0, 0.0, 1.0),),
             obstacles=((1.0, 0.0, 0.0), (3.0, 0.0, 0.0)),
-            options=ProblemOptions(snap_tolerance=0.0, samples_per_segment=64, seed=5),
+            options=ProblemOptions(snap_tolerance=0.0, samples_per_segment=64),
         )
         assert parse_problem(doc.to_json()) == doc
 
@@ -106,7 +106,6 @@ class TestParseProblem:
                 options=ProblemOptions(
                     snap_tolerance=float(rng.uniform(0, 1e-6)),
                     samples_per_segment=int(rng.integers(2, 128)),
-                    seed=int(rng.integers(0, 10_000)),
                 ),
             )
             assert parse_problem(doc.to_json()) == doc
@@ -121,22 +120,23 @@ class TestParseProblem:
 
 class TestSerializePlan:
     def test_thirds_bounds_are_exact_rationals(self):
+        # one swap: its three stages fill the thirds of [0, 1/2]
         res = crossing_plan()
         doc = json.loads(serialize_plan(res))
         bounds = {
             seg["t0"] for robot in doc["robots"] for seg in robot["segments"]
         } | {seg["t1"] for robot in doc["robots"] for seg in robot["segments"]}
-        assert "1/3" in bounds and "2/3" in bounds
+        assert bounds == {"0/1", "1/6", "1/3", "1/2", "1/1"}
 
-    def test_constant_stretch_is_single_linear_segment(self):
-        # the goal-side third of a swap composition is a rest: one linear
-        # segment with start == end
+    def test_straight_line_fills_last_window(self):
+        # after the one swap the robot moves straight to its goal on [1/2, 1]
         res = crossing_plan()
         doc = json.loads(serialize_plan(res))
         last = doc["robots"][0]["segments"][-1]
         assert last["kind"] == "linear"
-        assert last["t0"] == "2/3" and last["t1"] == "1/1"
-        assert last["start"] == last["end"]
+        assert last["t0"] == "1/2" and last["t1"] == "1/1"
+        assert last["start"] != last["end"]
+        assert np.array_equal(last["end"], res.path.query.goals[0])
 
     def test_round_trip_evaluation_matches(self):
         res = crossing_plan()

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parammp import (
     CaseASwap,
@@ -14,6 +17,7 @@ from parammp import (
     ConfigurationQuery,
     FrameMode,
     InvalidOrderingPairError,
+    LinearMove,
     ObstacleBlock,
     RobotGoal,
     RobotStart,
@@ -325,3 +329,68 @@ class TestPlan:
                     res = plan(q, mode="fixed")
                     assert (res.region.j, res.region.t) == (j, t)
                     assert certify_separation(res.path).passed
+
+
+@st.composite
+def small_queries(draw):
+    """Queries with n, m <= 4 and d in {2, 3, 4}, in either frame mode.
+
+    Coordinates are generic floats with six decimals or lie on the half-unit
+    grid of [-3, 3], where projection coincidences (degenerate queries) are
+    common.
+    """
+    mode = draw(st.sampled_from(FrameMode))
+    pair = mode is FrameMode.OBSTACLE_PAIR
+    d = draw(st.sampled_from((2, 4) if pair else (2, 3, 4)))
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(2 if pair else 1, 4))
+    if draw(st.booleans()):
+        coordinate = st.integers(-6, 6).map(lambda k: k / 2)
+    else:
+        coordinate = st.floats(-10, 10).map(lambda x: round(x, 6))
+    points = draw(
+        st.lists(
+            st.tuples(*[coordinate] * d),
+            min_size=2 * n + m,
+            max_size=2 * n + m,
+            unique=True,
+        )
+    )
+    query = ConfigurationQuery(
+        starts=points[:n], goals=points[n : 2 * n], obstacles=points[2 * n :]
+    )
+    return query, mode
+
+
+def _is_rest(segment):
+    return isinstance(segment.move, LinearMove) and segment.move.is_constant()
+
+
+class TestFlatSchedule:
+    @settings(max_examples=150, deadline=None)
+    @given(small_queries())
+    def test_min_segment_duration_bound(self, case):
+        # k swaps fill k + 1 equal windows, one third per stage; a degenerate
+        # query squeezes that schedule into the middle third of one more wrap
+        query, mode = case
+        res = plan(query, mode=mode)
+        windows = 3 * (res.swap_count + 1)
+        if res.region.j < 2 * query.robot_count:
+            windows *= 3
+        durations = [seg.duration for per in res.path.segments for seg in per]
+        assert min(durations) >= Fraction(1, windows)
+        for per in res.path.segments:
+            for a, b in zip(per, per[1:]):
+                assert not (_is_rest(a) and _is_rest(b))
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_certificate_passes_at_64_samples(self, n):
+        q = random_query(np.random.default_rng(0), n, n, 3)
+        res = plan(q, mode="fixed")
+        assert certify_separation(res.path, samples_per_segment=64).passed
+
+    def test_many_swaps_plan_without_recursion(self):
+        q = random_query(np.random.default_rng(0), 25, 25, 3)
+        res = plan(q, mode="fixed")
+        assert res.swap_count > 300
+        assert np.array_equal(res.path.configuration(1.0), q.goals)
