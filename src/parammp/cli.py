@@ -29,26 +29,34 @@ EXIT_VALIDATION = 1
 EXIT_INTERNAL = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input: exit 1, not argparse's 2, which this
+    command reserves for internal inconsistency."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="parammp",
         description="Collision-free multi-robot motion planning among point obstacles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="problem JSON file")
+    def add_common(p):
+        p.add_argument("--input", required=True, help="problem JSON file")
         p.add_argument(
             "--mode",
             choices=["fixed", "obstacle-pair"],
             help="projection-frame mode (default: from the document, else automatic)",
         )
-        p.add_argument("--samples", type=int, help="samples per segment / CSV resolution")
         p.add_argument("--output", help="write the main result here instead of stdout")
 
     p_plan = sub.add_parser("plan", help="plan a motion and emit the exact path as JSON")
     add_common(p_plan)
+    p_plan.add_argument("--samples", type=int, help="CSV resolution (default 256)")
     p_plan.add_argument("--svg", help="also write an SVG rendering to this file")
     p_plan.add_argument("--csv", help="also write a sampled trajectory CSV to this file")
 
@@ -59,6 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="plan, certify separation and check endpoint/obstacle contracts"
     )
     add_common(p_verify)
+    p_verify.add_argument(
+        "--samples", type=int, help="samples per segment (default: from the document)"
+    )
 
     p_comp = sub.add_parser("components", help="count generic ordering pairs exactly")
     p_comp.add_argument("n", type=int, help="number of robots")
@@ -75,11 +86,16 @@ def _emit(text: str, output: Optional[str]):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _load(args):
+def _samples(args) -> Optional[int]:
+    """The ``--samples`` value of plan and verify, rejected below 2."""
     if args.samples is not None and args.samples < 2:
         raise QueryValidationError(
             [f"--samples: expected an integer >= 2, got {args.samples}"]
         )
+    return args.samples
+
+
+def _load(args):
     with open(args.input, "r", encoding="utf-8") as handle:
         document = parse_problem(handle.read())
     mode = args.mode.replace("-", "_") if args.mode else None
@@ -89,6 +105,7 @@ def _load(args):
 
 
 def _cmd_plan(args) -> int:
+    resolution = _samples(args) or 256
     document, query, mode = _load(args)
     result = plan(query, mode=mode, snap_tol=document.options.snap_tolerance)
     _emit(serialize_plan(result), args.output)
@@ -96,7 +113,6 @@ def _cmd_plan(args) -> int:
         with open(args.svg, "w", encoding="utf-8") as handle:
             handle.write(render_svg(result))
     if args.csv:
-        resolution = args.samples or 256
         with open(args.csv, "w", encoding="utf-8") as handle:
             handle.write(sample_csv(result, resolution=resolution))
     return EXIT_OK
@@ -122,8 +138,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    samples = _samples(args)
     document, query, mode = _load(args)
-    samples = args.samples or document.options.samples_per_segment
+    samples = samples or document.options.samples_per_segment
     result = plan(query, mode=mode, snap_tol=document.options.snap_tolerance)
     certificate = certify_separation(result.path, samples_per_segment=samples)
     start_err = max(

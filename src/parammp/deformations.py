@@ -30,10 +30,8 @@ from .errors import InternalConsistencyError, PreconditionError
 from .geometry import (
     ConfigurationQuery,
     Frame,
-    ObstacleBlock,
     RobotStart,
     Side,
-    classify,
     clearance_eta,
     desingularization_gap,
     orderings,

@@ -8,11 +8,21 @@ scalar projection onto the line, and the combinatorics of which projections
 coincide determines the region label ``(j, t)`` and, in the generic case, the
 pair of generalized orderings that drives the planner.
 
-Distinctness of projections is decided with *scale-free* dot products along
-``Frame.axis`` (exact for coordinate-axis frames and for axis-aligned obstacle
-pairs), while all metric quantities (gaps, clearances) use the normalized
-direction ``Frame.e``.  The two agree mathematically; separating them keeps
-the discrete decisions stable under floating-point noise in the normalization.
+That combinatorics is worked out once per query, in one table (:func:`_ties`):
+the comparison values of the 2n + m points, starts | goals | obstacles, and a
+tie-class rank for each.  Two points are tied exactly when their ranks are
+equal, and ranks increase along the line.  Every discrete decision reads the
+ranks: ``classify`` counts them, ``orderings`` sorts tokens and groups
+obstacles by them, the gap families skip pairs of equal rank, and
+``clearance_eta`` takes adjacency, side, the far values and the coincident
+obstacles from them.  With ``snap_tol > 0`` nearly equal values chain into
+one class, and every decision sees the same classes.
+
+Comparison values are *scale-free* dot products along ``Frame.axis`` (exact
+for coordinate-axis frames and for axis-aligned obstacle pairs), while all
+metric quantities (gaps, clearances) use the normalized direction
+``Frame.e``.  The two agree mathematically; separating them keeps the
+discrete decisions stable under floating-point noise in the normalization.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -81,22 +91,23 @@ def _as_points(value, name: str, errors: list[str]) -> np.ndarray:
     return arr
 
 
-def _duplicate_pairs(points: np.ndarray) -> list[tuple[int, int]]:
-    out = []
-    for i in range(len(points)):
-        for k in range(i + 1, len(points)):
-            if np.array_equal(points[i], points[k]):
-                out.append((i, k))
-    return out
-
-
-def _cross_coincidences(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int]]:
-    out = []
-    for i in range(len(a)):
-        for k in range(len(b)):
-            if np.array_equal(a[i], b[k]):
-                out.append((i, k))
-    return out
+def _coincidences(named: dict[str, np.ndarray]) -> list[str]:
+    """Messages for coinciding points of the "starts", "goals" and
+    "obstacles" arrays: pairs i < k within each array, then starts and goals
+    against obstacles, each in index order.  One pass groups rows by value."""
+    rows = {name: list(map(tuple, arr.tolist())) for name, arr in named.items()}
+    where: dict[tuple, dict[str, list[int]]] = {}
+    for name, keys in rows.items():
+        for k, key in enumerate(keys):
+            where.setdefault(key, {}).setdefault(name, []).append(k)
+    pairs = [(name, name) for name in rows] + [("starts", "obstacles"), ("goals", "obstacles")]
+    return [
+        f"{a}[{i}] coincides with {b}[{k}]"
+        for a, b in pairs
+        for i, key in enumerate(rows[a])
+        for k in where[key].get(b, ())
+        if a != b or i < k
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,8 +119,9 @@ class ConfigurationQuery:
         goals: (n, d) array, pairwise distinct, disjoint from obstacles.
         obstacles: (m, d) array, pairwise distinct.
 
-    Starts may coincide with goals (a robot that does not need to move).
-    Arrays are made read-only; a query never changes after construction.
+    Every coordinate is finite.  Starts may coincide with goals (a robot that
+    does not need to move).  Arrays are made read-only; a query never changes
+    after construction.
     """
 
     starts: np.ndarray
@@ -138,17 +150,14 @@ class ConfigurationQuery:
                 )
             if len(obstacles) < 1:
                 errors.append("at least one obstacle is required")
+        named = {"starts": starts, "goals": goals, "obstacles": obstacles}
         if not errors:
-            for i, k in _duplicate_pairs(starts):
-                errors.append(f"starts[{i}] coincides with starts[{k}]")
-            for i, k in _duplicate_pairs(goals):
-                errors.append(f"goals[{i}] coincides with goals[{k}]")
-            for i, k in _duplicate_pairs(obstacles):
-                errors.append(f"obstacles[{i}] coincides with obstacles[{k}]")
-            for i, k in _cross_coincidences(starts, obstacles):
-                errors.append(f"starts[{i}] coincides with obstacles[{k}]")
-            for i, k in _cross_coincidences(goals, obstacles):
-                errors.append(f"goals[{i}] coincides with obstacles[{k}]")
+            for name, arr in named.items():
+                if not np.isfinite(arr).all():
+                    for i in np.flatnonzero(~np.isfinite(arr).all(axis=1)):
+                        errors.append(f"{name}[{i}] has a non-finite coordinate")
+        if not errors:
+            errors.extend(_coincidences(named))
         if errors:
             raise QueryValidationError(errors)
         for arr in (starts, goals, obstacles):
@@ -168,12 +177,6 @@ class ConfigurationQuery:
     @property
     def obstacle_count(self) -> int:
         return self.obstacles.shape[0]
-
-    def with_starts(self, starts: np.ndarray) -> "ConfigurationQuery":
-        return ConfigurationQuery(starts, self.goals, self.obstacles)
-
-    def with_positions(self, starts: np.ndarray, goals: np.ndarray) -> "ConfigurationQuery":
-        return ConfigurationQuery(starts, goals, self.obstacles)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,12 +202,15 @@ class Frame:
         e = np.asarray(self.e, dtype=float)
         e_perp = np.asarray(self.e_perp, dtype=float)
         axis = np.asarray(self.axis, dtype=float)
-        if abs(np.linalg.norm(e) - 1.0) > 1e-12:
+        # Written as "not <= / not >" so that a NaN component fails them.
+        if not abs(np.linalg.norm(e) - 1.0) <= 1e-12:
             raise ValueError("e must be a unit vector")
-        if abs(np.linalg.norm(e_perp) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(e_perp) - 1.0) <= 1e-12:
             raise ValueError("e_perp must be a unit vector")
-        if abs(float(np.dot(e, e_perp))) > 1e-12:
+        if not abs(float(np.dot(e, e_perp))) <= 1e-12:
             raise ValueError("e and e_perp must be orthogonal")
+        if not float(np.dot(axis, e)) > 0.0:
+            raise ValueError("axis must point along e")
         for arr in (e, e_perp, axis):
             arr.setflags(write=False)
         object.__setattr__(self, "e", e)
@@ -214,15 +220,6 @@ class Frame:
     @property
     def dim(self) -> int:
         return self.e.shape[0]
-
-    def comparison_values(self, points: np.ndarray) -> np.ndarray:
-        """Scale-free projection values used for distinctness decisions."""
-        return np.asarray(points, dtype=float) @ self.axis
-
-    def comparison_tolerance(self, snap_tol: float) -> float:
-        if snap_tol == 0.0:
-            return 0.0
-        return snap_tol * float(np.linalg.norm(self.axis))
 
 
 def quarter_turn(v: np.ndarray) -> np.ndarray:
@@ -246,7 +243,10 @@ def make_frame(query: ConfigurationQuery, mode: Union[FrameMode, str]) -> Frame:
 
     FIXED: the line is the first coordinate axis and ``e_perp`` the second.
     OBSTACLE_PAIR: the line points from obstacle 0 toward obstacle 1 and
-    ``e_perp = quarter_turn(e)``; requires even dimension and m >= 2.
+    ``e_perp = quarter_turn(e)``; requires even dimension and m >= 2.  The
+    axis is ``o1 - o0`` scaled by a power of two to a largest component in
+    [0.5, 1): exact, so ties and order are those of ``o1 - o0``, and its norm
+    neither underflows nor overflows however close or far the obstacles are.
 
     Raises:
         ModeUnsupportedError: OBSTACLE_PAIR with odd dimension or m < 2.
@@ -266,6 +266,7 @@ def make_frame(query: ConfigurationQuery, mode: Union[FrameMode, str]) -> Frame:
     if query.obstacle_count < 2:
         raise ModeUnsupportedError("obstacle-pair frames need at least two obstacles")
     w = query.obstacles[1] - query.obstacles[0]
+    w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
     e = w / np.linalg.norm(w)
     return Frame(e=e, e_perp=quarter_turn(e), mode=mode, axis=w)
 
@@ -367,37 +368,26 @@ class OrderingPair:
         return self.start_pattern() == self.goal_pattern()
 
 
-def _cluster_sorted(values: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices of ``values`` into clusters of equal (within tol) values.
+def _ties(
+    query: ConfigurationQuery, frame: Frame, snap_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tie table of a query: comparison values of the 2n + m points in the
+    order starts | goals | obstacles, and the tie-class rank of each.
 
-    Single linkage on the sorted sequence: a gap larger than ``tol`` starts a
-    new cluster.  With tol == 0 clusters are exact-equality classes.
+    Ranks are 0, 1, 2, ... along the line.  Sorted values more than the
+    tolerance apart start a new class (single linkage); with ``snap_tol`` 0
+    the classes are exact-equality classes.  The tolerance is ``snap_tol`` in
+    length units, scaled to comparison values by the axis norm.
     """
-    order = np.argsort(values, kind="stable")
-    clusters: list[list[int]] = []
-    previous = None
-    for idx in order:
-        v = values[idx]
-        if previous is None or (v - previous > tol):
-            clusters.append([int(idx)])
-        else:
-            clusters[-1].append(int(idx))
-        previous = v
-    return clusters
-
-
-def _projection_table(query: ConfigurationQuery, frame: Frame):
-    """Comparison values of all 2n+m points in the order starts|goals|obstacles."""
     values = np.concatenate(
-        [
-            frame.comparison_values(query.starts),
-            frame.comparison_values(query.goals),
-            frame.comparison_values(query.obstacles),
-        ]
+        [query.starts @ frame.axis, query.goals @ frame.axis, query.obstacles @ frame.axis]
     )
-    n = query.robot_count
-    kinds = ["start"] * n + ["goal"] * n + ["obstacle"] * query.obstacle_count
-    return values, kinds
+    tol = snap_tol * float(np.linalg.norm(frame.axis)) if snap_tol else 0.0
+    order = np.argsort(values, kind="stable")
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order[0]] = 0
+    rank[order[1:]] = np.cumsum(np.diff(values[order]) > tol)
+    return values, rank
 
 
 def classify(query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0) -> RegionLabel:
@@ -409,29 +399,27 @@ def classify(query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0) -> 
     query.  ``snap_tol`` (absolute, in length units) optionally merges nearly
     equal projections; the default 0 compares exactly.
     """
-    values, kinds = _projection_table(query, frame)
-    tol = frame.comparison_tolerance(snap_tol)
-    clusters = _cluster_sorted(values, tol)
-    t = 0
-    j = 0
-    for cluster in clusters:
-        if any(kinds[i] == "obstacle" for i in cluster):
-            t += 1
-        else:
-            j += 1
-    return RegionLabel(j=j, t=t)
+    _, rank = _ties(query, frame, snap_tol)
+    return _label(rank, query.robot_count)
 
 
-def obstacle_blocks(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> list[tuple[float, ObstacleBlock]]:
-    """Obstacle blocks with a representative comparison value, sorted along the line."""
-    values = frame.comparison_values(query.obstacles)
-    tol = frame.comparison_tolerance(snap_tol)
-    out = []
-    for cluster in _cluster_sorted(values, tol):
-        out.append((float(values[cluster[0]]), ObstacleBlock(frozenset(cluster))))
-    return out
+def _label(rank: np.ndarray, n: int) -> RegionLabel:
+    t = len(set(rank[2 * n:].tolist()))
+    return RegionLabel(j=int(rank.max()) + 1 - t, t=t)
+
+
+def _generic_ties(
+    query: ConfigurationQuery, frame: Frame, snap_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tie table of a generic query (see :func:`orderings`)."""
+    values, rank = _ties(query, frame, snap_tol)
+    n = query.robot_count
+    label = _label(rank, n)
+    if label.j != 2 * n:
+        raise NotGenericError(
+            f"query is not generic: j={label.j} < 2n={2 * n} (c={label.c})"
+        )
+    return values, rank
 
 
 def orderings(
@@ -447,55 +435,33 @@ def orderings(
         NotGenericError: some robot projection coincides with another
             projection value.
     """
-    label = classify(query, frame, snap_tol)
+    _, rank = _generic_ties(query, frame, snap_tol)
     n = query.robot_count
-    if label.j != 2 * n:
-        raise NotGenericError(
-            f"query is not generic: j={label.j} < 2n={2 * n} (c={label.c})"
-        )
-    blocks = obstacle_blocks(query, frame, snap_tol)
-    start_vals = frame.comparison_values(query.starts)
-    goal_vals = frame.comparison_values(query.goals)
+    members: dict[int, list[int]] = {}
+    for k, r in enumerate(rank[2 * n:].tolist()):
+        members.setdefault(r, []).append(k)
+    blocks = [(r, ObstacleBlock(frozenset(ks))) for r, ks in members.items()]
 
-    def sequence(robot_values: np.ndarray, make_token) -> tuple[Token, ...]:
-        entries: list[tuple[float, Token]] = [
-            (float(robot_values[i]), make_token(i)) for i in range(n)
-        ]
-        entries.extend(blocks)
-        entries.sort(key=lambda pair: pair[0])
-        return tuple(tok for _, tok in entries)
+    def sequence(robot_rank: np.ndarray, make_token) -> tuple[Token, ...]:
+        entries = [(r, make_token(i)) for i, r in enumerate(robot_rank.tolist())]
+        return tuple(tok for _, tok in sorted(entries + blocks, key=lambda e: e[0]))
 
     return OrderingPair(
-        sigma=sequence(start_vals, RobotStart),
-        sigma_prime=sequence(goal_vals, RobotGoal),
+        sigma=sequence(rank[:n], RobotStart),
+        sigma_prime=sequence(rank[n:2 * n], RobotGoal),
     )
-
-
-def _positive_gaps(
-    left: np.ndarray, right: np.ndarray, metric_left: np.ndarray,
-    metric_right: np.ndarray, tol: float, skip_equal_index: bool
-) -> Iterable[float]:
-    """|metric| gaps between two families, excluding pairs whose comparison
-    values coincide (within tol)."""
-    for i in range(len(left)):
-        for k in range(len(right)):
-            if skip_equal_index and i >= k:
-                continue
-            if abs(left[i] - right[k]) <= tol:
-                continue
-            yield abs(float(metric_left[i] - metric_right[k]))
 
 
 def min_gap(query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0) -> float:
     """Smallest positive projection gap within the start-start, goal-goal,
     start-obstacle and goal-obstacle families.
 
-    Start-goal gaps are deliberately not considered.  When every listed gap
+    Start-goal gaps are deliberately not considered.  Pairs that are tied
+    (equal rank in the tie table) do not count.  When every listed gap
     vanishes the fallback value 1.0 is returned, so the result is always
     strictly positive.
     """
-    gaps = _gap_families(query, frame, snap_tol, include_start_goal=False)
-    return min(gaps) if gaps else 1.0
+    return _min_gap(query, frame, snap_tol, include_start_goal=False)
 
 
 def desingularization_gap(
@@ -508,27 +474,25 @@ def desingularization_gap(
     the result to be generic; folding that family into the bound makes the
     genericity guarantee unconditional.
     """
-    gaps = _gap_families(query, frame, snap_tol, include_start_goal=True)
-    return min(gaps) if gaps else 1.0
+    return _min_gap(query, frame, snap_tol, include_start_goal=True)
 
 
-def _gap_families(
+def _min_gap(
     query: ConfigurationQuery, frame: Frame, snap_tol: float, include_start_goal: bool
-) -> list[float]:
-    tol = frame.comparison_tolerance(snap_tol)
-    cmp_start = frame.comparison_values(query.starts)
-    cmp_goal = frame.comparison_values(query.goals)
-    cmp_obst = frame.comparison_values(query.obstacles)
-    q_start = query.starts @ frame.e
-    q_goal = query.goals @ frame.e
-    q_obst = query.obstacles @ frame.e
-    gaps = list(_positive_gaps(cmp_start, cmp_start, q_start, q_start, tol, True))
-    gaps.extend(_positive_gaps(cmp_goal, cmp_goal, q_goal, q_goal, tol, True))
-    gaps.extend(_positive_gaps(cmp_start, cmp_obst, q_start, q_obst, tol, False))
-    gaps.extend(_positive_gaps(cmp_goal, cmp_obst, q_goal, q_obst, tol, False))
-    if include_start_goal:
-        gaps.extend(_positive_gaps(cmp_start, cmp_goal, q_start, q_goal, tol, False))
-    return gaps
+) -> float:
+    _, rank = _ties(query, frame, snap_tol)
+    n, m = query.robot_count, query.obstacle_count
+    q = np.concatenate(
+        [query.starts @ frame.e, query.goals @ frame.e, query.obstacles @ frame.e]
+    )
+    # families[kind_a, kind_b] says whether pairs of those kinds (start, goal,
+    # obstacle) bound the gap; obstacle-obstacle pairs never do.
+    sg = include_start_goal
+    families = np.array([[True, sg, True], [sg, True, True], [True, True, False]])
+    kind = np.repeat([0, 1, 2], [n, n, m])
+    counted = families[kind[:, None], kind] & (rank[:, None] != rank)
+    gaps = np.abs(q[:, None] - q)[counted]
+    return float(gaps.min()) if gaps.size else 1.0
 
 
 def clearance_eta(
@@ -553,52 +517,36 @@ def clearance_eta(
     while the ordering pair stays fixed.
 
     Raises:
+        NotGenericError: the query is not generic.
         PreconditionError: the robot token is not adjacent to the obstacle's
             block in the start ordering, or the robot sits on the destination
             side already.
     """
-    pair = orderings(query, frame, snap_tol)
-    tol = frame.comparison_tolerance(snap_tol)
-    cmp_obst = frame.comparison_values(query.obstacles)
-    cmp_robot = float(frame.comparison_values(query.starts)[robot])
-    cmp_o = float(cmp_obst[obstacle])
-
-    block = None
-    block_pos = None
-    robot_pos = None
-    for pos, token in enumerate(pair.sigma):
-        if isinstance(token, ObstacleBlock) and obstacle in token.obstacles:
-            block = token
-            block_pos = pos
-        elif isinstance(token, RobotStart) and token.robot == robot:
-            robot_pos = pos
-    if block is None or robot_pos is None:
+    values, rank = _generic_ties(query, frame, snap_tol)
+    n, m = query.robot_count, query.obstacle_count
+    if not (0 <= robot < n and 0 <= obstacle < m):
         raise PreconditionError("robot or obstacle not present in the ordering")
-    if abs(robot_pos - block_pos) != 1:
+    r_robot, r_o = rank[robot], rank[2 * n + obstacle]
+    # The start ordering holds the starts and the obstacle blocks.
+    sigma_rank = np.concatenate([rank[:n], rank[2 * n:]])
+    if np.any((sigma_rank > min(r_robot, r_o)) & (sigma_rank < max(r_robot, r_o))):
         raise PreconditionError(
             f"robot {robot} is not adjacent to the block of obstacle {obstacle}"
         )
-    if side is Side.LEFT and cmp_robot < cmp_o:
+    if side is Side.LEFT and r_robot < r_o:
         raise PreconditionError("robot is already on the left of the obstacle")
-    if side is Side.RIGHT and cmp_robot > cmp_o:
+    if side is Side.RIGHT and r_robot > r_o:
         raise PreconditionError("robot is already on the right of the obstacle")
 
-    values, _ = _projection_table(query, frame)
-    if side is Side.LEFT:
-        far = values[values < cmp_o - tol]
-    else:
-        far = values[values > cmp_o + tol]
+    cmp_o = float(values[2 * n + obstacle])
+    far = values[rank < r_o] if side is Side.LEFT else values[rank > r_o]
     axis_norm = float(np.linalg.norm(frame.axis))
 
     terms = []
     if len(far):
         nearest = float(np.min(np.abs(far - cmp_o)))
         terms.append(nearest / axis_norm)
-    coincident = [
-        k
-        for k in range(query.obstacle_count)
-        if k != obstacle and abs(cmp_obst[k] - cmp_o) <= tol
-    ]
+    coincident = [k for k in np.flatnonzero(rank[2 * n:] == r_o).tolist() if k != obstacle]
     if coincident:
         terms.append(
             min(
@@ -606,7 +554,7 @@ def clearance_eta(
                 for k in coincident
             )
         )
-    terms.append(abs(cmp_robot - cmp_o) / axis_norm)
+    terms.append(abs(float(values[robot]) - cmp_o) / axis_norm)
     return min(terms)
 
 

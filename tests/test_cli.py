@@ -84,6 +84,26 @@ def test_samples_below_two_is_validation_error(
     assert "--samples: expected an integer >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_coordinate_is_validation_error(tmp_path, capsys, command, token):
+    # Python's json reads these tokens as float nan and +-inf
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(PROBLEM).replace("[0.0, 1.0, 0.0]", f"[{token}, 1.0, 0.0]"))
+    assert main([command, "--input", str(path)]) == 1
+    assert "starts[0] has a non-finite coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["classify", "--bogus"], ["classify", "--samples", "64"], ["frobnicate"]]
+)
+def test_usage_error_exit_code(problem_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--input", str(problem_file)])
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_components_exact(capsys):
     assert main(["components", "5", "3"]) == 0
     assert capsys.readouterr().out.strip() == "270950400"

@@ -7,24 +7,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parammp import (
     ConfigurationQuery,
+    Frame,
     FrameMode,
     ModeUnsupportedError,
     NotGenericError,
     ObstacleBlock,
     PreconditionError,
     QueryValidationError,
+    RegionLabel,
     RobotGoal,
     RobotStart,
     Side,
     classify,
+    classify_oracle,
     clearance_eta,
     component_count,
     make_frame,
     min_gap,
     orderings,
+    plan,
     project,
 )
 from parammp.geometry import desingularization_gap
@@ -64,6 +70,47 @@ class TestQueryValidation:
         q = q3([[0.0, 1.0]], [[2.0, 3.0]], [[5.0, 5.0]])
         with pytest.raises(ValueError):
             q.starts[0, 0] = 7.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        with pytest.raises(QueryValidationError) as exc:
+            q3([[0.0, 1.0]], [[2.0, 3.0]], [[5.0, 5.0], [1.0, bad]])
+        assert exc.value.errors == ["obstacles[1] has a non-finite coordinate"]
+
+    def test_coincidence_messages_match_pairwise_loops(self):
+        # Reference: every pair compared with np.array_equal, in index order.
+        def pairs(a, b, within):
+            return [
+                (i, k)
+                for i in range(len(a))
+                for k in range(i + 1 if within else 0, len(b))
+                if np.array_equal(a[i], b[k])
+            ]
+
+        rng = np.random.default_rng(9)
+        checked = 0
+        for _ in range(500):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            pts = rng.integers(-1, 2, size=(2 * n + m, 2)).astype(float)
+            pts[rng.random(pts.shape) < 0.2] = -0.0
+            starts, goals, obstacles = pts[:n], pts[n:2 * n], pts[2 * n:]
+            expected = [
+                f"{name}[{i}] coincides with {name}[{k}]"
+                for name, arr in (("starts", starts), ("goals", goals), ("obstacles", obstacles))
+                for i, k in pairs(arr, arr, True)
+            ] + [
+                f"{name}[{i}] coincides with obstacles[{k}]"
+                for name, arr in (("starts", starts), ("goals", goals))
+                for i, k in pairs(arr, obstacles, False)
+            ]
+            try:
+                ConfigurationQuery(starts, goals, obstacles)
+                errors = []
+            except QueryValidationError as exc:
+                errors = exc.errors
+            assert errors == expected
+            checked += bool(expected)
+        assert checked > 300
 
 
 class TestMakeFrame:
@@ -110,6 +157,27 @@ class TestMakeFrame:
                 assert abs(np.linalg.norm(f.e) - 1) < 1e-12
                 assert abs(np.linalg.norm(f.e_perp) - 1) < 1e-12
                 assert abs(float(f.e @ f.e_perp)) < 1e-12
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_obstacle_pair_closer_than_norm_resolution_plans(self, flip):
+        # |o1 - o0| = 1.17e-220: squaring it in the norm underflows to 0
+        obstacles = [[0.0, 1.0], [1.17e-220, 1.0]]
+        q = q3([[1.0, 0.0]], [[-1.0, 0.0]], obstacles[::-1] if flip else obstacles)
+        res = plan(q, mode="obstacle_pair")
+        assert res.region == RegionLabel(j=2, t=2)
+        assert res.swap_count == 2
+
+    @pytest.mark.parametrize(
+        "e,e_perp,axis",
+        [
+            ([math.nan, 0.0], [0.0, 1.0], [1.0, 0.0]),
+            ([1.0, 0.0], [0.0, math.nan], [1.0, 0.0]),
+            ([1.0, 0.0], [0.0, 1.0], [math.nan, 0.0]),
+        ],
+    )
+    def test_frame_with_nan_component_rejected(self, e, e_perp, axis):
+        with pytest.raises(ValueError):
+            Frame(e=e, e_perp=e_perp, mode=FrameMode.FIXED, axis=axis)
 
 
 class TestProject:
@@ -356,6 +424,145 @@ class TestClearance:
         f = make_frame(q, FrameMode.FIXED)
         with pytest.raises(PreconditionError):
             clearance_eta(q, f, 0, 0, Side.RIGHT)
+
+
+@st.composite
+def tie_queries(draw):
+    """Queries with n, m <= 3 and d in {2, 3, 4}, in either frame mode, with
+    coordinates that are floats in [-10, 10], on the half-unit grid of
+    [-3, 3], or grid points moved by at most 1e-12."""
+    mode = draw(st.sampled_from(FrameMode))
+    pair = mode is FrameMode.OBSTACLE_PAIR
+    d = draw(st.sampled_from((2, 4) if pair else (2, 3, 4)))
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2 if pair else 1, 3))
+    grid = st.integers(-6, 6).map(lambda k: k / 2)
+    coordinate = draw(
+        st.sampled_from(
+            [
+                st.floats(-10, 10),
+                grid,
+                st.tuples(grid, st.floats(-1e-12, 1e-12)).map(sum),
+            ]
+        )
+    )
+    points = draw(
+        st.lists(
+            st.tuples(*[coordinate] * d),
+            min_size=2 * n + m,
+            max_size=2 * n + m,
+            unique=True,
+        )
+    )
+    try:
+        query = ConfigurationQuery(points[:n], points[n : 2 * n], points[2 * n :])
+    except QueryValidationError:  # e.g. 0.0 and -0.0 are one point
+        query = None
+    return query, mode
+
+
+class TestTieTable:
+    """At snap tolerance 0, every tie and order decision equals its pairwise
+    definition on the comparison values ``x . axis``, and every metric value
+    its formula on ``x . e``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_queries())
+    def test_decisions_match_pairwise_definitions(self, case):
+        query, mode = case
+        if query is None:
+            return
+        f = make_frame(query, mode)
+        n, m = query.robot_count, query.obstacle_count
+        # Projected as the library does (one matrix product per family): a
+        # single-row dot product may round differently.
+        cs, cg, co = ((arr @ f.axis).tolist() for arr in
+                      (query.starts, query.goals, query.obstacles))
+        qs, qg, qo = ((arr @ f.e).tolist() for arr in
+                      (query.starts, query.goals, query.obstacles))
+        values = cs + cg + co
+        axis_norm = float(np.linalg.norm(f.axis))
+
+        j = len(set(cs + cg) - set(co))
+        t = len(set(co))
+        assert classify(query, f) == RegionLabel(j=j, t=t)
+
+        def gap(families):
+            gaps = [
+                abs(qa[i] - qb[k])
+                for ca, qa, cb, qb in families
+                for i in range(len(ca))
+                for k in range(len(cb))
+                if ca[i] != cb[k]
+            ]
+            return min(gaps) if gaps else 1.0
+
+        listed = [(cs, qs, cs, qs), (cg, qg, cg, qg), (cs, qs, co, qo), (cg, qg, co, qo)]
+        assert min_gap(query, f) == gap(listed)
+        assert desingularization_gap(query, f) == gap(listed + [(cs, qs, cg, qg)])
+
+        if j < 2 * n:
+            with pytest.raises(NotGenericError):
+                orderings(query, f)
+            with pytest.raises(NotGenericError):
+                clearance_eta(query, f, 0, 0, Side.LEFT)
+            return
+
+        def sequence(robot_values, make_token):
+            blocks = {}
+            for k, v in enumerate(co):
+                blocks.setdefault(v, set()).add(k)
+            entries = [(v, make_token(i)) for i, v in enumerate(robot_values)]
+            entries += [(v, ObstacleBlock(frozenset(ks))) for v, ks in blocks.items()]
+            return tuple(tok for _, tok in sorted(entries, key=lambda e: e[0]))
+
+        pair = orderings(query, f)
+        assert pair.sigma == sequence(cs, RobotStart)
+        assert pair.sigma_prime == sequence(cg, RobotGoal)
+
+        for r, o, side in itertools.product(range(n), range(m), Side):
+            lo, hi = sorted((cs[r], co[o]))
+            adjacent = not any(lo < v < hi for v in cs + co)
+            wrong_side = cs[r] < co[o] if side is Side.LEFT else cs[r] > co[o]
+            if not adjacent or wrong_side:
+                with pytest.raises(PreconditionError):
+                    clearance_eta(query, f, r, o, side)
+                continue
+            far = [v for v in values if (v < co[o] if side is Side.LEFT else v > co[o])]
+            terms = [abs(cs[r] - co[o]) / axis_norm]
+            if far:
+                terms.append(min(abs(v - co[o]) for v in far) / axis_norm)
+            terms += [
+                float(np.linalg.norm(query.obstacles[k] - query.obstacles[o]))
+                for k in range(m)
+                if k != o and co[k] == co[o]
+            ]
+            assert clearance_eta(query, f, r, o, side) == min(terms)
+
+    def test_gaps_skip_pairs_tied_through_a_chain(self):
+        # Obstacle at x = 0, starts at 0.08 and 0.16, tolerance 0.1: the start
+        # at 0.16 is more than 0.1 from the obstacle, but classify ties it to
+        # the obstacle through the start at 0.08, so no gap may count it.
+        q = q3([[0.08, 1.0], [0.16, 2.0]], [[5.0, 1.0], [6.0, 1.0]], [[0.0, 0.0]])
+        f = make_frame(q, FrameMode.FIXED)
+        assert classify(q, f, snap_tol=0.1) == RegionLabel(j=2, t=1)
+        assert min_gap(q, f, snap_tol=0.1) == 1.0  # the goal-goal gap
+        assert desingularization_gap(q, f, snap_tol=0.1) == 1.0
+
+    def test_near_tie_in_comparison_values_is_a_precondition_error(self):
+        # The starts' comparison values differ (exact gap 1.0e-14), so the
+        # query is generic, but their e-projections round to one float: the
+        # swap of the two robots must be refused, not built with radius 0.
+        q = q3(
+            [[-0.114, -8.991], [-7.595089999999999, -9.537572]],
+            [[19.461999999999996, -35.222], [27.048999999999996, -26.438999999999997]],
+            [[0.102, 4.507], [0.7, -3.678]],
+        )
+        f = make_frame(q, FrameMode.OBSTACLE_PAIR)
+        assert classify(q, f) == classify_oracle(q, f) == RegionLabel(j=4, t=2)
+        assert float(q.starts[0] @ f.e) == float(q.starts[1] @ f.e)
+        with pytest.raises(PreconditionError):
+            plan(q, mode="obstacle_pair")
 
 
 class TestComponentCount:
