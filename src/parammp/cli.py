@@ -68,7 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_common(p_verify)
     p_verify.add_argument(
-        "--samples", type=int, help="samples per segment (default: from the document)"
+        "--samples",
+        type=int,
+        help="samples per window of the union of all robots' segment bounds "
+        "(default: from the document)",
     )
 
     p_comp = sub.add_parser("components", help="count generic ordering pairs exactly")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QueryValidationError
+from .errors import InternalConsistencyError, QueryValidationError
 from .geometry import ConfigurationQuery, Frame, FrameMode
 from .paths import ArcMove, LinearMove, PathSegment, PiecewisePath
 from .planner import PlanResult
@@ -185,6 +185,8 @@ def _fraction_str(value: Fraction) -> str:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    if not isinstance(text, str):
+        raise TypeError(f'time bound {text!r} is not a "num/den" string')
     num, _, den = text.partition("/")
     return Fraction(int(num), int(den) if den else 1)
 
@@ -243,9 +245,7 @@ def serialize_plan(result: PlanResult) -> str:
     return json.dumps(plan_to_document(result), indent=2)
 
 
-def parse_plan(text: str) -> PiecewisePath:
-    """Rebuild the piecewise path of a serialized plan."""
-    doc = json.loads(text)
+def _path_from_document(doc) -> PiecewisePath:
     query = ConfigurationQuery(
         starts=np.array(doc["starts"], dtype=float),
         goals=np.array(doc["goals"], dtype=float),
@@ -260,7 +260,7 @@ def parse_plan(text: str) -> PiecewisePath:
                 move = LinearMove(
                     start=np.array(seg["start"]), end=np.array(seg["end"])
                 )
-            else:
+            elif seg["kind"] == "arc":
                 move = ArcMove(
                     center=np.array(seg["center"]),
                     radius=seg["radius"],
@@ -268,6 +268,10 @@ def parse_plan(text: str) -> PiecewisePath:
                     basis_v=np.array(seg["basis_v"]),
                     angle_start=seg["angle_start"],
                     angle_end=seg["angle_end"],
+                )
+            else:
+                raise QueryValidationError(
+                    [f"plan document: unknown segment kind {seg['kind']!r}"]
                 )
             per_robot.append(
                 PathSegment(
@@ -279,6 +283,20 @@ def parse_plan(text: str) -> PiecewisePath:
             )
         segments.append(tuple(per_robot))
     return PiecewisePath(query=query, segments=tuple(segments))
+
+
+def parse_plan(text: str) -> PiecewisePath:
+    """Rebuild the piecewise path of a serialized plan.
+
+    Raises:
+        QueryValidationError: the text is not a well-formed plan document: bad
+            JSON, a missing or mistyped field, an unknown segment kind, a time
+            bound that is not a rational, or segments that do not chain.
+    """
+    try:
+        return _path_from_document(json.loads(text))
+    except (ArithmeticError, InternalConsistencyError, LookupError, TypeError, ValueError) as exc:
+        raise QueryValidationError([f"plan document: {type(exc).__name__}: {exc}"]) from exc
 
 
 def sample_csv(result: PlanResult, resolution: int = 256) -> str:

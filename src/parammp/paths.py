@@ -251,8 +251,9 @@ class PiecewisePath:
         if t < 0 or t > 1:
             raise ValueError(f"time {t} outside [0, 1]")
         per_robot = self.segments[robot]
-        # Linear scan: segment counts stay small and Fraction bounds compare
-        # exactly against float t.
+        # Linear scan, O(segments) per call: a plan with k swaps gives a robot
+        # O(k) segments.  Fraction bounds compare exactly against float t;
+        # positions_at evaluates many times at once.
         for seg in per_robot:
             if t < seg.t1:
                 return seg

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from numbers import Integral
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import PiecewisePath
+from .paths import LinearMove, PiecewisePath
 from .planner import plan
 
 __all__ = [
@@ -55,7 +56,8 @@ class PairSeparation:
 
     ``certified_lower_bound`` is the sampled minimum minus the Lipschitz
     slack accumulated between samples; it never exceeds ``sampled_min`` and
-    the pair passes iff it is strictly positive.
+    the pair passes iff it is strictly positive.  ``samples_per_segment``
+    counts samples per window of the union of all robots' segment bounds.
     """
 
     kind: str  # "robot-robot" or "robot-obstacle"
@@ -90,113 +92,74 @@ class SeparationCertificate:
         raise KeyError((kind, first, second))
 
 
-def _pair_breakpoints(path: PiecewisePath, robots: Sequence[int]) -> list[Fraction]:
-    cuts = {Fraction(0), Fraction(1)}
-    for robot in robots:
-        for seg in path.segments[robot]:
-            cuts.add(seg.t0)
-            cuts.add(seg.t1)
-    return sorted(cuts)
-
-
-def _interval_distance_bound(
-    path: PiecewisePath,
-    robot: int,
-    other_robot: Optional[int],
-    obstacle: Optional[int],
-    lo: Fraction,
-    hi: Fraction,
-    samples: int,
-):
-    """(sampled_min, certified_min) for one pair over [lo, hi].
-
-    Both bodies follow a single segment on the interval, so the pairwise
-    distance is Lipschitz in time; between adjacent samples f_l, f_r spaced h
-    apart it is at least (f_l + f_r - L*h) / 2 (two-sided Lipschitz cone),
-    which is exact for a straight-line approach and refines monotonically.
-
-    L bounds the *relative* speed: for two straight segments the relative
-    velocity is a constant vector and L is its exact norm (which makes the
-    cone bound strictly positive whenever the true separation is), otherwise
-    the segment speed bounds are summed.
-    """
-    ts = np.linspace(float(lo), float(hi), samples + 1)
-    # Any interior time identifies the active segment for both bodies.
-    mid = (float(lo) + float(hi)) / 2.0
-    seg_a = path.segment_at(robot, mid)
-    pa = seg_a.at_many(ts)
-    if other_robot is not None:
-        seg_b = path.segment_at(other_robot, mid)
-        pb = seg_b.at_many(ts)
-        speed = _relative_speed_bound(seg_a, seg_b)
-    else:
-        pb = np.broadcast_to(path.obstacles[obstacle], pa.shape)
-        speed = seg_a.speed_bound()
-    f = np.linalg.norm(pa - pb, axis=1)
-    h = (float(hi) - float(lo)) / samples
-    cone = 0.5 * (f[:-1] + f[1:] - speed * h)
-    sampled_min = float(f.min())
-    certified = min(sampled_min, float(cone.min()))
-    return sampled_min, certified
-
-
-def _relative_speed_bound(seg_a, seg_b) -> float:
-    from .paths import LinearMove
-
-    if isinstance(seg_a.move, LinearMove) and isinstance(seg_b.move, LinearMove):
-        velocity_a = (seg_a.move.end - seg_a.move.start) / float(seg_a.duration)
-        velocity_b = (seg_b.move.end - seg_b.move.start) / float(seg_b.duration)
-        return float(np.linalg.norm(velocity_a - velocity_b))
-    return seg_a.speed_bound() + seg_b.speed_bound()
-
-
 def certify_separation(
     path: PiecewisePath, samples_per_segment: int = 64
 ) -> SeparationCertificate:
     """Sampled-plus-slack lower bounds on every pairwise distance.
 
-    Each robot-robot and robot-obstacle pair is sampled uniformly on every
-    maximal interval where both bodies follow a single segment; the certified
-    bound subtracts per-segment Lipschitz slack from the sampled values (see
-    ``_interval_distance_bound``).  An unsound path yields a failing
-    certificate, never an exception.
+    The time grid is the union of every robot's segment bounds, so on each of
+    its windows every body follows a single segment.  Each window is sampled
+    ``samples_per_segment + 1`` times, for all pairs at once and one
+    coordinate at a time (memory per window is O(samples x pairs)).  Between
+    adjacent samples f_l, f_r spaced h apart a pair's distance is at least
+    (f_l + f_r - L*h) / 2 (two-sided Lipschitz cone), where L bounds the
+    pair's relative speed on the window: the exact norm of the relative
+    velocity for two straight segments, otherwise the sum of the two segment
+    speed bounds.  The cone is exact for a straight-line approach and refines
+    monotonically; an unsound path yields a failing certificate, never an
+    exception.
     """
-    if samples_per_segment < 2:
-        raise ValueError("need at least 2 samples per segment")
-    n = path.robot_count
-    m = path.obstacles.shape[0]
-    pairs: list[PairSeparation] = []
-
-    def run(kind, first, second, other_robot, obstacle):
-        robots = (first,) if other_robot is None else (first, other_robot)
-        cuts = _pair_breakpoints(path, robots)
-        sampled = np.inf
-        certified = np.inf
-        for lo, hi in zip(cuts, cuts[1:]):
-            s, c = _interval_distance_bound(
-                path, first, other_robot, obstacle, lo, hi, samples_per_segment
-            )
-            sampled = min(sampled, s)
-            certified = min(certified, c)
-        pairs.append(
-            PairSeparation(
-                kind=kind,
-                first=first,
-                second=second,
-                sampled_min=float(sampled),
-                certified_lower_bound=float(certified),
-                samples_per_segment=samples_per_segment,
-            )
+    if not isinstance(samples_per_segment, Integral) or samples_per_segment < 2:
+        raise ValueError(
+            f"samples_per_segment must be an integer >= 2, got {samples_per_segment!r}"
         )
+    n, m, d = path.robot_count, path.obstacles.shape[0], path.query.dim
+    segments = [seg for per_robot in path.segments for seg in per_robot]
+    cuts = sorted({Fraction(0)} | {seg.t1 for seg in segments})
+    cut_index = {t: w for w, t in enumerate(cuts)}
+    # bodies[w] indexes the segment each robot follows on window w, then one
+    # index past the segments, standing for a body at rest, per obstacle.
+    spans = [cut_index[seg.t1] - cut_index[seg.t0] for seg in segments]
+    active = np.repeat(np.arange(len(segments)), spans).reshape(n, -1).T
+    bodies = np.hstack([active, np.full((len(active), m), len(segments))])
+    # A body's velocity is a constant vector plus a part of bounded norm: a
+    # straight segment has no bounded part, an arc no constant part and a
+    # body at rest neither.  |v_a - v_b| + w_a + w_b is then the rule for L.
+    constant = np.zeros((len(segments) + 1, d))
+    bounded = np.zeros(len(segments) + 1)
+    for index, seg in enumerate(segments):
+        if isinstance(seg.move, LinearMove):
+            constant[index] = (seg.move.end - seg.move.start) / float(seg.duration)
+        else:
+            bounded[index] = seg.speed_bound()
 
-    for i in range(n):
-        for k in range(i + 1, n):
-            run("robot-robot", i, k, k, None)
-    for i in range(n):
-        for j in range(m):
-            run("robot-obstacle", i, j, None, j)
+    # Robot-robot pairs i < k, then robot-obstacle pairs (i, j) as bodies n + j.
+    first, second = np.triu_indices(n, 1)
+    first = np.concatenate([first, np.repeat(np.arange(n), m)])
+    second = np.concatenate([second, n + np.tile(np.arange(m), n)])
+    sampled = np.full(len(first), np.inf)
+    cone_min = np.full(len(first), np.inf)
+    at = np.empty((samples_per_segment + 1, n + m, d))
+    at[:, n:] = path.obstacles
+    bounds = [float(t) for t in cuts]
+    for lo, hi, body in zip(bounds, bounds[1:], bodies):
+        ts = np.linspace(lo, hi, samples_per_segment + 1)
+        at[:, :n] = np.stack([segments[s].at_many(ts) for s in body[:n]], axis=1)
+        f = np.sqrt(sum((at[:, first, c] - at[:, second, c]) ** 2 for c in range(d)))
+        a, b = body[first], body[second]
+        speed = np.linalg.norm(constant[a] - constant[b], axis=1) + bounded[a] + bounded[b]
+        h = (hi - lo) / samples_per_segment
+        cone = 0.5 * (f[:-1] + f[1:] - speed * h)
+        sampled = np.minimum(sampled, f.min(axis=0))
+        cone_min = np.minimum(cone_min, cone.min(axis=0))
+
+    kinds = np.where(second < n, "robot-robot", "robot-obstacle").tolist()
+    seconds = np.where(second < n, second, second - n).tolist()
+    certified = np.minimum(sampled, cone_min).tolist()
+    rows = zip(kinds, first.tolist(), seconds, sampled.tolist(), certified)
     return SeparationCertificate(
-        pairs=tuple(pairs), samples_per_segment=samples_per_segment
+        pairs=tuple(PairSeparation(*row, samples_per_segment) for row in rows),
+        samples_per_segment=samples_per_segment,
     )
 
 
@@ -394,13 +357,11 @@ def continuity_probe(
 
 
 def _exact_values(points: np.ndarray, axis_fractions) -> list:
-    from fractions import Fraction as F
-
     values = []
     for row in points:
-        acc = F(0)
+        acc = Fraction(0)
         for coord, a in zip(row, axis_fractions):
-            acc += F(float(coord)) * a
+            acc += Fraction(float(coord)) * a
         values.append(acc)
     return values
 
@@ -414,14 +375,12 @@ def classify_oracle(query: ConfigurationQuery, frame: Frame) -> RegionLabel:
     rationals losslessly, so the returned label is exact; it must agree with
     :func:`classify` at snap tolerance 0.
     """
-    from fractions import Fraction as F
-
     d = query.dim
     if frame.mode is FrameMode.FIXED:
-        axis = [F(1)] + [F(0)] * (d - 1)
+        axis = [Fraction(1)] + [Fraction(0)] * (d - 1)
     else:
         axis = [
-            F(float(query.obstacles[1][k])) - F(float(query.obstacles[0][k]))
+            Fraction(float(query.obstacles[1][k])) - Fraction(float(query.obstacles[0][k]))
             for k in range(d)
         ]
     start_vals = _exact_values(query.starts, axis)

@@ -154,6 +154,29 @@ class TestSerializePlan:
         assert doc["mode"] == "fixed"
 
 
+def _plan_text(**segment_fields):
+    """The crossing plan's JSON with fields of robot 0's first segment replaced."""
+    doc = json.loads(serialize_plan(crossing_plan()))
+    doc["robots"][0]["segments"][0].update(segment_fields)
+    return json.dumps(doc)
+
+
+class TestParsePlan:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"starts": [[0, 0]]}',
+            "[1]",
+            _plan_text(t0="1/0"),
+            _plan_text(kind="spline"),
+        ],
+        ids=["missing-field", "not-an-object", "zero-denominator", "unknown-kind"],
+    )
+    def test_malformed_document_raises_validation_error(self, text):
+        with pytest.raises(QueryValidationError, match="plan document"):
+            parse_plan(text)
+
+
 class TestSampleCsv:
     def test_header_and_shape(self):
         res = crossing_plan()

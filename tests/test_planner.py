@@ -9,7 +9,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from parammp import (
     CaseASwap,
@@ -34,6 +33,7 @@ from parammp import (
     serialize_plan,
     transposition_sequence,
 )
+from query_strategies import small_queries
 
 
 def bfs_swap_distance(start_pattern, goal_pattern):
@@ -329,37 +329,6 @@ class TestPlan:
                     res = plan(q, mode="fixed")
                     assert (res.region.j, res.region.t) == (j, t)
                     assert certify_separation(res.path).passed
-
-
-@st.composite
-def small_queries(draw):
-    """Queries with n, m <= 4 and d in {2, 3, 4}, in either frame mode.
-
-    Coordinates are generic floats with six decimals or lie on the half-unit
-    grid of [-3, 3], where projection coincidences (degenerate queries) are
-    common.
-    """
-    mode = draw(st.sampled_from(FrameMode))
-    pair = mode is FrameMode.OBSTACLE_PAIR
-    d = draw(st.sampled_from((2, 4) if pair else (2, 3, 4)))
-    n = draw(st.integers(1, 4))
-    m = draw(st.integers(2 if pair else 1, 4))
-    if draw(st.booleans()):
-        coordinate = st.integers(-6, 6).map(lambda k: k / 2)
-    else:
-        coordinate = st.floats(-10, 10).map(lambda x: round(x, 6))
-    points = draw(
-        st.lists(
-            st.tuples(*[coordinate] * d),
-            min_size=2 * n + m,
-            max_size=2 * n + m,
-            unique=True,
-        )
-    )
-    query = ConfigurationQuery(
-        starts=points[:n], goals=points[n : 2 * n], obstacles=points[2 * n :]
-    )
-    return query, mode
 
 
 def _is_rest(segment):

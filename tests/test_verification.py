@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from parammp import (
+    ArcMove,
     ConfigurationQuery,
     FrameMode,
     LinearMove,
@@ -27,6 +29,7 @@ from parammp import (
     random_query,
     random_rational_query,
 )
+from query_strategies import small_queries
 
 
 class TestEvaluatePath:
@@ -120,6 +123,96 @@ class TestCertificate:
         res = plan(q, mode="fixed")
         with pytest.raises(ValueError):
             certify_separation(res.path, samples_per_segment=1)
+
+    @pytest.mark.parametrize("samples", [64.0, "64", None])
+    def test_non_integer_samples_rejected(self, samples):
+        q = ConfigurationQuery(
+            starts=[[-1.0, 0.0]], goals=[[1.0, 3.0]], obstacles=[[0.0, 5.0]]
+        )
+        res = plan(q, mode="fixed")
+        with pytest.raises(ValueError, match="integer"):
+            certify_separation(res.path, samples_per_segment=samples)
+        assert certify_separation(res.path, samples_per_segment=np.int64(64)).passed
+
+
+def _segment(robot, t0, t1, move):
+    return PathSegment(robot=robot, t0=Fraction(t0), t1=Fraction(t1), move=move)
+
+
+def _line(start, end):
+    return LinearMove(np.array(start, dtype=float), np.array(end, dtype=float))
+
+
+class TestSharedGrid:
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(max_size=3))
+    def test_certified_bound_is_below_every_distance(self, case):
+        query, mode = case
+        path = plan(query, mode=mode).path
+        cert = certify_separation(path)
+        ts = np.linspace(0.0, 1.0, 2048)
+        at = np.stack([path.positions_at(r, ts) for r in range(path.robot_count)], axis=1)
+        for pair in cert.pairs:
+            other = (
+                at[:, pair.second]
+                if pair.kind == "robot-robot"
+                else path.obstacles[pair.second]
+            )
+            true_min = np.linalg.norm(at[:, pair.first] - other, axis=1).min()
+            assert pair.certified_lower_bound <= pair.sampled_min
+            assert pair.certified_lower_bound <= true_min + 1e-12
+
+    @pytest.mark.parametrize(
+        "second_move",
+        [
+            _line([1.0, 1.0], [-1.0, 1.0]),
+            ArcMove(
+                center=np.array([0.0, 1.0]),
+                radius=1.0,
+                basis_u=np.array([1.0, 0.0]),
+                basis_v=np.array([0.0, 1.0]),
+                angle_start=0.0,
+                angle_end=np.pi,
+            ),
+        ],
+        ids=["linear", "arc"],
+    )
+    def test_third_robot_splitting_the_window_never_lowers_a_bound(self, second_move):
+        # robots 0 and 1 each follow one segment on [0, 1]; robot 2 rests far
+        # away except on [1/3, 3/5], so it cuts their one window into three
+        two = (
+            (_segment(0, 0, 1, _line([-1.0, 0.0], [1.0, 0.0])),),
+            (_segment(1, 0, 1, second_move),),
+        )
+        three = two + (
+            (
+                _segment(2, 0, Fraction(1, 3), _line([5.0, 5.0], [5.0, 5.0])),
+                _segment(2, Fraction(1, 3), Fraction(3, 5), _line([5.0, 5.0], [6.0, 5.0])),
+                _segment(2, Fraction(3, 5), 1, _line([6.0, 5.0], [6.0, 5.0])),
+            ),
+        )
+        goal = second_move.final
+        path_two = PiecewisePath(
+            query=ConfigurationQuery(
+                starts=[[-1.0, 0.0], [1.0, 1.0]],
+                goals=[[1.0, 0.0], goal],
+                obstacles=[[0.0, -5.0]],
+            ),
+            segments=two,
+        )
+        path_three = PiecewisePath(
+            query=ConfigurationQuery(
+                starts=[[-1.0, 0.0], [1.0, 1.0], [5.0, 5.0]],
+                goals=[[1.0, 0.0], goal, [6.0, 5.0]],
+                obstacles=[[0.0, -5.0]],
+            ),
+            segments=three,
+        )
+        for samples in (4, 16, 64):
+            alone = certify_separation(path_two, samples).pair("robot-robot", 0, 1)
+            split = certify_separation(path_three, samples).pair("robot-robot", 0, 1)
+            assert alone.passes and split.passes
+            assert split.certified_lower_bound >= alone.certified_lower_bound - 1e-12
 
 
 class TestCheckPartition:
