@@ -9,12 +9,12 @@ obstacles stay put.  Four primitives cover everything the planner needs:
 * splitting coincident projections apart by staggered shifts along the line.
 
 The planner plays the elementary motions one after another, each in its own
-window of global time (:func:`append_start_side`).  ``compose_with_section``
+window of global time (:func:`append_start_moves`).  ``compose_with_section``
 implements the three-phase rule for the one deformation that moves goals as
 well as starts: play its start-side motion forward on [0, 1/3], an inner path
 on the deformed configuration on [1/3, 2/3], and its goal-side motion backward
-on [2/3, 1].  Both schedules assemble segments through
-:func:`append_segment`, which merges consecutive rests.
+on [2/3, 1].  Both give a robot segments only where it moves, through
+:func:`append_segment`, which fills each rest as the gap before a move.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ __all__ = [
     "DeformationStage",
     "affine_section",
     "append_segment",
-    "append_start_side",
+    "append_start_moves",
     "compose_with_section",
     "desingularize",
     "evaluate_deformation",
@@ -353,9 +353,13 @@ def append_segment(
 ):
     """Append ``robot``'s move on [t0, t1] to its segment list.
 
-    A rest that continues a rest at the same position extends that segment
-    instead, so a robot that waits through several stages has one segment.
+    A gap before t0 is filled with one rest where ``move`` begins, which is
+    where the robot's last move ended.  A rest that continues a rest at the
+    same position extends that segment instead.
     """
+    end = segments[-1].t1 if segments else Fraction(0)
+    if end < t0:
+        append_segment(segments, robot, end, t0, LinearMove(move.initial, move.initial))
     if (
         segments
         and isinstance(move, LinearMove)
@@ -370,25 +374,19 @@ def append_segment(
         segments.append(PathSegment(robot=robot, t0=t0, t1=t1, move=move))
 
 
-def append_start_side(
-    segments: list[PathSegment],
+def append_start_moves(
+    segments: list[list[PathSegment]],
     deformation: Deformation,
-    robot: int,
     lo: Fraction,
     hi: Fraction,
 ):
-    """Append ``robot``'s start-side motion under ``deformation``, played
-    forward on the global window [lo, hi]; the robot rests through every
-    stage that does not move it."""
-    position = deformation.query.starts[robot]
+    """Append the start-side motion of ``deformation``, played forward on the
+    global window [lo, hi], to the per-robot lists ``segments``.  Only the
+    robots a stage moves get segments."""
     for stage in deformation.stages:
-        move = stage.start_moves.get(robot)
-        if move is None:
-            move = LinearMove(position, position)
-        append_segment(
-            segments, robot, _scaled(stage.t0, lo, hi), _scaled(stage.t1, lo, hi), move
-        )
-        position = move.final
+        t0, t1 = _scaled(stage.t0, lo, hi), _scaled(stage.t1, lo, hi)
+        for robot, move in stage.start_moves.items():
+            append_segment(segments[robot], robot, t0, t1, move)
 
 
 def compose_with_section(
@@ -415,11 +413,9 @@ def compose_with_section(
         )
 
     one_third, two_thirds = Fraction(1, 3), Fraction(2, 3)
-    per_robot_segments: list[list[PathSegment]] = []
-    for robot in range(deformation.query.robot_count):
-        acc: list[PathSegment] = []
-        append_start_side(acc, deformation, robot, Fraction(0), one_third)
-
+    segments = [[] for _ in range(deformation.query.robot_count)]
+    append_start_moves(segments, deformation, Fraction(0), one_third)
+    for robot, acc in enumerate(segments):
         for seg in inner.segments[robot]:
             append_segment(
                 acc,
@@ -440,6 +436,4 @@ def compose_with_section(
             else:
                 append_segment(acc, robot, lo, hi, reverse_move(move))
 
-        per_robot_segments.append(acc)
-
-    return PiecewisePath(query=deformation.query, segments=per_robot_segments)
+    return PiecewisePath(query=deformation.query, segments=segments)

@@ -10,6 +10,7 @@ with obstacles, starts and goals marked.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -87,6 +88,14 @@ class ProblemDocument:
         return json.dumps(doc, indent=2)
 
 
+def _finite(number) -> bool:
+    """``math.isfinite``, False also for an integer beyond float range."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def _check_points(name: str, value, dim: int, errors: list[str]) -> tuple:
     if not isinstance(value, list) or not value:
         errors.append(f"{name}: expected a non-empty array of points")
@@ -100,8 +109,11 @@ def _check_points(name: str, value, dim: int, errors: list[str]) -> tuple:
         for cidx, coord in enumerate(point):
             if isinstance(coord, bool) or not isinstance(coord, (int, float)):
                 errors.append(f"{name}[{idx}][{cidx}]: not a number")
-            else:
+                continue
+            try:
                 coords.append(float(coord))
+            except OverflowError:  # JSON integers have no size limit
+                errors.append(f"{name}[{idx}][{cidx}]: beyond float range")
         if len(coords) == dim:
             points.append(tuple(coords))
     return tuple(points)
@@ -122,6 +134,8 @@ def parse_problem(text: str) -> ProblemDocument:
         raise QueryValidationError(
             [f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
+    except ValueError as exc:  # an integer literal with too many digits
+        raise QueryValidationError([f"JSON number error: {exc}"]) from exc
     errors: list[str] = []
     if not isinstance(raw, dict):
         raise QueryValidationError(["top level: expected a JSON object"])
@@ -151,8 +165,15 @@ def parse_problem(text: str) -> ProblemDocument:
         for name in sorted(set(raw_options) - _OPTION_FIELDS):
             errors.append(f"options.{name}: unknown field")
         snap = raw_options.get("snap_tolerance", 0.0)
-        if isinstance(snap, bool) or not isinstance(snap, (int, float)) or snap < 0:
-            errors.append(f"options.snap_tolerance: expected a number >= 0, got {snap!r}")
+        if (
+            isinstance(snap, bool)
+            or not isinstance(snap, (int, float))
+            or not _finite(snap)
+            or snap < 0
+        ):
+            errors.append(
+                f"options.snap_tolerance: expected a finite number >= 0, got {snap!r}"
+            )
             snap = 0.0
         samples = raw_options.get("samples_per_segment", 64)
         if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:

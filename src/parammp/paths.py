@@ -173,6 +173,9 @@ class PathSegment:
             raise TypeError("segment time bounds must be exact Fractions")
         if not self.t0 < self.t1:
             raise ValueError(f"empty segment window [{self.t0}, {self.t1}]")
+        # The float window, rounded once from the exact bounds.
+        object.__setattr__(self, "_float_t0", float(self.t0))
+        object.__setattr__(self, "_float_duration", float(self.t1 - self.t0))
 
     @property
     def duration(self) -> Fraction:
@@ -185,18 +188,18 @@ class PathSegment:
             return 0.0
         if t == self.t1:
             return 1.0
-        return (float(t) - float(self.t0)) / float(self.duration)
+        return (float(t) - self._float_t0) / self._float_duration
 
     def at(self, t) -> np.ndarray:
         return self.move.at(self.local(t))
 
     def at_many(self, ts: np.ndarray) -> np.ndarray:
-        u = (np.asarray(ts, dtype=float) - float(self.t0)) / float(self.duration)
+        u = (np.asarray(ts, dtype=float) - self._float_t0) / self._float_duration
         return self.move.at_many(u)
 
     def speed_bound(self) -> float:
         """Upper bound on |velocity| over the segment (exact for both kinds)."""
-        return self.move.path_length() / float(self.duration)
+        return self.move.path_length() / self._float_duration
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from .deformations import (
     Deformation,
     affine_section,
     append_segment,
-    append_start_side,
+    append_start_moves,
     compose_with_section,
     desingularize,
     swap_case_a,
@@ -79,7 +79,9 @@ def transposition_sequence(
     pairs become Case A swaps, robot/block pairs become Case B swaps with the
     side the robot moves toward; blocks never swap with each other.  The
     sequence length equals the inversion count between the two patterns,
-    which is the minimum possible number of adjacent transpositions.
+    which is the minimum possible number of adjacent transpositions.  Pairs
+    left of a swap stay in order, so the scan resumes one position before
+    it: O(L + k) steps for L tokens and k swaps.
 
     Raises:
         InvalidOrderingPairError: the patterns do not share the same tokens
@@ -97,12 +99,11 @@ def transposition_sequence(
     tokens_by_key = {token_key(tok): tok for tok in sigma}
 
     swaps: list[Swap] = []
-    while True:
-        for p in range(len(current) - 1):
-            if rank[current[p]] > rank[current[p + 1]]:
-                break
-        else:
-            return swaps
+    p = 0
+    while p < len(current) - 1:
+        if rank[current[p]] <= rank[current[p + 1]]:
+            p += 1
+            continue
         left, right = current[p], current[p + 1]
         if left[0] == "r" and right[0] == "r":
             swaps.append(CaseASwap(left=left[1], right=right[1]))
@@ -119,6 +120,8 @@ def transposition_sequence(
         else:  # two blocks out of order: impossible after the checks above
             raise InvalidOrderingPairError("obstacle blocks cannot swap")
         current[p], current[p + 1] = current[p + 1], current[p]
+        p = max(p - 1, 0)
+    return swaps
 
 
 def _block_representative(query: ConfigurationQuery, block: frozenset[int]) -> int:
@@ -163,10 +166,11 @@ def _play_swaps(
     With k swaps, global time splits into k + 1 equal windows: swap i fills
     [i/(k+1), (i+1)/(k+1)], one third per stage, and the straight-line
     section fills [k/(k+1), 1].  Swaps move starts only, so each one is built
-    on the configuration the previous one left and the goals stay put.  The
-    windows depend only on the swap list, which is locally constant wherever
-    the tie pattern is, so the schedule keeps the rule continuous on each
-    domain.
+    on the configuration the previous one left and the goals stay put.  A
+    robot has segments only where it moves; each rest fills the gap before
+    its next move.  The windows depend only on the swap list, which is
+    locally constant wherever the tie pattern is, so the schedule keeps the
+    rule continuous on each domain.
     """
     windows = len(swaps) + 1
     segments = [[] for _ in range(query.robot_count)]
@@ -174,8 +178,7 @@ def _play_swaps(
     for i, swap in enumerate(swaps):
         deformation = _swap_deformation(current, frame, swap, snap_tol)
         lo, hi = Fraction(i, windows), Fraction(i + 1, windows)
-        for robot, acc in enumerate(segments):
-            append_start_side(acc, deformation, robot, lo, hi)
+        append_start_moves(segments, deformation, lo, hi)
         current = deformation.end_query()
     straight = affine_section(current, frame, snap_tol)
     lo = Fraction(len(swaps), windows)

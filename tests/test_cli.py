@@ -94,6 +94,25 @@ def test_non_finite_coordinate_is_validation_error(tmp_path, capsys, command, to
     assert "starts[0] has a non-finite coordinate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[0.0, 1.0, 0.0]", "[1" + "0" * 400 + ", 1.0, 0.0]", "beyond float range"),
+        ('"dim": 3', '"dim": 3, "options": {"snap_tolerance": NaN}', "snap_tolerance"),
+        ('"dim": 3', '"dim": 3, "options": {"snap_tolerance": Infinity}', "snap_tolerance"),
+    ],
+    ids=["huge-coordinate", "nan-snap", "infinite-snap"],
+)
+def test_number_a_float_cannot_hold_is_validation_error(
+    tmp_path, capsys, command, old, new, message
+):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(PROBLEM).replace(old, new))
+    assert main([command, "--input", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["classify", "--bogus"], ["classify", "--samples", "64"], ["frobnicate"]]
 )

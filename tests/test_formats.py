@@ -117,6 +117,31 @@ class TestParseProblem:
         parsed = parse_problem(json.dumps(doc))
         assert parsed.frame_mode().value == "obstacle_pair"
 
+    def test_integer_beyond_float_range_rejected(self):
+        # JSON integers have no size limit; float() of this one overflows
+        text = json.dumps(MINIMAL).replace("[0.0, 1.0]", "[1" + "0" * 400 + ", 1.0]")
+        with pytest.raises(QueryValidationError) as exc:
+            parse_problem(text)
+        assert "starts[0][0]: beyond float range" in str(exc.value)
+
+    def test_integer_with_too_many_digits_rejected(self):
+        # json.loads itself refuses integer literals above 4300 digits
+        text = json.dumps(MINIMAL).replace("[0.0, 1.0]", "[1" + "0" * 5000 + ", 1.0]")
+        with pytest.raises(QueryValidationError) as exc:
+            parse_problem(text)
+        assert "JSON number error" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "token",
+        ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "-1"],
+        ids=["nan", "inf", "-inf", "huge-integer", "negative"],
+    )
+    def test_snap_tolerance_must_be_finite_and_non_negative(self, token):
+        text = json.dumps({**MINIMAL, "options": {"snap_tolerance": 0.5}})
+        with pytest.raises(QueryValidationError) as exc:
+            parse_problem(text.replace("0.5", token))
+        assert "options.snap_tolerance: expected a finite number >= 0" in str(exc.value)
+
 
 class TestSerializePlan:
     def test_thirds_bounds_are_exact_rationals(self):

@@ -83,6 +83,16 @@ class TestMoves:
             assert np.allclose(row, move.at(u), atol=1e-15)
 
 
+class TestPathSegment:
+    def test_float_window_matches_exact_bounds(self):
+        seg = linear_segment(0, (1, 7), (5, 21), [0.1, 0.2], [0.7, -0.3])
+        ts = np.linspace(1 / 7, 5 / 21, 9)
+        u = (ts - float(Fraction(1, 7))) / float(Fraction(5, 21) - Fraction(1, 7))
+        assert np.array_equal(seg.at_many(ts), seg.move.at_many(u))
+        assert seg.local(0.2) == (0.2 - float(Fraction(1, 7))) / float(seg.duration)
+        assert seg.speed_bound() == seg.move.path_length() / float(seg.duration)
+
+
 class TestPiecewisePath:
     def _two_piece(self):
         segments = (

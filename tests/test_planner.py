@@ -33,6 +33,7 @@ from parammp import (
     serialize_plan,
     transposition_sequence,
 )
+from parammp import paths
 from query_strategies import small_queries
 
 
@@ -133,6 +134,18 @@ class TestTranspositionSequence:
                             sigma, sigma_prime
                         )
 
+    def test_resumed_scan_matches_restart_from_zero(self):
+        rng = np.random.default_rng(34)
+        for _ in range(300):
+            n, t = int(rng.integers(1, 9)), int(rng.integers(0, 5))
+            tokens = [("r", i) for i in range(n)] + [("o", (f"b{k}",)) for k in range(t)]
+            sigma, sigma_prime = (_random_pattern(rng, tokens) for _ in range(2))
+            produced = [
+                (s.left, s.right) if isinstance(s, CaseASwap) else (s.robot, s.block, s.side)
+                for s in _sequence_on_patterns(sigma, sigma_prime)
+            ]
+            assert produced == _restart_scan_swaps(sigma, sigma_prime)
+
     def test_blocks_never_swap(self):
         _, pair = self._pair(
             [[0.0, 1.0, 0.0], [3.0, 2.0, 0.0]],
@@ -159,6 +172,34 @@ def _sequence_on_patterns(sigma_pattern, goal_pattern):
     return transposition_sequence(
         materialize(sigma_pattern, RobotStart), materialize(goal_pattern, RobotGoal)
     )
+
+
+def _random_pattern(rng, tokens):
+    """A random arrangement of ``tokens`` with the blocks kept in order."""
+    order = [tokens[i] for i in rng.permutation(len(tokens))]
+    blocks = iter(sorted(tok for tok in order if tok[0] == "o"))
+    return tuple(next(blocks) if tok[0] == "o" else tok for tok in order)
+
+
+def _restart_scan_swaps(sigma_pattern, goal_pattern):
+    """Reference discipline: rescan from position 0 after every swap."""
+    current = list(sigma_pattern)
+    rank = {tok: pos for pos, tok in enumerate(goal_pattern)}
+    swaps = []
+    while True:
+        for p in range(len(current) - 1):
+            if rank[current[p]] > rank[current[p + 1]]:
+                break
+        else:
+            return swaps
+        left, right = current[p], current[p + 1]
+        if left[0] == "r" and right[0] == "r":
+            swaps.append((left[1], right[1]))
+        elif left[0] == "r":
+            swaps.append((left[1], frozenset(right[1][:1]), Side.RIGHT))
+        else:
+            swaps.append((right[1], frozenset(left[1][:1]), Side.LEFT))
+        current[p], current[p + 1] = right, left
 
 
 def _inversions(sigma_pattern, goal_pattern):
@@ -358,8 +399,27 @@ class TestFlatSchedule:
         res = plan(q, mode="fixed")
         assert certify_separation(res.path, samples_per_segment=64).passed
 
-    def test_many_swaps_plan_without_recursion(self):
-        q = random_query(np.random.default_rng(0), 25, 25, 3)
+    @pytest.mark.parametrize("n", [25, 50])
+    def test_many_swaps_plan_without_recursion(self, n):
+        q = random_query(np.random.default_rng(0), n, n, 3)
         res = plan(q, mode="fixed")
         assert res.swap_count > 300
         assert np.array_equal(res.path.configuration(1.0), q.goals)
+
+    def test_segments_built_only_for_moving_robots(self, monkeypatch):
+        # a swap moves one or two robots; building a rest for every idle
+        # robot at every stage would cost about n segments per swap
+        q = random_query(np.random.default_rng(0), 20, 20, 3)
+        built = 0
+        original = paths.PathSegment.__post_init__
+
+        def counting(segment):
+            nonlocal built
+            built += 1
+            original(segment)
+
+        monkeypatch.setattr(paths.PathSegment, "__post_init__", counting)
+        res = plan(q, mode="fixed")
+        emitted = sum(len(per) for per in res.path.segments)
+        assert res.swap_count > 200
+        assert built <= 2 * emitted
