@@ -42,7 +42,6 @@ from .deformations import (
     Deformation,
     DeformationStage,
     affine_section,
-    compose_with_section,
     desingularize,
     evaluate_deformation,
     swap_case_a,

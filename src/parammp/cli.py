@@ -22,7 +22,7 @@ from .errors import (
 from .formats import FORMAT_VERSION, parse_problem, render_svg, sample_csv, serialize_plan
 from .geometry import classify, component_count, make_frame
 from .planner import default_mode, plan
-from .verification import certify_separation
+from .verification import MAX_SAMPLES_PER_SEGMENT, certify_separation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -90,10 +90,13 @@ def _emit(text: str, output: Optional[str]):
 
 
 def _samples(args) -> Optional[int]:
-    """The ``--samples`` value of plan and verify, rejected below 2."""
-    if args.samples is not None and args.samples < 2:
+    """The ``--samples`` value of plan and verify, in [2, MAX_SAMPLES_PER_SEGMENT]."""
+    if args.samples is not None and not 2 <= args.samples <= MAX_SAMPLES_PER_SEGMENT:
         raise QueryValidationError(
-            [f"--samples: expected an integer >= 2, got {args.samples}"]
+            [
+                "--samples: expected an integer >= 2 and "
+                f"<= {MAX_SAMPLES_PER_SEGMENT}, got {args.samples}"
+            ]
         )
     return args.samples
 

@@ -1,4 +1,4 @@
-"""Elementary fibrewise motions and their composition into full paths.
+"""Elementary fibrewise motions of a query's starts and goals.
 
 All constructions here move robot starts and/or robot goals while the
 obstacles stay put.  Four primitives cover everything the planner needs:
@@ -8,13 +8,13 @@ obstacles stay put.  Four primitives cover everything the planner needs:
 * carrying one robot around an obstacle block on a clearance half-circle,
 * splitting coincident projections apart by staggered shifts along the line.
 
-The planner plays the elementary motions one after another, each in its own
-window of global time (:func:`append_start_moves`).  ``compose_with_section``
-implements the three-phase rule for the one deformation that moves goals as
-well as starts: play its start-side motion forward on [0, 1/3], an inner path
-on the deformed configuration on [1/3, 2/3], and its goal-side motion backward
-on [2/3, 1].  Both give a robot segments only where it moves, through
-:func:`append_segment`, which fills each rest as the gap before a move.
+A deformation is a list of stages and knows no global time.  The planner
+plays it on a window [lo, hi] of global time it chooses: stage i of s fills
+[i/s, (i+1)/s] of that window, start side forward
+(:func:`append_start_moves`) or goal side backward
+(:func:`append_goal_moves_backward`).  A robot gets segments only where it
+moves, through :func:`append_segment`, which fills each rest as the gap
+before a move.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError, PreconditionError, QueryValidationError
 from .geometry import (
     ConfigurationQuery,
     Frame,
@@ -42,31 +42,32 @@ __all__ = [
     "Deformation",
     "DeformationStage",
     "affine_section",
+    "append_goal_moves_backward",
     "append_segment",
     "append_start_moves",
-    "compose_with_section",
     "desingularize",
     "evaluate_deformation",
+    "straight_moves",
     "swap_case_a",
     "swap_case_b",
 ]
 
-_THIRDS = (Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1))
-
 
 @dataclass(frozen=True, eq=False)
 class DeformationStage:
-    """One stage of a deformation over the local window [t0, t1].
+    """One stage of a deformation; stage i of s fills [i/s, (i+1)/s] of
+    whatever window the deformation is played on.
 
     ``start_moves``/``goal_moves`` hold the motion of each moving robot; a
     robot absent from the mapping rests at its position from the previous
     stage.  Obstacles never move.
     """
 
-    t0: Fraction
-    t1: Fraction
     start_moves: Mapping[int, Move] = field(default_factory=dict)
     goal_moves: Mapping[int, Move] = field(default_factory=dict)
+
+    def moves(self, side: str) -> Mapping[int, Move]:
+        return self.start_moves if side == "start" else self.goal_moves
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,38 +79,25 @@ class Deformation:
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
-        if not self.stages:
-            raise ValueError("a deformation needs at least one stage")
-        if self.stages[0].t0 != 0 or self.stages[-1].t1 != 1:
-            raise ValueError("stages must tile [0, 1]")
-        for a, b in zip(self.stages, self.stages[1:]):
-            if a.t1 != b.t0:
-                raise ValueError("stages must tile [0, 1] without gaps")
-        starts = np.array(self.query.starts)
-        goals = np.array(self.query.goals)
-        for stage in self.stages:
-            for robot, move in stage.start_moves.items():
-                if np.linalg.norm(move.initial - starts[robot]) > 1e-9:
-                    raise InternalConsistencyError(
-                        f"start-side stage does not chain for robot {robot}"
-                    )
-                starts[robot] = move.final
-            for robot, move in stage.goal_moves.items():
-                if np.linalg.norm(move.initial - goals[robot]) > 1e-9:
-                    raise InternalConsistencyError(
-                        f"goal-side stage does not chain for robot {robot}"
-                    )
-                goals[robot] = move.final
+        for side, base in (("start", self.query.starts), ("goal", self.query.goals)):
+            positions = np.array(base)
+            for stage in self.stages:
+                for robot, move in stage.moves(side).items():
+                    if np.linalg.norm(move.initial - positions[robot]) > 1e-9:
+                        raise InternalConsistencyError(
+                            f"{side}-side stage does not chain for robot {robot}"
+                        )
+                    positions[robot] = move.final
 
-    def _positions_at(self, base: np.ndarray, which: str, t) -> np.ndarray:
+    def _positions_at(self, base: np.ndarray, side: str, t) -> np.ndarray:
         positions = np.array(base)
-        for stage in self.stages:
-            moves = stage.start_moves if which == "start" else stage.goal_moves
-            if t >= stage.t1:
+        for t0, t1, stage in _stage_windows(self.stages, Fraction(0), Fraction(1)):
+            moves = stage.moves(side)
+            if t >= t1:
                 for robot, move in moves.items():
                     positions[robot] = move.final
             else:
-                u = float((t - float(stage.t0)) / float(stage.t1 - stage.t0))
+                u = float((t - float(t0)) / float(t1 - t0))
                 for robot, move in moves.items():
                     positions[robot] = move.at(u)
                 break
@@ -122,9 +110,17 @@ class Deformation:
         return self._positions_at(self.query.goals, "goal", t)
 
     def end_query(self) -> ConfigurationQuery:
-        return ConfigurationQuery(
-            self.starts_at(1.0), self.goals_at(1.0), self.query.obstacles
-        )
+        """The configuration the deformation ends at.  If it is not a valid
+        query (two points coincide, a shift overflowed), the deformation is at
+        fault, not the caller's query: InternalConsistencyError."""
+        try:
+            return ConfigurationQuery(
+                self.starts_at(1.0), self.goals_at(1.0), self.query.obstacles
+            )
+        except QueryValidationError as exc:
+            raise InternalConsistencyError(
+                f"deformation ended on an invalid query: {exc}"
+            ) from exc
 
 
 def evaluate_deformation(
@@ -151,10 +147,10 @@ def _line_point(frame: Frame, value: float) -> np.ndarray:
     return value * frame.e
 
 
-def affine_section(
+def straight_moves(
     query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> PiecewisePath:
-    """Straight-line motion of every robot from start to goal.
+) -> list[LinearMove]:
+    """Each robot's straight line from its start to its goal.
 
     Valid exactly when the start and goal orderings agree (same token
     pattern): order preservation of the projections then rules out every
@@ -169,17 +165,17 @@ def affine_section(
         raise PreconditionError(
             "straight-line section needs identical start and goal orderings"
         )
-    segments = tuple(
-        (
-            PathSegment(
-                robot=r,
-                t0=Fraction(0),
-                t1=Fraction(1),
-                move=LinearMove(query.starts[r], query.goals[r]),
-            ),
-        )
-        for r in range(query.robot_count)
-    )
+    return [LinearMove(query.starts[r], query.goals[r]) for r in range(query.robot_count)]
+
+
+def affine_section(
+    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
+) -> PiecewisePath:
+    """The straight-line motions of :func:`straight_moves` as a path on [0, 1]."""
+    segments = [
+        [PathSegment(robot=r, t0=Fraction(0), t1=Fraction(1), move=move)]
+        for r, move in enumerate(straight_moves(query, frame, snap_tol))
+    ]
     return PiecewisePath(query=query, segments=segments)
 
 
@@ -243,21 +239,13 @@ def swap_case_a(
     )
     stages = (
         DeformationStage(
-            t0=_THIRDS[0],
-            t1=_THIRDS[1],
             start_moves={
                 left_robot: LinearMove(query.starts[left_robot], a),
                 right_robot: LinearMove(query.starts[right_robot], b),
             },
         ),
+        DeformationStage(start_moves={left_robot: arc_left, right_robot: arc_right}),
         DeformationStage(
-            t0=_THIRDS[1],
-            t1=_THIRDS[2],
-            start_moves={left_robot: arc_left, right_robot: arc_right},
-        ),
-        DeformationStage(
-            t0=_THIRDS[2],
-            t1=_THIRDS[3],
             start_moves={
                 left_robot: LinearMove(b, query.starts[right_robot]),
                 right_robot: LinearMove(a, query.starts[left_robot]),
@@ -303,13 +291,9 @@ def swap_case_b(
         angle_end=math.pi,
     )
     stages = (
-        DeformationStage(
-            t0=_THIRDS[0], t1=_THIRDS[1], start_moves={robot: LinearMove(z, drop)}
-        ),
-        DeformationStage(
-            t0=_THIRDS[1], t1=_THIRDS[2], start_moves={robot: LinearMove(drop, near)}
-        ),
-        DeformationStage(t0=_THIRDS[2], t1=_THIRDS[3], start_moves={robot: arc}),
+        DeformationStage(start_moves={robot: LinearMove(z, drop)}),
+        DeformationStage(start_moves={robot: LinearMove(drop, near)}),
+        DeformationStage(start_moves={robot: arc}),
     )
     return Deformation(query=query, stages=stages)
 
@@ -337,15 +321,15 @@ def desingularize(
         r: LinearMove(query.goals[r], query.goals[r] + (n + r + 1) * scale * frame.e)
         for r in range(n)
     }
-    stage = DeformationStage(
-        t0=Fraction(0), t1=Fraction(1), start_moves=start_moves, goal_moves=goal_moves
-    )
+    stage = DeformationStage(start_moves=start_moves, goal_moves=goal_moves)
     return Deformation(query=query, stages=(stage,))
 
 
-def _scaled(fraction: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
-    """Map local time in [0, 1] affinely onto [lo, hi], exactly."""
-    return lo + fraction * (hi - lo)
+def _stage_windows(stages, lo: Fraction, hi: Fraction):
+    """Yield (t0, t1, stage), stage i of s on [i/s, (i+1)/s] of [lo, hi]."""
+    s = len(stages)
+    for i, stage in enumerate(stages):
+        yield lo + Fraction(i, s) * (hi - lo), lo + Fraction(i + 1, s) * (hi - lo), stage
 
 
 def append_segment(
@@ -383,57 +367,21 @@ def append_start_moves(
     """Append the start-side motion of ``deformation``, played forward on the
     global window [lo, hi], to the per-robot lists ``segments``.  Only the
     robots a stage moves get segments."""
-    for stage in deformation.stages:
-        t0, t1 = _scaled(stage.t0, lo, hi), _scaled(stage.t1, lo, hi)
+    for t0, t1, stage in _stage_windows(deformation.stages, lo, hi):
         for robot, move in stage.start_moves.items():
             append_segment(segments[robot], robot, t0, t1, move)
 
 
-def compose_with_section(
+def append_goal_moves_backward(
+    segments: list[list[PathSegment]],
     deformation: Deformation,
-    inner_section: Callable[[ConfigurationQuery], PiecewisePath],
-) -> PiecewisePath:
-    """Three-phase composition of a deformation with a path on its image.
-
-    Global time splits into [0, 1/3] (start-side motion forward), [1/3, 2/3]
-    (the inner path on the deformed configuration, time-rescaled) and
-    [2/3, 1] (goal-side motion backward).  All time bounds are renormalized
-    with exact rational arithmetic.  Endpoints equal the original query's
-    starts and goals.
-    """
-    deformed = deformation.end_query()
-    inner = inner_section(deformed)
-    if not (
-        np.array_equal(inner.query.starts, deformed.starts)
-        and np.array_equal(inner.query.goals, deformed.goals)
-        and np.array_equal(inner.query.obstacles, deformed.obstacles)
-    ):
-        raise InternalConsistencyError(
-            "inner section was not built on the deformed configuration"
-        )
-
-    one_third, two_thirds = Fraction(1, 3), Fraction(2, 3)
-    segments = [[] for _ in range(deformation.query.robot_count)]
-    append_start_moves(segments, deformation, Fraction(0), one_third)
-    for robot, acc in enumerate(segments):
-        for seg in inner.segments[robot]:
-            append_segment(
-                acc,
-                robot,
-                _scaled(seg.t0, one_third, two_thirds),
-                _scaled(seg.t1, one_third, two_thirds),
-                seg.move,
-            )
-
-        # Goal-side stages reversed, compressed into [2/3, 1].
-        for stage in reversed(deformation.stages):
-            move = stage.goal_moves.get(robot)
-            lo = _scaled(Fraction(1) - stage.t1, two_thirds, Fraction(1))
-            hi = _scaled(Fraction(1) - stage.t0, two_thirds, Fraction(1))
-            if move is None:
-                position = acc[-1].move.final
-                append_segment(acc, robot, lo, hi, LinearMove(position, position))
-            else:
-                append_segment(acc, robot, lo, hi, reverse_move(move))
-
-    return PiecewisePath(query=deformation.query, segments=segments)
+    lo: Fraction,
+    hi: Fraction,
+):
+    """Append the goal-side motion of ``deformation``, played backward on the
+    global window [lo, hi]: last stage first, each move reversed, so a robot
+    it moves ends at the query's goal.  A robot no goal-side stage moves gets
+    nothing, so its list ends before ``hi``."""
+    for t0, t1, stage in _stage_windows(deformation.stages[::-1], lo, hi):
+        for robot, move in stage.goal_moves.items():
+            append_segment(segments[robot], robot, t0, t1, reverse_move(move))

@@ -21,6 +21,7 @@ from .errors import InternalConsistencyError, QueryValidationError
 from .geometry import ConfigurationQuery, Frame, FrameMode
 from .paths import ArcMove, LinearMove, PathSegment, PiecewisePath
 from .planner import PlanResult
+from .verification import MAX_SAMPLES_PER_SEGMENT
 
 __all__ = [
     "FORMAT_VERSION",
@@ -176,9 +177,14 @@ def parse_problem(text: str) -> ProblemDocument:
             )
             snap = 0.0
         samples = raw_options.get("samples_per_segment", 64)
-        if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+        if (
+            isinstance(samples, bool)
+            or not isinstance(samples, int)
+            or not 2 <= samples <= MAX_SAMPLES_PER_SEGMENT
+        ):
             errors.append(
-                f"options.samples_per_segment: expected an integer >= 2, got {samples!r}"
+                "options.samples_per_segment: expected an integer >= 2 and "
+                f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples!r}"
             )
             samples = 64
         options = ProblemOptions(snap_tolerance=float(snap), samples_per_segment=samples)

@@ -5,6 +5,12 @@ lines.
 The output is one exact piecewise path per robot plus the region label whose
 index ``c`` names the continuity domain the query fell into.  Identical inputs
 produce identical outputs; the construction consults nothing but the query.
+
+This module alone knows the global schedule.  A generic query plays its k
+swaps and the straight line on [0, 1], in k + 1 equal windows.  A degenerate
+query plays the desingularization's start shifts on [0, 1/3], the swaps and
+the straight line of its desingularized image on [1/3, 2/3], and the goal
+shifts backward on [2/3, 1], all into one set of per-robot segment lists.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ from typing import Optional, Union
 
 from .deformations import (
     Deformation,
-    affine_section,
+    append_goal_moves_backward,
     append_segment,
     append_start_moves,
-    compose_with_section,
     desingularize,
+    straight_moves,
     swap_case_a,
     swap_case_b,
 )
@@ -36,12 +42,13 @@ from .geometry import (
     orderings,
     token_key,
 )
-from .paths import PiecewisePath
+from .paths import PathSegment, PiecewisePath
 
 __all__ = [
     "CaseASwap",
     "CaseBSwap",
     "PlanResult",
+    "compose_with_section",
     "default_mode",
     "generic_section",
     "plan",
@@ -149,43 +156,71 @@ def generic_section(
     distinct from obstacle projections).
 
     The swaps that sort the start ordering into the goal ordering are played
-    one after another on a flat schedule, then every robot moves straight to
-    its goal; see :func:`_play_swaps`.  With no swaps this is the
-    straight-line section.
+    one after another on [0, 1], then every robot moves straight to its goal;
+    see :func:`_play_swaps`.  With no swaps this is the straight-line
+    section.
     """
     pair = orderings(query, frame, snap_tol)
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
-    return _play_swaps(query, frame, swaps, snap_tol)
+    return _generic_path(query, frame, swaps, snap_tol)
+
+
+def _generic_path(
+    query: ConfigurationQuery, frame: Frame, swaps: list[Swap], snap_tol: float
+) -> PiecewisePath:
+    segments = [[] for _ in range(query.robot_count)]
+    _play_swaps(segments, query, frame, swaps, snap_tol, Fraction(0), Fraction(1))
+    return PiecewisePath(query=query, segments=segments)
+
+
+def compose_with_section(
+    deformation: Deformation,
+    deformed: ConfigurationQuery,
+    frame: Frame,
+    swaps: list[Swap],
+    snap_tol: float,
+) -> PiecewisePath:
+    """Path for a degenerate query: ``deformation`` desingularizes it into
+    ``deformed``, which ``swaps`` sort.  Start shifts forward on [0, 1/3],
+    swaps and straight line on [1/3, 2/3], goal shifts backward on [2/3, 1].
+    """
+    one_third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    segments = [[] for _ in range(deformation.query.robot_count)]
+    append_start_moves(segments, deformation, Fraction(0), one_third)
+    _play_swaps(segments, deformed, frame, swaps, snap_tol, one_third, two_thirds)
+    append_goal_moves_backward(segments, deformation, two_thirds, Fraction(1))
+    return PiecewisePath(query=deformation.query, segments=segments)
 
 
 def _play_swaps(
-    query: ConfigurationQuery, frame: Frame, swaps: list[Swap], snap_tol: float
-) -> PiecewisePath:
-    """Play ``swaps`` in order, then the straight-line section.
+    segments: list[list[PathSegment]],
+    query: ConfigurationQuery,
+    frame: Frame,
+    swaps: list[Swap],
+    snap_tol: float,
+    lo: Fraction,
+    hi: Fraction,
+):
+    """Append ``swaps``, played in order on the global window [lo, hi], and
+    then the straight line to the per-robot lists ``segments``.
 
-    With k swaps, global time splits into k + 1 equal windows: swap i fills
-    [i/(k+1), (i+1)/(k+1)], one third per stage, and the straight-line
-    section fills [k/(k+1), 1].  Swaps move starts only, so each one is built
-    on the configuration the previous one left and the goals stay put.  A
-    robot has segments only where it moves; each rest fills the gap before
-    its next move.  The windows depend only on the swap list, which is
-    locally constant wherever the tie pattern is, so the schedule keeps the
-    rule continuous on each domain.
+    With k swaps the window splits into k + 1 equal parts: swap i fills part
+    i, one third of it per stage, and the straight line fills part k.  Swaps
+    move starts only, so each one is built on the configuration the previous
+    one left and the goals stay put.  A robot gets segments only where it
+    moves; each rest fills the gap before its next move.  The parts depend
+    only on the swap list, which is locally constant wherever the tie
+    pattern is, so the schedule keeps the rule continuous on each domain.
     """
-    windows = len(swaps) + 1
-    segments = [[] for _ in range(query.robot_count)]
+    width = (hi - lo) / (len(swaps) + 1)
     current = query
     for i, swap in enumerate(swaps):
         deformation = _swap_deformation(current, frame, swap, snap_tol)
-        lo, hi = Fraction(i, windows), Fraction(i + 1, windows)
-        append_start_moves(segments, deformation, lo, hi)
+        append_start_moves(segments, deformation, lo + i * width, lo + (i + 1) * width)
         current = deformation.end_query()
-    straight = affine_section(current, frame, snap_tol)
-    lo = Fraction(len(swaps), windows)
-    for robot, acc in enumerate(segments):
-        (line,) = straight.segments[robot]
-        append_segment(acc, robot, lo, Fraction(1), line.move)
-    return PiecewisePath(query=query, segments=segments)
+    start = lo + len(swaps) * width
+    for robot, line in enumerate(straight_moves(current, frame, snap_tol)):
+        append_segment(segments[robot], robot, start, hi, line)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +257,9 @@ def plan(
 
     Degenerate queries are first desingularized.  The ordering pair and the
     swap list of the generic configuration (the query itself, or its
-    desingularized image) are computed once and played as in
-    :func:`generic_section`.  For a degenerate query that path is wrapped in
-    the one three-phase composition with the desingularization, so the
-    emitted path still starts and ends at the query's own positions.
+    desingularized image) are computed once and played on [0, 1], or, for a
+    degenerate query, on [1/3, 2/3] between the start shifts and the goal
+    shifts (:func:`compose_with_section`).
 
     Raises:
         QueryValidationError: via ConfigurationQuery construction upstream.
@@ -251,11 +285,9 @@ def plan(
     pair = orderings(generic_query, frame, snap_tol)
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
     if generic_query is query:
-        path = _play_swaps(query, frame, swaps, snap_tol)
+        path = _generic_path(query, frame, swaps, snap_tol)
     else:
-        path = compose_with_section(
-            deformation, lambda dq: _play_swaps(dq, frame, swaps, snap_tol)
-        )
+        path = compose_with_section(deformation, generic_query, frame, swaps, snap_tol)
     return PlanResult(
         path=path,
         region=label,

@@ -28,6 +28,7 @@ from .paths import LinearMove, PiecewisePath
 from .planner import plan
 
 __all__ = [
+    "MAX_SAMPLES_PER_SEGMENT",
     "PairSeparation",
     "PartitionReport",
     "QueryPerturbation",
@@ -41,6 +42,9 @@ __all__ = [
     "random_query",
     "random_rational_query",
 ]
+
+# Bounds samples_per_segment: a certificate window holds (samples + 1) x (n + m) x d floats.
+MAX_SAMPLES_PER_SEGMENT = 4096
 
 
 def evaluate_path(path: PiecewisePath, t: float):
@@ -109,9 +113,13 @@ def certify_separation(
     monotonically; an unsound path yields a failing certificate, never an
     exception.
     """
-    if not isinstance(samples_per_segment, Integral) or samples_per_segment < 2:
+    if not (
+        isinstance(samples_per_segment, Integral)
+        and 2 <= samples_per_segment <= MAX_SAMPLES_PER_SEGMENT
+    ):
         raise ValueError(
-            f"samples_per_segment must be an integer >= 2, got {samples_per_segment!r}"
+            "samples_per_segment must be an integer >= 2 and "
+            f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples_per_segment!r}"
         )
     n, m, d = path.robot_count, path.obstacles.shape[0], path.query.dim
     segments = [seg for per_robot in path.segments for seg in per_robot]

@@ -84,6 +84,47 @@ def test_samples_below_two_is_validation_error(
     assert "--samples: expected an integer >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--samples", "4097"], ["plan", "--csv", "unused.csv", "--samples", "4097"]],
+)
+def test_samples_above_bound_is_validation_error(
+    problem_file, tmp_path, capsys, monkeypatch, argv
+):
+    monkeypatch.chdir(tmp_path)
+    assert main([argv[0], "--input", str(problem_file), *argv[1:]]) == 1
+    assert "--samples: expected an integer >= 2 and <= 4096" in capsys.readouterr().err
+    assert not (tmp_path / "unused.csv").exists()
+
+
+def test_samples_option_above_bound_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**PROBLEM, "options": {"samples_per_segment": 10**30}}))
+    assert main(["verify", "--input", str(path)]) == 1
+    assert "options.samples_per_segment: expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_desingularization_is_internal_error(tmp_path, capsys):
+    # Finite coordinates near the float limit: the desingularizing shifts
+    # overflow.  The user wrote no non-finite number, so this is the
+    # planner's failure (exit 2), not bad input.
+    path = tmp_path / "problem.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": "1",
+                "dim": 2,
+                "starts": [[1e308, 0], [-1e308, 1]],
+                "goals": [[-1e308, 0], [1e308, 1]],
+                "obstacles": [[0, 5]],
+            }
+        )
+    )
+    assert main(["verify", "--input", str(path)]) == 2
+    assert "internal error" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["classify", "verify"])
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_coordinate_is_validation_error(tmp_path, capsys, command, token):

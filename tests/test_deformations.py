@@ -1,5 +1,6 @@
 """Elementary motions: straight-line sections, the two swap manoeuvres,
-projection splitting, and the three-phase composition rule."""
+projection splitting, and how the planner plays a desingularization around
+the swaps of its image."""
 
 from __future__ import annotations
 
@@ -14,19 +15,28 @@ from parammp import (
     Deformation,
     DeformationStage,
     FrameMode,
+    InternalConsistencyError,
+    LinearMove,
     NotGenericError,
+    PiecewisePath,
     PreconditionError,
     Side,
     affine_section,
     classify,
-    compose_with_section,
+    degenerate_query,
     desingularize,
     evaluate_deformation,
     make_frame,
     min_gap,
     orderings,
+    plan,
     swap_case_a,
     swap_case_b,
+)
+from parammp.deformations import (
+    append_goal_moves_backward,
+    append_segment,
+    append_start_moves,
 )
 from parammp.geometry import clearance_eta
 
@@ -41,8 +51,9 @@ def fixed_frame(query):
 def _sample_side(deformation, ts, base, which):
     ts = np.asarray(ts, dtype=float)
     out = np.tile(base[None, :, :], (len(ts), 1, 1))
-    for stage in deformation.stages:
-        t0, t1 = float(stage.t0), float(stage.t1)
+    s = len(deformation.stages)
+    for i, stage in enumerate(deformation.stages):
+        t0, t1 = i / s, (i + 1) / s
         inside = (ts >= t0) & (ts <= t1)
         after = ts > t1
         u = (ts[inside] - t0) / (t1 - t0)
@@ -490,82 +501,103 @@ class TestEvaluateDeformation:
             evaluate_deformation(h, q, 1.5)
 
 
+# Degenerate queries, each with the frame mode it is planned in.
+DEGENERATE_QUERIES = [
+    (degenerate_query(1, 1, 2, 1, 1), FrameMode.FIXED),
+    (degenerate_query(3, 2, 3, 2, 2), FrameMode.FIXED),
+    (degenerate_query(3, 3, 4, 3, 2, FrameMode.OBSTACLE_PAIR), FrameMode.OBSTACLE_PAIR),
+    (
+        ConfigurationQuery(
+            starts=[[0.5, 1.0], [-1.0, 2.0], [1.5, -0.5]],
+            goals=[[-1.0, -1.0], [1.5, 2.5], [0.5, -2.0]],
+            obstacles=[[0.5, 0.0], [-1.5, 0.5]],
+        ),
+        FrameMode.FIXED,
+    ),
+]
+
+
+def _degenerate_plans():
+    for query, mode in DEGENERATE_QUERIES:
+        result = plan(query, mode)
+        assert result.region.j < 2 * query.robot_count
+        yield query, desingularize(query, result.frame), result.path
+
+
 class TestCompose:
-    def test_identity_deformation_rescales_inner_path(self):
-        q = ConfigurationQuery(
-            starts=[[0.0, 0.0]], goals=[[1.0, 6.0]], obstacles=[[5.0, 5.0]]
-        )
-        f = fixed_frame(q)
-        identity = Deformation(
-            query=q, stages=(DeformationStage(t0=Fraction(0), t1=Fraction(1)),)
-        )
-        path = compose_with_section(identity, lambda dq: affine_section(dq, f))
-        assert np.array_equal(path.position(0, 0.2), q.starts[0])
-        assert np.allclose(path.position(0, 0.5), 0.5 * (q.starts[0] + q.goals[0]))
-        assert np.array_equal(path.position(0, 0.9), q.goals[0])
+    def test_thirds_boundaries_in_every_robot(self):
+        for _, _, path in _degenerate_plans():
+            for per_robot in path.segments:
+                bounds = {seg.t0 for seg in per_robot} | {per_robot[-1].t1}
+                assert {Fraction(1, 3), Fraction(2, 3)} <= bounds
 
     def test_value_at_one_third_is_deformed_start(self):
-        # goal on the far side of the obstacle: one left swing, then straight
-        q = ConfigurationQuery(
-            starts=[[2.0, 3.0]], goals=[[-5.0, 4.0]], obstacles=[[0.0, 0.0]]
-        )
-        f = fixed_frame(q)
-        h = swap_case_b(q, f, 0, 0, Side.LEFT)
-        path = compose_with_section(
-            h, lambda dq: affine_section(dq, f)
-        )
-        deformed = h.end_query()
-        assert np.allclose(path.position(0, 1 / 3), deformed.starts[0], atol=1e-12)
-        assert np.array_equal(path.position(0, 0.0), q.starts[0])
-        assert np.array_equal(path.position(0, 1.0), q.goals[0])
+        for query, h, path in _degenerate_plans():
+            deformed = h.end_query()
+            for robot in range(query.robot_count):
+                at = path.position(robot, Fraction(1, 3))
+                assert np.array_equal(at, deformed.starts[robot])
+                assert np.array_equal(path.position(robot, 0), query.starts[robot])
+                assert np.array_equal(path.position(robot, 1), query.goals[robot])
 
-    def test_nested_thirds_boundaries(self):
-        # Three-stage start and goal motions compose into exact boundaries
-        # 1/9, 2/9, 1/3 and 2/3, 7/9, 8/9.
+    def test_goal_shifts_play_backward_on_last_third(self):
+        for query, h, path in _degenerate_plans():
+            deformed = h.end_query()
+            for robot, per_robot in enumerate(path.segments):
+                last = per_robot[-1]
+                assert (last.t0, last.t1) == (Fraction(2, 3), Fraction(1))
+                assert np.array_equal(last.move.start, deformed.goals[robot])
+                assert np.array_equal(last.move.end, query.goals[robot])
+                assert per_robot[-2].t1 == Fraction(2, 3)
+                assert np.array_equal(per_robot[-2].move.final, deformed.goals[robot])
+
+    def test_stage_windows_split_the_given_window(self):
+        # A three-stage motion fills equal thirds of the window it is played
+        # on: forward on [0, 1/3], backward on [2/3, 1], the goal side's last
+        # stage first.
         q = ConfigurationQuery(
             starts=[[0.0, 0.0]], goals=[[1.0, 6.0]], obstacles=[[5.0, 5.0]]
         )
-        f = fixed_frame(q)
-
-        def zigzag(points):
-            return [
-                (np.array(a, dtype=float), np.array(b, dtype=float))
-                for a, b in zip(points, points[1:])
-            ]
-
-        from parammp import LinearMove
-
-        start_track = zigzag([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
-        goal_track = zigzag([[1.0, 6.0], [1.0, 5.0], [1.0, 4.0], [1.0, 3.0]])
-        stages = tuple(
-            DeformationStage(
-                t0=Fraction(k, 3),
-                t1=Fraction(k + 1, 3),
-                start_moves={0: LinearMove(*start_track[k])},
-                goal_moves={0: LinearMove(*goal_track[k])},
-            )
-            for k in range(3)
+        start_track = [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]
+        goal_track = [[1.0, 6.0], [1.0, 5.0], [1.0, 4.0], [1.0, 3.0]]
+        h = Deformation(
+            query=q,
+            stages=tuple(
+                DeformationStage(
+                    start_moves={0: LinearMove(start_track[k], start_track[k + 1])},
+                    goal_moves={0: LinearMove(goal_track[k], goal_track[k + 1])},
+                )
+                for k in range(3)
+            ),
         )
-        h = Deformation(query=q, stages=stages)
-        path = compose_with_section(h, lambda dq: affine_section(dq, f))
-        boundaries = {seg.t0 for seg in path.segments[0]} | {
-            seg.t1 for seg in path.segments[0]
-        }
-        expected = {
-            Fraction(0),
-            Fraction(1, 9),
-            Fraction(2, 9),
-            Fraction(1, 3),
-            Fraction(2, 3),
-            Fraction(7, 9),
-            Fraction(8, 9),
-            Fraction(1),
-        }
-        assert boundaries == expected
-        # endpoints are the original query's positions
-        assert np.array_equal(path.position(0, 0.0), q.starts[0])
-        assert np.array_equal(path.position(0, 1.0), q.goals[0])
-        # goal-side plays backward: just after 2/3 the robot sits at the
-        # deformed goal, at 1 it is back at the original goal
-        assert np.allclose(path.position(0, 2 / 3), [1.0, 3.0], atol=1e-12)
-        assert np.allclose(path.position(0, 8 / 9), [1.0, 5.0], atol=1e-12)
+        segments = [[]]
+        append_start_moves(segments, h, Fraction(0), Fraction(1, 3))
+        middle = LinearMove([0.0, 3.0], [1.0, 3.0])
+        append_segment(segments[0], 0, Fraction(1, 3), Fraction(2, 3), middle)
+        append_goal_moves_backward(segments, h, Fraction(2, 3), Fraction(1))
+        (per_robot,) = PiecewisePath(query=q, segments=segments).segments
+        assert [(seg.t0, seg.t1) for seg in per_robot] == [
+            (Fraction(0), Fraction(1, 9)),
+            (Fraction(1, 9), Fraction(2, 9)),
+            (Fraction(2, 9), Fraction(1, 3)),
+            (Fraction(1, 3), Fraction(2, 3)),
+            (Fraction(2, 3), Fraction(7, 9)),
+            (Fraction(7, 9), Fraction(8, 9)),
+            (Fraction(8, 9), Fraction(1)),
+        ]
+        # goal side backward: from the deformed goal back to the query's goal
+        assert [seg.move.start.tolist() for seg in per_robot[4:]] == goal_track[:0:-1]
+        assert np.array_equal(per_robot[-1].move.end, q.goals[0])
+
+
+class TestEndQuery:
+    def test_landing_on_an_obstacle_is_internal_error(self):
+        q = ConfigurationQuery(
+            starts=[[2.0, 3.0]], goals=[[5.0, 4.0]], obstacles=[[0.0, 0.0]]
+        )
+        h = Deformation(
+            query=q,
+            stages=(DeformationStage(start_moves={0: LinearMove([2.0, 3.0], [0.0, 0.0])}),),
+        )
+        with pytest.raises(InternalConsistencyError, match="coincides with obstacles"):
+            h.end_query()

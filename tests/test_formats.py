@@ -19,6 +19,7 @@ from parammp import (
     serialize_plan,
 )
 from parammp.formats import ProblemDocument, ProblemOptions
+from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from parammp.paths import ArcMove
 
 MINIMAL = {
@@ -141,6 +142,15 @@ class TestParseProblem:
         with pytest.raises(QueryValidationError) as exc:
             parse_problem(text.replace("0.5", token))
         assert "options.snap_tolerance: expected a finite number >= 0" in str(exc.value)
+
+    @pytest.mark.parametrize("samples", [4097, 10**30])
+    def test_samples_per_segment_above_bound_rejected(self, samples):
+        text = json.dumps({**MINIMAL, "options": {"samples_per_segment": samples}})
+        with pytest.raises(QueryValidationError) as exc:
+            parse_problem(text)
+        assert f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples}" in str(exc.value)
+        bound = json.dumps({**MINIMAL, "options": {"samples_per_segment": 4096}})
+        assert parse_problem(bound).options.samples_per_segment == 4096
 
 
 class TestSerializePlan:

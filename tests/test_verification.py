@@ -29,6 +29,7 @@ from parammp import (
     random_query,
     random_rational_query,
 )
+from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from query_strategies import small_queries
 
 
@@ -123,6 +124,15 @@ class TestCertificate:
         res = plan(q, mode="fixed")
         with pytest.raises(ValueError):
             certify_separation(res.path, samples_per_segment=1)
+
+    def test_too_many_samples_rejected(self):
+        q = ConfigurationQuery(
+            starts=[[-1.0, 0.0]], goals=[[1.0, 3.0]], obstacles=[[0.0, 5.0]]
+        )
+        res = plan(q, mode="fixed")
+        with pytest.raises(ValueError, match=f"<= {MAX_SAMPLES_PER_SEGMENT}"):
+            certify_separation(res.path, samples_per_segment=MAX_SAMPLES_PER_SEGMENT + 1)
+        assert certify_separation(res.path, samples_per_segment=MAX_SAMPLES_PER_SEGMENT).passed
 
     @pytest.mark.parametrize("samples", [64.0, "64", None])
     def test_non_integer_samples_rejected(self, samples):
