@@ -40,7 +40,6 @@ from .geometry import (
 from .paths import ArcMove, LinearMove, PathSegment, PiecewisePath
 from .deformations import (
     Deformation,
-    DeformationStage,
     affine_section,
     desingularize,
     evaluate_deformation,

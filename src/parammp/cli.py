@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -195,9 +196,22 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    if args.n < 1 or args.m < 1:
+    n, m = args.n, args.m
+    if n < 1 or m < 1:
         raise QueryValidationError(["components: need n >= 1 and m >= 1"])
-    _emit(str(component_count(args.n, args.m)), args.output)
+    # str() prints at most `limit` digits (0: no limit).  The count is at
+    # least (n+m)! > 10**(n+m), and lgamma puts its log10 well within half a
+    # digit, so no factorial is computed for a count that is clearly too long.
+    limit = sys.get_int_max_str_digits()
+    if limit and (
+        n + m > limit
+        or (2 * math.lgamma(n + m + 1) - math.lgamma(m + 1)) / math.log(10) > limit + 0.5
+        or component_count(n, m) >= 10**limit
+    ):
+        raise QueryValidationError(
+            [f"components: the count for n = {n}, m = {m} has more than {limit} digits"]
+        )
+    _emit(str(component_count(n, m)), args.output)
     return EXIT_OK
 
 

@@ -1,26 +1,26 @@
-"""Elementary fibrewise motions of a query's starts and goals.
+"""Elementary fibrewise motions of a query's robot starts.
 
-All constructions here move robot starts and/or robot goals while the
-obstacles stay put.  Four primitives cover everything the planner needs:
+All constructions here move robot starts while the goals and the obstacles
+stay put.  Four primitives cover everything the planner needs:
 
 * straight-line interpolation when the start and goal orderings agree,
 * exchanging two adjacent robots through a shared half-circle,
 * carrying one robot around an obstacle block on a clearance half-circle,
 * splitting coincident projections apart by staggered shifts along the line.
 
-A deformation is a list of stages and knows no global time.  The planner
-plays it on a window [lo, hi] of global time it chooses: stage i of s fills
-[i/s, (i+1)/s] of that window, start side forward
-(:func:`append_start_moves`) or goal side backward
-(:func:`append_goal_moves_backward`).  A robot gets segments only where it
-moves, through :func:`append_segment`, which fills each rest as the gap
-before a move.
+The two swaps are deformations: a list of stages that knows no global time.
+The planner plays one on a window [lo, hi] of global time it chooses: stage
+i of s fills [i/s, (i+1)/s] of that window (:func:`append_start_moves`).  A
+robot gets segments only where it moves, through :func:`append_segment`,
+which fills each rest as the gap before a move.  Splitting is no deformation:
+:func:`desingularize` returns the split query, and the planner draws the
+straight shifts to and from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -36,13 +36,11 @@ from .geometry import (
     desingularization_gap,
     orderings,
 )
-from .paths import ArcMove, LinearMove, Move, PathSegment, PiecewisePath, reverse_move
+from .paths import ArcMove, LinearMove, Move, PathSegment, PiecewisePath
 
 __all__ = [
     "Deformation",
-    "DeformationStage",
     "affine_section",
-    "append_goal_moves_backward",
     "append_segment",
     "append_start_moves",
     "desingularize",
@@ -53,80 +51,67 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class DeformationStage:
-    """One stage of a deformation; stage i of s fills [i/s, (i+1)/s] of
-    whatever window the deformation is played on.
-
-    ``start_moves``/``goal_moves`` hold the motion of each moving robot; a
-    robot absent from the mapping rests at its position from the previous
-    stage.  Obstacles never move.
-    """
-
-    start_moves: Mapping[int, Move] = field(default_factory=dict)
-    goal_moves: Mapping[int, Move] = field(default_factory=dict)
-
-    def moves(self, side: str) -> Mapping[int, Move]:
-        return self.start_moves if side == "start" else self.goal_moves
+def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
+    """The query a planner step ended on.  If it is not valid (two points
+    coincide, a shift overflowed), the step is at fault, not the caller's
+    query: InternalConsistencyError."""
+    try:
+        return ConfigurationQuery(starts, goals, obstacles)
+    except QueryValidationError as exc:
+        raise InternalConsistencyError(
+            f"deformation ended on an invalid query: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True, eq=False)
 class Deformation:
-    """A staged, obstacle-preserving motion of a query's starts and goals."""
+    """A staged, obstacle-preserving motion of a query's robot starts.
+
+    Each stage maps every robot it moves to its ``Move``; a robot absent from
+    a stage rests at its position from the previous stage.  Stage i of s
+    fills [i/s, (i+1)/s] of whatever window the deformation is played on.
+    Goals and obstacles never move.
+    """
 
     query: ConfigurationQuery
-    stages: tuple[DeformationStage, ...]
+    stages: tuple[Mapping[int, Move], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
-        for side, base in (("start", self.query.starts), ("goal", self.query.goals)):
-            positions = np.array(base)
-            for stage in self.stages:
-                for robot, move in stage.moves(side).items():
-                    if np.linalg.norm(move.initial - positions[robot]) > 1e-9:
-                        raise InternalConsistencyError(
-                            f"{side}-side stage does not chain for robot {robot}"
-                        )
-                    positions[robot] = move.final
+        positions = np.array(self.query.starts)
+        for stage in self.stages:
+            for robot, move in stage.items():
+                if np.linalg.norm(move.initial - positions[robot]) > 1e-9:
+                    raise InternalConsistencyError(
+                        f"stage does not chain for robot {robot}"
+                    )
+                positions[robot] = move.final
+        object.__setattr__(self, "_end_starts", positions)
 
-    def _positions_at(self, base: np.ndarray, side: str, t) -> np.ndarray:
-        positions = np.array(base)
+    def starts_at(self, t) -> np.ndarray:
+        positions = np.array(self.query.starts)
         for t0, t1, stage in _stage_windows(self.stages, Fraction(0), Fraction(1)):
-            moves = stage.moves(side)
             if t >= t1:
-                for robot, move in moves.items():
+                for robot, move in stage.items():
                     positions[robot] = move.final
             else:
                 u = float((t - float(t0)) / float(t1 - t0))
-                for robot, move in moves.items():
+                for robot, move in stage.items():
                     positions[robot] = move.at(u)
                 break
         return positions
 
-    def starts_at(self, t) -> np.ndarray:
-        return self._positions_at(self.query.starts, "start", t)
-
-    def goals_at(self, t) -> np.ndarray:
-        return self._positions_at(self.query.goals, "goal", t)
-
     def end_query(self) -> ConfigurationQuery:
-        """The configuration the deformation ends at.  If it is not a valid
-        query (two points coincide, a shift overflowed), the deformation is at
-        fault, not the caller's query: InternalConsistencyError."""
-        try:
-            return ConfigurationQuery(
-                self.starts_at(1.0), self.goals_at(1.0), self.query.obstacles
-            )
-        except QueryValidationError as exc:
-            raise InternalConsistencyError(
-                f"deformation ended on an invalid query: {exc}"
-            ) from exc
+        """The configuration the deformation ends at; InternalConsistencyError
+        if it is not a valid query."""
+        return _checked_query(self._end_starts, self.query.goals, self.query.obstacles)
 
 
 def evaluate_deformation(
     deformation: Deformation, query: ConfigurationQuery, t: float
 ) -> ConfigurationQuery:
-    """Configuration reached at local time t; obstacles returned unchanged.
+    """Configuration reached at local time t; goals and obstacles returned
+    unchanged.
 
     ``query`` must be the configuration the deformation was built for.
     """
@@ -139,7 +124,7 @@ def evaluate_deformation(
     ):
         raise PreconditionError("deformation was built for a different configuration")
     return ConfigurationQuery(
-        deformation.starts_at(t), deformation.goals_at(t), deformation.query.obstacles
+        deformation.starts_at(t), deformation.query.goals, deformation.query.obstacles
     )
 
 
@@ -238,19 +223,15 @@ def swap_case_a(
         angle_end=math.pi,
     )
     stages = (
-        DeformationStage(
-            start_moves={
-                left_robot: LinearMove(query.starts[left_robot], a),
-                right_robot: LinearMove(query.starts[right_robot], b),
-            },
-        ),
-        DeformationStage(start_moves={left_robot: arc_left, right_robot: arc_right}),
-        DeformationStage(
-            start_moves={
-                left_robot: LinearMove(b, query.starts[right_robot]),
-                right_robot: LinearMove(a, query.starts[left_robot]),
-            },
-        ),
+        {
+            left_robot: LinearMove(query.starts[left_robot], a),
+            right_robot: LinearMove(query.starts[right_robot], b),
+        },
+        {left_robot: arc_left, right_robot: arc_right},
+        {
+            left_robot: LinearMove(b, query.starts[right_robot]),
+            right_robot: LinearMove(a, query.starts[left_robot]),
+        },
     )
     return Deformation(query=query, stages=stages)
 
@@ -291,38 +272,36 @@ def swap_case_b(
         angle_end=math.pi,
     )
     stages = (
-        DeformationStage(start_moves={robot: LinearMove(z, drop)}),
-        DeformationStage(start_moves={robot: LinearMove(drop, near)}),
-        DeformationStage(start_moves={robot: arc}),
+        {robot: LinearMove(z, drop)},
+        {robot: LinearMove(drop, near)},
+        {robot: arc},
     )
     return Deformation(query=query, stages=stages)
 
 
 def desingularize(
     query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> Deformation:
-    """Split every projection coincidence by staggered shifts along the line.
+) -> ConfigurationQuery:
+    """The generic query that splits every projection coincidence of ``query``
+    by staggered shifts along the line.
 
-    Robot start i receives the shift (i+1) * M / (2n+1) * e and robot goal i
-    the shift (n+i+1) * M / (2n+1) * e, where M is the smallest positive
-    projection gap any of these shifts could close (see
-    :func:`desingularization_gap`).  All 2n shift multipliers are distinct,
-    positive and below 1, so the result is generic with the same obstacle
-    pattern and no two points ever meet along the way.
+    Robot start i is shifted by (i+1) * M / (2n+1) * e and robot goal i by
+    (n+i+1) * M / (2n+1) * e, where M is the smallest positive projection gap
+    any of these shifts could close (see :func:`desingularization_gap`).  All
+    2n shift multipliers are distinct, positive and below 1, so the split
+    query is generic with the same obstacle pattern, and no two points meet
+    while each moves straight to its shifted position.
+
+    Raises:
+        InternalConsistencyError: the shifted points are not a valid query
+            (a shift overflowed).
     """
     n = query.robot_count
-    gap = desingularization_gap(query, frame, snap_tol)
-    scale = gap / (2 * n + 1)
-    start_moves = {
-        r: LinearMove(query.starts[r], query.starts[r] + (r + 1) * scale * frame.e)
-        for r in range(n)
-    }
-    goal_moves = {
-        r: LinearMove(query.goals[r], query.goals[r] + (n + r + 1) * scale * frame.e)
-        for r in range(n)
-    }
-    stage = DeformationStage(start_moves=start_moves, goal_moves=goal_moves)
-    return Deformation(query=query, stages=(stage,))
+    scale = desingularization_gap(query, frame, snap_tol) / (2 * n + 1)
+    shifts = np.arange(1, 2 * n + 1)[:, None] * scale * frame.e
+    return _checked_query(
+        query.starts + shifts[:n], query.goals + shifts[n:], query.obstacles
+    )
 
 
 def _stage_windows(stages, lo: Fraction, hi: Fraction):
@@ -364,24 +343,9 @@ def append_start_moves(
     lo: Fraction,
     hi: Fraction,
 ):
-    """Append the start-side motion of ``deformation``, played forward on the
-    global window [lo, hi], to the per-robot lists ``segments``.  Only the
-    robots a stage moves get segments."""
+    """Append the motion of ``deformation``, played on the global window
+    [lo, hi], to the per-robot lists ``segments``.  Only the robots a stage
+    moves get segments."""
     for t0, t1, stage in _stage_windows(deformation.stages, lo, hi):
-        for robot, move in stage.start_moves.items():
+        for robot, move in stage.items():
             append_segment(segments[robot], robot, t0, t1, move)
-
-
-def append_goal_moves_backward(
-    segments: list[list[PathSegment]],
-    deformation: Deformation,
-    lo: Fraction,
-    hi: Fraction,
-):
-    """Append the goal-side motion of ``deformation``, played backward on the
-    global window [lo, hi]: last stage first, each move reversed, so a robot
-    it moves ends at the query's goal.  A robot no goal-side stage moves gets
-    nothing, so its list ends before ``hi``."""
-    for t0, t1, stage in _stage_windows(deformation.stages[::-1], lo, hi):
-        for robot, move in stage.goal_moves.items():
-            append_segment(segments[robot], robot, t0, t1, reverse_move(move))

@@ -24,7 +24,6 @@ __all__ = [
     "Move",
     "PathSegment",
     "PiecewisePath",
-    "reverse_move",
 ]
 
 ENDPOINT_TOL = 1e-9
@@ -143,20 +142,6 @@ class ArcMove:
 
 
 Move = Union[LinearMove, ArcMove]
-
-
-def reverse_move(move: Move) -> Move:
-    """The same geometric trace traversed in the opposite direction."""
-    if isinstance(move, LinearMove):
-        return LinearMove(start=move.end, end=move.start)
-    return ArcMove(
-        center=move.center,
-        radius=move.radius,
-        basis_u=move.basis_u,
-        basis_v=move.basis_v,
-        angle_start=move.angle_end,
-        angle_end=move.angle_start,
-    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,9 +8,11 @@ produce identical outputs; the construction consults nothing but the query.
 
 This module alone knows the global schedule.  A generic query plays its k
 swaps and the straight line on [0, 1], in k + 1 equal windows.  A degenerate
-query plays the desingularization's start shifts on [0, 1/3], the swaps and
-the straight line of its desingularized image on [1/3, 2/3], and the goal
-shifts backward on [2/3, 1], all into one set of per-robot segment lists.
+query is split into a generic one (:func:`desingularize`): each robot moves
+straight from its start to its split start on [0, 1/3], the swaps and the
+straight line of the split query fill [1/3, 2/3], and each robot moves
+straight from its split goal back to its goal on [2/3, 1], all into one set
+of per-robot segment lists.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Optional, Union
 
 from .deformations import (
     Deformation,
-    append_goal_moves_backward,
     append_segment,
     append_start_moves,
     desingularize,
@@ -42,7 +43,7 @@ from .geometry import (
     orderings,
     token_key,
 )
-from .paths import PathSegment, PiecewisePath
+from .paths import LinearMove, PathSegment, PiecewisePath
 
 __all__ = [
     "CaseASwap",
@@ -174,22 +175,28 @@ def _generic_path(
 
 
 def compose_with_section(
-    deformation: Deformation,
-    deformed: ConfigurationQuery,
+    query: ConfigurationQuery,
+    split: ConfigurationQuery,
     frame: Frame,
     swaps: list[Swap],
     snap_tol: float,
 ) -> PiecewisePath:
-    """Path for a degenerate query: ``deformation`` desingularizes it into
-    ``deformed``, which ``swaps`` sort.  Start shifts forward on [0, 1/3],
-    swaps and straight line on [1/3, 2/3], goal shifts backward on [2/3, 1].
+    """Path for a degenerate ``query`` that :func:`desingularize` split into
+    ``split``, which ``swaps`` sort.  Each robot moves straight from its start
+    to its split start on [0, 1/3], the swaps and the straight line of
+    ``split`` fill [1/3, 2/3], and each robot moves straight from its split
+    goal back to its goal on [2/3, 1].
     """
     one_third, two_thirds = Fraction(1, 3), Fraction(2, 3)
-    segments = [[] for _ in range(deformation.query.robot_count)]
-    append_start_moves(segments, deformation, Fraction(0), one_third)
-    _play_swaps(segments, deformed, frame, swaps, snap_tol, one_third, two_thirds)
-    append_goal_moves_backward(segments, deformation, two_thirds, Fraction(1))
-    return PiecewisePath(query=deformation.query, segments=segments)
+    segments = [[] for _ in range(query.robot_count)]
+    for robot, per_robot in enumerate(segments):
+        shift = LinearMove(query.starts[robot], split.starts[robot])
+        append_segment(per_robot, robot, Fraction(0), one_third, shift)
+    _play_swaps(segments, split, frame, swaps, snap_tol, one_third, two_thirds)
+    for robot, per_robot in enumerate(segments):
+        shift = LinearMove(split.goals[robot], query.goals[robot])
+        append_segment(per_robot, robot, two_thirds, Fraction(1), shift)
+    return PiecewisePath(query=query, segments=segments)
 
 
 def _play_swaps(
@@ -255,11 +262,11 @@ def plan(
 ) -> PlanResult:
     """Plan a collision-free motion for a query.
 
-    Degenerate queries are first desingularized.  The ordering pair and the
-    swap list of the generic configuration (the query itself, or its
-    desingularized image) are computed once and played on [0, 1], or, for a
-    degenerate query, on [1/3, 2/3] between the start shifts and the goal
-    shifts (:func:`compose_with_section`).
+    Degenerate queries are first split into generic ones
+    (:func:`desingularize`).  The ordering pair and the swap list of the
+    generic configuration (the query itself, or its split) are computed once
+    and played on [0, 1], or, for a degenerate query, on [1/3, 2/3] between
+    the straight shifts to and from the split (:func:`compose_with_section`).
 
     Raises:
         QueryValidationError: via ConfigurationQuery construction upstream.
@@ -273,8 +280,7 @@ def plan(
     if label.j == 2 * n:
         generic_query = query
     else:
-        deformation = desingularize(query, frame, snap_tol)
-        generic_query = deformation.end_query()
+        generic_query = desingularize(query, frame, snap_tol)
         post_label = classify(generic_query, frame, snap_tol)
         if post_label.j != 2 * n or post_label.t != label.t:
             raise InternalConsistencyError(
@@ -287,7 +293,7 @@ def plan(
     if generic_query is query:
         path = _generic_path(query, frame, swaps, snap_tol)
     else:
-        path = compose_with_section(deformation, generic_query, frame, swaps, snap_tol)
+        path = compose_with_section(query, generic_query, frame, swaps, snap_tol)
     return PlanResult(
         path=path,
         region=label,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -171,6 +172,16 @@ def test_components_exact(capsys):
 
 def test_components_rejects_zero(capsys):
     assert main(["components", "0", "3"]) == 1
+
+
+@pytest.mark.parametrize("n, m", [("1000", "1000"), ("100000000", "1")])
+def test_components_too_long_to_print_is_validation_error(capsys, n, m):
+    # the count must be rejected before any factorial is computed: 10**8!
+    # alone would take far longer than this bound
+    began = time.perf_counter()
+    assert main(["components", n, m]) == 1
+    assert time.perf_counter() - began < 5.0
+    assert "more than" in capsys.readouterr().err
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):

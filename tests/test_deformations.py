@@ -1,6 +1,6 @@
 """Elementary motions: straight-line sections, the two swap manoeuvres,
-projection splitting, and how the planner plays a desingularization around
-the swaps of its image."""
+projection splitting, and how the planner draws the straight shifts to and
+from the split query around its swaps."""
 
 from __future__ import annotations
 
@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from parammp import (
     ConfigurationQuery,
     Deformation,
-    DeformationStage,
     FrameMode,
     InternalConsistencyError,
     LinearMove,
@@ -22,6 +22,7 @@ from parammp import (
     PreconditionError,
     Side,
     affine_section,
+    certify_separation,
     classify,
     degenerate_query,
     desingularize,
@@ -33,12 +34,9 @@ from parammp import (
     swap_case_a,
     swap_case_b,
 )
-from parammp.deformations import (
-    append_goal_moves_backward,
-    append_segment,
-    append_start_moves,
-)
+from parammp.deformations import append_segment, append_start_moves
 from parammp.geometry import clearance_eta
+from query_strategies import small_queries
 
 RNG_SAMPLES = 1000
 TIME_SAMPLES = 1000
@@ -48,29 +46,27 @@ def fixed_frame(query):
     return make_frame(query, FrameMode.FIXED)
 
 
-def _sample_side(deformation, ts, base, which):
+def sample_starts(deformation, ts):
+    """(len(ts), n, d) array of start positions, vectorized per stage."""
     ts = np.asarray(ts, dtype=float)
-    out = np.tile(base[None, :, :], (len(ts), 1, 1))
+    out = np.tile(deformation.query.starts[None, :, :], (len(ts), 1, 1))
     s = len(deformation.stages)
     for i, stage in enumerate(deformation.stages):
         t0, t1 = i / s, (i + 1) / s
         inside = (ts >= t0) & (ts <= t1)
         after = ts > t1
         u = (ts[inside] - t0) / (t1 - t0)
-        moves = stage.start_moves if which == "start" else stage.goal_moves
-        for robot, move in moves.items():
+        for robot, move in stage.items():
             out[inside, robot, :] = move.at_many(u)
             out[after, robot, :] = move.final
     return out
 
 
-def sample_starts(deformation, ts):
-    """(len(ts), n, d) array of start-side positions, vectorized per stage."""
-    return _sample_side(deformation, ts, deformation.query.starts, "start")
-
-
-def sample_goals(deformation, ts):
-    return _sample_side(deformation, ts, deformation.query.goals, "goal")
+def sample_shift(points, split_points, ts):
+    """(len(ts), n, d) array of the straight shifts from ``points`` to
+    ``split_points``, at local times ``ts``."""
+    ts = np.asarray(ts, dtype=float)[:, None, None]
+    return points[None] + ts * (split_points - points)[None]
 
 
 def pairwise_min_distance(positions, obstacles):
@@ -361,8 +357,7 @@ class TestDesingularize:
         )
         f = fixed_frame(q)
         assert min_gap(q, f) == 1.0
-        h = desingularize(q, f)
-        end = h.end_query()
+        end = desingularize(q, f)
         assert np.allclose(end.starts[0], q.starts[0] + (1.0 / 3.0) * f.e, atol=1e-15)
         assert np.allclose(end.goals[0], q.goals[0] + (2.0 / 3.0) * f.e, atol=1e-15)
 
@@ -380,8 +375,7 @@ class TestDesingularize:
             q = ConfigurationQuery(starts=starts, goals=goals, obstacles=obstacles)
             f = fixed_frame(q)
             before = classify(q, f)
-            end = desingularize(q, f).end_query()
-            after = classify(end, f)
+            after = classify(desingularize(q, f), f)
             assert after.j == 2 * n
             assert after.t == before.t
 
@@ -392,7 +386,7 @@ class TestDesingularize:
             obstacles=[[0.0, 0.0, 1.0], [1.0, 0.0, 2.0]],
         )
         f = fixed_frame(q)
-        end = desingularize(q, f).end_query()
+        end = desingularize(q, f)
         values = np.concatenate([end.starts[:, 0], end.goals[:, 0], end.obstacles[:, 0]])
         label = classify(end, f)
         assert len(set(values.tolist())) == 2 * q.robot_count + label.t
@@ -401,10 +395,7 @@ class TestDesingularize:
         q = ConfigurationQuery(
             starts=[[0.0, 1.0, 0.0]], goals=[[0.0, 2.0, 0.0]], obstacles=[[0.0, 0.0, 1.0]]
         )
-        h = desingularize(q, fixed_frame(q))
-        for t in np.linspace(0, 1, 11):
-            config = evaluate_deformation(h, q, float(t))
-            assert config.obstacles is q.obstacles
+        assert desingularize(q, fixed_frame(q)).obstacles is q.obstacles
 
     def test_no_collision_at_any_intermediate_time(self):
         rng = np.random.default_rng(24)
@@ -418,9 +409,19 @@ class TestDesingularize:
             q = ConfigurationQuery(
                 starts=starts, goals=goals, obstacles=rng.uniform(-5, 5, size=(m, 3))
             )
-            h = desingularize(q, fixed_frame(q))
-            assert pairwise_min_distance(sample_starts(h, ts), q.obstacles) > 0
-            assert pairwise_min_distance(sample_goals(h, ts), q.obstacles) > 0
+            split = desingularize(q, fixed_frame(q))
+            starts = sample_shift(q.starts, split.starts, ts)
+            goals = sample_shift(q.goals, split.goals, ts)
+            assert pairwise_min_distance(starts, q.obstacles) > 0
+            assert pairwise_min_distance(goals, q.obstacles) > 0
+
+    def test_overflowing_shift_is_internal_error(self):
+        q = ConfigurationQuery(
+            starts=[[-1e308, 0.0]], goals=[[1e308, 1.0]], obstacles=[[1e308, 0.0]]
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InternalConsistencyError, match="ended on an invalid query"):
+                desingularize(q, fixed_frame(q))
 
     def test_motion_purely_along_line(self):
         rng = np.random.default_rng(23)
@@ -432,13 +433,9 @@ class TestDesingularize:
                 starts=starts, goals=goals, obstacles=rng.uniform(-5, 5, size=(2, 3))
             )
             f = fixed_frame(q)
-            h = desingularize(q, f)
-            for t in (0.25, 0.75, 1.0):
-                config = evaluate_deformation(h, q, t)
-                for moved, original in [
-                    (config.starts, q.starts),
-                    (config.goals, q.goals),
-                ]:
+            split = desingularize(q, f)
+            for original, shifted in [(q.starts, split.starts), (q.goals, split.goals)]:
+                for moved in sample_shift(original, shifted, (0.25, 0.75, 1.0)):
                     delta = moved - original
                     perp = delta - (delta @ f.e)[:, None] * f.e[None, :]
                     assert np.max(np.abs(perp)) <= 1e-12
@@ -532,62 +529,71 @@ class TestCompose:
                 assert {Fraction(1, 3), Fraction(2, 3)} <= bounds
 
     def test_value_at_one_third_is_deformed_start(self):
-        for query, h, path in _degenerate_plans():
-            deformed = h.end_query()
+        for query, split, path in _degenerate_plans():
             for robot in range(query.robot_count):
                 at = path.position(robot, Fraction(1, 3))
-                assert np.array_equal(at, deformed.starts[robot])
+                assert np.array_equal(at, split.starts[robot])
                 assert np.array_equal(path.position(robot, 0), query.starts[robot])
                 assert np.array_equal(path.position(robot, 1), query.goals[robot])
 
     def test_goal_shifts_play_backward_on_last_third(self):
-        for query, h, path in _degenerate_plans():
-            deformed = h.end_query()
+        for query, split, path in _degenerate_plans():
             for robot, per_robot in enumerate(path.segments):
                 last = per_robot[-1]
                 assert (last.t0, last.t1) == (Fraction(2, 3), Fraction(1))
-                assert np.array_equal(last.move.start, deformed.goals[robot])
+                assert np.array_equal(last.move.start, split.goals[robot])
                 assert np.array_equal(last.move.end, query.goals[robot])
                 assert per_robot[-2].t1 == Fraction(2, 3)
-                assert np.array_equal(per_robot[-2].move.final, deformed.goals[robot])
+                assert np.array_equal(per_robot[-2].move.final, split.goals[robot])
 
     def test_stage_windows_split_the_given_window(self):
-        # A three-stage motion fills equal thirds of the window it is played
-        # on: forward on [0, 1/3], backward on [2/3, 1], the goal side's last
-        # stage first.
+        # A three-stage motion played on [0, 1/3] fills its equal thirds in
+        # stage order.
         q = ConfigurationQuery(
             starts=[[0.0, 0.0]], goals=[[1.0, 6.0]], obstacles=[[5.0, 5.0]]
         )
         start_track = [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]
-        goal_track = [[1.0, 6.0], [1.0, 5.0], [1.0, 4.0], [1.0, 3.0]]
         h = Deformation(
             query=q,
             stages=tuple(
-                DeformationStage(
-                    start_moves={0: LinearMove(start_track[k], start_track[k + 1])},
-                    goal_moves={0: LinearMove(goal_track[k], goal_track[k + 1])},
-                )
-                for k in range(3)
+                {0: LinearMove(start_track[k], start_track[k + 1])} for k in range(3)
             ),
         )
         segments = [[]]
         append_start_moves(segments, h, Fraction(0), Fraction(1, 3))
-        middle = LinearMove([0.0, 3.0], [1.0, 3.0])
-        append_segment(segments[0], 0, Fraction(1, 3), Fraction(2, 3), middle)
-        append_goal_moves_backward(segments, h, Fraction(2, 3), Fraction(1))
+        rest = LinearMove([0.0, 3.0], q.goals[0])
+        append_segment(segments[0], 0, Fraction(1, 3), Fraction(1), rest)
         (per_robot,) = PiecewisePath(query=q, segments=segments).segments
         assert [(seg.t0, seg.t1) for seg in per_robot] == [
             (Fraction(0), Fraction(1, 9)),
             (Fraction(1, 9), Fraction(2, 9)),
             (Fraction(2, 9), Fraction(1, 3)),
-            (Fraction(1, 3), Fraction(2, 3)),
-            (Fraction(2, 3), Fraction(7, 9)),
-            (Fraction(7, 9), Fraction(8, 9)),
-            (Fraction(8, 9), Fraction(1)),
+            (Fraction(1, 3), Fraction(1)),
         ]
-        # goal side backward: from the deformed goal back to the query's goal
-        assert [seg.move.start.tolist() for seg in per_robot[4:]] == goal_track[:0:-1]
-        assert np.array_equal(per_robot[-1].move.end, q.goals[0])
+        assert [seg.move.start.tolist() for seg in per_robot[:3]] == start_track[:3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(max_size=3, half_grid=True))
+    def test_shifts_are_straight_segments_along_the_line(self, case):
+        query, mode = case
+        result = plan(query, mode)
+        assume(result.region.j < 2 * query.robot_count)
+        split = desingularize(query, result.frame)
+        e = result.frame.e
+        for robot, per_robot in enumerate(result.path.segments):
+            first, last = per_robot[0], per_robot[-1]
+            assert (first.t0, first.t1) == (Fraction(0), Fraction(1, 3))
+            assert isinstance(first.move, LinearMove)
+            assert np.array_equal(first.move.start, query.starts[robot])
+            assert np.array_equal(first.move.end, split.starts[robot])
+            assert (last.t0, last.t1) == (Fraction(2, 3), Fraction(1))
+            assert isinstance(last.move, LinearMove)
+            assert np.array_equal(last.move.start, split.goals[robot])
+            assert np.array_equal(last.move.end, query.goals[robot])
+            for move in (first.move, last.move):
+                delta = move.end - move.start
+                assert np.max(np.abs(delta - (delta @ e) * e)) <= 1e-12
+        assert certify_separation(result.path, samples_per_segment=64).passed
 
 
 class TestEndQuery:
@@ -597,7 +603,7 @@ class TestEndQuery:
         )
         h = Deformation(
             query=q,
-            stages=(DeformationStage(start_moves={0: LinearMove([2.0, 3.0], [0.0, 0.0])}),),
+            stages=({0: LinearMove([2.0, 3.0], [0.0, 0.0])},),
         )
         with pytest.raises(InternalConsistencyError, match="coincides with obstacles"):
             h.end_query()

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from parammp import ArcMove, ConfigurationQuery, InternalConsistencyError, LinearMove, PathSegment, PiecewisePath
-from parammp.paths import reverse_move
 
 
 def make_path(segments_per_robot, starts, goals, obstacles):
@@ -61,19 +60,6 @@ class TestMoves:
                 angle_start=0.0,
                 angle_end=1.0,
             )
-
-    def test_reverse_round_trip(self):
-        move = ArcMove(
-            center=np.array([1.0, 1.0]),
-            radius=0.5,
-            basis_u=np.array([0.0, 1.0]),
-            basis_v=np.array([-1.0, 0.0]),
-            angle_start=0.25,
-            angle_end=2.0,
-        )
-        back = reverse_move(move)
-        for u in np.linspace(0, 1, 7):
-            assert np.allclose(move.at(u), back.at(1.0 - u), atol=1e-14)
 
     def test_at_many_matches_at(self):
         move = LinearMove(np.array([0.0, 1.0]), np.array([4.0, -3.0]))
