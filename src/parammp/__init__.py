@@ -38,20 +38,12 @@ from .geometry import (
     project,
 )
 from .paths import ArcMove, LinearMove, PathSegment, PiecewisePath
-from .deformations import (
-    Deformation,
-    affine_section,
-    desingularize,
-    evaluate_deformation,
-    swap_case_a,
-    swap_case_b,
-)
+from .deformations import desingularize, straight_moves, swap_case_a, swap_case_b
 from .planner import (
     CaseASwap,
     CaseBSwap,
     PlanResult,
     default_mode,
-    generic_section,
     plan,
     transposition_sequence,
 )

@@ -8,20 +8,16 @@ stay put.  Four primitives cover everything the planner needs:
 * carrying one robot around an obstacle block on a clearance half-circle,
 * splitting coincident projections apart by staggered shifts along the line.
 
-The two swaps are deformations: a list of stages that knows no global time.
-The planner plays one on a window [lo, hi] of global time it chooses: stage
-i of s fills [i/s, (i+1)/s] of that window (:func:`append_start_moves`).  A
-robot gets segments only where it moves, through :func:`append_segment`,
-which fills each rest as the gap before a move.  Splitting is no deformation:
-:func:`desingularize` returns the split query, and the planner draws the
-straight shifts to and from it.
+This module is geometry only and knows no time.  Each swap returns its
+:data:`Stages`: a tuple of stages, each mapping every robot it moves to its
+``Move``; a robot absent from a stage rests.  The planner decides when each
+stage plays.  Splitting returns the split query (:func:`desingularize`), and
+the planner draws the straight shifts to and from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
@@ -36,19 +32,18 @@ from .geometry import (
     desingularization_gap,
     orderings,
 )
-from .paths import ArcMove, LinearMove, Move, PathSegment, PiecewisePath
+from .paths import ArcMove, LinearMove, Move
 
 __all__ = [
-    "Deformation",
-    "affine_section",
-    "append_segment",
-    "append_start_moves",
+    "Stages",
     "desingularize",
-    "evaluate_deformation",
     "straight_moves",
     "swap_case_a",
     "swap_case_b",
 ]
+
+# The stages of one swap, played in order: robot -> its move in that stage.
+Stages = tuple[Mapping[int, Move], ...]
 
 
 def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
@@ -61,71 +56,6 @@ def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
         raise InternalConsistencyError(
             f"deformation ended on an invalid query: {exc}"
         ) from exc
-
-
-@dataclass(frozen=True, eq=False)
-class Deformation:
-    """A staged, obstacle-preserving motion of a query's robot starts.
-
-    Each stage maps every robot it moves to its ``Move``; a robot absent from
-    a stage rests at its position from the previous stage.  Stage i of s
-    fills [i/s, (i+1)/s] of whatever window the deformation is played on.
-    Goals and obstacles never move.
-    """
-
-    query: ConfigurationQuery
-    stages: tuple[Mapping[int, Move], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        positions = np.array(self.query.starts)
-        for stage in self.stages:
-            for robot, move in stage.items():
-                if np.linalg.norm(move.initial - positions[robot]) > 1e-9:
-                    raise InternalConsistencyError(
-                        f"stage does not chain for robot {robot}"
-                    )
-                positions[robot] = move.final
-        object.__setattr__(self, "_end_starts", positions)
-
-    def starts_at(self, t) -> np.ndarray:
-        positions = np.array(self.query.starts)
-        for t0, t1, stage in _stage_windows(self.stages, Fraction(0), Fraction(1)):
-            if t >= t1:
-                for robot, move in stage.items():
-                    positions[robot] = move.final
-            else:
-                u = float((t - float(t0)) / float(t1 - t0))
-                for robot, move in stage.items():
-                    positions[robot] = move.at(u)
-                break
-        return positions
-
-    def end_query(self) -> ConfigurationQuery:
-        """The configuration the deformation ends at; InternalConsistencyError
-        if it is not a valid query."""
-        return _checked_query(self._end_starts, self.query.goals, self.query.obstacles)
-
-
-def evaluate_deformation(
-    deformation: Deformation, query: ConfigurationQuery, t: float
-) -> ConfigurationQuery:
-    """Configuration reached at local time t; goals and obstacles returned
-    unchanged.
-
-    ``query`` must be the configuration the deformation was built for.
-    """
-    if t < 0 or t > 1:
-        raise ValueError(f"time {t} outside [0, 1]")
-    if query is not deformation.query and not (
-        np.array_equal(query.starts, deformation.query.starts)
-        and np.array_equal(query.goals, deformation.query.goals)
-        and np.array_equal(query.obstacles, deformation.query.obstacles)
-    ):
-        raise PreconditionError("deformation was built for a different configuration")
-    return ConfigurationQuery(
-        deformation.starts_at(t), deformation.query.goals, deformation.query.obstacles
-    )
 
 
 def _line_point(frame: Frame, value: float) -> np.ndarray:
@@ -153,24 +83,13 @@ def straight_moves(
     return [LinearMove(query.starts[r], query.goals[r]) for r in range(query.robot_count)]
 
 
-def affine_section(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> PiecewisePath:
-    """The straight-line motions of :func:`straight_moves` as a path on [0, 1]."""
-    segments = [
-        [PathSegment(robot=r, t0=Fraction(0), t1=Fraction(1), move=move)]
-        for r, move in enumerate(straight_moves(query, frame, snap_tol))
-    ]
-    return PiecewisePath(query=query, segments=segments)
-
-
 def swap_case_a(
     query: ConfigurationQuery,
     frame: Frame,
     left_robot: int,
     right_robot: int,
     snap_tol: float = 0.0,
-) -> Deformation:
+) -> Stages:
     """Exchange the projection order of two adjacent robots.
 
     Requires the two start tokens to be adjacent in the start ordering with
@@ -222,7 +141,7 @@ def swap_case_a(
         angle_start=0.0,
         angle_end=math.pi,
     )
-    stages = (
+    return (
         {
             left_robot: LinearMove(query.starts[left_robot], a),
             right_robot: LinearMove(query.starts[right_robot], b),
@@ -233,7 +152,6 @@ def swap_case_a(
             right_robot: LinearMove(a, query.starts[left_robot]),
         },
     )
-    return Deformation(query=query, stages=stages)
 
 
 def swap_case_b(
@@ -243,7 +161,7 @@ def swap_case_b(
     obstacle: int,
     side: Side,
     snap_tol: float = 0.0,
-) -> Deformation:
+) -> Stages:
     """Carry one robot across the obstacle block containing ``obstacle``.
 
     ``side`` is the side of the obstacle's projection value the robot ends
@@ -271,12 +189,11 @@ def swap_case_b(
         angle_start=0.0,
         angle_end=math.pi,
     )
-    stages = (
+    return (
         {robot: LinearMove(z, drop)},
         {robot: LinearMove(drop, near)},
         {robot: arc},
     )
-    return Deformation(query=query, stages=stages)
 
 
 def desingularize(
@@ -302,50 +219,3 @@ def desingularize(
     return _checked_query(
         query.starts + shifts[:n], query.goals + shifts[n:], query.obstacles
     )
-
-
-def _stage_windows(stages, lo: Fraction, hi: Fraction):
-    """Yield (t0, t1, stage), stage i of s on [i/s, (i+1)/s] of [lo, hi]."""
-    s = len(stages)
-    for i, stage in enumerate(stages):
-        yield lo + Fraction(i, s) * (hi - lo), lo + Fraction(i + 1, s) * (hi - lo), stage
-
-
-def append_segment(
-    segments: list[PathSegment], robot: int, t0: Fraction, t1: Fraction, move: Move
-):
-    """Append ``robot``'s move on [t0, t1] to its segment list.
-
-    A gap before t0 is filled with one rest where ``move`` begins, which is
-    where the robot's last move ended.  A rest that continues a rest at the
-    same position extends that segment instead.
-    """
-    end = segments[-1].t1 if segments else Fraction(0)
-    if end < t0:
-        append_segment(segments, robot, end, t0, LinearMove(move.initial, move.initial))
-    if (
-        segments
-        and isinstance(move, LinearMove)
-        and move.is_constant()
-        and isinstance(segments[-1].move, LinearMove)
-        and segments[-1].move.is_constant()
-        and np.array_equal(segments[-1].move.end, move.start)
-    ):
-        prev = segments.pop()
-        segments.append(PathSegment(robot=robot, t0=prev.t0, t1=t1, move=prev.move))
-    else:
-        segments.append(PathSegment(robot=robot, t0=t0, t1=t1, move=move))
-
-
-def append_start_moves(
-    segments: list[list[PathSegment]],
-    deformation: Deformation,
-    lo: Fraction,
-    hi: Fraction,
-):
-    """Append the motion of ``deformation``, played on the global window
-    [lo, hi], to the per-robot lists ``segments``.  Only the robots a stage
-    moves get segments."""
-    for t0, t1, stage in _stage_windows(deformation.stages, lo, hi):
-        for robot, move in stage.items():
-            append_segment(segments[robot], robot, t0, t1, move)

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -61,6 +62,12 @@ class ProblemDocument:
     options: ProblemOptions = field(default_factory=ProblemOptions)
 
     def to_query(self) -> ConfigurationQuery:
+        """The document's query, validated once and then shared: queries are
+        immutable."""
+        return self._query
+
+    @cached_property
+    def _query(self) -> ConfigurationQuery:
         return ConfigurationQuery(
             starts=np.array(self.starts, dtype=float),
             goals=np.array(self.goals, dtype=float),
@@ -200,7 +207,7 @@ def parse_problem(text: str) -> ProblemDocument:
                 obstacles=obstacles,
                 options=options,
             )
-            document.to_query()
+            document.to_query()  # validates; the query is kept for callers
             return document
         except QueryValidationError as exc:
             errors.extend(exc.errors)
@@ -279,8 +286,9 @@ def _path_from_document(doc) -> PiecewisePath:
         obstacles=np.array(doc["obstacles"], dtype=float),
     )
     segments: list[tuple[PathSegment, ...]] = []
-    for robot_doc in doc["robots"]:
-        robot = robot_doc["robot"]
+    for robot, robot_doc in enumerate(doc["robots"]):
+        if robot_doc["robot"] != robot:
+            raise ValueError(f"robots[{robot}] names robot {robot_doc['robot']!r}")
         per_robot = []
         for seg in robot_doc["segments"]:
             if seg["kind"] == "linear":
@@ -317,8 +325,9 @@ def parse_plan(text: str) -> PiecewisePath:
 
     Raises:
         QueryValidationError: the text is not a well-formed plan document: bad
-            JSON, a missing or mistyped field, an unknown segment kind, a time
-            bound that is not a rational, or segments that do not chain.
+            JSON, a missing or mistyped field, a robot entry out of place, an
+            unknown segment kind, a time bound that is not a rational, or
+            segments that do not chain.
     """
     try:
         return _path_from_document(json.loads(text))

@@ -84,7 +84,8 @@ class Side(enum.Enum):
 
 
 def _as_points(value, name: str, errors: list[str]) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    # A copy: the query freezes its arrays, and the caller keeps its own.
+    arr = np.array(value, dtype=float)
     if arr.ndim != 2:
         errors.append(f"{name}: expected a 2-d array of points, got shape {arr.shape}")
         arr = arr.reshape(arr.shape[0] if arr.ndim >= 1 else 0, -1)

@@ -144,6 +144,12 @@ class ArcMove:
 Move = Union[LinearMove, ArcMove]
 
 
+def _check_time(t):
+    """ValueError unless 0 <= t <= 1 (a NaN fails too)."""
+    if not 0 <= t <= 1:
+        raise ValueError(f"time {t} outside [0, 1]")
+
+
 @dataclass(frozen=True, eq=False)
 class PathSegment:
     """One robot's motion over the global time window [t0, t1]."""
@@ -236,8 +242,7 @@ class PiecewisePath:
                 raise InternalConsistencyError(f"robot {robot} does not end at its goal")
 
     def segment_at(self, robot: int, t) -> PathSegment:
-        if t < 0 or t > 1:
-            raise ValueError(f"time {t} outside [0, 1]")
+        _check_time(t)
         per_robot = self.segments[robot]
         # Linear scan, O(segments) per call: a plan with k swaps gives a robot
         # O(k) segments.  Fraction bounds compare exactly against float t;
@@ -254,8 +259,12 @@ class PiecewisePath:
         return np.stack([self.position(r, t) for r in range(self.robot_count)])
 
     def positions_at(self, robot: int, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation of one robot at many times (ascending or not)."""
+        """Vectorized evaluation of one robot at many times (ascending or
+        not); ValueError if any time lies outside [0, 1] or is NaN."""
         ts = np.asarray(ts, dtype=float)
+        if ts.size:
+            _check_time(ts.min())
+            _check_time(ts.max())
         out = np.empty((len(ts), self.query.dim))
         bounds = np.array([float(seg.t1) for seg in self.segments[robot]])
         idx = np.searchsorted(bounds, ts, side="right")

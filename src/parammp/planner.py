@@ -6,13 +6,14 @@ The output is one exact piecewise path per robot plus the region label whose
 index ``c`` names the continuity domain the query fell into.  Identical inputs
 produce identical outputs; the construction consults nothing but the query.
 
-This module alone knows the global schedule.  A generic query plays its k
-swaps and the straight line on [0, 1], in k + 1 equal windows.  A degenerate
-query is split into a generic one (:func:`desingularize`): each robot moves
-straight from its start to its split start on [0, 1/3], the swaps and the
-straight line of the split query fill [1/3, 2/3], and each robot moves
-straight from its split goal back to its goal on [2/3, 1], all into one set
-of per-robot segment lists.
+This module alone knows the global schedule and assembles the segments.  A
+generic query plays its k swaps and the straight line on [0, 1], in k + 1
+equal windows; the stages of a swap (:mod:`parammp.deformations`) split its
+window equally.  A degenerate query is split into a generic one
+(:func:`desingularize`): each robot moves straight from its start to its
+split start on [0, 1/3], the swaps and the straight line of the split query
+fill [1/3, 2/3], and each robot moves straight from its split goal back to
+its goal on [2/3, 1], all into one set of per-robot segment lists.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+import numpy as np
+
 from .deformations import (
-    Deformation,
-    append_segment,
-    append_start_moves,
+    Stages,
+    _checked_query,
     desingularize,
     straight_moves,
     swap_case_a,
@@ -43,7 +45,7 @@ from .geometry import (
     orderings,
     token_key,
 )
-from .paths import LinearMove, PathSegment, PiecewisePath
+from .paths import LinearMove, Move, PathSegment, PiecewisePath
 
 __all__ = [
     "CaseASwap",
@@ -51,7 +53,6 @@ __all__ = [
     "PlanResult",
     "compose_with_section",
     "default_mode",
-    "generic_section",
     "plan",
     "transposition_sequence",
 ]
@@ -143,35 +144,38 @@ def _block_representative(query: ConfigurationQuery, block: frozenset[int]) -> i
 
 def _swap_deformation(
     query: ConfigurationQuery, frame: Frame, swap: Swap, snap_tol: float
-) -> Deformation:
+) -> Stages:
+    """The stages of ``swap``, built on the configuration ``query``."""
     if isinstance(swap, CaseASwap):
         return swap_case_a(query, frame, swap.left, swap.right, snap_tol)
     representative = _block_representative(query, swap.block)
     return swap_case_b(query, frame, swap.robot, representative, swap.side, snap_tol)
 
 
-def generic_section(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> PiecewisePath:
-    """Path for a generic query (all robot projections pairwise distinct and
-    distinct from obstacle projections).
+def _append_segment(
+    segments: list[PathSegment], robot: int, t0: Fraction, t1: Fraction, move: Move
+):
+    """Append ``robot``'s move on [t0, t1] to its segment list.
 
-    The swaps that sort the start ordering into the goal ordering are played
-    one after another on [0, 1], then every robot moves straight to its goal;
-    see :func:`_play_swaps`.  With no swaps this is the straight-line
-    section.
+    A gap before t0 is filled with one rest where ``move`` begins, which is
+    where the robot's last move ended.  A rest that continues a rest at the
+    same position extends that segment instead.
     """
-    pair = orderings(query, frame, snap_tol)
-    swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
-    return _generic_path(query, frame, swaps, snap_tol)
-
-
-def _generic_path(
-    query: ConfigurationQuery, frame: Frame, swaps: list[Swap], snap_tol: float
-) -> PiecewisePath:
-    segments = [[] for _ in range(query.robot_count)]
-    _play_swaps(segments, query, frame, swaps, snap_tol, Fraction(0), Fraction(1))
-    return PiecewisePath(query=query, segments=segments)
+    end = segments[-1].t1 if segments else Fraction(0)
+    if end < t0:
+        _append_segment(segments, robot, end, t0, LinearMove(move.initial, move.initial))
+    if (
+        segments
+        and isinstance(move, LinearMove)
+        and move.is_constant()
+        and isinstance(segments[-1].move, LinearMove)
+        and segments[-1].move.is_constant()
+        and np.array_equal(segments[-1].move.end, move.start)
+    ):
+        prev = segments.pop()
+        segments.append(PathSegment(robot=robot, t0=prev.t0, t1=t1, move=prev.move))
+    else:
+        segments.append(PathSegment(robot=robot, t0=t0, t1=t1, move=move))
 
 
 def compose_with_section(
@@ -191,11 +195,11 @@ def compose_with_section(
     segments = [[] for _ in range(query.robot_count)]
     for robot, per_robot in enumerate(segments):
         shift = LinearMove(query.starts[robot], split.starts[robot])
-        append_segment(per_robot, robot, Fraction(0), one_third, shift)
+        _append_segment(per_robot, robot, Fraction(0), one_third, shift)
     _play_swaps(segments, split, frame, swaps, snap_tol, one_third, two_thirds)
     for robot, per_robot in enumerate(segments):
         shift = LinearMove(split.goals[robot], query.goals[robot])
-        append_segment(per_robot, robot, two_thirds, Fraction(1), shift)
+        _append_segment(per_robot, robot, two_thirds, Fraction(1), shift)
     return PiecewisePath(query=query, segments=segments)
 
 
@@ -212,22 +216,36 @@ def _play_swaps(
     then the straight line to the per-robot lists ``segments``.
 
     With k swaps the window splits into k + 1 equal parts: swap i fills part
-    i, one third of it per stage, and the straight line fills part k.  Swaps
-    move starts only, so each one is built on the configuration the previous
-    one left and the goals stay put.  A robot gets segments only where it
-    moves; each rest fills the gap before its next move.  The parts depend
-    only on the swap list, which is locally constant wherever the tie
-    pattern is, so the schedule keeps the rule continuous on each domain.
+    i, its s stages one s-th of it each, and the straight line fills part k.
+    Swaps move starts only, so the running starts array carries each swap's
+    end to the next, which is built on that configuration; the goals stay
+    put.  A robot gets segments only where it moves; each rest fills the gap
+    before its next move.  The parts depend only on the swap list, which is
+    locally constant wherever the tie pattern is, so the schedule keeps the
+    rule continuous on each domain.
+
+    Raises:
+        InternalConsistencyError: a stage does not begin where its robot
+            stands, or a swap ends on an invalid configuration.
     """
     width = (hi - lo) / (len(swaps) + 1)
     current = query
+    starts = np.array(query.starts)
     for i, swap in enumerate(swaps):
-        deformation = _swap_deformation(current, frame, swap, snap_tol)
-        append_start_moves(segments, deformation, lo + i * width, lo + (i + 1) * width)
-        current = deformation.end_query()
+        stages = _swap_deformation(current, frame, swap, snap_tol)
+        step = width / len(stages)
+        for j, stage in enumerate(stages):
+            t0 = lo + i * width + j * step
+            t1 = t0 + step
+            for robot, move in stage.items():
+                if np.linalg.norm(move.initial - starts[robot]) > 1e-9:
+                    raise InternalConsistencyError(f"stage does not chain for robot {robot}")
+                starts[robot] = move.final
+                _append_segment(segments[robot], robot, t0, t1, move)
+        current = _checked_query(starts, query.goals, query.obstacles)
     start = lo + len(swaps) * width
     for robot, line in enumerate(straight_moves(current, frame, snap_tol)):
-        append_segment(segments[robot], robot, start, hi, line)
+        _append_segment(segments[robot], robot, start, hi, line)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,7 +309,9 @@ def plan(
     pair = orderings(generic_query, frame, snap_tol)
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
     if generic_query is query:
-        path = _generic_path(query, frame, swaps, snap_tol)
+        segments = [[] for _ in range(n)]
+        _play_swaps(segments, query, frame, swaps, snap_tol, Fraction(0), Fraction(1))
+        path = PiecewisePath(query=query, segments=segments)
     else:
         path = compose_with_section(query, generic_query, frame, swaps, snap_tol)
     return PlanResult(

@@ -186,11 +186,11 @@ class TestAcceptance:
             if adjacent is None:
                 continue
             checked_a += 1
-            h = swap_case_a(q, f, *adjacent)
+            exchange = swap_case_a(q, f, *adjacent)[1]
             gap = abs(float((q.starts[adjacent[1]] - q.starts[adjacent[0]]) @ f.e))
-            for t in np.linspace(1 / 3, 2 / 3, 33):
-                config = h.starts_at(float(t))
-                sep = float(np.linalg.norm(config[adjacent[0]] - config[adjacent[1]]))
+            for u in np.linspace(0, 1, 33):
+                left, right = (exchange[r].at(float(u)) for r in adjacent)
+                sep = float(np.linalg.norm(left - right))
                 if abs(sep - gap) > 1e-9:
                     ok = False
         # Case B: exact landing point
@@ -215,10 +215,10 @@ class TestAcceptance:
             checked_b += 1
             robot, obstacle, side = found
             eta = clearance_eta(q, f, robot, obstacle, side)
-            h = swap_case_b(q, f, robot, obstacle, side)
+            landing = swap_case_b(q, f, robot, obstacle, side)[-1][robot].final
             sign = 1.0 if side is Side.LEFT else -1.0
             expected = q.obstacles[obstacle] - sign * (eta / 2.0) * f.e
-            if float(np.linalg.norm(h.end_query().starts[robot] - expected)) > 1e-12:
+            if float(np.linalg.norm(landing - expected)) > 1e-12:
                 ok = False
         # splitting shifts reach the generic region, t unchanged
         for _ in range(200):

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import parammp
 from parammp.cli import main
 
 PROBLEM = {
@@ -237,10 +240,14 @@ def test_internal_failure_exit_code(problem_file, monkeypatch, capsys):
 
 
 def test_console_script_smoke():
+    # The child imports the package under test, installed or not.
+    package_root = str(Path(parammp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "parammp.cli", "components", "2", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "288"

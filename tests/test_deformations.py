@@ -13,28 +13,25 @@ from hypothesis import assume, given, settings
 
 from parammp import (
     ConfigurationQuery,
-    Deformation,
     FrameMode,
     InternalConsistencyError,
     LinearMove,
     NotGenericError,
-    PiecewisePath,
     PreconditionError,
     Side,
-    affine_section,
     certify_separation,
     classify,
     degenerate_query,
     desingularize,
-    evaluate_deformation,
     make_frame,
     min_gap,
     orderings,
     plan,
+    planner,
+    straight_moves,
     swap_case_a,
     swap_case_b,
 )
-from parammp.deformations import append_segment, append_start_moves
 from parammp.geometry import clearance_eta
 from query_strategies import small_queries
 
@@ -46,12 +43,13 @@ def fixed_frame(query):
     return make_frame(query, FrameMode.FIXED)
 
 
-def sample_starts(deformation, ts):
-    """(len(ts), n, d) array of start positions, vectorized per stage."""
+def sample_stages(starts, stages, ts):
+    """(len(ts), n, d) array of the positions of ``starts`` while ``stages``
+    play on [0, 1], stage i of s on [i/s, (i+1)/s]; vectorized per stage."""
     ts = np.asarray(ts, dtype=float)
-    out = np.tile(deformation.query.starts[None, :, :], (len(ts), 1, 1))
-    s = len(deformation.stages)
-    for i, stage in enumerate(deformation.stages):
+    out = np.tile(np.asarray(starts)[None, :, :], (len(ts), 1, 1))
+    s = len(stages)
+    for i, stage in enumerate(stages):
         t0, t1 = i / s, (i + 1) / s
         inside = (ts >= t0) & (ts <= t1)
         after = ts > t1
@@ -60,6 +58,20 @@ def sample_starts(deformation, ts):
             out[inside, robot, :] = move.at_many(u)
             out[after, robot, :] = move.final
     return out
+
+
+def end_query(query, stages):
+    """The query ``stages`` end on: starts moved, goals and obstacles kept."""
+    (starts,) = sample_stages(query.starts, stages, [1.0])
+    return ConfigurationQuery(starts, query.goals, query.obstacles)
+
+
+def one_crossing_query():
+    """A generic query whose plan is one Case B swap: robot 0 crosses the
+    obstacle toward its goal, then moves straight."""
+    return ConfigurationQuery(
+        starts=[[0.0, 0.0]], goals=[[1.0, 6.0]], obstacles=[[0.5, 5.0]]
+    )
 
 
 def sample_shift(points, split_points, ts):
@@ -95,6 +107,8 @@ def random_generic_query(rng, n, m, d=3):
 
 
 class TestAffineSection:
+    """The straight-line (affine) section: :func:`straight_moves`."""
+
     def test_identity_query_is_not_generic(self):
         # starts == goals makes every start projection coincide with its goal
         # projection, so the straight-line precondition cannot hold; the
@@ -103,14 +117,14 @@ class TestAffineSection:
             starts=[[0.0, 1.0, 0.0]], goals=[[0.0, 1.0, 0.0]], obstacles=[[5.0, 0.0, 0.0]]
         )
         with pytest.raises(NotGenericError):
-            affine_section(q, fixed_frame(q))
+            straight_moves(q, fixed_frame(q))
 
     def test_midpoint_value(self):
         q = ConfigurationQuery(
             starts=[[0.0, 0.0]], goals=[[2.0, 2.0]], obstacles=[[5.0, 0.0]]
         )
-        path = affine_section(q, fixed_frame(q))
-        assert np.allclose(path.position(0, 0.5), [1.0, 1.0])
+        (move,) = straight_moves(q, fixed_frame(q))
+        assert np.allclose(move.at(0.5), [1.0, 1.0])
 
     def test_projection_order_preserved_throughout(self):
         q = ConfigurationQuery(
@@ -119,10 +133,9 @@ class TestAffineSection:
             obstacles=[[9.0, 0.0, 0.0]],
         )
         f = fixed_frame(q)
-        path = affine_section(q, f)
+        first, second = straight_moves(q, f)
         for t in np.linspace(0, 1, 101):
-            config = path.configuration(t)
-            assert config[0] @ f.e < config[1] @ f.e
+            assert first.at(t) @ f.e < second.at(t) @ f.e
 
     def test_rejects_order_swapping_query(self):
         q = ConfigurationQuery(
@@ -131,7 +144,7 @@ class TestAffineSection:
             obstacles=[[9.0, 0.0, 0.0]],
         )
         with pytest.raises(PreconditionError):
-            affine_section(q, fixed_frame(q))
+            straight_moves(q, fixed_frame(q))
 
 
 class TestSwapCaseA:
@@ -145,8 +158,7 @@ class TestSwapCaseA:
 
     def test_endpoints_trade_positions(self):
         q = self._query()
-        h = swap_case_a(q, fixed_frame(q), 0, 1)
-        end = evaluate_deformation(h, q, 1.0)
+        end = end_query(q, swap_case_a(q, fixed_frame(q), 0, 1))
         assert np.allclose(end.starts[0], q.starts[1], atol=1e-12)
         assert np.allclose(end.starts[1], q.starts[0], atol=1e-12)
         assert np.array_equal(end.goals, q.goals)
@@ -154,19 +166,17 @@ class TestSwapCaseA:
     def test_explicit_phase_two_midpoint(self):
         # e = (1,0): a = (0,0), b = (2,0), mid = (1,0), r = 1
         q = self._query()
-        h = swap_case_a(q, fixed_frame(q), 0, 1)
-        config = evaluate_deformation(h, q, 0.5)
-        assert np.allclose(config.starts[0], [1.0, -1.0], atol=1e-12)
-        assert np.allclose(config.starts[1], [1.0, 1.0], atol=1e-12)
+        (config,) = sample_stages(q.starts, swap_case_a(q, fixed_frame(q), 0, 1), [0.5])
+        assert np.allclose(config[0], [1.0, -1.0], atol=1e-12)
+        assert np.allclose(config[1], [1.0, 1.0], atol=1e-12)
 
     def test_antipodal_during_phase_two(self):
         q = self._query()
         f = fixed_frame(q)
-        h = swap_case_a(q, f, 0, 1)
+        stages = swap_case_a(q, f, 0, 1)
         r = 0.5 * abs(float((q.starts[1] - q.starts[0]) @ f.e))
-        for t in np.linspace(1 / 3, 2 / 3, 101):
-            config = evaluate_deformation(h, q, float(t))
-            gap = np.linalg.norm(config.starts[0] - config.starts[1])
+        for config in sample_stages(q.starts, stages, np.linspace(1 / 3, 2 / 3, 101)):
+            gap = np.linalg.norm(config[0] - config[1])
             assert abs(gap - 2 * r) <= 1e-9
 
     def test_non_adjacent_rejected(self):
@@ -187,10 +197,8 @@ class TestSwapCaseA:
         q = self._query()
         f = fixed_frame(q)
         sigma_before = orderings(q, f).start_pattern()
-        h1 = swap_case_a(q, f, 0, 1)
-        q2 = h1.end_query()
-        h2 = swap_case_a(q2, f, 1, 0)  # robot 1 is now the left one
-        q3 = h2.end_query()
+        q2 = end_query(q, swap_case_a(q, f, 0, 1))
+        q3 = end_query(q2, swap_case_a(q2, f, 1, 0))  # robot 1 is now the left one
         assert orderings(q3, f).start_pattern() == sigma_before
 
     def test_random_inputs_collision_free_and_contained(self):
@@ -211,8 +219,8 @@ class TestSwapCaseA:
             if adjacent is None:
                 continue
             done += 1
-            h = swap_case_a(q, f, *adjacent)
-            positions = sample_starts(h, ts)
+            stages = swap_case_a(q, f, *adjacent)
+            positions = sample_stages(q.starts, stages, ts)
             assert pairwise_min_distance(positions, q.obstacles) > 0
             # both movers stay inside the projection interval during phase 2
             q_low = float(q.starts[adjacent[0]] @ f.e)
@@ -227,8 +235,8 @@ class TestSwapCaseA:
                 axis=1,
             )
             assert np.max(np.abs(gaps - 2 * r)) <= 1e-9
-            # fibrewise: obstacles bitwise untouched
-            assert h.end_query().obstacles is q.obstacles
+            # fibrewise: only the two robots' starts move
+            assert set().union(*stages) == set(adjacent)
 
 
 class TestSwapCaseB:
@@ -243,17 +251,15 @@ class TestSwapCaseB:
         f = fixed_frame(q)
         eta = clearance_eta(q, f, 0, 0, Side.LEFT)
         assert eta == 2.0
-        h = swap_case_b(q, f, 0, 0, Side.LEFT)
-        assert np.allclose(evaluate_deformation(h, q, 2 / 3).starts[0], [1.0, 0.0], atol=1e-12)
-        assert np.allclose(evaluate_deformation(h, q, 5 / 6).starts[0], [0.0, 1.0], atol=1e-12)
-        assert np.allclose(evaluate_deformation(h, q, 1.0).starts[0], [-1.0, 0.0], atol=1e-12)
+        stages = swap_case_b(q, f, 0, 0, Side.LEFT)
+        at = sample_stages(q.starts, stages, [2 / 3, 5 / 6, 1.0])[:, 0]
+        assert np.allclose(at, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
     def test_final_point_formula(self):
         q = self._query()
         f = fixed_frame(q)
         eta = clearance_eta(q, f, 0, 0, Side.LEFT)
-        h = swap_case_b(q, f, 0, 0, Side.LEFT)
-        end = h.end_query().starts[0]
+        end = end_query(q, swap_case_b(q, f, 0, 0, Side.LEFT)).starts[0]
         expected = q.obstacles[0] - (eta / 2.0) * f.e
         assert np.linalg.norm(end - expected) <= 1e-12
         assert float(end @ f.e) < float(q.obstacles[0] @ f.e)
@@ -263,11 +269,10 @@ class TestSwapCaseB:
             starts=[[2.0, 3.0, -1.0]], goals=[[5.0, 4.0, 2.0]], obstacles=[[0.0, 1.0, 1.0]]
         )
         f = fixed_frame(q)
-        h = swap_case_b(q, f, 0, 0, Side.LEFT)
+        stages = swap_case_b(q, f, 0, 0, Side.LEFT)
         value = float(q.starts[0] @ f.e)
-        for t in np.linspace(0, 1 / 3, 21):
-            config = evaluate_deformation(h, q, float(t))
-            assert abs(float(config.starts[0] @ f.e) - value) <= 1e-12
+        for config in sample_stages(q.starts, stages, np.linspace(0, 1 / 3, 21)):
+            assert abs(float(config[0] @ f.e) - value) <= 1e-12
 
     def test_mirrored_side(self):
         q = ConfigurationQuery(
@@ -275,8 +280,7 @@ class TestSwapCaseB:
         )
         f = fixed_frame(q)
         eta = clearance_eta(q, f, 0, 0, Side.RIGHT)
-        h = swap_case_b(q, f, 0, 0, Side.RIGHT)
-        end = h.end_query().starts[0]
+        end = end_query(q, swap_case_b(q, f, 0, 0, Side.RIGHT)).starts[0]
         assert np.linalg.norm(end - (q.obstacles[0] + (eta / 2.0) * f.e)) <= 1e-12
 
     def test_random_inputs_keep_clearance(self):
@@ -302,8 +306,7 @@ class TestSwapCaseB:
             done += 1
             robot, obstacle, side = found
             eta = clearance_eta(q, f, robot, obstacle, side)
-            h = swap_case_b(q, f, robot, obstacle, side)
-            positions = sample_starts(h, ts)
+            positions = sample_stages(q.starts, swap_case_b(q, f, robot, obstacle, side), ts)
             assert pairwise_min_distance(positions, q.obstacles) > 0
             # the arc keeps distance exactly eta/2 from the circled obstacle
             arc_gaps = np.linalg.norm(
@@ -336,14 +339,14 @@ class TestSwapCaseBCoincidentBlock:
         f = fixed_frame(q)
         eta = clearance_eta(q, f, 0, 0, Side.LEFT)
         assert eta <= 1.5  # bounded by the coincident-member distance
-        h = swap_case_b(q, f, 0, 0, Side.LEFT)
+        stages = swap_case_b(q, f, 0, 0, Side.LEFT)
         ts = np.linspace(2 / 3, 1.0, 201)
-        positions = sample_starts(h, ts)[:, 0, :]
+        positions = sample_stages(q.starts, stages, ts)[:, 0, :]
         for obstacle in q.obstacles:
             gaps = np.linalg.norm(positions - obstacle[None, :], axis=1)
             assert gaps.min() >= eta / 2.0 - 1e-9
         # landing past the whole block
-        end = h.end_query()
+        end = end_query(q, stages)
         assert float(end.starts[0] @ f.e) < 0.0
         pattern = orderings(end, f).start_pattern()
         assert pattern[0][0] == "r"
@@ -395,7 +398,8 @@ class TestDesingularize:
         q = ConfigurationQuery(
             starts=[[0.0, 1.0, 0.0]], goals=[[0.0, 2.0, 0.0]], obstacles=[[0.0, 0.0, 1.0]]
         )
-        assert desingularize(q, fixed_frame(q)).obstacles is q.obstacles
+        split = desingularize(q, fixed_frame(q))
+        assert split.obstacles.tobytes() == q.obstacles.tobytes()
 
     def test_no_collision_at_any_intermediate_time(self):
         rng = np.random.default_rng(24)
@@ -442,14 +446,15 @@ class TestDesingularize:
 
 
 class TestEvaluateDeformation:
+    """A swap's stages evaluated in local time, and the planner's checks when
+    it plays them."""
+
     def test_time_zero_is_identity(self):
-        q = ConfigurationQuery(
-            starts=[[2.0, 3.0]], goals=[[5.0, 4.0]], obstacles=[[0.0, 0.0]]
-        )
-        h = swap_case_b(q, fixed_frame(q), 0, 0, Side.LEFT)
-        config = evaluate_deformation(h, q, 0.0)
-        assert np.array_equal(config.starts, q.starts)
-        assert np.array_equal(config.goals, q.goals)
+        q = one_crossing_query()
+        stages = swap_case_b(q, fixed_frame(q), 0, 0, Side.RIGHT)
+        for robot, move in stages[0].items():
+            assert np.array_equal(move.initial, q.starts[robot])
+        assert np.array_equal(plan(q, FrameMode.FIXED).path.configuration(0), q.starts)
 
     def test_mid_stage_matches_closed_form(self):
         q = ConfigurationQuery(
@@ -458,9 +463,9 @@ class TestEvaluateDeformation:
             obstacles=[[10.0, 0.0]],
         )
         f = fixed_frame(q)
-        h = swap_case_a(q, f, 0, 1)
+        stages = swap_case_a(q, f, 0, 1)
         for t in (0.1, 0.45, 0.8):
-            config = evaluate_deformation(h, q, t)
+            (config,) = sample_stages(q.starts, stages, [t])
             if t <= 1 / 3:
                 u = 3 * t
                 expected = q.starts[0] + u * (float(q.starts[0] @ f.e) * f.e - q.starts[0])
@@ -476,26 +481,24 @@ class TestEvaluateDeformation:
                 u = 3 * t - 2
                 b_point = float(q.starts[1] @ f.e) * f.e
                 expected = b_point + u * (q.starts[1] - b_point)
-            assert np.allclose(config.starts[0], expected, atol=1e-12)
+            assert np.allclose(config[0], expected, atol=1e-12)
 
-    def test_wrong_query_rejected(self):
-        q = ConfigurationQuery(
-            starts=[[2.0, 3.0]], goals=[[5.0, 4.0]], obstacles=[[0.0, 0.0]]
-        )
+    def test_wrong_query_rejected(self, monkeypatch):
+        # Stages built for another configuration do not begin where the
+        # robot stands when the planner plays them.
+        q = one_crossing_query()
         other = ConfigurationQuery(
-            starts=[[2.5, 3.0]], goals=[[5.0, 4.0]], obstacles=[[0.0, 0.0]]
+            starts=[[0.0, 1.0]], goals=q.goals, obstacles=q.obstacles
         )
-        h = swap_case_b(q, fixed_frame(q), 0, 0, Side.LEFT)
-        with pytest.raises(PreconditionError):
-            evaluate_deformation(h, other, 0.5)
+        stages = swap_case_b(other, fixed_frame(other), 0, 0, Side.RIGHT)
+        monkeypatch.setattr(planner, "swap_case_b", lambda *args: stages)
+        with pytest.raises(InternalConsistencyError, match="stage does not chain for robot 0"):
+            plan(q, FrameMode.FIXED)
 
     def test_out_of_range_time(self):
-        q = ConfigurationQuery(
-            starts=[[2.0, 3.0]], goals=[[5.0, 4.0]], obstacles=[[0.0, 0.0]]
-        )
-        h = swap_case_b(q, fixed_frame(q), 0, 0, Side.LEFT)
+        path = plan(one_crossing_query(), FrameMode.FIXED).path
         with pytest.raises(ValueError):
-            evaluate_deformation(h, q, 1.5)
+            path.configuration(1.5)
 
 
 # Degenerate queries, each with the frame mode it is planned in.
@@ -547,30 +550,22 @@ class TestCompose:
                 assert np.array_equal(per_robot[-2].move.final, split.goals[robot])
 
     def test_stage_windows_split_the_given_window(self):
-        # A three-stage motion played on [0, 1/3] fills its equal thirds in
-        # stage order.
-        q = ConfigurationQuery(
-            starts=[[0.0, 0.0]], goals=[[1.0, 6.0]], obstacles=[[5.0, 5.0]]
-        )
-        start_track = [[0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]
-        h = Deformation(
-            query=q,
-            stages=tuple(
-                {0: LinearMove(start_track[k], start_track[k + 1])} for k in range(3)
-            ),
-        )
-        segments = [[]]
-        append_start_moves(segments, h, Fraction(0), Fraction(1, 3))
-        rest = LinearMove([0.0, 3.0], q.goals[0])
-        append_segment(segments[0], 0, Fraction(1, 3), Fraction(1), rest)
-        (per_robot,) = PiecewisePath(query=q, segments=segments).segments
+        # One swap and the straight line split [0, 1] in halves; the swap's
+        # three stages fill equal thirds of [0, 1/2] in stage order.
+        q = one_crossing_query()
+        result = plan(q, FrameMode.FIXED)
+        assert result.swap_count == 1
+        stages = swap_case_b(q, result.frame, 0, 0, Side.RIGHT)
+        (per_robot,) = result.path.segments
         assert [(seg.t0, seg.t1) for seg in per_robot] == [
-            (Fraction(0), Fraction(1, 9)),
-            (Fraction(1, 9), Fraction(2, 9)),
-            (Fraction(2, 9), Fraction(1, 3)),
-            (Fraction(1, 3), Fraction(1)),
+            (Fraction(0), Fraction(1, 6)),
+            (Fraction(1, 6), Fraction(1, 3)),
+            (Fraction(1, 3), Fraction(1, 2)),
+            (Fraction(1, 2), Fraction(1)),
         ]
-        assert [seg.move.start.tolist() for seg in per_robot[:3]] == start_track[:3]
+        for seg, stage in zip(per_robot, stages):
+            assert np.array_equal(seg.move.initial, stage[0].initial)
+            assert np.array_equal(seg.move.final, stage[0].final)
 
     @settings(max_examples=100, deadline=None)
     @given(small_queries(max_size=3, half_grid=True))
@@ -597,13 +592,11 @@ class TestCompose:
 
 
 class TestEndQuery:
-    def test_landing_on_an_obstacle_is_internal_error(self):
-        q = ConfigurationQuery(
-            starts=[[2.0, 3.0]], goals=[[5.0, 4.0]], obstacles=[[0.0, 0.0]]
-        )
-        h = Deformation(
-            query=q,
-            stages=({0: LinearMove([2.0, 3.0], [0.0, 0.0])},),
-        )
+    """The configuration a swap ends on, checked by the planner."""
+
+    def test_landing_on_an_obstacle_is_internal_error(self, monkeypatch):
+        q = one_crossing_query()
+        stages = ({0: LinearMove(q.starts[0], q.obstacles[0])},)
+        monkeypatch.setattr(planner, "swap_case_b", lambda *args: stages)
         with pytest.raises(InternalConsistencyError, match="coincides with obstacles"):
-            h.end_query()
+            plan(q, FrameMode.FIXED)

@@ -47,6 +47,18 @@ class TestParseProblem:
         query = doc.to_query()
         assert query.robot_count == 1 and query.obstacle_count == 1
 
+    def test_query_validated_once_per_parse(self, monkeypatch):
+        calls = []
+        validate = ConfigurationQuery.__post_init__
+        monkeypatch.setattr(
+            ConfigurationQuery,
+            "__post_init__",
+            lambda query: calls.append(query) or validate(query),
+        )
+        doc = parse_problem(json.dumps(MINIMAL))
+        assert doc.to_query() is doc.to_query()
+        assert len(calls) == 1
+
     def test_syntax_error_reports_position(self):
         with pytest.raises(QueryValidationError) as exc:
             parse_problem('{"version": "1",\n  "dim": }')
@@ -210,6 +222,12 @@ class TestParsePlan:
     def test_malformed_document_raises_validation_error(self, text):
         with pytest.raises(QueryValidationError, match="plan document"):
             parse_plan(text)
+
+    def test_robot_entry_out_of_place_rejected(self):
+        doc = json.loads(serialize_plan(crossing_plan()))
+        doc["robots"][0]["robot"] = 7
+        with pytest.raises(QueryValidationError, match="robots\\[0\\] names robot 7"):
+            parse_plan(json.dumps(doc))
 
 
 class TestSampleCsv:

@@ -71,6 +71,15 @@ class TestQueryValidation:
         with pytest.raises(ValueError):
             q.starts[0, 0] = 7.0
 
+    def test_callers_arrays_are_copied(self):
+        starts = np.array([[0.0, 1.0]])
+        goals = np.array([[2.0, 3.0]])
+        obstacles = np.array([[5.0, 5.0]])
+        q = ConfigurationQuery(starts, goals, obstacles)
+        starts[0, 0] = 7.0
+        assert q.starts[0, 0] == 0.0
+        assert goals.flags.writeable and obstacles.flags.writeable
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_rejected(self, bad):
         with pytest.raises(QueryValidationError) as exc:

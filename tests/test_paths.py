@@ -106,6 +106,14 @@ class TestPiecewisePath:
         with pytest.raises(ValueError):
             path.position(0, 1.5)
 
+    @pytest.mark.parametrize("t", [-1.0, 1.5, math.nan])
+    def test_times_outside_unit_interval_rejected(self, t):
+        path = self._two_piece()
+        with pytest.raises(ValueError):
+            path.positions_at(0, np.array([0.5, t]))
+        with pytest.raises(ValueError):
+            path.position(0, t)
+
     def test_gap_rejected(self):
         segments = (
             (

@@ -1,4 +1,4 @@
-"""Swap sequencing, generic sections and the end-to-end planning rule."""
+"""Swap sequencing, generic plans and the end-to-end planning rule."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from parammp import (
     classify,
     default_mode,
     degenerate_query,
-    generic_section,
     make_frame,
     orderings,
     plan,
@@ -214,14 +213,15 @@ def _inversions(sigma_pattern, goal_pattern):
 
 
 class TestGenericSection:
+    """Plans of generic queries: the swaps and the straight line on [0, 1]."""
+
     def test_order_preserving_query_is_straight(self):
         q = ConfigurationQuery(
             starts=[[0.0, 1.0, 0.0], [1.0, 2.0, 0.0]],
             goals=[[0.25, 3.0, 0.0], [1.5, 4.0, 0.0]],
             obstacles=[[9.0, 0.0, 0.0]],
         )
-        f = make_frame(q, FrameMode.FIXED)
-        path = generic_section(q, f)
+        path = plan(q, FrameMode.FIXED).path
         assert all(len(per_robot) == 1 for per_robot in path.segments)
         assert not path.arc_segments()
 
@@ -229,19 +229,15 @@ class TestGenericSection:
         q = ConfigurationQuery(
             starts=[[0.0, 1.0, 0.0]], goals=[[2.0, 2.0, 0.0]], obstacles=[[1.0, 0.0, 0.0]]
         )
-        f = make_frame(q, FrameMode.FIXED)
-        path = generic_section(q, f)
-        assert len(path.arc_segments()) == 1
+        result = plan(q, FrameMode.FIXED)
+        assert result.region.j == 2 * q.robot_count
+        assert len(result.path.arc_segments()) == 1
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             q = random_query(rng, 2, 2, 3)
-            f = make_frame(q, FrameMode.FIXED)
-            try:
-                path = generic_section(q, f)
-            except Exception:
-                continue
+            path = plan(q, FrameMode.FIXED).path
             assert np.linalg.norm(path.configuration(0.0) - q.starts) <= 1e-9
             assert np.linalg.norm(path.configuration(1.0) - q.goals) <= 1e-9
 
