@@ -47,7 +47,6 @@ def main():
         segments=(
             (
                 PathSegment(
-                    robot=0,
                     t0=Fraction(0),
                     t1=Fraction(1),
                     move=LinearMove(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),

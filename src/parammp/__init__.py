@@ -57,7 +57,6 @@ from .verification import (
     classify_oracle,
     continuity_probe,
     degenerate_query,
-    evaluate_path,
     random_query,
     random_rational_query,
 )

@@ -26,8 +26,8 @@ from .errors import InternalConsistencyError, PreconditionError, QueryValidation
 from .geometry import (
     ConfigurationQuery,
     Frame,
-    RobotStart,
     Side,
+    _start_neighbours,
     clearance_eta,
     desingularization_gap,
     orderings,
@@ -92,28 +92,22 @@ def swap_case_a(
 ) -> Stages:
     """Exchange the projection order of two adjacent robots.
 
-    Requires the two start tokens to be adjacent in the start ordering with
-    ``left_robot`` projecting below ``right_robot``.  Three stages: both
-    robots drop onto the projection line, trade places along a shared
-    half-circle in the (e, e_perp) plane (staying antipodal, so their distance
-    is constantly the full gap), then rise to each other's original position.
-    Goals never move; every other robot rests.
+    Requires ``left_robot``'s start to be next below ``right_robot``'s in the
+    start ordering, checked on the tie table, and to project below it on
+    ``e``.  Three stages: both robots drop onto the projection line, trade
+    places along a shared half-circle in the (e, e_perp) plane (staying
+    antipodal, so their distance is constantly the full gap), then rise to
+    each other's original position.  Goals never move; every other robot rests.
 
     Raises:
-        PreconditionError: tokens are not adjacent or are mis-ordered.
+        PreconditionError: an index is out of range, or the starts are not
+            neighbours in that order, in the start ordering or on ``e``.
+        NotGenericError: the query is not generic.
     """
-    pair = orderings(query, frame, snap_tol)
-    positions = {
-        token.robot: pos
-        for pos, token in enumerate(pair.sigma)
-        if isinstance(token, RobotStart)
-    }
-    if left_robot not in positions or right_robot not in positions:
+    n = query.robot_count
+    if not (0 <= left_robot < n and 0 <= right_robot < n):
         raise PreconditionError("unknown robot index")
-    if positions[right_robot] - positions[left_robot] != 1:
-        raise PreconditionError(
-            f"robots {left_robot} and {right_robot} are not adjacent in the start ordering"
-        )
+    _start_neighbours(query, frame, left_robot, right_robot, snap_tol)
     q_left = float(np.dot(frame.e, query.starts[left_robot]))
     q_right = float(np.dot(frame.e, query.starts[right_robot]))
     if not q_left < q_right:
@@ -172,7 +166,8 @@ def swap_case_b(
     radius eta/2 in the (e, e_perp) plane, landing eta/2 past it.
 
     Raises:
-        PreconditionError: adjacency or side conditions fail.
+        PreconditionError: the robot's start is not the neighbour of the block
+            on the side opposite ``side`` (see :func:`clearance_eta`).
     """
     eta = clearance_eta(query, frame, robot, obstacle, side, snap_tol)
     o = query.obstacles[obstacle]

@@ -310,7 +310,6 @@ def _path_from_document(doc) -> PiecewisePath:
                 )
             per_robot.append(
                 PathSegment(
-                    robot=robot,
                     t0=_parse_fraction(seg["t0"]),
                     t1=_parse_fraction(seg["t1"]),
                     move=move,

@@ -13,10 +13,11 @@ the comparison values of the 2n + m points, starts | goals | obstacles, and a
 tie-class rank for each.  Two points are tied exactly when their ranks are
 equal, and ranks increase along the line.  Every discrete decision reads the
 ranks: ``classify`` counts them, ``orderings`` sorts tokens and groups
-obstacles by them, the gap families skip pairs of equal rank, and
-``clearance_eta`` takes adjacency, side, the far values and the coincident
-obstacles from them.  With ``snap_tol > 0`` nearly equal values chain into
-one class, and every decision sees the same classes.
+obstacles by them, the gap families skip pairs of equal rank, both swaps
+check on them that their tokens are neighbours in the start ordering, and
+``clearance_eta`` takes the far values and the coincident obstacles from
+them.  With ``snap_tol > 0`` nearly equal values chain into one class, and
+every decision sees the same classes.
 
 Comparison values are *scale-free* dot products along ``Frame.axis`` (exact
 for coordinate-axis frames and for axis-aligned obstacle pairs), while all
@@ -379,7 +380,12 @@ def _ties(
     tolerance apart start a new class (single linkage); with ``snap_tol`` 0
     the classes are exact-equality classes.  The tolerance is ``snap_tol`` in
     length units, scaled to comparison values by the axis norm.
+
+    Raises:
+        QueryValidationError: ``snap_tol`` is negative, infinite or NaN.
     """
+    if not 0 <= snap_tol < math.inf:
+        raise QueryValidationError([f"snap_tol: expected a finite number >= 0, got {snap_tol!r}"])
     values = np.concatenate(
         [query.starts @ frame.axis, query.goals @ frame.axis, query.obstacles @ frame.axis]
     )
@@ -420,6 +426,28 @@ def _generic_ties(
         raise NotGenericError(
             f"query is not generic: j={label.j} < 2n={2 * n} (c={label.c})"
         )
+    return values, rank
+
+
+def _start_neighbours(
+    query: ConfigurationQuery, frame: Frame, below: int, above: int, snap_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tie table of a generic query whose entries ``below`` and ``above``
+    (starts or obstacles) are neighbours in the start ordering, ``below``
+    lower: no start or obstacle rank lies strictly between theirs.
+
+    Raises:
+        NotGenericError: the query is not generic.
+        PreconditionError: the two entries are not neighbours in that order.
+    """
+    values, rank = _generic_ties(query, frame, snap_tol)
+    n = query.robot_count
+    lo, hi = rank[below], rank[above]
+    sigma_rank = np.concatenate([rank[:n], rank[2 * n:]])
+    if not lo < hi or np.any((sigma_rank > lo) & (sigma_rank < hi)):
+        a, b = (f"starts[{k}]" if k < n else f"obstacles[{k - 2 * n}]"
+                for k in (below, above))
+        raise PreconditionError(f"{a} is not next below {b} in the start ordering")
     return values, rank
 
 
@@ -518,28 +546,20 @@ def clearance_eta(
     while the ordering pair stays fixed.
 
     Raises:
+        PreconditionError: an index is out of range, or the robot's start is
+            not the neighbour of the obstacle's block on the far side of
+            ``side`` in the start ordering (:func:`_start_neighbours`).
         NotGenericError: the query is not generic.
-        PreconditionError: the robot token is not adjacent to the obstacle's
-            block in the start ordering, or the robot sits on the destination
-            side already.
     """
-    values, rank = _generic_ties(query, frame, snap_tol)
     n, m = query.robot_count, query.obstacle_count
     if not (0 <= robot < n and 0 <= obstacle < m):
         raise PreconditionError("robot or obstacle not present in the ordering")
-    r_robot, r_o = rank[robot], rank[2 * n + obstacle]
-    # The start ordering holds the starts and the obstacle blocks.
-    sigma_rank = np.concatenate([rank[:n], rank[2 * n:]])
-    if np.any((sigma_rank > min(r_robot, r_o)) & (sigma_rank < max(r_robot, r_o))):
-        raise PreconditionError(
-            f"robot {robot} is not adjacent to the block of obstacle {obstacle}"
-        )
-    if side is Side.LEFT and r_robot < r_o:
-        raise PreconditionError("robot is already on the left of the obstacle")
-    if side is Side.RIGHT and r_robot > r_o:
-        raise PreconditionError("robot is already on the right of the obstacle")
-
-    cmp_o = float(values[2 * n + obstacle])
+    o = 2 * n + obstacle
+    # The robot starts on the far side of ``side`` and ends on it.
+    values, rank = _start_neighbours(
+        query, frame, *((o, robot) if side is Side.LEFT else (robot, o)), snap_tol
+    )
+    r_o, cmp_o = rank[o], float(values[o])
     far = values[rank < r_o] if side is Side.LEFT else values[rank > r_o]
     axis_norm = float(np.linalg.norm(frame.axis))
 

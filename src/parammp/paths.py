@@ -93,12 +93,12 @@ class ArcMove:
         center = np.asarray(self.center, dtype=float)
         basis_u = np.asarray(self.basis_u, dtype=float)
         basis_v = np.asarray(self.basis_v, dtype=float)
-        if self.radius <= 0:
+        if not self.radius > 0:  # written "not >", "not <=" so that a NaN fails
             raise ValueError("arc radius must be positive")
-        if (
-            abs(np.linalg.norm(basis_u) - 1.0) > BASIS_TOL
-            or abs(np.linalg.norm(basis_v) - 1.0) > BASIS_TOL
-            or abs(float(np.dot(basis_u, basis_v))) > BASIS_TOL
+        if not (
+            abs(np.linalg.norm(basis_u) - 1.0) <= BASIS_TOL
+            and abs(np.linalg.norm(basis_v) - 1.0) <= BASIS_TOL
+            and abs(float(np.dot(basis_u, basis_v))) <= BASIS_TOL
         ):
             raise ValueError("arc basis must be orthonormal")
         for arr in (center, basis_u, basis_v):
@@ -154,7 +154,6 @@ def _check_time(t):
 class PathSegment:
     """One robot's motion over the global time window [t0, t1]."""
 
-    robot: int
     t0: Fraction
     t1: Fraction
     move: Move
@@ -227,18 +226,20 @@ class PiecewisePath:
                 raise InternalConsistencyError(
                     f"robot {robot} segments do not span [0, 1]"
                 )
+            # Distances are tested as "not <=" so that a NaN endpoint fails.
             for a, b in zip(per_robot, per_robot[1:]):
                 if a.t1 != b.t0:
                     raise InternalConsistencyError(
                         f"robot {robot} has a gap/overlap at t={a.t1}"
                     )
-                if np.linalg.norm(a.move.final - b.move.initial) > ENDPOINT_TOL:
+                if not np.linalg.norm(a.move.final - b.move.initial) <= ENDPOINT_TOL:
                     raise InternalConsistencyError(
                         f"robot {robot} is discontinuous at t={a.t1}"
                     )
-            if np.linalg.norm(per_robot[0].move.initial - self.query.starts[robot]) > ENDPOINT_TOL:
+            first, last = per_robot[0].move.initial, per_robot[-1].move.final
+            if not np.linalg.norm(first - self.query.starts[robot]) <= ENDPOINT_TOL:
                 raise InternalConsistencyError(f"robot {robot} does not start at its start")
-            if np.linalg.norm(per_robot[-1].move.final - self.query.goals[robot]) > ENDPOINT_TOL:
+            if not np.linalg.norm(last - self.query.goals[robot]) <= ENDPOINT_TOL:
                 raise InternalConsistencyError(f"robot {robot} does not end at its goal")
 
     def segment_at(self, robot: int, t) -> PathSegment:

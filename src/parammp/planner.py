@@ -105,7 +105,6 @@ def transposition_sequence(
     if [k for k in current if k[0] == "o"] != [k for k in target if k[0] == "o"]:
         raise InvalidOrderingPairError("obstacle blocks appear in different orders")
     rank = {key: pos for pos, key in enumerate(target)}
-    tokens_by_key = {token_key(tok): tok for tok in sigma}
 
     swaps: list[Swap] = []
     p = 0
@@ -117,15 +116,10 @@ def transposition_sequence(
         if left[0] == "r" and right[0] == "r":
             swaps.append(CaseASwap(left=left[1], right=right[1]))
         elif left[0] == "r":
-            block = tokens_by_key[right]
-            swaps.append(
-                CaseBSwap(robot=left[1], block=block.obstacles, side=Side.RIGHT)
-            )
+            # A block's key ("o", sorted members) holds its members.
+            swaps.append(CaseBSwap(robot=left[1], block=frozenset(right[1]), side=Side.RIGHT))
         elif right[0] == "r":
-            block = tokens_by_key[left]
-            swaps.append(
-                CaseBSwap(robot=right[1], block=block.obstacles, side=Side.LEFT)
-            )
+            swaps.append(CaseBSwap(robot=right[1], block=frozenset(left[1]), side=Side.LEFT))
         else:  # two blocks out of order: impossible after the checks above
             raise InvalidOrderingPairError("obstacle blocks cannot swap")
         current[p], current[p + 1] = current[p + 1], current[p]
@@ -152,10 +146,8 @@ def _swap_deformation(
     return swap_case_b(query, frame, swap.robot, representative, swap.side, snap_tol)
 
 
-def _append_segment(
-    segments: list[PathSegment], robot: int, t0: Fraction, t1: Fraction, move: Move
-):
-    """Append ``robot``'s move on [t0, t1] to its segment list.
+def _append_segment(segments: list[PathSegment], t0: Fraction, t1: Fraction, move: Move):
+    """Append a robot's move on [t0, t1] to its segment list.
 
     A gap before t0 is filled with one rest where ``move`` begins, which is
     where the robot's last move ended.  A rest that continues a rest at the
@@ -163,7 +155,7 @@ def _append_segment(
     """
     end = segments[-1].t1 if segments else Fraction(0)
     if end < t0:
-        _append_segment(segments, robot, end, t0, LinearMove(move.initial, move.initial))
+        _append_segment(segments, end, t0, LinearMove(move.initial, move.initial))
     if (
         segments
         and isinstance(move, LinearMove)
@@ -173,9 +165,9 @@ def _append_segment(
         and np.array_equal(segments[-1].move.end, move.start)
     ):
         prev = segments.pop()
-        segments.append(PathSegment(robot=robot, t0=prev.t0, t1=t1, move=prev.move))
+        segments.append(PathSegment(t0=prev.t0, t1=t1, move=prev.move))
     else:
-        segments.append(PathSegment(robot=robot, t0=t0, t1=t1, move=move))
+        segments.append(PathSegment(t0=t0, t1=t1, move=move))
 
 
 def compose_with_section(
@@ -195,11 +187,11 @@ def compose_with_section(
     segments = [[] for _ in range(query.robot_count)]
     for robot, per_robot in enumerate(segments):
         shift = LinearMove(query.starts[robot], split.starts[robot])
-        _append_segment(per_robot, robot, Fraction(0), one_third, shift)
+        _append_segment(per_robot, Fraction(0), one_third, shift)
     _play_swaps(segments, split, frame, swaps, snap_tol, one_third, two_thirds)
     for robot, per_robot in enumerate(segments):
         shift = LinearMove(split.goals[robot], query.goals[robot])
-        _append_segment(per_robot, robot, two_thirds, Fraction(1), shift)
+        _append_segment(per_robot, two_thirds, Fraction(1), shift)
     return PiecewisePath(query=query, segments=segments)
 
 
@@ -241,11 +233,11 @@ def _play_swaps(
                 if np.linalg.norm(move.initial - starts[robot]) > 1e-9:
                     raise InternalConsistencyError(f"stage does not chain for robot {robot}")
                 starts[robot] = move.final
-                _append_segment(segments[robot], robot, t0, t1, move)
+                _append_segment(segments[robot], t0, t1, move)
         current = _checked_query(starts, query.goals, query.obstacles)
     start = lo + len(swaps) * width
     for robot, line in enumerate(straight_moves(current, frame, snap_tol)):
-        _append_segment(segments[robot], robot, start, hi, line)
+        _append_segment(segments[robot], start, hi, line)
 
 
 @dataclass(frozen=True, eq=False)

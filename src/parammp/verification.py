@@ -38,20 +38,12 @@ __all__ = [
     "classify_oracle",
     "continuity_probe",
     "degenerate_query",
-    "evaluate_path",
     "random_query",
     "random_rational_query",
 ]
 
 # Bounds samples_per_segment: a certificate window holds (samples + 1) x (n + m) x d floats.
 MAX_SAMPLES_PER_SEGMENT = 4096
-
-
-def evaluate_path(path: PiecewisePath, t: float):
-    """Robot positions at global time t plus the (unchanged) obstacles."""
-    if t < 0 or t > 1:
-        raise ValueError(f"time {t} outside [0, 1]")
-    return path.configuration(t), path.obstacles
 
 
 @dataclass(frozen=True)

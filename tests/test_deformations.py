@@ -4,6 +4,7 @@ from the split query around its swaps."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from parammp import (
     InternalConsistencyError,
     LinearMove,
     NotGenericError,
+    ObstacleBlock,
     PreconditionError,
+    RobotStart,
     Side,
     certify_separation,
     classify,
@@ -209,8 +212,6 @@ class TestSwapCaseA:
         while done < RNG_SAMPLES:
             q, f = random_generic_query(rng, 3, 2)
             pair = orderings(q, f)
-            from parammp import RobotStart
-
             adjacent = None
             for a, b in zip(pair.sigma, pair.sigma[1:]):
                 if isinstance(a, RobotStart) and isinstance(b, RobotStart):
@@ -237,6 +238,53 @@ class TestSwapCaseA:
             assert np.max(np.abs(gaps - 2 * r)) <= 1e-9
             # fibrewise: only the two robots' starts move
             assert set().union(*stages) == set(adjacent)
+
+
+class TestStartNeighbours:
+    """Both swaps accept exactly the neighbours of the start ordering
+    ``orderings(q).sigma``, in the order they name them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_queries())
+    def test_swaps_accept_exactly_the_neighbours(self, case):
+        query, mode = case
+        f = make_frame(query, mode)
+        n, m = query.robot_count, query.obstacle_count
+        assume(classify(query, f).j == 2 * n)
+        sigma = orderings(query, f).sigma
+        position = {
+            tok: p for p, tok in enumerate(sigma) if isinstance(tok, RobotStart)
+        }
+
+        def start_at(robot):
+            return position.get(RobotStart(robot), math.nan)
+
+        # Out-of-range indices (-1, n, m) are in no ordering.
+        for left, right in itertools.product(range(-1, n + 1), repeat=2):
+            # swap_case_a also keeps its own test on e, which refuses a near
+            # tie of the comparison values.
+            if (
+                start_at(right) - start_at(left) == 1
+                and query.starts[left] @ f.e < query.starts[right] @ f.e
+            ):
+                assert set().union(*swap_case_a(query, f, left, right)) == {left, right}
+            else:
+                with pytest.raises(PreconditionError):
+                    swap_case_a(query, f, left, right)
+
+        for robot, obstacle in itertools.product(range(-1, n + 1), range(-1, m + 1)):
+            block = next(
+                (p for p, tok in enumerate(sigma)
+                 if isinstance(tok, ObstacleBlock) and obstacle in tok.obstacles),
+                math.nan,
+            )
+            for side in Side:
+                # The robot starts next to the block, on the side opposite ``side``.
+                if start_at(robot) - block != (1 if side is Side.LEFT else -1):
+                    with pytest.raises(PreconditionError):
+                        clearance_eta(query, f, robot, obstacle, side)
+                else:
+                    assert clearance_eta(query, f, robot, obstacle, side) > 0
 
 
 class TestSwapCaseB:

@@ -229,6 +229,21 @@ class TestParsePlan:
         with pytest.raises(QueryValidationError, match="robots\\[0\\] names robot 7"):
             parse_plan(json.dumps(doc))
 
+    def test_nan_endpoint_rejected(self):
+        doc = json.loads(serialize_plan(crossing_plan()))
+        first, second = doc["robots"][0]["segments"][:2]
+        first["end"][0] = second["start"][0] = float("nan")
+        with pytest.raises(QueryValidationError, match="discontinuous"):
+            parse_plan(json.dumps(doc))
+
+    def test_nan_arc_radius_rejected(self):
+        doc = json.loads(serialize_plan(crossing_plan()))
+        arc = doc["robots"][0]["segments"][2]
+        assert arc["kind"] == "arc"
+        arc["radius"] = float("nan")
+        with pytest.raises(QueryValidationError, match="radius"):
+            parse_plan(json.dumps(doc))
+
 
 class TestSampleCsv:
     def test_header_and_shape(self):

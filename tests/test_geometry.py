@@ -247,6 +247,21 @@ class TestClassify:
         assert (exact.j, exact.t) == (2, 1)
         assert (snapped.j, snapped.t) == (1, 1)
 
+    @pytest.mark.parametrize("snap_tol", [-1.0, math.nan, math.inf])
+    def test_bad_snap_tolerance_rejected(self, snap_tol):
+        # The oracle gives j=3; a negative tolerance used to yield j=4, and
+        # plan accepted that label.
+        q = ConfigurationQuery(
+            starts=[[1.0, 1.0], [5.0, 2.0]], goals=[[1.0, 3.0], [6.0, 1.0]],
+            obstacles=[[3.0, 0.0]],
+        )
+        f = make_frame(q, FrameMode.FIXED)
+        assert classify_oracle(q, f) == RegionLabel(j=3, t=1)
+        with pytest.raises(QueryValidationError, match="snap_tol: expected a finite number >= 0"):
+            classify(q, f, snap_tol)
+        with pytest.raises(QueryValidationError, match="snap_tol"):
+            plan(q, snap_tol=snap_tol)
+
     def test_bounds_on_random_queries(self):
         rng = np.random.default_rng(3)
         for _ in range(300):

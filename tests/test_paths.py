@@ -16,9 +16,8 @@ def make_path(segments_per_robot, starts, goals, obstacles):
     return PiecewisePath(query=query, segments=segments_per_robot)
 
 
-def linear_segment(robot, t0, t1, p0, p1):
+def linear_segment(t0, t1, p0, p1):
     return PathSegment(
-        robot=robot,
         t0=Fraction(*t0) if isinstance(t0, tuple) else Fraction(t0),
         t1=Fraction(*t1) if isinstance(t1, tuple) else Fraction(t1),
         move=LinearMove(np.array(p0, dtype=float), np.array(p1, dtype=float)),
@@ -71,7 +70,7 @@ class TestMoves:
 
 class TestPathSegment:
     def test_float_window_matches_exact_bounds(self):
-        seg = linear_segment(0, (1, 7), (5, 21), [0.1, 0.2], [0.7, -0.3])
+        seg = linear_segment((1, 7), (5, 21), [0.1, 0.2], [0.7, -0.3])
         ts = np.linspace(1 / 7, 5 / 21, 9)
         u = (ts - float(Fraction(1, 7))) / float(Fraction(5, 21) - Fraction(1, 7))
         assert np.array_equal(seg.at_many(ts), seg.move.at_many(u))
@@ -83,8 +82,8 @@ class TestPiecewisePath:
     def _two_piece(self):
         segments = (
             (
-                linear_segment(0, 0, (1, 2), [0.0, 0.0], [1.0, 1.0]),
-                linear_segment(0, (1, 2), 1, [1.0, 1.0], [2.0, 0.0]),
+                linear_segment(0, (1, 2), [0.0, 0.0], [1.0, 1.0]),
+                linear_segment((1, 2), 1, [1.0, 1.0], [2.0, 0.0]),
             ),
         )
         return make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
@@ -117,8 +116,8 @@ class TestPiecewisePath:
     def test_gap_rejected(self):
         segments = (
             (
-                linear_segment(0, 0, (1, 3), [0.0, 0.0], [1.0, 1.0]),
-                linear_segment(0, (1, 2), 1, [1.0, 1.0], [2.0, 0.0]),
+                linear_segment(0, (1, 3), [0.0, 0.0], [1.0, 1.0]),
+                linear_segment((1, 2), 1, [1.0, 1.0], [2.0, 0.0]),
             ),
         )
         with pytest.raises(InternalConsistencyError):
@@ -127,15 +126,15 @@ class TestPiecewisePath:
     def test_discontinuity_rejected(self):
         segments = (
             (
-                linear_segment(0, 0, (1, 2), [0.0, 0.0], [1.0, 1.0]),
-                linear_segment(0, (1, 2), 1, [1.5, 1.0], [2.0, 0.0]),
+                linear_segment(0, (1, 2), [0.0, 0.0], [1.0, 1.0]),
+                linear_segment((1, 2), 1, [1.5, 1.0], [2.0, 0.0]),
             ),
         )
         with pytest.raises(InternalConsistencyError):
             make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
 
     def test_wrong_endpoint_rejected(self):
-        segments = ((linear_segment(0, 0, 1, [0.0, 0.0], [2.0, 0.5]),),)
+        segments = ((linear_segment(0, 1, [0.0, 0.0], [2.0, 0.5]),),)
         with pytest.raises(InternalConsistencyError):
             make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
 

@@ -23,7 +23,6 @@ from parammp import (
     classify_oracle,
     continuity_probe,
     degenerate_query,
-    evaluate_path,
     make_frame,
     plan,
     random_query,
@@ -43,12 +42,11 @@ class TestEvaluatePath:
 
     def test_endpoints(self):
         q, res = self._plan()
-        robots0, obstacles0 = evaluate_path(res.path, 0.0)
-        robots1, obstacles1 = evaluate_path(res.path, 1.0)
+        robots0 = res.path.configuration(0.0)
+        robots1 = res.path.configuration(1.0)
         assert np.array_equal(robots0, q.starts)
         assert np.linalg.norm(robots1 - q.goals) <= 1e-9
-        assert np.array_equal(obstacles0, q.obstacles)
-        assert np.array_equal(obstacles1, q.obstacles)
+        assert np.array_equal(res.path.obstacles, q.obstacles)
 
     def test_segment_boundaries_agree(self):
         _, res = self._plan()
@@ -62,7 +60,7 @@ class TestEvaluatePath:
     def test_out_of_range(self):
         _, res = self._plan()
         with pytest.raises(ValueError):
-            evaluate_path(res.path, -0.1)
+            res.path.configuration(-0.1)
 
 
 class TestCertificate:
@@ -84,7 +82,6 @@ class TestCertificate:
         segments = (
             (
                 PathSegment(
-                    robot=0,
                     t0=Fraction(0),
                     t1=Fraction(1),
                     move=LinearMove(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
@@ -145,8 +142,8 @@ class TestCertificate:
         assert certify_separation(res.path, samples_per_segment=np.int64(64)).passed
 
 
-def _segment(robot, t0, t1, move):
-    return PathSegment(robot=robot, t0=Fraction(t0), t1=Fraction(t1), move=move)
+def _segment(t0, t1, move):
+    return PathSegment(t0=Fraction(t0), t1=Fraction(t1), move=move)
 
 
 def _line(start, end):
@@ -191,14 +188,14 @@ class TestSharedGrid:
         # robots 0 and 1 each follow one segment on [0, 1]; robot 2 rests far
         # away except on [1/3, 3/5], so it cuts their one window into three
         two = (
-            (_segment(0, 0, 1, _line([-1.0, 0.0], [1.0, 0.0])),),
-            (_segment(1, 0, 1, second_move),),
+            (_segment(0, 1, _line([-1.0, 0.0], [1.0, 0.0])),),
+            (_segment(0, 1, second_move),),
         )
         three = two + (
             (
-                _segment(2, 0, Fraction(1, 3), _line([5.0, 5.0], [5.0, 5.0])),
-                _segment(2, Fraction(1, 3), Fraction(3, 5), _line([5.0, 5.0], [6.0, 5.0])),
-                _segment(2, Fraction(3, 5), 1, _line([6.0, 5.0], [6.0, 5.0])),
+                _segment(0, Fraction(1, 3), _line([5.0, 5.0], [5.0, 5.0])),
+                _segment(Fraction(1, 3), Fraction(3, 5), _line([5.0, 5.0], [6.0, 5.0])),
+                _segment(Fraction(3, 5), 1, _line([6.0, 5.0], [6.0, 5.0])),
             ),
         )
         goal = second_move.final
