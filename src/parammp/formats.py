@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -279,6 +279,19 @@ def serialize_plan(result: PlanResult) -> str:
     return json.dumps(plan_to_document(result), indent=2)
 
 
+def _point(seg, field: str, where: str, dim: int) -> np.ndarray:
+    """Field ``field`` of a segment entry, which must be a point of R^dim."""
+    value = np.array(seg[field], dtype=float)
+    if value.shape != (dim,):
+        raise QueryValidationError(
+            [
+                f"plan document: {where} {field}: expected {dim} coordinates, "
+                f"got shape {value.shape}"
+            ]
+        )
+    return value
+
+
 def _path_from_document(doc) -> PiecewisePath:
     query = ConfigurationQuery(
         starts=np.array(doc["starts"], dtype=float),
@@ -290,17 +303,18 @@ def _path_from_document(doc) -> PiecewisePath:
         if robot_doc["robot"] != robot:
             raise ValueError(f"robots[{robot}] names robot {robot_doc['robot']!r}")
         per_robot = []
-        for seg in robot_doc["segments"]:
+        for index, seg in enumerate(robot_doc["segments"]):
+            point = partial(
+                _point, seg, where=f"robots[{robot}] segments[{index}]", dim=query.dim
+            )
             if seg["kind"] == "linear":
-                move = LinearMove(
-                    start=np.array(seg["start"]), end=np.array(seg["end"])
-                )
+                move = LinearMove(start=point("start"), end=point("end"))
             elif seg["kind"] == "arc":
                 move = ArcMove(
-                    center=np.array(seg["center"]),
+                    center=point("center"),
                     radius=seg["radius"],
-                    basis_u=np.array(seg["basis_u"]),
-                    basis_v=np.array(seg["basis_v"]),
+                    basis_u=point("basis_u"),
+                    basis_v=point("basis_v"),
                     angle_start=seg["angle_start"],
                     angle_end=seg["angle_end"],
                 )
@@ -324,9 +338,10 @@ def parse_plan(text: str) -> PiecewisePath:
 
     Raises:
         QueryValidationError: the text is not a well-formed plan document: bad
-            JSON, a missing or mistyped field, a robot entry out of place, an
-            unknown segment kind, a time bound that is not a rational, or
-            segments that do not chain.
+            JSON, a missing or mistyped field, a robot entry out of place, a
+            segment point without the query's dimension, an unknown segment
+            kind, a time bound that is not a rational, or segments that do not
+            chain.
     """
     try:
         return _path_from_document(json.loads(text))

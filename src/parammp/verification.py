@@ -95,8 +95,12 @@ def certify_separation(
 
     The time grid is the union of every robot's segment bounds, so on each of
     its windows every body follows a single segment.  Each window is sampled
-    ``samples_per_segment + 1`` times, for all pairs at once and one
-    coordinate at a time (memory per window is O(samples x pairs)).  Between
+    ``samples_per_segment + 1`` times, one coordinate at a time, for the
+    pairs with a touched body: a robot that moves on the window or changes
+    segment at its start.  A pair of resting bodies keeps its distance, so its
+    minima carry over unchanged.  Sampling work and memory per window are
+    O(samples x (n + m)) for the one or two robots a swap moves, and the
+    result is bit-identical to sampling every pair in every window.  Between
     adjacent samples f_l, f_r spaced h apart a pair's distance is at least
     (f_l + f_r - L*h) / 2 (two-sided Lipschitz cone), where L bounds the
     pair's relative speed on the window: the exact norm of the relative
@@ -132,6 +136,7 @@ def certify_separation(
             constant[index] = (seg.move.end - seg.move.start) / float(seg.duration)
         else:
             bounded[index] = seg.speed_bound()
+    rest = (bounded == 0) & ~constant.any(axis=1)
 
     # Robot-robot pairs i < k, then robot-obstacle pairs (i, j) as bodies n + j.
     first, second = np.triu_indices(n, 1)
@@ -141,17 +146,28 @@ def certify_separation(
     cone_min = np.full(len(first), np.inf)
     at = np.empty((samples_per_segment + 1, n + m, d))
     at[:, n:] = path.obstacles
+    # A robot is touched on a window when it changes segment or does not rest.
+    # An untouched robot's rows of ``at`` keep its rest position from the
+    # window that wrote them, and a pair of untouched bodies repeats the f and
+    # cone (f itself, as L = 0) of its previous window, already in its minima.
+    touched = np.zeros(n + m, dtype=bool)
+    previous = np.full(n, -1)
     bounds = [float(t) for t in cuts]
     for lo, hi, body in zip(bounds, bounds[1:], bodies):
+        touched[:n] = (body[:n] != previous) | ~rest[body[:n]]
+        previous = body[:n]
         ts = np.linspace(lo, hi, samples_per_segment + 1)
-        at[:, :n] = np.stack([segments[s].at_many(ts) for s in body[:n]], axis=1)
-        f = np.sqrt(sum((at[:, first, c] - at[:, second, c]) ** 2 for c in range(d)))
-        a, b = body[first], body[second]
+        for robot in np.flatnonzero(touched):
+            at[:, robot] = segments[body[robot]].at_many(ts)
+        pairs = np.flatnonzero(touched[first] | touched[second])
+        p, q = first[pairs], second[pairs]
+        f = np.sqrt(sum((at[:, p, c] - at[:, q, c]) ** 2 for c in range(d)))
+        a, b = body[p], body[q]
         speed = np.linalg.norm(constant[a] - constant[b], axis=1) + bounded[a] + bounded[b]
         h = (hi - lo) / samples_per_segment
         cone = 0.5 * (f[:-1] + f[1:] - speed * h)
-        sampled = np.minimum(sampled, f.min(axis=0))
-        cone_min = np.minimum(cone_min, cone.min(axis=0))
+        sampled[pairs] = np.minimum(sampled[pairs], f.min(axis=0))
+        cone_min[pairs] = np.minimum(cone_min[pairs], cone.min(axis=0))
 
     kinds = np.where(second < n, "robot-robot", "robot-obstacle").tolist()
     seconds = np.where(second < n, second, second - n).tolist()

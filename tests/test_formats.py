@@ -236,6 +236,30 @@ class TestParsePlan:
         with pytest.raises(QueryValidationError, match="discontinuous"):
             parse_plan(json.dumps(doc))
 
+    def test_cut_segment_point_rejected(self):
+        # both ends of the junction are cut, so the segments still chain
+        doc = json.loads(serialize_plan(crossing_plan()))
+        first, second = doc["robots"][0]["segments"][:2]
+        first["end"] = first["end"][:1]
+        second["start"] = second["start"][:1]
+        with pytest.raises(
+            QueryValidationError,
+            match=r"robots\[0\] segments\[0\] end: expected 3 coordinates",
+        ):
+            parse_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["center", "basis_u", "basis_v"])
+    def test_arc_point_of_other_dimension_rejected(self, field):
+        doc = json.loads(serialize_plan(crossing_plan()))
+        arc = doc["robots"][0]["segments"][2]
+        assert arc["kind"] == "arc"
+        arc[field] = arc[field] + [0.0]
+        with pytest.raises(
+            QueryValidationError,
+            match=rf"robots\[0\] segments\[2\] {field}: expected 3 coordinates",
+        ):
+            parse_plan(json.dumps(doc))
+
     def test_nan_arc_radius_rejected(self):
         doc = json.loads(serialize_plan(crossing_plan()))
         arc = doc["robots"][0]["segments"][2]

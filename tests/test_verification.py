@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parammp import (
     ArcMove,
@@ -28,6 +29,7 @@ from parammp import (
     random_query,
     random_rational_query,
 )
+from parammp import paths
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from query_strategies import small_queries
 
@@ -114,6 +116,10 @@ class TestCertificate:
             for pair, lower in zip(dense.pairs, cert.pairs):
                 assert pair.sampled_min >= lower.certified_lower_bound - 1e-9
 
+    def test_fifty_robots_and_obstacles_certify(self):
+        q = random_query(np.random.default_rng(0), 50, 50, 3)
+        assert certify_separation(plan(q, mode="fixed").path, samples_per_segment=64).passed
+
     def test_too_few_samples_rejected(self):
         q = ConfigurationQuery(
             starts=[[-1.0, 0.0]], goals=[[1.0, 3.0]], obstacles=[[0.0, 5.0]]
@@ -150,6 +156,155 @@ def _line(start, end):
     return LinearMove(np.array(start, dtype=float), np.array(end, dtype=float))
 
 
+def _hand_path(obstacles, robots):
+    """A path from per-robot lists of (t0, t1, move); the query's starts and
+    goals are each robot's first and last points."""
+    segments = [[_segment(t0, t1, move) for t0, t1, move in per] for per in robots]
+    query = ConfigurationQuery(
+        starts=[per[0].move.initial for per in segments],
+        goals=[per[-1].move.final for per in segments],
+        obstacles=obstacles,
+    )
+    return PiecewisePath(query=query, segments=segments)
+
+
+def _mover_split_by_others():
+    # robot 0 follows one segment while robots 1 and 2 cut [0, 1] at 1/5,
+    # 1/3, 2/5 and 3/4, so that segment spans five union windows
+    return _hand_path(
+        [[0.0, -2.0], [5.0, 5.0]],
+        [
+            [(0, 1, _line([-1.0, 0.0], [1.0, 0.0]))],
+            [
+                (0, Fraction(1, 5), _line([0.0, 2.0], [0.0, 2.0])),
+                (Fraction(1, 5), Fraction(2, 5), _line([0.0, 2.0], [0.0, 3.0])),
+                (Fraction(2, 5), Fraction(3, 4), _line([0.0, 3.0], [0.0, 3.0])),
+                (Fraction(3, 4), 1, _line([0.0, 3.0], [1.0, 3.0])),
+            ],
+            [
+                (0, Fraction(1, 3), _line([3.0, -1.0], [3.0, 1.0])),
+                (Fraction(1, 3), 1, _line([3.0, 1.0], [3.0, 1.0])),
+            ],
+        ],
+    )
+
+
+def _back_to_back_rests():
+    # robot 0 rests at one point on two unmerged segments, then moves
+    return _hand_path(
+        [[0.0, -2.0]],
+        [
+            [
+                (0, Fraction(1, 4), _line([-1.0, 0.0], [-1.0, 0.0])),
+                (Fraction(1, 4), Fraction(1, 2), _line([-1.0, 0.0], [-1.0, 0.0])),
+                (Fraction(1, 2), 1, _line([-1.0, 0.0], [1.0, 0.5])),
+            ],
+            [
+                (0, Fraction(1, 3), _line([2.0, 2.0], [0.0, 2.0])),
+                (Fraction(1, 3), Fraction(2, 3), _line([0.0, 2.0], [0.0, 2.0])),
+                (Fraction(2, 3), 1, _line([0.0, 2.0], [-2.0, 1.0])),
+            ],
+        ],
+    )
+
+
+def _rest_on_whole_interval():
+    # robot 0 never moves while robot 1 swings round it on a half circle
+    arc = ArcMove(
+        center=np.array([0.0, 0.0]),
+        radius=2.0,
+        basis_u=np.array([1.0, 0.0]),
+        basis_v=np.array([0.0, 1.0]),
+        angle_start=0.0,
+        angle_end=np.pi,
+    )
+    return _hand_path(
+        [[4.0, 4.0], [-4.0, 0.5]],
+        [
+            [(0, 1, _line([0.0, 0.0], [0.0, 0.0]))],
+            [
+                (0, Fraction(1, 4), _line([3.0, 0.0], [2.0, 0.0])),
+                (Fraction(1, 4), Fraction(1, 2), arc),
+                (Fraction(1, 2), 1, _line(arc.final, [-1.0, -1.0])),
+            ],
+        ],
+    )
+
+
+def _zero_sweep_arc():
+    # robot 0 holds still on an arc whose angles are equal, between two moves
+    hold = ArcMove(
+        center=np.array([0.5, 1.0]),
+        radius=0.5,
+        basis_u=np.array([1.0, 0.0]),
+        basis_v=np.array([0.0, 1.0]),
+        angle_start=1.0,
+        angle_end=1.0,
+    )
+    return _hand_path(
+        [[0.0, -3.0], [3.0, 3.0]],
+        [
+            [
+                (0, Fraction(1, 2), _line([-1.0, 1.0], hold.initial)),
+                (Fraction(1, 2), Fraction(3, 4), hold),
+                (Fraction(3, 4), 1, _line(hold.final, [2.0, 0.0])),
+            ],
+            [
+                (0, Fraction(2, 3), _line([-2.0, -1.0], [1.5, -1.0])),
+                (Fraction(2, 3), 1, _line([1.5, -1.0], [1.5, -1.0])),
+            ],
+        ],
+    )
+
+
+def _all_pairs_reference(path, samples):
+    """(sampled_min, certified_lower_bound) per pair, as float hex, in
+    certificate order, from a window loop that samples every pair in every
+    union-grid window: the certifier before it skipped resting pairs."""
+    n, m, d = path.robot_count, path.obstacles.shape[0], path.query.dim
+    segments = [seg for per_robot in path.segments for seg in per_robot]
+    cuts = sorted({Fraction(0)} | {seg.t1 for seg in segments})
+    constant = np.zeros((len(segments) + 1, d))
+    bounded = np.zeros(len(segments) + 1)
+    for index, seg in enumerate(segments):
+        if isinstance(seg.move, LinearMove):
+            constant[index] = (seg.move.end - seg.move.start) / float(seg.duration)
+        else:
+            bounded[index] = seg.speed_bound()
+    first, second = np.triu_indices(n, 1)
+    first = np.concatenate([first, np.repeat(np.arange(n), m)])
+    second = np.concatenate([second, n + np.tile(np.arange(m), n)])
+    sampled = np.full(len(first), np.inf)
+    cone_min = np.full(len(first), np.inf)
+    at = np.empty((samples + 1, n + m, d))
+    at[:, n:] = path.obstacles
+    offsets = np.cumsum([0] + [len(per_robot) for per_robot in path.segments])
+    for lo, hi in zip(cuts, cuts[1:]):
+        # each robot's active segment is its first one ending after lo
+        active = [
+            offset + next(k for k, seg in enumerate(per_robot) if lo < seg.t1)
+            for offset, per_robot in zip(offsets, path.segments)
+        ]
+        body = np.array(active + [len(segments)] * m)
+        ts = np.linspace(float(lo), float(hi), samples + 1)
+        at[:, :n] = np.stack([segments[s].at_many(ts) for s in body[:n]], axis=1)
+        f = np.sqrt(sum((at[:, first, c] - at[:, second, c]) ** 2 for c in range(d)))
+        a, b = body[first], body[second]
+        speed = np.linalg.norm(constant[a] - constant[b], axis=1) + bounded[a] + bounded[b]
+        h = (float(hi) - float(lo)) / samples
+        cone = 0.5 * (f[:-1] + f[1:] - speed * h)
+        sampled = np.minimum(sampled, f.min(axis=0))
+        cone_min = np.minimum(cone_min, cone.min(axis=0))
+    certified = np.minimum(sampled, cone_min)
+    return [(x.hex(), y.hex()) for x, y in zip(sampled.tolist(), certified.tolist())]
+
+
+def _assert_matches_reference(path, samples):
+    cert = certify_separation(path, samples)
+    got = [(p.sampled_min.hex(), p.certified_lower_bound.hex()) for p in cert.pairs]
+    assert got == _all_pairs_reference(path, samples)
+
+
 class TestSharedGrid:
     @settings(max_examples=100, deadline=None)
     @given(small_queries(max_size=3))
@@ -168,6 +323,36 @@ class TestSharedGrid:
             true_min = np.linalg.norm(at[:, pair.first] - other, axis=1).min()
             assert pair.certified_lower_bound <= pair.sampled_min
             assert pair.certified_lower_bound <= true_min + 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(), st.sampled_from([2, 64]))
+    def test_matches_all_pairs_reference(self, case, samples):
+        query, mode = case
+        _assert_matches_reference(plan(query, mode=mode).path, samples)
+
+    @pytest.mark.parametrize("samples", [2, 16, 64])
+    @pytest.mark.parametrize(
+        "build",
+        [_mover_split_by_others, _back_to_back_rests, _rest_on_whole_interval, _zero_sweep_arc],
+    )
+    def test_hand_built_paths_match_all_pairs_reference(self, build, samples):
+        _assert_matches_reference(build(), samples)
+
+    def test_only_moving_segments_are_sampled(self, monkeypatch):
+        # a swap moves one or two robots; sampling every robot in every
+        # union window would cost about n at_many calls per window
+        path = plan(random_query(np.random.default_rng(0), 20, 20, 3), mode="fixed").path
+        calls = 0
+        original = paths.PathSegment.at_many
+
+        def counting(segment, ts):
+            nonlocal calls
+            calls += 1
+            return original(segment, ts)
+
+        monkeypatch.setattr(paths.PathSegment, "at_many", counting)
+        assert certify_separation(path).passed
+        assert calls <= 2 * sum(len(per_robot) for per_robot in path.segments)
 
     @pytest.mark.parametrize(
         "second_move",
