@@ -71,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--samples",
         type=int,
-        help="samples per window of the union of all robots' segment bounds "
-        "(default: from the document)",
+        help="samples per window of the union of all robots' segment bounds, "
+        "taken only for pairs without a closed-form minimum (an arc against a "
+        "moving line or another arc; default: from the document)",
     )
 
     p_comp = sub.add_parser("components", help="count generic ordering pairs exactly")

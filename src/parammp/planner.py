@@ -32,7 +32,7 @@ from .deformations import (
     swap_case_a,
     swap_case_b,
 )
-from .errors import InternalConsistencyError, InvalidOrderingPairError
+from .errors import InternalConsistencyError, InvalidOrderingPairError, QueryValidationError
 from .geometry import (
     ConfigurationQuery,
     Frame,
@@ -48,6 +48,7 @@ from .geometry import (
 from .paths import LinearMove, Move, PathSegment, PiecewisePath
 
 __all__ = [
+    "MAX_COORDINATE",
     "CaseASwap",
     "CaseBSwap",
     "PlanResult",
@@ -56,6 +57,11 @@ __all__ = [
     "plan",
     "transposition_sequence",
 ]
+
+# The largest coordinate magnitude plan accepts.  Below it the gaps, shifts
+# and arcs built from the query, and the squared distances a certificate
+# sums, all stay finite.
+MAX_COORDINATE = 1e150
 
 
 @dataclass(frozen=True)
@@ -279,9 +285,16 @@ def plan(
     the straight shifts to and from the split (:func:`compose_with_section`).
 
     Raises:
-        QueryValidationError: via ConfigurationQuery construction upstream.
+        QueryValidationError: via ConfigurationQuery construction upstream,
+            or a coordinate above ``MAX_COORDINATE`` in magnitude.
         ModeUnsupportedError: obstacle-pair mode in odd dimension or m < 2.
     """
+    points = (query.starts, query.goals, query.obstacles)
+    extent = max(float(np.abs(p).max()) for p in points)
+    if extent > MAX_COORDINATE:
+        raise QueryValidationError(
+            [f"plan: coordinates must not exceed {MAX_COORDINATE:g} in magnitude, got {extent:g}"]
+        )
     mode = default_mode(query) if mode is None else FrameMode(mode)
     frame = make_frame(query, mode)
     label = classify(query, frame, snap_tol)

@@ -7,6 +7,7 @@ segments; the point is to catch construction bugs rather than restate them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -24,7 +25,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import LinearMove, PiecewisePath
+from .paths import ArcMove, LinearMove, PiecewisePath
 from .planner import plan
 
 __all__ = [
@@ -42,18 +43,28 @@ __all__ = [
     "random_rational_query",
 ]
 
-# Bounds samples_per_segment: a certificate window holds (samples + 1) x (n + m) x d floats.
+# Bounds samples_per_segment: a fallback entry holds (samples + 1) x d floats.
 MAX_SAMPLES_PER_SEGMENT = 4096
+# (window, pair) entries per block of certification work, so that memory stays
+# flat however many pairs a path touches.
+_BLOCK = 1 << 10
+_EPS = float(np.finfo(float).eps)
+# Body kinds on a window, in the order that puts a pair's higher kind first.
+_POINT, _LINE, _ARC = 0, 1, 2
 
 
 @dataclass(frozen=True)
 class PairSeparation:
     """Certified separation between one pair of bodies along the whole path.
 
-    ``certified_lower_bound`` is the sampled minimum minus the Lipschitz
-    slack accumulated between samples; it never exceeds ``sampled_min`` and
-    the pair passes iff it is strictly positive.  ``samples_per_segment``
-    counts samples per window of the union of all robots' segment bounds.
+    ``sampled_min`` is the smallest distance the certifier evaluated on the
+    path and ``certified_lower_bound`` a lower bound on the true minimum: the
+    closed-form minimum of each window less a rounding margin, or, for the
+    fallback pairs (an arc against a moving line or another arc), the sampled
+    Lipschitz cone less that margin (see :func:`certify_separation`).  The
+    bound never exceeds ``sampled_min`` and the pair passes iff it is
+    strictly positive.  ``samples_per_segment`` counts samples per window of
+    the union of all robots' segment bounds; only fallback pairs are sampled.
     """
 
     kind: str  # "robot-robot" or "robot-obstacle"
@@ -91,23 +102,58 @@ class SeparationCertificate:
 def certify_separation(
     path: PiecewisePath, samples_per_segment: int = 64
 ) -> SeparationCertificate:
-    """Sampled-plus-slack lower bounds on every pairwise distance.
+    """Lower bounds on every pairwise distance, in closed form where the
+    pair's motion allows it.
 
     The time grid is the union of every robot's segment bounds, so on each of
-    its windows every body follows a single segment.  Each window is sampled
-    ``samples_per_segment + 1`` times, one coordinate at a time, for the
-    pairs with a touched body: a robot that moves on the window or changes
-    segment at its start.  A pair of resting bodies keeps its distance, so its
-    minima carry over unchanged.  Sampling work and memory per window are
-    O(samples x (n + m)) for the one or two robots a swap moves, and the
-    result is bit-identical to sampling every pair in every window.  Between
-    adjacent samples f_l, f_r spaced h apart a pair's distance is at least
-    (f_l + f_r - L*h) / 2 (two-sided Lipschitz cone), where L bounds the
-    pair's relative speed on the window: the exact norm of the relative
-    velocity for two straight segments, otherwise the sum of the two segment
-    speed bounds.  The cone is exact for a straight-line approach and refines
-    monotonically; an unsound path yields a failing certificate, never an
-    exception.
+    its windows [lo, hi] every body follows one segment.  A body is a *point*
+    there (an obstacle, a rest or a zero-sweep arc), a *line* (a moving
+    straight segment, affine in t) or an *arc*.  A robot is touched on a
+    window when it moves there or changes segment at its start; only the
+    (window, pair) entries with a touched body are evaluated, because a pair
+    of resting bodies keeps its distance.  Each entry's minimum distance is:
+
+    - point-point: the distance, evaluated once;
+    - line-point and line-line: the relative position is A + tau D for tau in
+      [0, 1], smallest at tau* = clamp(-A.D / D.D, 0, 1), or 0 if D.D = 0;
+    - arc-point: with p the point less the center, at the angle
+      atan2(p.basis_v, p.basis_u), moved by whole turns next to the window's
+      angle range, if it falls in that range, and else at an end;
+    - arc-arc and arc-line (the fallback): sampled ``samples_per_segment + 1``
+      times, between neighbouring samples f_l, f_r spaced h apart at least
+      (f_l + f_r - L h) / 2, where L is the exact norm of the relative
+      velocity of straight segments plus the arcs' speed bounds.
+
+    Each closed form evaluates the distance at both window ends and at the
+    minimizer's time, with the segments' own position formulas, and
+    ``sampled_min`` is the smallest distance evaluated.  The bound is
+    ``sampled_min`` less a margin; a point-point pair has none, as its
+    distance is the same float at every time.  The margin rule:
+
+    - E = (8 + d) eps (M_a + M_b) bounds the rounding of one evaluated
+      distance.  M is |x| for an obstacle, |start| + 4 |end - start| for a
+      straight segment and |center| + r (2 + |angle_start| + 2 |sweep|) for
+      an arc; an arc whose basis is beta away from orthonormal adds 8 r beta
+      to E, its distance from a true circle.
+    - delta bounds the minimizer's error: for lines, in window fraction,
+      delta = 7 E (|A| + |D|) / |D|^2 + 2 eps / (hi - lo); for arcs, in angle,
+      delta = (2 E + 4 beta |p|) / rho + (8 + d) eps (4 + |angle_start| +
+      |sweep| (2 + 1 / duration)), rho being the length of p in the arc's
+      plane.  The distance at the evaluated time then exceeds the minimum by
+      at most s = 2 L delta (lines, L = |D| in the 1-norm) or
+      s = 2 delta sqrt(r max(r, rho)) (arcs), and its square by at most s^2.
+      The excess is thus at most min(s, s^2 / (f* - E), V), where f* is the
+      distance evaluated at the minimizer and V bounds the distance's
+      variation on the window: L for lines, and for arcs r times the angle
+      range or 2 min(r, rho).  The s^2 term is used only when f* > E, and
+      for lines only when delta < 1.
+    - The margin is E plus the excess; a fallback entry's is E alone.
+
+    Entries are gathered from the touched robots' pair rows and processed in
+    blocks of at most ``_BLOCK``, with no loop over windows and no
+    windows-by-pairs array.  An unsound path yields a failing certificate,
+    never an exception; so does a path whose arithmetic overflows, as a bound
+    that is not finite becomes -inf.
     """
     if not (
         isinstance(samples_per_segment, Integral)
@@ -117,66 +163,224 @@ def certify_separation(
             "samples_per_segment must be an integer >= 2 and "
             f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples_per_segment!r}"
         )
-    n, m, d = path.robot_count, path.obstacles.shape[0], path.query.dim
+    n, m = path.robot_count, path.obstacles.shape[0]
     segments = [seg for per_robot in path.segments for seg in per_robot]
-    cuts = sorted({Fraction(0)} | {seg.t1 for seg in segments})
+    # The union grid on integer ticks of 1/scale: int true division rounds
+    # tick / scale exactly as float(Fraction(tick, scale)) does.
+    scale = math.lcm(*{seg.t1.denominator for seg in segments})
+    ticks = [seg.t1.numerator * (scale // seg.t1.denominator) for seg in segments]
+    cuts = sorted({0, *ticks})
     cut_index = {t: w for w, t in enumerate(cuts)}
-    # bodies[w] indexes the segment each robot follows on window w, then one
-    # index past the segments, standing for a body at rest, per obstacle.
-    spans = [cut_index[seg.t1] - cut_index[seg.t0] for seg in segments]
+    # Windows per segment: up to its end, from the previous segment's end or,
+    # for a robot's first segment, from 0.
+    ends = np.array([cut_index[t] for t in ticks])
+    spans = np.diff(ends, prepend=0)
+    firsts = np.cumsum([0] + [len(per_robot) for per_robot in path.segments[:-1]])
+    spans[firsts] = ends[firsts]
+    # active[w, r] is the segment robot r follows on window w.
     active = np.repeat(np.arange(len(segments)), spans).reshape(n, -1).T
-    bodies = np.hstack([active, np.full((len(active), m), len(segments))])
-    # A body's velocity is a constant vector plus a part of bounded norm: a
-    # straight segment has no bounded part, an arc no constant part and a
-    # body at rest neither.  |v_a - v_b| + w_a + w_b is then the rule for L.
-    constant = np.zeros((len(segments) + 1, d))
-    bounded = np.zeros(len(segments) + 1)
-    for index, seg in enumerate(segments):
-        if isinstance(seg.move, LinearMove):
-            constant[index] = (seg.move.end - seg.move.start) / float(seg.duration)
-        else:
-            bounded[index] = seg.speed_bound()
-    rest = (bounded == 0) & ~constant.any(axis=1)
+    bounds = np.array([t / scale for t in cuts])
 
-    # Robot-robot pairs i < k, then robot-obstacle pairs (i, j) as bodies n + j.
+    # Robot-robot pairs i < k, then robot-obstacle pairs (i, j) as bodies n + j;
+    # pair_of[r, k] is the pair of robot r and body k.
     first, second = np.triu_indices(n, 1)
     first = np.concatenate([first, np.repeat(np.arange(n), m)])
     second = np.concatenate([second, n + np.tile(np.arange(m), n)])
+    pair_of = np.full((n, n + m), -1)
+    pair_of[first, second] = np.arange(len(first))
+    robot_pairs = np.flatnonzero(second < n)
+    pair_of[second[robot_pairs], first[robot_pairs]] = robot_pairs
     sampled = np.full(len(first), np.inf)
-    cone_min = np.full(len(first), np.inf)
-    at = np.empty((samples_per_segment + 1, n + m, d))
-    at[:, n:] = path.obstacles
-    # A robot is touched on a window when it changes segment or does not rest.
-    # An untouched robot's rows of ``at`` keep its rest position from the
-    # window that wrote them, and a pair of untouched bodies repeats the f and
-    # cone (f itself, as L = 0) of its previous window, already in its minima.
-    touched = np.zeros(n + m, dtype=bool)
-    previous = np.full(n, -1)
-    bounds = [float(t) for t in cuts]
-    for lo, hi, body in zip(bounds, bounds[1:], bodies):
-        touched[:n] = (body[:n] != previous) | ~rest[body[:n]]
-        previous = body[:n]
-        ts = np.linspace(lo, hi, samples_per_segment + 1)
-        for robot in np.flatnonzero(touched):
-            at[:, robot] = segments[body[robot]].at_many(ts)
-        pairs = np.flatnonzero(touched[first] | touched[second])
-        p, q = first[pairs], second[pairs]
-        f = np.sqrt(sum((at[:, p, c] - at[:, q, c]) ** 2 for c in range(d)))
-        a, b = body[p], body[q]
-        speed = np.linalg.norm(constant[a] - constant[b], axis=1) + bounded[a] + bounded[b]
-        h = (hi - lo) / samples_per_segment
-        cone = 0.5 * (f[:-1] + f[1:] - speed * h)
-        sampled[pairs] = np.minimum(sampled[pairs], f.min(axis=0))
-        cone_min[pairs] = np.minimum(cone_min[pairs], cone.min(axis=0))
+    certified = np.full(len(first), np.inf)
+    with np.errstate(all="ignore"):
+        bodies = _Bodies(segments, path.obstacles)
+        rest = bodies.kind[: len(segments)] == _POINT
+        touched = np.ones(active.shape, dtype=bool)
+        touched[1:] = (active[1:] != active[:-1]) | ~rest[active[1:]]
+        # Each touched robot meets every obstacle and every robot that is
+        # untouched or, touched too, comes after it: each entry once.
+        item_w, item_r = np.nonzero(touched)
+        robots = np.arange(n)
+        chunk = max(1, _BLOCK // (n + m))
+        for block in range(0, len(item_w), chunk):
+            w, r = item_w[block : block + chunk], item_r[block : block + chunk]
+            keep = np.ones((len(w), n + m), dtype=bool)
+            keep[:, :n] = ~touched[w] | (robots > r[:, None])
+            row, other = np.nonzero(keep)
+            w, r = w[row], r[row]
+            partner = np.where(
+                other < n, active[w, np.minimum(other, n - 1)], len(segments) + other - n
+            )
+            low, bound = bodies.minima(
+                active[w, r], partner, bounds[w], bounds[w + 1], samples_per_segment
+            )
+            pairs = pair_of[r, other]
+            np.minimum.at(sampled, pairs, low)
+            np.minimum.at(certified, pairs, bound)
+    certified[~np.isfinite(certified)] = -np.inf
 
     kinds = np.where(second < n, "robot-robot", "robot-obstacle").tolist()
     seconds = np.where(second < n, second, second - n).tolist()
-    certified = np.minimum(sampled, cone_min).tolist()
-    rows = zip(kinds, first.tolist(), seconds, sampled.tolist(), certified)
+    rows = zip(kinds, first.tolist(), seconds, sampled.tolist(), certified.tolist())
     return SeparationCertificate(
         pairs=tuple(PairSeparation(*row, samples_per_segment) for row in rows),
         samples_per_segment=samples_per_segment,
     )
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise |a - b| of (d, k) arrays, summing squares in coordinate order."""
+    return np.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return sum(x * y for x, y in zip(a, b))
+
+
+class _Bodies:
+    """Every segment of a path, then every obstacle, as columns of arrays
+    (coordinates first): the body's kind, the operands of its position
+    formula, and the rounding slack of one evaluation."""
+
+    def __init__(self, segments, obstacles: np.ndarray):
+        count, (m, d) = len(segments), obstacles.shape
+        moves = [seg.move for seg in segments]
+        lines = [i for i, move in enumerate(moves) if isinstance(move, LinearMove)]
+        arcs = [i for i, move in enumerate(moves) if isinstance(move, ArcMove)]
+        self.t0 = np.array([seg._float_t0 for seg in segments] + [0.0] * m)
+        self.duration = np.array([seg._float_duration for seg in segments] + [1.0] * m)
+        origin = np.empty((count + m, d))
+        origin[count:] = obstacles
+        step = np.zeros((count + m, d))  # end - start of a straight segment
+        basis_u, basis_v = np.zeros((count + m, d)), np.zeros((count + m, d))
+        self.radius = np.zeros(count + m)
+        self.angle = np.zeros(count + m)
+        self.sweep = np.zeros(count + m)
+        if lines:
+            origin[lines] = [moves[i].start for i in lines]
+            step[lines] = [moves[i].end for i in lines] - origin[lines]
+        if arcs:
+            origin[arcs] = [moves[i].center for i in arcs]
+            basis_u[arcs] = [moves[i].basis_u for i in arcs]
+            basis_v[arcs] = [moves[i].basis_v for i in arcs]
+            self.radius[arcs] = [moves[i].radius for i in arcs]
+            self.angle[arcs] = [moves[i].angle_start for i in arcs]
+            self.sweep[arcs] = [moves[i].angle_end for i in arcs] - self.angle[arcs]
+        self.origin, self.step = origin.T.copy(), step.T.copy()
+        self.basis_u, self.basis_v = basis_u.T.copy(), basis_v.T.copy()
+        # A velocity is a constant vector plus a part of bounded norm: a
+        # straight segment has no bounded part, an arc no constant part.
+        self.constant = self.step / self.duration
+        self.bounded = self.radius * np.abs(self.sweep) / self.duration
+        arc = self.radius > 0
+        self.kind = np.where(arc, _ARC, _LINE)
+        self.kind[(self.bounded == 0) & ~self.constant.any(axis=0)] = _POINT
+        # beta: how far an arc's basis is from orthonormal.
+        u, v = self.basis_u, self.basis_v
+        self.beta = np.maximum.reduce(
+            [abs(np.sqrt(_dot(u, u)) - 1), abs(np.sqrt(_dot(v, v)) - 1), abs(_dot(u, v))]
+        )
+        self.beta[~arc] = 0.0
+        size = np.sqrt(_dot(self.origin, self.origin)) + np.where(
+            arc,
+            self.radius * (2 + np.abs(self.angle) + 2 * np.abs(self.sweep)),
+            4 * np.sqrt(_dot(self.step, self.step)),
+        )
+        self.slack = (8 + d) * _EPS * size + 8 * self.radius * self.beta
+
+    def at(self, body: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Positions (d, k) of the bodies at global times t, by the segments'
+        own formulas: a straight segment has radius 0 and an arc no step, and
+        those zero terms leave every float as the segment computes it."""
+        u = (t - self.t0.take(body)) / self.duration.take(body)
+        theta = self.angle.take(body) + u * self.sweep.take(body)
+        radius = self.radius.take(body)
+        out = self.origin.take(body, axis=1)
+        out += u * self.step.take(body, axis=1)
+        out += radius * np.cos(theta) * self.basis_u.take(body, axis=1)
+        out += radius * np.sin(theta) * self.basis_v.take(body, axis=1)
+        return out
+
+    def minima(self, a, b, lo, hi, samples: int):
+        """(smallest evaluated distance, certified lower bound) of bodies a
+        and b on each window [lo, hi]."""
+        # Put the higher kind first: point < line < arc.
+        swap = self.kind[a] < self.kind[b]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        k, both = len(a), np.concatenate([a, b])
+        start, end = (self.at(both, np.concatenate([s, s])) for s in (lo, hi))
+        start_a, start_b, end_a, end_b = start[:, :k], start[:, k:], end[:, :k], end[:, k:]
+        kind_a, kind_b = self.kind[a], self.kind[b]
+        slack = self.slack[a] + self.slack[b]
+        f_lo, f_hi = _distance(start_a, start_b), _distance(end_a, end_b)
+
+        # Lines and points: the relative position A + tau D, tau in [0, 1].
+        rel = start_a - start_b
+        step = end_a - end_b - rel
+        dd = _dot(step, step)
+        tau = np.where(dd > 0, np.clip(-_dot(rel, step) / dd, 0.0, 1.0), 0.0)
+        t = np.minimum(lo + tau * (hi - lo), hi)
+        span = np.abs(step).sum(axis=0)
+        delta = 7 * slack * (f_lo + np.sqrt(dd)) / dd + 2 * _EPS / (hi - lo)
+        quadratic = span * delta < span
+        excess, variation = 2 * span * delta, span
+
+        # An arc against a point: the angle nearest the point, if in range.
+        arc = np.flatnonzero((kind_a == _ARC) & (kind_b == _POINT))
+        if arc.size:
+            c, lo_c, hi_c = a[arc], lo[arc], hi[arc]
+            t0, duration = self.t0[c], self.duration[c]
+            radius, angle, sweep = self.radius[c], self.angle[c], self.sweep[c]
+            p = start_b[:, arc] - self.origin[:, c]
+            x, y = _dot(p, self.basis_u[:, c]), _dot(p, self.basis_v[:, c])
+            rho = np.hypot(x, y)
+            first = angle + (lo_c - t0) / duration * sweep
+            last = angle + (hi_c - t0) / duration * sweep
+            theta = np.arctan2(y, x)
+            theta += 2 * np.pi * np.round((0.5 * (first + last) - theta) / (2 * np.pi))
+            inside = (theta - first) * (theta - last) <= 0
+            t_arc = np.clip(t0 + (theta - angle) / sweep * duration, lo_c, hi_c)
+            t[arc] = np.where(inside, t_arc, lo_c)
+            error = (2 * slack[arc] + 4 * self.beta[c] * np.sqrt(_dot(p, p))) / rho + (
+                8 + len(p)
+            ) * _EPS * (4 + np.abs(angle) + np.abs(sweep) * (2 + 1 / duration))
+            excess[arc] = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
+            variation[arc] = np.minimum(
+                radius * np.abs(last - first), 2 * np.minimum(radius, rho)
+            )
+            quadratic[arc] = True
+
+        star = self.at(both, np.concatenate([t, t]))
+        f_star = _distance(star[:, :k], star[:, k:])
+        low = np.minimum(np.minimum(f_lo, f_hi), f_star)
+        above = f_star - slack
+        quadratic &= above > 0
+        excess = np.fmin(
+            np.fmin(excess, np.where(quadratic, excess * excess / above, np.inf)), variation
+        )
+        points = (kind_a == _POINT) & (kind_b == _POINT)
+        bound = low - np.where(points, 0.0, slack + excess)
+
+        # Arc-arc and arc-line: the sampled Lipschitz cone, less E.
+        fallback = np.flatnonzero((kind_a == _ARC) & (kind_b != _POINT))
+        chunk = max(1, _BLOCK // (samples + 1))
+        for block in range(0, len(fallback), chunk):
+            j = fallback[block : block + chunk]
+            low[j], bound[j] = self._cone(a[j], b[j], lo[j], hi[j], samples)
+            bound[j] -= slack[j]
+        return low, bound
+
+    def _cone(self, a, b, lo, hi, samples: int):
+        ts = np.linspace(lo, hi, samples + 1)
+        flat = ts.ravel()
+        f = _distance(
+            self.at(np.tile(a, samples + 1), flat), self.at(np.tile(b, samples + 1), flat)
+        ).reshape(ts.shape)
+        relative = self.constant[:, a] - self.constant[:, b]
+        speed = np.sqrt(_dot(relative, relative)) + self.bounded[a] + self.bounded[b]
+        cone = 0.5 * (f[:-1] + f[1:] - speed * (hi - lo) / samples)
+        low = f.min(axis=0)
+        return low, np.minimum(low, cone.min(axis=0))
 
 
 @dataclass(frozen=True)

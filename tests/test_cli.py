@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,11 +109,10 @@ def test_samples_option_above_bound_is_validation_error(tmp_path, capsys):
     assert "options.samples_per_segment: expected an integer" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_overflowing_desingularization_is_internal_error(tmp_path, capsys):
-    # Finite coordinates near the float limit: the desingularizing shifts
-    # overflow.  The user wrote no non-finite number, so this is the
-    # planner's failure (exit 2), not bad input.
+def test_overflowing_coordinates_are_validation_error(tmp_path, capsys):
+    # Finite coordinates near the float limit, whose desingularizing shifts
+    # would overflow: plan rejects them up front as bad input, naming the
+    # bound, before any arithmetic can warn.
     path = tmp_path / "problem.json"
     path.write_text(
         json.dumps(
@@ -125,8 +125,11 @@ def test_overflowing_desingularization_is_internal_error(tmp_path, capsys):
             }
         )
     )
-    assert main(["verify", "--input", str(path)]) == 2
-    assert "internal error" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--input", str(path)]) == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "must not exceed 1e+150 in magnitude" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["classify", "verify"])
@@ -239,15 +242,25 @@ def test_internal_failure_exit_code(problem_file, monkeypatch, capsys):
     assert main(["verify", "--input", str(problem_file)]) == 2
 
 
-def test_console_script_smoke():
+def _run_module(*args):
     # The child imports the package under test, installed or not.
     package_root = str(Path(parammp.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "parammp.cli", "components", "2", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_script_smoke():
+    proc = _run_module("parammp.cli", "components", "2", "2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "288"
+
+
+def test_package_runs_as_module(problem_file):
+    proc = _run_module("parammp", "verify", "--input", str(problem_file))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["passed"] is True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,7 @@ from parammp import (
     random_query,
     random_rational_query,
 )
-from parammp import paths
+from parammp import verification
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from query_strategies import small_queries
 
@@ -258,9 +259,10 @@ def _zero_sweep_arc():
 
 
 def _all_pairs_reference(path, samples):
-    """(sampled_min, certified_lower_bound) per pair, as float hex, in
-    certificate order, from a window loop that samples every pair in every
-    union-grid window: the certifier before it skipped resting pairs."""
+    """(sampled_min, certified_lower_bound) per pair, in certificate order,
+    from a window loop that samples every pair in every union-grid window and
+    bounds it by the two-sided Lipschitz cone: the sampled certifier that the
+    closed forms replaced."""
     n, m, d = path.robot_count, path.obstacles.shape[0], path.query.dim
     segments = [seg for per_robot in path.segments for seg in per_robot]
     cuts = sorted({Fraction(0)} | {seg.t1 for seg in segments})
@@ -296,13 +298,25 @@ def _all_pairs_reference(path, samples):
         sampled = np.minimum(sampled, f.min(axis=0))
         cone_min = np.minimum(cone_min, cone.min(axis=0))
     certified = np.minimum(sampled, cone_min)
-    return [(x.hex(), y.hex()) for x, y in zip(sampled.tolist(), certified.tolist())]
+    return list(zip(sampled.tolist(), certified.tolist()))
 
 
-def _assert_matches_reference(path, samples):
+def _margin(path):
+    """A rounding tolerance: far above the certifier's margin (some hundred
+    ulps of the path's coordinates), far below any sampling slack."""
+    points = (path.query.starts, path.query.goals, path.obstacles)
+    return 1e-12 * (1 + max(np.abs(p).max() for p in points))
+
+
+def _assert_no_looser_than_reference(path, samples):
+    # bounds can only tighten: each pair's bound is at least the sampled
+    # reference's less the margin, and its sampled_min at most the
+    # reference's plus it
     cert = certify_separation(path, samples)
-    got = [(p.sampled_min.hex(), p.certified_lower_bound.hex()) for p in cert.pairs]
-    assert got == _all_pairs_reference(path, samples)
+    margin = _margin(path)
+    for pair, (sampled, certified) in zip(cert.pairs, _all_pairs_reference(path, samples)):
+        assert pair.certified_lower_bound >= certified - margin
+        assert pair.sampled_min <= sampled + margin
 
 
 class TestSharedGrid:
@@ -312,7 +326,7 @@ class TestSharedGrid:
         query, mode = case
         path = plan(query, mode=mode).path
         cert = certify_separation(path)
-        ts = np.linspace(0.0, 1.0, 2048)
+        ts = np.linspace(0.0, 1.0, 4096)
         at = np.stack([path.positions_at(r, ts) for r in range(path.robot_count)], axis=1)
         for pair in cert.pairs:
             other = (
@@ -322,37 +336,39 @@ class TestSharedGrid:
             )
             true_min = np.linalg.norm(at[:, pair.first] - other, axis=1).min()
             assert pair.certified_lower_bound <= pair.sampled_min
-            assert pair.certified_lower_bound <= true_min + 1e-12
+            assert pair.certified_lower_bound <= true_min
 
     @settings(max_examples=100, deadline=None)
     @given(small_queries(), st.sampled_from([2, 64]))
-    def test_matches_all_pairs_reference(self, case, samples):
+    def test_no_looser_than_all_pairs_reference(self, case, samples):
         query, mode = case
-        _assert_matches_reference(plan(query, mode=mode).path, samples)
+        _assert_no_looser_than_reference(plan(query, mode=mode).path, samples)
 
     @pytest.mark.parametrize("samples", [2, 16, 64])
     @pytest.mark.parametrize(
         "build",
         [_mover_split_by_others, _back_to_back_rests, _rest_on_whole_interval, _zero_sweep_arc],
     )
-    def test_hand_built_paths_match_all_pairs_reference(self, build, samples):
-        _assert_matches_reference(build(), samples)
+    def test_hand_built_paths_no_looser_than_all_pairs_reference(self, build, samples):
+        _assert_no_looser_than_reference(build(), samples)
 
-    def test_only_moving_segments_are_sampled(self, monkeypatch):
-        # a swap moves one or two robots; sampling every robot in every
-        # union window would cost about n at_many calls per window
+    def test_only_touched_entries_are_evaluated_in_blocks(self, monkeypatch):
+        # a swap moves one or two robots: a window evaluates only the pairs of
+        # the robots that move or change segment there, and no block of work
+        # exceeds the budget
         path = plan(random_query(np.random.default_rng(0), 20, 20, 3), mode="fixed").path
-        calls = 0
-        original = paths.PathSegment.at_many
+        sizes = []
+        original = verification._Bodies.minima
 
-        def counting(segment, ts):
-            nonlocal calls
-            calls += 1
-            return original(segment, ts)
+        def counting(bodies, a, *args):
+            sizes.append(len(a))
+            return original(bodies, a, *args)
 
-        monkeypatch.setattr(paths.PathSegment, "at_many", counting)
+        monkeypatch.setattr(verification._Bodies, "minima", counting)
         assert certify_separation(path).passed
-        assert calls <= 2 * sum(len(per_robot) for per_robot in path.segments)
+        segments = sum(len(per_robot) for per_robot in path.segments)
+        assert max(sizes) <= verification._BLOCK
+        assert sum(sizes) <= 2 * segments * (20 + 20)
 
     @pytest.mark.parametrize(
         "second_move",
@@ -405,6 +421,93 @@ class TestSharedGrid:
             split = certify_separation(path_three, samples).pair("robot-robot", 0, 1)
             assert alone.passes and split.passes
             assert split.certified_lower_bound >= alone.certified_lower_bound - 1e-12
+
+
+def _half_circle(center, radius, angle_start):
+    return ArcMove(
+        center=np.array(center, dtype=float),
+        radius=radius,
+        basis_u=np.array([1.0, 0.0]),
+        basis_v=np.array([0.0, 1.0]),
+        angle_start=angle_start,
+        angle_end=angle_start + np.pi,
+    )
+
+
+def _dense_robot_distance(path, first, second):
+    ts = np.linspace(0.0, 1.0, 1 << 14)
+    gap = path.positions_at(first, ts) - path.positions_at(second, ts)
+    return np.linalg.norm(gap, axis=1).min()
+
+
+class TestClosedForms:
+    def test_line_passing_an_obstacle_is_exact(self):
+        # the nearest point, (0, 1e-3) at t = 1/3, lies between the samples;
+        # the sampled cone gave 7.5e-7 at 2 samples and 2.4e-5 at 64
+        path = _hand_path([[0.0, 0.0]], [[(0, 1, _line([-1.0, 1e-3], [2.0, 1e-3]))]])
+        pair = certify_separation(path, samples_per_segment=2).pair("robot-obstacle", 0, 0)
+        assert 1e-3 - 1e-12 <= pair.certified_lower_bound <= pair.sampled_min <= 1e-3
+
+    def test_crossing_between_floats_fails(self):
+        # the robot runs straight through the obstacle at x = 0.1, but the
+        # evaluated nearest point misses it by rounding; the margin makes the
+        # certificate fail all the same
+        path = _hand_path([[0.1, 0.0]], [[(0, 1, _line([-1.0, 0.0], [1.0, 0.0]))]])
+        cert = certify_separation(path, samples_per_segment=2)
+        assert cert.pairs[0].sampled_min > 0.0
+        assert not cert.passed
+
+    def test_rest_that_starts_off_the_previous_end_is_evaluated(self):
+        # the rest begins 5e-10 nearer the obstacle than the move ended,
+        # within the path's endpoint tolerance: changing segment touches the
+        # robot, so the nearer rest bounds the pair
+        path = _hand_path(
+            [[0.0, 0.0]],
+            [
+                [
+                    (0, Fraction(1, 2), _line([-1.0, 1.0], [0.0, 1.0])),
+                    (Fraction(1, 2), 1, _line([0.0, 1.0 - 5e-10], [0.0, 1.0 - 5e-10])),
+                ]
+            ],
+        )
+        pair = certify_separation(path).pair("robot-obstacle", 0, 0)
+        assert pair.certified_lower_bound == pair.sampled_min == 1.0 - 5e-10
+
+    def test_arc_against_point_with_minimum_inside_the_window(self):
+        # a unit half circle passes nearest the obstacle at angle 1, t = 1/pi
+        arc = _half_circle([0.0, 0.0], 1.0, 0.0)
+        obstacle = 2.0 * np.array([np.cos(1.0), np.sin(1.0)])
+        path = _hand_path([obstacle], [[(0, 1, arc)]])
+        pair = certify_separation(path, samples_per_segment=2).pair("robot-obstacle", 0, 0)
+        assert 1.0 - 1e-12 <= pair.certified_lower_bound <= pair.sampled_min <= 1.0 + 1e-12
+        reference = _all_pairs_reference(path, 2)[0][1]
+        assert reference < 0.8  # the cone between three samples
+
+    @pytest.mark.parametrize(
+        "second_move",
+        [_line([-3.0, 1.5], [1.0, 2.5]), _half_circle([0.5, 3.0], 1.2, np.pi)],
+        ids=["arc-line", "arc-arc"],
+    )
+    @pytest.mark.parametrize("samples", [4, 64])
+    def test_fallback_pairs_against_dense_reference(self, second_move, samples):
+        # an arc against a moving line or a second, non-antipodal arc has no
+        # closed form and keeps the sampled cone
+        arc = _half_circle([0.0, 0.0], 1.0, 0.0)
+        path = _hand_path([[0.0, -5.0]], [[(0, 1, arc)], [(0, 1, second_move)]])
+        pair = certify_separation(path, samples).pair("robot-robot", 0, 1)
+        dense = _dense_robot_distance(path, 0, 1)
+        assert 0 < pair.certified_lower_bound <= pair.sampled_min
+        assert pair.certified_lower_bound <= dense
+        _assert_no_looser_than_reference(path, samples)
+
+    def test_overflowing_distances_fail_quietly(self):
+        # finite coordinates whose differences overflow: a failing
+        # certificate, with no warning and no exception
+        path = _hand_path([[-1e308, 0.0]], [[(0, 1, _line([1e308, 0.0], [1e308, 1.0]))]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify_separation(path)
+        assert not cert.passed
 
 
 class TestCheckPartition:
