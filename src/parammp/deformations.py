@@ -62,9 +62,7 @@ def _line_point(frame: Frame, value: float) -> np.ndarray:
     return value * frame.e
 
 
-def straight_moves(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> list[LinearMove]:
+def straight_moves(query: ConfigurationQuery, frame: Frame) -> list[LinearMove]:
     """Each robot's straight line from its start to its goal.
 
     Valid exactly when the start and goal orderings agree (same token
@@ -75,7 +73,7 @@ def straight_moves(
         PreconditionError: the orderings differ.
         NotGenericError: the query is not generic.
     """
-    pair = orderings(query, frame, snap_tol)
+    pair = orderings(query, frame)
     if not pair.patterns_equal():
         raise PreconditionError(
             "straight-line section needs identical start and goal orderings"
@@ -88,7 +86,6 @@ def swap_case_a(
     frame: Frame,
     left_robot: int,
     right_robot: int,
-    snap_tol: float = 0.0,
 ) -> Stages:
     """Exchange the projection order of two adjacent robots.
 
@@ -107,7 +104,7 @@ def swap_case_a(
     n = query.robot_count
     if not (0 <= left_robot < n and 0 <= right_robot < n):
         raise PreconditionError("unknown robot index")
-    _start_neighbours(query, frame, left_robot, right_robot, snap_tol)
+    _start_neighbours(query, frame, left_robot, right_robot)
     q_left = float(np.dot(frame.e, query.starts[left_robot]))
     q_right = float(np.dot(frame.e, query.starts[right_robot]))
     if not q_left < q_right:
@@ -154,7 +151,6 @@ def swap_case_b(
     robot: int,
     obstacle: int,
     side: Side,
-    snap_tol: float = 0.0,
 ) -> Stages:
     """Carry one robot across the obstacle block containing ``obstacle``.
 
@@ -169,7 +165,7 @@ def swap_case_b(
         PreconditionError: the robot's start is not the neighbour of the block
             on the side opposite ``side`` (see :func:`clearance_eta`).
     """
-    eta = clearance_eta(query, frame, robot, obstacle, side, snap_tol)
+    eta = clearance_eta(query, frame, robot, obstacle, side)
     o = query.obstacles[obstacle]
     z = query.starts[robot]
     # Orthogonal projection of z onto the line through o parallel to e.
@@ -191,9 +187,7 @@ def swap_case_b(
     )
 
 
-def desingularize(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> ConfigurationQuery:
+def desingularize(query: ConfigurationQuery, frame: Frame) -> ConfigurationQuery:
     """The generic query that splits every projection coincidence of ``query``
     by staggered shifts along the line.
 
@@ -209,7 +203,7 @@ def desingularize(
             (a shift overflowed).
     """
     n = query.robot_count
-    scale = desingularization_gap(query, frame, snap_tol) / (2 * n + 1)
+    scale = desingularization_gap(query, frame) / (2 * n + 1)
     shifts = np.arange(1, 2 * n + 1)[:, None] * scale * frame.e
     return _checked_query(
         query.starts + shifts[:n], query.goals + shifts[n:], query.obstacles

@@ -16,8 +16,8 @@ ranks: ``classify`` counts them, ``orderings`` sorts tokens and groups
 obstacles by them, the gap families skip pairs of equal rank, both swaps
 check on them that their tokens are neighbours in the start ordering, and
 ``clearance_eta`` takes the far values and the coincident obstacles from
-them.  With ``snap_tol > 0`` nearly equal values chain into one class, and
-every decision sees the same classes.
+them.  Planning compares exactly; only ``classify`` takes a ``snap_tol``,
+under which nearly equal values chain into one class, to report labels.
 
 Comparison values are *scale-free* dot products along ``Frame.axis`` (exact
 for coordinate-axis frames and for axis-aligned obstacle pairs), while all
@@ -179,6 +179,11 @@ class ConfigurationQuery:
     @property
     def obstacle_count(self) -> int:
         return self.obstacles.shape[0]
+
+    @property
+    def extent(self) -> float:
+        """The largest coordinate magnitude of any point."""
+        return max(float(np.abs(p).max()) for p in (self.starts, self.goals, self.obstacles))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,15 +376,15 @@ class OrderingPair:
 
 
 def _ties(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float
+    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """The tie table of a query: comparison values of the 2n + m points in the
     order starts | goals | obstacles, and the tie-class rank of each.
 
     Ranks are 0, 1, 2, ... along the line.  Sorted values more than the
-    tolerance apart start a new class (single linkage); with ``snap_tol`` 0
-    the classes are exact-equality classes.  The tolerance is ``snap_tol`` in
-    length units, scaled to comparison values by the axis norm.
+    tolerance apart start a new class (single linkage); with ``snap_tol`` 0,
+    as in planning, they are exact-equality classes.  ``classify`` alone takes
+    a positive ``snap_tol``, in length units, scaled by the axis norm.
 
     Raises:
         QueryValidationError: ``snap_tol`` is negative, infinite or NaN.
@@ -404,7 +409,7 @@ def classify(query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0) -> 
     projection values attained only by robot starts/goals.  Together
     ``j + t`` equals the number of distinct projection values of the whole
     query.  ``snap_tol`` (absolute, in length units) optionally merges nearly
-    equal projections; the default 0 compares exactly.
+    equal projections for reporting; ``plan`` accepts only the default 0.
     """
     _, rank = _ties(query, frame, snap_tol)
     return _label(rank, query.robot_count)
@@ -415,11 +420,9 @@ def _label(rank: np.ndarray, n: int) -> RegionLabel:
     return RegionLabel(j=int(rank.max()) + 1 - t, t=t)
 
 
-def _generic_ties(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _generic_ties(query: ConfigurationQuery, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
     """The tie table of a generic query (see :func:`orderings`)."""
-    values, rank = _ties(query, frame, snap_tol)
+    values, rank = _ties(query, frame)
     n = query.robot_count
     label = _label(rank, n)
     if label.j != 2 * n:
@@ -430,7 +433,7 @@ def _generic_ties(
 
 
 def _start_neighbours(
-    query: ConfigurationQuery, frame: Frame, below: int, above: int, snap_tol: float
+    query: ConfigurationQuery, frame: Frame, below: int, above: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The tie table of a generic query whose entries ``below`` and ``above``
     (starts or obstacles) are neighbours in the start ordering, ``below``
@@ -440,7 +443,7 @@ def _start_neighbours(
         NotGenericError: the query is not generic.
         PreconditionError: the two entries are not neighbours in that order.
     """
-    values, rank = _generic_ties(query, frame, snap_tol)
+    values, rank = _generic_ties(query, frame)
     n = query.robot_count
     lo, hi = rank[below], rank[above]
     sigma_rank = np.concatenate([rank[:n], rank[2 * n:]])
@@ -451,9 +454,7 @@ def _start_neighbours(
     return values, rank
 
 
-def orderings(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> OrderingPair:
+def orderings(query: ConfigurationQuery, frame: Frame) -> OrderingPair:
     """Generalized ordering pair of a generic query.
 
     Requires the generic condition j = 2n: all robot projections (starts and
@@ -464,7 +465,7 @@ def orderings(
         NotGenericError: some robot projection coincides with another
             projection value.
     """
-    _, rank = _generic_ties(query, frame, snap_tol)
+    _, rank = _generic_ties(query, frame)
     n = query.robot_count
     members: dict[int, list[int]] = {}
     for k, r in enumerate(rank[2 * n:].tolist()):
@@ -481,7 +482,7 @@ def orderings(
     )
 
 
-def min_gap(query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0) -> float:
+def min_gap(query: ConfigurationQuery, frame: Frame) -> float:
     """Smallest positive projection gap within the start-start, goal-goal,
     start-obstacle and goal-obstacle families.
 
@@ -490,12 +491,10 @@ def min_gap(query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0) -> f
     vanishes the fallback value 1.0 is returned, so the result is always
     strictly positive.
     """
-    return _min_gap(query, frame, snap_tol, include_start_goal=False)
+    return _min_gap(query, frame, include_start_goal=False)
 
 
-def desingularization_gap(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
-) -> float:
+def desingularization_gap(query: ConfigurationQuery, frame: Frame) -> float:
     """Like :func:`min_gap` but also bounded by positive start-goal gaps.
 
     The splitting shifts give starts and goals different offsets, so an
@@ -503,13 +502,11 @@ def desingularization_gap(
     the result to be generic; folding that family into the bound makes the
     genericity guarantee unconditional.
     """
-    return _min_gap(query, frame, snap_tol, include_start_goal=True)
+    return _min_gap(query, frame, include_start_goal=True)
 
 
-def _min_gap(
-    query: ConfigurationQuery, frame: Frame, snap_tol: float, include_start_goal: bool
-) -> float:
-    _, rank = _ties(query, frame, snap_tol)
+def _min_gap(query: ConfigurationQuery, frame: Frame, include_start_goal: bool) -> float:
+    _, rank = _ties(query, frame)
     n, m = query.robot_count, query.obstacle_count
     q = np.concatenate(
         [query.starts @ frame.e, query.goals @ frame.e, query.obstacles @ frame.e]
@@ -530,7 +527,6 @@ def clearance_eta(
     robot: int,
     obstacle: int,
     side: Side,
-    snap_tol: float = 0.0,
 ) -> float:
     """Clearance available for swinging robot ``robot`` around obstacle
     ``obstacle`` toward ``side``.
@@ -557,7 +553,7 @@ def clearance_eta(
     o = 2 * n + obstacle
     # The robot starts on the far side of ``side`` and ends on it.
     values, rank = _start_neighbours(
-        query, frame, *((o, robot) if side is Side.LEFT else (robot, o)), snap_tol
+        query, frame, *((o, robot) if side is Side.LEFT else (robot, o))
     )
     r_o, cmp_o = rank[o], float(values[o])
     far = values[rank < r_o] if side is Side.LEFT else values[rank > r_o]

@@ -30,6 +30,12 @@ ENDPOINT_TOL = 1e-9
 BASIS_TOL = 1e-12
 
 
+def endpoint_tol(query: ConfigurationQuery) -> float:
+    """``ENDPOINT_TOL`` times the query's largest coordinate magnitude where
+    that exceeds 1: arc endpoints round in proportion to the coordinates."""
+    return ENDPOINT_TOL * max(1.0, query.extent)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearMove:
     """Straight-line motion from ``start`` to ``end`` at constant velocity."""
@@ -217,6 +223,7 @@ class PiecewisePath:
         return self.query.robot_count
 
     def _validate(self):
+        tol = endpoint_tol(self.query)
         if len(self.segments) != self.query.robot_count:
             raise InternalConsistencyError("one segment list per robot is required")
         for robot, per_robot in enumerate(self.segments):
@@ -232,14 +239,14 @@ class PiecewisePath:
                     raise InternalConsistencyError(
                         f"robot {robot} has a gap/overlap at t={a.t1}"
                     )
-                if not np.linalg.norm(a.move.final - b.move.initial) <= ENDPOINT_TOL:
+                if not np.linalg.norm(a.move.final - b.move.initial) <= tol:
                     raise InternalConsistencyError(
                         f"robot {robot} is discontinuous at t={a.t1}"
                     )
             first, last = per_robot[0].move.initial, per_robot[-1].move.final
-            if not np.linalg.norm(first - self.query.starts[robot]) <= ENDPOINT_TOL:
+            if not np.linalg.norm(first - self.query.starts[robot]) <= tol:
                 raise InternalConsistencyError(f"robot {robot} does not start at its start")
-            if not np.linalg.norm(last - self.query.goals[robot]) <= ENDPOINT_TOL:
+            if not np.linalg.norm(last - self.query.goals[robot]) <= tol:
                 raise InternalConsistencyError(f"robot {robot} does not end at its goal")
 
     def segment_at(self, robot: int, t) -> PathSegment:

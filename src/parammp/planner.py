@@ -45,7 +45,7 @@ from .geometry import (
     orderings,
     token_key,
 )
-from .paths import LinearMove, Move, PathSegment, PiecewisePath
+from .paths import LinearMove, Move, PathSegment, PiecewisePath, endpoint_tol
 
 __all__ = [
     "MAX_COORDINATE",
@@ -142,14 +142,12 @@ def _block_representative(query: ConfigurationQuery, block: frozenset[int]) -> i
     return min(block, key=lambda k: tuple(query.obstacles[k]))
 
 
-def _swap_deformation(
-    query: ConfigurationQuery, frame: Frame, swap: Swap, snap_tol: float
-) -> Stages:
+def _swap_deformation(query: ConfigurationQuery, frame: Frame, swap: Swap) -> Stages:
     """The stages of ``swap``, built on the configuration ``query``."""
     if isinstance(swap, CaseASwap):
-        return swap_case_a(query, frame, swap.left, swap.right, snap_tol)
+        return swap_case_a(query, frame, swap.left, swap.right)
     representative = _block_representative(query, swap.block)
-    return swap_case_b(query, frame, swap.robot, representative, swap.side, snap_tol)
+    return swap_case_b(query, frame, swap.robot, representative, swap.side)
 
 
 def _append_segment(segments: list[PathSegment], t0: Fraction, t1: Fraction, move: Move):
@@ -181,7 +179,6 @@ def compose_with_section(
     split: ConfigurationQuery,
     frame: Frame,
     swaps: list[Swap],
-    snap_tol: float,
 ) -> PiecewisePath:
     """Path for a degenerate ``query`` that :func:`desingularize` split into
     ``split``, which ``swaps`` sort.  Each robot moves straight from its start
@@ -194,7 +191,7 @@ def compose_with_section(
     for robot, per_robot in enumerate(segments):
         shift = LinearMove(query.starts[robot], split.starts[robot])
         _append_segment(per_robot, Fraction(0), one_third, shift)
-    _play_swaps(segments, split, frame, swaps, snap_tol, one_third, two_thirds)
+    _play_swaps(segments, split, frame, swaps, one_third, two_thirds)
     for robot, per_robot in enumerate(segments):
         shift = LinearMove(split.goals[robot], query.goals[robot])
         _append_segment(per_robot, two_thirds, Fraction(1), shift)
@@ -206,7 +203,6 @@ def _play_swaps(
     query: ConfigurationQuery,
     frame: Frame,
     swaps: list[Swap],
-    snap_tol: float,
     lo: Fraction,
     hi: Fraction,
 ):
@@ -227,22 +223,23 @@ def _play_swaps(
             stands, or a swap ends on an invalid configuration.
     """
     width = (hi - lo) / (len(swaps) + 1)
+    tol = endpoint_tol(query)
     current = query
     starts = np.array(query.starts)
     for i, swap in enumerate(swaps):
-        stages = _swap_deformation(current, frame, swap, snap_tol)
+        stages = _swap_deformation(current, frame, swap)
         step = width / len(stages)
         for j, stage in enumerate(stages):
             t0 = lo + i * width + j * step
             t1 = t0 + step
             for robot, move in stage.items():
-                if np.linalg.norm(move.initial - starts[robot]) > 1e-9:
+                if not np.linalg.norm(move.initial - starts[robot]) <= tol:
                     raise InternalConsistencyError(f"stage does not chain for robot {robot}")
                 starts[robot] = move.final
                 _append_segment(segments[robot], t0, t1, move)
         current = _checked_query(starts, query.goals, query.obstacles)
     start = lo + len(swaps) * width
-    for robot, line in enumerate(straight_moves(current, frame, snap_tol)):
+    for robot, line in enumerate(straight_moves(current, frame)):
         _append_segment(segments[robot], start, hi, line)
 
 
@@ -284,41 +281,48 @@ def plan(
     and played on [0, 1], or, for a degenerate query, on [1/3, 2/3] between
     the straight shifts to and from the split (:func:`compose_with_section`).
 
+    Planning is exact, so ``snap_tol`` (``options.snap_tolerance``) must be
+    0: a snap tolerance only labels queries (:func:`classify`).
+
     Raises:
-        QueryValidationError: via ConfigurationQuery construction upstream,
-            or a coordinate above ``MAX_COORDINATE`` in magnitude.
+        QueryValidationError: ``snap_tol`` is not 0, a coordinate is above
+            ``MAX_COORDINATE`` in magnitude, or via ConfigurationQuery
+            construction upstream.
         ModeUnsupportedError: obstacle-pair mode in odd dimension or m < 2.
     """
-    points = (query.starts, query.goals, query.obstacles)
-    extent = max(float(np.abs(p).max()) for p in points)
+    if snap_tol != 0:  # NaN too
+        raise QueryValidationError(
+            [f"plan: options.snap_tolerance must be 0 (only classify snaps), got {snap_tol!r}"]
+        )
+    extent = query.extent
     if extent > MAX_COORDINATE:
         raise QueryValidationError(
             [f"plan: coordinates must not exceed {MAX_COORDINATE:g} in magnitude, got {extent:g}"]
         )
     mode = default_mode(query) if mode is None else FrameMode(mode)
     frame = make_frame(query, mode)
-    label = classify(query, frame, snap_tol)
+    label = classify(query, frame)
     n = query.robot_count
 
     if label.j == 2 * n:
         generic_query = query
     else:
-        generic_query = desingularize(query, frame, snap_tol)
-        post_label = classify(generic_query, frame, snap_tol)
+        generic_query = desingularize(query, frame)
+        post_label = classify(generic_query, frame)
         if post_label.j != 2 * n or post_label.t != label.t:
             raise InternalConsistencyError(
                 "desingularization failed to reach a generic configuration "
                 f"(expected j={2 * n}, t={label.t}; got j={post_label.j}, t={post_label.t})"
             )
 
-    pair = orderings(generic_query, frame, snap_tol)
+    pair = orderings(generic_query, frame)
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
     if generic_query is query:
         segments = [[] for _ in range(n)]
-        _play_swaps(segments, query, frame, swaps, snap_tol, Fraction(0), Fraction(1))
+        _play_swaps(segments, query, frame, swaps, Fraction(0), Fraction(1))
         path = PiecewisePath(query=query, segments=segments)
     else:
-        path = compose_with_section(query, generic_query, frame, swaps, snap_tol)
+        path = compose_with_section(query, generic_query, frame, swaps)
     return PlanResult(
         path=path,
         region=label,

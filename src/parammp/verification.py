@@ -484,7 +484,6 @@ def check_partition(
     mode: Union[FrameMode, str] = FrameMode.FIXED,
     trials: int = 1000,
     seed: int = 0,
-    snap_tol: float = 0.0,
 ) -> PartitionReport:
     """Classify random queries and report the realized domain indices.
 
@@ -499,7 +498,7 @@ def check_partition(
     for _ in range(trials):
         query = random_query(rng, n, m, d)
         frame = make_frame(query, mode)
-        label = classify(query, frame, snap_tol)
+        label = classify(query, frame)
         low = 2 if mode is FrameMode.OBSTACLE_PAIR else 1
         if not (0 <= label.j <= 2 * n and 1 <= label.t <= m and low <= label.c <= 2 * n + m):
             out_of_range += 1
@@ -529,7 +528,6 @@ def continuity_probe(
     epsilons: Sequence[float],
     mode: Union[FrameMode, str, None] = None,
     time_samples: int = 256,
-    snap_tol: float = 0.0,
 ) -> list[float]:
     """Sup-distance between the base path and paths of perturbed queries.
 
@@ -540,12 +538,12 @@ def continuity_probe(
     Returns one sup-distance D(eps) per epsilon, where the supremum runs over
     the sampled times and all robots.
     """
-    base = plan(query, mode=mode, snap_tol=snap_tol)
+    base = plan(query, mode=mode)
     frame = base.frame
-    base_label = classify(query, frame, snap_tol)
+    base_label = classify(query, frame)
     base_patterns = None
     try:
-        pair = orderings(query, frame, snap_tol)
+        pair = orderings(query, frame)
         base_patterns = (pair.start_pattern(), pair.goal_pattern())
     except ParammpError:
         pass
@@ -556,18 +554,18 @@ def continuity_probe(
     for eps in epsilons:
         perturbed = direction.apply(query, eps)
         p_frame = make_frame(perturbed, base.mode)
-        p_label = classify(perturbed, p_frame, snap_tol)
+        p_label = classify(perturbed, p_frame)
         if p_label != base_label:
             raise RegionCrossingError(
                 f"perturbation eps={eps} moved the query from {base_label} to {p_label}"
             )
         if base_patterns is not None:
-            p_pair = orderings(perturbed, p_frame, snap_tol)
+            p_pair = orderings(perturbed, p_frame)
             if (p_pair.start_pattern(), p_pair.goal_pattern()) != base_patterns:
                 raise RegionCrossingError(
                     f"perturbation eps={eps} changed the ordering pair"
                 )
-        result = plan(perturbed, mode=base.mode, snap_tol=snap_tol)
+        result = plan(perturbed, mode=base.mode)
         worst = 0.0
         for r in range(query.robot_count):
             delta = result.path.positions_at(r, ts) - base_samples[r]

@@ -1,25 +1,60 @@
-"""The benchmark's tracer (``bench/tracing.py``) wraps library functions and
-methods by name.  A rename in the library must fail here, not only in a
-traced benchmark run."""
+"""The benchmark (``bench/``) reaches the library by name: its tracer
+(``bench/tracing.py``) wraps library functions and methods, and its ops
+(``bench/ops.py``) call the public functions with the keywords the
+``parammp`` command passes.  A rename or a dropped parameter in the library
+must fail here, not only in a benchmark run."""
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from parammp import deformations, geometry, planner, verification
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name, monkeypatch):
+    """Run ``bench/<name>.py`` as module ``name``, registered in sys.modules
+    for the test's duration: dataclasses look their module up there while
+    the module runs, and ``ops`` imports ``corpus`` by name."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_binding_resolves(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    # dataclasses look their module up in sys.modules while the module runs
-    monkeypatch.setitem(sys.modules, spec.name, tracing)
-    spec.loader.exec_module(tracing)
+    tracing = _load("tracing", monkeypatch)
     missing = [
         f"{name}: {getattr(owner, '__name__', owner)}.{attr}"
         for name, owner, attr in tracing.TARGETS
         if attr not in owner.__dict__
     ]
     assert not missing
+
+
+def test_bench_ops_run_on_one_document_per_workload(monkeypatch):
+    corpus = _load("corpus", monkeypatch)
+    ops = _load("ops", monkeypatch)
+    for workload in corpus.WORKLOADS.values():
+        text = corpus.generate(workload, 1)[0]
+        for op in sorted({workload.op, "classify"}):
+            outcome = ops.OPS[op](text)
+            assert outcome.error is None, (workload.name, op, outcome.error)
+
+
+def test_only_classify_and_plan_take_a_snap_tolerance():
+    # classify reports with it; plan accepts the problem option only as 0.
+    takers = {
+        f"{module.__name__}.{name}"
+        for module in (geometry, deformations, planner, verification)
+        for name, function in inspect.getmembers(module, inspect.isfunction)
+        if not name.startswith("_")
+        and function.__module__ == module.__name__
+        and "snap_tol" in inspect.signature(function).parameters
+    }
+    assert takers == {"parammp.geometry.classify", "parammp.planner.plan"}

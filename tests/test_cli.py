@@ -161,6 +161,30 @@ def test_number_a_float_cannot_hold_is_validation_error(
     assert message in capsys.readouterr().err
 
 
+def test_snap_tolerance_is_classify_only(tmp_path, capsys):
+    # classify reports the snapped label (the start at 0.16 ties to the
+    # obstacle through the start at 0.08); plan and verify are exact and
+    # refuse the option rather than plan a query other than the one labelled.
+    path = tmp_path / "problem.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": "1",
+                "dim": 2,
+                "starts": [[0.08, 1.0], [0.16, 2.0]],
+                "goals": [[5.0, 1.0], [6.0, 1.0]],
+                "obstacles": [[0.0, 0.0]],
+                "options": {"snap_tolerance": 0.1},
+            }
+        )
+    )
+    assert main(["classify", "--input", str(path), "--mode", "fixed"]) == 0
+    assert json.loads(capsys.readouterr().out)["region"] == {"j": 2, "t": 1, "c": 3}
+    for command in ("plan", "verify"):
+        assert main([command, "--input", str(path)]) == 1
+        assert "options.snap_tolerance must be 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv", [["classify", "--bogus"], ["classify", "--samples", "64"], ["frobnicate"]]
 )

@@ -259,7 +259,7 @@ class TestClassify:
         assert classify_oracle(q, f) == RegionLabel(j=3, t=1)
         with pytest.raises(QueryValidationError, match="snap_tol: expected a finite number >= 0"):
             classify(q, f, snap_tol)
-        with pytest.raises(QueryValidationError, match="snap_tol"):
+        with pytest.raises(QueryValidationError, match="options.snap_tolerance must be 0"):
             plan(q, snap_tol=snap_tol)
 
     def test_bounds_on_random_queries(self):
@@ -563,15 +563,14 @@ class TestTieTable:
             ]
             assert clearance_eta(query, f, r, o, side) == min(terms)
 
-    def test_gaps_skip_pairs_tied_through_a_chain(self):
+    def test_snap_tolerance_ties_through_a_chain(self):
         # Obstacle at x = 0, starts at 0.08 and 0.16, tolerance 0.1: the start
         # at 0.16 is more than 0.1 from the obstacle, but classify ties it to
-        # the obstacle through the start at 0.08, so no gap may count it.
+        # the obstacle through the start at 0.08 (single linkage).
         q = q3([[0.08, 1.0], [0.16, 2.0]], [[5.0, 1.0], [6.0, 1.0]], [[0.0, 0.0]])
         f = make_frame(q, FrameMode.FIXED)
         assert classify(q, f, snap_tol=0.1) == RegionLabel(j=2, t=1)
-        assert min_gap(q, f, snap_tol=0.1) == 1.0  # the goal-goal gap
-        assert desingularization_gap(q, f, snap_tol=0.1) == 1.0
+        assert classify(q, f) == RegionLabel(j=4, t=1)
 
     def test_near_tie_in_comparison_values_is_a_precondition_error(self):
         # The starts' comparison values differ (exact gap 1.0e-14), so the

@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parammp import (
     CaseASwap,
@@ -18,6 +19,7 @@ from parammp import (
     InvalidOrderingPairError,
     LinearMove,
     ObstacleBlock,
+    QueryValidationError,
     RobotGoal,
     RobotStart,
     Side,
@@ -334,20 +336,20 @@ class TestPlan:
         res = plan(q, mode="fixed")
         assert res.swap_count == 1
 
-    def test_snap_tolerance_stabilizes_noisy_degenerate_query(self):
-        # hand-authored degenerate query with float noise on the coincidence:
-        # exact comparison sees a generic query, the snapped one collapses it
+    def test_positive_snap_tolerance_is_rejected(self):
+        # A degenerate query with float noise on the coincidence: planning
+        # is exact and plans the generic query it sees; a tolerance that
+        # would plan the snapped query instead is refused, naming the option.
         noisy = ConfigurationQuery(
             starts=[[1e-13, 1.0, 0.0]],
             goals=[[2.0, 2.0, 0.0]],
             obstacles=[[0.0, 0.0, 1.0], [4.0, 0.0, 0.0]],
         )
         exact = plan(noisy, mode="fixed")
-        snapped = plan(noisy, mode="fixed", snap_tol=1e-9)
         assert exact.region.j == 2
-        assert snapped.region.j == 1  # the noisy start merges with obstacle 0
-        assert snapped.domain_index == 3
-        assert certify_separation(snapped.path).passed
+        assert certify_separation(exact.path).passed
+        with pytest.raises(QueryValidationError, match="options.snap_tolerance must be 0"):
+            plan(noisy, mode="fixed", snap_tol=1e-9)
 
     def test_obstacle_pair_plan_d2(self):
         q = ConfigurationQuery(
@@ -424,3 +426,37 @@ class TestFlatSchedule:
         emitted = sum(len(per) for per in res.path.segments)
         assert res.swap_count > 200
         assert built <= 2 * emitted
+
+
+class TestScale:
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(), st.integers(0, 12))
+    def test_scaled_query_plans_like_the_unscaled_one(self, case, k):
+        # Arc endpoints carry rounding in proportion to the coordinates, so
+        # junctions are checked relative to the query's extent.  Fixed frames
+        # compare first coordinates, which scaling keeps in order and tied
+        # exactly, so region and swaps must not change.  (An obstacle-pair
+        # frame compares rounded dot products, whose ties scaling can break.)
+        query, _ = case
+        scale = 10.0**k
+        scaled = ConfigurationQuery(
+            starts=query.starts * scale,
+            goals=query.goals * scale,
+            obstacles=query.obstacles * scale,
+        )
+        base, res = plan(query, mode="fixed"), plan(scaled, mode="fixed")
+        assert res.region == base.region
+        assert transposition_sequence(
+            res.ordering_pair.sigma, res.ordering_pair.sigma_prime
+        ) == transposition_sequence(base.ordering_pair.sigma, base.ordering_pair.sigma_prime)
+        assert certify_separation(res.path, samples_per_segment=16).passed
+
+    @pytest.mark.parametrize("k", [6, 8, 10, 12])
+    def test_scaled_random_queries_plan_and_certify(self, k):
+        for seed in range(20):
+            q = random_query(np.random.default_rng(seed), 3, 3, 3)
+            scaled = ConfigurationQuery(
+                starts=q.starts * 10.0**k, goals=q.goals * 10.0**k, obstacles=q.obstacles * 10.0**k
+            )
+            res = plan(scaled, mode="fixed")
+            assert certify_separation(res.path, samples_per_segment=16).passed
