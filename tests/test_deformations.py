@@ -539,7 +539,7 @@ class TestEvaluateDeformation:
             starts=[[0.0, 1.0]], goals=q.goals, obstacles=q.obstacles
         )
         stages = swap_case_b(other, fixed_frame(other), 0, 0, Side.RIGHT)
-        monkeypatch.setattr(planner, "swap_case_b", lambda *args: stages)
+        monkeypatch.setattr(planner, "_case_b_stages", lambda *args: stages)
         with pytest.raises(InternalConsistencyError, match="stage does not chain for robot 0"):
             plan(q, FrameMode.FIXED)
 
@@ -645,6 +645,35 @@ class TestEndQuery:
     def test_landing_on_an_obstacle_is_internal_error(self, monkeypatch):
         q = one_crossing_query()
         stages = ({0: LinearMove(q.starts[0], q.obstacles[0])},)
-        monkeypatch.setattr(planner, "swap_case_b", lambda *args: stages)
+        monkeypatch.setattr(planner, "_case_b_stages", lambda *args: stages)
         with pytest.raises(InternalConsistencyError, match="coincides with obstacles"):
+            plan(q, FrameMode.FIXED)
+
+    @pytest.mark.parametrize(
+        "landing, message",
+        [
+            # valid points, but on the projection of goal 1: not generic
+            ((1.5, 0.0), r"swap 0: starts\[0\] coincides with goals\[1\]"),
+            # generic, but past start 1, its next neighbour: out of order
+            ((2.5, 0.0), r"swap 0: obstacles\[0\] is not next below starts\[0\]"),
+            # a NaN projection equals no value, its own included
+            ((math.nan, 0.0), r"swap 0: starts\[0\] coincides with NaN"),
+        ],
+    )
+    def test_a_bad_landing_fails_at_its_swap(self, monkeypatch, landing, message):
+        # Swaps: robot 0 crosses obstacle 0, trades places with robot 1, then
+        # crosses obstacle 1.  Swap 0 lands robot 0 at ``landing`` instead;
+        # the planner must not go on to build the next swap on that.
+        q = ConfigurationQuery(
+            starts=[[0.0, 0.0], [2.0, 3.0]],
+            goals=[[5.0, 6.0], [1.5, 7.0]],
+            obstacles=[[1.0, 5.0], [3.0, 5.0]],
+        )
+        assert plan(q, FrameMode.FIXED).swap_count == 3
+        monkeypatch.setattr(
+            planner,
+            "_case_b_stages",
+            lambda starts, *args: ({0: LinearMove(starts[0].copy(), landing)},),
+        )
+        with pytest.raises(InternalConsistencyError, match=message):
             plan(q, FrameMode.FIXED)

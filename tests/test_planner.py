@@ -16,6 +16,7 @@ from parammp import (
     CaseBSwap,
     ConfigurationQuery,
     FrameMode,
+    InternalConsistencyError,
     InvalidOrderingPairError,
     LinearMove,
     ObstacleBlock,
@@ -32,9 +33,12 @@ from parammp import (
     plan,
     random_query,
     serialize_plan,
+    straight_moves,
+    swap_case_a,
+    swap_case_b,
     transposition_sequence,
 )
-from parammp import paths
+from parammp import geometry, paths, planner
 from query_strategies import small_queries
 
 
@@ -460,3 +464,74 @@ class TestScale:
             )
             res = plan(scaled, mode="fixed")
             assert certify_separation(res.path, samples_per_segment=16).passed
+
+
+def _reference_play_swaps(segments, query, frame, swaps, lo, hi):
+    """The planner's swap loop before it kept one sweep state: each swap is
+    built by the public swap functions on the configuration the last one
+    ended on, rebuilt and fully validated as a query after every swap."""
+    width = (hi - lo) / (len(swaps) + 1)
+    tol = paths.endpoint_tol(query)
+    current = query
+    starts = np.array(query.starts)
+    for i, swap in enumerate(swaps):
+        if isinstance(swap, CaseASwap):
+            stages = swap_case_a(current, frame, swap.left, swap.right)
+        else:
+            representative = planner._block_representative(current, swap.block)
+            stages = swap_case_b(current, frame, swap.robot, representative, swap.side)
+        step = width / len(stages)
+        for j, stage in enumerate(stages):
+            t0 = lo + i * width + j * step
+            t1 = t0 + step
+            for robot, move in stage.items():
+                if not np.linalg.norm(move.initial - starts[robot]) <= tol:
+                    raise InternalConsistencyError(f"stage does not chain for robot {robot}")
+                starts[robot] = move.final
+                planner._append_segment(segments[robot], t0, t1, move)
+        current = ConfigurationQuery(starts, query.goals, query.obstacles)
+    start = lo + len(swaps) * width
+    for robot, line in enumerate(straight_moves(current, frame)):
+        planner._append_segment(segments[robot], start, hi, line)
+
+
+def _reference_plan_text(query, mode):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner, "_play_swaps", _reference_play_swaps)
+        return serialize_plan(plan(query, mode=mode))
+
+
+class TestSweepState:
+    """The swaps play on one sweep state, validated once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_queries())
+    def test_plans_match_the_per_swap_reference(self, case):
+        query, mode = case
+        assert serialize_plan(plan(query, mode=mode)) == _reference_plan_text(query, mode)
+
+    def test_plan_matches_the_per_swap_reference_at_twenty_robots(self):
+        q = random_query(np.random.default_rng(0), 20, 20, 3)
+        assert serialize_plan(plan(q, mode="fixed")) == _reference_plan_text(q, "fixed")
+
+    def test_validations_do_not_grow_with_the_swaps(self, monkeypatch):
+        # The per-swap loop validated a fresh query and built a fresh tie
+        # table after each of the 205 swaps.
+        q = random_query(np.random.default_rng(0), 20, 20, 3)
+        calls = {"validate": 0, "ties": 0}
+
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        validate = counting("validate", ConfigurationQuery.__post_init__)
+        monkeypatch.setattr(ConfigurationQuery, "__post_init__", validate)
+        ties = counting("ties", geometry._ties)
+        for module in (geometry, planner):
+            monkeypatch.setattr(module, "_ties", ties, raising=False)
+        res = plan(q, mode="fixed")
+        assert res.swap_count == 205
+        assert calls["validate"] <= 2 and calls["ties"] <= 4, calls
