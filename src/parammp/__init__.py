@@ -23,11 +23,8 @@ from .geometry import (
     ConfigurationQuery,
     Frame,
     FrameMode,
-    ObstacleBlock,
     OrderingPair,
     RegionLabel,
-    RobotGoal,
-    RobotStart,
     Side,
     classify,
     clearance_eta,

@@ -104,8 +104,12 @@ def _samples(args) -> Optional[int]:
 
 
 def _load(args):
-    with open(args.input, "r", encoding="utf-8") as handle:
-        document = parse_problem(handle.read())
+    try:
+        with open(args.input, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise QueryValidationError([f"{args.input}: not UTF-8 text: {exc}"]) from exc
+    document = parse_problem(text)
     mode = args.mode.replace("-", "_") if args.mode else None
     if mode is None and document.mode is not None:
         mode = document.frame_mode()

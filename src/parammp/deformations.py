@@ -62,16 +62,16 @@ def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
 def straight_moves(query: ConfigurationQuery, frame: Frame) -> list[LinearMove]:
     """Each robot's straight line from its start to its goal.
 
-    Valid exactly when the start and goal orderings agree (same token
-    pattern): order preservation of the projections then rules out every
-    collision along the way.
+    Valid exactly when the start and goal orderings agree (``sigma ==
+    sigma_prime``): order preservation of the projections then rules out
+    every collision along the way.
 
     Raises:
         PreconditionError: the orderings differ.
         NotGenericError: the query is not generic.
     """
     pair = orderings(query, frame)
-    if not pair.patterns_equal():
+    if pair.sigma != pair.sigma_prime:
         raise PreconditionError(
             "straight-line section needs identical start and goal orderings"
         )

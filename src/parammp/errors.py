@@ -37,7 +37,9 @@ class PreconditionError(ParammpError):
 
 
 class InvalidOrderingPairError(ParammpError):
-    """The two orderings do not share the same obstacle blocks in the same order."""
+    """An ordering pair is malformed: an entry appears twice, the two
+    orderings hold different entries, two obstacle blocks share an obstacle,
+    or the blocks come in different orders."""
 
 
 class InternalConsistencyError(ParammpError):

@@ -144,6 +144,8 @@ def parse_problem(text: str) -> ProblemDocument:
         ) from exc
     except ValueError as exc:  # an integer literal with too many digits
         raise QueryValidationError([f"JSON number error: {exc}"]) from exc
+    except RecursionError as exc:  # arrays or objects nested too deep
+        raise QueryValidationError([f"JSON nesting error: {exc}"]) from exc
     errors: list[str] = []
     if not isinstance(raw, dict):
         raise QueryValidationError(["top level: expected a JSON object"])
@@ -338,14 +340,16 @@ def parse_plan(text: str) -> PiecewisePath:
 
     Raises:
         QueryValidationError: the text is not a well-formed plan document: bad
-            JSON, a missing or mistyped field, a robot entry out of place, a
-            segment point without the query's dimension, an unknown segment
-            kind, a time bound that is not a rational, or segments that do not
-            chain.
+            or too deeply nested JSON, a missing or mistyped field, a robot
+            entry out of place, a segment point without the query's dimension,
+            an unknown segment kind, a time bound that is not a rational, or
+            segments that do not chain.
     """
     try:
         return _path_from_document(json.loads(text))
-    except (ArithmeticError, InternalConsistencyError, LookupError, TypeError, ValueError) as exc:
+    except (
+        ArithmeticError, InternalConsistencyError, LookupError, RecursionError, TypeError, ValueError
+    ) as exc:
         raise QueryValidationError([f"plan document: {type(exc).__name__}: {exc}"]) from exc
 
 

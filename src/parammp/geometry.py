@@ -12,13 +12,14 @@ That combinatorics is worked out once per query, in one table (:func:`_ties`):
 the comparison values of the 2n + m points, starts | goals | obstacles, and a
 tie-class rank for each.  Two points are tied exactly when their ranks are
 equal, and ranks increase along the line.  Every discrete decision reads the
-table: ``classify`` counts the ranks, ``orderings`` sorts tokens and groups
-obstacles by them, and the gap families skip pairs of equal rank.  Planning
-compares exactly, so there ranks and values tie and order alike: the
-start-order neighbour test (:func:`_start_place`) and ``clearance_eta`` read
-the values, which the planner's sweep keeps up to date as starts move.  Only
-``classify`` takes a ``snap_tol``, under which nearly equal values chain into
-one class, to report labels.
+table: ``classify`` counts the ranks, ``orderings`` sorts robot indices and
+obstacle blocks (obstacles grouped by rank) by them, and the gap families
+skip pairs of equal rank.  Planning compares exactly, so there ranks and
+values tie and order alike: the start-order neighbour test
+(:func:`_start_place`) and ``clearance_eta`` read the values, which the
+planner's sweep keeps up to date as starts move.  Only ``classify`` takes a
+``snap_tol``, under which nearly equal values chain into one class, to report
+labels.
 
 Comparison values are *scale-free* dot products along ``Frame.axis`` (exact
 for coordinate-axis frames and for axis-aligned obstacle pairs), while all
@@ -38,7 +39,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    InvalidOrderingPairError,
     ModeUnsupportedError,
     NotGenericError,
     PreconditionError,
@@ -49,11 +49,8 @@ __all__ = [
     "ConfigurationQuery",
     "Frame",
     "FrameMode",
-    "ObstacleBlock",
     "OrderingPair",
     "RegionLabel",
-    "RobotGoal",
-    "RobotStart",
     "Side",
     "classify",
     "clearance_eta",
@@ -306,74 +303,22 @@ class RegionLabel:
         return self.j + self.t
 
 
-@dataclass(frozen=True)
-class RobotStart:
-    robot: int
-
-
-@dataclass(frozen=True)
-class RobotGoal:
-    robot: int
-
-
-@dataclass(frozen=True)
-class ObstacleBlock:
-    """A maximal group of obstacles sharing one projection value."""
-
-    obstacles: frozenset[int]
-
-
-Token = Union[RobotStart, RobotGoal, ObstacleBlock]
-
-
-def token_key(token: Token):
-    """Collapse start/goal tokens of the same robot to one comparable key."""
-    if isinstance(token, (RobotStart, RobotGoal)):
-        return ("r", token.robot)
-    return ("o", tuple(sorted(token.obstacles)))
+# An entry of an ordering: a robot index, or an obstacle block, the set of
+# obstacle indices that share one comparison value.
+Entry = Union[int, frozenset[int]]
 
 
 @dataclass(frozen=True)
 class OrderingPair:
-    """Left-to-right orderings of robot tokens and obstacle blocks.
+    """Left-to-right orderings of robots and obstacle blocks.
 
-    ``sigma`` orders robot starts together with the obstacle blocks by
-    projection value; ``sigma_prime`` does the same with robot goals.  The
-    obstacle blocks are identical (same membership, same relative order) in
-    both sequences.
+    ``sigma`` orders the robots, by their starts, together with the obstacle
+    blocks; ``sigma_prime`` does the same with the robots' goals.  Plain
+    data: :func:`parammp.planner.transposition_sequence` validates a pair.
     """
 
-    sigma: tuple[Token, ...]
-    sigma_prime: tuple[Token, ...]
-
-    def __post_init__(self):
-        blocks = self.blocks
-        if blocks != tuple(tok for tok in self.sigma_prime if isinstance(tok, ObstacleBlock)):
-            raise InvalidOrderingPairError(
-                "obstacle blocks differ between the two orderings"
-            )
-        robots = sorted(t.robot for t in self.sigma if isinstance(t, RobotStart))
-        robots_prime = sorted(t.robot for t in self.sigma_prime if isinstance(t, RobotGoal))
-        if robots != robots_prime or len(set(robots)) != len(robots):
-            raise InvalidOrderingPairError("each robot must appear exactly once per ordering")
-        members: list[int] = []
-        for block in blocks:
-            members.extend(block.obstacles)
-        if sorted(members) != sorted(set(members)):
-            raise InvalidOrderingPairError("obstacle blocks must be disjoint")
-
-    @property
-    def blocks(self) -> tuple[ObstacleBlock, ...]:
-        return tuple(tok for tok in self.sigma if isinstance(tok, ObstacleBlock))
-
-    def start_pattern(self) -> tuple:
-        return tuple(token_key(tok) for tok in self.sigma)
-
-    def goal_pattern(self) -> tuple:
-        return tuple(token_key(tok) for tok in self.sigma_prime)
-
-    def patterns_equal(self) -> bool:
-        return self.start_pattern() == self.goal_pattern()
+    sigma: tuple[Entry, ...]
+    sigma_prime: tuple[Entry, ...]
 
 
 def _ties(
@@ -460,7 +405,9 @@ def _start_place(values: np.ndarray, n: int, below: int, above: int) -> int:
 
 
 def orderings(query: ConfigurationQuery, frame: Frame) -> OrderingPair:
-    """Generalized ordering pair of a generic query.
+    """Generalized ordering pair of a generic query: robot indices and
+    obstacle blocks sorted by their ranks in the tie table, with the starts
+    for ``sigma`` and the goals for ``sigma_prime``.
 
     Requires the generic condition j = 2n: all robot projections (starts and
     goals alike) pairwise distinct and distinct from every obstacle
@@ -472,19 +419,15 @@ def orderings(query: ConfigurationQuery, frame: Frame) -> OrderingPair:
     """
     _, rank = _generic_ties(query, frame)
     n = query.robot_count
-    members: dict[int, list[int]] = {}
+    blocks: dict[int, frozenset[int]] = {}
     for k, r in enumerate(rank[2 * n:].tolist()):
-        members.setdefault(r, []).append(k)
-    blocks = [(r, ObstacleBlock(frozenset(ks))) for r, ks in members.items()]
+        blocks[r] = blocks.get(r, frozenset()) | {k}
 
-    def sequence(robot_rank: np.ndarray, make_token) -> tuple[Token, ...]:
-        entries = [(r, make_token(i)) for i, r in enumerate(robot_rank.tolist())]
-        return tuple(tok for _, tok in sorted(entries + blocks, key=lambda e: e[0]))
+    def sequence(robot_rank: np.ndarray) -> tuple[Entry, ...]:
+        at = {**blocks, **{r: i for i, r in enumerate(robot_rank.tolist())}}
+        return tuple(at[r] for r in sorted(at))
 
-    return OrderingPair(
-        sigma=sequence(rank[:n], RobotStart),
-        sigma_prime=sequence(rank[n:2 * n], RobotGoal),
-    )
+    return OrderingPair(sigma=sequence(rank[:n]), sigma_prime=sequence(rank[n:2 * n]))
 
 
 def min_gap(query: ConfigurationQuery, frame: Frame) -> float:

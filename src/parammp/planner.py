@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,9 +43,9 @@ from .errors import (
 )
 from .geometry import (
     ConfigurationQuery,
+    Entry,
     Frame,
     FrameMode,
-    OrderingPair,
     RegionLabel,
     Side,
     _block_distance,
@@ -56,7 +56,6 @@ from .geometry import (
     classify,
     make_frame,
     orderings,
-    token_key,
 )
 from .paths import LinearMove, Move, PathSegment, PiecewisePath, endpoint_tol
 
@@ -98,50 +97,54 @@ Swap = Union[CaseASwap, CaseBSwap]
 
 
 def transposition_sequence(
-    sigma: tuple, sigma_prime: tuple
+    sigma: Sequence[Entry], sigma_prime: Sequence[Entry]
 ) -> list[Swap]:
-    """Adjacent transpositions turning the start pattern into the goal pattern.
+    """Adjacent transpositions turning the ordering ``sigma`` into
+    ``sigma_prime`` (see :class:`~parammp.geometry.OrderingPair`); the one
+    validator of an ordering pair.
 
     Deterministic bubble-sort discipline: repeatedly swap the leftmost
-    adjacent pair that is out of order relative to the goal pattern.  Robot
+    adjacent pair that is out of order relative to ``sigma_prime``.  Robot
     pairs become Case A swaps, robot/block pairs become Case B swaps with the
     side the robot moves toward; blocks never swap with each other.  The
-    sequence length equals the inversion count between the two patterns,
+    sequence length equals the inversion count between the two orderings,
     which is the minimum possible number of adjacent transpositions.  Pairs
     left of a swap stay in order, so the scan resumes one position before
-    it: O(L + k) steps for L tokens and k swaps.
+    it: O(L + k) steps for L entries and k swaps.
 
     Raises:
-        InvalidOrderingPairError: the patterns do not share the same tokens
-            or do not list the obstacle blocks in the same order.
+        InvalidOrderingPairError: an entry appears twice, the orderings hold
+            different entries, two blocks share an obstacle, or the blocks
+            come in different orders.
     """
-    if isinstance(sigma, OrderingPair) or isinstance(sigma_prime, OrderingPair):
-        raise TypeError("pass OrderingPair.sigma and OrderingPair.sigma_prime")
-    current = [token_key(tok) for tok in sigma]
-    target = [token_key(tok) for tok in sigma_prime]
-    if sorted(current) != sorted(target):
-        raise InvalidOrderingPairError("orderings are over different token sets")
-    if [k for k in current if k[0] == "o"] != [k for k in target if k[0] == "o"]:
+    current = list(sigma)
+    rank = {entry: pos for pos, entry in enumerate(sigma_prime)}
+    blocks = [entry for entry in current if isinstance(entry, frozenset)]
+    members = [k for block in blocks for k in block]
+    if len(set(current)) != len(current) or len(rank) != len(sigma_prime):
+        raise InvalidOrderingPairError("an entry appears twice in one ordering")
+    if set(current) != rank.keys():
+        raise InvalidOrderingPairError("the orderings hold different entries")
+    if len(set(members)) != len(members):
+        raise InvalidOrderingPairError("two obstacle blocks share an obstacle")
+    if blocks != [entry for entry in sigma_prime if isinstance(entry, frozenset)]:
         raise InvalidOrderingPairError("obstacle blocks appear in different orders")
-    rank = {key: pos for pos, key in enumerate(target)}
 
     swaps: list[Swap] = []
     p = 0
     while p < len(current) - 1:
-        if rank[current[p]] <= rank[current[p + 1]]:
+        left, right = current[p], current[p + 1]
+        if rank[left] <= rank[right]:
             p += 1
             continue
-        left, right = current[p], current[p + 1]
-        if left[0] == "r" and right[0] == "r":
-            swaps.append(CaseASwap(left=left[1], right=right[1]))
-        elif left[0] == "r":
-            # A block's key ("o", sorted members) holds its members.
-            swaps.append(CaseBSwap(robot=left[1], block=frozenset(right[1]), side=Side.RIGHT))
-        elif right[0] == "r":
-            swaps.append(CaseBSwap(robot=right[1], block=frozenset(left[1]), side=Side.LEFT))
-        else:  # two blocks out of order: impossible after the checks above
-            raise InvalidOrderingPairError("obstacle blocks cannot swap")
-        current[p], current[p + 1] = current[p + 1], current[p]
+        # Two blocks are never out of order after the checks above.
+        if isinstance(left, frozenset):
+            swaps.append(CaseBSwap(robot=right, block=left, side=Side.LEFT))
+        elif isinstance(right, frozenset):
+            swaps.append(CaseBSwap(robot=left, block=right, side=Side.RIGHT))
+        else:
+            swaps.append(CaseASwap(left=left, right=right))
+        current[p], current[p + 1] = right, left
         p = max(p - 1, 0)
     return swaps
 
@@ -295,18 +298,25 @@ def _play_swaps(
 class PlanResult:
     """A planned motion together with the data that selected it.
 
-    ``region`` labels the original query; ``ordering_pair`` belongs to the
-    generic configuration actually sorted (the query itself, or its
-    desingularized image).  ``domain_index`` is ``region.c``.
+    ``region`` labels the original query; ``swaps`` sort the ordering pair
+    of the generic configuration actually planned (the query itself, or its
+    desingularized image), in the order they play.
     """
 
     path: PiecewisePath
     region: RegionLabel
-    ordering_pair: OrderingPair
-    domain_index: int
-    swap_count: int
+    swaps: tuple[Swap, ...]
     mode: FrameMode
     frame: Frame
+
+    @property
+    def domain_index(self) -> int:
+        """The continuity-domain index, ``region.c``."""
+        return self.region.c
+
+    @property
+    def swap_count(self) -> int:
+        return len(self.swaps)
 
 
 def default_mode(query: ConfigurationQuery) -> FrameMode:
@@ -378,12 +388,4 @@ def plan(
         path = PiecewisePath(query=query, segments=segments)
     else:
         path = compose_with_section(query, generic_query, frame, swaps)
-    return PlanResult(
-        path=path,
-        region=label,
-        ordering_pair=pair,
-        domain_index=label.c,
-        swap_count=len(swaps),
-        mode=mode,
-        frame=frame,
-    )
+    return PlanResult(path=path, region=label, swaps=tuple(swaps), mode=mode, frame=frame)

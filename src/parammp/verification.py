@@ -541,10 +541,9 @@ def continuity_probe(
     base = plan(query, mode=mode)
     frame = base.frame
     base_label = classify(query, frame)
-    base_patterns = None
+    base_pair = None
     try:
-        pair = orderings(query, frame)
-        base_patterns = (pair.start_pattern(), pair.goal_pattern())
+        base_pair = orderings(query, frame)
     except ParammpError:
         pass
     ts = np.linspace(0.0, 1.0, time_samples)
@@ -559,12 +558,8 @@ def continuity_probe(
             raise RegionCrossingError(
                 f"perturbation eps={eps} moved the query from {base_label} to {p_label}"
             )
-        if base_patterns is not None:
-            p_pair = orderings(perturbed, p_frame)
-            if (p_pair.start_pattern(), p_pair.goal_pattern()) != base_patterns:
-                raise RegionCrossingError(
-                    f"perturbation eps={eps} changed the ordering pair"
-                )
+        if base_pair is not None and orderings(perturbed, p_frame) != base_pair:
+            raise RegionCrossingError(f"perturbation eps={eps} changed the ordering pair")
         result = plan(perturbed, mode=base.mode)
         worst = 0.0
         for r in range(query.robot_count):

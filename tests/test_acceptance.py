@@ -17,10 +17,7 @@ from parammp import (
     ConfigurationQuery,
     FrameMode,
     NotGenericError,
-    ObstacleBlock,
     QueryPerturbation,
-    RobotGoal,
-    RobotStart,
     Side,
     certify_separation,
     classify,
@@ -180,8 +177,8 @@ class TestAcceptance:
                 continue
             adjacent = None
             for a, b in zip(pair.sigma, pair.sigma[1:]):
-                if isinstance(a, RobotStart) and isinstance(b, RobotStart):
-                    adjacent = (a.robot, b.robot)
+                if isinstance(a, int) and isinstance(b, int):
+                    adjacent = (a, b)
                     break
             if adjacent is None:
                 continue
@@ -204,11 +201,11 @@ class TestAcceptance:
                 continue
             found = None
             for a, b in zip(pair.sigma, pair.sigma[1:]):
-                if isinstance(a, RobotStart) and isinstance(b, ObstacleBlock):
-                    found = (a.robot, min(b.obstacles), Side.RIGHT)
+                if isinstance(a, int) and isinstance(b, frozenset):
+                    found = (a, min(b), Side.RIGHT)
                     break
-                if isinstance(a, ObstacleBlock) and isinstance(b, RobotStart):
-                    found = (b.robot, min(a.obstacles), Side.LEFT)
+                if isinstance(a, frozenset) and isinstance(b, int):
+                    found = (b, min(a), Side.LEFT)
                     break
             if found is None:
                 continue
@@ -290,11 +287,7 @@ class TestAcceptance:
             try:
                 base_pair = orderings(q, f)
                 stable = all(
-                    orderings(direction.apply(q, eps), f).start_pattern()
-                    == base_pair.start_pattern()
-                    and orderings(direction.apply(q, eps), f).goal_pattern()
-                    == base_pair.goal_pattern()
-                    for eps in epsilons
+                    orderings(direction.apply(q, eps), f) == base_pair for eps in epsilons
                 )
             except NotGenericError:
                 continue
@@ -325,12 +318,10 @@ class TestAcceptance:
                     abstract = _abstract_patterns(n, t)
                     distance = _bfs_distances(abstract)
                     for blocks in _ordered_partitions(list(range(m)), t):
-                        token_sets = _materialize(abstract, blocks)
-                        for (pat_a, sigma) in token_sets:
-                            for (pat_b, sigma_prime_goal) in token_sets:
-                                swaps = transposition_sequence(
-                                    sigma, _to_goal(sigma_prime_goal)
-                                )
+                        orderings_ = _materialize(abstract, blocks)
+                        for (pat_a, sigma) in orderings_:
+                            for (pat_b, sigma_prime) in orderings_:
+                                swaps = transposition_sequence(sigma, sigma_prime)
                                 pairs_checked += 1
                                 if len(swaps) != distance[(pat_a, pat_b)]:
                                     ok = False
@@ -384,20 +375,9 @@ def _ordered_partitions(items, t):
 
 
 def _materialize(abstract_patterns, blocks):
-    out = []
-    for pattern in abstract_patterns:
-        tokens = []
-        for kind, payload in pattern:
-            if kind == "r":
-                tokens.append(RobotStart(payload))
-            else:
-                tokens.append(ObstacleBlock(blocks[payload[0]]))
-        out.append((pattern, tuple(tokens)))
-    return out
-
-
-def _to_goal(sigma_tokens):
-    return tuple(
-        RobotGoal(tok.robot) if isinstance(tok, RobotStart) else tok
-        for tok in sigma_tokens
-    )
+    """Each abstract pattern with its ordering: robot indices, and the block
+    ``blocks[k]`` for block slot k."""
+    return [
+        (pattern, tuple(payload if kind == "r" else blocks[payload[0]] for kind, payload in pattern))
+        for pattern in abstract_patterns
+    ]

@@ -227,6 +227,27 @@ def test_syntax_error_exit_code(tmp_path, capsys):
     assert main(["classify", "--input", str(bad)]) == 1
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_malformed_file_is_validation_error(tmp_path, capsys, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main([command, "--input", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_utf8_error_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["classify", "--input", str(bad)]) == 1
+    assert str(bad) in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["plan", "--input", "/nonexistent/problem.json"]) == 1
 

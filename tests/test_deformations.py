@@ -18,9 +18,7 @@ from parammp import (
     InternalConsistencyError,
     LinearMove,
     NotGenericError,
-    ObstacleBlock,
     PreconditionError,
-    RobotStart,
     Side,
     certify_separation,
     classify,
@@ -199,10 +197,10 @@ class TestSwapCaseA:
     def test_double_swap_restores_token_order(self):
         q = self._query()
         f = fixed_frame(q)
-        sigma_before = orderings(q, f).start_pattern()
+        sigma_before = orderings(q, f).sigma
         q2 = end_query(q, swap_case_a(q, f, 0, 1))
         q3 = end_query(q2, swap_case_a(q2, f, 1, 0))  # robot 1 is now the left one
-        assert orderings(q3, f).start_pattern() == sigma_before
+        assert orderings(q3, f).sigma == sigma_before
 
     def test_random_inputs_collision_free_and_contained(self):
         rng = np.random.default_rng(20)
@@ -214,8 +212,8 @@ class TestSwapCaseA:
             pair = orderings(q, f)
             adjacent = None
             for a, b in zip(pair.sigma, pair.sigma[1:]):
-                if isinstance(a, RobotStart) and isinstance(b, RobotStart):
-                    adjacent = (a.robot, b.robot)
+                if isinstance(a, int) and isinstance(b, int):
+                    adjacent = (a, b)
                     break
             if adjacent is None:
                 continue
@@ -252,12 +250,10 @@ class TestStartNeighbours:
         n, m = query.robot_count, query.obstacle_count
         assume(classify(query, f).j == 2 * n)
         sigma = orderings(query, f).sigma
-        position = {
-            tok: p for p, tok in enumerate(sigma) if isinstance(tok, RobotStart)
-        }
+        position = {entry: p for p, entry in enumerate(sigma) if isinstance(entry, int)}
 
         def start_at(robot):
-            return position.get(RobotStart(robot), math.nan)
+            return position.get(robot, math.nan)
 
         # Out-of-range indices (-1, n, m) are in no ordering.
         for left, right in itertools.product(range(-1, n + 1), repeat=2):
@@ -274,8 +270,8 @@ class TestStartNeighbours:
 
         for robot, obstacle in itertools.product(range(-1, n + 1), range(-1, m + 1)):
             block = next(
-                (p for p, tok in enumerate(sigma)
-                 if isinstance(tok, ObstacleBlock) and obstacle in tok.obstacles),
+                (p for p, entry in enumerate(sigma)
+                 if isinstance(entry, frozenset) and obstacle in entry),
                 math.nan,
             )
             for side in Side:
@@ -332,8 +328,6 @@ class TestSwapCaseB:
         assert np.linalg.norm(end - (q.obstacles[0] + (eta / 2.0) * f.e)) <= 1e-12
 
     def test_random_inputs_keep_clearance(self):
-        from parammp import ObstacleBlock, RobotStart
-
         rng = np.random.default_rng(21)
         ts = np.linspace(0, 1, TIME_SAMPLES + 1)
         phase3 = ts >= 2 / 3
@@ -343,11 +337,11 @@ class TestSwapCaseB:
             pair = orderings(q, f)
             found = None
             for a, b in zip(pair.sigma, pair.sigma[1:]):
-                if isinstance(a, RobotStart) and isinstance(b, ObstacleBlock):
-                    found = (a.robot, min(b.obstacles), Side.RIGHT)
+                if isinstance(a, int) and isinstance(b, frozenset):
+                    found = (a, min(b), Side.RIGHT)
                     break
-                if isinstance(a, ObstacleBlock) and isinstance(b, RobotStart):
-                    found = (b.robot, min(a.obstacles), Side.LEFT)
+                if isinstance(a, frozenset) and isinstance(b, int):
+                    found = (b, min(a), Side.LEFT)
                     break
             if found is None:
                 continue
@@ -396,8 +390,7 @@ class TestSwapCaseBCoincidentBlock:
         # landing past the whole block
         end = end_query(q, stages)
         assert float(end.starts[0] @ f.e) < 0.0
-        pattern = orderings(end, f).start_pattern()
-        assert pattern[0][0] == "r"
+        assert isinstance(orderings(end, f).sigma[0], int)
 
 
 class TestDesingularize:

@@ -144,6 +144,11 @@ class TestParseProblem:
             parse_problem(text)
         assert "JSON number error" in str(exc.value)
 
+    def test_nesting_too_deep_rejected(self):
+        # json.loads raises RecursionError on arrays nested this deep
+        with pytest.raises(QueryValidationError, match="JSON nesting error"):
+            parse_problem("[" * 100_000 + "]" * 100_000)
+
     @pytest.mark.parametrize(
         "token",
         ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "-1"],
@@ -222,6 +227,10 @@ class TestParsePlan:
     def test_malformed_document_raises_validation_error(self, text):
         with pytest.raises(QueryValidationError, match="plan document"):
             parse_plan(text)
+
+    def test_nesting_too_deep_rejected(self):
+        with pytest.raises(QueryValidationError, match="plan document: RecursionError"):
+            parse_plan("[" * 100_000 + "]" * 100_000)
 
     def test_robot_entry_out_of_place_rejected(self):
         doc = json.loads(serialize_plan(crossing_plan()))

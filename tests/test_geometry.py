@@ -16,12 +16,9 @@ from parammp import (
     FrameMode,
     ModeUnsupportedError,
     NotGenericError,
-    ObstacleBlock,
     PreconditionError,
     QueryValidationError,
     RegionLabel,
-    RobotGoal,
-    RobotStart,
     Side,
     classify,
     classify_oracle,
@@ -38,6 +35,11 @@ from parammp.geometry import desingularization_gap
 
 def q3(starts, goals, obstacles):
     return ConfigurationQuery(starts=starts, goals=goals, obstacles=obstacles)
+
+
+def _blocks(sequence):
+    """The obstacle blocks of an ordering, in order."""
+    return [entry for entry in sequence if isinstance(entry, frozenset)]
 
 
 class TestQueryValidation:
@@ -301,7 +303,7 @@ class TestRigidMotionAndScale:
         q2 = ConfigurationQuery(q.starts + shift, q.goals + shift, q.obstacles + shift)
         f2 = make_frame(q2, FrameMode.FIXED)
         assert classify(q, f) == classify(q2, f2)
-        assert orderings(q, f).start_pattern() == orderings(q2, f2).start_pattern()
+        assert orderings(q, f).sigma == orderings(q2, f2).sigma
         assert min_gap(q, f) == min_gap(q2, f2)
 
     def test_translation_along_line_invariance(self):
@@ -330,8 +332,8 @@ class TestOrderings:
     def test_single_robot_single_obstacle(self):
         q = q3([[0.0, 1.0, 0.0]], [[2.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
         pair = orderings(q, make_frame(q, FrameMode.FIXED))
-        assert pair.sigma == (RobotStart(0), ObstacleBlock(frozenset({0})))
-        assert pair.sigma_prime == (ObstacleBlock(frozenset({0})), RobotGoal(0))
+        assert pair.sigma == (0, frozenset({0}))
+        assert pair.sigma_prime == (frozenset({0}), 0)
 
     def test_order_preserving_two_robots(self):
         q = q3(
@@ -340,16 +342,14 @@ class TestOrderings:
             [[5.0, 0.0, 0.0]],
         )
         pair = orderings(q, make_frame(q, FrameMode.FIXED))
-        assert pair.patterns_equal()
+        assert pair.sigma == pair.sigma_prime
 
     def test_coincident_obstacles_merge_into_one_block(self):
         q = q3([[1.0, 1.0, 0.0]], [[2.0, 0.0, 1.0]],
                [[0.0, 0.0, 1.0], [0.0, 5.0, 0.0]])
         pair = orderings(q, make_frame(q, FrameMode.FIXED))
-        assert pair.blocks == (ObstacleBlock(frozenset({0, 1})),)
-        assert pair.blocks == tuple(
-            tok for tok in pair.sigma_prime if isinstance(tok, ObstacleBlock)
-        )
+        assert _blocks(pair.sigma) == [frozenset({0, 1})]
+        assert _blocks(pair.sigma) == _blocks(pair.sigma_prime)
 
     def test_non_generic_raises(self):
         q = q3([[0.0, 1.0, 0.0]], [[0.0, 2.0, 0.0]], [[5.0, 0.0, 0.0]])
@@ -371,9 +371,7 @@ class TestOrderings:
             except NotGenericError:
                 continue
             count += 1
-            sigma_blocks = [t for t in pair.sigma if isinstance(t, ObstacleBlock)]
-            prime_blocks = [t for t in pair.sigma_prime if isinstance(t, ObstacleBlock)]
-            assert sigma_blocks == prime_blocks
+            assert _blocks(pair.sigma) == _blocks(pair.sigma_prime)
 
 
 class TestMinGap:
@@ -532,17 +530,17 @@ class TestTieTable:
                 clearance_eta(query, f, 0, 0, Side.LEFT)
             return
 
-        def sequence(robot_values, make_token):
+        def sequence(robot_values):
             blocks = {}
             for k, v in enumerate(co):
                 blocks.setdefault(v, set()).add(k)
-            entries = [(v, make_token(i)) for i, v in enumerate(robot_values)]
-            entries += [(v, ObstacleBlock(frozenset(ks))) for v, ks in blocks.items()]
-            return tuple(tok for _, tok in sorted(entries, key=lambda e: e[0]))
+            entries = list(zip(robot_values, range(n)))
+            entries += [(v, frozenset(ks)) for v, ks in blocks.items()]
+            return tuple(entry for _, entry in sorted(entries, key=lambda e: e[0]))
 
         pair = orderings(query, f)
-        assert pair.sigma == sequence(cs, RobotStart)
-        assert pair.sigma_prime == sequence(cg, RobotGoal)
+        assert pair.sigma == sequence(cs)
+        assert pair.sigma_prime == sequence(cg)
 
         for r, o, side in itertools.product(range(n), range(m), Side):
             lo, hi = sorted((cs[r], co[o]))

@@ -19,15 +19,13 @@ from parammp import (
     InternalConsistencyError,
     InvalidOrderingPairError,
     LinearMove,
-    ObstacleBlock,
     QueryValidationError,
-    RobotGoal,
-    RobotStart,
     Side,
     certify_separation,
     classify,
     default_mode,
     degenerate_query,
+    desingularize,
     make_frame,
     orderings,
     plan,
@@ -42,14 +40,14 @@ from parammp import geometry, paths, planner
 from query_strategies import small_queries
 
 
-def bfs_swap_distance(start_pattern, goal_pattern):
-    """Shortest number of legal adjacent transpositions between two patterns.
+def bfs_swap_distance(sigma, sigma_prime):
+    """Shortest number of legal adjacent transpositions between two orderings.
 
-    Legal swaps exchange adjacent tokens unless both are obstacle blocks.
+    Legal swaps exchange adjacent entries unless both are obstacle blocks.
     Independent of the production discipline: plain breadth-first search.
     """
-    start = tuple(start_pattern)
-    goal = tuple(goal_pattern)
+    start = tuple(sigma)
+    goal = tuple(sigma_prime)
     if start == goal:
         return 0
     seen = {start}
@@ -57,7 +55,7 @@ def bfs_swap_distance(start_pattern, goal_pattern):
     while frontier:
         state, dist = frontier.popleft()
         for p in range(len(state) - 1):
-            if state[p][0] == "o" and state[p + 1][0] == "o":
+            if _is_block(state[p]) and _is_block(state[p + 1]):
                 continue
             swapped = list(state)
             swapped[p], swapped[p + 1] = swapped[p + 1], swapped[p]
@@ -70,15 +68,24 @@ def bfs_swap_distance(start_pattern, goal_pattern):
     raise AssertionError("patterns are not connected by legal swaps")
 
 
+def _is_block(entry):
+    return isinstance(entry, frozenset)
+
+
+def _entries(n, t):
+    """Robots 0..n-1 and the one-obstacle blocks {0}, ..., {t-1}, in order."""
+    return list(range(n)) + [frozenset({k}) for k in range(t)]
+
+
 def all_patterns(n, t):
-    """Every arrangement of n robot tokens and t ordered block tokens."""
-    tokens = [("r", i) for i in range(n)] + [("o", (f"b{k}",)) for k in range(t)]
-    out = []
-    for perm in itertools.permutations(tokens):
-        blocks = [tok for tok in perm if tok[0] == "o"]
-        if blocks == sorted(blocks):
-            out.append(perm)
-    return out
+    """Every ordering of n robots and t blocks with the blocks in order."""
+    entries = _entries(n, t)
+    blocks = [e for e in entries if _is_block(e)]
+    return [
+        perm
+        for perm in itertools.permutations(entries)
+        if [e for e in perm if _is_block(e)] == blocks
+    ]
 
 
 class TestTranspositionSequence:
@@ -113,9 +120,23 @@ class TestTranspositionSequence:
             [[0.0, 1.0, 0.0]], [[2.0, 2.0, 0.0]], [[1.0, 0.0, 0.0]]
         )
         sigma = pair_a.sigma
-        bad_prime = (RobotGoal(0), ObstacleBlock(frozenset({0, 1})))
+        bad_prime = (0, frozenset({0, 1}))
         with pytest.raises(InvalidOrderingPairError):
             transposition_sequence(sigma, bad_prime)
+
+    @pytest.mark.parametrize(
+        "sigma, sigma_prime",
+        [
+            ((0, 0), (0, 0)),
+            ((0, frozenset({0, 1}), frozenset({1})), (frozenset({0, 1}), frozenset({1}), 0)),
+            ((frozenset({0}), frozenset({1}), 0), (frozenset({1}), frozenset({0}), 0)),
+            ((0, frozenset({0})), (1, frozenset({0}))),
+        ],
+        ids=["duplicated-robot", "overlapping-blocks", "block-order", "different-robots"],
+    )
+    def test_malformed_pair_rejected(self, sigma, sigma_prime):
+        with pytest.raises(InvalidOrderingPairError):
+            transposition_sequence(sigma, sigma_prime)
 
     def test_length_matches_bfs_oracle_exhaustively(self):
         # every (n, t) with n + t <= 5 <=> every (n, m) with n + m <= 5 and
@@ -126,7 +147,7 @@ class TestTranspositionSequence:
                 distances = {}
                 for sigma in patterns:
                     for sigma_prime in patterns:
-                        produced = _sequence_on_patterns(sigma, sigma_prime)
+                        produced = transposition_sequence(sigma, sigma_prime)
                         key = (sigma, sigma_prime)
                         distances[key] = len(produced)
                         assert distances[key] == _inversions(sigma, sigma_prime)
@@ -143,11 +164,11 @@ class TestTranspositionSequence:
         rng = np.random.default_rng(34)
         for _ in range(300):
             n, t = int(rng.integers(1, 9)), int(rng.integers(0, 5))
-            tokens = [("r", i) for i in range(n)] + [("o", (f"b{k}",)) for k in range(t)]
-            sigma, sigma_prime = (_random_pattern(rng, tokens) for _ in range(2))
+            entries = _entries(n, t)
+            sigma, sigma_prime = (_random_pattern(rng, entries) for _ in range(2))
             produced = [
                 (s.left, s.right) if isinstance(s, CaseASwap) else (s.robot, s.block, s.side)
-                for s in _sequence_on_patterns(sigma, sigma_prime)
+                for s in transposition_sequence(sigma, sigma_prime)
             ]
             assert produced == _restart_scan_swaps(sigma, sigma_prime)
 
@@ -163,33 +184,17 @@ class TestTranspositionSequence:
         assert len(swaps) == 3
 
 
-def _sequence_on_patterns(sigma_pattern, goal_pattern):
-    """Run transposition_sequence on synthetic token tuples."""
-    def materialize(pattern, robot_cls):
-        toks = []
-        for kind, payload in pattern:
-            if kind == "r":
-                toks.append(robot_cls(payload))
-            else:
-                toks.append(ObstacleBlock(frozenset({payload[0]})))
-        return tuple(toks)
-
-    return transposition_sequence(
-        materialize(sigma_pattern, RobotStart), materialize(goal_pattern, RobotGoal)
-    )
+def _random_pattern(rng, entries):
+    """A random ordering of ``entries`` with the blocks kept in their order."""
+    order = [entries[i] for i in rng.permutation(len(entries))]
+    blocks = iter([e for e in entries if _is_block(e)])
+    return tuple(next(blocks) if _is_block(e) else e for e in order)
 
 
-def _random_pattern(rng, tokens):
-    """A random arrangement of ``tokens`` with the blocks kept in order."""
-    order = [tokens[i] for i in rng.permutation(len(tokens))]
-    blocks = iter(sorted(tok for tok in order if tok[0] == "o"))
-    return tuple(next(blocks) if tok[0] == "o" else tok for tok in order)
-
-
-def _restart_scan_swaps(sigma_pattern, goal_pattern):
+def _restart_scan_swaps(sigma, sigma_prime):
     """Reference discipline: rescan from position 0 after every swap."""
-    current = list(sigma_pattern)
-    rank = {tok: pos for pos, tok in enumerate(goal_pattern)}
+    current = list(sigma)
+    rank = {entry: pos for pos, entry in enumerate(sigma_prime)}
     swaps = []
     while True:
         for p in range(len(current) - 1):
@@ -198,18 +203,18 @@ def _restart_scan_swaps(sigma_pattern, goal_pattern):
         else:
             return swaps
         left, right = current[p], current[p + 1]
-        if left[0] == "r" and right[0] == "r":
-            swaps.append((left[1], right[1]))
-        elif left[0] == "r":
-            swaps.append((left[1], frozenset(right[1][:1]), Side.RIGHT))
+        if not _is_block(left) and not _is_block(right):
+            swaps.append((left, right))
+        elif not _is_block(left):
+            swaps.append((left, right, Side.RIGHT))
         else:
-            swaps.append((right[1], frozenset(left[1][:1]), Side.LEFT))
+            swaps.append((right, left, Side.LEFT))
         current[p], current[p + 1] = right, left
 
 
-def _inversions(sigma_pattern, goal_pattern):
-    rank = {tok: pos for pos, tok in enumerate(goal_pattern)}
-    seq = [rank[tok] for tok in sigma_pattern]
+def _inversions(sigma, sigma_prime):
+    rank = {entry: pos for pos, entry in enumerate(sigma_prime)}
+    seq = [rank[entry] for entry in sigma]
     return sum(
         1
         for i in range(len(seq))
@@ -378,6 +383,23 @@ def _is_rest(segment):
     return isinstance(segment.move, LinearMove) and segment.move.is_constant()
 
 
+class TestPlanResultSwaps:
+    @settings(max_examples=150, deadline=None)
+    @given(small_queries())
+    def test_swaps_sort_the_planned_ordering_pair(self, case):
+        # the swaps sort the ordering pair of the query itself when it is
+        # generic, else of its split; d in {2, 3, 4}, both modes, grid
+        # (often degenerate) and float queries
+        query, mode = case
+        result = plan(query, mode=mode)
+        frame = make_frame(query, mode)
+        generic = classify(query, frame).j == 2 * query.robot_count
+        pair = orderings(query if generic else desingularize(query, frame), frame)
+        assert result.swaps == tuple(transposition_sequence(pair.sigma, pair.sigma_prime))
+        assert result.swap_count == len(result.swaps)
+        assert result.domain_index == result.region.c
+
+
 class TestFlatSchedule:
     @settings(max_examples=150, deadline=None)
     @given(small_queries())
@@ -450,9 +472,7 @@ class TestScale:
         )
         base, res = plan(query, mode="fixed"), plan(scaled, mode="fixed")
         assert res.region == base.region
-        assert transposition_sequence(
-            res.ordering_pair.sigma, res.ordering_pair.sigma_prime
-        ) == transposition_sequence(base.ordering_pair.sigma, base.ordering_pair.sigma_prime)
+        assert res.swaps == base.swaps
         assert certify_separation(res.path, samples_per_segment=16).passed
 
     @pytest.mark.parametrize("k", [6, 8, 10, 12])
