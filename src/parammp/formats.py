@@ -3,8 +3,10 @@ export and a minimal SVG renderer for visual inspection.
 
 One versioned JSON schema carries problems in; plan JSON carries the exact
 segment algebra out (time bounds as ``"num/den"`` strings so no precision is
-lost across implementations).  The SVG paints trajectories in the frame plane
-with obstacles, starts and goals marked.
+lost across implementations).  A plan's text has the layout
+``json.dumps(indent=2)`` gives, with each segment filled into a template for
+its kind and dimension; every float in it is finite.  The SVG paints
+trajectories in the frame plane with obstacles, starts and goals marked.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -30,7 +32,6 @@ __all__ = [
     "ProblemOptions",
     "parse_plan",
     "parse_problem",
-    "plan_to_document",
     "render_svg",
     "sample_csv",
     "serialize_plan",
@@ -216,10 +217,6 @@ def parse_problem(text: str) -> ProblemDocument:
     raise QueryValidationError(errors)
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _parse_fraction(text: str) -> Fraction:
     if not isinstance(text, str):
         raise TypeError(f'time bound {text!r} is not a "num/den" string')
@@ -227,48 +224,46 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
-def _points(arr: np.ndarray) -> list:
-    return [float(x) for x in np.asarray(arr)]
+_ROBOT_TEMPLATE = '    {\n      "robot": %d,\n      "segments": [\n%s\n      ]\n    }'
 
 
-def _segment_to_json(seg: PathSegment) -> dict:
-    doc = {"t0": _fraction_str(seg.t0), "t1": _fraction_str(seg.t1)}
-    if isinstance(seg.move, LinearMove):
-        doc["kind"] = "linear"
-        doc["start"] = _points(seg.move.start)
-        doc["end"] = _points(seg.move.end)
+@lru_cache
+def _segment_template(kind: str, dim: int) -> str:
+    """One ``kind`` segment of R^dim as ``json.dumps(indent=2)`` lays it out
+    in a plan's segment list, with ``%`` placeholders for its values: the
+    time bounds' numerators and denominators, then its floats in field order."""
+    point = "[\n" + ",\n".join(["            %r"] * dim) + "\n          ]"
+    fields = ['"t0": "%d/%d"', '"t1": "%d/%d"', f'"kind": "{kind}"']
+    if kind == "linear":
+        fields += [f'"start": {point}', f'"end": {point}']
     else:
-        doc["kind"] = "arc"
-        doc["center"] = _points(seg.move.center)
-        doc["radius"] = float(seg.move.radius)
-        doc["basis_u"] = _points(seg.move.basis_u)
-        doc["basis_v"] = _points(seg.move.basis_v)
-        doc["angle_start"] = float(seg.move.angle_start)
-        doc["angle_end"] = float(seg.move.angle_end)
-    return doc
+        fields += [
+            f'"center": {point}',
+            '"radius": %r',
+            f'"basis_u": {point}',
+            f'"basis_v": {point}',
+            '"angle_start": %r',
+            '"angle_end": %r',
+        ]
+    return "        {\n" + ",\n".join("          " + f for f in fields) + "\n        }"
 
 
-def plan_to_document(result: PlanResult) -> dict:
-    query = result.path.query
-    return {
-        "version": FORMAT_VERSION,
-        "dim": query.dim,
-        "mode": result.mode.value,
-        "region": {"j": result.region.j, "t": result.region.t, "c": result.region.c},
-        "domain_index": result.domain_index,
-        "swap_count": result.swap_count,
-        "frame": {"e": _points(result.frame.e), "e_perp": _points(result.frame.e_perp)},
-        "starts": [_points(p) for p in query.starts],
-        "goals": [_points(p) for p in query.goals],
-        "obstacles": [_points(p) for p in query.obstacles],
-        "robots": [
-            {
-                "robot": robot,
-                "segments": [_segment_to_json(seg) for seg in result.path.segments[robot]],
-            }
-            for robot in range(query.robot_count)
-        ],
-    }
+def _segment_text(seg: PathSegment, dim: int) -> str:
+    move = seg.move
+    bounds = (seg.t0.numerator, seg.t0.denominator, seg.t1.numerator, seg.t1.denominator)
+    if isinstance(move, LinearMove):
+        return _segment_template("linear", dim) % (
+            *bounds, *move.start.tolist(), *move.end.tolist()
+        )
+    return _segment_template("arc", dim) % (
+        *bounds,
+        *move.center.tolist(),
+        float(move.radius),
+        *move.basis_u.tolist(),
+        *move.basis_v.tolist(),
+        float(move.angle_start),
+        float(move.angle_end),
+    )
 
 
 def serialize_plan(result: PlanResult) -> str:
@@ -276,9 +271,36 @@ def serialize_plan(result: PlanResult) -> str:
 
     Floats are emitted with round-trip precision and time bounds as exact
     ``"num/den"`` rationals, so re-evaluating a parsed plan reproduces the
-    original path.
+    original path.  The layout is the one ``json.dumps(document, indent=2)``
+    gives: the head (``version`` to ``obstacles``) goes through ``json.dumps``,
+    and each segment fills a per-kind, per-dimension template, its floats
+    written by ``float.__repr__`` as ``json`` writes them.  Every float of a
+    ``PiecewisePath`` is finite (its basis, junction and endpoint checks
+    reject NaN and infinity), so ``json``'s ``NaN`` and ``Infinity`` spellings
+    are never needed.
     """
-    return json.dumps(plan_to_document(result), indent=2)
+    query = result.path.query
+    head = json.dumps(
+        {
+            "version": FORMAT_VERSION,
+            "dim": query.dim,
+            "mode": result.mode.value,
+            "region": {"j": result.region.j, "t": result.region.t, "c": result.region.c},
+            "domain_index": result.domain_index,
+            "swap_count": result.swap_count,
+            "frame": {"e": result.frame.e.tolist(), "e_perp": result.frame.e_perp.tolist()},
+            "starts": query.starts.tolist(),
+            "goals": query.goals.tolist(),
+            "obstacles": query.obstacles.tolist(),
+        },
+        indent=2,
+    )
+    robots = ",\n".join(
+        _ROBOT_TEMPLATE
+        % (robot, ",\n".join(_segment_text(seg, query.dim) for seg in segments))
+        for robot, segments in enumerate(result.path.segments)
+    )
+    return head[: -len("\n}")] + ',\n  "robots": [\n' + robots + "\n  ]\n}"
 
 
 def _point(seg, field: str, where: str, dim: int) -> np.ndarray:
@@ -358,7 +380,12 @@ def sample_csv(result: PlanResult, resolution: int = 256) -> str:
 
     ``resolution`` counts samples per unit time; the endpoint t = 1 is always
     included.
+
+    Raises:
+        QueryValidationError: ``resolution`` is below 1.
     """
+    if not resolution >= 1:
+        raise QueryValidationError([f"resolution: expected an integer >= 1, got {resolution!r}"])
     query = result.path.query
     header = "t,robot," + ",".join(f"x_{k + 1}" for k in range(query.dim))
     lines = [header]
@@ -388,7 +415,14 @@ def render_svg(result: PlanResult, sample_count: int = 64) -> str:
     the frame plane (e, e_perp).  Trajectories are polylines with
     ``sample_count`` samples per segment, obstacles are filled circles,
     starts are squares and goals are rings.
+
+    Raises:
+        QueryValidationError: ``sample_count`` is below 1.
     """
+    if not sample_count >= 1:
+        raise QueryValidationError(
+            [f"sample_count: expected an integer >= 1, got {sample_count!r}"]
+        )
     frame = result.frame
     query = result.path.query
 

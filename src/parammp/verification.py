@@ -148,6 +148,14 @@ def certify_separation(
       range or 2 min(r, rho).  The s^2 term is used only when f* > E, and
       for lines only when delta < 1.
     - The margin is E plus the excess; a fallback entry's is E alone.
+    - Lines and points have a second bound, which needs no minimizer and so
+      holds up where delta >= 1 (as when |D|^2 is near the rounding of A.D):
+      on tau in [0, 1], |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).  E also
+      bounds the error of an evaluated relative position, so the rounding of
+      that square is at most 10 E (|A| + |D| + E); the bound is the square
+      root of the square less this margin (none where that is negative).
+      The entry keeps the larger of its two bounds, capped at
+      ``sampled_min``.
 
     Entries are gathered from the touched robots' pair rows and processed in
     blocks of at most ``_BLOCK``, with no loop over windows and no
@@ -360,6 +368,11 @@ class _Bodies:
         )
         points = (kind_a == _POINT) & (kind_b == _POINT)
         bound = low - np.where(points, 0.0, slack + excess)
+        # Lines and points, also: |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).
+        square = f_lo * f_lo + 2 * np.minimum(0.0, _dot(rel, step))
+        square -= 10 * slack * (f_lo + np.sqrt(dd) + slack)
+        straight = (kind_a != _ARC) & ~points
+        bound[straight] = np.fmax(bound[straight], np.minimum(low, np.sqrt(square))[straight])
 
         # Arc-arc and arc-line: the sampled Lipschitz cone, less E.
         fallback = np.flatnonzero((kind_a == _ARC) & (kind_b != _POINT))

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from parammp import (
     ConfigurationQuery,
@@ -14,13 +15,15 @@ from parammp import (
     parse_plan,
     parse_problem,
     plan,
+    random_query,
     render_svg,
     sample_csv,
     serialize_plan,
 )
 from parammp.formats import ProblemDocument, ProblemOptions
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
-from parammp.paths import ArcMove
+from parammp.paths import ArcMove, LinearMove
+from query_strategies import small_queries
 
 MINIMAL = {
     "version": "1",
@@ -206,6 +209,88 @@ class TestSerializePlan:
         assert doc["mode"] == "fixed"
 
 
+def _reference_plan_text(result):
+    """The plan document built field by field and written by
+    ``json.dumps(indent=2)``: the text ``serialize_plan`` must match byte for
+    byte."""
+
+    def points(arr):
+        return [float(x) for x in np.asarray(arr)]
+
+    def fraction(value):
+        return f"{value.numerator}/{value.denominator}"
+
+    def segment(seg):
+        doc = {"t0": fraction(seg.t0), "t1": fraction(seg.t1)}
+        if isinstance(seg.move, LinearMove):
+            doc["kind"] = "linear"
+            doc["start"] = points(seg.move.start)
+            doc["end"] = points(seg.move.end)
+        else:
+            doc["kind"] = "arc"
+            doc["center"] = points(seg.move.center)
+            doc["radius"] = float(seg.move.radius)
+            doc["basis_u"] = points(seg.move.basis_u)
+            doc["basis_v"] = points(seg.move.basis_v)
+            doc["angle_start"] = float(seg.move.angle_start)
+            doc["angle_end"] = float(seg.move.angle_end)
+        return doc
+
+    query = result.path.query
+    document = {
+        "version": "1",
+        "dim": query.dim,
+        "mode": result.mode.value,
+        "region": {"j": result.region.j, "t": result.region.t, "c": result.region.c},
+        "domain_index": result.domain_index,
+        "swap_count": result.swap_count,
+        "frame": {"e": points(result.frame.e), "e_perp": points(result.frame.e_perp)},
+        "starts": [points(p) for p in query.starts],
+        "goals": [points(p) for p in query.goals],
+        "obstacles": [points(p) for p in query.obstacles],
+        "robots": [
+            {"robot": robot, "segments": [segment(seg) for seg in result.path.segments[robot]]}
+            for robot in range(query.robot_count)
+        ],
+    }
+    return json.dumps(document, indent=2)
+
+
+def _scaled(scale):
+    q = random_query(np.random.default_rng(0), 3, 3, 4)
+    return ConfigurationQuery(
+        starts=q.starts * scale, goals=q.goals * scale, obstacles=q.obstacles * scale
+    )
+
+
+class TestPlanTextMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries())
+    def test_small_queries(self, case):
+        query, mode = case
+        result = plan(query, mode=mode)
+        assert serialize_plan(result) == _reference_plan_text(result)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-5, 1e8, 1e100])
+    def test_scaled_obstacle_pair_query(self, scale):
+        result = plan(_scaled(scale), mode="obstacle_pair")
+        assert result.swap_count > 0
+        assert serialize_plan(result) == _reference_plan_text(result)
+
+    def test_negative_zero_coordinates(self):
+        q = ConfigurationQuery(
+            starts=[[-0.0, 1.0]], goals=[[2.0, -0.0]], obstacles=[[1.0, -0.5]]
+        )
+        result = plan(q, mode="fixed")
+        text = serialize_plan(result)
+        assert text.count("-0.0,") + text.count("-0.0\n") >= 2
+        assert text == _reference_plan_text(result)
+
+    def test_twenty_robots_twenty_obstacles(self):
+        result = plan(random_query(np.random.default_rng(0), 20, 20, 3), mode="fixed")
+        assert serialize_plan(result) == _reference_plan_text(result)
+
+
 def _plan_text(**segment_fields):
     """The crossing plan's JSON with fields of robot 0's first segment replaced."""
     doc = json.loads(serialize_plan(crossing_plan()))
@@ -286,6 +371,11 @@ class TestSampleCsv:
         assert lines[0] == "t,robot,x_1,x_2,x_3"
         assert len(lines) == 1 + 17 * res.path.robot_count
 
+    @pytest.mark.parametrize("resolution", [0, -1])
+    def test_resolution_below_one_rejected(self, resolution):
+        with pytest.raises(QueryValidationError, match="resolution: expected an integer >= 1"):
+            sample_csv(crossing_plan(), resolution=resolution)
+
     def test_values_match_evaluation(self):
         res = crossing_plan()
         lines = sample_csv(res, resolution=8).strip().split("\n")[1:]
@@ -329,6 +419,11 @@ class TestRenderSvg:
     def test_deterministic(self):
         res = crossing_plan()
         assert render_svg(res) == render_svg(res)
+
+    @pytest.mark.parametrize("sample_count", [0, -1])
+    def test_sample_count_below_one_rejected(self, sample_count):
+        with pytest.raises(QueryValidationError, match="sample_count: expected an integer >= 1"):
+            render_svg(crossing_plan(), sample_count=sample_count)
 
     def test_arc_polyline_chord_error_bound(self):
         res = crossing_plan()

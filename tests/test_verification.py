@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parammp import (
@@ -340,6 +340,15 @@ class TestSharedGrid:
 
     @settings(max_examples=100, deadline=None)
     @given(small_queries(), st.sampled_from([2, 64]))
+    @example(  # two lines 2e-7 apart: the minimizer's error exceeds the window
+        (
+            ConfigurationQuery(
+                starts=[[0, 0], [0, 1]], goals=[[0, 2], [0, 3]], obstacles=[[1e-6, 0]]
+            ),
+            FrameMode.FIXED,
+        ),
+        2,
+    )
     def test_no_looser_than_all_pairs_reference(self, case, samples):
         query, mode = case
         _assert_no_looser_than_reference(plan(query, mode=mode).path, samples)
