@@ -6,7 +6,6 @@ when a motion is genuinely unsafe (a hand-built straight line through an
 obstacle).
 """
 
-from fractions import Fraction
 
 import numpy as np
 
@@ -47,8 +46,9 @@ def main():
         segments=(
             (
                 PathSegment(
-                    t0=Fraction(0),
-                    t1=Fraction(1),
+                    start=0,
+                    stop=1,
+                    den=1,
                     move=LinearMove(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
                 ),
             ),

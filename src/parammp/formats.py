@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -231,9 +232,9 @@ _ROBOT_TEMPLATE = '    {\n      "robot": %d,\n      "segments": [\n%s\n      ]\n
 def _segment_template(kind: str, dim: int) -> str:
     """One ``kind`` segment of R^dim as ``json.dumps(indent=2)`` lays it out
     in a plan's segment list, with ``%`` placeholders for its values: the
-    time bounds' numerators and denominators, then its floats in field order."""
+    time bounds' texts, then its floats in field order."""
     point = "[\n" + ",\n".join(["            %r"] * dim) + "\n          ]"
-    fields = ['"t0": "%d/%d"', '"t1": "%d/%d"', f'"kind": "{kind}"']
+    fields = ['"t0": "%s"', '"t1": "%s"', f'"kind": "{kind}"']
     if kind == "linear":
         fields += [f'"start": {point}', f'"end": {point}']
     else:
@@ -248,9 +249,9 @@ def _segment_template(kind: str, dim: int) -> str:
     return "        {\n" + ",\n".join("          " + f for f in fields) + "\n        }"
 
 
-def _segment_text(seg: PathSegment, dim: int) -> str:
+def _segment_text(seg: PathSegment, dim: int, texts: list[str]) -> str:
     move = seg.move
-    bounds = (seg.t0.numerator, seg.t0.denominator, seg.t1.numerator, seg.t1.denominator)
+    bounds = (texts[seg.start], texts[seg.stop])
     if isinstance(move, LinearMove):
         return _segment_template("linear", dim) % (
             *bounds, *move.start.tolist(), *move.end.tolist()
@@ -274,12 +275,15 @@ def serialize_plan(result: PlanResult) -> str:
     original path.  The layout is the one ``json.dumps(document, indent=2)``
     gives: the head (``version`` to ``obstacles``) goes through ``json.dumps``,
     and each segment fills a per-kind, per-dimension template, its floats
-    written by ``float.__repr__`` as ``json`` writes them.  Every float of a
+    written by ``float.__repr__`` as ``json`` writes them; a time bound is its
+    tick over the path's denominator, reduced.  Every float of a
     ``PiecewisePath`` is finite (its basis, junction and endpoint checks
     reject NaN and infinity), so ``json``'s ``NaN`` and ``Infinity`` spellings
     are never needed.
     """
-    query = result.path.query
+    query, den = result.path.query, result.path.den
+    # Every tick's reduced "num/den", written once per path.
+    texts = [f"{t // g}/{den // g}" for t in range(den + 1) for g in (math.gcd(t, den),)]
     head = json.dumps(
         {
             "version": FORMAT_VERSION,
@@ -297,7 +301,7 @@ def serialize_plan(result: PlanResult) -> str:
     )
     robots = ",\n".join(
         _ROBOT_TEMPLATE
-        % (robot, ",\n".join(_segment_text(seg, query.dim) for seg in segments))
+        % (robot, ",\n".join(_segment_text(seg, query.dim, texts) for seg in segments))
         for robot, segments in enumerate(result.path.segments)
     )
     return head[: -len("\n}")] + ',\n  "robots": [\n' + robots + "\n  ]\n}"
@@ -322,7 +326,7 @@ def _path_from_document(doc) -> PiecewisePath:
         goals=np.array(doc["goals"], dtype=float),
         obstacles=np.array(doc["obstacles"], dtype=float),
     )
-    segments: list[tuple[PathSegment, ...]] = []
+    robots = []  # per robot, per segment: (t0, t1, move)
     for robot, robot_doc in enumerate(doc["robots"]):
         if robot_doc["robot"] != robot:
             raise ValueError(f"robots[{robot}] names robot {robot_doc['robot']!r}")
@@ -346,15 +350,15 @@ def _path_from_document(doc) -> PiecewisePath:
                 raise QueryValidationError(
                     [f"plan document: unknown segment kind {seg['kind']!r}"]
                 )
-            per_robot.append(
-                PathSegment(
-                    t0=_parse_fraction(seg["t0"]),
-                    t1=_parse_fraction(seg["t1"]),
-                    move=move,
-                )
-            )
-        segments.append(tuple(per_robot))
-    return PiecewisePath(query=query, segments=tuple(segments))
+            per_robot.append((_parse_fraction(seg["t0"]), _parse_fraction(seg["t1"]), move))
+        robots.append(per_robot)
+    # The bounds as ticks over their least common denominator.
+    den = math.lcm(*(t.denominator for per in robots for t0, t1, _ in per for t in (t0, t1)))
+    segments = [
+        [PathSegment(int(t0 * den), int(t1 * den), den, move) for t0, t1, move in per_robot]
+        for per_robot in robots
+    ]
+    return PiecewisePath(query=query, segments=segments)
 
 
 def parse_plan(text: str) -> PiecewisePath:
@@ -375,6 +379,14 @@ def parse_plan(text: str) -> PiecewisePath:
         raise QueryValidationError([f"plan document: {type(exc).__name__}: {exc}"]) from exc
 
 
+def _check_count(name: str, count):
+    """QueryValidationError unless ``count`` is an integer in [1, MAX_SAMPLES_PER_SEGMENT]."""
+    if not (isinstance(count, Integral) and 1 <= count <= MAX_SAMPLES_PER_SEGMENT):
+        raise QueryValidationError(
+            [f"{name}: expected an integer >= 1 and <= {MAX_SAMPLES_PER_SEGMENT}, got {count!r}"]
+        )
+
+
 def sample_csv(result: PlanResult, resolution: int = 256) -> str:
     """Sampled trajectory table: columns t, robot, x_1..x_d.
 
@@ -382,10 +394,9 @@ def sample_csv(result: PlanResult, resolution: int = 256) -> str:
     included.
 
     Raises:
-        QueryValidationError: ``resolution`` is below 1.
+        QueryValidationError: ``resolution`` is not an integer from 1 to MAX_SAMPLES_PER_SEGMENT.
     """
-    if not resolution >= 1:
-        raise QueryValidationError([f"resolution: expected an integer >= 1, got {resolution!r}"])
+    _check_count("resolution", resolution)
     query = result.path.query
     header = "t,robot," + ",".join(f"x_{k + 1}" for k in range(query.dim))
     lines = [header]
@@ -417,12 +428,9 @@ def render_svg(result: PlanResult, sample_count: int = 64) -> str:
     starts are squares and goals are rings.
 
     Raises:
-        QueryValidationError: ``sample_count`` is below 1.
+        QueryValidationError: ``sample_count`` is not an integer from 1 to MAX_SAMPLES_PER_SEGMENT.
     """
-    if not sample_count >= 1:
-        raise QueryValidationError(
-            [f"sample_count: expected an integer >= 1, got {sample_count!r}"]
-        )
+    _check_count("sample_count", sample_count)
     frame = result.frame
     query = result.path.query
 
@@ -430,7 +438,7 @@ def render_svg(result: PlanResult, sample_count: int = 64) -> str:
     for robot in range(query.robot_count):
         points = []
         for seg in result.path.segments[robot]:
-            ts = np.linspace(float(seg.t0), float(seg.t1), sample_count + 1)
+            ts = np.linspace(seg.start / seg.den, seg.stop / seg.den, sample_count + 1)
             points.append(_frame_coords(seg.at_many(ts), frame))
         polylines.append(np.concatenate(points))
 

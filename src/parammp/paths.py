@@ -2,9 +2,10 @@
 
 Paths are kept symbolic (segment lists with closed-form evaluation), never
 pre-sampled, so endpoint identities and separation certificates can be checked
-against the defining formulas.  Global segment time bounds are stored as exact
-rationals: the planner places each stage at a fraction of a swap window, and
-exact arithmetic keeps those boundaries reproducible and shared by all robots.
+against the defining formulas.  Global segment time bounds are integer ticks
+over one denominator D per path: the planner places every stage on a tick, so
+the boundaries are exact, reproducible and shared by all robots without
+rational arithmetic.  Plan JSON writes each as the reduced rational tick / D.
 """
 
 from __future__ import annotations
@@ -112,6 +113,10 @@ class ArcMove:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "basis_u", basis_u)
         object.__setattr__(self, "basis_v", basis_v)
+        # The end points, evaluated once: junction checks read them often.
+        for name, u in (("initial", 0.0), ("final", 1.0)):
+            object.__setattr__(self, name, self.at(u))
+            getattr(self, name).setflags(write=False)
 
     def _point(self, theta):
         return (
@@ -132,14 +137,6 @@ class ArcMove:
             + self.radius * np.sin(theta)[:, None] * self.basis_v[None, :]
         )
 
-    @property
-    def initial(self) -> np.ndarray:
-        return self.at(0.0)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.at(1.0)
-
     def path_length(self) -> float:
         return self.radius * abs(self.angle_end - self.angle_start)
 
@@ -158,30 +155,31 @@ def _check_time(t):
 
 @dataclass(frozen=True, eq=False)
 class PathSegment:
-    """One robot's motion over the global time window [t0, t1]."""
+    """One robot's motion over the global time window [start / den, stop / den]:
+    integer ticks over the denominator ``den`` that its path shares."""
 
-    t0: Fraction
-    t1: Fraction
+    start: int
+    stop: int
+    den: int
     move: Move
 
     def __post_init__(self):
-        if not (isinstance(self.t0, Fraction) and isinstance(self.t1, Fraction)):
-            raise TypeError("segment time bounds must be exact Fractions")
-        if not self.t0 < self.t1:
-            raise ValueError(f"empty segment window [{self.t0}, {self.t1}]")
-        # The float window, rounded once from the exact bounds.
-        object.__setattr__(self, "_float_t0", float(self.t0))
-        object.__setattr__(self, "_float_duration", float(self.t1 - self.t0))
+        if not type(self.start) is type(self.stop) is type(self.den) is int:
+            raise TypeError("segment time bounds must be integer ticks")
+        if not 0 <= self.start < self.stop <= self.den:
+            raise ValueError(f"window [{self.start}, {self.stop}]/{self.den} empty or off [0, 1]")
+        # The float window; int true division rounds as float(Fraction) does.
+        object.__setattr__(self, "_float_t0", self.start / self.den)
+        object.__setattr__(self, "_float_duration", (self.stop - self.start) / self.den)
 
-    @property
-    def duration(self) -> Fraction:
-        return self.t1 - self.t0
+    # Exact views of the window, for callers that want rationals.
+    t0 = property(lambda self: Fraction(self.start, self.den))
+    t1 = property(lambda self: Fraction(self.stop, self.den))
+    duration = property(lambda self: Fraction(self.stop - self.start, self.den))
 
     def local(self, t) -> float:
-        # Exact boundary hits map to exact local parameters so that path
-        # endpoints reproduce the stored points bitwise.
-        if t == self.t0:
-            return 0.0
+        # A time exactly on the end tick maps to exactly 1 (one on the start
+        # tick rounds to 0) so that path endpoints reproduce the stored points.
         if t == self.t1:
             return 1.0
         return (float(t) - self._float_t0) / self._float_duration
@@ -204,7 +202,8 @@ class PiecewisePath:
 
     Per robot the segments tile [0, 1] with no gaps or overlaps, consecutive
     segments agree at their junction, the path starts at ``query.starts`` and
-    ends at ``query.goals``.  Obstacles are those of the query, untouched.
+    ends at ``query.goals``.  Their ticks share one denominator, ``den``.
+    Obstacles are those of the query, untouched.
     """
 
     query: ConfigurationQuery
@@ -222,41 +221,54 @@ class PiecewisePath:
     def robot_count(self) -> int:
         return self.query.robot_count
 
+    @property
+    def den(self) -> int:
+        return self.segments[0][0].den
+
     def _validate(self):
-        tol = endpoint_tol(self.query)
         if len(self.segments) != self.query.robot_count:
             raise InternalConsistencyError("one segment list per robot is required")
+        den = self.segments[0][0].den if self.segments[0] else 0
+        # Per robot, its start and every segment's final point against every
+        # segment's initial point and its goal: one norm for the whole path.
+        before, after = [], []
         for robot, per_robot in enumerate(self.segments):
             if not per_robot:
                 raise InternalConsistencyError(f"robot {robot} has no segments")
-            if per_robot[0].t0 != 0 or per_robot[-1].t1 != 1:
-                raise InternalConsistencyError(
-                    f"robot {robot} segments do not span [0, 1]"
-                )
-            # Distances are tested as "not <=" so that a NaN endpoint fails.
-            for a, b in zip(per_robot, per_robot[1:]):
-                if a.t1 != b.t0:
+            tick = 0
+            for seg in per_robot:
+                if seg.start != tick or seg.den != den:
                     raise InternalConsistencyError(
-                        f"robot {robot} has a gap/overlap at t={a.t1}"
+                        f"robot {robot} has a gap/overlap at t={Fraction(tick, den)}"
                     )
-                if not np.linalg.norm(a.move.final - b.move.initial) <= tol:
-                    raise InternalConsistencyError(
-                        f"robot {robot} is discontinuous at t={a.t1}"
-                    )
-            first, last = per_robot[0].move.initial, per_robot[-1].move.final
-            if not np.linalg.norm(first - self.query.starts[robot]) <= tol:
-                raise InternalConsistencyError(f"robot {robot} does not start at its start")
-            if not np.linalg.norm(last - self.query.goals[robot]) <= tol:
-                raise InternalConsistencyError(f"robot {robot} does not end at its goal")
+                tick = seg.stop
+            if tick != den:
+                raise InternalConsistencyError(f"robot {robot} segments do not span [0, 1]")
+            before += [self.query.starts[robot], *(seg.move.final for seg in per_robot)]
+            after += [*(seg.move.initial for seg in per_robot), self.query.goals[robot]]
+        # Tested as "not <=" so that a NaN point fails.
+        gaps = np.linalg.norm(np.subtract(before, after), axis=1)
+        far = np.flatnonzero(~(gaps <= endpoint_tol(self.query)))
+        if far.size:
+            ends = np.cumsum([len(per_robot) + 1 for per_robot in self.segments])
+            robot = int(np.searchsorted(ends, far[0], side="right"))
+            per_robot = self.segments[robot]
+            junction = far[0] - ends[robot] + len(per_robot) + 1
+            at = (
+                "its start" if junction == 0 else "its goal" if junction == len(per_robot)
+                else f"t={per_robot[junction].t0}"
+            )
+            raise InternalConsistencyError(f"robot {robot} is discontinuous at {at}")
 
     def segment_at(self, robot: int, t) -> PathSegment:
         _check_time(t)
         per_robot = self.segments[robot]
         # Linear scan, O(segments) per call: a plan with k swaps gives a robot
-        # O(k) segments.  Fraction bounds compare exactly against float t;
+        # O(k) segments.  Ticks compare exactly against t as a ratio of ints;
         # positions_at evaluates many times at once.
+        num, den = (Fraction(t) * self.den).as_integer_ratio()
         for seg in per_robot:
-            if t < seg.t1:
+            if num < seg.stop * den:
                 return seg
         return per_robot[-1]
 
@@ -274,7 +286,7 @@ class PiecewisePath:
             _check_time(ts.min())
             _check_time(ts.max())
         out = np.empty((len(ts), self.query.dim))
-        bounds = np.array([float(seg.t1) for seg in self.segments[robot]])
+        bounds = np.array([seg.stop / seg.den for seg in self.segments[robot]])
         idx = np.searchsorted(bounds, ts, side="right")
         idx = np.minimum(idx, len(bounds) - 1)
         for seg_index in np.unique(idx):

@@ -13,13 +13,13 @@ window equally.  A degenerate query is split into a generic one
 (:func:`desingularize`): each robot moves straight from its start to its
 split start on [0, 1/3], the swaps and the straight line of the split query
 fill [1/3, 2/3], and each robot moves straight from its split goal back to
-its goal on [2/3, 1], all into one set of per-robot segment lists.
+its goal on [2/3, 1], all into one set of per-robot segment lists, on ticks
+over 9(k + 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -74,6 +74,8 @@ __all__ = [
 # and arcs built from the query, and the squared distances a certificate
 # sums, all stay finite.
 MAX_COORDINATE = 1e150
+# Every swap plays three stages, one tick each (deformations).
+_STAGES = 3
 
 
 @dataclass(frozen=True)
@@ -158,16 +160,16 @@ def _block_representative(query: ConfigurationQuery, block: frozenset[int]) -> i
     return min(block, key=lambda k: tuple(query.obstacles[k]))
 
 
-def _append_segment(segments: list[PathSegment], t0: Fraction, t1: Fraction, move: Move):
-    """Append a robot's move on [t0, t1] to its segment list.
+def _append_segment(segments: list[PathSegment], t0: int, t1: int, den: int, move: Move):
+    """Append a robot's move on ticks [t0, t1] over ``den`` to its segment list.
 
     A gap before t0 is filled with one rest where ``move`` begins, which is
     where the robot's last move ended.  A rest that continues a rest at the
     same position extends that segment instead.
     """
-    end = segments[-1].t1 if segments else Fraction(0)
+    end = segments[-1].stop if segments else 0
     if end < t0:
-        _append_segment(segments, end, t0, LinearMove(move.initial, move.initial))
+        _append_segment(segments, end, t0, den, LinearMove(move.initial, move.initial))
     if (
         segments
         and isinstance(move, LinearMove)
@@ -177,9 +179,9 @@ def _append_segment(segments: list[PathSegment], t0: Fraction, t1: Fraction, mov
         and np.array_equal(segments[-1].move.end, move.start)
     ):
         prev = segments.pop()
-        segments.append(PathSegment(t0=prev.t0, t1=t1, move=prev.move))
+        segments.append(PathSegment(prev.start, t1, den, prev.move))
     else:
-        segments.append(PathSegment(t0=t0, t1=t1, move=move))
+        segments.append(PathSegment(t0, t1, den, move))
 
 
 def compose_with_section(
@@ -192,17 +194,18 @@ def compose_with_section(
     ``split``, which ``swaps`` sort.  Each robot moves straight from its start
     to its split start on [0, 1/3], the swaps and the straight line of
     ``split`` fill [1/3, 2/3], and each robot moves straight from its split
-    goal back to its goal on [2/3, 1].
+    goal back to its goal on [2/3, 1].  Times are ticks over 9(k + 1) for k
+    swaps.
     """
-    one_third, two_thirds = Fraction(1, 3), Fraction(2, 3)
+    third = _STAGES * (len(swaps) + 1)
     segments = [[] for _ in range(query.robot_count)]
     for robot, per_robot in enumerate(segments):
         shift = LinearMove(query.starts[robot], split.starts[robot])
-        _append_segment(per_robot, Fraction(0), one_third, shift)
-    _play_swaps(segments, split, frame, swaps, one_third, two_thirds)
+        _append_segment(per_robot, 0, third, 3 * third, shift)
+    _play_swaps(segments, split, frame, swaps, third, 3 * third)
     for robot, per_robot in enumerate(segments):
         shift = LinearMove(split.goals[robot], query.goals[robot])
-        _append_segment(per_robot, two_thirds, Fraction(1), shift)
+        _append_segment(per_robot, 2 * third, 3 * third, 3 * third, shift)
     return PiecewisePath(query=query, segments=segments)
 
 
@@ -219,18 +222,18 @@ def _play_swaps(
     query: ConfigurationQuery,
     frame: Frame,
     swaps: list[Swap],
-    lo: Fraction,
-    hi: Fraction,
+    lo: int,
+    den: int,
 ):
-    """Append ``swaps``, played in order on the global window [lo, hi], and
+    """Append ``swaps``, played in order from tick ``lo`` over ``den``, and
     then the straight line to the per-robot lists ``segments``.
 
-    With k swaps the window splits into k + 1 equal parts: swap i fills part
-    i, its s stages one s-th of it each, and the straight line fills part k.
-    A robot gets segments only where it moves; each rest fills the gap before
-    its next move.  The parts depend only on the swap list, which is locally
-    constant wherever the tie pattern is, so the schedule keeps the rule
-    continuous on each domain.
+    With k swaps the window is 3(k + 1) ticks: stage j of swap i fills tick
+    lo + 3i + j (each swap plays three stages), and the straight line fills
+    the last three.  A robot gets segments only where it moves; each rest
+    fills the gap before its next move.  The ticks depend only on the swap
+    list, which is locally constant wherever the tie pattern is, so the
+    schedule keeps the rule continuous on each domain.
 
     ``query`` is valid and generic and is not checked again.  One sweep state
     carries it across the swaps: the running starts array, the comparison
@@ -249,7 +252,6 @@ def _play_swaps(
         InternalConsistencyError: one of these checks fails.
     """
     n = query.robot_count
-    width = (hi - lo) / (len(swaps) + 1)
     tol = endpoint_tol(query)
     starts = np.array(query.starts)
     values, _ = _ties(query, frame)
@@ -269,15 +271,13 @@ def _play_swaps(
             eta = _clearance(values, frame, swap.robot, o, swap.side, distances[swap.block])
             obstacle = query.obstacles[reps[swap.block]]
             stages = _case_b_stages(starts, frame, swap.robot, obstacle, eta, swap.side)
-        step = width / len(stages)
         for j, stage in enumerate(stages):
-            t0 = lo + i * width + j * step
-            t1 = t0 + step
+            t0 = lo + _STAGES * i + j
             for robot, move in stage.items():
                 if not np.linalg.norm(move.initial - starts[robot]) <= tol:
                     raise InternalConsistencyError(f"stage does not chain for robot {robot}")
                 starts[robot] = move.final
-                _append_segment(segments[robot], t0, t1, move)
+                _append_segment(segments[robot], t0, t0 + 1, den, move)
         values[:n] = starts @ frame.axis
         for robot in {robot for stage in stages for robot in stage}:
             ties = np.flatnonzero(values == values[robot])
@@ -288,10 +288,10 @@ def _play_swaps(
                 )
         if _swap_place(values, n, above, below, i) != place:
             raise InternalConsistencyError(f"swap {i} moved its pair out of place")
-    start = lo + len(swaps) * width
+    start = lo + _STAGES * len(swaps)
     final = _checked_query(starts, query.goals, query.obstacles)
     for robot, line in enumerate(straight_moves(final, frame)):
-        _append_segment(segments[robot], start, hi, line)
+        _append_segment(segments[robot], start, start + _STAGES, den, line)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,7 +384,7 @@ def plan(
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
     if generic_query is query:
         segments = [[] for _ in range(n)]
-        _play_swaps(segments, query, frame, swaps, Fraction(0), Fraction(1))
+        _play_swaps(segments, query, frame, swaps, 0, _STAGES * (len(swaps) + 1))
         path = PiecewisePath(query=query, segments=segments)
     else:
         path = compose_with_section(query, generic_query, frame, swaps)

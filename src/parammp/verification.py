@@ -7,7 +7,6 @@ segments; the point is to catch construction bugs rather than restate them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -173,10 +172,9 @@ def certify_separation(
         )
     n, m = path.robot_count, path.obstacles.shape[0]
     segments = [seg for per_robot in path.segments for seg in per_robot]
-    # The union grid on integer ticks of 1/scale: int true division rounds
-    # tick / scale exactly as float(Fraction(tick, scale)) does.
-    scale = math.lcm(*{seg.t1.denominator for seg in segments})
-    ticks = [seg.t1.numerator * (scale // seg.t1.denominator) for seg in segments]
+    # The union grid on the path's integer ticks: int true division rounds
+    # tick / den exactly as float(Fraction(tick, den)) does.
+    ticks = [seg.stop for seg in segments]
     cuts = sorted({0, *ticks})
     cut_index = {t: w for w, t in enumerate(cuts)}
     # Windows per segment: up to its end, from the previous segment's end or,
@@ -187,7 +185,7 @@ def certify_separation(
     spans[firsts] = ends[firsts]
     # active[w, r] is the segment robot r follows on window w.
     active = np.repeat(np.arange(len(segments)), spans).reshape(n, -1).T
-    bounds = np.array([t / scale for t in cuts])
+    bounds = np.array([t / path.den for t in cuts])
 
     # Robot-robot pairs i < k, then robot-obstacle pairs (i, j) as bodies n + j;
     # pair_of[r, k] is the pair of robot r and body k.

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 
 from parammp import (
     ConfigurationQuery,
+    FrameMode,
+    PlanResult,
     QueryValidationError,
+    certify_separation,
+    classify,
+    make_frame,
     parse_plan,
     parse_problem,
     plan,
@@ -298,7 +303,94 @@ def _plan_text(**segment_fields):
     return json.dumps(doc)
 
 
+def _mixed_denominator_plan():
+    """A hand-written plan whose bounds have denominators 5, 4 and 3: robot 0
+    rests, rises, swings over a half circle and moves right; robot 1 rises
+    and rests."""
+
+    def line(t0, t1, start, end):
+        return {"t0": t0, "t1": t1, "kind": "linear", "start": start, "end": end}
+
+    arc = {
+        "t0": "2/5", "t1": "3/4", "kind": "arc", "center": [0.5, 3.0], "radius": 0.5,
+        "basis_u": [-1.0, 0.0], "basis_v": [0.0, 1.0],
+        "angle_start": 0.0, "angle_end": 3.141592653589793,
+    }
+    robot_0 = [
+        line("0/1", "1/5", [0.0, 2.0], [0.0, 2.0]),
+        line("1/5", "2/5", [0.0, 2.0], [0.0, 3.0]),
+        arc,
+        line("3/4", "1/1", [1.0, 3.0], [2.0, 3.0]),
+    ]
+    robot_1 = [
+        line("0/1", "1/3", [3.0, -1.0], [3.0, 1.0]),
+        line("1/3", "1/1", [3.0, 1.0], [3.0, 1.0]),
+    ]
+    return {
+        "starts": [[0.0, 2.0], [3.0, -1.0]],
+        "goals": [[2.0, 3.0], [3.0, 1.0]],
+        "obstacles": [[0.0, -2.0], [5.0, 5.0]],
+        "robots": [{"robot": 0, "segments": robot_0}, {"robot": 1, "segments": robot_1}],
+    }
+
+
+# (sampled_min, certified_lower_bound) per pair of the mixed-denominator
+# plan, as the certifier gave them when it read bounds as Fractions.
+_MIXED_BOUNDS = [
+    ("0x1.1e3779b97f4a8p+1", "0x1.1e3779b97f474p+1"),
+    ("0x1.0000000000000p+2", "0x1.fffffffffffd8p+1"),
+    ("0x1.cd82b446159f3p+1", "0x1.cd82b446159acp+1"),
+    ("0x1.94c583ada5b53p+1", "0x1.94c583ada5b11p+1"),
+    ("0x1.1e3779b97f4a8p+2", "0x1.1e3779b97f47ap+2"),
+]
+
+
 class TestParsePlan:
+    def test_mixed_denominators_parse_certify_and_reserialize(self):
+        doc = _mixed_denominator_plan()
+        path = parse_plan(json.dumps(doc))
+        assert path.den == 60
+        for samples in (2, 64):
+            cert = certify_separation(path, samples_per_segment=samples)
+            got = [(p.sampled_min.hex(), p.certified_lower_bound.hex()) for p in cert.pairs]
+            assert got == _MIXED_BOUNDS
+        frame = make_frame(path.query, FrameMode.FIXED)
+        result = PlanResult(
+            path=path, region=classify(path.query, frame), swaps=(), mode=FrameMode.FIXED,
+            frame=frame,
+        )
+        again = json.loads(serialize_plan(result))
+
+        def bounds(document):
+            return [[(s["t0"], s["t1"]) for s in r["segments"]] for r in document["robots"]]
+
+        assert bounds(again) == bounds(doc)
+
+    @pytest.mark.parametrize(
+        "robot, index, field, message",
+        [
+            (1, 1, "start", "robot 1 is discontinuous at t=1/3"),
+            (0, 0, "start", "robot 0 is discontinuous at its start"),
+            (1, 1, "end", "robot 1 is discontinuous at its goal"),
+        ],
+    )
+    def test_junction_errors_name_the_robot_and_the_time(self, robot, index, field, message):
+        doc = _mixed_denominator_plan()
+        doc["robots"][robot]["segments"][index][field] = [3.0, float("nan")]
+        with pytest.raises(QueryValidationError, match=message):
+            parse_plan(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "t0, t1",
+        [("0/1", "1/0"), ("1/5", "0/1"), ("-1/3", "1/5")],
+        ids=["zero-denominator", "reversed-window", "negative"],
+    )
+    def test_bad_bounds_rejected(self, t0, t1):
+        doc = _mixed_denominator_plan()
+        doc["robots"][0]["segments"][0].update(t0=t0, t1=t1)
+        with pytest.raises(QueryValidationError, match="plan document"):
+            parse_plan(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -376,6 +468,11 @@ class TestSampleCsv:
         with pytest.raises(QueryValidationError, match="resolution: expected an integer >= 1"):
             sample_csv(crossing_plan(), resolution=resolution)
 
+    @pytest.mark.parametrize("resolution", [2.5, "8", MAX_SAMPLES_PER_SEGMENT + 1])
+    def test_resolution_not_an_integer_in_range_rejected(self, resolution):
+        with pytest.raises(QueryValidationError, match="resolution: expected an integer"):
+            sample_csv(crossing_plan(), resolution=resolution)
+
     def test_values_match_evaluation(self):
         res = crossing_plan()
         lines = sample_csv(res, resolution=8).strip().split("\n")[1:]
@@ -423,6 +520,11 @@ class TestRenderSvg:
     @pytest.mark.parametrize("sample_count", [0, -1])
     def test_sample_count_below_one_rejected(self, sample_count):
         with pytest.raises(QueryValidationError, match="sample_count: expected an integer >= 1"):
+            render_svg(crossing_plan(), sample_count=sample_count)
+
+    @pytest.mark.parametrize("sample_count", [2.5, "8", MAX_SAMPLES_PER_SEGMENT + 1])
+    def test_sample_count_not_an_integer_in_range_rejected(self, sample_count):
+        with pytest.raises(QueryValidationError, match="sample_count: expected an integer"):
             render_svg(crossing_plan(), sample_count=sample_count)
 
     def test_arc_polyline_chord_error_bound(self):

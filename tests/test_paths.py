@@ -16,10 +16,16 @@ def make_path(segments_per_robot, starts, goals, obstacles):
     return PiecewisePath(query=query, segments=segments_per_robot)
 
 
-def linear_segment(t0, t1, p0, p1):
+def linear_segment(t0, t1, p0, p1, den=42):
+    """A straight segment on [t0, t1] (Fractions or (num, den) tuples), on
+    ticks over ``den``, which every bound's denominator must divide."""
+    t0 = Fraction(*t0) if isinstance(t0, tuple) else Fraction(t0)
+    t1 = Fraction(*t1) if isinstance(t1, tuple) else Fraction(t1)
+    assert (t0 * den).denominator == (t1 * den).denominator == 1
     return PathSegment(
-        t0=Fraction(*t0) if isinstance(t0, tuple) else Fraction(t0),
-        t1=Fraction(*t1) if isinstance(t1, tuple) else Fraction(t1),
+        start=int(t0 * den),
+        stop=int(t1 * den),
+        den=den,
         move=LinearMove(np.array(p0, dtype=float), np.array(p1, dtype=float)),
     )
 
@@ -49,6 +55,20 @@ class TestMoves:
         assert np.allclose(move.at(1.0), [0.0, 2.0], atol=1e-15)
         assert np.allclose(move.at(0.5), [math.sqrt(2), math.sqrt(2)])
 
+    def test_arc_end_points_evaluated_once(self):
+        move = ArcMove(
+            center=np.array([0.5, -1.0, 2.0]),
+            radius=0.3,
+            basis_u=np.array([0.0, 1.0, 0.0]),
+            basis_v=np.array([0.0, 0.0, 1.0]),
+            angle_start=0.25,
+            angle_end=0.25 + math.pi,
+        )
+        assert move.initial is move.initial and move.final is move.final
+        assert np.array_equal(move.initial, move.at(0.0))
+        assert np.array_equal(move.final, move.at(1.0))
+        assert not move.initial.flags.writeable and not move.final.flags.writeable
+
     def test_arc_rejects_skew_basis(self):
         with pytest.raises(ValueError):
             ArcMove(
@@ -77,6 +97,18 @@ class TestPathSegment:
         assert seg.local(0.2) == (0.2 - float(Fraction(1, 7))) / float(seg.duration)
         assert seg.speed_bound() == seg.move.path_length() / float(seg.duration)
 
+    def test_ticks_must_be_integers(self):
+        move = LinearMove(np.zeros(2), np.ones(2))
+        with pytest.raises(TypeError, match="integer ticks"):
+            PathSegment(start=Fraction(0), stop=1, den=1, move=move)
+        with pytest.raises(TypeError, match="integer ticks"):
+            PathSegment(start=0, stop=1.0, den=1, move=move)
+
+    @pytest.mark.parametrize("start, stop, den", [(1, 1, 3), (2, 1, 3), (-1, 1, 3), (0, 4, 3)])
+    def test_window_must_be_nonempty_within_unit_interval(self, start, stop, den):
+        with pytest.raises(ValueError, match="empty or off"):
+            PathSegment(start=start, stop=stop, den=den, move=LinearMove(np.zeros(2), np.ones(2)))
+
 
 class TestPiecewisePath:
     def _two_piece(self):
@@ -99,6 +131,29 @@ class TestPiecewisePath:
         left = path.segments[0][0].at(0.5)
         right = path.segments[0][1].at(0.5)
         assert np.linalg.norm(left - right) <= 1e-9
+
+    def test_segment_at_compares_exactly_with_ticks(self):
+        segments = (
+            (
+                linear_segment(0, (1, 3), [0.0, 0.0], [1.0, 1.0]),
+                linear_segment((1, 3), 1, [1.0, 1.0], [2.0, 0.0]),
+            ),
+        )
+        path = make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
+        first, second = segments[0]
+        assert 1 / 3 < Fraction(1, 3)  # the float lies just before the tick
+        assert path.segment_at(0, 1 / 3) is first
+        assert path.segment_at(0, Fraction(1, 3)) is second
+        assert path.segment_at(0, np.int64(1)) is second
+        assert np.array_equal(path.position(0, Fraction(1, 3)), [1.0, 1.0])
+
+    def test_denominators_must_agree(self):
+        segments = (
+            (linear_segment(0, 1, [0.0, 0.0], [2.0, 0.0], den=6),),
+            (linear_segment(0, 1, [0.0, 1.0], [2.0, 1.0], den=3),),
+        )
+        with pytest.raises(InternalConsistencyError, match="robot 1 has a gap/overlap at t=0"):
+            make_path(segments, [[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]], [[9.0, 9.0]])
 
     def test_time_out_of_range(self):
         path = self._two_piece()

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import fractions
 import itertools
+import sys
 from collections import deque
 from fractions import Fraction
 
@@ -30,6 +32,7 @@ from parammp import (
     orderings,
     plan,
     random_query,
+    random_rational_query,
     serialize_plan,
     straight_moves,
     swap_case_a,
@@ -486,11 +489,11 @@ class TestScale:
             assert certify_separation(res.path, samples_per_segment=16).passed
 
 
-def _reference_play_swaps(segments, query, frame, swaps, lo, hi):
+def _reference_play_swaps(segments, query, frame, swaps, lo, den):
     """The planner's swap loop before it kept one sweep state: each swap is
     built by the public swap functions on the configuration the last one
-    ended on, rebuilt and fully validated as a query after every swap."""
-    width = (hi - lo) / (len(swaps) + 1)
+    ended on, rebuilt and fully validated as a query after every swap.
+    Stage j of swap i plays on tick lo + 3i + j over ``den``."""
     tol = paths.endpoint_tol(query)
     current = query
     starts = np.array(query.starts)
@@ -500,19 +503,18 @@ def _reference_play_swaps(segments, query, frame, swaps, lo, hi):
         else:
             representative = planner._block_representative(current, swap.block)
             stages = swap_case_b(current, frame, swap.robot, representative, swap.side)
-        step = width / len(stages)
+        assert len(stages) == 3
         for j, stage in enumerate(stages):
-            t0 = lo + i * width + j * step
-            t1 = t0 + step
+            t0 = lo + 3 * i + j
             for robot, move in stage.items():
                 if not np.linalg.norm(move.initial - starts[robot]) <= tol:
                     raise InternalConsistencyError(f"stage does not chain for robot {robot}")
                 starts[robot] = move.final
-                planner._append_segment(segments[robot], t0, t1, move)
+                planner._append_segment(segments[robot], t0, t0 + 1, den, move)
         current = ConfigurationQuery(starts, query.goals, query.obstacles)
-    start = lo + len(swaps) * width
+    start = lo + 3 * len(swaps)
     for robot, line in enumerate(straight_moves(current, frame)):
-        planner._append_segment(segments[robot], start, hi, line)
+        planner._append_segment(segments[robot], start, start + 3, den, line)
 
 
 def _reference_plan_text(query, mode):
@@ -555,3 +557,50 @@ class TestSweepState:
         res = plan(q, mode="fixed")
         assert res.swap_count == 205
         assert calls["validate"] <= 2 and calls["ties"] <= 4, calls
+
+
+class TestTicks:
+    """Segment bounds are integer ticks over one denominator per path."""
+
+    @pytest.mark.parametrize("half_grid", [False, True], ids=["generic", "grid"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_bound_is_a_tick_over_the_schedule_denominator(self, half_grid, data):
+        # k swaps of three stages, then the straight line: 3(k + 1) ticks; a
+        # degenerate query plays them in the middle third of 9(k + 1)
+        query, mode = data.draw(small_queries(half_grid=half_grid))
+        res = plan(query, mode=mode)
+        den = 3 * (res.swap_count + 1)
+        if res.region.j < 2 * query.robot_count:
+            den *= 3
+        assert res.path.den == den
+        for per in res.path.segments:
+            for seg in per:
+                assert seg.den == den
+                assert type(seg.start) is int and type(seg.stop) is int
+                assert (seg.t0, seg.t1) == (Fraction(seg.start, den), Fraction(seg.stop, den))
+                assert seg.duration == seg.t1 - seg.t0
+
+    @pytest.mark.parametrize("denominator", [None, 2], ids=["generic", "degenerate"])
+    def test_plan_certify_and_serialize_run_no_fraction_code(self, denominator):
+        rng = np.random.default_rng(0)
+        if denominator is None:
+            query = random_query(rng, 8, 8, 3)
+        else:  # half-units in [-3, 3]: coincidences, so a split and 9(k + 1) ticks
+            query = random_rational_query(rng, 8, 8, 3, denominator=2, span=6)
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            result = plan(query, mode="fixed")
+            certify_separation(result.path, samples_per_segment=64)
+            serialize_plan(result)
+        finally:
+            sys.setprofile(None)
+        assert result.swap_count > 0
+        assert result.path.den == 3 * (result.swap_count + 1) * (1 if denominator is None else 3)
+        assert calls == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -85,8 +86,9 @@ class TestCertificate:
         segments = (
             (
                 PathSegment(
-                    t0=Fraction(0),
-                    t1=Fraction(1),
+                    start=0,
+                    stop=1,
+                    den=1,
                     move=LinearMove(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
                 ),
             ),
@@ -149,8 +151,15 @@ class TestCertificate:
         assert certify_separation(res.path, samples_per_segment=np.int64(64)).passed
 
 
-def _segment(t0, t1, move):
-    return PathSegment(t0=Fraction(t0), t1=Fraction(t1), move=move)
+def _segments(robots):
+    """Per-robot lists of (t0, t1, move) as segments on ticks over the least
+    common denominator of all the bounds."""
+    bounds = [Fraction(t) for per in robots for t0, t1, _ in per for t in (t0, t1)]
+    den = math.lcm(*(t.denominator for t in bounds))
+    return [
+        [PathSegment(int(t0 * den), int(t1 * den), den, move) for t0, t1, move in per]
+        for per in robots
+    ]
 
 
 def _line(start, end):
@@ -160,7 +169,7 @@ def _line(start, end):
 def _hand_path(obstacles, robots):
     """A path from per-robot lists of (t0, t1, move); the query's starts and
     goals are each robot's first and last points."""
-    segments = [[_segment(t0, t1, move) for t0, t1, move in per] for per in robots]
+    segments = _segments(robots)
     query = ConfigurationQuery(
         starts=[per[0].move.initial for per in segments],
         goals=[per[-1].move.final for per in segments],
@@ -397,17 +406,18 @@ class TestSharedGrid:
     def test_third_robot_splitting_the_window_never_lowers_a_bound(self, second_move):
         # robots 0 and 1 each follow one segment on [0, 1]; robot 2 rests far
         # away except on [1/3, 3/5], so it cuts their one window into three
-        two = (
-            (_segment(0, 1, _line([-1.0, 0.0], [1.0, 0.0])),),
-            (_segment(0, 1, second_move),),
+        three = _segments(
+            [
+                [(0, 1, _line([-1.0, 0.0], [1.0, 0.0]))],
+                [(0, 1, second_move)],
+                [
+                    (0, Fraction(1, 3), _line([5.0, 5.0], [5.0, 5.0])),
+                    (Fraction(1, 3), Fraction(3, 5), _line([5.0, 5.0], [6.0, 5.0])),
+                    (Fraction(3, 5), 1, _line([6.0, 5.0], [6.0, 5.0])),
+                ],
+            ]
         )
-        three = two + (
-            (
-                _segment(0, Fraction(1, 3), _line([5.0, 5.0], [5.0, 5.0])),
-                _segment(Fraction(1, 3), Fraction(3, 5), _line([5.0, 5.0], [6.0, 5.0])),
-                _segment(Fraction(3, 5), 1, _line([6.0, 5.0], [6.0, 5.0])),
-            ),
-        )
+        two = three[:2]
         goal = second_move.final
         path_two = PiecewisePath(
             query=ConfigurationQuery(
