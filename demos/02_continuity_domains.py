@@ -3,7 +3,7 @@
 The planner is a single rule assembled from 2n+m continuous pieces: queries
 whose projections show j robot-only values and t obstacle values share the
 piece c = j + t.  Here we construct one query for every reachable (j, t) cell
-with one robot and two obstacles, plan it, and tabulate the realized domain
+with one robot and two obstacles, plan it, and tabulate the domain
 indices; random queries then land in the full-measure top cell c = 2n+m.
 """
 
@@ -25,15 +25,15 @@ def main():
     print(f"n={N} robot(s), m={M} obstacle(s), d={D}")
     print()
     print(" j  t  ->  c   swaps")
-    realized = set()
+    reached = set()
     for j in range(0, 2 * N + 1):
         for t in range(1, M + 1):
             query = degenerate_query(N, M, D, j, t)
             result = plan(query, mode="fixed")
-            realized.add(result.domain_index)
+            reached.add(result.domain_index)
             print(f" {j}  {t}  ->  {result.domain_index}   {result.swap_count}")
     print()
-    print(f"realized domain indices: {sorted(realized)} (expected 1..{2 * N + M})")
+    print(f"domain indices reached: {sorted(reached)} (expected 1..{2 * N + M})")
 
     report = check_partition(N, M, D, mode="fixed", trials=2000, seed=42)
     print()

@@ -7,7 +7,7 @@ obstacles then never share a projection value, so the degenerate t = 1 cell
 disappears and the planner runs on 2n+m-1 domains instead of 2n+m.
 
 We rotate an obstacle pair around a circle and watch the frame track it, then
-verify the realized domain range on random queries.
+verify the domain range reached on random queries.
 """
 
 import pathlib
@@ -45,7 +45,7 @@ def main():
     print("2000 random planar queries, obstacle-pair mode:")
     for c in sorted(report.histogram):
         print(f"  c = {c}: {report.histogram[c]}")
-    print("realized indices never drop below 2: the t = 1 cell cannot occur.")
+    print("indices never drop below 2: the t = 1 cell cannot occur.")
 
     query = ConfigurationQuery(
         starts=[[-1.0, 0.5]], goals=[[2.0, 0.7]], obstacles=[[0.0, 0.0], [1.0, 0.0]]

@@ -30,7 +30,6 @@ from .geometry import (
     clearance_eta,
     component_count,
     make_frame,
-    min_gap,
     orderings,
     project,
 )
@@ -61,7 +60,6 @@ from .formats import (
     FORMAT_VERSION,
     ProblemDocument,
     ProblemOptions,
-    parse_plan,
     parse_problem,
     render_svg,
     sample_csv,

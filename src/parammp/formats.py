@@ -14,16 +14,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
-from .errors import InternalConsistencyError, QueryValidationError
+from .errors import QueryValidationError
 from .geometry import ConfigurationQuery, Frame, FrameMode
-from .paths import ArcMove, LinearMove, PathSegment, PiecewisePath
+from .paths import LinearMove, PathSegment
 from .planner import PlanResult
 from .verification import MAX_SAMPLES_PER_SEGMENT
 
@@ -31,7 +30,6 @@ __all__ = [
     "FORMAT_VERSION",
     "ProblemDocument",
     "ProblemOptions",
-    "parse_plan",
     "parse_problem",
     "render_svg",
     "sample_csv",
@@ -80,22 +78,6 @@ class ProblemDocument:
         if self.mode is None:
             return None
         return FrameMode(self.mode.replace("-", "_"))
-
-    def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "dim": self.dim,
-            "starts": [list(p) for p in self.starts],
-            "goals": [list(p) for p in self.goals],
-            "obstacles": [list(p) for p in self.obstacles],
-        }
-        if self.mode is not None:
-            doc["mode"] = self.mode
-        doc["options"] = {
-            "snap_tolerance": self.options.snap_tolerance,
-            "samples_per_segment": self.options.samples_per_segment,
-        }
-        return json.dumps(doc, indent=2)
 
 
 def _finite(number) -> bool:
@@ -218,13 +200,6 @@ def parse_problem(text: str) -> ProblemDocument:
     raise QueryValidationError(errors)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    if not isinstance(text, str):
-        raise TypeError(f'time bound {text!r} is not a "num/den" string')
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 _ROBOT_TEMPLATE = '    {\n      "robot": %d,\n      "segments": [\n%s\n      ]\n    }'
 
 
@@ -270,9 +245,8 @@ def _segment_text(seg: PathSegment, dim: int, texts: list[str]) -> str:
 def serialize_plan(result: PlanResult) -> str:
     """Plan as JSON with exact segment parameters.
 
-    Floats are emitted with round-trip precision and time bounds as exact
-    ``"num/den"`` rationals, so re-evaluating a parsed plan reproduces the
-    original path.  The layout is the one ``json.dumps(document, indent=2)``
+    Every float is written with round-trip precision and every time bound
+    as an exact reduced ``"num/den"`` rational.  The layout is the one ``json.dumps(document, indent=2)``
     gives: the head (``version`` to ``obstacles``) goes through ``json.dumps``,
     and each segment fills a per-kind, per-dimension template, its floats
     written by ``float.__repr__`` as ``json`` writes them; a time bound is its
@@ -305,78 +279,6 @@ def serialize_plan(result: PlanResult) -> str:
         for robot, segments in enumerate(result.path.segments)
     )
     return head[: -len("\n}")] + ',\n  "robots": [\n' + robots + "\n  ]\n}"
-
-
-def _point(seg, field: str, where: str, dim: int) -> np.ndarray:
-    """Field ``field`` of a segment entry, which must be a point of R^dim."""
-    value = np.array(seg[field], dtype=float)
-    if value.shape != (dim,):
-        raise QueryValidationError(
-            [
-                f"plan document: {where} {field}: expected {dim} coordinates, "
-                f"got shape {value.shape}"
-            ]
-        )
-    return value
-
-
-def _path_from_document(doc) -> PiecewisePath:
-    query = ConfigurationQuery(
-        starts=np.array(doc["starts"], dtype=float),
-        goals=np.array(doc["goals"], dtype=float),
-        obstacles=np.array(doc["obstacles"], dtype=float),
-    )
-    robots = []  # per robot, per segment: (t0, t1, move)
-    for robot, robot_doc in enumerate(doc["robots"]):
-        if robot_doc["robot"] != robot:
-            raise ValueError(f"robots[{robot}] names robot {robot_doc['robot']!r}")
-        per_robot = []
-        for index, seg in enumerate(robot_doc["segments"]):
-            point = partial(
-                _point, seg, where=f"robots[{robot}] segments[{index}]", dim=query.dim
-            )
-            if seg["kind"] == "linear":
-                move = LinearMove(start=point("start"), end=point("end"))
-            elif seg["kind"] == "arc":
-                move = ArcMove(
-                    center=point("center"),
-                    radius=seg["radius"],
-                    basis_u=point("basis_u"),
-                    basis_v=point("basis_v"),
-                    angle_start=seg["angle_start"],
-                    angle_end=seg["angle_end"],
-                )
-            else:
-                raise QueryValidationError(
-                    [f"plan document: unknown segment kind {seg['kind']!r}"]
-                )
-            per_robot.append((_parse_fraction(seg["t0"]), _parse_fraction(seg["t1"]), move))
-        robots.append(per_robot)
-    # The bounds as ticks over their least common denominator.
-    den = math.lcm(*(t.denominator for per in robots for t0, t1, _ in per for t in (t0, t1)))
-    segments = [
-        [PathSegment(int(t0 * den), int(t1 * den), den, move) for t0, t1, move in per_robot]
-        for per_robot in robots
-    ]
-    return PiecewisePath(query=query, segments=segments)
-
-
-def parse_plan(text: str) -> PiecewisePath:
-    """Rebuild the piecewise path of a serialized plan.
-
-    Raises:
-        QueryValidationError: the text is not a well-formed plan document: bad
-            or too deeply nested JSON, a missing or mistyped field, a robot
-            entry out of place, a segment point without the query's dimension,
-            an unknown segment kind, a time bound that is not a rational, or
-            segments that do not chain.
-    """
-    try:
-        return _path_from_document(json.loads(text))
-    except (
-        ArithmeticError, InternalConsistencyError, LookupError, RecursionError, TypeError, ValueError
-    ) as exc:
-        raise QueryValidationError([f"plan document: {type(exc).__name__}: {exc}"]) from exc
 
 
 def _check_count(name: str, count):

@@ -56,7 +56,6 @@ __all__ = [
     "clearance_eta",
     "component_count",
     "make_frame",
-    "min_gap",
     "orderings",
     "project",
 ]
@@ -430,41 +429,26 @@ def orderings(query: ConfigurationQuery, frame: Frame) -> OrderingPair:
     return OrderingPair(sigma=sequence(rank[:n]), sigma_prime=sequence(rank[n:2 * n]))
 
 
-def min_gap(query: ConfigurationQuery, frame: Frame) -> float:
-    """Smallest positive projection gap within the start-start, goal-goal,
-    start-obstacle and goal-obstacle families.
-
-    Start-goal gaps are deliberately not considered.  Pairs that are tied
-    (equal rank in the tie table) do not count.  When every listed gap
-    vanishes the fallback value 1.0 is returned, so the result is always
-    strictly positive.
-    """
-    return _min_gap(query, frame, include_start_goal=False)
-
-
 def desingularization_gap(query: ConfigurationQuery, frame: Frame) -> float:
-    """Like :func:`min_gap` but also bounded by positive start-goal gaps.
+    """Smallest positive projection gap between two points that are not both
+    obstacles.
 
-    The splitting shifts give starts and goals different offsets, so an
+    Pairs that are tied (equal rank in the tie table) do not count.  The
+    splitting shifts give starts and goals different offsets, so an
     originally positive start-goal gap must also exceed the total shift for
-    the result to be generic; folding that family into the bound makes the
-    genericity guarantee unconditional.
+    the result to be generic; counting that family in the bound makes the
+    genericity guarantee unconditional.  When every counted gap vanishes the
+    fallback value 1.0 is returned, so the result is always strictly
+    positive.
     """
-    return _min_gap(query, frame, include_start_goal=True)
-
-
-def _min_gap(query: ConfigurationQuery, frame: Frame, include_start_goal: bool) -> float:
     _, rank = _ties(query, frame)
-    n, m = query.robot_count, query.obstacle_count
+    n = query.robot_count
     q = np.concatenate(
         [query.starts @ frame.e, query.goals @ frame.e, query.obstacles @ frame.e]
     )
-    # families[kind_a, kind_b] says whether pairs of those kinds (start, goal,
-    # obstacle) bound the gap; obstacle-obstacle pairs never do.
-    sg = include_start_goal
-    families = np.array([[True, sg, True], [sg, True, True], [True, True, False]])
-    kind = np.repeat([0, 1, 2], [n, n, m])
-    counted = families[kind[:, None], kind] & (rank[:, None] != rank)
+    # Obstacle-obstacle pairs never bound the gap.
+    robot = np.arange(len(q)) < 2 * n
+    counted = (robot[:, None] | robot) & (rank[:, None] != rank)
     gaps = np.abs(q[:, None] - q)[counted]
     return float(gaps.min()) if gaps.size else 1.0
 

@@ -71,9 +71,6 @@ class LinearMove:
     def final(self) -> np.ndarray:
         return self.end
 
-    def path_length(self) -> float:
-        return float(np.linalg.norm(self.end - self.start))
-
     def is_constant(self) -> bool:
         return bool(np.array_equal(self.start, self.end))
 
@@ -137,9 +134,6 @@ class ArcMove:
             + self.radius * np.sin(theta)[:, None] * self.basis_v[None, :]
         )
 
-    def path_length(self) -> float:
-        return self.radius * abs(self.angle_end - self.angle_start)
-
     def is_constant(self) -> bool:
         return self.angle_start == self.angle_end
 
@@ -190,10 +184,6 @@ class PathSegment:
     def at_many(self, ts: np.ndarray) -> np.ndarray:
         u = (np.asarray(ts, dtype=float) - self._float_t0) / self._float_duration
         return self.move.at_many(u)
-
-    def speed_bound(self) -> float:
-        """Upper bound on |velocity| over the segment (exact for both kinds)."""
-        return self.move.path_length() / self._float_duration
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,11 +283,3 @@ class PiecewisePath:
             mask = idx == seg_index
             out[mask] = self.segments[robot][seg_index].at_many(ts[mask])
         return out
-
-    def arc_segments(self) -> list[PathSegment]:
-        return [
-            seg
-            for per_robot in self.segments
-            for seg in per_robot
-            if isinstance(seg.move, ArcMove)
-        ]

@@ -400,10 +400,6 @@ class PartitionReport:
     histogram: dict  # domain index c -> count
     out_of_range: int
 
-    @property
-    def realized(self) -> set[int]:
-        return set(self.histogram)
-
 
 def random_query(
     rng: np.random.Generator,
@@ -496,7 +492,7 @@ def check_partition(
     trials: int = 1000,
     seed: int = 0,
 ) -> PartitionReport:
-    """Classify random queries and report the realized domain indices.
+    """Classify random queries and report the domain indices reached.
 
     Every query must land in exactly one region with 0 <= j <= 2n and
     1 <= t <= m; counts of c = j + t outside [1, 2n + m] are tallied in

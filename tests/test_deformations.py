@@ -25,7 +25,6 @@ from parammp import (
     degenerate_query,
     desingularize,
     make_frame,
-    min_gap,
     orderings,
     plan,
     planner,
@@ -33,7 +32,7 @@ from parammp import (
     swap_case_a,
     swap_case_b,
 )
-from parammp.geometry import clearance_eta
+from parammp.geometry import clearance_eta, desingularization_gap
 from query_strategies import small_queries
 
 RNG_SAMPLES = 1000
@@ -400,7 +399,7 @@ class TestDesingularize:
             starts=[[0.0, 1.0, 0.0]], goals=[[0.0, 2.0, 0.0]], obstacles=[[0.0, 0.0, 1.0]]
         )
         f = fixed_frame(q)
-        assert min_gap(q, f) == 1.0
+        assert desingularization_gap(q, f) == 1.0
         end = desingularize(q, f)
         assert np.allclose(end.starts[0], q.starts[0] + (1.0 / 3.0) * f.e, atol=1e-15)
         assert np.allclose(end.goals[0], q.goals[0] + (2.0 / 3.0) * f.e, atol=1e-15)
@@ -533,7 +532,7 @@ class TestEvaluateDeformation:
         )
         stages = swap_case_b(other, fixed_frame(other), 0, 0, Side.RIGHT)
         monkeypatch.setattr(planner, "_case_b_stages", lambda *args: stages)
-        with pytest.raises(InternalConsistencyError, match="stage does not chain for robot 0"):
+        with pytest.raises(InternalConsistencyError, match="robot 0 is discontinuous at its start"):
             plan(q, FrameMode.FIXED)
 
     def test_out_of_range_time(self):

@@ -1,9 +1,10 @@
-"""Problem parsing, plan serialization round trips, CSV and SVG output."""
+"""Problem parsing, plan serialization, CSV and SVG output."""
 
 from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from parammp import (
     certify_separation,
     classify,
     make_frame,
-    parse_plan,
     parse_problem,
     plan,
     random_query,
@@ -27,7 +27,7 @@ from parammp import (
 )
 from parammp.formats import ProblemDocument, ProblemOptions
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
-from parammp.paths import ArcMove, LinearMove
+from parammp.paths import ArcMove, LinearMove, PathSegment, PiecewisePath
 from query_strategies import small_queries
 
 MINIMAL = {
@@ -102,7 +102,18 @@ class TestParseProblem:
         assert len(exc.value.errors) >= 4
 
     def test_round_trip_identity(self):
-        doc = ProblemDocument(
+        text = json.dumps(
+            {
+                "version": "1",
+                "dim": 3,
+                "mode": "fixed",
+                "starts": [[0.0, 1.0, 0.0]],
+                "goals": [[2.0, 0.0, 1.0]],
+                "obstacles": [[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]],
+                "options": {"snap_tolerance": 0.0, "samples_per_segment": 64},
+            }
+        )
+        assert parse_problem(text) == ProblemDocument(
             version="1",
             dim=3,
             mode="fixed",
@@ -111,25 +122,34 @@ class TestParseProblem:
             obstacles=((1.0, 0.0, 0.0), (3.0, 0.0, 0.0)),
             options=ProblemOptions(snap_tolerance=0.0, samples_per_segment=64),
         )
-        assert parse_problem(doc.to_json()) == doc
 
     def test_round_trip_property_on_random_documents(self):
         rng = np.random.default_rng(55)
         for _ in range(50):
             n, m, d = int(rng.integers(1, 4)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
-            doc = ProblemDocument(
+            starts, goals, obstacles = (
+                rng.uniform(-9, 9, (k, d)).tolist() for k in (n, n, m)
+            )
+            snap, samples = float(rng.uniform(0, 1e-6)), int(rng.integers(2, 128))
+            text = json.dumps(
+                {
+                    "version": "1",
+                    "dim": d,
+                    "starts": starts,
+                    "goals": goals,
+                    "obstacles": obstacles,
+                    "options": {"snap_tolerance": snap, "samples_per_segment": samples},
+                }
+            )
+            assert parse_problem(text) == ProblemDocument(
                 version="1",
                 dim=d,
                 mode=None,
-                starts=tuple(tuple(float(x) for x in row) for row in rng.uniform(-9, 9, (n, d))),
-                goals=tuple(tuple(float(x) for x in row) for row in rng.uniform(-9, 9, (n, d))),
-                obstacles=tuple(tuple(float(x) for x in row) for row in rng.uniform(-9, 9, (m, d))),
-                options=ProblemOptions(
-                    snap_tolerance=float(rng.uniform(0, 1e-6)),
-                    samples_per_segment=int(rng.integers(2, 128)),
-                ),
+                starts=tuple(map(tuple, starts)),
+                goals=tuple(map(tuple, goals)),
+                obstacles=tuple(map(tuple, obstacles)),
+                options=ProblemOptions(snap_tolerance=snap, samples_per_segment=samples),
             )
-            assert parse_problem(doc.to_json()) == doc
 
     def test_mode_hyphen_accepted(self):
         doc = dict(MINIMAL)
@@ -198,13 +218,47 @@ class TestSerializePlan:
         assert last["start"] != last["end"]
         assert np.array_equal(last["end"], res.path.query.goals[0])
 
-    def test_round_trip_evaluation_matches(self):
-        res = crossing_plan()
-        rebuilt = parse_plan(serialize_plan(res))
-        for t in np.linspace(0, 1, 97):
-            original = res.path.configuration(float(t))
-            again = rebuilt.configuration(float(t))
-            assert np.max(np.abs(original - again)) <= 1e-12
+    @pytest.mark.parametrize("mode", ["fixed", "obstacle_pair"])
+    def test_floats_and_bounds_written_exactly(self, mode):
+        res = crossing_plan() if mode == "fixed" else plan(_scaled(1.0), mode=mode)
+        doc = json.loads(serialize_plan(res))
+        den = res.path.den
+        for per_robot, written in zip(res.path.segments, doc["robots"], strict=True):
+            for seg, entry in zip(per_robot, written["segments"], strict=True):
+                assert Fraction(entry["t0"]) == Fraction(seg.start, den)
+                assert Fraction(entry["t1"]) == Fraction(seg.stop, den)
+                move = seg.move
+                if isinstance(move, LinearMove):
+                    fields = {"start": move.start, "end": move.end}
+                else:
+                    fields = {
+                        "center": move.center,
+                        "radius": move.radius,
+                        "basis_u": move.basis_u,
+                        "basis_v": move.basis_v,
+                        "angle_start": move.angle_start,
+                        "angle_end": move.angle_end,
+                    }
+                for name, value in fields.items():
+                    assert entry[name] == np.asarray(value, dtype=float).tolist()
+
+    def test_mixed_denominators_certify_and_serialize(self):
+        path = _mixed_denominator_path()
+        for samples in (2, 64):
+            cert = certify_separation(path, samples_per_segment=samples)
+            got = [(p.sampled_min.hex(), p.certified_lower_bound.hex()) for p in cert.pairs]
+            assert got == _MIXED_BOUNDS
+        frame = make_frame(path.query, FrameMode.FIXED)
+        result = PlanResult(
+            path=path, region=classify(path.query, frame), swaps=(), mode=FrameMode.FIXED,
+            frame=frame,
+        )
+        doc = json.loads(serialize_plan(result))
+        bounds = [[(s["t0"], s["t1"]) for s in r["segments"]] for r in doc["robots"]]
+        assert bounds == [
+            [("0/1", "1/5"), ("1/5", "2/5"), ("2/5", "3/4"), ("3/4", "1/1")],
+            [("0/1", "1/3"), ("1/3", "1/1")],
+        ]
 
     def test_region_and_counts_serialized(self):
         res = crossing_plan()
@@ -296,46 +350,39 @@ class TestPlanTextMatchesReference:
         assert serialize_plan(result) == _reference_plan_text(result)
 
 
-def _plan_text(**segment_fields):
-    """The crossing plan's JSON with fields of robot 0's first segment replaced."""
-    doc = json.loads(serialize_plan(crossing_plan()))
-    doc["robots"][0]["segments"][0].update(segment_fields)
-    return json.dumps(doc)
+def _mixed_denominator_path():
+    """A path whose bounds have denominators 5, 4 and 3, as ticks over 60:
+    robot 0 rests, rises, swings over a half circle and moves right; robot 1
+    rises and rests."""
 
+    def line(start, stop, p0, p1):
+        return PathSegment(start, stop, 60, LinearMove(np.array(p0), np.array(p1)))
 
-def _mixed_denominator_plan():
-    """A hand-written plan whose bounds have denominators 5, 4 and 3: robot 0
-    rests, rises, swings over a half circle and moves right; robot 1 rises
-    and rests."""
-
-    def line(t0, t1, start, end):
-        return {"t0": t0, "t1": t1, "kind": "linear", "start": start, "end": end}
-
-    arc = {
-        "t0": "2/5", "t1": "3/4", "kind": "arc", "center": [0.5, 3.0], "radius": 0.5,
-        "basis_u": [-1.0, 0.0], "basis_v": [0.0, 1.0],
-        "angle_start": 0.0, "angle_end": 3.141592653589793,
-    }
+    arc = ArcMove(
+        center=np.array([0.5, 3.0]), radius=0.5,
+        basis_u=np.array([-1.0, 0.0]), basis_v=np.array([0.0, 1.0]),
+        angle_start=0.0, angle_end=3.141592653589793,
+    )
     robot_0 = [
-        line("0/1", "1/5", [0.0, 2.0], [0.0, 2.0]),
-        line("1/5", "2/5", [0.0, 2.0], [0.0, 3.0]),
-        arc,
-        line("3/4", "1/1", [1.0, 3.0], [2.0, 3.0]),
+        line(0, 12, [0.0, 2.0], [0.0, 2.0]),
+        line(12, 24, [0.0, 2.0], [0.0, 3.0]),
+        PathSegment(24, 45, 60, arc),
+        line(45, 60, [1.0, 3.0], [2.0, 3.0]),
     ]
     robot_1 = [
-        line("0/1", "1/3", [3.0, -1.0], [3.0, 1.0]),
-        line("1/3", "1/1", [3.0, 1.0], [3.0, 1.0]),
+        line(0, 20, [3.0, -1.0], [3.0, 1.0]),
+        line(20, 60, [3.0, 1.0], [3.0, 1.0]),
     ]
-    return {
-        "starts": [[0.0, 2.0], [3.0, -1.0]],
-        "goals": [[2.0, 3.0], [3.0, 1.0]],
-        "obstacles": [[0.0, -2.0], [5.0, 5.0]],
-        "robots": [{"robot": 0, "segments": robot_0}, {"robot": 1, "segments": robot_1}],
-    }
+    query = ConfigurationQuery(
+        starts=[[0.0, 2.0], [3.0, -1.0]],
+        goals=[[2.0, 3.0], [3.0, 1.0]],
+        obstacles=[[0.0, -2.0], [5.0, 5.0]],
+    )
+    return PiecewisePath(query=query, segments=[robot_0, robot_1])
 
 
 # (sampled_min, certified_lower_bound) per pair of the mixed-denominator
-# plan, as the certifier gave them when it read bounds as Fractions.
+# path, as the certifier gave them when it read bounds as Fractions.
 _MIXED_BOUNDS = [
     ("0x1.1e3779b97f4a8p+1", "0x1.1e3779b97f474p+1"),
     ("0x1.0000000000000p+2", "0x1.fffffffffffd8p+1"),
@@ -343,116 +390,6 @@ _MIXED_BOUNDS = [
     ("0x1.94c583ada5b53p+1", "0x1.94c583ada5b11p+1"),
     ("0x1.1e3779b97f4a8p+2", "0x1.1e3779b97f47ap+2"),
 ]
-
-
-class TestParsePlan:
-    def test_mixed_denominators_parse_certify_and_reserialize(self):
-        doc = _mixed_denominator_plan()
-        path = parse_plan(json.dumps(doc))
-        assert path.den == 60
-        for samples in (2, 64):
-            cert = certify_separation(path, samples_per_segment=samples)
-            got = [(p.sampled_min.hex(), p.certified_lower_bound.hex()) for p in cert.pairs]
-            assert got == _MIXED_BOUNDS
-        frame = make_frame(path.query, FrameMode.FIXED)
-        result = PlanResult(
-            path=path, region=classify(path.query, frame), swaps=(), mode=FrameMode.FIXED,
-            frame=frame,
-        )
-        again = json.loads(serialize_plan(result))
-
-        def bounds(document):
-            return [[(s["t0"], s["t1"]) for s in r["segments"]] for r in document["robots"]]
-
-        assert bounds(again) == bounds(doc)
-
-    @pytest.mark.parametrize(
-        "robot, index, field, message",
-        [
-            (1, 1, "start", "robot 1 is discontinuous at t=1/3"),
-            (0, 0, "start", "robot 0 is discontinuous at its start"),
-            (1, 1, "end", "robot 1 is discontinuous at its goal"),
-        ],
-    )
-    def test_junction_errors_name_the_robot_and_the_time(self, robot, index, field, message):
-        doc = _mixed_denominator_plan()
-        doc["robots"][robot]["segments"][index][field] = [3.0, float("nan")]
-        with pytest.raises(QueryValidationError, match=message):
-            parse_plan(json.dumps(doc))
-
-    @pytest.mark.parametrize(
-        "t0, t1",
-        [("0/1", "1/0"), ("1/5", "0/1"), ("-1/3", "1/5")],
-        ids=["zero-denominator", "reversed-window", "negative"],
-    )
-    def test_bad_bounds_rejected(self, t0, t1):
-        doc = _mixed_denominator_plan()
-        doc["robots"][0]["segments"][0].update(t0=t0, t1=t1)
-        with pytest.raises(QueryValidationError, match="plan document"):
-            parse_plan(json.dumps(doc))
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            '{"starts": [[0, 0]]}',
-            "[1]",
-            _plan_text(t0="1/0"),
-            _plan_text(kind="spline"),
-        ],
-        ids=["missing-field", "not-an-object", "zero-denominator", "unknown-kind"],
-    )
-    def test_malformed_document_raises_validation_error(self, text):
-        with pytest.raises(QueryValidationError, match="plan document"):
-            parse_plan(text)
-
-    def test_nesting_too_deep_rejected(self):
-        with pytest.raises(QueryValidationError, match="plan document: RecursionError"):
-            parse_plan("[" * 100_000 + "]" * 100_000)
-
-    def test_robot_entry_out_of_place_rejected(self):
-        doc = json.loads(serialize_plan(crossing_plan()))
-        doc["robots"][0]["robot"] = 7
-        with pytest.raises(QueryValidationError, match="robots\\[0\\] names robot 7"):
-            parse_plan(json.dumps(doc))
-
-    def test_nan_endpoint_rejected(self):
-        doc = json.loads(serialize_plan(crossing_plan()))
-        first, second = doc["robots"][0]["segments"][:2]
-        first["end"][0] = second["start"][0] = float("nan")
-        with pytest.raises(QueryValidationError, match="discontinuous"):
-            parse_plan(json.dumps(doc))
-
-    def test_cut_segment_point_rejected(self):
-        # both ends of the junction are cut, so the segments still chain
-        doc = json.loads(serialize_plan(crossing_plan()))
-        first, second = doc["robots"][0]["segments"][:2]
-        first["end"] = first["end"][:1]
-        second["start"] = second["start"][:1]
-        with pytest.raises(
-            QueryValidationError,
-            match=r"robots\[0\] segments\[0\] end: expected 3 coordinates",
-        ):
-            parse_plan(json.dumps(doc))
-
-    @pytest.mark.parametrize("field", ["center", "basis_u", "basis_v"])
-    def test_arc_point_of_other_dimension_rejected(self, field):
-        doc = json.loads(serialize_plan(crossing_plan()))
-        arc = doc["robots"][0]["segments"][2]
-        assert arc["kind"] == "arc"
-        arc[field] = arc[field] + [0.0]
-        with pytest.raises(
-            QueryValidationError,
-            match=rf"robots\[0\] segments\[2\] {field}: expected 3 coordinates",
-        ):
-            parse_plan(json.dumps(doc))
-
-    def test_nan_arc_radius_rejected(self):
-        doc = json.loads(serialize_plan(crossing_plan()))
-        arc = doc["robots"][0]["segments"][2]
-        assert arc["kind"] == "arc"
-        arc["radius"] = float("nan")
-        with pytest.raises(QueryValidationError, match="radius"):
-            parse_plan(json.dumps(doc))
 
 
 class TestSampleCsv:
@@ -530,7 +467,7 @@ class TestRenderSvg:
     def test_arc_polyline_chord_error_bound(self):
         res = crossing_plan()
         sample_count = 64
-        arcs = res.path.arc_segments()
+        arcs = [seg for per in res.path.segments for seg in per if isinstance(seg.move, ArcMove)]
         assert arcs
         for seg in arcs:
             move = seg.move

@@ -25,7 +25,6 @@ from parammp import (
     clearance_eta,
     component_count,
     make_frame,
-    min_gap,
     orderings,
     plan,
     project,
@@ -304,7 +303,7 @@ class TestRigidMotionAndScale:
         f2 = make_frame(q2, FrameMode.FIXED)
         assert classify(q, f) == classify(q2, f2)
         assert orderings(q, f).sigma == orderings(q2, f2).sigma
-        assert min_gap(q, f) == min_gap(q2, f2)
+        assert desingularization_gap(q, f) == desingularization_gap(q2, f2)
 
     def test_translation_along_line_invariance(self):
         q = self._base()
@@ -313,7 +312,7 @@ class TestRigidMotionAndScale:
         q2 = ConfigurationQuery(q.starts + shift, q.goals + shift, q.obstacles + shift)
         f2 = make_frame(q2, FrameMode.FIXED)
         assert classify(q, f) == classify(q2, f2)
-        assert abs(min_gap(q, f) - min_gap(q2, f2)) < 1e-12
+        assert abs(desingularization_gap(q, f) - desingularization_gap(q2, f2)) < 1e-12
 
     def test_scale_equivariance(self):
         q = self._base()
@@ -322,7 +321,7 @@ class TestRigidMotionAndScale:
         q2 = ConfigurationQuery(q.starts * scale, q.goals * scale, q.obstacles * scale)
         f2 = make_frame(q2, FrameMode.FIXED)
         assert classify(q, f) == classify(q2, f2)
-        assert min_gap(q2, f2) == scale * min_gap(q, f)
+        assert desingularization_gap(q2, f2) == scale * desingularization_gap(q, f)
         eta = clearance_eta(q, f, 0, 0, Side.RIGHT)
         eta2 = clearance_eta(q2, f2, 0, 0, Side.RIGHT)
         assert eta2 == scale * eta
@@ -374,19 +373,14 @@ class TestOrderings:
             assert _blocks(pair.sigma) == _blocks(pair.sigma_prime)
 
 
-class TestMinGap:
+class TestDesingularizationGap:
     def test_enumerates_robot_obstacle_gaps(self):
         q = q3([[0.0, 1.0, 0.0]], [[2.0, 0.0, 1.0]], [[3.0, 0.0, 0.0]])
-        assert min_gap(q, make_frame(q, FrameMode.FIXED)) == 1.0
-
-    def test_start_goal_gap_not_included(self):
-        # q(z) = q(z') = 0, q(o) = 5: both listed gaps are 5
-        q = q3([[0.0, 1.0, 0.0]], [[0.0, 2.0, 0.0]], [[5.0, 0.0, 0.0]])
-        assert min_gap(q, make_frame(q, FrameMode.FIXED)) == 5.0
+        assert desingularization_gap(q, make_frame(q, FrameMode.FIXED)) == 1.0
 
     def test_empty_positive_set_falls_back_to_one(self):
         q = q3([[0.0, 1.0, 0.0]], [[0.0, 2.0, 0.0]], [[0.0, 0.0, 1.0]])
-        assert min_gap(q, make_frame(q, FrameMode.FIXED)) == 1.0
+        assert desingularization_gap(q, make_frame(q, FrameMode.FIXED)) == 1.0
 
     def test_desingularization_gap_includes_start_goal_family(self):
         q = q3(
@@ -395,9 +389,8 @@ class TestMinGap:
             [[20.0, 0.0, 0.0]],
         )
         f = make_frame(q, FrameMode.FIXED)
-        # The four listed families bottom out at the start-start gap of 10;
-        # only the start-goal family sees the 0.25 gap.
-        assert min_gap(q, f) == 10.0
+        # The other families bottom out at the start-start gap of 10; only a
+        # start-goal pair is 0.25 apart.
         assert desingularization_gap(q, f) == 0.25
 
     def test_always_positive_random(self):
@@ -408,7 +401,7 @@ class TestMinGap:
                 goals=rng.uniform(-10, 10, size=(2, 2)),
                 obstacles=rng.uniform(-10, 10, size=(2, 2)),
             )
-            assert min_gap(q, make_frame(q, FrameMode.FIXED)) > 0
+            assert desingularization_gap(q, make_frame(q, FrameMode.FIXED)) > 0
 
 
 class TestClearance:
@@ -520,7 +513,6 @@ class TestTieTable:
             return min(gaps) if gaps else 1.0
 
         listed = [(cs, qs, cs, qs), (cg, qg, cg, qg), (cs, qs, co, qo), (cg, qg, co, qo)]
-        assert min_gap(query, f) == gap(listed)
         assert desingularization_gap(query, f) == gap(listed + [(cs, qs, cg, qg)])
 
         if j < 2 * n:

@@ -69,6 +69,17 @@ class TestMoves:
         assert np.array_equal(move.final, move.at(1.0))
         assert not move.initial.flags.writeable and not move.final.flags.writeable
 
+    def test_arc_rejects_nan_radius(self):
+        with pytest.raises(ValueError, match="radius"):
+            ArcMove(
+                center=np.zeros(2),
+                radius=math.nan,
+                basis_u=np.array([1.0, 0.0]),
+                basis_v=np.array([0.0, 1.0]),
+                angle_start=0.0,
+                angle_end=1.0,
+            )
+
     def test_arc_rejects_skew_basis(self):
         with pytest.raises(ValueError):
             ArcMove(
@@ -95,7 +106,6 @@ class TestPathSegment:
         u = (ts - float(Fraction(1, 7))) / float(Fraction(5, 21) - Fraction(1, 7))
         assert np.array_equal(seg.at_many(ts), seg.move.at_many(u))
         assert seg.local(0.2) == (0.2 - float(Fraction(1, 7))) / float(seg.duration)
-        assert seg.speed_bound() == seg.move.path_length() / float(seg.duration)
 
     def test_ticks_must_be_integers(self):
         move = LinearMove(np.zeros(2), np.ones(2))
@@ -187,6 +197,50 @@ class TestPiecewisePath:
         )
         with pytest.raises(InternalConsistencyError):
             make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
+
+    @staticmethod
+    def _two_robot_points():
+        """Per robot, per segment: [start, end] of a path on ticks over 3 in
+        which robot 0 moves once and robot 1 moves on [0, 1/3] and [1/3, 1]."""
+        return [
+            [[[0.0, 0.0], [2.0, 0.0]]],
+            [[[0.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 1.0]]],
+        ]
+
+    @staticmethod
+    def _two_robot_path(points):
+        windows = [[(0, 3)], [(0, 1), (1, 3)]]
+        segments = [
+            [
+                linear_segment((start, 3), (stop, 3), p0, p1, den=3)
+                for (start, stop), (p0, p1) in zip(per_windows, per_points)
+            ]
+            for per_windows, per_points in zip(windows, points)
+        ]
+        return make_path(
+            segments, [[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]], [[9.0, 9.0]]
+        )
+
+    @pytest.mark.parametrize(
+        "robot, index, end, message",
+        [
+            (1, 1, 0, "robot 1 is discontinuous at t=1/3"),
+            (0, 0, 0, "robot 0 is discontinuous at its start"),
+            (1, 1, 1, "robot 1 is discontinuous at its goal"),
+        ],
+    )
+    def test_junction_errors_name_the_robot_and_the_time(self, robot, index, end, message):
+        points = self._two_robot_points()
+        points[robot][index][end] = [3.0, math.nan]
+        with pytest.raises(InternalConsistencyError, match=message):
+            self._two_robot_path(points)
+
+    def test_nan_junction_rejected(self):
+        # both sides of the junction agree, but a NaN equals nothing
+        points = self._two_robot_points()
+        points[1][0][1][0] = points[1][1][0][0] = math.nan
+        with pytest.raises(InternalConsistencyError, match="discontinuous"):
+            self._two_robot_path(points)
 
     def test_wrong_endpoint_rejected(self):
         segments = ((linear_segment(0, 1, [0.0, 0.0], [2.0, 0.5]),),)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parammp import (
+    ArcMove,
     CaseASwap,
     CaseBSwap,
     ConfigurationQuery,
@@ -237,7 +238,7 @@ class TestGenericSection:
         )
         path = plan(q, FrameMode.FIXED).path
         assert all(len(per_robot) == 1 for per_robot in path.segments)
-        assert not path.arc_segments()
+        assert not any(isinstance(seg.move, ArcMove) for per in path.segments for seg in per)
 
     def test_single_crossing_has_exactly_one_arc(self):
         q = ConfigurationQuery(
@@ -245,7 +246,8 @@ class TestGenericSection:
         )
         result = plan(q, FrameMode.FIXED)
         assert result.region.j == 2 * q.robot_count
-        assert len(result.path.arc_segments()) == 1
+        arcs = [seg for per in result.path.segments for seg in per if isinstance(seg.move, ArcMove)]
+        assert len(arcs) == 1
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(31)

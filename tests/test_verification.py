@@ -281,7 +281,8 @@ def _all_pairs_reference(path, samples):
         if isinstance(seg.move, LinearMove):
             constant[index] = (seg.move.end - seg.move.start) / float(seg.duration)
         else:
-            bounded[index] = seg.speed_bound()
+            arc = seg.move
+            bounded[index] = arc.radius * abs(arc.angle_end - arc.angle_start) / float(seg.duration)
     first, second = np.triu_indices(n, 1)
     first = np.concatenate([first, np.repeat(np.arange(n), m)])
     second = np.concatenate([second, n + np.tile(np.arange(m), n)])
