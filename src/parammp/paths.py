@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import DimensionMismatchError, InternalConsistencyError
 from .geometry import ConfigurationQuery
 
 __all__ = [
@@ -99,6 +99,8 @@ class ArcMove:
         basis_v = np.asarray(self.basis_v, dtype=float)
         if not self.radius > 0:  # written "not >", "not <=" so that a NaN fails
             raise ValueError("arc radius must be positive")
+        if center.ndim != 1 or not center.shape == basis_u.shape == basis_v.shape:
+            raise ValueError("arc center and basis vectors must have one dimension")
         if not (
             abs(np.linalg.norm(basis_u) - 1.0) <= BASIS_TOL
             and abs(np.linalg.norm(basis_v) - 1.0) <= BASIS_TOL
@@ -237,7 +239,10 @@ class PiecewisePath:
             before += [self.query.starts[robot], *(seg.move.final for seg in per_robot)]
             after += [*(seg.move.initial for seg in per_robot), self.query.goals[robot]]
         # Tested as "not <=" so that a NaN point fails.
-        gaps = np.linalg.norm(np.subtract(before, after), axis=1)
+        try:
+            gaps = np.linalg.norm(np.subtract(before, after), axis=1)
+        except ValueError:  # ragged: some segment point has another dimension
+            raise DimensionMismatchError(f"segment points must have {self.query.dim} coordinates")
         far = np.flatnonzero(~(gaps <= endpoint_tol(self.query)))
         if far.size:
             ends = np.cumsum([len(per_robot) + 1 for per_robot in self.segments])

@@ -101,6 +101,33 @@ class TestParseProblem:
             parse_problem(json.dumps(bad))
         assert len(exc.value.errors) >= 4
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"version": "2"}, 'version: expected "1", got \'2\''),
+            ({"dim": True}, "dim: expected an integer >= 2, got True"),
+            ({"mode": "spline"}, "mode: expected one of"),
+            ({"goals": None}, "goals: expected a non-empty array of points"),
+            ({"starts": [[0.0]]}, "starts[0]: expected 2 coordinates"),
+            ({"starts": [[0.0, "1"]]}, "starts[0][1]: not a number"),
+            ({"options": []}, "options: expected an object"),
+        ],
+        ids=[
+            "wrong-version", "bool-dim", "unknown-mode", "missing-field", "cut-point",
+            "string-coordinate", "options-not-an-object",
+        ],
+    )
+    def test_malformed_document_raises_validation_error(self, fields, message):
+        doc = {**MINIMAL, **fields}
+        doc = {name: value for name, value in doc.items() if value is not None}
+        with pytest.raises(QueryValidationError) as exc:
+            parse_problem(json.dumps(doc))
+        assert message in exc.value.errors[0]
+
+    def test_top_level_must_be_an_object(self):
+        with pytest.raises(QueryValidationError, match="top level: expected a JSON object"):
+            parse_problem("[1]")
+
     def test_round_trip_identity(self):
         text = json.dumps(
             {

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from parammp import ArcMove, ConfigurationQuery, InternalConsistencyError, LinearMove, PathSegment, PiecewisePath
+from parammp.errors import DimensionMismatchError
 
 
 def make_path(segments_per_robot, starts, goals, obstacles):
@@ -80,6 +81,16 @@ class TestMoves:
                 angle_end=1.0,
             )
 
+    @pytest.mark.parametrize("field", ["center", "basis_u", "basis_v"])
+    def test_arc_rejects_points_of_mixed_dimension(self, field):
+        fields = dict(
+            center=np.zeros(3), basis_u=np.array([1.0, 0.0, 0.0]),
+            basis_v=np.array([0.0, 1.0, 0.0]),
+        )
+        fields[field] = np.append(fields[field], 0.0)
+        with pytest.raises(ValueError, match="one dimension"):
+            ArcMove(radius=1.0, angle_start=0.0, angle_end=1.0, **fields)
+
     def test_arc_rejects_skew_basis(self):
         with pytest.raises(ValueError):
             ArcMove(
@@ -114,7 +125,7 @@ class TestPathSegment:
         with pytest.raises(TypeError, match="integer ticks"):
             PathSegment(start=0, stop=1.0, den=1, move=move)
 
-    @pytest.mark.parametrize("start, stop, den", [(1, 1, 3), (2, 1, 3), (-1, 1, 3), (0, 4, 3)])
+    @pytest.mark.parametrize("start, stop, den", [(1, 1, 3), (2, 1, 3), (-1, 1, 3), (0, 4, 3), (0, 1, 0)])
     def test_window_must_be_nonempty_within_unit_interval(self, start, stop, den):
         with pytest.raises(ValueError, match="empty or off"):
             PathSegment(start=start, stop=stop, den=den, move=LinearMove(np.zeros(2), np.ones(2)))
@@ -241,6 +252,24 @@ class TestPiecewisePath:
         points[1][0][1][0] = points[1][1][0][0] = math.nan
         with pytest.raises(InternalConsistencyError, match="discontinuous"):
             self._two_robot_path(points)
+
+    def test_cut_segment_point_rejected(self):
+        # both ends of the junction are cut, so the segments still chain
+        points = self._two_robot_points()
+        points[1][0][1] = points[1][1][0] = [1.0]
+        with pytest.raises(DimensionMismatchError, match="must have 2 coordinates"):
+            self._two_robot_path(points)
+
+    def test_arc_of_other_dimension_rejected(self):
+        # a half circle from (0, 0) to (2, 0), written with points in 3-space
+        arc = ArcMove(
+            center=np.array([1.0, 0.0, 0.0]), radius=1.0,
+            basis_u=np.array([-1.0, 0.0, 0.0]), basis_v=np.array([0.0, 1.0, 0.0]),
+            angle_start=0.0, angle_end=math.pi,
+        )
+        segments = ((PathSegment(0, 1, 1, arc),),)
+        with pytest.raises(DimensionMismatchError, match="must have 2 coordinates"):
+            make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
 
     def test_wrong_endpoint_rejected(self):
         segments = ((linear_segment(0, 1, [0.0, 0.0], [2.0, 0.5]),),)
