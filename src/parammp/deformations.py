@@ -27,8 +27,8 @@ from .geometry import (
     ConfigurationQuery,
     Frame,
     Side,
+    _check_start_neighbours,
     _generic_ties,
-    _start_place,
     clearance_eta,
     desingularization_gap,
     orderings,
@@ -101,7 +101,7 @@ def swap_case_a(
     n = query.robot_count
     if not (0 <= left_robot < n and 0 <= right_robot < n):
         raise PreconditionError("unknown robot index")
-    _start_place(_generic_ties(query, frame)[0], n, left_robot, right_robot)
+    _check_start_neighbours(_generic_ties(query, frame)[0], n, left_robot, right_robot)
     return _case_a_stages(query.starts, frame, left_robot, right_robot)
 
 

@@ -224,7 +224,7 @@ def _segment_template(kind: str, dim: int) -> str:
     return "        {\n" + ",\n".join("          " + f for f in fields) + "\n        }"
 
 
-def _segment_text(seg: PathSegment, dim: int, texts: list[str]) -> str:
+def _segment_text(seg: PathSegment, dim: int, texts: dict[int, str]) -> str:
     move = seg.move
     bounds = (texts[seg.start], texts[seg.stop])
     if isinstance(move, LinearMove):
@@ -255,9 +255,10 @@ def serialize_plan(result: PlanResult) -> str:
     reject NaN and infinity), so ``json``'s ``NaN`` and ``Infinity`` spellings
     are never needed.
     """
-    query, den = result.path.query, result.path.den
-    # Every tick's reduced "num/den", written once per path.
-    texts = [f"{t // g}/{den // g}" for t in range(den + 1) for g in (math.gcd(t, den),)]
+    query, den, segments = result.path.query, result.path.den, result.path.segments
+    # The reduced "num/den" of each tick a segment bounds, written once.
+    ticks = {t for per_robot in segments for seg in per_robot for t in (seg.start, seg.stop)}
+    texts = {t: f"{t // g}/{den // g}" for t in ticks for g in (math.gcd(t, den),)}
     head = json.dumps(
         {
             "version": FORMAT_VERSION,
@@ -275,8 +276,8 @@ def serialize_plan(result: PlanResult) -> str:
     )
     robots = ",\n".join(
         _ROBOT_TEMPLATE
-        % (robot, ",\n".join(_segment_text(seg, query.dim, texts) for seg in segments))
-        for robot, segments in enumerate(result.path.segments)
+        % (robot, ",\n".join(_segment_text(seg, query.dim, texts) for seg in per_robot))
+        for robot, per_robot in enumerate(segments)
     )
     return head[: -len("\n}")] + ',\n  "robots": [\n' + robots + "\n  ]\n}"
 

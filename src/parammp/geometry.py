@@ -16,10 +16,10 @@ table: ``classify`` counts the ranks, ``orderings`` sorts robot indices and
 obstacle blocks (obstacles grouped by rank) by them, and the gap families
 skip pairs of equal rank.  Planning compares exactly, so there ranks and
 values tie and order alike: the start-order neighbour test
-(:func:`_start_place`) and ``clearance_eta`` read the values, which the
-planner's sweep keeps up to date as starts move.  Only ``classify`` takes a
-``snap_tol``, under which nearly equal values chain into one class, to report
-labels.
+(:func:`_check_start_neighbours`) and ``clearance_eta`` read the values.  The
+planner's sweep keeps the values up to date as starts move, and the start
+ordering as a list sorted by them.  Only ``classify`` takes a ``snap_tol``,
+under which nearly equal values chain into one class, to report labels.
 
 Comparison values are *scale-free* dot products along ``Frame.axis`` (exact
 for coordinate-axis frames and for axis-aligned obstacle pairs), while all
@@ -384,11 +384,10 @@ def _entry_name(k: int, n: int) -> str:
     return f"goals[{k - n}]" if k < 2 * n else f"obstacles[{k - 2 * n}]"
 
 
-def _start_place(values: np.ndarray, n: int, below: int, above: int) -> int:
-    """The number of start and obstacle values below entry ``below`` of a tie
-    table's comparison ``values``, where ``below`` is next below entry
-    ``above`` (starts or obstacles) in the start ordering: lower, and no start
-    or obstacle value lies strictly between theirs.
+def _check_start_neighbours(values: np.ndarray, n: int, below: int, above: int):
+    """Check that entry ``below`` of a tie table's comparison ``values`` is
+    next below entry ``above`` (starts or obstacles) in the start ordering:
+    lower, and no start or obstacle value lies strictly between theirs.
 
     Raises:
         PreconditionError: the two entries are not neighbours in that order.
@@ -400,7 +399,6 @@ def _start_place(values: np.ndarray, n: int, below: int, above: int) -> int:
             f"{_entry_name(below, n)} is not next below {_entry_name(above, n)}"
             " in the start ordering"
         )
-    return int(np.count_nonzero(sigma < lo))
 
 
 def orderings(query: ConfigurationQuery, frame: Frame) -> OrderingPair:
@@ -476,7 +474,7 @@ def clearance_eta(
     Raises:
         PreconditionError: an index is out of range, or the robot's start is
             not the neighbour of the obstacle's block on the far side of
-            ``side`` in the start ordering (:func:`_start_place`).
+            ``side`` in the start ordering (:func:`_check_start_neighbours`).
         NotGenericError: the query is not generic.
     """
     n, m = query.robot_count, query.obstacle_count
@@ -485,7 +483,7 @@ def clearance_eta(
     o = 2 * n + obstacle
     # The robot starts on the far side of ``side`` and ends on it.
     values, _ = _generic_ties(query, frame)
-    _start_place(values, n, *((o, robot) if side is Side.LEFT else (robot, o)))
+    _check_start_neighbours(values, n, *((o, robot) if side is Side.LEFT else (robot, o)))
     block = np.flatnonzero(values[2 * n:] == values[o]).tolist()
     distance = _block_distance(query.obstacles, obstacle, block)
     return _clearance(values, frame, robot, o, side, distance)

@@ -10,6 +10,8 @@ rational arithmetic.  Plan JSON writes each as the reduced rational tick / D.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -72,7 +74,7 @@ class LinearMove:
         return self.end
 
     def is_constant(self) -> bool:
-        return bool(np.array_equal(self.start, self.end))
+        return self.start.tolist() == self.end.tolist()  # a NaN differs, -0.0 == 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +103,13 @@ class ArcMove:
             raise ValueError("arc radius must be positive")
         if center.ndim != 1 or not center.shape == basis_u.shape == basis_v.shape:
             raise ValueError("arc center and basis vectors must have one dimension")
+        # On Python floats, which are cheaper than numpy at this size; a NaN
+        # or an infinity fails a norm test before the dot product sums it.
+        u, v = basis_u.tolist(), basis_v.tolist()
         if not (
-            abs(np.linalg.norm(basis_u) - 1.0) <= BASIS_TOL
-            and abs(np.linalg.norm(basis_v) - 1.0) <= BASIS_TOL
-            and abs(float(np.dot(basis_u, basis_v))) <= BASIS_TOL
+            abs(math.hypot(*u) - 1.0) <= BASIS_TOL
+            and abs(math.hypot(*v) - 1.0) <= BASIS_TOL
+            and abs(math.fsum(map(operator.mul, u, v))) <= BASIS_TOL
         ):
             raise ValueError("arc basis must be orthonormal")
         for arr in (center, basis_u, basis_v):

@@ -19,6 +19,7 @@ over 9(k + 1).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -49,9 +50,9 @@ from .geometry import (
     RegionLabel,
     Side,
     _block_distance,
+    _check_start_neighbours,
     _clearance,
     _entry_name,
-    _start_place,
     _ties,
     classify,
     make_frame,
@@ -176,7 +177,7 @@ def _append_segment(segments: list[PathSegment], t0: int, t1: int, den: int, mov
         and move.is_constant()
         and isinstance(segments[-1].move, LinearMove)
         and segments[-1].move.is_constant()
-        and np.array_equal(segments[-1].move.end, move.start)
+        and segments[-1].move.end.tolist() == move.start.tolist()
     ):
         prev = segments.pop()
         segments.append(PathSegment(prev.start, t1, den, prev.move))
@@ -209,12 +210,24 @@ def compose_with_section(
     return PiecewisePath(query=query, segments=segments)
 
 
-def _swap_place(values: np.ndarray, n: int, below: int, above: int, i: int) -> int:
-    """:func:`_start_place` in the sweep, where a failure is swap ``i``'s."""
+def _sweep_error(
+    values: np.ndarray, n: int, moved: set[int], below: int, above: int, i: int
+) -> InternalConsistencyError:
+    """The error of swap ``i`` when a list check of :func:`_play_swaps`
+    fails, worded by the O(n + m) checks it stands for: a start in ``moved``
+    that ties another value, else ``below`` not next below ``above`` in the
+    start ordering, else (the one case left, as the stages move only the
+    pair's starts) the pair out of place."""
+    for robot in moved:
+        ties = np.flatnonzero(values == values[robot])
+        if len(ties) != 1:  # a NaN equals no value, its own included
+            others = ", ".join(_entry_name(k, n) for k in ties if k != robot) or "NaN"
+            return InternalConsistencyError(f"swap {i}: starts[{robot}] coincides with {others}")
     try:
-        return _start_place(values, n, below, above)
+        _check_start_neighbours(values, n, below, above)
     except PreconditionError as exc:
-        raise InternalConsistencyError(f"swap {i}: {exc}") from exc
+        return InternalConsistencyError(f"swap {i}: {exc}")
+    return InternalConsistencyError(f"swap {i} moved its pair out of place")
 
 
 def _play_swaps(
@@ -238,14 +251,24 @@ def _play_swaps(
     ``query`` is valid and generic and is not checked again.  One sweep state
     carries it across the swaps: the running starts array, the comparison
     values of its tie table (the start values recomputed from the whole array
-    after each swap), and each obstacle block's representative and term (b)
-    of :func:`clearance_eta`.  Case B clearances are read from the values.
-    Per swap it checks that:
+    after each swap), each obstacle block's representative and term (b) of
+    :func:`clearance_eta`, and the start ordering as a kinetic sorted list
+    whose events are the swaps: robot indices and one value index per
+    obstacle block.  Case B clearances are read from the values.  Per swap
+    it checks, in O(1), that:
 
-    * before it, its two entries are neighbours in the start ordering;
-    * after it, each moved start's value differs from every other value (so
-      no points coincide and the configuration is generic), and the two
-      entries are neighbours again, swapped, in the same place.
+    * before it, its lower entry's next list entry is its upper one, with a
+      lower value;
+    * after it, with the two entries swapped, each moved start's value lies
+      strictly between its list neighbours' values and equals no goal value
+      (a NaN fails).
+
+    The list is strictly sorted at the start, as the query is generic, and
+    only moved starts change value.  So these checks pass exactly when their
+    O(n + m) forms over every value do: the pair are neighbours before the
+    swap, and after it no moved start ties another point (the configuration
+    stays generic) and the pair are neighbours again, swapped, in the same
+    place.  The O(n + m) forms run only to word a failure.
 
     That each stage begins where its robot stands is left to the path's own
     junction check (``PiecewisePath``), which every plan passes through.
@@ -255,17 +278,27 @@ def _play_swaps(
     """
     n = query.robot_count
     starts = np.array(query.starts)
-    values, _ = _ties(query, frame)
+    values, rank = _ties(query, frame)
+    goals = sorted(values[n : 2 * n].tolist())
     blocks = {swap.block for swap in swaps if isinstance(swap, CaseBSwap)}
     reps = {block: _block_representative(query, block) for block in blocks}
     distances = {block: _block_distance(query.obstacles, reps[block], block) for block in blocks}
+    # One value index per obstacle block: the representative where a swap
+    # crosses it.
+    rank = rank.tolist()
+    member = {rank[k]: k for k in range(2 * n, len(rank))}
+    member.update((rank[2 * n + rep], 2 * n + rep) for rep in reps.values())
+    order = sorted([*range(n), *member.values()], key=rank.__getitem__)
+    where = {k: p for p, k in enumerate(order)}
     for i, swap in enumerate(swaps):
         if isinstance(swap, CaseASwap):
             below, above = swap.left, swap.right
         else:
             o = 2 * n + reps[swap.block]
             below, above = (swap.robot, o) if swap.side is Side.RIGHT else (o, swap.robot)
-        place = _swap_place(values, n, below, above, i)
+        p = where[below]
+        if order[p + 1 : p + 2] != [above] or not values[below] < values[above]:
+            raise _sweep_error(values, n, set(), below, above, i)
         if isinstance(swap, CaseASwap):
             stages = _case_a_stages(starts, frame, swap.left, swap.right)
         else:
@@ -278,15 +311,18 @@ def _play_swaps(
                 starts[robot] = move.final
                 _append_segment(segments[robot], t0, t0 + 1, den, move)
         values[:n] = starts @ frame.axis
-        for robot in {robot for stage in stages for robot in stage}:
-            ties = np.flatnonzero(values == values[robot])
-            if len(ties) != 1:  # a NaN equals no value, its own included
-                others = ", ".join(_entry_name(k, n) for k in ties if k != robot) or "NaN"
-                raise InternalConsistencyError(
-                    f"swap {i}: starts[{robot}] coincides with {others}"
-                )
-        if _swap_place(values, n, above, below, i) != place:
-            raise InternalConsistencyError(f"swap {i} moved its pair out of place")
+        order[p], order[p + 1] = above, below
+        where[above], where[below] = p, p + 1
+        moved = {robot for stage in stages for robot in stage}
+        for robot in moved:
+            q, value = where[robot], float(values[robot])
+            g = bisect_left(goals, value)
+            if not (
+                (q == 0 or values[order[q - 1]] < value)
+                and (q + 1 == len(order) or value < values[order[q + 1]])
+                and goals[g : g + 1] != [value]
+            ):
+                raise _sweep_error(values, n, moved, above, below, i)
     start = lo + _STAGES * len(swaps)
     final = _checked_query(starts, query.goals, query.obstacles)
     for robot, line in enumerate(straight_moves(final, frame)):
@@ -339,10 +375,12 @@ def plan(
     the straight shifts to and from the split (:func:`compose_with_section`).
 
     The query is validated once, when it is built, and its split once more.
-    The swaps play on one sweep state (:func:`_play_swaps`), which checks per
-    swap only its pair's adjacency before it, and after it that each moved
-    start projects apart from every other point and that the pair is swapped
-    in place; the path checks its junctions once, when it is built.
+    The swaps play on one sweep state (:func:`_play_swaps`) that keeps the
+    start ordering as a sorted list.  Per swap it checks in O(1), against
+    list neighbours, that its pair are adjacent before it, and after it that
+    each moved start lies strictly between its new neighbours and on no goal
+    value: so no points coincide and the pair is swapped in place.  The path
+    checks its junctions once, when it is built.
 
     Planning is exact, so ``snap_tol`` (``options.snap_tolerance``) must be
     0: a snap tolerance only labels queries (:func:`classify`).

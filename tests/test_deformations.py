@@ -669,3 +669,78 @@ class TestEndQuery:
         )
         with pytest.raises(InternalConsistencyError, match=message):
             plan(q, FrameMode.FIXED)
+
+    @pytest.mark.parametrize(
+        "left, right, message",
+        [
+            # on the projection of goal 1
+            ((0.5, 3.0), (0.25, 0.0), r"swap 0: starts\[0\] coincides with goals\[1\]"),
+            # generic, but past start 2, the next entry above the pair
+            ((3.5, 3.0), (0.25, 0.0), r"swap 0: starts\[1\] is not next below starts\[0\]"),
+            # generic, but past obstacle 0, the next entry below the pair
+            ((0.75, 3.0), (-2.0, 0.0), r"swap 0: starts\[1\] is not next below starts\[0\]"),
+            ((math.nan, 3.0), (0.25, 0.0), r"swap 0: starts\[0\] coincides with NaN"),
+        ],
+    )
+    def test_a_bad_case_a_landing_fails_at_its_swap(self, monkeypatch, left, right, message):
+        # One swap: robots 0 and 1 trade places (Case A) between obstacle 0
+        # on their left and robot 2 and obstacle 1 on their right.  They land
+        # at ``left`` and ``right`` instead.
+        q = ConfigurationQuery(
+            starts=[[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]],
+            goals=[[2.5, 7.0], [0.5, 7.0], [4.0, 7.0]],
+            obstacles=[[-1.0, 5.0], [5.0, 5.0]],
+        )
+        assert plan(q, FrameMode.FIXED).swaps == (planner.CaseASwap(left=0, right=1),)
+
+        def stages(starts, frame, left_robot, right_robot):
+            return ({
+                left_robot: LinearMove(starts[left_robot].copy(), left),
+                right_robot: LinearMove(starts[right_robot].copy(), right),
+            },)
+
+        monkeypatch.setattr(planner, "_case_a_stages", stages)
+        with pytest.raises(InternalConsistencyError, match=message):
+            plan(q, FrameMode.FIXED)
+
+    @pytest.mark.parametrize(
+        "landing, message",
+        [
+            # on start 2, which is not its neighbour
+            ((4.0, 0.0), r"swap 0: starts\[0\] coincides with starts\[2\]$"),
+            # on start 1, its next neighbour above
+            ((2.0, 0.0), r"swap 0: starts\[0\] coincides with starts\[1\]$"),
+        ],
+    )
+    def test_a_case_b_landing_on_a_start_fails_at_its_swap(self, monkeypatch, landing, message):
+        # One swap: robot 0 crosses obstacle 0, landing between it and robot
+        # 1.  It lands at ``landing`` instead.
+        q = ConfigurationQuery(
+            starts=[[0.0, 0.0], [2.0, 3.0], [4.0, 1.0]],
+            goals=[[1.5, 6.0], [2.5, 7.0], [4.5, 2.0]],
+            obstacles=[[1.0, 5.0], [3.0, 5.0]],
+        )
+        assert plan(q, FrameMode.FIXED).swap_count == 1
+        monkeypatch.setattr(
+            planner,
+            "_case_b_stages",
+            lambda starts, *args: ({0: LinearMove(starts[0].copy(), landing)},),
+        )
+        with pytest.raises(InternalConsistencyError, match=message):
+            plan(q, FrameMode.FIXED)
+
+    def test_a_swap_of_entries_that_are_not_neighbours_fails_before_it(self, monkeypatch):
+        # The query of the test above, with its swaps played in reverse:
+        # robot 0 would first cross obstacle 1, which lies two entries away.
+        q = ConfigurationQuery(
+            starts=[[0.0, 0.0], [2.0, 3.0]],
+            goals=[[5.0, 6.0], [1.5, 7.0]],
+            obstacles=[[1.0, 5.0], [3.0, 5.0]],
+        )
+        swaps = planner.transposition_sequence
+        monkeypatch.setattr(
+            planner, "transposition_sequence", lambda *pair: swaps(*pair)[::-1]
+        )
+        message = r"swap 0: starts\[0\] is not next below obstacles\[1\] in the start ordering"
+        with pytest.raises(InternalConsistencyError, match=message):
+            plan(q, FrameMode.FIXED)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -375,6 +376,31 @@ class TestPlanTextMatchesReference:
     def test_twenty_robots_twenty_obstacles(self):
         result = plan(random_query(np.random.default_rng(0), 20, 20, 3), mode="fixed")
         assert serialize_plan(result) == _reference_plan_text(result)
+
+    def test_large_denominator_writes_only_the_ticks_in_use(self):
+        # Ticks 0, 1 and 10**6 over 10**6: a table of every tick from 0 to
+        # 10**6 took about 60 MB and most of a second for this plan.
+        den = 10**6
+        query = ConfigurationQuery(starts=[[0.0, 0.0]], goals=[[1.0, 0.0]], obstacles=[[0.0, 1.0]])
+        segments = [
+            PathSegment(0, 1, den, LinearMove(np.array([0.0, 0.0]), np.array([0.0, 0.0]))),
+            PathSegment(1, den, den, LinearMove(np.array([0.0, 0.0]), np.array([1.0, 0.0]))),
+        ]
+        frame = make_frame(query, FrameMode.FIXED)
+        result = PlanResult(
+            path=PiecewisePath(query=query, segments=[segments]),
+            region=classify(query, frame), swaps=(), mode=FrameMode.FIXED, frame=frame,
+        )
+        tracemalloc.start()
+        try:
+            text = serialize_plan(result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**21, peak
+        assert text == _reference_plan_text(result)
+        bounds = [(s["t0"], s["t1"]) for s in json.loads(text)["robots"][0]["segments"]]
+        assert bounds == [("0/1", "1/1000000"), ("1/1000000", "1/1")]
 
 
 def _mixed_denominator_path():

@@ -91,16 +91,59 @@ class TestMoves:
         with pytest.raises(ValueError, match="one dimension"):
             ArcMove(radius=1.0, angle_start=0.0, angle_end=1.0, **fields)
 
-    def test_arc_rejects_skew_basis(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "basis_u, basis_v",
+        [
+            ([1.0, 0.0], [0.5, 0.5]),
+            ([math.nan, 0.0], [0.0, 1.0]),
+            ([1.0, 0.0], [math.nan, 1.0]),
+            ([math.inf, 0.0], [0.0, 1.0]),
+            ([1.0, 0.0], [0.0, -math.inf]),
+            ([1.0 + 1e-11, 0.0], [0.0, 1.0]),
+            ([1.0, 0.0], [0.0, 1.0 - 1e-11]),
+            ([1.0, 0.0], [1e-11, 1.0]),
+        ],
+    )
+    def test_arc_rejects_basis_not_orthonormal(self, basis_u, basis_v):
+        with pytest.raises(ValueError, match="orthonormal"):
             ArcMove(
                 center=np.zeros(2),
                 radius=1.0,
-                basis_u=np.array([1.0, 0.0]),
-                basis_v=np.array([0.5, 0.5]),
+                basis_u=np.array(basis_u),
+                basis_v=np.array(basis_v),
                 angle_start=0.0,
                 angle_end=1.0,
             )
+
+    @pytest.mark.parametrize(
+        "basis_u, basis_v",
+        [
+            ([1.0 + 1e-13, 0.0], [0.0, 1.0 - 1e-13]),
+            ([1.0, 1e-13], [-1e-13, 1.0]),
+            ([1.0, 0.0, -0.0], [1e-13, -0.0, 1.0]),
+        ],
+    )
+    def test_arc_accepts_basis_within_tolerance(self, basis_u, basis_v):
+        move = ArcMove(
+            center=np.zeros(len(basis_u)),
+            radius=1.0,
+            basis_u=np.array(basis_u),
+            basis_v=np.array(basis_v),
+            angle_start=0.0,
+            angle_end=1.0,
+        )
+        assert np.array_equal(move.initial, basis_u)
+
+    @pytest.mark.parametrize(
+        "start, end, constant",
+        [
+            ([0.0, -0.0], [-0.0, 0.0], True),
+            ([1.0, 2.0], [1.0, math.nextafter(2.0, 3.0)], False),
+            ([math.nan, 0.0], [math.nan, 0.0], False),
+        ],
+    )
+    def test_linear_is_constant_compares_values(self, start, end, constant):
+        assert LinearMove(np.array(start), np.array(end)).is_constant() is constant
 
     def test_at_many_matches_at(self):
         move = LinearMove(np.array([0.0, 1.0]), np.array([4.0, -3.0]))
