@@ -31,7 +31,6 @@ from .geometry import (
     component_count,
     make_frame,
     orderings,
-    project,
 )
 from .paths import ArcMove, LinearMove, PathSegment, PiecewisePath
 from .deformations import desingularize, straight_moves, swap_case_a, swap_case_b

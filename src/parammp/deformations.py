@@ -12,7 +12,9 @@ This module is geometry only and knows no time.  Each swap returns its
 :data:`Stages`: a tuple of stages, each mapping every robot it moves to its
 ``Move``; a robot absent from a stage rests.  The planner decides when each
 stage plays.  Splitting returns the split query (:func:`desingularize`), and
-the planner draws the straight shifts to and from it.
+the planner draws the straight shifts to and from it.  The planner also
+draws the final straight line itself, from the start ordering its sweep
+keeps; :func:`straight_moves` is the checked public form of that line.
 """
 
 from __future__ import annotations

@@ -282,14 +282,6 @@ def serialize_plan(result: PlanResult) -> str:
     return head[: -len("\n}")] + ',\n  "robots": [\n' + robots + "\n  ]\n}"
 
 
-def _check_count(name: str, count):
-    """QueryValidationError unless ``count`` is an integer in [1, MAX_SAMPLES_PER_SEGMENT]."""
-    if not (isinstance(count, Integral) and 1 <= count <= MAX_SAMPLES_PER_SEGMENT):
-        raise QueryValidationError(
-            [f"{name}: expected an integer >= 1 and <= {MAX_SAMPLES_PER_SEGMENT}, got {count!r}"]
-        )
-
-
 def sample_csv(result: PlanResult, resolution: int = 256) -> str:
     """Sampled trajectory table: columns t, robot, x_1..x_d.
 
@@ -299,7 +291,13 @@ def sample_csv(result: PlanResult, resolution: int = 256) -> str:
     Raises:
         QueryValidationError: ``resolution`` is not an integer from 1 to MAX_SAMPLES_PER_SEGMENT.
     """
-    _check_count("resolution", resolution)
+    if not (isinstance(resolution, Integral) and 1 <= resolution <= MAX_SAMPLES_PER_SEGMENT):
+        raise QueryValidationError(
+            [
+                "resolution: expected an integer >= 1 and "
+                f"<= {MAX_SAMPLES_PER_SEGMENT}, got {resolution!r}"
+            ]
+        )
     query = result.path.query
     header = "t,robot," + ",".join(f"x_{k + 1}" for k in range(query.dim))
     lines = [header]
@@ -313,6 +311,8 @@ def sample_csv(result: PlanResult, resolution: int = 256) -> str:
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# Polyline samples per segment in the SVG.
+_SVG_SAMPLES = 64
 
 
 def _frame_coords(points: np.ndarray, frame: Frame) -> np.ndarray:
@@ -322,18 +322,14 @@ def _frame_coords(points: np.ndarray, frame: Frame) -> np.ndarray:
     return np.stack([pts @ frame.e, pts @ frame.e_perp], axis=1)
 
 
-def render_svg(result: PlanResult, sample_count: int = 64) -> str:
+def render_svg(result: PlanResult) -> str:
     """Deterministic SVG of the planned trajectories.
 
     Two-dimensional queries render directly; higher dimensions project onto
-    the frame plane (e, e_perp).  Trajectories are polylines with
-    ``sample_count`` samples per segment, obstacles are filled circles,
-    starts are squares and goals are rings.
-
-    Raises:
-        QueryValidationError: ``sample_count`` is not an integer from 1 to MAX_SAMPLES_PER_SEGMENT.
+    the frame plane (e, e_perp).  Trajectories are polylines with 64 samples
+    per segment, obstacles are filled circles, starts are squares and goals
+    are rings.
     """
-    _check_count("sample_count", sample_count)
     frame = result.frame
     query = result.path.query
 
@@ -341,7 +337,7 @@ def render_svg(result: PlanResult, sample_count: int = 64) -> str:
     for robot in range(query.robot_count):
         points = []
         for seg in result.path.segments[robot]:
-            ts = np.linspace(seg.start / seg.den, seg.stop / seg.den, sample_count + 1)
+            ts = np.linspace(seg.start / seg.den, seg.stop / seg.den, _SVG_SAMPLES + 1)
             points.append(_frame_coords(seg.at_many(ts), frame))
         polylines.append(np.concatenate(points))
 

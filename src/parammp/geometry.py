@@ -33,12 +33,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     ModeUnsupportedError,
     NotGenericError,
     PreconditionError,
@@ -57,7 +56,6 @@ __all__ = [
     "component_count",
     "make_frame",
     "orderings",
-    "project",
 ]
 
 
@@ -273,16 +271,6 @@ def make_frame(query: ConfigurationQuery, mode: Union[FrameMode, str]) -> Frame:
     w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
     e = w / np.linalg.norm(w)
     return Frame(e=e, e_perp=quarter_turn(e), mode=mode, axis=w)
-
-
-def project(point: Sequence[float], frame: Frame) -> float:
-    """Scalar projection of a point onto the frame line: ``e . point``."""
-    p = np.asarray(point, dtype=float)
-    if p.shape != (frame.dim,):
-        raise DimensionMismatchError(
-            f"point has shape {p.shape}, expected ({frame.dim},)"
-        )
-    return float(np.dot(frame.e, p))
 
 
 @dataclass(frozen=True)

@@ -141,9 +141,6 @@ class ArcMove:
             + self.radius * np.sin(theta)[:, None] * self.basis_v[None, :]
         )
 
-    def is_constant(self) -> bool:
-        return self.angle_start == self.angle_end
-
 
 Move = Union[LinearMove, ArcMove]
 

@@ -19,7 +19,6 @@ over 9(k + 1).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -30,15 +29,14 @@ import numpy as np
 from .deformations import (
     _case_a_stages,
     _case_b_stages,
-    _checked_query,
     desingularize,
-    straight_moves,
     swap_case_a,
     swap_case_b,
 )
 from .errors import (
     InternalConsistencyError,
     InvalidOrderingPairError,
+    NotGenericError,
     PreconditionError,
     QueryValidationError,
 )
@@ -257,8 +255,8 @@ def _play_swaps(
     obstacle block.  Case B clearances are read from the values.  Per swap
     it checks, in O(1), that:
 
-    * before it, its lower entry's next list entry is its upper one, with a
-      lower value;
+    * before it, its lower entry's next list entry is its upper one (so its
+      value is lower: the list is strictly sorted);
     * after it, with the two entries swapped, each moved start's value lies
       strictly between its list neighbours' values and equals no goal value
       (a NaN fails).
@@ -270,8 +268,10 @@ def _play_swaps(
     stays generic) and the pair are neighbours again, swapped, in the same
     place.  The O(n + m) forms run only to word a failure.
 
-    That each stage begins where its robot stands is left to the path's own
-    junction check (``PiecewisePath``), which every plan passes through.
+    The straight line's precondition, sigma = sigma', is checked on the
+    list: sorted by the goal ranks of the tie table, it must come out
+    unchanged.  That each stage and the line begin where their robot stands
+    is left to the path's own junction check (``PiecewisePath``).
 
     Raises:
         InternalConsistencyError: one of these checks fails.
@@ -279,7 +279,7 @@ def _play_swaps(
     n = query.robot_count
     starts = np.array(query.starts)
     values, rank = _ties(query, frame)
-    goals = sorted(values[n : 2 * n].tolist())
+    goals = set(values[n : 2 * n].tolist())
     blocks = {swap.block for swap in swaps if isinstance(swap, CaseBSwap)}
     reps = {block: _block_representative(query, block) for block in blocks}
     distances = {block: _block_distance(query.obstacles, reps[block], block) for block in blocks}
@@ -297,7 +297,7 @@ def _play_swaps(
             o = 2 * n + reps[swap.block]
             below, above = (swap.robot, o) if swap.side is Side.RIGHT else (o, swap.robot)
         p = where[below]
-        if order[p + 1 : p + 2] != [above] or not values[below] < values[above]:
+        if order[p + 1 : p + 2] != [above]:
             raise _sweep_error(values, n, set(), below, above, i)
         if isinstance(swap, CaseASwap):
             stages = _case_a_stages(starts, frame, swap.left, swap.right)
@@ -316,16 +316,19 @@ def _play_swaps(
         moved = {robot for stage in stages for robot in stage}
         for robot in moved:
             q, value = where[robot], float(values[robot])
-            g = bisect_left(goals, value)
             if not (
                 (q == 0 or values[order[q - 1]] < value)
                 and (q + 1 == len(order) or value < values[order[q + 1]])
-                and goals[g : g + 1] != [value]
+                and value not in goals  # a NaN is in no set, -0.0 in one with 0.0
             ):
                 raise _sweep_error(values, n, moved, above, below, i)
+    if sorted(order, key=lambda k: rank[n + k] if k < n else rank[k]) != order:
+        raise InternalConsistencyError(
+            "the swaps did not sort the start ordering into the goal ordering"
+        )
     start = lo + _STAGES * len(swaps)
-    final = _checked_query(starts, query.goals, query.obstacles)
-    for robot, line in enumerate(straight_moves(final, frame)):
+    for robot in range(n):
+        line = LinearMove(starts[robot].copy(), query.goals[robot])
         _append_segment(segments[robot], start, start + _STAGES, den, line)
 
 
@@ -341,8 +344,11 @@ class PlanResult:
     path: PiecewisePath
     region: RegionLabel
     swaps: tuple[Swap, ...]
-    mode: FrameMode
     frame: Frame
+
+    @property
+    def mode(self) -> FrameMode:
+        return self.frame.mode
 
     @property
     def domain_index(self) -> int:
@@ -374,12 +380,14 @@ def plan(
     and played on [0, 1], or, for a degenerate query, on [1/3, 2/3] between
     the straight shifts to and from the split (:func:`compose_with_section`).
 
-    The query is validated once, when it is built, and its split once more.
+    The query is validated once, when it is built, and its split once more;
+    the :func:`orderings` call that reads the split checks it is generic.
     The swaps play on one sweep state (:func:`_play_swaps`) that keeps the
     start ordering as a sorted list.  Per swap it checks in O(1), against
     list neighbours, that its pair are adjacent before it, and after it that
     each moved start lies strictly between its new neighbours and on no goal
-    value: so no points coincide and the pair is swapped in place.  The path
+    value: so no points coincide and the pair is swapped in place.  The
+    straight line's sigma = sigma' is checked on the same list, and the path
     checks its junctions once, when it is built.
 
     Planning is exact, so ``snap_tol`` (``options.snap_tolerance``) must be
@@ -406,18 +414,13 @@ def plan(
     label = classify(query, frame)
     n = query.robot_count
 
-    if label.j == 2 * n:
-        generic_query = query
-    else:
-        generic_query = desingularize(query, frame)
-        post_label = classify(generic_query, frame)
-        if post_label.j != 2 * n or post_label.t != label.t:
-            raise InternalConsistencyError(
-                "desingularization failed to reach a generic configuration "
-                f"(expected j={2 * n}, t={label.t}; got j={post_label.j}, t={post_label.t})"
-            )
-
-    pair = orderings(generic_query, frame)
+    generic_query = query if label.j == 2 * n else desingularize(query, frame)
+    try:
+        pair = orderings(generic_query, frame)
+    except NotGenericError as exc:  # only a split can fail: the query is generic
+        raise InternalConsistencyError(
+            f"desingularization failed to reach a generic configuration: {exc}"
+        ) from exc
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
     if generic_query is query:
         segments = [[] for _ in range(n)]
@@ -425,4 +428,4 @@ def plan(
         path = PiecewisePath(query=query, segments=segments)
     else:
         path = compose_with_section(query, generic_query, frame, swaps)
-    return PlanResult(path=path, region=label, swaps=tuple(swaps), mode=mode, frame=frame)
+    return PlanResult(path=path, region=label, swaps=tuple(swaps), frame=frame)

@@ -62,8 +62,7 @@ class PairSeparation:
     fallback pairs (an arc against a moving line or another arc), the sampled
     Lipschitz cone less that margin (see :func:`certify_separation`).  The
     bound never exceeds ``sampled_min`` and the pair passes iff it is
-    strictly positive.  ``samples_per_segment`` counts samples per window of
-    the union of all robots' segment bounds; only fallback pairs are sampled.
+    strictly positive.
     """
 
     kind: str  # "robot-robot" or "robot-obstacle"
@@ -71,7 +70,6 @@ class PairSeparation:
     second: int
     sampled_min: float
     certified_lower_bound: float
-    samples_per_segment: int
 
     @property
     def passes(self) -> bool:
@@ -80,6 +78,10 @@ class PairSeparation:
 
 @dataclass(frozen=True)
 class SeparationCertificate:
+    """One :class:`PairSeparation` per pair of bodies.  ``samples_per_segment``
+    counts samples per window of the union of all robots' segment bounds;
+    only fallback pairs are sampled."""
+
     pairs: tuple[PairSeparation, ...]
     samples_per_segment: int
 
@@ -229,7 +231,7 @@ def certify_separation(
     seconds = np.where(second < n, second, second - n).tolist()
     rows = zip(kinds, first.tolist(), seconds, sampled.tolist(), certified.tolist())
     return SeparationCertificate(
-        pairs=tuple(PairSeparation(*row, samples_per_segment) for row in rows),
+        pairs=tuple(PairSeparation(*row) for row in rows),
         samples_per_segment=samples_per_segment,
     )
 

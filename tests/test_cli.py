@@ -277,7 +277,6 @@ def test_internal_failure_exit_code(problem_file, monkeypatch, capsys):
                     second=0,
                     sampled_min=0.0,
                     certified_lower_bound=-1.0,
-                    samples_per_segment=samples_per_segment,
                 ),
             ),
             samples_per_segment=samples_per_segment,

@@ -744,3 +744,26 @@ class TestEndQuery:
         message = r"swap 0: starts\[0\] is not next below obstacles\[1\] in the start ordering"
         with pytest.raises(InternalConsistencyError, match=message):
             plan(q, FrameMode.FIXED)
+
+    def test_a_swap_list_that_stops_short_fails_before_the_straight_line(self, monkeypatch):
+        # The three swaps of the query above less the last: robot 0, whose
+        # goal lies above obstacle 1, is left below it.
+        q = ConfigurationQuery(
+            starts=[[0.0, 0.0], [2.0, 3.0]],
+            goals=[[5.0, 6.0], [1.5, 7.0]],
+            obstacles=[[1.0, 5.0], [3.0, 5.0]],
+        )
+        swaps = planner.transposition_sequence
+        monkeypatch.setattr(
+            planner, "transposition_sequence", lambda *pair: swaps(*pair)[:-1]
+        )
+        with pytest.raises(InternalConsistencyError, match="did not sort"):
+            plan(q, FrameMode.FIXED)
+
+    def test_a_split_that_is_not_generic_is_internal_error(self, monkeypatch):
+        # Start 0 ties obstacle 0; a split that leaves it there is at fault.
+        q = ConfigurationQuery(starts=[[0.0, 0.0]], goals=[[1.0, 0.0]], obstacles=[[0.0, 1.0]])
+        monkeypatch.setattr(planner, "desingularize", lambda query, frame: query)
+        message = "desingularization failed to reach a generic configuration"
+        with pytest.raises(InternalConsistencyError, match=message):
+            plan(q, FrameMode.FIXED)

@@ -27,7 +27,6 @@ from parammp import (
     make_frame,
     orderings,
     plan,
-    project,
 )
 from parammp.geometry import desingularization_gap
 
@@ -190,35 +189,31 @@ class TestMakeFrame:
             Frame(e=e, e_perp=e_perp, mode=FrameMode.FIXED, axis=axis)
 
 
-class TestProject:
-    def test_axis_projection(self):
+class TestFrameDirection:
+    """The unit direction ``Frame.e`` that every metric quantity projects on."""
+
+    def test_fixed_frame_is_the_first_axis(self):
         q = q3([[0.0, 1.0, 0.0]], [[2.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
         f = make_frame(q, FrameMode.FIXED)
-        assert project([5.0, 7.0, 9.0], f) == 5.0
+        assert f.e.tolist() == [1.0, 0.0, 0.0]
 
-    def test_second_axis(self):
+    def test_obstacle_pair_along_the_second_axis(self):
         q = q3([[5.0, 5.0]], [[6.0, 6.0]], [[0.0, 0.0], [0.0, 3.0]])
         f = make_frame(q, "obstacle_pair")
-        assert project([3.0, -2.0], f) == -2.0
+        assert f.e.tolist() == [0.0, 1.0]
 
-    def test_oblique_unit_vector(self):
-        # e = (3/5, 4/5), x = (5, 5) -> 3 + 4 = 7
+    def test_obstacle_pair_oblique_unit_vector(self):
+        # o1 - o0 = (3, 4), so e = (3/5, 4/5)
         q = q3([[5.0, 5.0]], [[6.0, 6.0]], [[0.0, 0.0], [3.0, 4.0]])
         f = make_frame(q, "obstacle_pair")
-        assert abs(project([5.0, 5.0], f) - 7.0) < 1e-12
+        assert f.e.tolist() == [0.6, 0.8]
 
     def test_residual_is_orthogonal(self):
         q = q3([[5.0, 5.0]], [[6.0, 6.0]], [[0.0, 0.0], [3.0, 4.0]])
         f = make_frame(q, "obstacle_pair")
         x = np.array([2.0, -9.0])
-        residual = x - project(x, f) * f.e
+        residual = x - float(f.e @ x) * f.e
         assert abs(float(residual @ f.e)) < 1e-12
-
-    def test_dimension_mismatch(self):
-        q = q3([[0.0, 1.0, 0.0]], [[2.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]])
-        f = make_frame(q, FrameMode.FIXED)
-        with pytest.raises(Exception):
-            project([1.0, 2.0], f)
 
 
 class TestClassify:

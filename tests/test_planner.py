@@ -538,10 +538,22 @@ class TestSweepState:
         q = random_query(np.random.default_rng(0), 20, 20, 3)
         assert serialize_plan(plan(q, mode="fixed")) == _reference_plan_text(q, "fixed")
 
-    def test_validations_do_not_grow_with_the_swaps(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "query, swap_count, validations, tie_tables",
+        [
+            # No validation: the query was validated when it was built.
+            (random_query(np.random.default_rng(0), 20, 20, 3), 205, 0, 3),
+            # One validation, of the split (j = 4 < 2n).
+            (random_rational_query(np.random.default_rng(0), 8, 8, 3, denominator=2, span=6),
+             36, 1, 4),
+        ],
+        ids=["generic", "degenerate"],
+    )
+    def test_validations_do_not_grow_with_the_swaps(
+        self, monkeypatch, query, swap_count, validations, tie_tables
+    ):
         # The per-swap loop validated a fresh query and built a fresh tie
-        # table after each of the 205 swaps.
-        q = random_query(np.random.default_rng(0), 20, 20, 3)
+        # table after each of the 205 swaps of the generic query.
         calls = {"validate": 0, "ties": 0}
 
         def counting(name, function):
@@ -556,9 +568,9 @@ class TestSweepState:
         ties = counting("ties", geometry._ties)
         for module in (geometry, planner):
             monkeypatch.setattr(module, "_ties", ties, raising=False)
-        res = plan(q, mode="fixed")
-        assert res.swap_count == 205
-        assert calls["validate"] <= 2 and calls["ties"] <= 4, calls
+        res = plan(query, mode="fixed")
+        assert res.swap_count == swap_count
+        assert calls["validate"] <= validations and calls["ties"] <= tie_tables, calls
 
 
 class TestTicks:
