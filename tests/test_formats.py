@@ -506,6 +506,15 @@ class TestRenderSvg:
         res = crossing_plan()
         assert render_svg(res) == render_svg(res)
 
+    def test_each_segment_is_drawn_with_64_samples(self):
+        # 65 points (64 chords) per segment, segments concatenated per robot.
+        res = crossing_plan()
+        root = ET.fromstring(render_svg(res))
+        polylines = list(root.iter("{http://www.w3.org/2000/svg}polyline"))
+        assert len(polylines) == res.path.robot_count
+        for line, per_robot in zip(polylines, res.path.segments):
+            assert len(line.get("points").split()) == 65 * len(per_robot)
+
     def test_arc_polyline_chord_error_bound(self):
         res = crossing_plan()
         sample_count = 64

@@ -274,6 +274,19 @@ class TestPlan:
         assert res.swap_count == 0
         assert certify_separation(res.path).passed
 
+    @pytest.mark.parametrize("mode", ["fixed", "obstacle_pair", None])
+    def test_mode_is_the_frame_mode(self, mode):
+        # PlanResult.mode is read off the frame plan built; None picks the
+        # default (obstacle-pair here: d = 2 and m = 2).
+        q = ConfigurationQuery(
+            starts=[[0.0, 1.0], [2.0, 3.0]], goals=[[5.0, 6.0], [1.5, 7.0]],
+            obstacles=[[1.0, 5.0], [3.0, 5.5]],
+        )
+        res = plan(q, mode=mode)
+        expected = default_mode(q) if mode is None else FrameMode(mode)
+        assert res.mode is res.frame.mode is expected
+        assert res.frame.e.tolist() == make_frame(q, expected).e.tolist()
+
     def test_generic_crossing_certified(self):
         q = ConfigurationQuery(
             starts=[[0.0, 1.0, 0.0]], goals=[[2.0, 0.0, 1.0]],
