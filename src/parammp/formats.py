@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from numbers import Integral
 from typing import Optional
 
@@ -89,6 +90,35 @@ def _finite(number) -> bool:
 
 
 def _check_points(name: str, value, dim: int, errors: list[str]) -> tuple:
+    """The points of array ``name`` as a tuple of float tuples.
+
+    A non-empty list of ``dim``-element lists of JSON numbers (``bool``
+    excluded) is accepted with a few whole-array checks and converted in one
+    go: floats need no conversion, and integers go through one
+    ``np.array(..., dtype=float)``, which rounds as ``float()`` does.  Any
+    other value, or an integer beyond float range, goes to
+    :func:`_word_points`, which writes the errors.
+    """
+    if (
+        type(value) is list
+        and value
+        and set(map(type, value)) == {list}
+        and set(map(len, value)) == {dim}
+    ):
+        types = set(map(type, chain.from_iterable(value)))
+        if types == {float}:
+            return tuple(map(tuple, value))
+        if types <= {float, int}:
+            try:
+                return tuple(map(tuple, np.array(value, dtype=float).tolist()))
+            except OverflowError:  # JSON integers have no size limit
+                pass
+    return _word_points(name, value, dim, errors)
+
+
+def _word_points(name: str, value, dim: int, errors: list[str]) -> tuple:
+    """:func:`_check_points` point by point: one error per malformed point or
+    coordinate, and the points that have none."""
     if not isinstance(value, list) or not value:
         errors.append(f"{name}: expected a non-empty array of points")
         return ()
@@ -115,7 +145,11 @@ def parse_problem(text: str) -> ProblemDocument:
     """Parse and validate a problem document.
 
     Collects every validation problem before raising, so one round trip shows
-    all errors; JSON syntax errors report line and column.
+    all errors; JSON syntax errors report line and column.  Point arrays are
+    checked in bulk, by whole-array type and length checks, and so is the
+    query (see :class:`~parammp.geometry.ConfigurationQuery`); the
+    per-coordinate and per-pair loops run only on an input that fails, to
+    word its errors.
 
     Raises:
         QueryValidationError: syntax or semantic errors (all of them listed).

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -81,11 +82,31 @@ class Side(enum.Enum):
 
 def _as_points(value, name: str, errors: list[str]) -> np.ndarray:
     # A copy: the query freezes its arrays, and the caller keeps its own.
-    arr = np.array(value, dtype=float)
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # ragged, or an entry that is no number
+        errors.append(f"{name}: expected a 2-d array of numbers")
+        return np.empty((0, 0))
+    except OverflowError:  # an integer beyond float range
+        errors.append(f"{name}: a coordinate is beyond float range")
+        return np.empty((0, 0))
     if arr.ndim != 2:
         errors.append(f"{name}: expected a 2-d array of points, got shape {arr.shape}")
         arr = arr.reshape(arr.shape[0] if arr.ndim >= 1 else 0, -1)
     return arr
+
+
+def _distinct(named: dict[str, np.ndarray]) -> bool:
+    """Whether no two points coincide as :func:`_coincidences` counts them:
+    within each array, and starts or goals with obstacles.  One set of row
+    tuples per array; tuple equality, like ``==`` on rows, takes -0.0 for
+    0.0."""
+    starts, goals, obstacles = (set(map(tuple, arr.tolist())) for arr in named.values())
+    return (
+        len(starts) + len(goals) + len(obstacles) == sum(map(len, named.values()))
+        and obstacles.isdisjoint(starts)
+        and obstacles.isdisjoint(goals)
+    )
 
 
 def _coincidences(named: dict[str, np.ndarray]) -> list[str]:
@@ -119,6 +140,11 @@ class ConfigurationQuery:
     Every coordinate is finite.  Starts may coincide with goals (a robot that
     does not need to move).  Arrays are made read-only; a query never changes
     after construction.
+
+    Validation is in bulk: finiteness on whole arrays, distinctness as the
+    sizes and overlaps of one set of row tuples per array.  The per-pair
+    listing of coinciding points runs only when that check fails, to word
+    the errors.
     """
 
     starts: np.ndarray
@@ -153,7 +179,7 @@ class ConfigurationQuery:
                 if not np.isfinite(arr).all():
                     for i in np.flatnonzero(~np.isfinite(arr).all(axis=1)):
                         errors.append(f"{name}[{i}] has a non-finite coordinate")
-        if not errors:
+        if not errors and not _distinct(named):
             errors.extend(_coincidences(named))
         if errors:
             raise QueryValidationError(errors)
@@ -222,6 +248,12 @@ class Frame:
     @property
     def dim(self) -> int:
         return self.e.shape[0]
+
+    @cached_property
+    def _axis_norm(self) -> float:
+        """The length of ``axis``, which turns comparison-value gaps into
+        lengths."""
+        return float(np.linalg.norm(self.axis))
 
 
 def quarter_turn(v: np.ndarray) -> np.ndarray:
@@ -327,7 +359,7 @@ def _ties(
     values = np.concatenate(
         [query.starts @ frame.axis, query.goals @ frame.axis, query.obstacles @ frame.axis]
     )
-    tol = snap_tol * float(np.linalg.norm(frame.axis)) if snap_tol else 0.0
+    tol = snap_tol * frame._axis_norm if snap_tol else 0.0
     order = np.argsort(values, kind="stable")
     rank = np.empty(len(values), dtype=np.intp)
     rank[order[0]] = 0
@@ -494,7 +526,7 @@ def _clearance(
     far = values[values < cmp_o] if side is Side.LEFT else values[values > cmp_o]
     nearest = float(np.min(np.abs(far - cmp_o), initial=math.inf))
     gap = min(abs(float(values[robot]) - cmp_o), nearest)
-    return min(gap / float(np.linalg.norm(frame.axis)), block_distance)
+    return min(gap / frame._axis_norm, block_distance)
 
 
 def component_count(n: int, m: int) -> int:

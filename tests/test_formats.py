@@ -193,6 +193,18 @@ class TestParseProblem:
             parse_problem(text)
         assert "starts[0][0]: beyond float range" in str(exc.value)
 
+    def test_integer_above_two_to_the_53_rounds_as_float_does(self):
+        # 2**53 + 1 is not a float; mixed with a float it goes through the
+        # bulk conversion, which must round as float() does
+        doc = parse_problem(json.dumps({**MINIMAL, "starts": [[9007199254740993, 0.5]]}))
+        assert doc.starts == ((float(9007199254740993), 0.5),)
+        assert doc.starts[0][0] != 9007199254740993
+
+    def test_integer_points_parse_to_floats(self):
+        doc = parse_problem(json.dumps({**MINIMAL, "starts": [[0, 1]], "obstacles": [[1, 0]]}))
+        assert doc.starts == ((0.0, 1.0),) and doc.obstacles == ((1.0, 0.0),)
+        assert {type(x) for point in doc.starts + doc.obstacles for x in point} == {float}
+
     def test_integer_with_too_many_digits_rejected(self):
         # json.loads itself refuses integer literals above 4300 digits
         text = json.dumps(MINIMAL).replace("[0.0, 1.0]", "[1" + "0" * 5000 + ", 1.0]")

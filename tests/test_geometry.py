@@ -86,6 +86,22 @@ class TestQueryValidation:
             q3([[0.0, 1.0]], [[2.0, 3.0]], [[5.0, 5.0], [1.0, bad]])
         assert exc.value.errors == ["obstacles[1] has a non-finite coordinate"]
 
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            ([[0, 1], [2]], "starts: expected a 2-d array of numbers"),
+            ([["a", 1]], "starts: expected a 2-d array of numbers"),
+            ([[10**400, 1]], "starts: a coordinate is beyond float range"),
+        ],
+        ids=["ragged", "string", "huge-integer"],
+    )
+    def test_unconvertible_array_rejected(self, starts, message):
+        # numpy's own ValueError / TypeError / OverflowError, reworded
+        goals = [[1.0, 1.0], [3.0, 3.0]][: len(starts)]
+        with pytest.raises(QueryValidationError) as exc:
+            q3(starts, goals, [[5.0, 5.0]])
+        assert exc.value.errors == [message]
+
     def test_coincidence_messages_match_pairwise_loops(self):
         # Reference: every pair compared with np.array_equal, in index order.
         def pairs(a, b, within):
