@@ -92,27 +92,19 @@ def _finite(number) -> bool:
 def _check_points(name: str, value, dim: int, errors: list[str]) -> tuple:
     """The points of array ``name`` as a tuple of float tuples.
 
-    A non-empty list of ``dim``-element lists of JSON numbers (``bool``
-    excluded) is accepted with a few whole-array checks and converted in one
-    go: floats need no conversion, and integers go through one
-    ``np.array(..., dtype=float)``, which rounds as ``float()`` does.  Any
-    other value, or an integer beyond float range, goes to
-    :func:`_word_points`, which writes the errors.
+    A non-empty list of ``dim``-element lists of floats is accepted with a
+    few whole-array checks and needs no conversion.  Any other value, one
+    with integer coordinates included, goes to :func:`_word_points`, which
+    converts it point by point and writes the errors.
     """
     if (
         type(value) is list
         and value
         and set(map(type, value)) == {list}
         and set(map(len, value)) == {dim}
+        and set(map(type, chain.from_iterable(value))) == {float}
     ):
-        types = set(map(type, chain.from_iterable(value)))
-        if types == {float}:
-            return tuple(map(tuple, value))
-        if types <= {float, int}:
-            try:
-                return tuple(map(tuple, np.array(value, dtype=float).tolist()))
-            except OverflowError:  # JSON integers have no size limit
-                pass
+        return tuple(map(tuple, value))
     return _word_points(name, value, dim, errors)
 
 

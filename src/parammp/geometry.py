@@ -101,7 +101,9 @@ def _distinct(named: dict[str, np.ndarray]) -> bool:
     within each array, and starts or goals with obstacles.  One set of row
     tuples per array; tuple equality, like ``==`` on rows, takes -0.0 for
     0.0."""
-    starts, goals, obstacles = (set(map(tuple, arr.tolist())) for arr in named.values())
+    starts, goals, obstacles = (
+        set(map(tuple, named[name].tolist())) for name in ("starts", "goals", "obstacles")
+    )
     return (
         len(starts) + len(goals) + len(obstacles) == sum(map(len, named.values()))
         and obstacles.isdisjoint(starts)

@@ -194,8 +194,8 @@ class TestParseProblem:
         assert "starts[0][0]: beyond float range" in str(exc.value)
 
     def test_integer_above_two_to_the_53_rounds_as_float_does(self):
-        # 2**53 + 1 is not a float; mixed with a float it goes through the
-        # bulk conversion, which must round as float() does
+        # 2**53 + 1 is not a float; the parsed coordinate must round as
+        # float() does
         doc = parse_problem(json.dumps({**MINIMAL, "starts": [[9007199254740993, 0.5]]}))
         assert doc.starts == ((float(9007199254740993), 0.5),)
         assert doc.starts[0][0] != 9007199254740993
