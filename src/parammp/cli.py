@@ -73,7 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         help="samples per window of the union of all robots' segment bounds, "
         "taken only for pairs without a closed-form minimum (an arc against a "
-        "moving line or another arc; default: from the document)",
+        "moving line or an arc that is not its Case A twin; a planned path has "
+        "none; default: from the document)",
     )
 
     p_comp = sub.add_parser("components", help="count generic ordering pairs exactly")

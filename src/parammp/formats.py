@@ -226,6 +226,36 @@ def parse_problem(text: str) -> ProblemDocument:
     raise QueryValidationError(errors)
 
 
+@lru_cache
+def _vector_template(dim: int, indent: int) -> str:
+    """A list of ``dim`` floats as ``json.dumps(indent=2)`` lays it out at
+    nesting depth ``indent``, opening bracket excluded from the indent."""
+    pad = "  " * indent
+    return "[\n" + ",\n".join([pad + "  %r"] * dim) + "\n" + pad + "]"
+
+
+@lru_cache
+def _head_template(dim: int) -> str:
+    """A plan's head, ``version`` to ``obstacles``, as ``json.dumps(indent=2)``
+    lays it out in R^dim, with ``%`` placeholders: the mode's JSON text, the
+    region, domain index and swap count, the frame's floats, then the texts
+    of the three point lists (:func:`_point_rows`)."""
+    vector = _vector_template(dim, 2)
+    return (
+        f'{{\n  "version": {json.dumps(FORMAT_VERSION)},\n  "dim": {dim},\n  "mode": %s,\n'
+        '  "region": {\n    "j": %d,\n    "t": %d,\n    "c": %d\n  },\n'
+        '  "domain_index": %d,\n  "swap_count": %d,\n'
+        f'  "frame": {{\n    "e": {vector},\n    "e_perp": {vector}\n  }},\n'
+        '  "starts": [\n%s\n  ],\n  "goals": [\n%s\n  ],\n  "obstacles": [\n%s\n  ]'
+    )
+
+
+def _point_rows(points: np.ndarray) -> str:
+    """The rows of a point list in a plan's head, between its brackets."""
+    row = "    " + _vector_template(points.shape[1], 2)
+    return ",\n".join([row] * len(points)) % tuple(points.ravel().tolist())
+
+
 _ROBOT_TEMPLATE = '    {\n      "robot": %d,\n      "segments": [\n%s\n      ]\n    }'
 
 
@@ -234,7 +264,7 @@ def _segment_template(kind: str, dim: int) -> str:
     """One ``kind`` segment of R^dim as ``json.dumps(indent=2)`` lays it out
     in a plan's segment list, with ``%`` placeholders for its values: the
     time bounds' texts, then its floats in field order."""
-    point = "[\n" + ",\n".join(["            %r"] * dim) + "\n          ]"
+    point = _vector_template(dim, 5)
     fields = ['"t0": "%s"', '"t1": "%s"', f'"kind": "{kind}"']
     if kind == "linear":
         fields += [f'"start": {point}', f'"end": {point}']
@@ -272,40 +302,36 @@ def serialize_plan(result: PlanResult) -> str:
     """Plan as JSON with exact segment parameters.
 
     Every float is written with round-trip precision and every time bound
-    as an exact reduced ``"num/den"`` rational.  The layout is the one ``json.dumps(document, indent=2)``
-    gives: the head (``version`` to ``obstacles``) goes through ``json.dumps``,
-    and each segment fills a per-kind, per-dimension template, its floats
-    written by ``float.__repr__`` as ``json`` writes them; a time bound is its
-    tick over the path's denominator, reduced.  Every float of a
-    ``PiecewisePath`` is finite (its basis, junction and endpoint checks
-    reject NaN and infinity), so ``json``'s ``NaN`` and ``Infinity`` spellings
-    are never needed.
+    as an exact reduced ``"num/den"`` rational.  The layout is the one
+    ``json.dumps(document, indent=2)`` gives: the head (``version`` to
+    ``obstacles``) fills a per-dimension template and each segment a
+    per-kind, per-dimension one, their floats written by ``float.__repr__``
+    as ``json`` writes them; a time bound is its tick over the path's
+    denominator, reduced.  Every float of a ``PiecewisePath`` is finite (its
+    basis, junction and endpoint checks reject NaN and infinity), so
+    ``json``'s ``NaN`` and ``Infinity`` spellings are never needed.
     """
     query, den, segments = result.path.query, result.path.den, result.path.segments
     # The reduced "num/den" of each tick a segment bounds, written once.
     ticks = {t for per_robot in segments for seg in per_robot for t in (seg.start, seg.stop)}
     texts = {t: f"{t // g}/{den // g}" for t in ticks for g in (math.gcd(t, den),)}
-    head = json.dumps(
-        {
-            "version": FORMAT_VERSION,
-            "dim": query.dim,
-            "mode": result.mode.value,
-            "region": {"j": result.region.j, "t": result.region.t, "c": result.region.c},
-            "domain_index": result.domain_index,
-            "swap_count": result.swap_count,
-            "frame": {"e": result.frame.e.tolist(), "e_perp": result.frame.e_perp.tolist()},
-            "starts": query.starts.tolist(),
-            "goals": query.goals.tolist(),
-            "obstacles": query.obstacles.tolist(),
-        },
-        indent=2,
+    head = _head_template(query.dim) % (
+        json.dumps(result.mode.value),
+        result.region.j,
+        result.region.t,
+        result.region.c,
+        result.domain_index,
+        result.swap_count,
+        *result.frame.e.tolist(),
+        *result.frame.e_perp.tolist(),
+        *(_point_rows(points) for points in (query.starts, query.goals, query.obstacles)),
     )
     robots = ",\n".join(
         _ROBOT_TEMPLATE
         % (robot, ",\n".join(_segment_text(seg, query.dim, texts) for seg in per_robot))
         for robot, per_robot in enumerate(segments)
     )
-    return head[: -len("\n}")] + ',\n  "robots": [\n' + robots + "\n  ]\n}"
+    return head + ',\n  "robots": [\n' + robots + "\n  ]\n}"
 
 
 def sample_csv(result: PlanResult, resolution: int = 256) -> str:
@@ -315,9 +341,12 @@ def sample_csv(result: PlanResult, resolution: int = 256) -> str:
     included.
 
     Raises:
-        QueryValidationError: ``resolution`` is not an integer from 1 to MAX_SAMPLES_PER_SEGMENT.
+        QueryValidationError: ``resolution`` is not an integer from 1 to
+            MAX_SAMPLES_PER_SEGMENT (a bool is not one).
     """
-    if not (isinstance(resolution, Integral) and 1 <= resolution <= MAX_SAMPLES_PER_SEGMENT):
+    if isinstance(resolution, bool) or not (
+        isinstance(resolution, Integral) and 1 <= resolution <= MAX_SAMPLES_PER_SEGMENT
+    ):
         raise QueryValidationError(
             [
                 "resolution: expected an integer >= 1 and "

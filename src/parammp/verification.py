@@ -24,7 +24,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import ArcMove, LinearMove, PiecewisePath
+from .paths import ArcMove, PiecewisePath
 from .planner import plan
 
 __all__ = [
@@ -48,8 +48,13 @@ MAX_SAMPLES_PER_SEGMENT = 4096
 # flat however many pairs a path touches.
 _BLOCK = 1 << 10
 _EPS = float(np.finfo(float).eps)
-# Body kinds on a window, in the order that puts a pair's higher kind first.
-_POINT, _LINE, _ARC = 0, 1, 2
+# Body kinds on a window: a pair's kind is its higher kind, then its lower.
+# A half turn is an arc that sweeps exactly float pi, as a Case A arc does.
+_POINT, _LINE, _ARC, _HALF_TURN = 0, 1, 2, 3
+# Rows of the _Bodies table; the vectors origin, step, basis_u and basis_v
+# take d rows each from _VECTORS on.  Two arcs of a Case A swap agree on
+# every row from _T0 on.
+_KIND, _SLACK, _ANGLE, _T0, _DURATION, _SWEEP, _RADIUS, _VECTORS = range(8)
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,10 @@ class PairSeparation:
     ``sampled_min`` is the smallest distance the certifier evaluated on the
     path and ``certified_lower_bound`` a lower bound on the true minimum: the
     closed-form minimum of each window less a rounding margin, or, for the
-    fallback pairs (an arc against a moving line or another arc), the sampled
-    Lipschitz cone less that margin (see :func:`certify_separation`).  The
-    bound never exceeds ``sampled_min`` and the pair passes iff it is
-    strictly positive.
+    fallback pairs (an arc against a moving line, or against another arc
+    that is not its Case A twin), the sampled Lipschitz cone less that
+    margin (see :func:`certify_separation`).  The bound never exceeds
+    ``sampled_min`` and the pair passes iff it is strictly positive.
     """
 
     kind: str  # "robot-robot" or "robot-obstacle"
@@ -120,10 +125,18 @@ def certify_separation(
     - arc-point: with p the point less the center, at the angle
       atan2(p.basis_v, p.basis_u), moved by whole turns next to the window's
       angle range, if it falls in that range, and else at an end;
-    - arc-arc and arc-line (the fallback): sampled ``samples_per_segment + 1``
-      times, between neighbouring samples f_l, f_r spaced h apart at least
-      (f_l + f_r - L h) / 2, where L is the exact norm of the relative
-      velocity of straight segments plus the arcs' speed bounds.
+    - a Case A pair: two arcs with the same center, radius, basis, start
+      time and duration, whose sweeps and start-angle gap are each float pi
+      (pi~) as exact reals, checked by TwoSum with a zero error term.  Their
+      angles then stay pi~ apart, so they are 2 r sin(pi~ / 2) |s u - c v|
+      apart for a unit (s, c): at least 2 r sqrt(1 - 3 beta), with beta
+      below;
+    - arc-arc and arc-line otherwise (the fallback): sampled
+      ``samples_per_segment + 1`` times, between neighbouring samples f_l,
+      f_r spaced h apart at least (f_l + f_r - L h) / 2, where L is the
+      exact norm of the relative velocity of straight segments plus the
+      arcs' speed bounds.  No path the planner builds has such a pair, so
+      ``samples_per_segment`` matters only for paths built elsewhere.
 
     Each closed form evaluates the distance at both window ends and at the
     minimizer's time, with the segments' own position formulas, and
@@ -149,6 +162,9 @@ def certify_separation(
       range or 2 min(r, rho).  The s^2 term is used only when f* > E, and
       for lines only when delta < 1.
     - The margin is E plus the excess; a fallback entry's is E alone.
+    - A Case A pair's bound is 2 r sqrt(1 - 3 (beta + (d + 4) eps)) (1 - 8
+      eps), capped at ``sampled_min``: the eps terms cover the rounding of
+      beta and of the bound, and sin(pi~ / 2) < 1.
     - Lines and points have a second bound, which needs no minimizer and so
       holds up where delta >= 1 (as when |D|^2 is near the rounding of A.D):
       on tau in [0, 1], |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).  E also
@@ -162,9 +178,10 @@ def certify_separation(
     blocks of at most ``_BLOCK``, with no loop over windows and no
     windows-by-pairs array.  An unsound path yields a failing certificate,
     never an exception; so does a path whose arithmetic overflows, as a bound
-    that is not finite becomes -inf.
+    that is not finite becomes -inf.  ``samples_per_segment`` must be an
+    integer, not a bool, from 2 to ``MAX_SAMPLES_PER_SEGMENT`` (ValueError).
     """
-    if not (
+    if isinstance(samples_per_segment, bool) or not (
         isinstance(samples_per_segment, Integral)
         and 2 <= samples_per_segment <= MAX_SAMPLES_PER_SEGMENT
     ):
@@ -236,161 +253,232 @@ def certify_separation(
     )
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise |a - b| of (d, k) arrays, summing squares in coordinate order."""
-    return np.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Column-wise |v| of a (d, ...) array, summing squares in coordinate
+    order.  (numpy sums a single column of more than eight coordinates
+    pairwise, which rounds no worse.)"""
+    return np.sqrt(np.add.reduce(v * v, axis=0))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return sum(x * y for x, y in zip(a, b))
+    """Column-wise a.b of (d, ...) arrays, summed as :func:`_norm` sums, from
+    +0.0."""
+    return np.add.reduce(a * b, axis=0, initial=0.0)
+
+
+def _two_sum(x: np.ndarray, y: np.ndarray):
+    """x + y rounded, and the error of that rounding, exactly (Knuth's
+    TwoSum): the error is 0 iff the rounded sum is the exact one."""
+    total = x + y
+    y_part = total - x
+    return total, (x - (total - y_part)) + (y - y_part)
+
+
+def _rows(vectors: list, d: int) -> np.ndarray:
+    """Per body a tuple of k vectors of length d, as a (k, d, bodies) array."""
+    flat = np.concatenate([vector for row in vectors for vector in row])
+    return flat.reshape(len(vectors), -1, d).transpose(1, 2, 0)
+
+
+def _positions(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Positions (d, s, c) at global times t (s, c) of the c bodies whose
+    ``_Bodies.table`` columns g holds, by the segments' own formulas: a
+    straight segment has radius 0 and an arc no step, and those zero terms
+    leave every float as the segment computes it."""
+    origin, step, basis_u, basis_v = g[_VECTORS:].reshape(4, -1, 1, g.shape[1])
+    u = (t - g[_T0]) / g[_DURATION]
+    theta = g[_ANGLE] + u * g[_SWEEP]
+    out = origin + u * step
+    out += g[_RADIUS] * np.cos(theta) * basis_u
+    out += g[_RADIUS] * np.sin(theta) * basis_v
+    return out
+
+
+def _nearest_tau(rel, final, f_lo, slack, lo, hi):
+    """For lines and points, whose relative position A + tau D runs from
+    rel to final: the time of the nearest tau in [0, 1], A.D, |D|, whether
+    the quadratic excess applies, and the excess and variation bounds of
+    :func:`certify_separation`."""
+    step = final - rel
+    dd, along = _dot(step, step), _dot(rel, step)
+    length = np.sqrt(dd)
+    tau = np.where(dd > 0, np.minimum(np.maximum(-along / dd, 0.0), 1.0), 0.0)
+    t = np.minimum(lo + tau * (hi - lo), hi)
+    span = np.abs(step).sum(axis=0)
+    delta = 7 * slack * (f_lo + length) / dd + 2 * _EPS / (hi - lo)
+    return t, along, length, span * delta < span, 2 * span * delta, span
+
+
+def _nearest_angle(c, point, beta, slack, lo, hi):
+    """For arcs (table columns c) against points (positions point): the time
+    of the arc's angle nearest the point if in [lo, hi], else lo, and the
+    excess and variation bounds of :func:`certify_separation`."""
+    angle, (t0, duration, sweep, radius) = c[_ANGLE], c[_T0:_VECTORS]
+    origin, _, basis_u, basis_v = c[_VECTORS:].reshape(4, -1, c.shape[1])
+    p = point - origin
+    x, y = _dot(p, basis_u), _dot(p, basis_v)
+    rho = np.hypot(x, y)
+    first = angle + (lo - t0) / duration * sweep
+    last = angle + (hi - t0) / duration * sweep
+    theta = np.arctan2(y, x)
+    theta += 2 * np.pi * np.round((0.5 * (first + last) - theta) / (2 * np.pi))
+    inside = (theta - first) * (theta - last) <= 0
+    t = np.minimum(np.maximum(t0 + (theta - angle) / sweep * duration, lo), hi)
+    error = (2 * slack + 4 * beta * np.sqrt(_dot(p, p))) / rho + (8 + len(p)) * _EPS * (
+        4 + np.abs(angle) + np.abs(sweep) * (2 + 1 / duration)
+    )
+    excess = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
+    variation = np.minimum(radius * np.abs(last - first), 2 * np.minimum(radius, rho))
+    return np.where(inside, t, lo), excess, variation
 
 
 class _Bodies:
-    """Every segment of a path, then every obstacle, as columns of arrays
-    (coordinates first): the body's kind, the operands of its position
-    formula, and the rounding slack of one evaluation."""
+    """Every segment of a path, then every obstacle, as the columns of one
+    table: the body's kind, the rounding slack of one evaluation, then the
+    operands of its position formula, so that a block of entries gathers
+    all it reads with one ``take``.  ``beta`` and ``apart``, read for arcs
+    alone, are kept beside it."""
 
     def __init__(self, segments, obstacles: np.ndarray):
         count, (m, d) = len(segments), obstacles.shape
         moves = [seg.move for seg in segments]
-        lines = [i for i, move in enumerate(moves) if isinstance(move, LinearMove)]
-        arcs = [i for i, move in enumerate(moves) if isinstance(move, ArcMove)]
-        self.t0 = np.array([seg._float_t0 for seg in segments] + [0.0] * m)
-        self.duration = np.array([seg._float_duration for seg in segments] + [1.0] * m)
-        origin = np.empty((count + m, d))
-        origin[count:] = obstacles
-        step = np.zeros((count + m, d))  # end - start of a straight segment
-        basis_u, basis_v = np.zeros((count + m, d)), np.zeros((count + m, d))
-        self.radius = np.zeros(count + m)
-        self.angle = np.zeros(count + m)
-        self.sweep = np.zeros(count + m)
-        if lines:
-            origin[lines] = [moves[i].start for i in lines]
-            step[lines] = [moves[i].end for i in lines] - origin[lines]
-        if arcs:
-            origin[arcs] = [moves[i].center for i in arcs]
-            basis_u[arcs] = [moves[i].basis_u for i in arcs]
-            basis_v[arcs] = [moves[i].basis_v for i in arcs]
-            self.radius[arcs] = [moves[i].radius for i in arcs]
-            self.angle[arcs] = [moves[i].angle_start for i in arcs]
-            self.sweep[arcs] = [moves[i].angle_end for i in arcs] - self.angle[arcs]
-        self.origin, self.step = origin.T.copy(), step.T.copy()
-        self.basis_u, self.basis_v = basis_u.T.copy(), basis_v.T.copy()
+        is_arc = np.array([isinstance(move, ArcMove) for move in moves], dtype=bool)
+        lines, arcs = np.flatnonzero(~is_arc), np.flatnonzero(is_arc)
+        self.table = table = np.zeros((_VECTORS + 4 * d, count + m))
+        angle, (t0, duration, sweep, radius) = table[_ANGLE], table[_T0:_VECTORS]
+        origin, step, basis_u, basis_v = table[_VECTORS:].reshape(4, d, -1)  # step: end - start
+        table[_T0:_SWEEP, :count] = np.transpose(
+            [(seg._float_t0, seg._float_duration) for seg in segments]
+        )
+        duration[count:] = 1.0
+        origin[:, count:] = obstacles.T
+        if lines.size:
+            ends = _rows([(moves[i].start, moves[i].end) for i in lines.tolist()], d)
+            origin[:, lines] = ends[0]
+            step[:, lines] = ends[1] - ends[0]
+        exact = np.zeros(count + m, dtype=bool)  # sweep = angle_end - angle_start
+        if arcs.size:
+            arc_moves = [moves[i] for i in arcs.tolist()]
+            origin[:, arcs], basis_u[:, arcs], basis_v[:, arcs] = _rows(
+                [(move.center, move.basis_u, move.basis_v) for move in arc_moves], d
+            )
+            radius[arcs], angle[arcs], end = np.transpose(
+                [(move.radius, move.angle_start, move.angle_end) for move in arc_moves]
+            )
+            sweep[arcs], error = _two_sum(end, -angle[arcs])
+            exact[arcs] = error == 0
         # A velocity is a constant vector plus a part of bounded norm: a
         # straight segment has no bounded part, an arc no constant part.
-        self.constant = self.step / self.duration
-        self.bounded = self.radius * np.abs(self.sweep) / self.duration
-        arc = self.radius > 0
-        self.kind = np.where(arc, _ARC, _LINE)
-        self.kind[(self.bounded == 0) & ~self.constant.any(axis=0)] = _POINT
+        constant, bounded = step / duration, radius * np.abs(sweep) / duration
+        arc = radius > 0
+        self.kind = kind = table[_KIND]
+        kind[:] = np.where(arc, _ARC, _LINE)
+        kind[exact & (sweep == np.pi)] = _HALF_TURN
+        kind[(bounded == 0) & ~constant.any(axis=0)] = _POINT
         # beta: how far an arc's basis is from orthonormal.
-        u, v = self.basis_u, self.basis_v
-        self.beta = np.maximum.reduce(
-            [abs(np.sqrt(_dot(u, u)) - 1), abs(np.sqrt(_dot(v, v)) - 1), abs(_dot(u, v))]
+        self.beta = beta = np.maximum.reduce(
+            [
+                abs(np.sqrt(_dot(basis_u, basis_u)) - 1),
+                abs(np.sqrt(_dot(basis_v, basis_v)) - 1),
+                abs(_dot(basis_u, basis_v)),
+            ]
         )
-        self.beta[~arc] = 0.0
-        size = np.sqrt(_dot(self.origin, self.origin)) + np.where(
+        beta[~arc] = 0.0
+        size = np.sqrt(_dot(origin, origin)) + np.where(
             arc,
-            self.radius * (2 + np.abs(self.angle) + 2 * np.abs(self.sweep)),
-            4 * np.sqrt(_dot(self.step, self.step)),
+            radius * (2 + np.abs(angle) + 2 * np.abs(sweep)),
+            4 * np.sqrt(_dot(step, step)),
         )
-        self.slack = (8 + d) * _EPS * size + 8 * self.radius * self.beta
-
-    def at(self, body: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Positions (d, k) of the bodies at global times t, by the segments'
-        own formulas: a straight segment has radius 0 and an arc no step, and
-        those zero terms leave every float as the segment computes it."""
-        u = (t - self.t0.take(body)) / self.duration.take(body)
-        theta = self.angle.take(body) + u * self.sweep.take(body)
-        radius = self.radius.take(body)
-        out = self.origin.take(body, axis=1)
-        out += u * self.step.take(body, axis=1)
-        out += radius * np.cos(theta) * self.basis_u.take(body, axis=1)
-        out += radius * np.sin(theta) * self.basis_v.take(body, axis=1)
-        return out
+        table[_SLACK] = (8 + d) * _EPS * size + 8 * radius * beta
+        # How far apart the two half turns of a Case A pair stay, rounded
+        # down (see certify_separation).
+        self.apart = 2 * radius * np.sqrt(np.maximum(0.0, 1 - 3 * (beta + (d + 4) * _EPS)))
+        self.apart *= 1 - 8 * _EPS
 
     def minima(self, a, b, lo, hi, samples: int):
         """(smallest evaluated distance, certified lower bound) of bodies a
         and b on each window [lo, hi]."""
-        # Put the higher kind first: point < line < arc.
-        swap = self.kind[a] < self.kind[b]
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        k, both = len(a), np.concatenate([a, b])
-        start, end = (self.at(both, np.concatenate([s, s])) for s in (lo, hi))
-        start_a, start_b, end_a, end_b = start[:, :k], start[:, k:], end[:, :k], end[:, k:]
-        kind_a, kind_b = self.kind[a], self.kind[b]
-        slack = self.slack[a] + self.slack[b]
-        f_lo, f_hi = _distance(start_a, start_b), _distance(end_a, end_b)
-
-        # Lines and points: the relative position A + tau D, tau in [0, 1].
-        rel = start_a - start_b
-        step = end_a - end_b - rel
-        dd = _dot(step, step)
-        tau = np.where(dd > 0, np.clip(-_dot(rel, step) / dd, 0.0, 1.0), 0.0)
-        t = np.minimum(lo + tau * (hi - lo), hi)
-        span = np.abs(step).sum(axis=0)
-        delta = 7 * slack * (f_lo + np.sqrt(dd)) / dd + 2 * _EPS / (hi - lo)
-        quadratic = span * delta < span
-        excess, variation = 2 * span * delta, span
-
+        k = len(a)
+        g = self.table.take(np.concatenate([a, b]), axis=1)
+        g_a, g_b = g[:, :k], g[:, k:]
+        high = np.maximum(g_a[_KIND], g_b[_KIND])
+        lowest = np.minimum(g_a[_KIND], g_b[_KIND])
+        slack = g_a[_SLACK] + g_b[_SLACK]
+        # The relative position at the window's start and end.  Arrays of
+        # d rows are dropped as soon as they are used, to bound peak memory.
+        start = _positions(g, np.concatenate([lo, lo])[None])[:, 0]
+        rel = start[:, :k] - start[:, k:]
+        end = _positions(g, np.concatenate([hi, hi])[None])[:, 0]
+        final = end[:, :k] - end[:, k:]
+        del end
+        f_lo, f_hi = _norm(rel), _norm(final)
+        t, along, length, quadratic, excess, variation = _nearest_tau(
+            rel, final, f_lo, slack, lo, hi
+        )
+        del rel, final
         # An arc against a point: the angle nearest the point, if in range.
-        arc = np.flatnonzero((kind_a == _ARC) & (kind_b == _POINT))
+        arc = np.flatnonzero((high >= _ARC) & (lowest == _POINT))
         if arc.size:
-            c, lo_c, hi_c = a[arc], lo[arc], hi[arc]
-            t0, duration = self.t0[c], self.duration[c]
-            radius, angle, sweep = self.radius[c], self.angle[c], self.sweep[c]
-            p = start_b[:, arc] - self.origin[:, c]
-            x, y = _dot(p, self.basis_u[:, c]), _dot(p, self.basis_v[:, c])
-            rho = np.hypot(x, y)
-            first = angle + (lo_c - t0) / duration * sweep
-            last = angle + (hi_c - t0) / duration * sweep
-            theta = np.arctan2(y, x)
-            theta += 2 * np.pi * np.round((0.5 * (first + last) - theta) / (2 * np.pi))
-            inside = (theta - first) * (theta - last) <= 0
-            t_arc = np.clip(t0 + (theta - angle) / sweep * duration, lo_c, hi_c)
-            t[arc] = np.where(inside, t_arc, lo_c)
-            error = (2 * slack[arc] + 4 * self.beta[c] * np.sqrt(_dot(p, p))) / rho + (
-                8 + len(p)
-            ) * _EPS * (4 + np.abs(angle) + np.abs(sweep) * (2 + 1 / duration))
-            excess[arc] = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
-            variation[arc] = np.minimum(
-                radius * np.abs(last - first), 2 * np.minimum(radius, rho)
+            first = g_a[_KIND, arc] >= _ARC
+            t[arc], excess[arc], variation[arc] = _nearest_angle(
+                g[:, np.where(first, arc, arc + k)],
+                start[:, np.where(first, arc + k, arc)],
+                self.beta[np.where(first, a[arc], b[arc])],
+                slack[arc],
+                lo[arc],
+                hi[arc],
             )
             quadratic[arc] = True
+        del start
 
-        star = self.at(both, np.concatenate([t, t]))
-        f_star = _distance(star[:, :k], star[:, k:])
+        star = _positions(g, np.concatenate([t, t])[None])[:, 0]
+        f_star = _norm(star[:, :k] - star[:, k:])
         low = np.minimum(np.minimum(f_lo, f_hi), f_star)
         above = f_star - slack
         quadratic &= above > 0
         excess = np.fmin(
             np.fmin(excess, np.where(quadratic, excess * excess / above, np.inf)), variation
         )
-        points = (kind_a == _POINT) & (kind_b == _POINT)
+        points = high == _POINT
         bound = low - np.where(points, 0.0, slack + excess)
         # Lines and points, also: |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).
-        square = f_lo * f_lo + 2 * np.minimum(0.0, _dot(rel, step))
-        square -= 10 * slack * (f_lo + np.sqrt(dd) + slack)
-        straight = (kind_a != _ARC) & ~points
+        square = f_lo * f_lo + 2 * np.minimum(0.0, along)
+        square -= 10 * slack * (f_lo + length + slack)
+        straight = high == _LINE
         bound[straight] = np.fmax(bound[straight], np.minimum(low, np.sqrt(square))[straight])
 
-        # Arc-arc and arc-line: the sampled Lipschitz cone, less E.
-        fallback = np.flatnonzero((kind_a == _ARC) & (kind_b != _POINT))
+        # A Case A pair: two half turns that agree on every row from _T0 on
+        # and start exactly float pi apart.
+        fallback = (high >= _ARC) & (lowest != _POINT)
+        twin = np.flatnonzero(lowest == _HALF_TURN)
+        if twin.size:
+            gap, error = _two_sum(g_a[_ANGLE, twin], -g_b[_ANGLE, twin])
+            same = (g_a[_T0:, twin] == g_b[_T0:, twin]).all(axis=0)
+            twin = twin[same & (np.abs(gap) == np.pi) & (error == 0)]
+            bound[twin] = np.minimum(low[twin], self.apart[a[twin]])
+            fallback[twin] = False
+        # Other arc-arc and arc-line pairs: the sampled Lipschitz cone, less E.
+        fallback = np.flatnonzero(fallback)
         chunk = max(1, _BLOCK // (samples + 1))
         for block in range(0, len(fallback), chunk):
             j = fallback[block : block + chunk]
-            low[j], bound[j] = self._cone(a[j], b[j], lo[j], hi[j], samples)
+            low[j], bound[j] = self._cone(g[:, np.concatenate([j, j + k])], lo[j], hi[j], samples)
             bound[j] -= slack[j]
         return low, bound
 
-    def _cone(self, a, b, lo, hi, samples: int):
+    @staticmethod
+    def _cone(g: np.ndarray, lo, hi, samples: int):
+        """(smallest sampled distance, cone bound) on each window [lo, hi] of
+        the pairs whose first bodies' table columns come first in g, then
+        their second bodies'."""
+        k = len(lo)
         ts = np.linspace(lo, hi, samples + 1)
-        flat = ts.ravel()
-        f = _distance(
-            self.at(np.tile(a, samples + 1), flat), self.at(np.tile(b, samples + 1), flat)
-        ).reshape(ts.shape)
-        relative = self.constant[:, a] - self.constant[:, b]
-        speed = np.sqrt(_dot(relative, relative)) + self.bounded[a] + self.bounded[b]
+        at = _positions(g, np.concatenate([ts, ts], axis=1))
+        f = _norm(at[..., :k] - at[..., k:])
+        step = g[_VECTORS:].reshape(4, -1, 2 * k)[1]
+        constant = step / g[_DURATION]
+        bounded = g[_RADIUS] * np.abs(g[_SWEEP]) / g[_DURATION]
+        speed = _norm(constant[:, :k] - constant[:, k:]) + bounded[:k] + bounded[k:]
         cone = 0.5 * (f[:-1] + f[1:] - speed * (hi - lo) / samples)
         low = f.min(axis=0)
         return low, np.minimum(low, cone.min(axis=0))

@@ -1,0 +1,177 @@
+"""The certification kernel as it was before Case A pairs had a closed form
+and before its operands were stacked into one table: kept as a reference
+that the current kernel must match bit for bit on every pair without a Case
+A twin entry.  ``certify_separation`` runs it when ``verification._Bodies``
+is replaced by :class:`ReferenceBodies`.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from parammp import ArcMove, LinearMove
+
+_BLOCK = 1 << 10
+_EPS = float(np.finfo(float).eps)
+_POINT, _LINE, _ARC = 0, 1, 2
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise |a - b| of (d, k) arrays, summing squares in coordinate order."""
+    return np.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return sum(x * y for x, y in zip(a, b))
+
+
+class ReferenceBodies:
+    """Every segment of a path, then every obstacle, as columns of arrays
+    (coordinates first): the body's kind, the operands of its position
+    formula, and the rounding slack of one evaluation."""
+
+    def __init__(self, segments, obstacles: np.ndarray):
+        count, (m, d) = len(segments), obstacles.shape
+        moves = [seg.move for seg in segments]
+        lines = [i for i, move in enumerate(moves) if isinstance(move, LinearMove)]
+        arcs = [i for i, move in enumerate(moves) if isinstance(move, ArcMove)]
+        self.t0 = np.array([seg._float_t0 for seg in segments] + [0.0] * m)
+        self.duration = np.array([seg._float_duration for seg in segments] + [1.0] * m)
+        origin = np.empty((count + m, d))
+        origin[count:] = obstacles
+        step = np.zeros((count + m, d))  # end - start of a straight segment
+        basis_u, basis_v = np.zeros((count + m, d)), np.zeros((count + m, d))
+        self.radius = np.zeros(count + m)
+        self.angle = np.zeros(count + m)
+        self.sweep = np.zeros(count + m)
+        if lines:
+            origin[lines] = [moves[i].start for i in lines]
+            step[lines] = [moves[i].end for i in lines] - origin[lines]
+        if arcs:
+            origin[arcs] = [moves[i].center for i in arcs]
+            basis_u[arcs] = [moves[i].basis_u for i in arcs]
+            basis_v[arcs] = [moves[i].basis_v for i in arcs]
+            self.radius[arcs] = [moves[i].radius for i in arcs]
+            self.angle[arcs] = [moves[i].angle_start for i in arcs]
+            self.sweep[arcs] = [moves[i].angle_end for i in arcs] - self.angle[arcs]
+        self.origin, self.step = origin.T.copy(), step.T.copy()
+        self.basis_u, self.basis_v = basis_u.T.copy(), basis_v.T.copy()
+        # A velocity is a constant vector plus a part of bounded norm: a
+        # straight segment has no bounded part, an arc no constant part.
+        self.constant = self.step / self.duration
+        self.bounded = self.radius * np.abs(self.sweep) / self.duration
+        arc = self.radius > 0
+        self.kind = np.where(arc, _ARC, _LINE)
+        self.kind[(self.bounded == 0) & ~self.constant.any(axis=0)] = _POINT
+        # beta: how far an arc's basis is from orthonormal.
+        u, v = self.basis_u, self.basis_v
+        self.beta = np.maximum.reduce(
+            [abs(np.sqrt(_dot(u, u)) - 1), abs(np.sqrt(_dot(v, v)) - 1), abs(_dot(u, v))]
+        )
+        self.beta[~arc] = 0.0
+        size = np.sqrt(_dot(self.origin, self.origin)) + np.where(
+            arc,
+            self.radius * (2 + np.abs(self.angle) + 2 * np.abs(self.sweep)),
+            4 * np.sqrt(_dot(self.step, self.step)),
+        )
+        self.slack = (8 + d) * _EPS * size + 8 * self.radius * self.beta
+
+    def at(self, body: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Positions (d, k) of the bodies at global times t, by the segments'
+        own formulas: a straight segment has radius 0 and an arc no step, and
+        those zero terms leave every float as the segment computes it."""
+        u = (t - self.t0.take(body)) / self.duration.take(body)
+        theta = self.angle.take(body) + u * self.sweep.take(body)
+        radius = self.radius.take(body)
+        out = self.origin.take(body, axis=1)
+        out += u * self.step.take(body, axis=1)
+        out += radius * np.cos(theta) * self.basis_u.take(body, axis=1)
+        out += radius * np.sin(theta) * self.basis_v.take(body, axis=1)
+        return out
+
+    def minima(self, a, b, lo, hi, samples: int):
+        """(smallest evaluated distance, certified lower bound) of bodies a
+        and b on each window [lo, hi]."""
+        # Put the higher kind first: point < line < arc.
+        swap = self.kind[a] < self.kind[b]
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        k, both = len(a), np.concatenate([a, b])
+        start, end = (self.at(both, np.concatenate([s, s])) for s in (lo, hi))
+        start_a, start_b, end_a, end_b = start[:, :k], start[:, k:], end[:, :k], end[:, k:]
+        kind_a, kind_b = self.kind[a], self.kind[b]
+        slack = self.slack[a] + self.slack[b]
+        f_lo, f_hi = _distance(start_a, start_b), _distance(end_a, end_b)
+
+        # Lines and points: the relative position A + tau D, tau in [0, 1].
+        rel = start_a - start_b
+        step = end_a - end_b - rel
+        dd = _dot(step, step)
+        tau = np.where(dd > 0, np.clip(-_dot(rel, step) / dd, 0.0, 1.0), 0.0)
+        t = np.minimum(lo + tau * (hi - lo), hi)
+        span = np.abs(step).sum(axis=0)
+        delta = 7 * slack * (f_lo + np.sqrt(dd)) / dd + 2 * _EPS / (hi - lo)
+        quadratic = span * delta < span
+        excess, variation = 2 * span * delta, span
+
+        # An arc against a point: the angle nearest the point, if in range.
+        arc = np.flatnonzero((kind_a == _ARC) & (kind_b == _POINT))
+        if arc.size:
+            c, lo_c, hi_c = a[arc], lo[arc], hi[arc]
+            t0, duration = self.t0[c], self.duration[c]
+            radius, angle, sweep = self.radius[c], self.angle[c], self.sweep[c]
+            p = start_b[:, arc] - self.origin[:, c]
+            x, y = _dot(p, self.basis_u[:, c]), _dot(p, self.basis_v[:, c])
+            rho = np.hypot(x, y)
+            first = angle + (lo_c - t0) / duration * sweep
+            last = angle + (hi_c - t0) / duration * sweep
+            theta = np.arctan2(y, x)
+            theta += 2 * np.pi * np.round((0.5 * (first + last) - theta) / (2 * np.pi))
+            inside = (theta - first) * (theta - last) <= 0
+            t_arc = np.clip(t0 + (theta - angle) / sweep * duration, lo_c, hi_c)
+            t[arc] = np.where(inside, t_arc, lo_c)
+            error = (2 * slack[arc] + 4 * self.beta[c] * np.sqrt(_dot(p, p))) / rho + (
+                8 + len(p)
+            ) * _EPS * (4 + np.abs(angle) + np.abs(sweep) * (2 + 1 / duration))
+            excess[arc] = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
+            variation[arc] = np.minimum(
+                radius * np.abs(last - first), 2 * np.minimum(radius, rho)
+            )
+            quadratic[arc] = True
+
+        star = self.at(both, np.concatenate([t, t]))
+        f_star = _distance(star[:, :k], star[:, k:])
+        low = np.minimum(np.minimum(f_lo, f_hi), f_star)
+        above = f_star - slack
+        quadratic &= above > 0
+        excess = np.fmin(
+            np.fmin(excess, np.where(quadratic, excess * excess / above, np.inf)), variation
+        )
+        points = (kind_a == _POINT) & (kind_b == _POINT)
+        bound = low - np.where(points, 0.0, slack + excess)
+        # Lines and points, also: |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).
+        square = f_lo * f_lo + 2 * np.minimum(0.0, _dot(rel, step))
+        square -= 10 * slack * (f_lo + np.sqrt(dd) + slack)
+        straight = (kind_a != _ARC) & ~points
+        bound[straight] = np.fmax(bound[straight], np.minimum(low, np.sqrt(square))[straight])
+
+        # Arc-arc and arc-line: the sampled Lipschitz cone, less E.
+        fallback = np.flatnonzero((kind_a == _ARC) & (kind_b != _POINT))
+        chunk = max(1, _BLOCK // (samples + 1))
+        for block in range(0, len(fallback), chunk):
+            j = fallback[block : block + chunk]
+            low[j], bound[j] = self._cone(a[j], b[j], lo[j], hi[j], samples)
+            bound[j] -= slack[j]
+        return low, bound
+
+    def _cone(self, a, b, lo, hi, samples: int):
+        ts = np.linspace(lo, hi, samples + 1)
+        flat = ts.ravel()
+        f = _distance(
+            self.at(np.tile(a, samples + 1), flat), self.at(np.tile(b, samples + 1), flat)
+        ).reshape(ts.shape)
+        relative = self.constant[:, a] - self.constant[:, b]
+        speed = np.sqrt(_dot(relative, relative)) + self.bounded[a] + self.bounded[b]
+        cone = 0.5 * (f[:-1] + f[1:] - speed * (hi - lo) / samples)
+        low = f.min(axis=0)
+        return low, np.minimum(low, cone.min(axis=0))
+

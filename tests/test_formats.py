@@ -474,6 +474,12 @@ class TestSampleCsv:
         with pytest.raises(QueryValidationError, match="resolution: expected an integer"):
             sample_csv(crossing_plan(), resolution=resolution)
 
+    @pytest.mark.parametrize("resolution", [True, False])
+    def test_bool_resolution_rejected(self, resolution):
+        # a bool is an Integral; True used to sample at resolution 1
+        with pytest.raises(QueryValidationError, match="resolution: expected an integer"):
+            sample_csv(crossing_plan(), resolution=resolution)
+
     def test_values_match_evaluation(self):
         res = crossing_plan()
         lines = sample_csv(res, resolution=8).strip().split("\n")[1:]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from parammp import (
     ArcMove,
+    CaseASwap,
     ConfigurationQuery,
     FrameMode,
     LinearMove,
@@ -33,6 +35,7 @@ from parammp import (
 )
 from parammp import verification
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
+from certify_reference import ReferenceBodies
 from query_strategies import small_queries
 
 
@@ -120,8 +123,13 @@ class TestCertificate:
                 assert pair.sampled_min >= lower.certified_lower_bound - 1e-9
 
     def test_fifty_robots_and_obstacles_certify(self):
+        # every pair of a planned path has a closed form, so the sample count
+        # changes nothing
         q = random_query(np.random.default_rng(0), 50, 50, 3)
-        assert certify_separation(plan(q, mode="fixed").path, samples_per_segment=64).passed
+        path = plan(q, mode="fixed").path
+        cert = certify_separation(path, samples_per_segment=64)
+        assert cert.passed
+        assert certify_separation(path, samples_per_segment=2).pairs == cert.pairs
 
     def test_too_few_samples_rejected(self):
         q = ConfigurationQuery(
@@ -140,7 +148,7 @@ class TestCertificate:
             certify_separation(res.path, samples_per_segment=MAX_SAMPLES_PER_SEGMENT + 1)
         assert certify_separation(res.path, samples_per_segment=MAX_SAMPLES_PER_SEGMENT).passed
 
-    @pytest.mark.parametrize("samples", [64.0, "64", None])
+    @pytest.mark.parametrize("samples", [64.0, "64", None, True, np.True_])
     def test_non_integer_samples_rejected(self, samples):
         q = ConfigurationQuery(
             starts=[[-1.0, 0.0]], goals=[[1.0, 3.0]], obstacles=[[0.0, 5.0]]
@@ -443,15 +451,87 @@ class TestSharedGrid:
             assert split.certified_lower_bound >= alone.certified_lower_bound - 1e-12
 
 
-def _half_circle(center, radius, angle_start):
+def _arc(center, radius, angle_start, angle_end, basis_u=(1.0, 0.0), basis_v=(0.0, 1.0)):
     return ArcMove(
         center=np.array(center, dtype=float),
         radius=radius,
-        basis_u=np.array([1.0, 0.0]),
-        basis_v=np.array([0.0, 1.0]),
+        basis_u=np.array(basis_u, dtype=float),
+        basis_v=np.array(basis_v, dtype=float),
         angle_start=angle_start,
-        angle_end=angle_start + np.pi,
+        angle_end=angle_end,
     )
+
+
+def _half_circle(center, radius, angle_start, **basis):
+    """A half turn whose sweep is exactly float pi, as a Case A arc's is."""
+    angle_end = angle_start + np.pi
+    assert Fraction(angle_end) - Fraction(angle_start) == Fraction(np.pi)
+    return _arc(center, radius, angle_start, angle_end, **basis)
+
+
+_O = [0.0, 0.0]
+# An odd multiple of 2^-52: _X + pi rounds, and then less _X rounds to pi.
+_X = 1.5 + 2.0**-52
+
+
+def _twin_pairs(path):
+    """Robot pairs (i, k) that follow a Case A twin on some window, decided
+    in exact arithmetic: arcs on one window that share center, radius and
+    basis, each sweep float pi and start float pi apart."""
+    pi = Fraction(np.pi)
+    arcs = [
+        (robot, seg)
+        for robot, per_robot in enumerate(path.segments)
+        for seg in per_robot
+        if isinstance(seg.move, ArcMove)
+        and Fraction(seg.move.angle_end) - Fraction(seg.move.angle_start) == pi
+    ]
+    return {
+        (i, k)
+        for i, s in arcs
+        for k, t in arcs
+        if i < k
+        and (s.start, s.stop) == (t.start, t.stop)
+        and s.move.radius == t.move.radius
+        and all(
+            np.array_equal(getattr(s.move, name), getattr(t.move, name))
+            for name in ("center", "basis_u", "basis_v")
+        )
+        and abs(Fraction(s.move.angle_start) - Fraction(t.move.angle_start)) == pi
+    }
+
+
+class _ConeReached(Exception):
+    pass
+
+
+@contextmanager
+def _cone_raises():
+    """Certification in this context raises _ConeReached if it samples."""
+
+    def cone(*args):
+        raise _ConeReached
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification._Bodies, "_cone", staticmethod(cone))
+        yield
+
+
+def _assert_matches_reference_kernel(path, samples):
+    # every pair bit for bit as the reference kernel gives it, except pairs
+    # with a Case A twin entry, whose bounds may only rise, up to sampled_min
+    cert = certify_separation(path, samples)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "_Bodies", ReferenceBodies)
+        reference = certify_separation(path, samples)
+    twins = _twin_pairs(path)
+    for pair, ref in zip(cert.pairs, reference.pairs):
+        if pair.kind == "robot-robot" and (pair.first, pair.second) in twins:
+            assert ref.certified_lower_bound <= pair.certified_lower_bound <= pair.sampled_min
+        else:
+            assert repr((pair.sampled_min, pair.certified_lower_bound)) == repr(
+                (ref.sampled_min, ref.certified_lower_bound)
+            )
 
 
 def _dense_robot_distance(path, first, second):
@@ -520,6 +600,102 @@ class TestClosedForms:
         assert pair.certified_lower_bound <= dense
         _assert_no_looser_than_reference(path, samples)
 
+    def test_planner_case_a_pair_is_recognised(self):
+        # two robots trade places with no obstacle between them: one Case A
+        # swap, at distance 1 throughout, which the sampled cone bounded by
+        # 0.21 at 2 samples; closed forms leave no sampling slack
+        query = ConfigurationQuery(
+            starts=[[0.0, 0.0], [1.0, 0.5]], goals=[[1.3, 2.0], [-0.3, 2.5]], obstacles=[[5.0, 5.0]]
+        )
+        result = plan(query, mode="fixed")
+        assert result.swaps == (CaseASwap(0, 1),)
+        assert _twin_pairs(result.path) == {(0, 1)}
+        with _cone_raises():
+            pair = certify_separation(result.path, 2).pair("robot-robot", 0, 1)
+        dense = _dense_robot_distance(result.path, 0, 1)
+        assert dense - 1e-6 <= pair.certified_lower_bound <= pair.sampled_min <= dense + 1e-12
+
+    @pytest.mark.parametrize(
+        "robots",
+        [
+            pytest.param(
+                [
+                    [(0, 1, _half_circle(_O, 1.0, np.pi - 1.5))],
+                    [(0, 1, _half_circle(_O, 1.0, -_X))],
+                ],
+                id="angle-gap-rounds-to-pi",
+            ),
+            pytest.param(
+                [
+                    [(0, 1, _arc(_O, 1.0, _X, _X + np.pi))],
+                    [(0, 1, _half_circle(_O, 1.0, _X - np.pi))],
+                ],
+                id="sweep-rounds-to-pi",
+            ),
+            pytest.param(
+                [
+                    [(0, 1, _half_circle(_O, 1.0, 0.0))],
+                    [(0, 1, _half_circle(_O, np.nextafter(1.0, 2.0), np.pi))],
+                ],
+                id="radius-one-ulp-off",
+            ),
+            pytest.param(
+                [
+                    [
+                        (0, Fraction(1, 2), _half_circle(_O, 0.5, 0.0)),
+                        (Fraction(1, 2), 1, _line([-0.5, 0.0], [-0.5, 0.0])),
+                    ],
+                    [
+                        (0, Fraction(1, 4), _line([-0.5, 0.0], [-0.5, 0.0])),
+                        (Fraction(1, 4), Fraction(3, 4), _half_circle(_O, 0.5, np.pi)),
+                        (Fraction(3, 4), 1, _line([0.5, 0.0], [0.5, 0.0])),
+                    ],
+                ],
+                id="shifted-window",
+            ),
+            pytest.param(
+                [
+                    [(0, 1, _half_circle(_O, 1.0, 0.0))],
+                    [(0, 1, _half_circle(_O, 1.0, np.pi, basis_u=[1.0, 1e-13]))],
+                ],
+                id="basis-off",
+            ),
+        ],
+    )
+    def test_near_twins_are_sampled(self, robots):
+        path = _hand_path([[0.0, -5.0]], robots)
+        assert not _twin_pairs(path)
+        with pytest.raises(_ConeReached), _cone_raises():
+            certify_separation(path, 4)
+        pair = certify_separation(path, 4).pair("robot-robot", 0, 1)
+        assert 0 < pair.certified_lower_bound <= _dense_robot_distance(path, 0, 1)
+
+    def test_twin_bound_is_below_the_true_distance(self):
+        # both arcs share a basis 9e-13 off orthonormal, within BASIS_TOL: the
+        # pair comes as close as 2 r sqrt(1 - 9e-13), the bound allows for
+        # 2 r sqrt(1 - 3 beta)
+        skew = dict(basis_u=[1.0, 0.0], basis_v=[9e-13, 1.0])
+        path = _hand_path(
+            [[0.0, -5.0]],
+            [
+                [(0, 1, _half_circle([0.5, 0.5], 2.0, 0.0, **skew))],
+                [(0, 1, _half_circle([0.5, 0.5], 2.0, np.pi, **skew))],
+            ],
+        )
+        assert _twin_pairs(path) == {(0, 1)}
+        with _cone_raises():
+            pair = certify_separation(path, 2).pair("robot-robot", 0, 1)
+        assert 4.0 * (1 - 2e-12) <= pair.certified_lower_bound <= pair.sampled_min
+        assert pair.certified_lower_bound < _dense_robot_distance(path, 0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries())
+    def test_planner_paths_never_reach_the_sampled_cone(self, case):
+        query, mode = case
+        path = plan(query, mode=mode).path
+        with _cone_raises():
+            assert certify_separation(path, 2).passed
+
     def test_overflowing_distances_fail_quietly(self):
         # finite coordinates whose differences overflow: a failing
         # certificate, with no warning and no exception
@@ -528,6 +704,67 @@ class TestClosedForms:
             warnings.simplefilter("error")
             cert = certify_separation(path)
         assert not cert.passed
+
+
+def _case_a_twins():
+    # robots 0 and 1 trade places on one circle; robot 2 moves below them
+    # before and after, and rests while they turn
+    return _hand_path(
+        [[0.0, -4.0]],
+        [
+            [
+                (0, Fraction(1, 3), _line([-2.0, 0.0], [-1.0, 0.0])),
+                (Fraction(1, 3), Fraction(2, 3), _half_circle([0.0, 0.0], 1.0, np.pi)),
+                (Fraction(2, 3), 1, _line([1.0, 0.0], [2.0, 1.0])),
+            ],
+            [
+                (0, Fraction(1, 3), _line([2.0, 0.0], [1.0, 0.0])),
+                (Fraction(1, 3), Fraction(2, 3), _half_circle([0.0, 0.0], 1.0, 0.0)),
+                (Fraction(2, 3), 1, _line([-1.0, 0.0], [-2.0, -1.0])),
+            ],
+            [
+                (0, Fraction(1, 3), _line([-3.0, -2.0], [0.0, -2.0])),
+                (Fraction(1, 3), Fraction(2, 3), _line([0.0, -2.0], [0.0, -2.0])),
+                (Fraction(2, 3), 1, _line([0.0, -2.0], [3.0, -1.0])),
+            ],
+        ],
+    )
+
+
+def _fallback_pairs():
+    # an arc against a moving line and against a second, non-antipodal arc
+    arc = _half_circle([0.0, 0.0], 1.0, 0.0)
+    return _hand_path(
+        [[0.0, -5.0]],
+        [
+            [(0, 1, arc)],
+            [(0, 1, _line([-3.0, 1.5], [1.0, 2.5]))],
+            [(0, 1, _half_circle([0.5, 3.0], 1.2, np.pi))],
+        ],
+    )
+
+
+class TestReferenceKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(), st.sampled_from([2, 64]))
+    def test_planner_paths_match_the_reference_kernel(self, case, samples):
+        query, mode = case
+        _assert_matches_reference_kernel(plan(query, mode=mode).path, samples)
+
+    @pytest.mark.parametrize("samples", [2, 16, 64])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _mover_split_by_others,
+            _back_to_back_rests,
+            _rest_on_whole_interval,
+            _zero_sweep_arc,
+            _case_a_twins,
+            _fallback_pairs,
+        ],
+    )
+    def test_hand_built_paths_match_the_reference_kernel(self, build, samples):
+        _assert_matches_reference_kernel(build(), samples)
 
 
 class TestCheckPartition:
