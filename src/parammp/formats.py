@@ -4,8 +4,9 @@ export and a minimal SVG renderer for visual inspection.
 One versioned JSON schema carries problems in; plan JSON carries the exact
 segment algebra out (time bounds as ``"num/den"`` strings so no precision is
 lost across implementations).  A plan's text has the layout
-``json.dumps(indent=2)`` gives, with each segment filled into a template for
-its kind and dimension; every float in it is finite.  The SVG paints
+``json.dumps(indent=2)`` gives, built from a template per segment kind and
+dimension and filled from the path's column table, each distinct float
+written once; every float in it is finite.  The SVG paints
 trajectories in the frame plane with obstacles, starts and goals marked.
 """
 
@@ -15,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from numbers import Integral
 from typing import Optional
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import QueryValidationError
 from .geometry import ConfigurationQuery, Frame, FrameMode
-from .paths import LinearMove, PathSegment
 from .planner import PlanResult
 from .verification import MAX_SAMPLES_PER_SEGMENT
 
@@ -70,15 +70,22 @@ class ProblemDocument:
     @cached_property
     def _query(self) -> ConfigurationQuery:
         return ConfigurationQuery(
-            starts=np.array(self.starts, dtype=float),
-            goals=np.array(self.goals, dtype=float),
-            obstacles=np.array(self.obstacles, dtype=float),
+            starts=_point_array(self.starts, self.dim),
+            goals=_point_array(self.goals, self.dim),
+            obstacles=_point_array(self.obstacles, self.dim),
         )
 
     def frame_mode(self) -> Optional[FrameMode]:
         if self.mode is None:
             return None
         return FrameMode(self.mode.replace("-", "_"))
+
+
+def _point_array(points: tuple, dim: int) -> np.ndarray:
+    """A document's tuple of ``dim``-float tuples as a (count, dim) array,
+    filled from the coordinates in one pass."""
+    flat = np.fromiter(chain.from_iterable(points), float, count=len(points) * dim)
+    return flat.reshape(-1, dim)
 
 
 def _finite(number) -> bool:
@@ -231,71 +238,58 @@ def _vector_template(dim: int, indent: int) -> str:
     """A list of ``dim`` floats as ``json.dumps(indent=2)`` lays it out at
     nesting depth ``indent``, opening bracket excluded from the indent."""
     pad = "  " * indent
-    return "[\n" + ",\n".join([pad + "  %r"] * dim) + "\n" + pad + "]"
+    return "[\n" + ",\n".join([pad + "  %s"] * dim) + "\n" + pad + "]"
+
+
+# A plan's head up to its floats, with placeholders for the mode's JSON text,
+# the region, the domain index and the swap count.
+_HEAD = (
+    f'{{\n  "version": {json.dumps(FORMAT_VERSION)},\n  "dim": %d,\n  "mode": %s,\n'
+    '  "region": {\n    "j": %d,\n    "t": %d,\n    "c": %d\n  },\n'
+    '  "domain_index": %d,\n  "swap_count": %d,\n'
+)
 
 
 @lru_cache
-def _head_template(dim: int) -> str:
-    """A plan's head, ``version`` to ``obstacles``, as ``json.dumps(indent=2)``
-    lays it out in R^dim, with ``%`` placeholders: the mode's JSON text, the
-    region, domain index and swap count, the frame's floats, then the texts
-    of the three point lists (:func:`_point_rows`)."""
+def _head_template(dim: int, n: int, m: int) -> str:
+    """The rest of a plan's head, ``frame`` to ``obstacles``, as
+    ``json.dumps(indent=2)`` lays it out for n robots and m obstacles in
+    R^dim, with a ``%s`` placeholder for the text of each float."""
     vector = _vector_template(dim, 2)
-    return (
-        f'{{\n  "version": {json.dumps(FORMAT_VERSION)},\n  "dim": {dim},\n  "mode": %s,\n'
-        '  "region": {\n    "j": %d,\n    "t": %d,\n    "c": %d\n  },\n'
-        '  "domain_index": %d,\n  "swap_count": %d,\n'
-        f'  "frame": {{\n    "e": {vector},\n    "e_perp": {vector}\n  }},\n'
-        '  "starts": [\n%s\n  ],\n  "goals": [\n%s\n  ],\n  "obstacles": [\n%s\n  ]'
+    rows = ["    " + vector] * max(n, m)
+    return f'  "frame": {{\n    "e": {vector},\n    "e_perp": {vector}\n  }},\n' + ",\n".join(
+        f'  "{name}": [\n' + ",\n".join(rows[:count]) + "\n  ]"
+        for name, count in (("starts", n), ("goals", n), ("obstacles", m))
     )
 
 
-def _point_rows(points: np.ndarray) -> str:
-    """The rows of a point list in a plan's head, between its brackets."""
-    row = "    " + _vector_template(points.shape[1], 2)
-    return ",\n".join([row] * len(points)) % tuple(points.ravel().tolist())
-
-
-_ROBOT_TEMPLATE = '    {\n      "robot": %d,\n      "segments": [\n%s\n      ]\n    }'
+# A segment's text up to its time bounds, with what opens its robot's entry
+# (and closes the robot before) where it is the robot's first segment.
+_ROBOT_OPEN = '    {\n      "robot": %d,\n      "segments": [\n'
+_ROBOT_CLOSE = "\n      ]\n    }"
+_SEGMENT_OPEN = '        {\n          "t0": "'
+_BETWEEN_BOUNDS = '",\n          "t1": "'
 
 
 @lru_cache
-def _segment_template(kind: str, dim: int) -> str:
-    """One ``kind`` segment of R^dim as ``json.dumps(indent=2)`` lays it out
-    in a plan's segment list, with ``%`` placeholders for its values: the
-    time bounds' texts, then its floats in field order."""
+def _segment_template(arc: bool, dim: int) -> str:
+    """The rest of a segment of R^dim, an arc or a straight line, after its
+    time bounds, as ``json.dumps(indent=2)`` lays it out in a plan's segment
+    list, with a ``%s`` placeholder for the text of each float."""
     point = _vector_template(dim, 5)
-    fields = ['"t0": "%s"', '"t1": "%s"', f'"kind": "{kind}"']
-    if kind == "linear":
-        fields += [f'"start": {point}', f'"end": {point}']
-    else:
-        fields += [
+    if arc:
+        fields = [
+            '"kind": "arc"',
             f'"center": {point}',
-            '"radius": %r',
+            '"radius": %s',
             f'"basis_u": {point}',
             f'"basis_v": {point}',
-            '"angle_start": %r',
-            '"angle_end": %r',
+            '"angle_start": %s',
+            '"angle_end": %s',
         ]
-    return "        {\n" + ",\n".join("          " + f for f in fields) + "\n        }"
-
-
-def _segment_text(seg: PathSegment, dim: int, texts: dict[int, str]) -> str:
-    move = seg.move
-    bounds = (texts[seg.start], texts[seg.stop])
-    if isinstance(move, LinearMove):
-        return _segment_template("linear", dim) % (
-            *bounds, *move.start.tolist(), *move.end.tolist()
-        )
-    return _segment_template("arc", dim) % (
-        *bounds,
-        *move.center.tolist(),
-        float(move.radius),
-        *move.basis_u.tolist(),
-        *move.basis_v.tolist(),
-        float(move.angle_start),
-        float(move.angle_end),
-    )
+    else:
+        fields = ['"kind": "linear"', f'"start": {point}', f'"end": {point}']
+    return '",\n' + "".join("          " + f + ",\n" for f in fields)[:-2] + "\n        }"
 
 
 def serialize_plan(result: PlanResult) -> str:
@@ -303,35 +297,51 @@ def serialize_plan(result: PlanResult) -> str:
 
     Every float is written with round-trip precision and every time bound
     as an exact reduced ``"num/den"`` rational.  The layout is the one
-    ``json.dumps(document, indent=2)`` gives: the head (``version`` to
-    ``obstacles``) fills a per-dimension template and each segment a
-    per-kind, per-dimension one, their floats written by ``float.__repr__``
-    as ``json`` writes them; a time bound is its tick over the path's
-    denominator, reduced.  Every float of a ``PiecewisePath`` is finite (its
-    basis, junction and endpoint checks reject NaN and infinity), so
-    ``json``'s ``NaN`` and ``Infinity`` spellings are never needed.
+    ``json.dumps(document, indent=2)`` gives.  Cached templates, one for
+    the head and one per segment kind, are joined in the path's order with
+    the time bounds' texts in between, and one ``%`` pass fills in the
+    floats: the head's, then those of the path's column table, whose used
+    fields are the segments' floats in template order.  Each distinct
+    float, told apart by its bit pattern so that 0.0 and -0.0 stay
+    distinct, is written once by ``float.__repr__``, as ``json`` writes it;
+    each distinct tick's reduced rational is written once too.  Every float
+    of a ``PiecewisePath`` is finite (its basis, junction and endpoint
+    checks reject NaN and infinity), so ``json``'s ``NaN`` and ``Infinity``
+    spellings are never needed.
     """
-    query, den, segments = result.path.query, result.path.den, result.path.segments
-    # The reduced "num/den" of each tick a segment bounds, written once.
-    ticks = {t for per_robot in segments for seg in per_robot for t in (seg.start, seg.stop)}
-    texts = {t: f"{t // g}/{den // g}" for t in ticks for g in (math.gcd(t, den),)}
-    head = _head_template(query.dim) % (
-        json.dumps(result.mode.value),
-        result.region.j,
-        result.region.t,
-        result.region.c,
-        result.domain_index,
-        result.swap_count,
-        *result.frame.e.tolist(),
-        *result.frame.e_perp.tolist(),
-        *(_point_rows(points) for points in (query.starts, query.goals, query.obstacles)),
+    path, frame, region = result.path, result.frame, result.region
+    query, columns, den = path.query, path._columns, path.den
+    (n, dim), m = query.starts.shape, len(query.obstacles)
+    floats = np.concatenate(
+        [frame.e, frame.e_perp, query.starts.ravel(), query.goals.ravel(),
+         query.obstacles.ravel(), columns.floats]
     )
-    robots = ",\n".join(
-        _ROBOT_TEMPLATE
-        % (robot, ",\n".join(_segment_text(seg, query.dim, texts) for seg in per_robot))
-        for robot, per_robot in enumerate(segments)
+    bits, which = np.unique(floats.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+
+    starts, stops = columns.ticks.tolist()
+    fractions = {t: f"{t // g}/{den // g}" for t in {*starts, *stops} for g in [math.gcd(t, den)]}
+    opens = [",\n" + _SEGMENT_OPEN] * len(starts)
+    for robot, lo in enumerate(columns.first.tolist()):
+        opens[lo] = (_ROBOT_CLOSE + ",\n" if robot else "") + _ROBOT_OPEN % robot + _SEGMENT_OPEN
+    rests = (_segment_template(False, dim), _segment_template(True, dim))
+    segments = zip(
+        opens,
+        map(fractions.__getitem__, starts),
+        repeat(_BETWEEN_BOUNDS),
+        map(fractions.__getitem__, stops),
+        map(rests.__getitem__, columns.arc.tolist()),
     )
-    return head + ',\n  "robots": [\n' + robots + "\n  ]\n}"
+    template = (
+        _HEAD % (dim, json.dumps(result.mode.value), region.j, region.t, region.c,
+                 result.domain_index, result.swap_count)
+        + _head_template(dim, n, m)
+        + ',\n  "robots": [\n'
+        + "".join(chain.from_iterable(segments))
+        + _ROBOT_CLOSE
+        + "\n  ]\n}"
+    )
+    return template % tuple(texts[which].tolist())
 
 
 def sample_csv(result: PlanResult, resolution: int = 256) -> str:

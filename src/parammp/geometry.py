@@ -203,9 +203,10 @@ class ConfigurationQuery:
     def obstacle_count(self) -> int:
         return self.obstacles.shape[0]
 
-    @property
+    @cached_property
     def extent(self) -> float:
-        """The largest coordinate magnitude of any point."""
+        """The largest coordinate magnitude of any point, computed once: the
+        planner and the path's junction check both read it."""
         return max(float(np.abs(p).max()) for p in (self.starts, self.goals, self.obstacles))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Integral
 from typing import Sequence, Union
 
@@ -24,7 +25,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import ArcMove, PiecewisePath
+from .paths import PiecewisePath
 from .planner import plan
 
 __all__ = [
@@ -174,9 +175,11 @@ def certify_separation(
       The entry keeps the larger of its two bounds, capped at
       ``sampled_min``.
 
-    Entries are gathered from the touched robots' pair rows and processed in
-    blocks of at most ``_BLOCK``, with no loop over windows and no
-    windows-by-pairs array.  An unsound path yields a failing certificate,
+    Only the path's column table is read, not its segment objects: the
+    union grid is its distinct stop ticks and the operands are columns of
+    its float block.  Entries are gathered from the touched robots' pair rows
+    and processed in blocks of at most ``_BLOCK``, with no loop over windows
+    and no windows-by-pairs array.  An unsound path yields a failing certificate,
     never an exception; so does a path whose arithmetic overflows, as a bound
     that is not finite becomes -inf.  ``samples_per_segment`` must be an
     integer, not a bool, from 2 to ``MAX_SAMPLES_PER_SEGMENT`` (ValueError).
@@ -190,36 +193,28 @@ def certify_separation(
             f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples_per_segment!r}"
         )
     n, m = path.robot_count, path.obstacles.shape[0]
-    segments = [seg for per_robot in path.segments for seg in per_robot]
-    # The union grid on the path's integer ticks: int true division rounds
-    # tick / den exactly as float(Fraction(tick, den)) does.
-    ticks = [seg.stop for seg in segments]
-    cuts = sorted({0, *ticks})
-    cut_index = {t: w for w, t in enumerate(cuts)}
-    # Windows per segment: up to its end, from the previous segment's end or,
-    # for a robot's first segment, from 0.
-    ends = np.array([cut_index[t] for t in ticks])
-    spans = np.diff(ends, prepend=0)
-    firsts = np.cumsum([0] + [len(per_robot) for per_robot in path.segments[:-1]])
-    spans[firsts] = ends[firsts]
+    columns = path._columns
+    count = len(columns.stop)
+    # The union grid on the path's integer ticks, which are below 2**53, so
+    # tick / den rounds exactly as float(Fraction(tick, den)) does.  Windows
+    # per segment: up to its end, from the previous segment's end or, for a
+    # robot's first segment, from 0.  (Asked for the inverse, np.unique sorts;
+    # its other path imports numpy.ma on first use, about 15 ms and 0.8 MB.)
+    cuts, ends = np.unique(np.append(columns.stop, 0), return_inverse=True)
+    ends = ends[:count]
+    spans = ends.copy()
+    spans[1:] -= ends[:-1]
+    spans[columns.first] = ends[columns.first]
     # active[w, r] is the segment robot r follows on window w.
-    active = np.repeat(np.arange(len(segments)), spans).reshape(n, -1).T
-    bounds = np.array([t / path.den for t in cuts])
+    active = np.repeat(np.arange(count), spans).reshape(n, -1).T
+    bounds = cuts / path.den
 
-    # Robot-robot pairs i < k, then robot-obstacle pairs (i, j) as bodies n + j;
-    # pair_of[r, k] is the pair of robot r and body k.
-    first, second = np.triu_indices(n, 1)
-    first = np.concatenate([first, np.repeat(np.arange(n), m)])
-    second = np.concatenate([second, n + np.tile(np.arange(m), n)])
-    pair_of = np.full((n, n + m), -1)
-    pair_of[first, second] = np.arange(len(first))
-    robot_pairs = np.flatnonzero(second < n)
-    pair_of[second[robot_pairs], first[robot_pairs]] = robot_pairs
-    sampled = np.full(len(first), np.inf)
-    certified = np.full(len(first), np.inf)
+    pair_of, labels = _pairs(n, m)
+    sampled = np.full(len(labels[0]), np.inf)
+    certified = np.full(len(labels[0]), np.inf)
     with np.errstate(all="ignore"):
-        bodies = _Bodies(segments, path.obstacles)
-        rest = bodies.kind[: len(segments)] == _POINT
+        bodies = _Bodies(path)
+        rest = bodies.kind[:count] == _POINT
         touched = np.ones(active.shape, dtype=bool)
         touched[1:] = (active[1:] != active[:-1]) | ~rest[active[1:]]
         # Each touched robot meets every obstacle and every robot that is
@@ -234,7 +229,7 @@ def certify_separation(
             row, other = np.nonzero(keep)
             w, r = w[row], r[row]
             partner = np.where(
-                other < n, active[w, np.minimum(other, n - 1)], len(segments) + other - n
+                other < n, active[w, np.minimum(other, n - 1)], count + other - n
             )
             low, bound = bodies.minima(
                 active[w, r], partner, bounds[w], bounds[w + 1], samples_per_segment
@@ -244,13 +239,29 @@ def certify_separation(
             np.minimum.at(certified, pairs, bound)
     certified[~np.isfinite(certified)] = -np.inf
 
-    kinds = np.where(second < n, "robot-robot", "robot-obstacle").tolist()
-    seconds = np.where(second < n, second, second - n).tolist()
-    rows = zip(kinds, first.tolist(), seconds, sampled.tolist(), certified.tolist())
+    rows = zip(*labels, sampled.tolist(), certified.tolist())
     return SeparationCertificate(
         pairs=tuple(PairSeparation(*row) for row in rows),
         samples_per_segment=samples_per_segment,
     )
+
+
+@lru_cache(maxsize=32)
+def _pairs(n: int, m: int):
+    """Robot-robot pairs i < k, then robot-obstacle pairs (i, j) as bodies
+    n + j: pair_of[r, k] is the pair of robot r and body k, and ``labels``
+    each pair's kind, first and second index.  Shared, so read-only."""
+    first, second = np.triu_indices(n, 1)
+    first = np.concatenate([first, np.repeat(np.arange(n), m)])
+    second = np.concatenate([second, n + np.tile(np.arange(m), n)])
+    pair_of = np.full((n, n + m), -1)
+    pair_of[first, second] = np.arange(len(first))
+    robot_pairs = np.flatnonzero(second < n)
+    pair_of[second[robot_pairs], first[robot_pairs]] = robot_pairs
+    pair_of.setflags(write=False)
+    kinds = np.where(second < n, "robot-robot", "robot-obstacle")
+    labels = (kinds, first, np.where(second < n, second, second - n))
+    return pair_of, tuple(tuple(label.tolist()) for label in labels)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -272,12 +283,6 @@ def _two_sum(x: np.ndarray, y: np.ndarray):
     total = x + y
     y_part = total - x
     return total, (x - (total - y_part)) + (y - y_part)
-
-
-def _rows(vectors: list, d: int) -> np.ndarray:
-    """Per body a tuple of k vectors of length d, as a (k, d, bodies) array."""
-    flat = np.concatenate([vector for row in vectors for vector in row])
-    return flat.reshape(len(vectors), -1, d).transpose(1, 2, 0)
 
 
 def _positions(g: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -337,35 +342,29 @@ class _Bodies:
     table: the body's kind, the rounding slack of one evaluation, then the
     operands of its position formula, so that a block of entries gathers
     all it reads with one ``take``.  ``beta`` and ``apart``, read for arcs
-    alone, are kept beside it."""
+    alone, are kept beside it.  Built from the path's column table."""
 
-    def __init__(self, segments, obstacles: np.ndarray):
-        count, (m, d) = len(segments), obstacles.shape
-        moves = [seg.move for seg in segments]
-        is_arc = np.array([isinstance(move, ArcMove) for move in moves], dtype=bool)
-        lines, arcs = np.flatnonzero(~is_arc), np.flatnonzero(is_arc)
+    def __init__(self, path: PiecewisePath):
+        columns, obstacles = path._columns, path.obstacles
+        count, (m, d) = len(columns.stop), obstacles.shape
+        block, arcs = columns.block, np.flatnonzero(columns.arc)
         self.table = table = np.zeros((_VECTORS + 4 * d, count + m))
         angle, (t0, duration, sweep, radius) = table[_ANGLE], table[_T0:_VECTORS]
         origin, step, basis_u, basis_v = table[_VECTORS:].reshape(4, d, -1)  # step: end - start
-        table[_T0:_SWEEP, :count] = np.transpose(
-            [(seg._float_t0, seg._float_duration) for seg in segments]
-        )
+        t0[:count] = columns.start / path.den
+        duration[:count] = (columns.stop - columns.start) / path.den
         duration[count:] = 1.0
+        # A line's start or an arc's center, then each obstacle.
+        origin[:, :count] = block[:, :d].T
         origin[:, count:] = obstacles.T
-        if lines.size:
-            ends = _rows([(moves[i].start, moves[i].end) for i in lines.tolist()], d)
-            origin[:, lines] = ends[0]
-            step[:, lines] = ends[1] - ends[0]
+        step[:, :count] = np.where(columns.arc, 0.0, (block[:, d : 2 * d] - block[:, :d]).T)
         exact = np.zeros(count + m, dtype=bool)  # sweep = angle_end - angle_start
         if arcs.size:
-            arc_moves = [moves[i] for i in arcs.tolist()]
-            origin[:, arcs], basis_u[:, arcs], basis_v[:, arcs] = _rows(
-                [(move.center, move.basis_u, move.basis_v) for move in arc_moves], d
-            )
-            radius[arcs], angle[arcs], end = np.transpose(
-                [(move.radius, move.angle_start, move.angle_end) for move in arc_moves]
-            )
-            sweep[arcs], error = _two_sum(end, -angle[arcs])
+            fields = block[arcs].T
+            radius[arcs], angle[arcs] = fields[d], fields[3 * d + 1]
+            basis_u[:, arcs] = fields[d + 1 : 2 * d + 1]
+            basis_v[:, arcs] = fields[2 * d + 1 : 3 * d + 1]
+            sweep[arcs], error = _two_sum(fields[3 * d + 2], -angle[arcs])
             exact[arcs] = error == 0
         # A velocity is a constant vector plus a part of bounded norm: a
         # straight segment has no bounded part, an arc no constant part.

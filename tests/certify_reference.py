@@ -2,7 +2,8 @@
 and before its operands were stacked into one table: kept as a reference
 that the current kernel must match bit for bit on every pair without a Case
 A twin entry.  ``certify_separation`` runs it when ``verification._Bodies``
-is replaced by :class:`ReferenceBodies`.
+is replaced by :func:`reference_bodies`, which builds it from the path's
+segment objects rather than from the path's column table.
 """
 
 from __future__ import annotations
@@ -23,6 +24,13 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum(x * y for x, y in zip(a, b))
+
+
+def reference_bodies(path) -> "ReferenceBodies":
+    """:class:`ReferenceBodies` for ``certify_separation``, which constructs
+    its bodies from the path alone."""
+    segments = [seg for per_robot in path.segments for seg in per_robot]
+    return ReferenceBodies(segments, path.obstacles)
 
 
 class ReferenceBodies:

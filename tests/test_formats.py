@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import parammp
 from parammp import (
     ConfigurationQuery,
     FrameMode,
@@ -26,9 +32,10 @@ from parammp import (
     sample_csv,
     serialize_plan,
 )
-from parammp.formats import ProblemDocument, ProblemOptions
+from parammp.formats import ProblemDocument, ProblemOptions, _point_array
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from parammp.paths import ArcMove, LinearMove, PathSegment, PiecewisePath
+from hand_built_paths import extreme_plan
 from query_strategies import small_queries
 
 MINIMAL = {
@@ -178,6 +185,27 @@ class TestParseProblem:
                 obstacles=tuple(map(tuple, obstacles)),
                 options=ProblemOptions(snap_tolerance=snap, samples_per_segment=samples),
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.lists(
+                    st.tuples(*[st.sampled_from([-0.0, 5e-324, -1e300]) | st.floats(-1e6, 1e6)] * d),
+                    min_size=1,
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_query_arrays_are_the_points_as_arrays(self, case):
+        # one pass over the coordinates gives the array np.array gives
+        dim, points = case
+        points = tuple(points)
+        array, reference = _point_array(points, dim), np.array(points, dtype=float)
+        assert (array.dtype, array.shape) == (reference.dtype, reference.shape)
+        assert array.tobytes() == reference.tobytes()  # -0.0 included
 
     def test_mode_hyphen_accepted(self):
         doc = dict(MINIMAL)
@@ -384,6 +412,11 @@ class TestPlanTextMatchesReference:
         assert text.count("-0.0,") + text.count("-0.0\n") >= 2
         assert text == _reference_plan_text(result)
 
+    def test_hand_built_path(self):
+        # numpy scalars, a -0.0 angle, subnormal and 1e300 coordinates
+        result = extreme_plan()
+        assert serialize_plan(result) == _reference_plan_text(result)
+
     def test_twenty_robots_twenty_obstacles(self):
         result = plan(random_query(np.random.default_rng(0), 20, 20, 3), mode="fixed")
         assert serialize_plan(result) == _reference_plan_text(result)
@@ -412,6 +445,28 @@ class TestPlanTextMatchesReference:
         assert text == _reference_plan_text(result)
         bounds = [(s["t0"], s["t1"]) for s in json.loads(text)["robots"][0]["segments"]]
         assert bounds == [("0/1", "1/1000000"), ("1/1000000", "1/1")]
+
+    def test_text_does_not_depend_on_hash_order(self):
+        # fresh interpreters with other string hash seeds write the same
+        # bytes: no set or dict order reaches the text
+        code = (
+            "import sys, numpy as np\n"
+            "from parammp import plan, random_query, serialize_plan\n"
+            "query = random_query(np.random.default_rng(0), 8, 8, 3)\n"
+            "sys.stdout.write(serialize_plan(plan(query)))\n"
+        )
+        package_root = str(Path(parammp.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        texts = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert texts[0] and texts[0] == texts[1]
 
 
 def _mixed_denominator_path():

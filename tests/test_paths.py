@@ -7,9 +7,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parammp import ArcMove, ConfigurationQuery, InternalConsistencyError, LinearMove, PathSegment, PiecewisePath
+from parammp import (
+    ArcMove,
+    ConfigurationQuery,
+    InternalConsistencyError,
+    LinearMove,
+    PathSegment,
+    PiecewisePath,
+    certify_separation,
+    plan,
+    random_query,
+    serialize_plan,
+)
 from parammp.errors import DimensionMismatchError
+from hand_built_paths import extreme_path
+from query_strategies import small_queries
 
 
 def make_path(segments_per_robot, starts, goals, obstacles):
@@ -80,6 +95,32 @@ class TestMoves:
                 angle_start=0.0,
                 angle_end=1.0,
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        center=st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=4),
+        radius=st.one_of(
+            st.floats(1e-300, 1e150), st.floats(1e-300, 1e150).map(np.float64)
+        ),
+        turn=st.floats(-math.pi, math.pi),
+        angles=st.tuples(
+            st.one_of(st.sampled_from([-0.0, 0.0, math.pi]), st.floats(-10, 10)),
+            st.one_of(st.sampled_from([-0.0, 0.0, math.pi]), st.floats(-10, 10)),
+        ),
+        numpy_angles=st.booleans(),
+    )
+    def test_arc_end_points_are_its_evaluations_bit_for_bit(
+        self, center, radius, turn, angles, numpy_angles
+    ):
+        # end points in Python floats equal at(0.0) and at(1.0) in numpy
+        basis_u, basis_v = np.zeros(len(center)), np.zeros(len(center))
+        basis_u[:2] = math.cos(turn), math.sin(turn)
+        basis_v[:2] = -math.sin(turn), math.cos(turn)
+        if numpy_angles:
+            angles = tuple(map(np.float64, angles))
+        move = ArcMove(np.array(center), radius, basis_u, basis_v, *angles)
+        assert move.initial.tobytes() == move.at(0.0).tobytes()
+        assert move.final.tobytes() == move.at(1.0).tobytes()
 
     @pytest.mark.parametrize("field", ["center", "basis_u", "basis_v"])
     def test_arc_rejects_points_of_mixed_dimension(self, field):
@@ -289,6 +330,21 @@ class TestPiecewisePath:
         with pytest.raises(InternalConsistencyError, match=message):
             self._two_robot_path(points)
 
+    @pytest.mark.parametrize(
+        "robot, index, end, message",
+        [
+            (1, 1, 0, "robot 1 is discontinuous at t=1/3"),
+            (0, 0, 0, "robot 0 is discontinuous at its start"),
+            (1, 0, 0, "robot 1 is discontinuous at its start"),
+            (1, 1, 1, "robot 1 is discontinuous at its goal"),
+        ],
+    )
+    def test_finite_junction_gaps_name_the_robot_and_the_time(self, robot, index, end, message):
+        points = self._two_robot_points()
+        points[robot][index][end] = [point + 0.5 for point in points[robot][index][end]]
+        with pytest.raises(InternalConsistencyError, match=message):
+            self._two_robot_path(points)
+
     def test_nan_junction_rejected(self):
         # both sides of the junction agree, but a NaN equals nothing
         points = self._two_robot_points()
@@ -329,3 +385,86 @@ class TestPiecewisePath:
     def test_obstacles_shared_with_query(self):
         path = self._two_piece()
         assert path.obstacles is path.query.obstacles
+
+
+    def test_denominator_above_2_53_rejected(self):
+        den = 2**53 + 1
+        segments = ((PathSegment(0, den, den, LinearMove(np.zeros(2), np.ones(2))),),)
+        with pytest.raises(InternalConsistencyError, match="above 2\\*\\*53"):
+            make_path(segments, [[0.0, 0.0]], [[1.0, 1.0]], [[9.0, 9.0]])
+
+
+def _scan(path, robot, t):
+    """segment_at by a linear scan over the robot's segments."""
+    num, den = (Fraction(t) * path.den).as_integer_ratio()
+    for seg in path.segments[robot]:
+        if num < seg.stop * den:
+            return seg
+    return path.segments[robot][-1]
+
+
+def _assert_columns_reproduce_segments(path):
+    # the table holds every segment's ticks, kind and fields bit for bit
+    columns = path._columns
+    segments = [seg for per_robot in path.segments for seg in per_robot]
+    rows = []
+    for seg in segments:
+        move = seg.move
+        if isinstance(move, ArcMove):
+            fields = [move.center, [move.radius], move.basis_u, move.basis_v]
+            rows.append(np.concatenate(fields + [[move.angle_start, move.angle_end]]))
+        else:
+            rows.append(np.concatenate([move.start, move.end]))
+    assert columns.start.tolist() == [seg.start for seg in segments]
+    assert columns.stop.tolist() == [seg.stop for seg in segments]
+    assert columns.arc.tolist() == [isinstance(seg.move, ArcMove) for seg in segments]
+    assert columns.counts.tolist() == list(map(len, path.segments))
+    assert columns.first.tolist() == np.cumsum([0] + columns.counts.tolist()[:-1]).tolist()
+    for row, block_row in zip(rows, columns.block):
+        assert block_row[: len(row)].tobytes() == row.tobytes()
+        assert not block_row[len(row) :].any()
+    assert columns.floats.tobytes() == np.concatenate(rows).tobytes()
+
+
+class TestColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries())
+    def test_planned_paths(self, case):
+        query, mode = case
+        _assert_columns_reproduce_segments(plan(query, mode=mode).path)
+
+    def test_hand_built_path(self):
+        path = extreme_path()
+        _assert_columns_reproduce_segments(path)
+        assert math.copysign(1.0, path._columns.block[0, -2]) == -1.0  # angle_start -0.0
+
+    def test_certifier_and_writer_read_no_segment_objects(self, monkeypatch):
+        # the table is gathered once, in the path; certification and the
+        # plan text never look at a segment's move again
+        result = plan(random_query(np.random.default_rng(0), 8, 8, 3), mode="fixed")
+        cert, text = certify_separation(result.path), serialize_plan(result)
+
+        def no_move(seg):
+            raise AssertionError("a segment's move was read")
+
+        monkeypatch.setattr(PathSegment, "move", property(no_move), raising=False)
+        assert certify_separation(result.path) == cert
+        assert serialize_plan(result) == text
+
+
+class TestSegmentAt:
+    @pytest.mark.parametrize(
+        "path",
+        [
+            plan(random_query(np.random.default_rng(0), 8, 8, 3), mode="fixed").path,
+            extreme_path(),
+        ],
+        ids=["planned", "hand-built"],
+    )
+    def test_matches_a_linear_scan(self, path):
+        den = path.den
+        times = [Fraction(k, 2 * den) for k in range(2 * den + 1)]
+        times += [float(t) for t in times] + [1, 1.0, np.float64(1.0), np.int64(0)]
+        for robot in range(path.robot_count):
+            for t in times:
+                assert path.segment_at(robot, t) is _scan(path, robot, t), (robot, t)

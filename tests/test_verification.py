@@ -35,7 +35,7 @@ from parammp import (
 )
 from parammp import verification
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
-from certify_reference import ReferenceBodies
+from certify_reference import reference_bodies
 from query_strategies import small_queries
 
 
@@ -522,7 +522,7 @@ def _assert_matches_reference_kernel(path, samples):
     # with a Case A twin entry, whose bounds may only rise, up to sampled_min
     cert = certify_separation(path, samples)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verification, "_Bodies", ReferenceBodies)
+        mp.setattr(verification, "_Bodies", reference_bodies)
         reference = certify_separation(path, samples)
     twins = _twin_pairs(path)
     for pair, ref in zip(cert.pairs, reference.pairs):
