@@ -27,13 +27,12 @@ from .geometry import (
     RegionLabel,
     Side,
     classify,
-    clearance_eta,
     component_count,
     make_frame,
     orderings,
 )
 from .paths import ArcMove, LinearMove, PathSegment, PiecewisePath
-from .deformations import desingularize, straight_moves, swap_case_a, swap_case_b
+from .deformations import desingularize
 from .planner import (
     CaseASwap,
     CaseBSwap,

@@ -1,20 +1,20 @@
 """Elementary fibrewise motions of a query's robot starts.
 
 All constructions here move robot starts while the goals and the obstacles
-stay put.  Four primitives cover everything the planner needs:
+stay put.  Three primitives cover the planner's motions besides the
+straight lines, which it draws itself:
 
-* straight-line interpolation when the start and goal orderings agree,
 * exchanging two adjacent robots through a shared half-circle,
 * carrying one robot around an obstacle block on a clearance half-circle,
 * splitting coincident projections apart by staggered shifts along the line.
 
 This module is geometry only and knows no time.  Each swap returns its
 :data:`Stages`: a tuple of stages, each mapping every robot it moves to its
-``Move``; a robot absent from a stage rests.  The planner decides when each
-stage plays.  Splitting returns the split query (:func:`desingularize`), and
-the planner draws the straight shifts to and from it.  The planner also
-draws the final straight line itself, from the start ordering its sweep
-keeps; :func:`straight_moves` is the checked public form of that line.
+``Move``; a robot absent from a stage rests.  The planner's sweep
+(``planner._play_swaps``) checks each swap's precondition, that its two
+entries are neighbours in the start ordering, and decides when each stage
+plays.  Splitting returns the split query (:func:`desingularize`), and the
+planner draws the straight shifts to and from it.
 """
 
 from __future__ import annotations
@@ -29,21 +29,13 @@ from .geometry import (
     ConfigurationQuery,
     Frame,
     Side,
-    _check_start_neighbours,
-    _generic_ties,
     clearance_eta,
     desingularization_gap,
-    orderings,
+    orderings,  # unused here; bench/tracing.py TARGETS wraps deformations.orderings
 )
 from .paths import ArcMove, LinearMove, Move
 
-__all__ = [
-    "Stages",
-    "desingularize",
-    "straight_moves",
-    "swap_case_a",
-    "swap_case_b",
-]
+__all__ = ["Stages", "desingularize"]
 
 # The stages of one swap, played in order: robot -> its move in that stage.
 Stages = tuple[Mapping[int, Move], ...]
@@ -61,56 +53,21 @@ def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
         ) from exc
 
 
-def straight_moves(query: ConfigurationQuery, frame: Frame) -> list[LinearMove]:
-    """Each robot's straight line from its start to its goal.
+def swap_case_a(starts: np.ndarray, frame: Frame, left_robot: int, right_robot: int) -> Stages:
+    """Exchange the projection order of two adjacent robots, rows of the
+    running ``starts``; the moves hold copies of the rows.
 
-    Valid exactly when the start and goal orderings agree (``sigma ==
-    sigma_prime``): order preservation of the projections then rules out
-    every collision along the way.
-
-    Raises:
-        PreconditionError: the orderings differ.
-        NotGenericError: the query is not generic.
-    """
-    pair = orderings(query, frame)
-    if pair.sigma != pair.sigma_prime:
-        raise PreconditionError(
-            "straight-line section needs identical start and goal orderings"
-        )
-    return [LinearMove(query.starts[r], query.goals[r]) for r in range(query.robot_count)]
-
-
-def swap_case_a(
-    query: ConfigurationQuery,
-    frame: Frame,
-    left_robot: int,
-    right_robot: int,
-) -> Stages:
-    """Exchange the projection order of two adjacent robots.
-
-    Requires ``left_robot``'s start to be next below ``right_robot``'s in the
-    start ordering, checked on the tie table, and to project below it on
-    ``e``.  Three stages: both robots drop onto the projection line, trade
-    places along a shared half-circle in the (e, e_perp) plane (staying
-    antipodal, so their distance is constantly the full gap), then rise to
-    each other's original position.  Goals never move; every other robot rests.
+    The sweep checks that ``left_robot``'s start is next below
+    ``right_robot``'s in the start ordering.  Three stages: both robots drop
+    onto the projection line, trade places along a shared half-circle in the
+    (e, e_perp) plane (staying antipodal, so their distance is constantly the
+    full gap), then rise to each other's original position.  Goals never
+    move; every other robot rests.
 
     Raises:
-        PreconditionError: an index is out of range, or the starts are not
-            neighbours in that order, in the start ordering or on ``e``.
-        NotGenericError: the query is not generic.
+        PreconditionError: the left row does not project strictly below the
+            right one on ``e``.
     """
-    n = query.robot_count
-    if not (0 <= left_robot < n and 0 <= right_robot < n):
-        raise PreconditionError("unknown robot index")
-    _check_start_neighbours(_generic_ties(query, frame)[0], n, left_robot, right_robot)
-    return _case_a_stages(query.starts, frame, left_robot, right_robot)
-
-
-def _case_a_stages(starts: np.ndarray, frame: Frame, left_robot: int, right_robot: int) -> Stages:
-    """:func:`swap_case_a` on rows of ``starts`` known to be neighbours in
-    the start ordering; the moves hold copies of the rows.  PreconditionError
-    if the left row does not project strictly below the right one on ``e``."""
     z_left, z_right = starts[[left_robot, right_robot]]
     q_left = float(np.dot(frame.e, z_left))
     q_right = float(np.dot(frame.e, z_right))
@@ -146,42 +103,37 @@ def _case_a_stages(starts: np.ndarray, frame: Frame, left_robot: int, right_robo
 
 
 def swap_case_b(
-    query: ConfigurationQuery,
+    starts: np.ndarray,
+    values: np.ndarray,
     frame: Frame,
     robot: int,
-    obstacle: int,
+    o: int,
+    obstacle: np.ndarray,
     side: Side,
+    block_distance: float,
 ) -> Stages:
-    """Carry one robot across the obstacle block containing ``obstacle``.
+    """Carry one robot, a row of the running ``starts``, across the obstacle
+    block of the obstacle point ``obstacle``; the moves hold a copy of the row.
 
     ``side`` is the side of the obstacle's projection value the robot ends
-    on; the robot must currently sit on the opposite side, adjacent to the
-    block.  With clearance eta, three stages move only this robot: drop onto
-    the parallel line through the obstacle, slide along it until eta/2 short
-    of the obstacle, then swing around the obstacle on the half-circle of
-    radius eta/2 in the (e, e_perp) plane, landing eta/2 past it.
-
-    Raises:
-        PreconditionError: the robot's start is not the neighbour of the block
-            on the side opposite ``side`` (see :func:`clearance_eta`).
+    on.  The sweep checks that the robot's start is the block's neighbour in
+    the start ordering on the opposite side.  ``values``, ``o`` and
+    ``block_distance`` are the sweep's comparison values, the obstacle's
+    entry in them and the block's term (b), from which
+    :func:`~parammp.geometry.clearance_eta` gives the clearance eta.  Three
+    stages move only this robot: drop onto the parallel line through the
+    obstacle, slide along it until eta/2 short of the obstacle, then swing
+    around the obstacle on the half-circle of radius eta/2 in the (e, e_perp)
+    plane, landing eta/2 past it.
     """
-    eta = clearance_eta(query, frame, robot, obstacle, side)
-    return _case_b_stages(query.starts, frame, robot, query.obstacles[obstacle], eta, side)
-
-
-def _case_b_stages(
-    starts: np.ndarray, frame: Frame, robot: int, o: np.ndarray, eta: float, side: Side
-) -> Stages:
-    """:func:`swap_case_b` on a row of ``starts`` known to be next to the
-    block of the obstacle point ``o``, with clearance ``eta``; the moves hold
-    a copy of the row."""
+    eta = clearance_eta(values, frame, robot, o, side, block_distance)
     z = starts[robot].copy()
-    # Orthogonal projection of z onto the line through o parallel to e.
-    drop = o + float(np.dot(frame.e, z - o)) * frame.e
+    # Orthogonal projection of z onto the line through the obstacle parallel to e.
+    drop = obstacle + float(np.dot(frame.e, z - obstacle)) * frame.e
     sign = 1.0 if side is Side.LEFT else -1.0
-    near = o + sign * (eta / 2.0) * frame.e
+    near = obstacle + sign * (eta / 2.0) * frame.e
     arc = ArcMove(
-        center=o,
+        center=obstacle,
         radius=eta / 2.0,
         basis_u=sign * frame.e,
         basis_v=frame.e_perp,

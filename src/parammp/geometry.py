@@ -15,11 +15,10 @@ equal, and ranks increase along the line.  Every discrete decision reads the
 table: ``classify`` counts the ranks, ``orderings`` sorts robot indices and
 obstacle blocks (obstacles grouped by rank) by them, and the gap families
 skip pairs of equal rank.  Planning compares exactly, so there ranks and
-values tie and order alike: the start-order neighbour test
-(:func:`_check_start_neighbours`) and ``clearance_eta`` read the values.  The
-planner's sweep keeps the values up to date as starts move, and the start
-ordering as a list sorted by them.  Only ``classify`` takes a ``snap_tol``,
-under which nearly equal values chain into one class, to report labels.
+values tie and order alike: the planner's sweep keeps the values up to date
+as starts move, and the start ordering as a list sorted by them, and
+``clearance_eta`` reads them.  Only ``classify`` takes a ``snap_tol``, under
+which nearly equal values chain into one class, to report labels.
 
 Comparison values are *scale-free* dot products along ``Frame.axis`` (exact
 for coordinate-axis frames and for axis-aligned obstacle pairs), while all
@@ -38,12 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    ModeUnsupportedError,
-    NotGenericError,
-    PreconditionError,
-    QueryValidationError,
-)
+from .errors import ModeUnsupportedError, NotGenericError, QueryValidationError
 
 __all__ = [
     "ConfigurationQuery",
@@ -53,7 +47,6 @@ __all__ = [
     "RegionLabel",
     "Side",
     "classify",
-    "clearance_eta",
     "component_count",
     "make_frame",
     "orderings",
@@ -388,40 +381,11 @@ def _label(rank: np.ndarray, n: int) -> RegionLabel:
     return RegionLabel(j=int(rank.max()) + 1 - t, t=t)
 
 
-def _generic_ties(query: ConfigurationQuery, frame: Frame) -> tuple[np.ndarray, np.ndarray]:
-    """The tie table of a generic query (see :func:`orderings`)."""
-    values, rank = _ties(query, frame)
-    n = query.robot_count
-    label = _label(rank, n)
-    if label.j != 2 * n:
-        raise NotGenericError(
-            f"query is not generic: j={label.j} < 2n={2 * n} (c={label.c})"
-        )
-    return values, rank
-
-
 def _entry_name(k: int, n: int) -> str:
     """The name of entry ``k`` of a tie table (starts | goals | obstacles)."""
     if k < n:
         return f"starts[{k}]"
     return f"goals[{k - n}]" if k < 2 * n else f"obstacles[{k - 2 * n}]"
-
-
-def _check_start_neighbours(values: np.ndarray, n: int, below: int, above: int):
-    """Check that entry ``below`` of a tie table's comparison ``values`` is
-    next below entry ``above`` (starts or obstacles) in the start ordering:
-    lower, and no start or obstacle value lies strictly between theirs.
-
-    Raises:
-        PreconditionError: the two entries are not neighbours in that order.
-    """
-    lo, hi = values[below], values[above]
-    sigma = np.concatenate([values[:n], values[2 * n:]])
-    if not lo < hi or np.any((sigma > lo) & (sigma < hi)):  # a NaN fails too
-        raise PreconditionError(
-            f"{_entry_name(below, n)} is not next below {_entry_name(above, n)}"
-            " in the start ordering"
-        )
 
 
 def orderings(query: ConfigurationQuery, frame: Frame) -> OrderingPair:
@@ -437,8 +401,13 @@ def orderings(query: ConfigurationQuery, frame: Frame) -> OrderingPair:
         NotGenericError: some robot projection coincides with another
             projection value.
     """
-    _, rank = _generic_ties(query, frame)
+    _, rank = _ties(query, frame)
     n = query.robot_count
+    label = _label(rank, n)
+    if label.j != 2 * n:
+        raise NotGenericError(
+            f"query is not generic: j={label.j} < 2n={2 * n} (c={label.c})"
+        )
     blocks: dict[int, frozenset[int]] = {}
     for k, r in enumerate(rank[2 * n:].tolist()):
         blocks[r] = blocks.get(r, frozenset()) | {k}
@@ -474,44 +443,6 @@ def desingularization_gap(query: ConfigurationQuery, frame: Frame) -> float:
     return float(gaps.min()) if gaps.size else 1.0
 
 
-def clearance_eta(
-    query: ConfigurationQuery,
-    frame: Frame,
-    robot: int,
-    obstacle: int,
-    side: Side,
-) -> float:
-    """Clearance available for swinging robot ``robot`` around obstacle
-    ``obstacle`` toward ``side``.
-
-    The clearance is the minimum of
-      (a) the distance from the obstacle's projection to the nearest other
-          projection value strictly on the destination side,
-      (b) the full-space distance to the nearest other obstacle sharing the
-          same projection value,
-      (c) the projection gap between the robot and the obstacle,
-    where (a) and (b) are skipped when their candidate sets are empty.  The
-    result is strictly positive on generic queries and varies continuously
-    while the ordering pair stays fixed.
-
-    Raises:
-        PreconditionError: an index is out of range, or the robot's start is
-            not the neighbour of the obstacle's block on the far side of
-            ``side`` in the start ordering (:func:`_check_start_neighbours`).
-        NotGenericError: the query is not generic.
-    """
-    n, m = query.robot_count, query.obstacle_count
-    if not (0 <= robot < n and 0 <= obstacle < m):
-        raise PreconditionError("robot or obstacle not present in the ordering")
-    o = 2 * n + obstacle
-    # The robot starts on the far side of ``side`` and ends on it.
-    values, _ = _generic_ties(query, frame)
-    _check_start_neighbours(values, n, *((o, robot) if side is Side.LEFT else (robot, o)))
-    block = np.flatnonzero(values[2 * n:] == values[o]).tolist()
-    distance = _block_distance(query.obstacles, obstacle, block)
-    return _clearance(values, frame, robot, o, side, distance)
-
-
 def _block_distance(obstacles: np.ndarray, obstacle: int, block) -> float:
     """Term (b) of :func:`clearance_eta`: the distance from ``obstacle`` to
     the nearest other member of its ``block`` (inf if it has none)."""
@@ -520,11 +451,25 @@ def _block_distance(obstacles: np.ndarray, obstacle: int, block) -> float:
     return min(distances, default=math.inf)
 
 
-def _clearance(
+def clearance_eta(
     values: np.ndarray, frame: Frame, robot: int, o: int, side: Side, block_distance: float
 ) -> float:
-    """:func:`clearance_eta` from the comparison ``values`` of a tie table,
-    for start entry ``robot``, obstacle entry ``o`` and term (b)."""
+    """Clearance available for swinging the robot of start entry ``robot``
+    around the obstacle of entry ``o`` of a tie table's comparison
+    ``values`` toward ``side``.
+
+    The clearance is the minimum of
+      (a) the distance from the obstacle's projection to the nearest other
+          projection value strictly on the destination side,
+      (b) ``block_distance``, the full-space distance to the nearest other
+          obstacle sharing the same projection value (:func:`_block_distance`),
+      (c) the projection gap between the robot and the obstacle,
+    where (a) and (b) are skipped when their candidate sets are empty (inf).
+    The planner's sweep checks that the robot's start is the neighbour of the
+    obstacle's block on the far side of ``side`` in the start ordering.  The
+    result is then strictly positive on generic queries and varies
+    continuously while the ordering pair stays fixed.
+    """
     cmp_o = float(values[o])
     far = values[values < cmp_o] if side is Side.LEFT else values[values > cmp_o]
     nearest = float(np.min(np.abs(far - cmp_o), initial=math.inf))

@@ -24,20 +24,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-# swap_case_a and swap_case_b stay bound here, where the benchmark's tracer
-# wraps them by name; the planner plays their checked-once inner forms.
-from .deformations import (
-    _case_a_stages,
-    _case_b_stages,
-    desingularize,
-    swap_case_a,
-    swap_case_b,
-)
+from .deformations import desingularize, swap_case_a, swap_case_b
 from .errors import (
     InternalConsistencyError,
     InvalidOrderingPairError,
     NotGenericError,
-    PreconditionError,
     QueryValidationError,
 )
 from .geometry import (
@@ -48,8 +39,6 @@ from .geometry import (
     RegionLabel,
     Side,
     _block_distance,
-    _check_start_neighbours,
-    _clearance,
     _entry_name,
     _ties,
     classify,
@@ -63,7 +52,6 @@ __all__ = [
     "CaseASwap",
     "CaseBSwap",
     "PlanResult",
-    "compose_with_section",
     "default_mode",
     "plan",
     "transposition_sequence",
@@ -190,11 +178,12 @@ def compose_with_section(
     swaps: list[Swap],
 ) -> PiecewisePath:
     """Path for a degenerate ``query`` that :func:`desingularize` split into
-    ``split``, which ``swaps`` sort.  Each robot moves straight from its start
-    to its split start on [0, 1/3], the swaps and the straight line of
-    ``split`` fill [1/3, 2/3], and each robot moves straight from its split
-    goal back to its goal on [2/3, 1].  Times are ticks over 9(k + 1) for k
-    swaps.
+    ``split``.  ``swaps`` must be :func:`transposition_sequence`'s list for
+    ``split``, as in :func:`plan`, its one caller: their indices are not
+    checked.  Each robot moves straight from its start to its split start on
+    [0, 1/3], the swaps and the straight line of ``split`` fill [1/3, 2/3],
+    and each robot moves straight from its split goal back to its goal on
+    [2/3, 1].  Times are ticks over 9(k + 1) for k swaps.
     """
     third = _STAGES * (len(swaps) + 1)
     segments = [[] for _ in range(query.robot_count)]
@@ -213,18 +202,23 @@ def _sweep_error(
 ) -> InternalConsistencyError:
     """The error of swap ``i`` when a list check of :func:`_play_swaps`
     fails, worded by the O(n + m) checks it stands for: a start in ``moved``
-    that ties another value, else ``below`` not next below ``above`` in the
-    start ordering, else (the one case left, as the stages move only the
-    pair's starts) the pair out of place."""
+    that ties another value, else entry ``below`` of ``values`` (a start or
+    an obstacle) not next below entry ``above`` in the start ordering (not
+    lower, or a start or obstacle value strictly between theirs), else (the
+    one case left, as the stages move only the pair's starts) the pair out of
+    place."""
     for robot in moved:
         ties = np.flatnonzero(values == values[robot])
         if len(ties) != 1:  # a NaN equals no value, its own included
             others = ", ".join(_entry_name(k, n) for k in ties if k != robot) or "NaN"
             return InternalConsistencyError(f"swap {i}: starts[{robot}] coincides with {others}")
-    try:
-        _check_start_neighbours(values, n, below, above)
-    except PreconditionError as exc:
-        return InternalConsistencyError(f"swap {i}: {exc}")
+    lo, hi = values[below], values[above]
+    sigma = np.concatenate([values[:n], values[2 * n:]])
+    if not lo < hi or np.any((sigma > lo) & (sigma < hi)):  # a NaN fails too
+        return InternalConsistencyError(
+            f"swap {i}: {_entry_name(below, n)} is not next below {_entry_name(above, n)}"
+            " in the start ordering"
+        )
     return InternalConsistencyError(f"swap {i} moved its pair out of place")
 
 
@@ -249,11 +243,11 @@ def _play_swaps(
     ``query`` is valid and generic and is not checked again.  One sweep state
     carries it across the swaps: the running starts array, the comparison
     values of its tie table (the start values recomputed from the whole array
-    after each swap), each obstacle block's representative and term (b) of
-    :func:`clearance_eta`, and the start ordering as a kinetic sorted list
-    whose events are the swaps: robot indices and one value index per
-    obstacle block.  Case B clearances are read from the values.  Per swap
-    it checks, in O(1), that:
+    after each swap), each obstacle block's representative and its term (b)
+    of :func:`~parammp.geometry.clearance_eta`, and the start ordering as a
+    kinetic sorted list whose events are the swaps: robot indices and one
+    value index per obstacle block.  :func:`swap_case_b` reads its clearance
+    from the values.  Per swap it checks, in O(1), that:
 
     * before it, its lower entry's next list entry is its upper one (so its
       value is lower: the list is strictly sorted);
@@ -300,11 +294,12 @@ def _play_swaps(
         if order[p + 1 : p + 2] != [above]:
             raise _sweep_error(values, n, set(), below, above, i)
         if isinstance(swap, CaseASwap):
-            stages = _case_a_stages(starts, frame, swap.left, swap.right)
+            stages = swap_case_a(starts, frame, swap.left, swap.right)
         else:
-            eta = _clearance(values, frame, swap.robot, o, swap.side, distances[swap.block])
             obstacle = query.obstacles[reps[swap.block]]
-            stages = _case_b_stages(starts, frame, swap.robot, obstacle, eta, swap.side)
+            stages = swap_case_b(
+                starts, values, frame, swap.robot, o, obstacle, swap.side, distances[swap.block]
+            )
         for j, stage in enumerate(stages):
             t0 = lo + _STAGES * i + j
             for robot, move in stage.items():

@@ -22,7 +22,6 @@ from parammp import (
     certify_separation,
     classify,
     classify_oracle,
-    clearance_eta,
     component_count,
     continuity_probe,
     degenerate_query,
@@ -32,10 +31,9 @@ from parammp import (
     plan,
     random_query,
     random_rational_query,
-    swap_case_a,
-    swap_case_b,
     transposition_sequence,
 )
+from checked_swaps import checked_case_a, checked_case_b, checked_clearance
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -183,7 +181,7 @@ class TestAcceptance:
             if adjacent is None:
                 continue
             checked_a += 1
-            exchange = swap_case_a(q, f, *adjacent)[1]
+            exchange = checked_case_a(q, f, *adjacent)[1]
             gap = abs(float((q.starts[adjacent[1]] - q.starts[adjacent[0]]) @ f.e))
             for u in np.linspace(0, 1, 33):
                 left, right = (exchange[r].at(float(u)) for r in adjacent)
@@ -211,8 +209,8 @@ class TestAcceptance:
                 continue
             checked_b += 1
             robot, obstacle, side = found
-            eta = clearance_eta(q, f, robot, obstacle, side)
-            landing = swap_case_b(q, f, robot, obstacle, side)[-1][robot].final
+            eta = checked_clearance(q, f, robot, obstacle, side)
+            landing = checked_case_b(q, f, robot, obstacle, side)[-1][robot].final
             sign = 1.0 if side is Side.LEFT else -1.0
             expected = q.obstacles[obstacle] - sign * (eta / 2.0) * f.e
             if float(np.linalg.norm(landing - expected)) > 1e-12:

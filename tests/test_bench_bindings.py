@@ -11,6 +11,7 @@ import inspect
 import sys
 from pathlib import Path
 
+from parammp import ConfigurationQuery, FrameMode, plan
 from parammp import deformations, geometry, planner, verification
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -35,6 +36,32 @@ def test_every_traced_binding_resolves(monkeypatch):
         if attr not in owner.__dict__
     ]
     assert not missing
+
+
+def test_traced_swap_names_are_on_the_plan_path(monkeypatch):
+    # The per-swap spans wrap these bindings; a planner that went round them
+    # would leave the spans at 0.
+    calls = {}
+    for owner, attr in (
+        (planner, "swap_case_a"), (planner, "swap_case_b"), (deformations, "clearance_eta")
+    ):
+        def counted(*args, _function=getattr(owner, attr), _attr=attr):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _function(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    # Robot 0 crosses obstacle 0, trades places with robot 1, then crosses
+    # obstacle 1.
+    query = ConfigurationQuery(
+        starts=[[0.0, 0.0], [2.0, 3.0]],
+        goals=[[5.0, 6.0], [1.5, 7.0]],
+        obstacles=[[1.0, 5.0], [3.0, 5.0]],
+    )
+    swaps = plan(query, FrameMode.FIXED).swaps
+    case_b = sum(isinstance(swap, planner.CaseBSwap) for swap in swaps)
+    assert 0 < case_b < len(swaps)  # both kinds
+    case_a = len(swaps) - case_b
+    assert calls == {"swap_case_a": case_a, "swap_case_b": case_b, "clearance_eta": case_b}
 
 
 def test_bench_ops_run_on_one_document_per_workload(monkeypatch):

@@ -1,6 +1,7 @@
 """Elementary motions: straight-line sections, the two swap manoeuvres,
 projection splitting, and how the planner draws the straight shifts to and
-from the split query around its swaps."""
+from the split query around its swaps.  Swaps are built by the checked forms
+of ``checked_swaps``; the sweep's own checks run in ``planner._play_swaps``."""
 
 from __future__ import annotations
 
@@ -28,11 +29,10 @@ from parammp import (
     orderings,
     plan,
     planner,
-    straight_moves,
-    swap_case_a,
-    swap_case_b,
 )
-from parammp.geometry import clearance_eta, desingularization_gap
+from parammp.geometry import desingularization_gap
+from parammp.planner import CaseASwap, CaseBSwap
+from checked_swaps import checked_case_a, checked_case_b, checked_clearance
 from query_strategies import small_queries
 
 RNG_SAMPLES = 1000
@@ -58,6 +58,14 @@ def sample_stages(starts, stages, ts):
             out[inside, robot, :] = move.at_many(u)
             out[after, robot, :] = move.final
     return out
+
+
+def play_swaps(query, frame, swaps):
+    """Play ``swaps`` and the straight line on ``query`` in the planner's
+    sweep, into fresh per-robot segment lists."""
+    segments = [[] for _ in range(query.robot_count)]
+    planner._play_swaps(segments, query, frame, swaps, 0, 3 * (len(swaps) + 1))
+    return segments
 
 
 def end_query(query, stages):
@@ -107,7 +115,8 @@ def random_generic_query(rng, n, m, d=3):
 
 
 class TestAffineSection:
-    """The straight-line (affine) section: :func:`straight_moves`."""
+    """The straight-line (affine) section the sweep ends on, valid when the
+    start and goal orderings agree."""
 
     def test_identity_query_is_not_generic(self):
         # starts == goals makes every start projection coincide with its goal
@@ -117,14 +126,15 @@ class TestAffineSection:
             starts=[[0.0, 1.0, 0.0]], goals=[[0.0, 1.0, 0.0]], obstacles=[[5.0, 0.0, 0.0]]
         )
         with pytest.raises(NotGenericError):
-            straight_moves(q, fixed_frame(q))
+            orderings(q, fixed_frame(q))
+        assert plan(q, FrameMode.FIXED).region.j < 2 * q.robot_count
 
     def test_midpoint_value(self):
         q = ConfigurationQuery(
             starts=[[0.0, 0.0]], goals=[[2.0, 2.0]], obstacles=[[5.0, 0.0]]
         )
-        (move,) = straight_moves(q, fixed_frame(q))
-        assert np.allclose(move.at(0.5), [1.0, 1.0])
+        ((segment,),) = play_swaps(q, fixed_frame(q), [])
+        assert np.allclose(segment.move.at(0.5), [1.0, 1.0])
 
     def test_projection_order_preserved_throughout(self):
         q = ConfigurationQuery(
@@ -133,9 +143,9 @@ class TestAffineSection:
             obstacles=[[9.0, 0.0, 0.0]],
         )
         f = fixed_frame(q)
-        first, second = straight_moves(q, f)
+        (first,), (second,) = play_swaps(q, f, [])
         for t in np.linspace(0, 1, 101):
-            assert first.at(t) @ f.e < second.at(t) @ f.e
+            assert first.move.at(t) @ f.e < second.move.at(t) @ f.e
 
     def test_rejects_order_swapping_query(self):
         q = ConfigurationQuery(
@@ -143,8 +153,8 @@ class TestAffineSection:
             goals=[[3.0, 1.0, 1.0], [2.0, 6.0, 0.0]],
             obstacles=[[9.0, 0.0, 0.0]],
         )
-        with pytest.raises(PreconditionError):
-            straight_moves(q, fixed_frame(q))
+        with pytest.raises(InternalConsistencyError, match="did not sort"):
+            play_swaps(q, fixed_frame(q), [])
 
 
 class TestSwapCaseA:
@@ -158,7 +168,7 @@ class TestSwapCaseA:
 
     def test_endpoints_trade_positions(self):
         q = self._query()
-        end = end_query(q, swap_case_a(q, fixed_frame(q), 0, 1))
+        end = end_query(q, checked_case_a(q, fixed_frame(q), 0, 1))
         assert np.allclose(end.starts[0], q.starts[1], atol=1e-12)
         assert np.allclose(end.starts[1], q.starts[0], atol=1e-12)
         assert np.array_equal(end.goals, q.goals)
@@ -166,14 +176,14 @@ class TestSwapCaseA:
     def test_explicit_phase_two_midpoint(self):
         # e = (1,0): a = (0,0), b = (2,0), mid = (1,0), r = 1
         q = self._query()
-        (config,) = sample_stages(q.starts, swap_case_a(q, fixed_frame(q), 0, 1), [0.5])
+        (config,) = sample_stages(q.starts, checked_case_a(q, fixed_frame(q), 0, 1), [0.5])
         assert np.allclose(config[0], [1.0, -1.0], atol=1e-12)
         assert np.allclose(config[1], [1.0, 1.0], atol=1e-12)
 
     def test_antipodal_during_phase_two(self):
         q = self._query()
         f = fixed_frame(q)
-        stages = swap_case_a(q, f, 0, 1)
+        stages = checked_case_a(q, f, 0, 1)
         r = 0.5 * abs(float((q.starts[1] - q.starts[0]) @ f.e))
         for config in sample_stages(q.starts, stages, np.linspace(1 / 3, 2 / 3, 101)):
             gap = np.linalg.norm(config[0] - config[1])
@@ -185,20 +195,22 @@ class TestSwapCaseA:
             goals=[[5.0, 0.0], [6.0, 1.0]],
             obstacles=[[1.0, 0.0]],  # obstacle projects between the robots
         )
-        with pytest.raises(PreconditionError):
-            swap_case_a(q, fixed_frame(q), 0, 1)
+        message = r"swap 0: starts\[0\] is not next below starts\[1\]"
+        with pytest.raises(InternalConsistencyError, match=message):
+            play_swaps(q, fixed_frame(q), [CaseASwap(0, 1)])
 
     def test_wrong_order_rejected(self):
         q = self._query()
-        with pytest.raises(PreconditionError):
-            swap_case_a(q, fixed_frame(q), 1, 0)
+        message = r"swap 0: starts\[1\] is not next below starts\[0\]"
+        with pytest.raises(InternalConsistencyError, match=message):
+            play_swaps(q, fixed_frame(q), [CaseASwap(1, 0)])
 
     def test_double_swap_restores_token_order(self):
         q = self._query()
         f = fixed_frame(q)
         sigma_before = orderings(q, f).sigma
-        q2 = end_query(q, swap_case_a(q, f, 0, 1))
-        q3 = end_query(q2, swap_case_a(q2, f, 1, 0))  # robot 1 is now the left one
+        q2 = end_query(q, checked_case_a(q, f, 0, 1))
+        q3 = end_query(q2, checked_case_a(q2, f, 1, 0))  # robot 1 is now the left one
         assert orderings(q3, f).sigma == sigma_before
 
     def test_random_inputs_collision_free_and_contained(self):
@@ -217,7 +229,7 @@ class TestSwapCaseA:
             if adjacent is None:
                 continue
             done += 1
-            stages = swap_case_a(q, f, *adjacent)
+            stages = checked_case_a(q, f, *adjacent)
             positions = sample_stages(q.starts, stages, ts)
             assert pairwise_min_distance(positions, q.obstacles) > 0
             # both movers stay inside the projection interval during phase 2
@@ -238,48 +250,42 @@ class TestSwapCaseA:
 
 
 class TestStartNeighbours:
-    """Both swaps accept exactly the neighbours of the start ordering
-    ``orderings(q).sigma``, in the order they name them."""
+    """The sweep refuses a swap exactly when its two entries are not
+    neighbours, in the order it names them, in the start ordering
+    ``orderings(q).sigma``."""
 
     @settings(max_examples=200, deadline=None)
     @given(small_queries())
-    def test_swaps_accept_exactly_the_neighbours(self, case):
+    def test_sweep_refuses_exactly_the_swaps_of_non_neighbours(self, case):
         query, mode = case
         f = make_frame(query, mode)
-        n, m = query.robot_count, query.obstacle_count
-        assume(classify(query, f).j == 2 * n)
+        assume(classify(query, f).j == 2 * query.robot_count)
         sigma = orderings(query, f).sigma
-        position = {entry: p for p, entry in enumerate(sigma) if isinstance(entry, int)}
 
-        def start_at(robot):
-            return position.get(robot, math.nan)
+        def name(entry):
+            if isinstance(entry, int):
+                return f"starts[{entry}]"
+            return f"obstacles[{planner._block_representative(query, entry)}]"
 
-        # Out-of-range indices (-1, n, m) are in no ordering.
-        for left, right in itertools.product(range(-1, n + 1), repeat=2):
-            # swap_case_a also keeps its own test on e, which refuses a near
-            # tie of the comparison values.
-            if (
-                start_at(right) - start_at(left) == 1
-                and query.starts[left] @ f.e < query.starts[right] @ f.e
-            ):
-                assert set().union(*swap_case_a(query, f, left, right)) == {left, right}
+        for below, above in itertools.permutations(sigma, 2):
+            if isinstance(below, int) and isinstance(above, int):
+                swap = CaseASwap(below, above)
+            elif isinstance(below, int):
+                swap = CaseBSwap(below, above, Side.RIGHT)
+            elif isinstance(above, int):
+                swap = CaseBSwap(above, below, Side.LEFT)
             else:
-                with pytest.raises(PreconditionError):
-                    swap_case_a(query, f, left, right)
-
-        for robot, obstacle in itertools.product(range(-1, n + 1), range(-1, m + 1)):
-            block = next(
-                (p for p, entry in enumerate(sigma)
-                 if isinstance(entry, frozenset) and obstacle in entry),
-                math.nan,
-            )
-            for side in Side:
-                # The robot starts next to the block, on the side opposite ``side``.
-                if start_at(robot) - block != (1 if side is Side.LEFT else -1):
-                    with pytest.raises(PreconditionError):
-                        clearance_eta(query, f, robot, obstacle, side)
-                else:
-                    assert clearance_eta(query, f, robot, obstacle, side) > 0
+                continue  # blocks never swap
+            refusal = f"swap 0: {name(below)} is not next below {name(above)} in the start ordering"
+            # A swap the sweep plays may still fail later: at the straight
+            # line, or at Case A's own test on e, which refuses a near tie.
+            try:
+                play_swaps(query, f, [swap])
+                error = ""
+            except (InternalConsistencyError, PreconditionError) as exc:
+                error = str(exc)
+            neighbours = sigma.index(above) - sigma.index(below) == 1
+            assert (error == refusal) != neighbours, (swap, error)
 
 
 class TestSwapCaseB:
@@ -292,17 +298,17 @@ class TestSwapCaseB:
     def test_explicit_stage_values(self):
         q = self._query()
         f = fixed_frame(q)
-        eta = clearance_eta(q, f, 0, 0, Side.LEFT)
+        eta = checked_clearance(q, f, 0, 0, Side.LEFT)
         assert eta == 2.0
-        stages = swap_case_b(q, f, 0, 0, Side.LEFT)
+        stages = checked_case_b(q, f, 0, 0, Side.LEFT)
         at = sample_stages(q.starts, stages, [2 / 3, 5 / 6, 1.0])[:, 0]
         assert np.allclose(at, [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], atol=1e-12)
 
     def test_final_point_formula(self):
         q = self._query()
         f = fixed_frame(q)
-        eta = clearance_eta(q, f, 0, 0, Side.LEFT)
-        end = end_query(q, swap_case_b(q, f, 0, 0, Side.LEFT)).starts[0]
+        eta = checked_clearance(q, f, 0, 0, Side.LEFT)
+        end = end_query(q, checked_case_b(q, f, 0, 0, Side.LEFT)).starts[0]
         expected = q.obstacles[0] - (eta / 2.0) * f.e
         assert np.linalg.norm(end - expected) <= 1e-12
         assert float(end @ f.e) < float(q.obstacles[0] @ f.e)
@@ -312,7 +318,7 @@ class TestSwapCaseB:
             starts=[[2.0, 3.0, -1.0]], goals=[[5.0, 4.0, 2.0]], obstacles=[[0.0, 1.0, 1.0]]
         )
         f = fixed_frame(q)
-        stages = swap_case_b(q, f, 0, 0, Side.LEFT)
+        stages = checked_case_b(q, f, 0, 0, Side.LEFT)
         value = float(q.starts[0] @ f.e)
         for config in sample_stages(q.starts, stages, np.linspace(0, 1 / 3, 21)):
             assert abs(float(config[0] @ f.e) - value) <= 1e-12
@@ -322,8 +328,8 @@ class TestSwapCaseB:
             starts=[[-2.0, 3.0]], goals=[[-5.0, 4.0]], obstacles=[[0.0, 0.0]]
         )
         f = fixed_frame(q)
-        eta = clearance_eta(q, f, 0, 0, Side.RIGHT)
-        end = end_query(q, swap_case_b(q, f, 0, 0, Side.RIGHT)).starts[0]
+        eta = checked_clearance(q, f, 0, 0, Side.RIGHT)
+        end = end_query(q, checked_case_b(q, f, 0, 0, Side.RIGHT)).starts[0]
         assert np.linalg.norm(end - (q.obstacles[0] + (eta / 2.0) * f.e)) <= 1e-12
 
     def test_random_inputs_keep_clearance(self):
@@ -346,8 +352,8 @@ class TestSwapCaseB:
                 continue
             done += 1
             robot, obstacle, side = found
-            eta = clearance_eta(q, f, robot, obstacle, side)
-            positions = sample_stages(q.starts, swap_case_b(q, f, robot, obstacle, side), ts)
+            eta = checked_clearance(q, f, robot, obstacle, side)
+            positions = sample_stages(q.starts, checked_case_b(q, f, robot, obstacle, side), ts)
             assert pairwise_min_distance(positions, q.obstacles) > 0
             # the arc keeps distance exactly eta/2 from the circled obstacle
             arc_gaps = np.linalg.norm(
@@ -378,9 +384,9 @@ class TestSwapCaseBCoincidentBlock:
             obstacles=[[0.0, 0.0, 0.0], [0.0, 1.5, 0.0]],
         )
         f = fixed_frame(q)
-        eta = clearance_eta(q, f, 0, 0, Side.LEFT)
+        eta = checked_clearance(q, f, 0, 0, Side.LEFT)
         assert eta <= 1.5  # bounded by the coincident-member distance
-        stages = swap_case_b(q, f, 0, 0, Side.LEFT)
+        stages = checked_case_b(q, f, 0, 0, Side.LEFT)
         ts = np.linspace(2 / 3, 1.0, 201)
         positions = sample_stages(q.starts, stages, ts)[:, 0, :]
         for obstacle in q.obstacles:
@@ -491,7 +497,7 @@ class TestEvaluateDeformation:
 
     def test_time_zero_is_identity(self):
         q = one_crossing_query()
-        stages = swap_case_b(q, fixed_frame(q), 0, 0, Side.RIGHT)
+        stages = checked_case_b(q, fixed_frame(q), 0, 0, Side.RIGHT)
         for robot, move in stages[0].items():
             assert np.array_equal(move.initial, q.starts[robot])
         assert np.array_equal(plan(q, FrameMode.FIXED).path.configuration(0), q.starts)
@@ -503,7 +509,7 @@ class TestEvaluateDeformation:
             obstacles=[[10.0, 0.0]],
         )
         f = fixed_frame(q)
-        stages = swap_case_a(q, f, 0, 1)
+        stages = checked_case_a(q, f, 0, 1)
         for t in (0.1, 0.45, 0.8):
             (config,) = sample_stages(q.starts, stages, [t])
             if t <= 1 / 3:
@@ -530,8 +536,8 @@ class TestEvaluateDeformation:
         other = ConfigurationQuery(
             starts=[[0.0, 1.0]], goals=q.goals, obstacles=q.obstacles
         )
-        stages = swap_case_b(other, fixed_frame(other), 0, 0, Side.RIGHT)
-        monkeypatch.setattr(planner, "_case_b_stages", lambda *args: stages)
+        stages = checked_case_b(other, fixed_frame(other), 0, 0, Side.RIGHT)
+        monkeypatch.setattr(planner, "swap_case_b", lambda *args: stages)
         with pytest.raises(InternalConsistencyError, match="robot 0 is discontinuous at its start"):
             plan(q, FrameMode.FIXED)
 
@@ -595,7 +601,7 @@ class TestCompose:
         q = one_crossing_query()
         result = plan(q, FrameMode.FIXED)
         assert result.swap_count == 1
-        stages = swap_case_b(q, result.frame, 0, 0, Side.RIGHT)
+        stages = checked_case_b(q, result.frame, 0, 0, Side.RIGHT)
         (per_robot,) = result.path.segments
         assert [(seg.t0, seg.t1) for seg in per_robot] == [
             (Fraction(0), Fraction(1, 6)),
@@ -637,7 +643,7 @@ class TestEndQuery:
     def test_landing_on_an_obstacle_is_internal_error(self, monkeypatch):
         q = one_crossing_query()
         stages = ({0: LinearMove(q.starts[0], q.obstacles[0])},)
-        monkeypatch.setattr(planner, "_case_b_stages", lambda *args: stages)
+        monkeypatch.setattr(planner, "swap_case_b", lambda *args: stages)
         with pytest.raises(InternalConsistencyError, match="coincides with obstacles"):
             plan(q, FrameMode.FIXED)
 
@@ -664,7 +670,7 @@ class TestEndQuery:
         assert plan(q, FrameMode.FIXED).swap_count == 3
         monkeypatch.setattr(
             planner,
-            "_case_b_stages",
+            "swap_case_b",
             lambda starts, *args: ({0: LinearMove(starts[0].copy(), landing)},),
         )
         with pytest.raises(InternalConsistencyError, match=message):
@@ -699,7 +705,7 @@ class TestEndQuery:
                 right_robot: LinearMove(starts[right_robot].copy(), right),
             },)
 
-        monkeypatch.setattr(planner, "_case_a_stages", stages)
+        monkeypatch.setattr(planner, "swap_case_a", stages)
         with pytest.raises(InternalConsistencyError, match=message):
             plan(q, FrameMode.FIXED)
 
@@ -723,7 +729,7 @@ class TestEndQuery:
         assert plan(q, FrameMode.FIXED).swap_count == 1
         monkeypatch.setattr(
             planner,
-            "_case_b_stages",
+            "swap_case_b",
             lambda starts, *args: ({0: LinearMove(starts[0].copy(), landing)},),
         )
         with pytest.raises(InternalConsistencyError, match=message):

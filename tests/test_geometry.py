@@ -14,6 +14,7 @@ from parammp import (
     ConfigurationQuery,
     Frame,
     FrameMode,
+    InternalConsistencyError,
     ModeUnsupportedError,
     NotGenericError,
     PreconditionError,
@@ -22,13 +23,14 @@ from parammp import (
     Side,
     classify,
     classify_oracle,
-    clearance_eta,
     component_count,
     make_frame,
     orderings,
     plan,
 )
 from parammp.geometry import desingularization_gap
+from parammp.planner import CaseBSwap, _play_swaps
+from checked_swaps import checked_clearance
 
 
 def q3(starts, goals, obstacles):
@@ -333,8 +335,8 @@ class TestRigidMotionAndScale:
         f2 = make_frame(q2, FrameMode.FIXED)
         assert classify(q, f) == classify(q2, f2)
         assert desingularization_gap(q2, f2) == scale * desingularization_gap(q, f)
-        eta = clearance_eta(q, f, 0, 0, Side.RIGHT)
-        eta2 = clearance_eta(q2, f2, 0, 0, Side.RIGHT)
+        eta = checked_clearance(q, f, 0, 0, Side.RIGHT)
+        eta2 = checked_clearance(q2, f2, 0, 0, Side.RIGHT)
         assert eta2 == scale * eta
 
 
@@ -420,12 +422,12 @@ class TestClearance:
         # obstacle at origin, far-side value at -3, q(z) = 2 -> min(3, 2) = 2
         q = q3([[2.0, 1.0, 0.0]], [[-3.0, 2.0, 0.0]], [[0.0, 0.0, 1.0]])
         f = make_frame(q, FrameMode.FIXED)
-        assert clearance_eta(q, f, 0, 0, Side.LEFT) == 2.0
+        assert checked_clearance(q, f, 0, 0, Side.LEFT) == 2.0
 
     def test_only_robot_gap_term(self):
         q = q3([[0.5, 1.0, 0.0]], [[0.75, 2.0, 0.0]], [[0.0, 0.0, 1.0]])
         f = make_frame(q, FrameMode.FIXED)
-        assert clearance_eta(q, f, 0, 0, Side.LEFT) == 0.5
+        assert checked_clearance(q, f, 0, 0, Side.LEFT) == 0.5
 
     def test_coincident_obstacle_dominates(self):
         q = q3(
@@ -434,22 +436,26 @@ class TestClearance:
             [[0.0, 0.0, 0.0], [0.0, 0.1, 0.0]],
         )
         f = make_frame(q, FrameMode.FIXED)
-        eta = clearance_eta(q, f, 0, 0, Side.LEFT)
+        eta = checked_clearance(q, f, 0, 0, Side.LEFT)
         assert abs(eta - 0.1) < 1e-12
+
+    # The sweep checks a Case B swap's precondition before the clearance.
 
     def test_non_adjacent_raises(self):
         # robot start is separated from obstacle 1's block by obstacle 0's block
         q = q3([[0.0, 1.0, 0.0]], [[9.0, 2.0, 0.0]],
                [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         f = make_frame(q, FrameMode.FIXED)
-        with pytest.raises(PreconditionError):
-            clearance_eta(q, f, 0, 1, Side.RIGHT)
+        message = r"swap 0: starts\[0\] is not next below obstacles\[1\]"
+        with pytest.raises(InternalConsistencyError, match=message):
+            _play_swaps([[]], q, f, [CaseBSwap(0, frozenset({1}), Side.RIGHT)], 0, 6)
 
     def test_wrong_side_raises(self):
         q = q3([[2.0, 1.0, 0.0]], [[-3.0, 2.0, 0.0]], [[0.0, 0.0, 1.0]])
         f = make_frame(q, FrameMode.FIXED)
-        with pytest.raises(PreconditionError):
-            clearance_eta(q, f, 0, 0, Side.RIGHT)
+        message = r"swap 0: starts\[0\] is not next below obstacles\[0\]"
+        with pytest.raises(InternalConsistencyError, match=message):
+            _play_swaps([[]], q, f, [CaseBSwap(0, frozenset({0}), Side.RIGHT)], 0, 6)
 
 
 @st.composite
@@ -529,8 +535,6 @@ class TestTieTable:
         if j < 2 * n:
             with pytest.raises(NotGenericError):
                 orderings(query, f)
-            with pytest.raises(NotGenericError):
-                clearance_eta(query, f, 0, 0, Side.LEFT)
             return
 
         def sequence(robot_values):
@@ -551,7 +555,7 @@ class TestTieTable:
             wrong_side = cs[r] < co[o] if side is Side.LEFT else cs[r] > co[o]
             if not adjacent or wrong_side:
                 with pytest.raises(PreconditionError):
-                    clearance_eta(query, f, r, o, side)
+                    checked_clearance(query, f, r, o, side)
                 continue
             far = [v for v in values if (v < co[o] if side is Side.LEFT else v > co[o])]
             terms = [abs(cs[r] - co[o]) / axis_norm]
@@ -562,7 +566,7 @@ class TestTieTable:
                 for k in range(m)
                 if k != o and co[k] == co[o]
             ]
-            assert clearance_eta(query, f, r, o, side) == min(terms)
+            assert checked_clearance(query, f, r, o, side) == min(terms)
 
     def test_snap_tolerance_ties_through_a_chain(self):
         # Obstacle at x = 0, starts at 0.08 and 0.16, tolerance 0.1: the start

@@ -35,12 +35,10 @@ from parammp import (
     random_query,
     random_rational_query,
     serialize_plan,
-    straight_moves,
-    swap_case_a,
-    swap_case_b,
     transposition_sequence,
 )
 from parammp import geometry, paths, planner
+from checked_swaps import checked_case_a, checked_case_b
 from query_strategies import small_queries
 
 
@@ -506,18 +504,19 @@ class TestScale:
 
 def _reference_play_swaps(segments, query, frame, swaps, lo, den):
     """The planner's swap loop before it kept one sweep state: each swap is
-    built by the public swap functions on the configuration the last one
-    ended on, rebuilt and fully validated as a query after every swap.
-    Stage j of swap i plays on tick lo + 3i + j over ``den``."""
+    built by its checked form (``checked_swaps``) on the configuration the
+    last one ended on, rebuilt and fully validated as a query after every
+    swap, and the straight line is drawn once the orderings agree.  Stage j
+    of swap i plays on tick lo + 3i + j over ``den``."""
     tol = paths.endpoint_tol(query)
     current = query
     starts = np.array(query.starts)
     for i, swap in enumerate(swaps):
         if isinstance(swap, CaseASwap):
-            stages = swap_case_a(current, frame, swap.left, swap.right)
+            stages = checked_case_a(current, frame, swap.left, swap.right)
         else:
             representative = planner._block_representative(current, swap.block)
-            stages = swap_case_b(current, frame, swap.robot, representative, swap.side)
+            stages = checked_case_b(current, frame, swap.robot, representative, swap.side)
         assert len(stages) == 3
         for j, stage in enumerate(stages):
             t0 = lo + 3 * i + j
@@ -527,8 +526,11 @@ def _reference_play_swaps(segments, query, frame, swaps, lo, den):
                 starts[robot] = move.final
                 planner._append_segment(segments[robot], t0, t0 + 1, den, move)
         current = ConfigurationQuery(starts, query.goals, query.obstacles)
+    pair = orderings(current, frame)
+    assert pair.sigma == pair.sigma_prime
     start = lo + 3 * len(swaps)
-    for robot, line in enumerate(straight_moves(current, frame)):
+    for robot, goal in enumerate(query.goals):
+        line = LinearMove(current.starts[robot], goal)
         planner._append_segment(segments[robot], start, start + 3, den, line)
 
 
