@@ -9,8 +9,10 @@ straight lines, which it draws itself:
 * splitting coincident projections apart by staggered shifts along the line.
 
 This module is geometry only and knows no time.  Each swap returns its
-:data:`Stages`: a tuple of stages, each mapping every robot it moves to its
-``Move``; a robot absent from a stage rests.  The planner's sweep
+:data:`Stages`: a tuple of stages, each mapping every robot it moves to the
+row of its segment (:func:`~parammp.paths.line_row`,
+:func:`~parammp.paths.arc_row`), the floats the planner writes into the
+path's table; a robot absent from a stage rests.  The planner's sweep
 (``planner._play_swaps``) checks each swap's precondition, that its two
 entries are neighbours in the start ordering, and decides when each stage
 plays.  Splitting returns the split query (:func:`desingularize`), and the
@@ -24,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InternalConsistencyError, PreconditionError, QueryValidationError
+from .errors import InternalConsistencyError, QueryValidationError
 from .geometry import (
     ConfigurationQuery,
     Frame,
@@ -33,12 +35,13 @@ from .geometry import (
     desingularization_gap,
     orderings,  # unused here; bench/tracing.py TARGETS wraps deformations.orderings
 )
-from .paths import ArcMove, LinearMove, Move
+from .paths import arc_row, line_row
 
 __all__ = ["Stages", "desingularize"]
 
-# The stages of one swap, played in order: robot -> its move in that stage.
-Stages = tuple[Mapping[int, Move], ...]
+# The stages of one swap, played in order: robot -> the row of its segment in
+# that stage.
+Stages = tuple[Mapping[int, tuple], ...]
 
 
 def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
@@ -55,7 +58,7 @@ def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
 
 def swap_case_a(starts: np.ndarray, frame: Frame, left_robot: int, right_robot: int) -> Stages:
     """Exchange the projection order of two adjacent robots, rows of the
-    running ``starts``; the moves hold copies of the rows.
+    running ``starts``.
 
     The sweep checks that ``left_robot``'s start is next below
     ``right_robot``'s in the start ordering.  Three stages: both robots drop
@@ -65,40 +68,31 @@ def swap_case_a(starts: np.ndarray, frame: Frame, left_robot: int, right_robot: 
     move; every other robot rests.
 
     Raises:
-        PreconditionError: the left row does not project strictly below the
-            right one on ``e``.
+        InternalConsistencyError: the left row does not project strictly
+            below the right one on ``e``: the sweep, which orders them on
+            ``frame.axis``, played a pair that rounds the other way on ``e``.
     """
     z_left, z_right = starts[[left_robot, right_robot]]
     q_left = float(np.dot(frame.e, z_left))
     q_right = float(np.dot(frame.e, z_right))
     if not q_left < q_right:
-        raise PreconditionError("left robot must project strictly below right robot")
-
-    a, b = q_left * frame.e, q_right * frame.e
-    mid = 0.5 * (a + b)
+        raise InternalConsistencyError(
+            f"starts[{left_robot}] does not project strictly below starts[{right_robot}] on e"
+        )
+    e, e_perp = frame.e.tolist(), frame.e_perp.tolist()
+    z_left, z_right = z_left.tolist(), z_right.tolist()
+    a, b = [q_left * x for x in e], [q_right * x for x in e]
+    mid = [0.5 * (x + y) for x, y in zip(a, b)]
     radius = 0.5 * (q_right - q_left)
     # The left robot traverses angles [pi, 2*pi], the right one [0, pi]; both
     # arcs share center and radius, so the pair stays antipodal throughout.
-    arc_left = ArcMove(
-        center=mid,
-        radius=radius,
-        basis_u=frame.e,
-        basis_v=frame.e_perp,
-        angle_start=math.pi,
-        angle_end=2 * math.pi,
-    )
-    arc_right = ArcMove(
-        center=mid,
-        radius=radius,
-        basis_u=frame.e,
-        basis_v=frame.e_perp,
-        angle_start=0.0,
-        angle_end=math.pi,
-    )
     return (
-        {left_robot: LinearMove(z_left, a), right_robot: LinearMove(z_right, b)},
-        {left_robot: arc_left, right_robot: arc_right},
-        {left_robot: LinearMove(b, z_right), right_robot: LinearMove(a, z_left)},
+        {left_robot: line_row(z_left, a), right_robot: line_row(z_right, b)},
+        {
+            left_robot: arc_row(mid, radius, e, e_perp, math.pi, 2 * math.pi),
+            right_robot: arc_row(mid, radius, e, e_perp, 0.0, math.pi),
+        },
+        {left_robot: line_row(b, z_right), right_robot: line_row(a, z_left)},
     )
 
 
@@ -113,7 +107,7 @@ def swap_case_b(
     block_distance: float,
 ) -> Stages:
     """Carry one robot, a row of the running ``starts``, across the obstacle
-    block of the obstacle point ``obstacle``; the moves hold a copy of the row.
+    block of the obstacle point ``obstacle``.
 
     ``side`` is the side of the obstacle's projection value the robot ends
     on.  The sweep checks that the robot's start is the block's neighbour in
@@ -127,22 +121,18 @@ def swap_case_b(
     plane, landing eta/2 past it.
     """
     eta = clearance_eta(values, frame, robot, o, side, block_distance)
-    z = starts[robot].copy()
+    z = starts[robot]
+    e, center = frame.e.tolist(), obstacle.tolist()
     # Orthogonal projection of z onto the line through the obstacle parallel to e.
-    drop = obstacle + float(np.dot(frame.e, z - obstacle)) * frame.e
+    along = float(np.dot(frame.e, z - obstacle))
+    drop = [c + along * x for c, x in zip(center, e)]
     sign = 1.0 if side is Side.LEFT else -1.0
-    near = obstacle + sign * (eta / 2.0) * frame.e
-    arc = ArcMove(
-        center=obstacle,
-        radius=eta / 2.0,
-        basis_u=sign * frame.e,
-        basis_v=frame.e_perp,
-        angle_start=0.0,
-        angle_end=math.pi,
-    )
+    offset = sign * (eta / 2.0)
+    near = [c + offset * x for c, x in zip(center, e)]
+    arc = arc_row(center, eta / 2.0, [sign * x for x in e], frame.e_perp.tolist(), 0.0, math.pi)
     return (
-        {robot: LinearMove(z, drop)},
-        {robot: LinearMove(drop, near)},
+        {robot: line_row(z.tolist(), drop)},
+        {robot: line_row(drop, near)},
         {robot: arc},
     )
 

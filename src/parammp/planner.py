@@ -6,14 +6,16 @@ The output is one exact piecewise path per robot plus the region label whose
 index ``c`` names the continuity domain the query fell into.  Identical inputs
 produce identical outputs; the construction consults nothing but the query.
 
-This module alone knows the global schedule and assembles the segments.  A
+This module alone knows the global schedule and writes the path's table:
+per robot, a list of ``[start tick, stop tick, row]`` entries, with rows as
+the swaps (:mod:`parammp.deformations`) and :mod:`parammp.paths` give them.  A
 generic query plays its k swaps and the straight line on [0, 1], in k + 1
 equal windows; the stages of a swap (:mod:`parammp.deformations`) split its
 window equally.  A degenerate query is split into a generic one
 (:func:`desingularize`): each robot moves straight from its start to its
 split start on [0, 1/3], the swaps and the straight line of the split query
 fill [1/3, 2/3], and each robot moves straight from its split goal back to
-its goal on [2/3, 1], all into one set of per-robot segment lists, on ticks
+its goal on [2/3, 1], all into one set of per-robot entry lists, on ticks
 over 9(k + 1).
 """
 
@@ -45,7 +47,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import LinearMove, Move, PathSegment, PiecewisePath
+from .paths import PiecewisePath, extends_rest, line_row, row_final, row_initial
 
 __all__ = [
     "MAX_COORDINATE",
@@ -147,28 +149,22 @@ def _block_representative(query: ConfigurationQuery, block: frozenset[int]) -> i
     return min(block, key=lambda k: tuple(query.obstacles[k]))
 
 
-def _append_segment(segments: list[PathSegment], t0: int, t1: int, den: int, move: Move):
-    """Append a robot's move on ticks [t0, t1] over ``den`` to its segment list.
+def _append_segment(entries: list[list], t0: int, t1: int, row: tuple, d: int):
+    """Append a robot's ``row``, a segment in R^d, on ticks [t0, t1] to its
+    list of ``[start tick, stop tick, row]`` entries.
 
-    A gap before t0 is filled with one rest where ``move`` begins, which is
-    where the robot's last move ended.  A rest that continues a rest at the
-    same position extends that segment instead.
+    A gap before t0 is filled with one rest where ``row`` begins, which is
+    where the robot's last row ended.  A rest that continues a rest at the
+    same position extends that entry's stop tick instead.
     """
-    end = segments[-1].stop if segments else 0
+    end = entries[-1][1] if entries else 0
     if end < t0:
-        _append_segment(segments, end, t0, den, LinearMove(move.initial, move.initial))
-    if (
-        segments
-        and isinstance(move, LinearMove)
-        and move.is_constant()
-        and isinstance(segments[-1].move, LinearMove)
-        and segments[-1].move.is_constant()
-        and segments[-1].move.end.tolist() == move.start.tolist()
-    ):
-        prev = segments.pop()
-        segments.append(PathSegment(prev.start, t1, den, prev.move))
+        point = row_initial(row, d)
+        _append_segment(entries, end, t0, line_row(point, point), d)
+    if entries and extends_rest(entries[-1][2], row, d):
+        entries[-1][1] = t1
     else:
-        segments.append(PathSegment(t0, t1, den, move))
+        entries.append([t0, t1, row])
 
 
 def compose_with_section(
@@ -185,16 +181,14 @@ def compose_with_section(
     and each robot moves straight from its split goal back to its goal on
     [2/3, 1].  Times are ticks over 9(k + 1) for k swaps.
     """
-    third = _STAGES * (len(swaps) + 1)
-    segments = [[] for _ in range(query.robot_count)]
-    for robot, per_robot in enumerate(segments):
-        shift = LinearMove(query.starts[robot], split.starts[robot])
-        _append_segment(per_robot, 0, third, 3 * third, shift)
-    _play_swaps(segments, split, frame, swaps, third, 3 * third)
-    for robot, per_robot in enumerate(segments):
-        shift = LinearMove(split.goals[robot], query.goals[robot])
-        _append_segment(per_robot, 2 * third, 3 * third, 3 * third, shift)
-    return PiecewisePath(query=query, segments=segments)
+    third, d = _STAGES * (len(swaps) + 1), query.dim
+    entries = [[] for _ in range(query.robot_count)]
+    for per_robot, start, split_start in zip(entries, query.starts.tolist(), split.starts.tolist()):
+        _append_segment(per_robot, 0, third, line_row(start, split_start), d)
+    _play_swaps(entries, split, frame, swaps, third)
+    for per_robot, split_goal, goal in zip(entries, split.goals.tolist(), query.goals.tolist()):
+        _append_segment(per_robot, 2 * third, 3 * third, line_row(split_goal, goal), d)
+    return PiecewisePath.from_rows(query, 3 * third, entries)
 
 
 def _sweep_error(
@@ -223,20 +217,20 @@ def _sweep_error(
 
 
 def _play_swaps(
-    segments: list[list[PathSegment]],
+    entries: list[list[list]],
     query: ConfigurationQuery,
     frame: Frame,
     swaps: list[Swap],
     lo: int,
-    den: int,
 ):
-    """Append ``swaps``, played in order from tick ``lo`` over ``den``, and
-    then the straight line to the per-robot lists ``segments``.
+    """Append ``swaps``, played in order from tick ``lo``, and then the
+    straight line to the per-robot entry lists ``entries``
+    (:func:`_append_segment`).
 
     With k swaps the window is 3(k + 1) ticks: stage j of swap i fills tick
     lo + 3i + j (each swap plays three stages), and the straight line fills
-    the last three.  A robot gets segments only where it moves; each rest
-    fills the gap before its next move.  The ticks depend only on the swap
+    the last three.  A robot gets rows only where it moves; each rest fills
+    the gap before its next move.  The ticks depend only on the swap
     list, which is locally constant wherever the tie pattern is, so the
     schedule keeps the rule continuous on each domain.
 
@@ -268,9 +262,11 @@ def _play_swaps(
     is left to the path's own junction check (``PiecewisePath``).
 
     Raises:
-        InternalConsistencyError: one of these checks fails.
+        InternalConsistencyError: one of these checks fails, or a Case A
+            pair the list orders on ``frame.axis`` rounds the other way on
+            ``frame.e`` (named by its swap).
     """
-    n = query.robot_count
+    n, d = query.robot_count, query.dim
     starts = np.array(query.starts)
     values, rank = _ties(query, frame)
     goals = set(values[n : 2 * n].tolist())
@@ -294,7 +290,10 @@ def _play_swaps(
         if order[p + 1 : p + 2] != [above]:
             raise _sweep_error(values, n, set(), below, above, i)
         if isinstance(swap, CaseASwap):
-            stages = swap_case_a(starts, frame, swap.left, swap.right)
+            try:
+                stages = swap_case_a(starts, frame, swap.left, swap.right)
+            except InternalConsistencyError as exc:
+                raise InternalConsistencyError(f"swap {i}: {exc}") from None
         else:
             obstacle = query.obstacles[reps[swap.block]]
             stages = swap_case_b(
@@ -302,9 +301,9 @@ def _play_swaps(
             )
         for j, stage in enumerate(stages):
             t0 = lo + _STAGES * i + j
-            for robot, move in stage.items():
-                starts[robot] = move.final
-                _append_segment(segments[robot], t0, t0 + 1, den, move)
+            for robot, row in stage.items():
+                starts[robot] = row_final(row, d)
+                _append_segment(entries[robot], t0, t0 + 1, row, d)
         values[:n] = starts @ frame.axis
         order[p], order[p + 1] = above, below
         where[above], where[below] = p, p + 1
@@ -322,9 +321,8 @@ def _play_swaps(
             "the swaps did not sort the start ordering into the goal ordering"
         )
     start = lo + _STAGES * len(swaps)
-    for robot in range(n):
-        line = LinearMove(starts[robot].copy(), query.goals[robot])
-        _append_segment(segments[robot], start, start + _STAGES, den, line)
+    for per_robot, point, goal in zip(entries, starts.tolist(), query.goals.tolist()):
+        _append_segment(per_robot, start, start + _STAGES, line_row(point, goal), d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,7 +391,8 @@ def plan(
             ``MAX_COORDINATE`` in magnitude, or via ConfigurationQuery
             construction upstream.
         ModeUnsupportedError: obstacle-pair mode in odd dimension or m < 2.
-        InternalConsistencyError: a check of the swaps or of the split fails.
+        InternalConsistencyError: a check of the swaps, of the split or of
+            the path fails.
     """
     if snap_tol != 0:  # NaN too
         raise QueryValidationError(
@@ -418,9 +417,9 @@ def plan(
         ) from exc
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
     if generic_query is query:
-        segments = [[] for _ in range(n)]
-        _play_swaps(segments, query, frame, swaps, 0, _STAGES * (len(swaps) + 1))
-        path = PiecewisePath(query=query, segments=segments)
+        entries = [[] for _ in range(n)]
+        _play_swaps(entries, query, frame, swaps, 0)
+        path = PiecewisePath.from_rows(query, _STAGES * (len(swaps) + 1), entries)
     else:
         path = compose_with_section(query, generic_query, frame, swaps)
     return PlanResult(path=path, region=label, swaps=tuple(swaps), frame=frame)

@@ -33,7 +33,7 @@ from parammp import (
     random_rational_query,
     transposition_sequence,
 )
-from checked_swaps import checked_case_a, checked_case_b, checked_clearance
+from checked_swaps import checked_case_a, checked_case_b, checked_clearance, stage_moves
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -181,7 +181,7 @@ class TestAcceptance:
             if adjacent is None:
                 continue
             checked_a += 1
-            exchange = checked_case_a(q, f, *adjacent)[1]
+            exchange = stage_moves(checked_case_a(q, f, *adjacent), 3)[1]
             gap = abs(float((q.starts[adjacent[1]] - q.starts[adjacent[0]]) @ f.e))
             for u in np.linspace(0, 1, 33):
                 left, right = (exchange[r].at(float(u)) for r in adjacent)
@@ -210,7 +210,7 @@ class TestAcceptance:
             checked_b += 1
             robot, obstacle, side = found
             eta = checked_clearance(q, f, robot, obstacle, side)
-            landing = checked_case_b(q, f, robot, obstacle, side)[-1][robot].final
+            landing = stage_moves(checked_case_b(q, f, robot, obstacle, side), 3)[-1][robot].final
             sign = 1.0 if side is Side.LEFT else -1.0
             expected = q.obstacles[obstacle] - sign * (eta / 2.0) * f.e
             if float(np.linalg.norm(landing - expected)) > 1e-12:

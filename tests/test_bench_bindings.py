@@ -38,6 +38,26 @@ def test_every_traced_binding_resolves(monkeypatch):
     assert not missing
 
 
+def test_traced_verify_op_builds_one_path_per_plan(monkeypatch):
+    # paths.path_build_s and paths.path_builds read the span of
+    # PiecewisePath.__post_init__: each plan must pass through it once,
+    # whether the planner writes the path's rows or compose_with_section does.
+    tracing = _load("tracing", monkeypatch)
+    corpus = _load("corpus", monkeypatch)
+    ops = _load("ops", monkeypatch)
+    tracer = tracing.Tracer()
+    degenerate = 0
+    for name in ("verify-small", "verify-swaps"):
+        for op_id, text in enumerate(corpus.generate(corpus.WORKLOADS[name], 1)[:8]):
+            with tracer.op(op_id):
+                outcome = ops.verify_op(text)
+            assert outcome.error is None, (name, op_id, outcome.error)
+            names = [span.name for span in tracer.spans]
+            assert names.count("planner.plan") == names.count("paths.path_build") == 1
+            degenerate += names.count("deformations.compose")
+    assert degenerate > 0  # both ways to the path
+
+
 def test_traced_swap_names_are_on_the_plan_path(monkeypatch):
     # The per-swap spans wrap these bindings; a planner that went round them
     # would leave the spans at 0.

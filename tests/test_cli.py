@@ -132,6 +132,27 @@ def test_overflowing_coordinates_are_validation_error(tmp_path, capsys):
     assert "must not exceed 1e+150 in magnitude" in capsys.readouterr().err
 
 
+# Valid and generic, but the two starts project one subnormal apart: the
+# Case A arc's radius, half of that gap, rounds to 0.
+ZERO_RADIUS_PROBLEM = {
+    "version": "1",
+    "dim": 2,
+    "starts": [[0.0, 0.0], [5e-324, 1.0]],
+    "goals": [[2.0, 3.0], [1.0, 4.0]],
+    "obstacles": [[7.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("command", ["plan", "verify"])
+def test_zero_radius_arc_is_internal_error(tmp_path, capsys, command):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(ZERO_RADIUS_PROBLEM))
+    assert main([command, "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "robot 0 has an invalid arc at t=1/6: arc radius must be positive" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["classify", "verify"])
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_non_finite_coordinate_is_validation_error(tmp_path, capsys, command, token):

@@ -19,7 +19,6 @@ from parammp import (
     InternalConsistencyError,
     LinearMove,
     NotGenericError,
-    PreconditionError,
     Side,
     certify_separation,
     classify,
@@ -31,8 +30,9 @@ from parammp import (
     planner,
 )
 from parammp.geometry import desingularization_gap
+from parammp.paths import PiecewisePath, line_row
 from parammp.planner import CaseASwap, CaseBSwap
-from checked_swaps import checked_case_a, checked_case_b, checked_clearance
+from checked_swaps import checked_case_a, checked_case_b, checked_clearance, stage_moves
 from query_strategies import small_queries
 
 RNG_SAMPLES = 1000
@@ -45,11 +45,12 @@ def fixed_frame(query):
 
 def sample_stages(starts, stages, ts):
     """(len(ts), n, d) array of the positions of ``starts`` while ``stages``
-    play on [0, 1], stage i of s on [i/s, (i+1)/s]; vectorized per stage."""
+    (of rows) play on [0, 1], stage i of s on [i/s, (i+1)/s]; vectorized per
+    stage."""
     ts = np.asarray(ts, dtype=float)
     out = np.tile(np.asarray(starts)[None, :, :], (len(ts), 1, 1))
     s = len(stages)
-    for i, stage in enumerate(stages):
+    for i, stage in enumerate(stage_moves(stages, out.shape[2])):
         t0, t1 = i / s, (i + 1) / s
         inside = (ts >= t0) & (ts <= t1)
         after = ts > t1
@@ -62,10 +63,11 @@ def sample_stages(starts, stages, ts):
 
 def play_swaps(query, frame, swaps):
     """Play ``swaps`` and the straight line on ``query`` in the planner's
-    sweep, into fresh per-robot segment lists."""
-    segments = [[] for _ in range(query.robot_count)]
-    planner._play_swaps(segments, query, frame, swaps, 0, 3 * (len(swaps) + 1))
-    return segments
+    sweep, into fresh per-robot entry lists, and return the segments of the
+    path they write."""
+    entries = [[] for _ in range(query.robot_count)]
+    planner._play_swaps(entries, query, frame, swaps, 0)
+    return PiecewisePath.from_rows(query, 3 * (len(swaps) + 1), entries).segments
 
 
 def end_query(query, stages):
@@ -282,7 +284,7 @@ class TestStartNeighbours:
             try:
                 play_swaps(query, f, [swap])
                 error = ""
-            except (InternalConsistencyError, PreconditionError) as exc:
+            except InternalConsistencyError as exc:
                 error = str(exc)
             neighbours = sigma.index(above) - sigma.index(below) == 1
             assert (error == refusal) != neighbours, (swap, error)
@@ -497,7 +499,7 @@ class TestEvaluateDeformation:
 
     def test_time_zero_is_identity(self):
         q = one_crossing_query()
-        stages = checked_case_b(q, fixed_frame(q), 0, 0, Side.RIGHT)
+        stages = stage_moves(checked_case_b(q, fixed_frame(q), 0, 0, Side.RIGHT), 2)
         for robot, move in stages[0].items():
             assert np.array_equal(move.initial, q.starts[robot])
         assert np.array_equal(plan(q, FrameMode.FIXED).path.configuration(0), q.starts)
@@ -601,7 +603,7 @@ class TestCompose:
         q = one_crossing_query()
         result = plan(q, FrameMode.FIXED)
         assert result.swap_count == 1
-        stages = checked_case_b(q, result.frame, 0, 0, Side.RIGHT)
+        stages = stage_moves(checked_case_b(q, result.frame, 0, 0, Side.RIGHT), 2)
         (per_robot,) = result.path.segments
         assert [(seg.t0, seg.t1) for seg in per_robot] == [
             (Fraction(0), Fraction(1, 6)),
@@ -642,7 +644,7 @@ class TestEndQuery:
 
     def test_landing_on_an_obstacle_is_internal_error(self, monkeypatch):
         q = one_crossing_query()
-        stages = ({0: LinearMove(q.starts[0], q.obstacles[0])},)
+        stages = ({0: line_row(q.starts[0].tolist(), q.obstacles[0].tolist())},)
         monkeypatch.setattr(planner, "swap_case_b", lambda *args: stages)
         with pytest.raises(InternalConsistencyError, match="coincides with obstacles"):
             plan(q, FrameMode.FIXED)
@@ -671,7 +673,7 @@ class TestEndQuery:
         monkeypatch.setattr(
             planner,
             "swap_case_b",
-            lambda starts, *args: ({0: LinearMove(starts[0].copy(), landing)},),
+            lambda starts, *args: ({0: line_row(starts[0].tolist(), landing)},),
         )
         with pytest.raises(InternalConsistencyError, match=message):
             plan(q, FrameMode.FIXED)
@@ -701,8 +703,8 @@ class TestEndQuery:
 
         def stages(starts, frame, left_robot, right_robot):
             return ({
-                left_robot: LinearMove(starts[left_robot].copy(), left),
-                right_robot: LinearMove(starts[right_robot].copy(), right),
+                left_robot: line_row(starts[left_robot].tolist(), left),
+                right_robot: line_row(starts[right_robot].tolist(), right),
             },)
 
         monkeypatch.setattr(planner, "swap_case_a", stages)
@@ -730,7 +732,7 @@ class TestEndQuery:
         monkeypatch.setattr(
             planner,
             "swap_case_b",
-            lambda starts, *args: ({0: LinearMove(starts[0].copy(), landing)},),
+            lambda starts, *args: ({0: line_row(starts[0].tolist(), landing)},),
         )
         with pytest.raises(InternalConsistencyError, match=message):
             plan(q, FrameMode.FIXED)

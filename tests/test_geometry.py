@@ -448,14 +448,14 @@ class TestClearance:
         f = make_frame(q, FrameMode.FIXED)
         message = r"swap 0: starts\[0\] is not next below obstacles\[1\]"
         with pytest.raises(InternalConsistencyError, match=message):
-            _play_swaps([[]], q, f, [CaseBSwap(0, frozenset({1}), Side.RIGHT)], 0, 6)
+            _play_swaps([[]], q, f, [CaseBSwap(0, frozenset({1}), Side.RIGHT)], 0)
 
     def test_wrong_side_raises(self):
         q = q3([[2.0, 1.0, 0.0]], [[-3.0, 2.0, 0.0]], [[0.0, 0.0, 1.0]])
         f = make_frame(q, FrameMode.FIXED)
         message = r"swap 0: starts\[0\] is not next below obstacles\[0\]"
         with pytest.raises(InternalConsistencyError, match=message):
-            _play_swaps([[]], q, f, [CaseBSwap(0, frozenset({0}), Side.RIGHT)], 0, 6)
+            _play_swaps([[]], q, f, [CaseBSwap(0, frozenset({0}), Side.RIGHT)], 0)
 
 
 @st.composite
@@ -577,10 +577,11 @@ class TestTieTable:
         assert classify(q, f, snap_tol=0.1) == RegionLabel(j=2, t=1)
         assert classify(q, f) == RegionLabel(j=4, t=1)
 
-    def test_near_tie_in_comparison_values_is_a_precondition_error(self):
+    def test_near_tie_in_comparison_values_is_an_internal_error(self):
         # The starts' comparison values differ (exact gap 1.0e-14), so the
         # query is generic, but their e-projections round to one float: the
         # swap of the two robots must be refused, not built with radius 0.
+        # The sweep ordered the pair, so the fault is the planner's.
         q = q3(
             [[-0.114, -8.991], [-7.595089999999999, -9.537572]],
             [[19.461999999999996, -35.222], [27.048999999999996, -26.438999999999997]],
@@ -589,7 +590,8 @@ class TestTieTable:
         f = make_frame(q, FrameMode.OBSTACLE_PAIR)
         assert classify(q, f) == classify_oracle(q, f) == RegionLabel(j=4, t=2)
         assert float(q.starts[0] @ f.e) == float(q.starts[1] @ f.e)
-        with pytest.raises(PreconditionError):
+        message = r"swap \d+: starts\[\d\] does not project strictly below starts\[\d\] on e"
+        with pytest.raises(InternalConsistencyError, match=message):
             plan(q, mode="obstacle_pair")
 
 

@@ -19,10 +19,12 @@ from parammp import (
     PiecewisePath,
     certify_separation,
     plan,
+    planner,
     random_query,
     serialize_plan,
 )
 from parammp.errors import DimensionMismatchError
+from parammp.paths import arc_row
 from hand_built_paths import extreme_path
 from query_strategies import small_queries
 
@@ -359,6 +361,24 @@ class TestPiecewisePath:
         with pytest.raises(DimensionMismatchError, match="must have 2 coordinates"):
             self._two_robot_path(points)
 
+    def test_column_points_rejected(self):
+        # every point a (2, 1) column: each has two entries, but not one axis
+        points = [
+            [[[[x] for x in point] for point in seg] for seg in per]
+            for per in self._two_robot_points()
+        ]
+        with pytest.raises(DimensionMismatchError, match="must have 2 coordinates"):
+            self._two_robot_path(points)
+
+    @pytest.mark.parametrize(
+        "row", [(0.0, 0.0, 1.0), (0.0, 0.0, 1.0, 1.0, 5.0), (0.0, 0.0, (1.0,), 1.0)],
+        ids=["short", "long", "nested"],
+    )
+    def test_planner_row_of_other_length_rejected(self, row):
+        query = ConfigurationQuery(starts=[[0.0, 0.0]], goals=[[1.0, 1.0]], obstacles=[[9.0, 9.0]])
+        with pytest.raises(DimensionMismatchError, match="must have 2 coordinates"):
+            PiecewisePath.from_rows(query, 1, [[[0, 1, row]]])
+
     def test_arc_of_other_dimension_rejected(self):
         # a half circle from (0, 0) to (2, 0), written with points in 3-space
         arc = ArcMove(
@@ -403,6 +423,21 @@ def _scan(path, robot, t):
     return path.segments[robot][-1]
 
 
+def _same_segment(a, b):
+    """Whether two segments have the same ticks, kind and floats, bit for bit."""
+    if (a.start, a.stop, a.den, type(a.move)) != (b.start, b.stop, b.den, type(b.move)):
+        return False
+    if isinstance(a.move, LinearMove):
+        fields = ("start", "end")
+    else:
+        fields = ("center", "radius", "basis_u", "basis_v", "angle_start", "angle_end")
+    return all(
+        np.asarray(getattr(a.move, f), float).tobytes()
+        == np.asarray(getattr(b.move, f), float).tobytes()
+        for f in fields
+    )
+
+
 def _assert_columns_reproduce_segments(path):
     # the table holds every segment's ticks, kind and fields bit for bit
     columns = path._columns
@@ -438,18 +473,101 @@ class TestColumns:
         _assert_columns_reproduce_segments(path)
         assert math.copysign(1.0, path._columns.block[0, -2]) == -1.0  # angle_start -0.0
 
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries())
+    def test_planned_table_is_the_table_of_its_segments(self, case):
+        # The table the planner writes equals, bit for bit, the one gathered
+        # again from its (lazily built) segments; and a path never asked for
+        # its segments evaluates like the hand-built one, building only the
+        # segments it reads.
+        query, mode = case
+        planned = plan(query, mode=mode).path
+        again = PiecewisePath(query=query, segments=planned.segments)
+        for name in ("ticks", "arc", "counts", "first", "block"):
+            mine, theirs = getattr(planned._columns, name), getattr(again._columns, name)
+            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
+            assert mine.tobytes() == theirs.tobytes(), name
+        fresh = plan(query, mode=mode).path
+        den = fresh.den
+        times = [Fraction(k, 2 * den) for k in range(2 * den + 1)]
+        times += [float(t) for t in times]
+        samples = np.linspace(0.0, 1.0, 4 * den + 1)
+        for robot in range(query.robot_count):
+            for t in times:
+                assert _same_segment(fresh.segment_at(robot, t), again.segment_at(robot, t))
+                assert fresh.position(robot, t).tobytes() == again.position(robot, t).tobytes()
+            mine, theirs = fresh.positions_at(robot, samples), again.positions_at(robot, samples)
+            assert mine.tobytes() == theirs.tobytes()
+        assert "segments" not in fresh.__dict__
+
     def test_certifier_and_writer_read_no_segment_objects(self, monkeypatch):
-        # the table is gathered once, in the path; certification and the
-        # plan text never look at a segment's move again
-        result = plan(random_query(np.random.default_rng(0), 8, 8, 3), mode="fixed")
+        # the table is written by the planner; planning, certification and
+        # the plan text never build a segment object or read a segment's move
+        query = random_query(np.random.default_rng(0), 8, 8, 3)
+        result = plan(query, mode="fixed")
         cert, text = certify_separation(result.path), serialize_plan(result)
 
         def no_move(seg):
             raise AssertionError("a segment's move was read")
 
+        def no_object(*args, **kwargs):
+            raise AssertionError("a segment object was built")
+
         monkeypatch.setattr(PathSegment, "move", property(no_move), raising=False)
+        for cls in (PathSegment, LinearMove, ArcMove):
+            monkeypatch.setattr(cls, "__init__", no_object)
         assert certify_separation(result.path) == cert
         assert serialize_plan(result) == text
+        again = plan(query, mode="fixed")
+        assert certify_separation(again.path) == cert
+        assert serialize_plan(again) == text
+
+
+class TestArcRows:
+    """Arc rows the planner writes are checked as whole columns when the path
+    is built: a bad one is the planner's fault, named by robot and tick."""
+
+    # One swap: robots 0 and 1 trade places (Case A) on [0, 1/2], on their
+    # shared half-circle on [1/6, 1/3].  Their last stage starts from the
+    # arc's points again, so a bad arc changes no landing the sweep checks.
+    QUERY = ConfigurationQuery(
+        starts=[[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]],
+        goals=[[2.5, 7.0], [0.5, 7.0], [4.0, 7.0]],
+        obstacles=[[-1.0, 5.0], [5.0, 5.0]],
+    )
+
+    @pytest.mark.parametrize(
+        "radius, basis_u, basis_v, fault",
+        [
+            (0.0, (1.0, 0.0), (0.0, 1.0), "arc radius must be positive"),
+            (math.nan, (1.0, 0.0), (0.0, 1.0), "arc radius must be positive"),
+            (-0.5, (1.0, 0.0), (0.0, 1.0), "arc radius must be positive"),
+            (0.5, (1.0 + 1e-9, 0.0), (0.0, 1.0), "arc basis must be orthonormal"),
+            (0.5, (1.0, 0.0), (0.0, 2.0), "arc basis must be orthonormal"),
+            (0.5, (1.0, 0.0), (0.6, 0.8), "arc basis must be orthonormal"),
+            (0.5, (math.nan, 0.0), (0.0, 1.0), "arc basis must be orthonormal"),
+        ],
+        ids=["zero", "nan", "negative", "long-u", "long-v", "skew", "nan-basis"],
+    )
+    def test_a_bad_arc_row_is_internal_error(self, monkeypatch, radius, basis_u, basis_v, fault):
+        assert plan(self.QUERY, mode="fixed").swaps == (planner.CaseASwap(left=0, right=1),)
+        swap = planner.swap_case_a
+
+        def bad_arc(*args):
+            drop, turn, rise = swap(*args)
+            arc = arc_row((0.5, 0.0), radius, basis_u, basis_v, math.pi, 2 * math.pi)
+            return drop, {**turn, 0: arc}, rise
+
+        monkeypatch.setattr(planner, "swap_case_a", bad_arc)
+        message = f"^robot 0 has an invalid arc at t=1/6: {fault}$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            plan(self.QUERY, mode="fixed")
+
+    def test_a_hand_built_arc_keeps_its_value_errors(self):
+        with pytest.raises(ValueError, match="arc radius must be positive"):
+            ArcMove(np.zeros(2), 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 1.0)
+        with pytest.raises(ValueError, match="arc basis must be orthonormal"):
+            ArcMove(np.zeros(2), 1.0, np.array([1.0, 0.0]), np.array([0.6, 0.8]), 0.0, 1.0)
 
 
 class TestSegmentAt:
@@ -467,4 +585,4 @@ class TestSegmentAt:
         times += [float(t) for t in times] + [1, 1.0, np.float64(1.0), np.int64(0)]
         for robot in range(path.robot_count):
             for t in times:
-                assert path.segment_at(robot, t) is _scan(path, robot, t), (robot, t)
+                assert _same_segment(path.segment_at(robot, t), _scan(path, robot, t)), (robot, t)

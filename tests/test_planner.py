@@ -399,6 +399,39 @@ def _is_rest(segment):
     return isinstance(segment.move, LinearMove) and segment.move.is_constant()
 
 
+class TestPlannerFaults:
+    """Queries the planner cannot serve are its own fault, named where they
+    arise: InternalConsistencyError, never a raw error or a precondition
+    error of the caller's."""
+
+    def test_zero_radius_arc_names_robot_and_tick(self):
+        # The starts project one subnormal apart; the Case A radius, half
+        # the gap, rounds to 0.
+        q = ConfigurationQuery(
+            starts=[[0.0, 0.0], [5e-324, 1.0]], goals=[[2.0, 3.0], [1.0, 4.0]],
+            obstacles=[[7.0, 0.0]],
+        )
+        message = r"^robot 0 has an invalid arc at t=1/6: arc radius must be positive$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            plan(q)
+
+    def test_case_a_pair_the_sweep_ordered_but_e_reverses(self):
+        # A near-grid obstacle-pair query (seed 5 of the random search in
+        # CHANGES.md): the sweep orders starts 1 and 2 on frame.axis, and
+        # their e-projections round the other way.
+        q = ConfigurationQuery(
+            starts=[[1.999999999999, 1.000000000001], [0.499999999999, -0.499999999999],
+                    [1.500000000001, 1.000000000001]],
+            goals=[[1.999999999999, 2.999999999999], [-1.499999999999, 3.000000000001],
+                   [-1e-12, -1.5]],
+            obstacles=[[-1.000000000001, 1.499999999999], [-2.500000000001, 2.500000000001]],
+        )
+        assert default_mode(q) is FrameMode.OBSTACLE_PAIR
+        message = r"^swap 0: starts\[1\] does not project strictly below starts\[2\] on e$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            plan(q)
+
+
 class TestPlanResultSwaps:
     @settings(max_examples=150, deadline=None)
     @given(small_queries())
@@ -452,20 +485,20 @@ class TestFlatSchedule:
         assert np.array_equal(res.path.configuration(1.0), q.goals)
 
     def test_segments_built_only_for_moving_robots(self, monkeypatch):
-        # a swap moves one or two robots; building a rest for every idle
-        # robot at every stage would cost about n segments per swap
+        # a swap moves one or two robots; writing a rest for every idle
+        # robot at every stage would cost about n rows per swap
         q = random_query(np.random.default_rng(0), 20, 20, 3)
         built = 0
-        original = paths.PathSegment.__post_init__
+        original = planner._append_segment
 
-        def counting(segment):
+        def counting(*args):
             nonlocal built
             built += 1
-            original(segment)
+            original(*args)
 
-        monkeypatch.setattr(paths.PathSegment, "__post_init__", counting)
+        monkeypatch.setattr(planner, "_append_segment", counting)
         res = plan(q, mode="fixed")
-        emitted = sum(len(per) for per in res.path.segments)
+        emitted = len(res.path._columns.arc)
         assert res.swap_count > 200
         assert built <= 2 * emitted
 
@@ -502,13 +535,13 @@ class TestScale:
             assert certify_separation(res.path, samples_per_segment=16).passed
 
 
-def _reference_play_swaps(segments, query, frame, swaps, lo, den):
+def _reference_play_swaps(entries, query, frame, swaps, lo):
     """The planner's swap loop before it kept one sweep state: each swap is
     built by its checked form (``checked_swaps``) on the configuration the
     last one ended on, rebuilt and fully validated as a query after every
     swap, and the straight line is drawn once the orderings agree.  Stage j
-    of swap i plays on tick lo + 3i + j over ``den``."""
-    tol = paths.endpoint_tol(query)
+    of swap i plays on tick lo + 3i + j."""
+    tol, d = paths.endpoint_tol(query), query.dim
     current = query
     starts = np.array(query.starts)
     for i, swap in enumerate(swaps):
@@ -520,18 +553,18 @@ def _reference_play_swaps(segments, query, frame, swaps, lo, den):
         assert len(stages) == 3
         for j, stage in enumerate(stages):
             t0 = lo + 3 * i + j
-            for robot, move in stage.items():
-                if not np.linalg.norm(move.initial - starts[robot]) <= tol:
+            for robot, row in stage.items():
+                if not np.linalg.norm(paths.row_initial(row, d) - starts[robot]) <= tol:
                     raise InternalConsistencyError(f"stage does not chain for robot {robot}")
-                starts[robot] = move.final
-                planner._append_segment(segments[robot], t0, t0 + 1, den, move)
+                starts[robot] = paths.row_final(row, d)
+                planner._append_segment(entries[robot], t0, t0 + 1, row, d)
         current = ConfigurationQuery(starts, query.goals, query.obstacles)
     pair = orderings(current, frame)
     assert pair.sigma == pair.sigma_prime
     start = lo + 3 * len(swaps)
     for robot, goal in enumerate(query.goals):
-        line = LinearMove(current.starts[robot], goal)
-        planner._append_segment(segments[robot], start, start + 3, den, line)
+        line = paths.line_row(current.starts[robot].tolist(), goal.tolist())
+        planner._append_segment(entries[robot], start, start + 3, line, d)
 
 
 def _reference_plan_text(query, mode):
