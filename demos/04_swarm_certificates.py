@@ -11,10 +11,9 @@ import numpy as np
 
 from parammp import (
     ConfigurationQuery,
-    LinearMove,
-    PathSegment,
     PiecewisePath,
     certify_separation,
+    line_row,
     plan,
     random_query,
 )
@@ -41,18 +40,9 @@ def main():
     query = ConfigurationQuery(
         starts=[[-1.0, 0.0]], goals=[[1.0, 0.0]], obstacles=[[0.0, 0.0]]
     )
-    reckless = PiecewisePath(
-        query=query,
-        segments=(
-            (
-                PathSegment(
-                    start=0,
-                    stop=1,
-                    den=1,
-                    move=LinearMove(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
-                ),
-            ),
-        ),
+    # one robot, one segment: ticks 0 to 1 over the denominator 1
+    reckless = PiecewisePath.from_rows(
+        query, 1, [[(0, 1, line_row([-1.0, 0.0], [1.0, 0.0]))]]
     )
     certificate = certify_separation(reckless)
     pair = certificate.pair("robot-obstacle", 0, 0)

@@ -31,7 +31,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import ArcMove, LinearMove, PathSegment, PiecewisePath
+from .paths import PiecewisePath, arc_row, line_row
 from .deformations import desingularize
 from .planner import (
     CaseASwap,

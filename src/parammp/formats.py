@@ -395,16 +395,14 @@ def render_svg(result: PlanResult) -> str:
     per segment, obstacles are filled circles, starts are squares and goals
     are rings.
     """
-    frame = result.frame
-    query = result.path.query
+    frame, path = result.frame, result.path
+    query, columns = path.query, path._columns
 
-    polylines = []
-    for robot in range(query.robot_count):
-        points = []
-        for seg in result.path.segments[robot]:
-            ts = np.linspace(seg.start / seg.den, seg.stop / seg.den, _SVG_SAMPLES + 1)
-            points.append(_frame_coords(seg.at_many(ts), frame))
-        polylines.append(np.concatenate(points))
+    # Every segment on its own window, robot after robot.
+    ts = np.linspace(columns.start / path.den, columns.stop / path.den, _SVG_SAMPLES + 1, axis=1)
+    rows = np.repeat(np.arange(len(ts)), _SVG_SAMPLES + 1)
+    points = _frame_coords(path._at(rows, ts.ravel()), frame)
+    polylines = np.split(points, columns.first[1:] * (_SVG_SAMPLES + 1))
 
     obstacles = _frame_coords(query.obstacles, frame)
     starts = _frame_coords(query.starts, frame)

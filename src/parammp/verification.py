@@ -1,8 +1,9 @@
 """Independent checks on planned paths: separation certificates, partition
 sweeps, continuity probes and an exact-arithmetic classification oracle.
 
-Nothing here reuses the planner's internals beyond evaluating the emitted
-segments; the point is to catch construction bugs rather than restate them.
+Nothing here reuses the planner's internals beyond reading the emitted
+path's table and its position formula; the point is to catch construction
+bugs rather than restate them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import PiecewisePath
+from .paths import ANGLE, DURATION, RADIUS, SWEEP, T0, VECTORS, PiecewisePath, evaluate
 from .planner import plan
 
 __all__ = [
@@ -52,10 +53,6 @@ _EPS = float(np.finfo(float).eps)
 # Body kinds on a window: a pair's kind is its higher kind, then its lower.
 # A half turn is an arc that sweeps exactly float pi, as a Case A arc does.
 _POINT, _LINE, _ARC, _HALF_TURN = 0, 1, 2, 3
-# Rows of the _Bodies table; the vectors origin, step, basis_u and basis_v
-# take d rows each from _VECTORS on.  Two arcs of a Case A swap agree on
-# every row from _T0 on.
-_KIND, _SLACK, _ANGLE, _T0, _DURATION, _SWEEP, _RADIUS, _VECTORS = range(8)
 
 
 @dataclass(frozen=True)
@@ -140,10 +137,10 @@ def certify_separation(
       ``samples_per_segment`` matters only for paths built elsewhere.
 
     Each closed form evaluates the distance at both window ends and at the
-    minimizer's time, with the segments' own position formulas, and
-    ``sampled_min`` is the smallest distance evaluated.  The bound is
-    ``sampled_min`` less a margin; a point-point pair has none, as its
-    distance is the same float at every time.  The margin rule:
+    minimizer's time, with the path's position formula, and ``sampled_min``
+    is the smallest distance evaluated.  The bound is ``sampled_min`` less a
+    margin; a point-point pair has none, as its distance is the same float
+    at every time.  The margin rule:
 
     - E = (8 + d) eps (M_a + M_b) bounds the rounding of one evaluated
       distance.  M is |x| for an obstacle, |start| + 4 |end - start| for a
@@ -175,11 +172,11 @@ def certify_separation(
       The entry keeps the larger of its two bounds, capped at
       ``sampled_min``.
 
-    Only the path's column table is read, not its segment objects: the
-    union grid is its distinct stop ticks and the operands are columns of
-    its float block.  Entries are gathered from the touched robots' pair rows
-    and processed in blocks of at most ``_BLOCK``, with no loop over windows
-    and no windows-by-pairs array.  An unsound path yields a failing certificate,
+    Only the path's column table is read: the union grid is its distinct
+    stop ticks and the operands are its operand columns.  Entries are
+    gathered from the touched robots' pair rows and processed in blocks of
+    at most ``_BLOCK``, with no loop over windows and no windows-by-pairs
+    array.  An unsound path yields a failing certificate,
     never an exception; so does a path whose arithmetic overflows, as a bound
     that is not finite becomes -inf.  ``samples_per_segment`` must be an
     integer, not a bool, from 2 to ``MAX_SAMPLES_PER_SEGMENT`` (ValueError).
@@ -285,20 +282,6 @@ def _two_sum(x: np.ndarray, y: np.ndarray):
     return total, (x - (total - y_part)) + (y - y_part)
 
 
-def _positions(g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Positions (d, s, c) at global times t (s, c) of the c bodies whose
-    ``_Bodies.table`` columns g holds, by the segments' own formulas: a
-    straight segment has radius 0 and an arc no step, and those zero terms
-    leave every float as the segment computes it."""
-    origin, step, basis_u, basis_v = g[_VECTORS:].reshape(4, -1, 1, g.shape[1])
-    u = (t - g[_T0]) / g[_DURATION]
-    theta = g[_ANGLE] + u * g[_SWEEP]
-    out = origin + u * step
-    out += g[_RADIUS] * np.cos(theta) * basis_u
-    out += g[_RADIUS] * np.sin(theta) * basis_v
-    return out
-
-
 def _nearest_tau(rel, final, f_lo, slack, lo, hi):
     """For lines and points, whose relative position A + tau D runs from
     rel to final: the time of the nearest tau in [0, 1], A.D, |D|, whether
@@ -318,8 +301,8 @@ def _nearest_angle(c, point, beta, slack, lo, hi):
     """For arcs (table columns c) against points (positions point): the time
     of the arc's angle nearest the point if in [lo, hi], else lo, and the
     excess and variation bounds of :func:`certify_separation`."""
-    angle, (t0, duration, sweep, radius) = c[_ANGLE], c[_T0:_VECTORS]
-    origin, _, basis_u, basis_v = c[_VECTORS:].reshape(4, -1, c.shape[1])
+    angle, (t0, duration, sweep, radius) = c[ANGLE], c[T0:VECTORS]
+    origin, _, basis_u, basis_v = c[VECTORS:].reshape(4, -1, c.shape[1])
     p = point - origin
     x, y = _dot(p, basis_u), _dot(p, basis_v)
     rho = np.hypot(x, y)
@@ -338,40 +321,30 @@ def _nearest_angle(c, point, beta, slack, lo, hi):
 
 
 class _Bodies:
-    """Every segment of a path, then every obstacle, as the columns of one
-    table: the body's kind, the rounding slack of one evaluation, then the
-    operands of its position formula, so that a block of entries gathers
-    all it reads with one ``take``.  ``beta`` and ``apart``, read for arcs
-    alone, are kept beside it.  Built from the path's column table."""
+    """Every segment of a path, then every obstacle, as the operand columns
+    of the path's position formula (an obstacle rests at its origin), so
+    that a block of entries gathers its operands with one ``take``.  Each
+    body's kind and the rounding slack of one evaluation are kept beside
+    them, and ``beta`` and ``apart``, read for arcs alone."""
 
     def __init__(self, path: PiecewisePath):
         columns, obstacles = path._columns, path.obstacles
         count, (m, d) = len(columns.stop), obstacles.shape
-        block, arcs = columns.block, np.flatnonzero(columns.arc)
-        self.table = table = np.zeros((_VECTORS + 4 * d, count + m))
-        angle, (t0, duration, sweep, radius) = table[_ANGLE], table[_T0:_VECTORS]
-        origin, step, basis_u, basis_v = table[_VECTORS:].reshape(4, d, -1)  # step: end - start
-        t0[:count] = columns.start / path.den
-        duration[:count] = (columns.stop - columns.start) / path.den
+        self.table = table = np.zeros((VECTORS + 4 * d, count + m))
+        table[:, :count] = path._operands
+        angle, (duration, sweep, radius) = table[ANGLE], table[DURATION:VECTORS]
+        origin, step, basis_u, basis_v = table[VECTORS:].reshape(4, d, -1)
         duration[count:] = 1.0
-        # A line's start or an arc's center, then each obstacle.
-        origin[:, :count] = block[:, :d].T
         origin[:, count:] = obstacles.T
-        step[:, :count] = np.where(columns.arc, 0.0, (block[:, d : 2 * d] - block[:, :d]).T)
-        exact = np.zeros(count + m, dtype=bool)  # sweep = angle_end - angle_start
-        if arcs.size:
-            fields = block[arcs].T
-            radius[arcs], angle[arcs] = fields[d], fields[3 * d + 1]
-            basis_u[:, arcs] = fields[d + 1 : 2 * d + 1]
-            basis_v[:, arcs] = fields[2 * d + 1 : 3 * d + 1]
-            sweep[arcs], error = _two_sum(fields[3 * d + 2], -angle[arcs])
-            exact[arcs] = error == 0
+        # Whether sweep = angle_end - angle_start exactly.
+        arcs = np.flatnonzero(columns.arc)
+        exact = np.zeros(count + m, dtype=bool)
+        exact[arcs] = _two_sum(columns.block[arcs, 3 * d + 2], -angle[arcs])[1] == 0
         # A velocity is a constant vector plus a part of bounded norm: a
         # straight segment has no bounded part, an arc no constant part.
         constant, bounded = step / duration, radius * np.abs(sweep) / duration
         arc = radius > 0
-        self.kind = kind = table[_KIND]
-        kind[:] = np.where(arc, _ARC, _LINE)
+        self.kind = kind = np.where(arc, _ARC, _LINE)
         kind[exact & (sweep == np.pi)] = _HALF_TURN
         kind[(bounded == 0) & ~constant.any(axis=0)] = _POINT
         # beta: how far an arc's basis is from orthonormal.
@@ -388,7 +361,7 @@ class _Bodies:
             radius * (2 + np.abs(angle) + 2 * np.abs(sweep)),
             4 * np.sqrt(_dot(step, step)),
         )
-        table[_SLACK] = (8 + d) * _EPS * size + 8 * radius * beta
+        self.slack = (8 + d) * _EPS * size + 8 * radius * beta
         # How far apart the two half turns of a Case A pair stay, rounded
         # down (see certify_separation).
         self.apart = 2 * radius * np.sqrt(np.maximum(0.0, 1 - 3 * (beta + (d + 4) * _EPS)))
@@ -400,14 +373,14 @@ class _Bodies:
         k = len(a)
         g = self.table.take(np.concatenate([a, b]), axis=1)
         g_a, g_b = g[:, :k], g[:, k:]
-        high = np.maximum(g_a[_KIND], g_b[_KIND])
-        lowest = np.minimum(g_a[_KIND], g_b[_KIND])
-        slack = g_a[_SLACK] + g_b[_SLACK]
+        kind_a, kind_b = self.kind[a], self.kind[b]
+        high, lowest = np.maximum(kind_a, kind_b), np.minimum(kind_a, kind_b)
+        slack = self.slack[a] + self.slack[b]
         # The relative position at the window's start and end.  Arrays of
         # d rows are dropped as soon as they are used, to bound peak memory.
-        start = _positions(g, np.concatenate([lo, lo])[None])[:, 0]
+        start = evaluate(g, np.concatenate([lo, lo])[None])[:, 0]
         rel = start[:, :k] - start[:, k:]
-        end = _positions(g, np.concatenate([hi, hi])[None])[:, 0]
+        end = evaluate(g, np.concatenate([hi, hi])[None])[:, 0]
         final = end[:, :k] - end[:, k:]
         del end
         f_lo, f_hi = _norm(rel), _norm(final)
@@ -418,7 +391,7 @@ class _Bodies:
         # An arc against a point: the angle nearest the point, if in range.
         arc = np.flatnonzero((high >= _ARC) & (lowest == _POINT))
         if arc.size:
-            first = g_a[_KIND, arc] >= _ARC
+            first = kind_a[arc] >= _ARC
             t[arc], excess[arc], variation[arc] = _nearest_angle(
                 g[:, np.where(first, arc, arc + k)],
                 start[:, np.where(first, arc + k, arc)],
@@ -430,7 +403,7 @@ class _Bodies:
             quadratic[arc] = True
         del start
 
-        star = _positions(g, np.concatenate([t, t])[None])[:, 0]
+        star = evaluate(g, np.concatenate([t, t])[None])[:, 0]
         f_star = _norm(star[:, :k] - star[:, k:])
         low = np.minimum(np.minimum(f_lo, f_hi), f_star)
         above = f_star - slack
@@ -446,13 +419,13 @@ class _Bodies:
         straight = high == _LINE
         bound[straight] = np.fmax(bound[straight], np.minimum(low, np.sqrt(square))[straight])
 
-        # A Case A pair: two half turns that agree on every row from _T0 on
-        # and start exactly float pi apart.
+        # A Case A pair: two half turns that agree on every operand from T0
+        # on and start exactly float pi apart.
         fallback = (high >= _ARC) & (lowest != _POINT)
         twin = np.flatnonzero(lowest == _HALF_TURN)
         if twin.size:
-            gap, error = _two_sum(g_a[_ANGLE, twin], -g_b[_ANGLE, twin])
-            same = (g_a[_T0:, twin] == g_b[_T0:, twin]).all(axis=0)
+            gap, error = _two_sum(g_a[ANGLE, twin], -g_b[ANGLE, twin])
+            same = (g_a[T0:, twin] == g_b[T0:, twin]).all(axis=0)
             twin = twin[same & (np.abs(gap) == np.pi) & (error == 0)]
             bound[twin] = np.minimum(low[twin], self.apart[a[twin]])
             fallback[twin] = False
@@ -472,11 +445,11 @@ class _Bodies:
         their second bodies'."""
         k = len(lo)
         ts = np.linspace(lo, hi, samples + 1)
-        at = _positions(g, np.concatenate([ts, ts], axis=1))
+        at = evaluate(g, np.concatenate([ts, ts], axis=1))
         f = _norm(at[..., :k] - at[..., k:])
-        step = g[_VECTORS:].reshape(4, -1, 2 * k)[1]
-        constant = step / g[_DURATION]
-        bounded = g[_RADIUS] * np.abs(g[_SWEEP]) / g[_DURATION]
+        step = g[VECTORS:].reshape(4, -1, 2 * k)[1]
+        constant = step / g[DURATION]
+        bounded = g[RADIUS] * np.abs(g[SWEEP]) / g[DURATION]
         speed = _norm(constant[:, :k] - constant[:, k:]) + bounded[:k] + bounded[k:]
         cone = 0.5 * (f[:-1] + f[1:] - speed * (hi - lo) / samples)
         low = f.min(axis=0)

@@ -2,15 +2,18 @@
 and before its operands were stacked into one table: kept as a reference
 that the current kernel must match bit for bit on every pair without a Case
 A twin entry.  ``certify_separation`` runs it when ``verification._Bodies``
-is replaced by :func:`reference_bodies`, which builds it from the path's
-segment objects rather than from the path's column table.
+is replaced by :func:`reference_bodies`, which builds it from the segment
+fields of the path's plan JSON rather than from the path's table.
 """
 
 from __future__ import annotations
 
+import json
+from fractions import Fraction
+
 import numpy as np
 
-from parammp import ArcMove, LinearMove
+from parammp import FrameMode, PlanResult, classify, make_frame, serialize_plan
 
 _BLOCK = 1 << 10
 _EPS = float(np.finfo(float).eps)
@@ -28,8 +31,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def reference_bodies(path) -> "ReferenceBodies":
     """:class:`ReferenceBodies` for ``certify_separation``, which constructs
-    its bodies from the path alone."""
-    segments = [seg for per_robot in path.segments for seg in per_robot]
+    its bodies from the path alone: from the segments its plan JSON writes,
+    robot after robot (the frame and region written beside them are not
+    read)."""
+    frame = make_frame(path.query, FrameMode.FIXED)
+    result = PlanResult(path=path, region=classify(path.query, frame), swaps=(), frame=frame)
+    robots = json.loads(serialize_plan(result))["robots"]
+    segments = [segment for robot in robots for segment in robot["segments"]]
     return ReferenceBodies(segments, path.obstacles)
 
 
@@ -39,12 +47,13 @@ class ReferenceBodies:
     formula, and the rounding slack of one evaluation."""
 
     def __init__(self, segments, obstacles: np.ndarray):
+        """``segments`` are plan-JSON segment objects."""
         count, (m, d) = len(segments), obstacles.shape
-        moves = [seg.move for seg in segments]
-        lines = [i for i, move in enumerate(moves) if isinstance(move, LinearMove)]
-        arcs = [i for i, move in enumerate(moves) if isinstance(move, ArcMove)]
-        self.t0 = np.array([seg._float_t0 for seg in segments] + [0.0] * m)
-        self.duration = np.array([seg._float_duration for seg in segments] + [1.0] * m)
+        lines = [i for i, seg in enumerate(segments) if seg["kind"] == "linear"]
+        arcs = [i for i, seg in enumerate(segments) if seg["kind"] == "arc"]
+        t0, t1 = ([Fraction(seg[name]) for seg in segments] for name in ("t0", "t1"))
+        self.t0 = np.array([float(t) for t in t0] + [0.0] * m)
+        self.duration = np.array([float(b - a) for a, b in zip(t0, t1)] + [1.0] * m)
         origin = np.empty((count + m, d))
         origin[count:] = obstacles
         step = np.zeros((count + m, d))  # end - start of a straight segment
@@ -53,15 +62,15 @@ class ReferenceBodies:
         self.angle = np.zeros(count + m)
         self.sweep = np.zeros(count + m)
         if lines:
-            origin[lines] = [moves[i].start for i in lines]
-            step[lines] = [moves[i].end for i in lines] - origin[lines]
+            origin[lines] = [segments[i]["start"] for i in lines]
+            step[lines] = [segments[i]["end"] for i in lines] - origin[lines]
         if arcs:
-            origin[arcs] = [moves[i].center for i in arcs]
-            basis_u[arcs] = [moves[i].basis_u for i in arcs]
-            basis_v[arcs] = [moves[i].basis_v for i in arcs]
-            self.radius[arcs] = [moves[i].radius for i in arcs]
-            self.angle[arcs] = [moves[i].angle_start for i in arcs]
-            self.sweep[arcs] = [moves[i].angle_end for i in arcs] - self.angle[arcs]
+            origin[arcs] = [segments[i]["center"] for i in arcs]
+            basis_u[arcs] = [segments[i]["basis_u"] for i in arcs]
+            basis_v[arcs] = [segments[i]["basis_v"] for i in arcs]
+            self.radius[arcs] = [segments[i]["radius"] for i in arcs]
+            self.angle[arcs] = [segments[i]["angle_start"] for i in arcs]
+            self.sweep[arcs] = [segments[i]["angle_end"] for i in arcs] - self.angle[arcs]
         self.origin, self.step = origin.T.copy(), step.T.copy()
         self.basis_u, self.basis_v = basis_u.T.copy(), basis_v.T.copy()
         # A velocity is a constant vector plus a part of bounded norm: a

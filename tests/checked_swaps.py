@@ -4,8 +4,7 @@ The library forms take the planner's sweep state and leave the neighbour
 precondition to the sweep, which tests it on its own sorted list.  These
 forms test it independently, on ``orderings(query, frame).sigma``
 (PreconditionError), and then call the library with the arguments the sweep
-passes for ``query``.  Like the library forms they return stages of rows;
-``stage_moves`` turns each row into its move object.
+passes for ``query``.  Like the library forms they return stages of rows.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import numpy as np
 from parammp import PreconditionError, Side, orderings
 from parammp.deformations import swap_case_a, swap_case_b
 from parammp.geometry import clearance_eta
-from parammp.paths import row_move
 
 
 def _check_neighbours(sigma, below, above):
@@ -58,8 +56,3 @@ def checked_case_b(query, frame, robot, obstacle, side):
     values, o, distance = _case_b_state(query, frame, robot, obstacle, side)
     point = query.obstacles[obstacle]
     return swap_case_b(query.starts, values, frame, robot, o, point, side, distance)
-
-
-def stage_moves(stages, d):
-    """``stages`` of rows in R^d, with each row as its move object."""
-    return tuple({robot: row_move(row, d) for robot, row in stage.items()} for stage in stages)

@@ -33,7 +33,9 @@ from parammp import (
     random_rational_query,
     transposition_sequence,
 )
-from checked_swaps import checked_case_a, checked_case_b, checked_clearance, stage_moves
+from parammp.paths import row_final
+from checked_swaps import checked_case_a, checked_case_b, checked_clearance
+from hand_built_paths import row_at
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -181,13 +183,13 @@ class TestAcceptance:
             if adjacent is None:
                 continue
             checked_a += 1
-            exchange = stage_moves(checked_case_a(q, f, *adjacent), 3)[1]
+            exchange = checked_case_a(q, f, *adjacent)[1]
             gap = abs(float((q.starts[adjacent[1]] - q.starts[adjacent[0]]) @ f.e))
-            for u in np.linspace(0, 1, 33):
-                left, right = (exchange[r].at(float(u)) for r in adjacent)
-                sep = float(np.linalg.norm(left - right))
-                if abs(sep - gap) > 1e-9:
-                    ok = False
+            us = np.linspace(0, 1, 33)
+            left, right = (row_at(exchange[r], 3, us) for r in adjacent)
+            sep = np.linalg.norm(left - right, axis=1)
+            if (abs(sep - gap) > 1e-9).any():
+                ok = False
         # Case B: exact landing point
         checked_b = 0
         while checked_b < 200:
@@ -210,7 +212,7 @@ class TestAcceptance:
             checked_b += 1
             robot, obstacle, side = found
             eta = checked_clearance(q, f, robot, obstacle, side)
-            landing = stage_moves(checked_case_b(q, f, robot, obstacle, side), 3)[-1][robot].final
+            landing = row_final(checked_case_b(q, f, robot, obstacle, side)[-1][robot], 3)
             sign = 1.0 if side is Side.LEFT else -1.0
             expected = q.obstacles[obstacle] - sign * (eta / 2.0) * f.e
             if float(np.linalg.norm(landing - expected)) > 1e-12:

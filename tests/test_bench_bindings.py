@@ -94,6 +94,25 @@ def test_bench_ops_run_on_one_document_per_workload(monkeypatch):
             assert outcome.error is None, (workload.name, op, outcome.error)
 
 
+def test_bench_plan_shape_and_checks_read_a_verify_outcome(monkeypatch):
+    # _plan_shape reads the path's segments view (t0, duration) and
+    # ops.failures its position at 0 and 1: both must keep working on what
+    # verify_op returns, as the benchmark's own tests do not run here
+    corpus = _load("corpus", monkeypatch)
+    ops = _load("ops", monkeypatch)
+    run = _load("run", monkeypatch)
+    keys = {"segments", "min_duration", "swaps", "intervals", "passed", "json_bytes"}
+    for name in ("verify-small", "verify-swaps"):
+        outcome = ops.verify_op(corpus.generate(corpus.WORKLOADS[name], 1)[0])
+        assert outcome.error is None, (name, outcome.error)
+        assert ops.failures(outcome) == [], name
+        shape = run._plan_shape(outcome)
+        assert shape.keys() == keys, name
+        path = outcome.result.path
+        assert shape["segments"] == len(path._columns.arc)
+        assert shape["min_duration"] > 0 and shape["passed"]
+
+
 def test_only_classify_and_plan_take_a_snap_tolerance():
     # classify reports with it; plan accepts the problem option only as 0.
     takers = {

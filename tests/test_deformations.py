@@ -17,7 +17,6 @@ from parammp import (
     ConfigurationQuery,
     FrameMode,
     InternalConsistencyError,
-    LinearMove,
     NotGenericError,
     Side,
     certify_separation,
@@ -30,9 +29,10 @@ from parammp import (
     planner,
 )
 from parammp.geometry import desingularization_gap
-from parammp.paths import PiecewisePath, line_row
+from parammp.paths import PiecewisePath, line_row, row_final, row_initial
 from parammp.planner import CaseASwap, CaseBSwap
-from checked_swaps import checked_case_a, checked_case_b, checked_clearance, stage_moves
+from checked_swaps import checked_case_a, checked_case_b, checked_clearance
+from hand_built_paths import path_rows, row_at, row_fields
 from query_strategies import small_queries
 
 RNG_SAMPLES = 1000
@@ -49,25 +49,25 @@ def sample_stages(starts, stages, ts):
     stage."""
     ts = np.asarray(ts, dtype=float)
     out = np.tile(np.asarray(starts)[None, :, :], (len(ts), 1, 1))
-    s = len(stages)
-    for i, stage in enumerate(stage_moves(stages, out.shape[2])):
+    s, d = len(stages), out.shape[2]
+    for i, stage in enumerate(stages):
         t0, t1 = i / s, (i + 1) / s
         inside = (ts >= t0) & (ts <= t1)
         after = ts > t1
         u = (ts[inside] - t0) / (t1 - t0)
-        for robot, move in stage.items():
-            out[inside, robot, :] = move.at_many(u)
-            out[after, robot, :] = move.final
+        for robot, row in stage.items():
+            out[inside, robot, :] = row_at(row, d, u)
+            out[after, robot, :] = row_final(row, d)
     return out
 
 
 def play_swaps(query, frame, swaps):
     """Play ``swaps`` and the straight line on ``query`` in the planner's
-    sweep, into fresh per-robot entry lists, and return the segments of the
-    path they write."""
+    sweep, into fresh per-robot entry lists, and return the ``(start tick,
+    stop tick, row)`` entries of the path they write."""
     entries = [[] for _ in range(query.robot_count)]
     planner._play_swaps(entries, query, frame, swaps, 0)
-    return PiecewisePath.from_rows(query, 3 * (len(swaps) + 1), entries).segments
+    return path_rows(PiecewisePath.from_rows(query, 3 * (len(swaps) + 1), entries))
 
 
 def end_query(query, stages):
@@ -135,8 +135,8 @@ class TestAffineSection:
         q = ConfigurationQuery(
             starts=[[0.0, 0.0]], goals=[[2.0, 2.0]], obstacles=[[5.0, 0.0]]
         )
-        ((segment,),) = play_swaps(q, fixed_frame(q), [])
-        assert np.allclose(segment.move.at(0.5), [1.0, 1.0])
+        (((_, _, row),),) = play_swaps(q, fixed_frame(q), [])
+        assert np.allclose(row_at(row, 2, [0.5]), [[1.0, 1.0]])
 
     def test_projection_order_preserved_throughout(self):
         q = ConfigurationQuery(
@@ -145,9 +145,9 @@ class TestAffineSection:
             obstacles=[[9.0, 0.0, 0.0]],
         )
         f = fixed_frame(q)
-        (first,), (second,) = play_swaps(q, f, [])
-        for t in np.linspace(0, 1, 101):
-            assert first.move.at(t) @ f.e < second.move.at(t) @ f.e
+        ((_, _, first),), ((_, _, second),) = play_swaps(q, f, [])
+        ts = np.linspace(0, 1, 101)
+        assert (row_at(first, 3, ts) @ f.e < row_at(second, 3, ts) @ f.e).all()
 
     def test_rejects_order_swapping_query(self):
         q = ConfigurationQuery(
@@ -499,9 +499,9 @@ class TestEvaluateDeformation:
 
     def test_time_zero_is_identity(self):
         q = one_crossing_query()
-        stages = stage_moves(checked_case_b(q, fixed_frame(q), 0, 0, Side.RIGHT), 2)
-        for robot, move in stages[0].items():
-            assert np.array_equal(move.initial, q.starts[robot])
+        stages = checked_case_b(q, fixed_frame(q), 0, 0, Side.RIGHT)
+        for robot, row in stages[0].items():
+            assert np.array_equal(row_initial(row, 2), q.starts[robot])
         assert np.array_equal(plan(q, FrameMode.FIXED).path.configuration(0), q.starts)
 
     def test_mid_stage_matches_closed_form(self):
@@ -589,13 +589,14 @@ class TestCompose:
 
     def test_goal_shifts_play_backward_on_last_third(self):
         for query, split, path in _degenerate_plans():
-            for robot, per_robot in enumerate(path.segments):
-                last = per_robot[-1]
-                assert (last.t0, last.t1) == (Fraction(2, 3), Fraction(1))
-                assert np.array_equal(last.move.start, split.goals[robot])
-                assert np.array_equal(last.move.end, query.goals[robot])
-                assert per_robot[-2].t1 == Fraction(2, 3)
-                assert np.array_equal(per_robot[-2].move.final, split.goals[robot])
+            d = query.dim
+            for robot, per_robot in enumerate(path_rows(path)):
+                start, stop, last = per_robot[-1]
+                assert Fraction(start, path.den) == Fraction(2, 3) and stop == path.den
+                assert np.array_equal(row_fields(last, d)["start"], split.goals[robot])
+                assert np.array_equal(row_fields(last, d)["end"], query.goals[robot])
+                assert Fraction(per_robot[-2][1], path.den) == Fraction(2, 3)
+                assert np.array_equal(row_final(per_robot[-2][2], d), split.goals[robot])
 
     def test_stage_windows_split_the_given_window(self):
         # One swap and the straight line split [0, 1] in halves; the swap's
@@ -603,17 +604,18 @@ class TestCompose:
         q = one_crossing_query()
         result = plan(q, FrameMode.FIXED)
         assert result.swap_count == 1
-        stages = stage_moves(checked_case_b(q, result.frame, 0, 0, Side.RIGHT), 2)
+        stages = checked_case_b(q, result.frame, 0, 0, Side.RIGHT)
         (per_robot,) = result.path.segments
+        (rows,) = path_rows(result.path)
         assert [(seg.t0, seg.t1) for seg in per_robot] == [
             (Fraction(0), Fraction(1, 6)),
             (Fraction(1, 6), Fraction(1, 3)),
             (Fraction(1, 3), Fraction(1, 2)),
             (Fraction(1, 2), Fraction(1)),
         ]
-        for seg, stage in zip(per_robot, stages):
-            assert np.array_equal(seg.move.initial, stage[0].initial)
-            assert np.array_equal(seg.move.final, stage[0].final)
+        for (_, _, row), stage in zip(rows, stages):
+            assert np.array_equal(row_initial(row, 2), row_initial(stage[0], 2))
+            assert np.array_equal(row_final(row, 2), row_final(stage[0], 2))
 
     @settings(max_examples=100, deadline=None)
     @given(small_queries(max_size=3, half_grid=True))
@@ -622,19 +624,21 @@ class TestCompose:
         result = plan(query, mode)
         assume(result.region.j < 2 * query.robot_count)
         split = desingularize(query, result.frame)
-        e = result.frame.e
-        for robot, per_robot in enumerate(result.path.segments):
+        e, d = result.frame.e, query.dim
+        for robot, (per_robot, entries) in enumerate(
+            zip(result.path.segments, path_rows(result.path))
+        ):
             first, last = per_robot[0], per_robot[-1]
             assert (first.t0, first.t1) == (Fraction(0), Fraction(1, 3))
-            assert isinstance(first.move, LinearMove)
-            assert np.array_equal(first.move.start, query.starts[robot])
-            assert np.array_equal(first.move.end, split.starts[robot])
             assert (last.t0, last.t1) == (Fraction(2, 3), Fraction(1))
-            assert isinstance(last.move, LinearMove)
-            assert np.array_equal(last.move.start, split.goals[robot])
-            assert np.array_equal(last.move.end, query.goals[robot])
-            for move in (first.move, last.move):
-                delta = move.end - move.start
+            first, last = (row_fields(entries[k][2], d) for k in (0, -1))
+            assert first["kind"] == last["kind"] == "linear"
+            assert np.array_equal(first["start"], query.starts[robot])
+            assert np.array_equal(first["end"], split.starts[robot])
+            assert np.array_equal(last["start"], split.goals[robot])
+            assert np.array_equal(last["end"], query.goals[robot])
+            for fields in (first, last):
+                delta = fields["end"] - fields["start"]
                 assert np.max(np.abs(delta - (delta @ e) * e)) <= 1e-12
         assert certify_separation(result.path, samples_per_segment=64).passed
 

@@ -34,8 +34,8 @@ from parammp import (
 )
 from parammp.formats import ProblemDocument, ProblemOptions, _point_array
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
-from parammp.paths import ArcMove, LinearMove, PathSegment, PiecewisePath
-from hand_built_paths import extreme_plan
+from parammp.paths import PiecewisePath, arc_row, line_row
+from hand_built_paths import extreme_plan, path_rows, row_at, row_fields
 from query_strategies import small_queries
 
 MINIMAL = {
@@ -290,23 +290,15 @@ class TestSerializePlan:
     def test_floats_and_bounds_written_exactly(self, mode):
         res = crossing_plan() if mode == "fixed" else plan(_scaled(1.0), mode=mode)
         doc = json.loads(serialize_plan(res))
-        den = res.path.den
-        for per_robot, written in zip(res.path.segments, doc["robots"], strict=True):
-            for seg, entry in zip(per_robot, written["segments"], strict=True):
-                assert Fraction(entry["t0"]) == Fraction(seg.start, den)
-                assert Fraction(entry["t1"]) == Fraction(seg.stop, den)
-                move = seg.move
-                if isinstance(move, LinearMove):
-                    fields = {"start": move.start, "end": move.end}
-                else:
-                    fields = {
-                        "center": move.center,
-                        "radius": move.radius,
-                        "basis_u": move.basis_u,
-                        "basis_v": move.basis_v,
-                        "angle_start": move.angle_start,
-                        "angle_end": move.angle_end,
-                    }
+        den, d = res.path.den, res.path.query.dim
+        for per_robot, written in zip(path_rows(res.path), doc["robots"], strict=True):
+            for (start, stop, row), entry in zip(per_robot, written["segments"], strict=True):
+                assert Fraction(entry["t0"]) == Fraction(start, den)
+                assert Fraction(entry["t1"]) == Fraction(stop, den)
+                fields = row_fields(row, d)
+                assert entry["kind"] == fields.pop("kind")
+                del fields["initial"], fields["final"]
+                assert entry.keys() - {"t0", "t1", "kind"} == fields.keys()
                 for name, value in fields.items():
                     assert entry[name] == np.asarray(value, dtype=float).tolist()
 
@@ -346,23 +338,26 @@ def _reference_plan_text(result):
     def fraction(value):
         return f"{value.numerator}/{value.denominator}"
 
-    def segment(seg):
-        doc = {"t0": fraction(seg.t0), "t1": fraction(seg.t1)}
-        if isinstance(seg.move, LinearMove):
-            doc["kind"] = "linear"
-            doc["start"] = points(seg.move.start)
-            doc["end"] = points(seg.move.end)
+    query = result.path.query
+    den = result.path.den
+
+    def segment(entry):
+        start, stop, row = entry
+        fields = row_fields(row, query.dim)
+        doc = {"t0": fraction(Fraction(start, den)), "t1": fraction(Fraction(stop, den))}
+        doc["kind"] = fields["kind"]
+        if fields["kind"] == "linear":
+            doc["start"] = points(fields["start"])
+            doc["end"] = points(fields["end"])
         else:
-            doc["kind"] = "arc"
-            doc["center"] = points(seg.move.center)
-            doc["radius"] = float(seg.move.radius)
-            doc["basis_u"] = points(seg.move.basis_u)
-            doc["basis_v"] = points(seg.move.basis_v)
-            doc["angle_start"] = float(seg.move.angle_start)
-            doc["angle_end"] = float(seg.move.angle_end)
+            doc["center"] = points(fields["center"])
+            doc["radius"] = float(fields["radius"])
+            doc["basis_u"] = points(fields["basis_u"])
+            doc["basis_v"] = points(fields["basis_v"])
+            doc["angle_start"] = float(fields["angle_start"])
+            doc["angle_end"] = float(fields["angle_end"])
         return doc
 
-    query = result.path.query
     document = {
         "version": "1",
         "dim": query.dim,
@@ -375,8 +370,8 @@ def _reference_plan_text(result):
         "goals": [points(p) for p in query.goals],
         "obstacles": [points(p) for p in query.obstacles],
         "robots": [
-            {"robot": robot, "segments": [segment(seg) for seg in result.path.segments[robot]]}
-            for robot in range(query.robot_count)
+            {"robot": robot, "segments": [segment(entry) for entry in entries]}
+            for robot, entries in enumerate(path_rows(result.path))
         ],
     }
     return json.dumps(document, indent=2)
@@ -426,13 +421,13 @@ class TestPlanTextMatchesReference:
         # 10**6 took about 60 MB and most of a second for this plan.
         den = 10**6
         query = ConfigurationQuery(starts=[[0.0, 0.0]], goals=[[1.0, 0.0]], obstacles=[[0.0, 1.0]])
-        segments = [
-            PathSegment(0, 1, den, LinearMove(np.array([0.0, 0.0]), np.array([0.0, 0.0]))),
-            PathSegment(1, den, den, LinearMove(np.array([0.0, 0.0]), np.array([1.0, 0.0]))),
+        entries = [
+            (0, 1, line_row([0.0, 0.0], [0.0, 0.0])),
+            (1, den, line_row([0.0, 0.0], [1.0, 0.0])),
         ]
         frame = make_frame(query, FrameMode.FIXED)
         result = PlanResult(
-            path=PiecewisePath(query=query, segments=[segments]),
+            path=PiecewisePath.from_rows(query, den, [entries]),
             region=classify(query, frame), swaps=(), frame=frame,
         )
         tracemalloc.start()
@@ -475,17 +470,13 @@ def _mixed_denominator_path():
     rises and rests."""
 
     def line(start, stop, p0, p1):
-        return PathSegment(start, stop, 60, LinearMove(np.array(p0), np.array(p1)))
+        return (start, stop, line_row(p0, p1))
 
-    arc = ArcMove(
-        center=np.array([0.5, 3.0]), radius=0.5,
-        basis_u=np.array([-1.0, 0.0]), basis_v=np.array([0.0, 1.0]),
-        angle_start=0.0, angle_end=3.141592653589793,
-    )
+    arc = arc_row([0.5, 3.0], 0.5, [-1.0, 0.0], [0.0, 1.0], 0.0, 3.141592653589793)
     robot_0 = [
         line(0, 12, [0.0, 2.0], [0.0, 2.0]),
         line(12, 24, [0.0, 2.0], [0.0, 3.0]),
-        PathSegment(24, 45, 60, arc),
+        (24, 45, arc),
         line(45, 60, [1.0, 3.0], [2.0, 3.0]),
     ]
     robot_1 = [
@@ -497,7 +488,7 @@ def _mixed_denominator_path():
         goals=[[2.0, 3.0], [3.0, 1.0]],
         obstacles=[[0.0, -2.0], [5.0, 5.0]],
     )
-    return PiecewisePath(query=query, segments=[robot_0, robot_1])
+    return PiecewisePath.from_rows(query, 60, [robot_0, robot_1])
 
 
 # (sampled_min, certified_lower_bound) per pair of the mixed-denominator
@@ -591,20 +582,20 @@ class TestRenderSvg:
     def test_arc_polyline_chord_error_bound(self):
         res = crossing_plan()
         sample_count = 64
-        arcs = [seg for per in res.path.segments for seg in per if isinstance(seg.move, ArcMove)]
+        d = res.path.query.dim
+        arcs = [row for per in path_rows(res.path) for _, _, row in per if len(row) > 2 * d]
         assert arcs
-        for seg in arcs:
-            move = seg.move
-            assert isinstance(move, ArcMove)
-            span = abs(move.angle_end - move.angle_start)
+        for row in arcs:
+            fields = row_fields(row, d)
+            span = abs(fields["angle_end"] - fields["angle_start"])
             chord_angle = span / sample_count
-            bound = move.radius * chord_angle**2 / 8.0
+            bound = fields["radius"] * chord_angle**2 / 8.0
             us = np.linspace(0.0, 1.0, sample_count + 1)
-            polyline = move.at_many(us)
+            polyline = row_at(row, d, us)
             # max distance between each chord and the arc over that chord
             for k in range(sample_count):
                 a, b = polyline[k], polyline[k + 1]
-                dense = move.at_many(np.linspace(us[k], us[k + 1], 20))
+                dense = row_at(row, d, np.linspace(us[k], us[k + 1], 20))
                 chord_dir = (b - a) / np.linalg.norm(b - a)
                 rel = dense - a
                 along = rel @ chord_dir

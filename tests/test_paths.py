@@ -1,4 +1,4 @@
-"""Segment algebra: moves, path tiling, and closed-form evaluation."""
+"""Path tables: building from rows, tiling, and the one position formula."""
 
 from __future__ import annotations
 
@@ -11,92 +11,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parammp import (
-    ArcMove,
     ConfigurationQuery,
     InternalConsistencyError,
-    LinearMove,
-    PathSegment,
     PiecewisePath,
+    arc_row,
     certify_separation,
+    line_row,
     plan,
     planner,
     random_query,
     serialize_plan,
 )
+from parammp import paths
 from parammp.errors import DimensionMismatchError
-from parammp.paths import arc_row
-from hand_built_paths import extreme_path
+from parammp.paths import evaluate, row_final, row_initial
+from hand_built_paths import extreme_path, extreme_rows, path_rows, row_at
 from query_strategies import small_queries
 
 
-def make_path(segments_per_robot, starts, goals, obstacles):
+def make_path(rows, starts, goals, obstacles, den=42):
+    """The path on ticks over ``den`` of per-robot ``(start, stop, row)``
+    entries."""
     query = ConfigurationQuery(starts=starts, goals=goals, obstacles=obstacles)
-    return PiecewisePath(query=query, segments=segments_per_robot)
+    return PiecewisePath.from_rows(query, den, rows)
 
 
-def linear_segment(t0, t1, p0, p1, den=42):
-    """A straight segment on [t0, t1] (Fractions or (num, den) tuples), on
-    ticks over ``den``, which every bound's denominator must divide."""
+def linear_entry(t0, t1, p0, p1, den=42):
+    """A straight segment's entry on [t0, t1] (Fractions or (num, den)
+    tuples), on ticks over ``den``, which every bound's denominator must
+    divide."""
     t0 = Fraction(*t0) if isinstance(t0, tuple) else Fraction(t0)
     t1 = Fraction(*t1) if isinstance(t1, tuple) else Fraction(t1)
     assert (t0 * den).denominator == (t1 * den).denominator == 1
-    return PathSegment(
-        start=int(t0 * den),
-        stop=int(t1 * den),
-        den=den,
-        move=LinearMove(np.array(p0, dtype=float), np.array(p1, dtype=float)),
-    )
+    return (int(t0 * den), int(t1 * den), line_row(p0, p1))
 
 
-class TestMoves:
+def one_segment_path(row, d=2, den=1):
+    """The one-robot path that follows ``row``, a row in R^d, on [0, 1]."""
+    far = [1e300] * d
+    return make_path([[(0, den, row)]], [row_initial(row, d)], [row_final(row, d)], [far], den)
+
+
+QUARTER = arc_row([0.0, 0.0], 2.0, [1.0, 0.0], [0.0, 1.0], 0.0, math.pi / 2)
+
+
+class TestRows:
+    """Rows and their checks when a path is built: a bad row is the
+    builder's fault, named as the table words it."""
+
     def test_linear_midpoint(self):
-        move = LinearMove(np.array([0.0, 0.0]), np.array([2.0, 2.0]))
-        assert np.allclose(move.at(0.5), [1.0, 1.0])
+        path = one_segment_path(line_row([0.0, 0.0], [2.0, 2.0]))
+        assert np.allclose(path.position(0, 0.5), [1.0, 1.0])
 
     def test_linear_endpoints_bitwise(self):
-        start = np.array([0.1, 0.2, 0.3])
-        end = np.array([0.4, 0.5, 0.6])
-        move = LinearMove(start, end)
-        assert np.array_equal(move.at(0.0), start)
-        assert np.array_equal(move.at(1.0), end)
+        start, end = [0.1, 0.2, 0.3], [0.4, 0.5, 0.6]
+        path = one_segment_path(line_row(start, end), d=3)
+        assert path.position(0, 0.0).tobytes() == np.array(start).tobytes()
+        assert path.position(0, 1.0).tobytes() == np.array(end).tobytes()
 
     def test_arc_quarter_circle(self):
-        move = ArcMove(
-            center=np.zeros(2),
-            radius=2.0,
-            basis_u=np.array([1.0, 0.0]),
-            basis_v=np.array([0.0, 1.0]),
-            angle_start=0.0,
-            angle_end=math.pi / 2,
-        )
-        assert np.allclose(move.at(0.0), [2.0, 0.0])
-        assert np.allclose(move.at(1.0), [0.0, 2.0], atol=1e-15)
-        assert np.allclose(move.at(0.5), [math.sqrt(2), math.sqrt(2)])
-
-    def test_arc_end_points_evaluated_once(self):
-        move = ArcMove(
-            center=np.array([0.5, -1.0, 2.0]),
-            radius=0.3,
-            basis_u=np.array([0.0, 1.0, 0.0]),
-            basis_v=np.array([0.0, 0.0, 1.0]),
-            angle_start=0.25,
-            angle_end=0.25 + math.pi,
-        )
-        assert move.initial is move.initial and move.final is move.final
-        assert np.array_equal(move.initial, move.at(0.0))
-        assert np.array_equal(move.final, move.at(1.0))
-        assert not move.initial.flags.writeable and not move.final.flags.writeable
-
-    def test_arc_rejects_nan_radius(self):
-        with pytest.raises(ValueError, match="radius"):
-            ArcMove(
-                center=np.zeros(2),
-                radius=math.nan,
-                basis_u=np.array([1.0, 0.0]),
-                basis_v=np.array([0.0, 1.0]),
-                angle_start=0.0,
-                angle_end=1.0,
-            )
+        path = one_segment_path(QUARTER)
+        assert np.allclose(path.position(0, 0.0), [2.0, 0.0])
+        assert np.allclose(path.position(0, 1.0), [0.0, 2.0], atol=1e-15)
+        assert np.allclose(path.position(0, 0.5), [math.sqrt(2), math.sqrt(2)])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -111,28 +88,40 @@ class TestMoves:
         ),
         numpy_angles=st.booleans(),
     )
-    def test_arc_end_points_are_its_evaluations_bit_for_bit(
+    def test_arc_end_points_are_the_formulas_values(
         self, center, radius, turn, angles, numpy_angles
     ):
-        # end points in Python floats equal at(0.0) and at(1.0) in numpy
-        basis_u, basis_v = np.zeros(len(center)), np.zeros(len(center))
+        # arc_row's end points, in Python floats, are what the formula gives
+        # in numpy at local times 0 and 1, bit for bit
+        d = len(center)
+        basis_u, basis_v = [0.0] * d, [0.0] * d
         basis_u[:2] = math.cos(turn), math.sin(turn)
         basis_v[:2] = -math.sin(turn), math.cos(turn)
         if numpy_angles:
             angles = tuple(map(np.float64, angles))
-        move = ArcMove(np.array(center), radius, basis_u, basis_v, *angles)
-        assert move.initial.tobytes() == move.at(0.0).tobytes()
-        assert move.final.tobytes() == move.at(1.0).tobytes()
+        row = arc_row(center, radius, basis_u, basis_v, *angles)
+        path = one_segment_path(row, d)
+        ends = evaluate(path._operands, np.array([[0.0], [1.0]]))[:, :, 0].T
+        assert ends[0].tobytes() == np.array(row_initial(row, d)).tobytes()
+        assert ends[1].tobytes() == np.array(row_final(row, d)).tobytes()
+
+    @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+    def test_arc_radius_must_be_positive(self, radius):
+        row = arc_row([0.0, 0.0], radius, [1.0, 0.0], [0.0, 1.0], 0.0, 1.0)
+        message = "^robot 0 has an invalid arc at t=0: arc radius must be positive$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            make_path([[(0, 1, row)]], [[1.0, 0.0]], [[0.5, 0.8]], [[9.0, 9.0]], den=1)
 
     @pytest.mark.parametrize("field", ["center", "basis_u", "basis_v"])
-    def test_arc_rejects_points_of_mixed_dimension(self, field):
-        fields = dict(
-            center=np.zeros(3), basis_u=np.array([1.0, 0.0, 0.0]),
-            basis_v=np.array([0.0, 1.0, 0.0]),
+    def test_arc_fields_of_mixed_dimension_rejected(self, field):
+        fields = dict(center=[0.0] * 3, basis_u=[1.0, 0.0, 0.0], basis_v=[0.0, 1.0, 0.0])
+        fields[field] = fields[field] + [0.0]
+        row = arc_row(radius=1.0, angle_start=0.0, angle_end=1.0, **fields)
+        query = ConfigurationQuery(
+            starts=[[1.0, 0.0, 0.0]], goals=[[0.5, 0.8, 0.0]], obstacles=[[9.0, 9.0, 9.0]]
         )
-        fields[field] = np.append(fields[field], 0.0)
-        with pytest.raises(ValueError, match="one dimension"):
-            ArcMove(radius=1.0, angle_start=0.0, angle_end=1.0, **fields)
+        with pytest.raises(DimensionMismatchError, match="must have 3 coordinates"):
+            PiecewisePath.from_rows(query, 1, [[(0, 1, row)]])
 
     @pytest.mark.parametrize(
         "basis_u, basis_v",
@@ -147,16 +136,11 @@ class TestMoves:
             ([1.0, 0.0], [1e-11, 1.0]),
         ],
     )
-    def test_arc_rejects_basis_not_orthonormal(self, basis_u, basis_v):
-        with pytest.raises(ValueError, match="orthonormal"):
-            ArcMove(
-                center=np.zeros(2),
-                radius=1.0,
-                basis_u=np.array(basis_u),
-                basis_v=np.array(basis_v),
-                angle_start=0.0,
-                angle_end=1.0,
-            )
+    def test_arc_basis_must_be_orthonormal(self, basis_u, basis_v):
+        row = arc_row([0.0, 0.0], 1.0, basis_u, basis_v, 0.0, 1.0)
+        message = "^robot 0 has an invalid arc at t=0: arc basis must be orthonormal$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            make_path([[(0, 1, row)]], [[1.0, 0.0]], [[0.5, 0.8]], [[9.0, 9.0]], den=1)
 
     @pytest.mark.parametrize(
         "basis_u, basis_v",
@@ -166,66 +150,56 @@ class TestMoves:
             ([1.0, 0.0, -0.0], [1e-13, -0.0, 1.0]),
         ],
     )
-    def test_arc_accepts_basis_within_tolerance(self, basis_u, basis_v):
-        move = ArcMove(
-            center=np.zeros(len(basis_u)),
-            radius=1.0,
-            basis_u=np.array(basis_u),
-            basis_v=np.array(basis_v),
-            angle_start=0.0,
-            angle_end=1.0,
-        )
-        assert np.array_equal(move.initial, basis_u)
+    def test_arc_basis_within_tolerance_accepted(self, basis_u, basis_v):
+        d = len(basis_u)
+        row = arc_row([0.0] * d, 1.0, basis_u, basis_v, 0.0, 1.0)
+        path = one_segment_path(row, d)
+        assert np.array_equal(path.position(0, 0.0), basis_u)
 
     @pytest.mark.parametrize(
-        "start, end, constant",
+        "ticks, den",
         [
-            ([0.0, -0.0], [-0.0, 0.0], True),
-            ([1.0, 2.0], [1.0, math.nextafter(2.0, 3.0)], False),
-            ([math.nan, 0.0], [math.nan, 0.0], False),
+            ((0, Fraction(1, 2), 1), 1),  # tiles [0, 1], but would truncate to [0, 0]
+            ((0, 0.5, 1), 1),
+            ((0, 1, 2), 2.0),
         ],
     )
-    def test_linear_is_constant_compares_values(self, start, end, constant):
-        assert LinearMove(np.array(start), np.array(end)).is_constant() is constant
-
-    def test_at_many_matches_at(self):
-        move = LinearMove(np.array([0.0, 1.0]), np.array([4.0, -3.0]))
-        us = np.linspace(0, 1, 11)
-        batch = move.at_many(us)
-        for u, row in zip(us, batch):
-            assert np.allclose(row, move.at(u), atol=1e-15)
-
-
-class TestPathSegment:
-    def test_float_window_matches_exact_bounds(self):
-        seg = linear_segment((1, 7), (5, 21), [0.1, 0.2], [0.7, -0.3])
-        ts = np.linspace(1 / 7, 5 / 21, 9)
-        u = (ts - float(Fraction(1, 7))) / float(Fraction(5, 21) - Fraction(1, 7))
-        assert np.array_equal(seg.at_many(ts), seg.move.at_many(u))
-        assert seg.local(0.2) == (0.2 - float(Fraction(1, 7))) / float(seg.duration)
-
-    def test_ticks_must_be_integers(self):
-        move = LinearMove(np.zeros(2), np.ones(2))
+    def test_ticks_must_be_integers(self, ticks, den):
+        first, middle, last = ticks
+        rows = [
+            [
+                (first, middle, line_row([0.0, 0.0], [1.0, 0.0])),
+                (middle, last, line_row([1.0, 0.0], [2.0, 0.0])),
+            ]
+        ]
         with pytest.raises(TypeError, match="integer ticks"):
-            PathSegment(start=Fraction(0), stop=1, den=1, move=move)
-        with pytest.raises(TypeError, match="integer ticks"):
-            PathSegment(start=0, stop=1.0, den=1, move=move)
+            make_path(rows, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]], den=den)
 
-    @pytest.mark.parametrize("start, stop, den", [(1, 1, 3), (2, 1, 3), (-1, 1, 3), (0, 4, 3), (0, 1, 0)])
-    def test_window_must_be_nonempty_within_unit_interval(self, start, stop, den):
-        with pytest.raises(ValueError, match="empty or off"):
-            PathSegment(start=start, stop=stop, den=den, move=LinearMove(np.zeros(2), np.ones(2)))
+    @pytest.mark.parametrize(
+        "start, stop, den, message",
+        [
+            (1, 1, 3, "robot 0 has a gap/overlap at t=0"),
+            (2, 1, 3, "robot 0 has a gap/overlap at t=0"),
+            (-1, 1, 3, "robot 0 has a gap/overlap at t=0"),
+            (0, 4, 3, "robot 0 segments do not span \\[0, 1\\]"),
+            (0, 1, 0, "robot 0 segments do not span \\[0, 1\\]"),
+        ],
+    )
+    def test_window_must_be_nonempty_within_unit_interval(self, start, stop, den, message):
+        entry = (start, stop, line_row([0.0, 0.0], [1.0, 1.0]))
+        with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+            make_path([[entry]], [[0.0, 0.0]], [[1.0, 1.0]], [[9.0, 9.0]], den=den)
 
 
 class TestPiecewisePath:
     def _two_piece(self):
-        segments = (
+        rows = (
             (
-                linear_segment(0, (1, 2), [0.0, 0.0], [1.0, 1.0]),
-                linear_segment((1, 2), 1, [1.0, 1.0], [2.0, 0.0]),
+                linear_entry(0, (1, 2), [0.0, 0.0], [1.0, 1.0]),
+                linear_entry((1, 2), 1, [1.0, 1.0], [2.0, 0.0]),
             ),
         )
-        return make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
+        return make_path(rows, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
 
     def test_evaluation_at_boundaries(self):
         path = self._two_piece()
@@ -234,33 +208,23 @@ class TestPiecewisePath:
         assert np.allclose(path.position(0, 0.5), [1.0, 1.0])
 
     def test_adjacent_segments_agree_at_junction(self):
-        path = self._two_piece()
-        left = path.segments[0][0].at(0.5)
-        right = path.segments[0][1].at(0.5)
-        assert np.linalg.norm(left - right) <= 1e-9
+        (left, right), = path_rows(self._two_piece())
+        assert np.linalg.norm(np.subtract(row_final(left[2], 2), row_initial(right[2], 2))) <= 1e-9
 
     def test_segment_at_compares_exactly_with_ticks(self):
-        segments = (
+        rows = (
             (
-                linear_segment(0, (1, 3), [0.0, 0.0], [1.0, 1.0]),
-                linear_segment((1, 3), 1, [1.0, 1.0], [2.0, 0.0]),
+                linear_entry(0, (1, 3), [0.0, 0.0], [1.0, 1.0]),
+                linear_entry((1, 3), 1, [1.0, 1.0], [2.0, 0.0]),
             ),
         )
-        path = make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
-        first, second = segments[0]
+        path = make_path(rows, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
+        first, second = (0, 14, 42, 0), (14, 42, 42, 1)  # start, stop, den, row
         assert 1 / 3 < Fraction(1, 3)  # the float lies just before the tick
-        assert path.segment_at(0, 1 / 3) is first
-        assert path.segment_at(0, Fraction(1, 3)) is second
-        assert path.segment_at(0, np.int64(1)) is second
+        assert path.segment_at(0, 1 / 3) == first
+        assert path.segment_at(0, Fraction(1, 3)) == second
+        assert path.segment_at(0, np.int64(1)) == second
         assert np.array_equal(path.position(0, Fraction(1, 3)), [1.0, 1.0])
-
-    def test_denominators_must_agree(self):
-        segments = (
-            (linear_segment(0, 1, [0.0, 0.0], [2.0, 0.0], den=6),),
-            (linear_segment(0, 1, [0.0, 1.0], [2.0, 1.0], den=3),),
-        )
-        with pytest.raises(InternalConsistencyError, match="robot 1 has a gap/overlap at t=0"):
-            make_path(segments, [[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]], [[9.0, 9.0]])
 
     def test_time_out_of_range(self):
         path = self._two_piece()
@@ -276,24 +240,24 @@ class TestPiecewisePath:
             path.position(0, t)
 
     def test_gap_rejected(self):
-        segments = (
+        rows = (
             (
-                linear_segment(0, (1, 3), [0.0, 0.0], [1.0, 1.0]),
-                linear_segment((1, 2), 1, [1.0, 1.0], [2.0, 0.0]),
+                linear_entry(0, (1, 3), [0.0, 0.0], [1.0, 1.0]),
+                linear_entry((1, 2), 1, [1.0, 1.0], [2.0, 0.0]),
             ),
         )
         with pytest.raises(InternalConsistencyError):
-            make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
+            make_path(rows, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
 
     def test_discontinuity_rejected(self):
-        segments = (
+        rows = (
             (
-                linear_segment(0, (1, 2), [0.0, 0.0], [1.0, 1.0]),
-                linear_segment((1, 2), 1, [1.5, 1.0], [2.0, 0.0]),
+                linear_entry(0, (1, 2), [0.0, 0.0], [1.0, 1.0]),
+                linear_entry((1, 2), 1, [1.5, 1.0], [2.0, 0.0]),
             ),
         )
         with pytest.raises(InternalConsistencyError):
-            make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
+            make_path(rows, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
 
     @staticmethod
     def _two_robot_points():
@@ -307,15 +271,15 @@ class TestPiecewisePath:
     @staticmethod
     def _two_robot_path(points):
         windows = [[(0, 3)], [(0, 1), (1, 3)]]
-        segments = [
+        rows = [
             [
-                linear_segment((start, 3), (stop, 3), p0, p1, den=3)
+                (start, stop, line_row(p0, p1))
                 for (start, stop), (p0, p1) in zip(per_windows, per_points)
             ]
             for per_windows, per_points in zip(windows, points)
         ]
         return make_path(
-            segments, [[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]], [[9.0, 9.0]]
+            rows, [[0.0, 0.0], [0.0, 1.0]], [[2.0, 0.0], [2.0, 1.0]], [[9.0, 9.0]], den=3
         )
 
     @pytest.mark.parametrize(
@@ -381,19 +345,14 @@ class TestPiecewisePath:
 
     def test_arc_of_other_dimension_rejected(self):
         # a half circle from (0, 0) to (2, 0), written with points in 3-space
-        arc = ArcMove(
-            center=np.array([1.0, 0.0, 0.0]), radius=1.0,
-            basis_u=np.array([-1.0, 0.0, 0.0]), basis_v=np.array([0.0, 1.0, 0.0]),
-            angle_start=0.0, angle_end=math.pi,
-        )
-        segments = ((PathSegment(0, 1, 1, arc),),)
+        arc = arc_row([1.0, 0.0, 0.0], 1.0, [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 0.0, math.pi)
         with pytest.raises(DimensionMismatchError, match="must have 2 coordinates"):
-            make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
+            make_path([[(0, 1, arc)]], [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]], den=1)
 
     def test_wrong_endpoint_rejected(self):
-        segments = ((linear_segment(0, 1, [0.0, 0.0], [2.0, 0.5]),),)
+        rows = ((linear_entry(0, 1, [0.0, 0.0], [2.0, 0.5]),),)
         with pytest.raises(InternalConsistencyError):
-            make_path(segments, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
+            make_path(rows, [[0.0, 0.0]], [[2.0, 0.0]], [[9.0, 9.0]])
 
     def test_positions_at_matches_scalar_evaluation(self):
         path = self._two_piece()
@@ -406,12 +365,11 @@ class TestPiecewisePath:
         path = self._two_piece()
         assert path.obstacles is path.query.obstacles
 
-
     def test_denominator_above_2_53_rejected(self):
         den = 2**53 + 1
-        segments = ((PathSegment(0, den, den, LinearMove(np.zeros(2), np.ones(2))),),)
+        rows = [[(0, den, line_row([0.0, 0.0], [1.0, 1.0]))]]
         with pytest.raises(InternalConsistencyError, match="above 2\\*\\*53"):
-            make_path(segments, [[0.0, 0.0]], [[1.0, 1.0]], [[9.0, 9.0]])
+            make_path(rows, [[0.0, 0.0]], [[1.0, 1.0]], [[9.0, 9.0]], den=den)
 
 
 def _scan(path, robot, t):
@@ -423,104 +381,79 @@ def _scan(path, robot, t):
     return path.segments[robot][-1]
 
 
-def _same_segment(a, b):
-    """Whether two segments have the same ticks, kind and floats, bit for bit."""
-    if (a.start, a.stop, a.den, type(a.move)) != (b.start, b.stop, b.den, type(b.move)):
-        return False
-    if isinstance(a.move, LinearMove):
-        fields = ("start", "end")
-    else:
-        fields = ("center", "radius", "basis_u", "basis_v", "angle_start", "angle_end")
-    return all(
-        np.asarray(getattr(a.move, f), float).tobytes()
-        == np.asarray(getattr(b.move, f), float).tobytes()
-        for f in fields
-    )
+def _assert_same_table(path, other):
+    """Whether two paths have the same table, bit for bit."""
+    assert path.den == other.den
+    for name in ("ticks", "arc", "counts", "first", "block", "ends"):
+        mine, theirs = getattr(path._columns, name), getattr(other._columns, name)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
+        assert mine.tobytes() == theirs.tobytes(), name
 
 
-def _assert_columns_reproduce_segments(path):
-    # the table holds every segment's ticks, kind and fields bit for bit
-    columns = path._columns
-    segments = [seg for per_robot in path.segments for seg in per_robot]
-    rows = []
-    for seg in segments:
-        move = seg.move
-        if isinstance(move, ArcMove):
-            fields = [move.center, [move.radius], move.basis_u, move.basis_v]
-            rows.append(np.concatenate(fields + [[move.angle_start, move.angle_end]]))
-        else:
-            rows.append(np.concatenate([move.start, move.end]))
-    assert columns.start.tolist() == [seg.start for seg in segments]
-    assert columns.stop.tolist() == [seg.stop for seg in segments]
-    assert columns.arc.tolist() == [isinstance(seg.move, ArcMove) for seg in segments]
-    assert columns.counts.tolist() == list(map(len, path.segments))
+def _assert_table_holds_its_rows(path, rows):
+    # the table holds every entry's ticks, kind and floats bit for bit: a
+    # line's row, zeros after it in the block; an arc's fields, then its end
+    # points beside the block
+    columns, d = path._columns, path.query.dim
+    entries = [entry for per_robot in rows for entry in per_robot]
+    assert columns.start.tolist() == [start for start, _, _ in entries]
+    assert columns.stop.tolist() == [stop for _, stop, _ in entries]
+    assert columns.arc.tolist() == [len(row) == 5 * d + 3 for _, _, row in entries]
+    assert columns.counts.tolist() == list(map(len, rows))
     assert columns.first.tolist() == np.cumsum([0] + columns.counts.tolist()[:-1]).tolist()
-    for row, block_row in zip(rows, columns.block):
-        assert block_row[: len(row)].tobytes() == row.tobytes()
-        assert not block_row[len(row) :].any()
-    assert columns.floats.tobytes() == np.concatenate(rows).tobytes()
+    fields = [np.array(row[: 3 * d + 3] if len(row) > 2 * d else row) for _, _, row in entries]
+    for row_fields, block_row in zip(fields, columns.block):
+        assert block_row[: len(row_fields)].tobytes() == row_fields.tobytes()
+        assert not block_row[len(row_fields) :].any()
+    ends = np.array([row[-2 * d :] for _, _, row in entries])
+    assert columns.ends.tobytes() == ends.tobytes()
+    assert columns.floats.tobytes() == np.concatenate(fields).tobytes()
 
 
 class TestColumns:
     @settings(max_examples=100, deadline=None)
     @given(small_queries())
-    def test_planned_paths(self, case):
-        query, mode = case
-        _assert_columns_reproduce_segments(plan(query, mode=mode).path)
-
-    def test_hand_built_path(self):
-        path = extreme_path()
-        _assert_columns_reproduce_segments(path)
-        assert math.copysign(1.0, path._columns.block[0, -2]) == -1.0  # angle_start -0.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_queries())
-    def test_planned_table_is_the_table_of_its_segments(self, case):
-        # The table the planner writes equals, bit for bit, the one gathered
-        # again from its (lazily built) segments; and a path never asked for
-        # its segments evaluates like the hand-built one, building only the
-        # segments it reads.
+    def test_planned_table_is_built_again_from_its_rows(self, case):
+        # the table the planner writes equals, bit for bit, the one built
+        # again from the rows read back from it, and both evaluate alike
         query, mode = case
         planned = plan(query, mode=mode).path
-        again = PiecewisePath(query=query, segments=planned.segments)
-        for name in ("ticks", "arc", "counts", "first", "block"):
-            mine, theirs = getattr(planned._columns, name), getattr(again._columns, name)
-            assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
-            assert mine.tobytes() == theirs.tobytes(), name
-        fresh = plan(query, mode=mode).path
-        den = fresh.den
+        rows = path_rows(planned)
+        _assert_table_holds_its_rows(planned, rows)
+        again = PiecewisePath.from_rows(query, planned.den, rows)
+        _assert_same_table(planned, again)
+        den = planned.den
         times = [Fraction(k, 2 * den) for k in range(2 * den + 1)]
         times += [float(t) for t in times]
         samples = np.linspace(0.0, 1.0, 4 * den + 1)
         for robot in range(query.robot_count):
             for t in times:
-                assert _same_segment(fresh.segment_at(robot, t), again.segment_at(robot, t))
-                assert fresh.position(robot, t).tobytes() == again.position(robot, t).tobytes()
-            mine, theirs = fresh.positions_at(robot, samples), again.positions_at(robot, samples)
+                assert planned.segment_at(robot, t) == again.segment_at(robot, t)
+                assert planned.position(robot, t).tobytes() == again.position(robot, t).tobytes()
+            mine, theirs = planned.positions_at(robot, samples), again.positions_at(robot, samples)
             assert mine.tobytes() == theirs.tobytes()
-        assert "segments" not in fresh.__dict__
 
-    def test_certifier_and_writer_read_no_segment_objects(self, monkeypatch):
-        # the table is written by the planner; planning, certification and
-        # the plan text never build a segment object or read a segment's move
+    def test_hand_built_path(self):
+        path = extreme_path()
+        _assert_table_holds_its_rows(path, extreme_rows())
+        assert path_rows(path) == extreme_rows()
+        assert math.copysign(1.0, path._columns.block[0, -2]) == -1.0  # angle_start -0.0
+
+    def test_plan_certify_and_write_build_no_segment_records(self, monkeypatch):
+        # planning, certification and the plan text read the table alone:
+        # none builds the segments view or a segment record
         query = random_query(np.random.default_rng(0), 8, 8, 3)
         result = plan(query, mode="fixed")
         cert, text = certify_separation(result.path), serialize_plan(result)
 
-        def no_move(seg):
-            raise AssertionError("a segment's move was read")
+        def no_record(*args, **kwargs):
+            raise AssertionError("a segment record was built")
 
-        def no_object(*args, **kwargs):
-            raise AssertionError("a segment object was built")
-
-        monkeypatch.setattr(PathSegment, "move", property(no_move), raising=False)
-        for cls in (PathSegment, LinearMove, ArcMove):
-            monkeypatch.setattr(cls, "__init__", no_object)
-        assert certify_separation(result.path) == cert
-        assert serialize_plan(result) == text
+        monkeypatch.setattr(paths, "PathSegment", no_record)
         again = plan(query, mode="fixed")
         assert certify_separation(again.path) == cert
         assert serialize_plan(again) == text
+        assert "segments" not in again.path.__dict__
 
 
 class TestArcRows:
@@ -563,26 +496,78 @@ class TestArcRows:
         with pytest.raises(InternalConsistencyError, match=message):
             plan(self.QUERY, mode="fixed")
 
-    def test_a_hand_built_arc_keeps_its_value_errors(self):
-        with pytest.raises(ValueError, match="arc radius must be positive"):
-            ArcMove(np.zeros(2), 0.0, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0, 1.0)
-        with pytest.raises(ValueError, match="arc basis must be orthonormal"):
-            ArcMove(np.zeros(2), 1.0, np.array([1.0, 0.0]), np.array([0.6, 0.8]), 0.0, 1.0)
+
+_PATHS = [
+    plan(random_query(np.random.default_rng(0), 8, 8, 3), mode="fixed").path,
+    extreme_path(),
+]
 
 
 class TestSegmentAt:
-    @pytest.mark.parametrize(
-        "path",
-        [
-            plan(random_query(np.random.default_rng(0), 8, 8, 3), mode="fixed").path,
-            extreme_path(),
-        ],
-        ids=["planned", "hand-built"],
-    )
+    @pytest.mark.parametrize("path", _PATHS, ids=["planned", "hand-built"])
     def test_matches_a_linear_scan(self, path):
         den = path.den
         times = [Fraction(k, 2 * den) for k in range(2 * den + 1)]
         times += [float(t) for t in times] + [1, 1.0, np.float64(1.0), np.int64(0)]
         for robot in range(path.robot_count):
             for t in times:
-                assert _same_segment(path.segment_at(robot, t), _scan(path, robot, t)), (robot, t)
+                assert path.segment_at(robot, t) == _scan(path, robot, t), (robot, t)
+
+
+def _assert_one_formula(path, randoms):
+    """Every position reader of ``path`` gives the same floats: positions_at
+    and position at t = 0, 1, every stop tick and ``randoms``; each row at
+    its own start and stop time, its stored end points; configuration, the
+    stack of position; and all of them what the line and arc formulas give,
+    to rounding."""
+    columns, d, den = path._columns, path.query.dim, path.den
+    stops = columns.stop.tolist()
+    ends = columns.ends
+    ticks = sorted({Fraction(0), *(Fraction(stop, den) for stop in stops)})
+    times = np.array([float(t) for t in ticks] + list(randoms))
+    for robot in range(path.robot_count):
+        batch = path.positions_at(robot, times)
+        for t, row in zip(times.tolist(), batch):
+            assert path.position(robot, t).tobytes() == row.tobytes(), (robot, t)
+        lo, count = int(columns.first[robot]), int(columns.counts[robot])
+        # at each stop tick the robot is at the next row's initial point,
+        # and at t = 1 at its last row's final point
+        for row in range(lo, lo + count):
+            at = path.position(robot, Fraction(stops[row], den))
+            point = ends[row + 1, :d] if row + 1 < lo + count else ends[row, d:]
+            assert at.tobytes() == point.tobytes(), (robot, row)
+    rows = np.arange(len(stops))
+    starts, finals = columns.start / den, columns.stop / den
+    assert path._at(rows, starts).tobytes() == ends[:, :d].tobytes()
+    assert path._at(rows, finals).tobytes() == ends[:, d:].tobytes()
+    for t in times.tolist():
+        stacked = np.stack([path.position(robot, t) for robot in range(path.robot_count)])
+        assert path.configuration(t).tobytes() == stacked.tobytes()
+    # the formula, against the formulas written out: each row at times
+    # inside its window
+    entries = [entry for per_robot in path_rows(path) for entry in per_robot]
+    u = np.linspace(0.0, 1.0, 9)
+    for row, (start, stop, fields) in enumerate(entries):
+        ts = starts[row] + u * (finals[row] - starts[row])
+        expected = row_at(fields, d, (ts - starts[row]) / (finals[row] - starts[row]))
+        got = path._at(np.full(len(ts), row), ts)
+        scale = np.abs(expected).max() + np.abs(fields).max()
+        assert np.abs(got - expected).max() <= 1e-13 * scale, row
+
+
+class TestOneFormula:
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(), st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_planned_paths(self, case, randoms):
+        query, mode = case
+        _assert_one_formula(plan(query, mode=mode).path, randoms)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=8))
+    def test_hand_built_path(self, randoms):
+        # 1e300, subnormals and a -0.0 angle
+        _assert_one_formula(extreme_path(), randoms)
+
+    def test_large_plan(self):
+        path = plan(random_query(np.random.default_rng(0), 20, 20, 3), mode="fixed").path
+        _assert_one_formula(path, np.random.default_rng(1).uniform(0, 1, 64))

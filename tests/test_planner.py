@@ -14,14 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parammp import (
-    ArcMove,
     CaseASwap,
     CaseBSwap,
     ConfigurationQuery,
     FrameMode,
     InternalConsistencyError,
     InvalidOrderingPairError,
-    LinearMove,
     QueryValidationError,
     Side,
     certify_separation,
@@ -39,6 +37,7 @@ from parammp import (
 )
 from parammp import geometry, paths, planner
 from checked_swaps import checked_case_a, checked_case_b
+from hand_built_paths import path_rows, row_fields
 from query_strategies import small_queries
 
 
@@ -236,7 +235,7 @@ class TestGenericSection:
         )
         path = plan(q, FrameMode.FIXED).path
         assert all(len(per_robot) == 1 for per_robot in path.segments)
-        assert not any(isinstance(seg.move, ArcMove) for per in path.segments for seg in per)
+        assert not path._columns.arc.any()
 
     def test_single_crossing_has_exactly_one_arc(self):
         q = ConfigurationQuery(
@@ -244,8 +243,7 @@ class TestGenericSection:
         )
         result = plan(q, FrameMode.FIXED)
         assert result.region.j == 2 * q.robot_count
-        arcs = [seg for per in result.path.segments for seg in per if isinstance(seg.move, ArcMove)]
-        assert len(arcs) == 1
+        assert result.path._columns.arc.tolist().count(True) == 1
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(31)
@@ -303,7 +301,8 @@ class TestPlan:
         # the first third of the motion is the desingularization shift along e
         first = res.path.segments[0][0]
         assert first.t1 <= 1
-        direction = first.move.end - first.move.start
+        fields = row_fields(path_rows(res.path)[0][0][2], 3)
+        direction = fields["end"] - fields["start"]
         assert np.allclose(direction - (direction @ res.frame.e) * res.frame.e, 0.0)
         assert float(direction @ res.frame.e) > 0
         assert certify_separation(res.path).passed
@@ -395,8 +394,8 @@ class TestPlan:
                     assert certify_separation(res.path).passed
 
 
-def _is_rest(segment):
-    return isinstance(segment.move, LinearMove) and segment.move.is_constant()
+def _is_rest(row, d):
+    return len(row) == 2 * d and np.array_equal(row[:d], row[d:])
 
 
 class TestPlannerFaults:
@@ -462,9 +461,9 @@ class TestFlatSchedule:
             windows *= 3
         durations = [seg.duration for per in res.path.segments for seg in per]
         assert min(durations) >= Fraction(1, windows)
-        for per in res.path.segments:
-            for a, b in zip(per, per[1:]):
-                assert not (_is_rest(a) and _is_rest(b))
+        for per in path_rows(res.path):
+            for (_, _, a), (_, _, b) in zip(per, per[1:]):
+                assert not (_is_rest(a, query.dim) and _is_rest(b, query.dim))
 
     @pytest.mark.parametrize("n", [8, 10])
     def test_certificate_passes_at_64_samples(self, n):

@@ -13,12 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parammp import (
-    ArcMove,
     CaseASwap,
     ConfigurationQuery,
     FrameMode,
-    LinearMove,
-    PathSegment,
     PiecewisePath,
     QueryPerturbation,
     RegionCrossingError,
@@ -33,9 +30,11 @@ from parammp import (
     random_query,
     random_rational_query,
 )
-from parammp import verification
+from parammp import arc_row, line_row, verification
+from parammp.paths import row_final, row_initial
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from certify_reference import reference_bodies
+from hand_built_paths import path_rows, row_at, row_fields
 from query_strategies import small_queries
 
 
@@ -57,12 +56,10 @@ class TestEvaluatePath:
 
     def test_segment_boundaries_agree(self):
         _, res = self._plan()
-        for seg_list in res.path.segments:
-            for left, right in zip(seg_list, seg_list[1:]):
-                boundary = left.t1
-                a = left.at(boundary)
-                b = right.at(boundary)
-                assert np.linalg.norm(a - b) <= 1e-9
+        for entries in path_rows(res.path):
+            for (_, _, left), (_, _, right) in zip(entries, entries[1:]):
+                gap = np.subtract(row_final(left, 3), row_initial(right, 3))
+                assert np.linalg.norm(gap) <= 1e-9
 
     def test_out_of_range(self):
         _, res = self._plan()
@@ -86,17 +83,7 @@ class TestCertificate:
         q = ConfigurationQuery(
             starts=[[-1.0, 0.0]], goals=[[1.0, 0.0]], obstacles=[[0.0, 0.0]]
         )
-        segments = (
-            (
-                PathSegment(
-                    start=0,
-                    stop=1,
-                    den=1,
-                    move=LinearMove(np.array([-1.0, 0.0]), np.array([1.0, 0.0])),
-                ),
-            ),
-        )
-        path = PiecewisePath(query=q, segments=segments)
+        path = PiecewisePath.from_rows(q, 1, [[(0, 1, line_row([-1.0, 0.0], [1.0, 0.0]))]])
         cert = certify_separation(path)
         assert not cert.passed
         assert cert.pair("robot-obstacle", 0, 0).certified_lower_bound <= 0.0
@@ -159,31 +146,28 @@ class TestCertificate:
         assert certify_separation(res.path, samples_per_segment=np.int64(64)).passed
 
 
-def _segments(robots):
-    """Per-robot lists of (t0, t1, move) as segments on ticks over the least
-    common denominator of all the bounds."""
+def _entries(robots):
+    """The least common denominator of all the bounds of per-robot lists of
+    (t0, t1, row), and the lists as entries on ticks over it."""
     bounds = [Fraction(t) for per in robots for t0, t1, _ in per for t in (t0, t1)]
     den = math.lcm(*(t.denominator for t in bounds))
-    return [
-        [PathSegment(int(t0 * den), int(t1 * den), den, move) for t0, t1, move in per]
-        for per in robots
-    ]
+    return den, [[(int(t0 * den), int(t1 * den), row) for t0, t1, row in per] for per in robots]
 
 
-def _line(start, end):
-    return LinearMove(np.array(start, dtype=float), np.array(end, dtype=float))
+_line = line_row
 
 
 def _hand_path(obstacles, robots):
-    """A path from per-robot lists of (t0, t1, move); the query's starts and
+    """A path from per-robot lists of (t0, t1, row); the query's starts and
     goals are each robot's first and last points."""
-    segments = _segments(robots)
+    den, entries = _entries(robots)
+    d = len(obstacles[0])
     query = ConfigurationQuery(
-        starts=[per[0].move.initial for per in segments],
-        goals=[per[-1].move.final for per in segments],
+        starts=[row_initial(per[0][2], d) for per in entries],
+        goals=[row_final(per[-1][2], d) for per in entries],
         obstacles=obstacles,
     )
-    return PiecewisePath(query=query, segments=segments)
+    return PiecewisePath.from_rows(query, den, entries)
 
 
 def _mover_split_by_others():
@@ -228,14 +212,7 @@ def _back_to_back_rests():
 
 def _rest_on_whole_interval():
     # robot 0 never moves while robot 1 swings round it on a half circle
-    arc = ArcMove(
-        center=np.array([0.0, 0.0]),
-        radius=2.0,
-        basis_u=np.array([1.0, 0.0]),
-        basis_v=np.array([0.0, 1.0]),
-        angle_start=0.0,
-        angle_end=np.pi,
-    )
+    arc = arc_row([0.0, 0.0], 2.0, [1.0, 0.0], [0.0, 1.0], 0.0, np.pi)
     return _hand_path(
         [[4.0, 4.0], [-4.0, 0.5]],
         [
@@ -243,7 +220,7 @@ def _rest_on_whole_interval():
             [
                 (0, Fraction(1, 4), _line([3.0, 0.0], [2.0, 0.0])),
                 (Fraction(1, 4), Fraction(1, 2), arc),
-                (Fraction(1, 2), 1, _line(arc.final, [-1.0, -1.0])),
+                (Fraction(1, 2), 1, _line(row_final(arc, 2), [-1.0, -1.0])),
             ],
         ],
     )
@@ -251,21 +228,14 @@ def _rest_on_whole_interval():
 
 def _zero_sweep_arc():
     # robot 0 holds still on an arc whose angles are equal, between two moves
-    hold = ArcMove(
-        center=np.array([0.5, 1.0]),
-        radius=0.5,
-        basis_u=np.array([1.0, 0.0]),
-        basis_v=np.array([0.0, 1.0]),
-        angle_start=1.0,
-        angle_end=1.0,
-    )
+    hold = arc_row([0.5, 1.0], 0.5, [1.0, 0.0], [0.0, 1.0], 1.0, 1.0)
     return _hand_path(
         [[0.0, -3.0], [3.0, 3.0]],
         [
             [
-                (0, Fraction(1, 2), _line([-1.0, 1.0], hold.initial)),
+                (0, Fraction(1, 2), _line([-1.0, 1.0], row_initial(hold, 2))),
                 (Fraction(1, 2), Fraction(3, 4), hold),
-                (Fraction(3, 4), 1, _line(hold.final, [2.0, 0.0])),
+                (Fraction(3, 4), 1, _line(row_final(hold, 2), [2.0, 0.0])),
             ],
             [
                 (0, Fraction(2, 3), _line([-2.0, -1.0], [1.5, -1.0])),
@@ -282,15 +252,17 @@ def _all_pairs_reference(path, samples):
     closed forms replaced."""
     n, m, d = path.robot_count, path.obstacles.shape[0], path.query.dim
     segments = [seg for per_robot in path.segments for seg in per_robot]
+    rows = [row for per_robot in path_rows(path) for _, _, row in per_robot]
     cuts = sorted({Fraction(0)} | {seg.t1 for seg in segments})
     constant = np.zeros((len(segments) + 1, d))
     bounded = np.zeros(len(segments) + 1)
-    for index, seg in enumerate(segments):
-        if isinstance(seg.move, LinearMove):
-            constant[index] = (seg.move.end - seg.move.start) / float(seg.duration)
+    for index, (seg, row) in enumerate(zip(segments, rows)):
+        f = row_fields(row, d)
+        if f["kind"] == "linear":
+            constant[index] = (f["end"] - f["start"]) / float(seg.duration)
         else:
-            arc = seg.move
-            bounded[index] = arc.radius * abs(arc.angle_end - arc.angle_start) / float(seg.duration)
+            sweep = abs(f["angle_end"] - f["angle_start"])
+            bounded[index] = f["radius"] * sweep / float(seg.duration)
     first, second = np.triu_indices(n, 1)
     first = np.concatenate([first, np.repeat(np.arange(n), m)])
     second = np.concatenate([second, n + np.tile(np.arange(m), n)])
@@ -307,7 +279,13 @@ def _all_pairs_reference(path, samples):
         ]
         body = np.array(active + [len(segments)] * m)
         ts = np.linspace(float(lo), float(hi), samples + 1)
-        at[:, :n] = np.stack([segments[s].at_many(ts) for s in body[:n]], axis=1)
+        at[:, :n] = np.stack(
+            [
+                row_at(rows[s], d, (ts - segments[s].start / path.den) / float(segments[s].duration))
+                for s in body[:n]
+            ],
+            axis=1,
+        )
         f = np.sqrt(sum((at[:, first, c] - at[:, second, c]) ** 2 for c in range(d)))
         a, b = body[first], body[second]
         speed = np.linalg.norm(constant[a] - constant[b], axis=1) + bounded[a] + bounded[b]
@@ -401,21 +379,14 @@ class TestSharedGrid:
         "second_move",
         [
             _line([1.0, 1.0], [-1.0, 1.0]),
-            ArcMove(
-                center=np.array([0.0, 1.0]),
-                radius=1.0,
-                basis_u=np.array([1.0, 0.0]),
-                basis_v=np.array([0.0, 1.0]),
-                angle_start=0.0,
-                angle_end=np.pi,
-            ),
+            arc_row([0.0, 1.0], 1.0, [1.0, 0.0], [0.0, 1.0], 0.0, np.pi),
         ],
         ids=["linear", "arc"],
     )
     def test_third_robot_splitting_the_window_never_lowers_a_bound(self, second_move):
         # robots 0 and 1 each follow one segment on [0, 1]; robot 2 rests far
         # away except on [1/3, 3/5], so it cuts their one window into three
-        three = _segments(
+        den, three = _entries(
             [
                 [(0, 1, _line([-1.0, 0.0], [1.0, 0.0]))],
                 [(0, 1, second_move)],
@@ -427,22 +398,24 @@ class TestSharedGrid:
             ]
         )
         two = three[:2]
-        goal = second_move.final
-        path_two = PiecewisePath(
-            query=ConfigurationQuery(
+        goal = row_final(second_move, 2)
+        path_two = PiecewisePath.from_rows(
+            ConfigurationQuery(
                 starts=[[-1.0, 0.0], [1.0, 1.0]],
                 goals=[[1.0, 0.0], goal],
                 obstacles=[[0.0, -5.0]],
             ),
-            segments=two,
+            den,
+            two,
         )
-        path_three = PiecewisePath(
-            query=ConfigurationQuery(
+        path_three = PiecewisePath.from_rows(
+            ConfigurationQuery(
                 starts=[[-1.0, 0.0], [1.0, 1.0], [5.0, 5.0]],
                 goals=[[1.0, 0.0], goal, [6.0, 5.0]],
                 obstacles=[[0.0, -5.0]],
             ),
-            segments=three,
+            den,
+            three,
         )
         for samples in (4, 16, 64):
             alone = certify_separation(path_two, samples).pair("robot-robot", 0, 1)
@@ -452,14 +425,7 @@ class TestSharedGrid:
 
 
 def _arc(center, radius, angle_start, angle_end, basis_u=(1.0, 0.0), basis_v=(0.0, 1.0)):
-    return ArcMove(
-        center=np.array(center, dtype=float),
-        radius=radius,
-        basis_u=np.array(basis_u, dtype=float),
-        basis_v=np.array(basis_v, dtype=float),
-        angle_start=angle_start,
-        angle_end=angle_end,
-    )
+    return arc_row(center, radius, basis_u, basis_v, angle_start, angle_end)
 
 
 def _half_circle(center, radius, angle_start, **basis):
@@ -478,26 +444,23 @@ def _twin_pairs(path):
     """Robot pairs (i, k) that follow a Case A twin on some window, decided
     in exact arithmetic: arcs on one window that share center, radius and
     basis, each sweep float pi and start float pi apart."""
-    pi = Fraction(np.pi)
+    pi, d = Fraction(np.pi), path.query.dim
     arcs = [
-        (robot, seg)
-        for robot, per_robot in enumerate(path.segments)
-        for seg in per_robot
-        if isinstance(seg.move, ArcMove)
-        and Fraction(seg.move.angle_end) - Fraction(seg.move.angle_start) == pi
+        (robot, (start, stop), f)
+        for robot, entries in enumerate(path_rows(path))
+        for start, stop, row in entries
+        for f in [row_fields(row, d)]
+        if f["kind"] == "arc" and Fraction(f["angle_end"]) - Fraction(f["angle_start"]) == pi
     ]
     return {
         (i, k)
-        for i, s in arcs
-        for k, t in arcs
+        for i, window, s in arcs
+        for k, other, t in arcs
         if i < k
-        and (s.start, s.stop) == (t.start, t.stop)
-        and s.move.radius == t.move.radius
-        and all(
-            np.array_equal(getattr(s.move, name), getattr(t.move, name))
-            for name in ("center", "basis_u", "basis_v")
-        )
-        and abs(Fraction(s.move.angle_start) - Fraction(t.move.angle_start)) == pi
+        and window == other
+        and s["radius"] == t["radius"]
+        and all(np.array_equal(s[name], t[name]) for name in ("center", "basis_u", "basis_v"))
+        and abs(Fraction(s["angle_start"]) - Fraction(t["angle_start"])) == pi
     }
 
 
