@@ -98,12 +98,11 @@ def swap_case_a(starts: np.ndarray, frame: Frame, left_robot: int, right_robot: 
 
 def swap_case_b(
     starts: np.ndarray,
-    values: np.ndarray,
     frame: Frame,
     robot: int,
-    o: int,
     obstacle: np.ndarray,
     side: Side,
+    values: tuple[float, float, float],
     block_distance: float,
 ) -> Stages:
     """Carry one robot, a row of the running ``starts``, across the obstacle
@@ -111,16 +110,16 @@ def swap_case_b(
 
     ``side`` is the side of the obstacle's projection value the robot ends
     on.  The sweep checks that the robot's start is the block's neighbour in
-    the start ordering on the opposite side.  ``values``, ``o`` and
-    ``block_distance`` are the sweep's comparison values, the obstacle's
-    entry in them and the block's term (b), from which
-    :func:`~parammp.geometry.clearance_eta` gives the clearance eta.  Three
-    stages move only this robot: drop onto the parallel line through the
-    obstacle, slide along it until eta/2 short of the obstacle, then swing
-    around the obstacle on the half-circle of radius eta/2 in the (e, e_perp)
-    plane, landing eta/2 past it.
+    the start ordering on the opposite side.  ``values`` (the comparison
+    values of the obstacle, of the robot's start and of the nearest point
+    beyond the obstacle on ``side``) and ``block_distance``, the block's
+    term (b), are what :func:`~parammp.geometry.clearance_eta` reads to give
+    the clearance eta.  Three stages move only this robot: drop onto the
+    parallel line through the obstacle, slide along it until eta/2 short of
+    the obstacle, then swing around the obstacle on the half-circle of
+    radius eta/2 in the (e, e_perp) plane, landing eta/2 past it.
     """
-    eta = clearance_eta(values, frame, robot, o, side, block_distance)
+    eta = clearance_eta(*values, frame, block_distance)
     z = starts[robot]
     e, center = frame.e.tolist(), obstacle.tolist()
     # Orthogonal projection of z onto the line through the obstacle parallel to e.

@@ -452,28 +452,27 @@ def _block_distance(obstacles: np.ndarray, obstacle: int, block) -> float:
 
 
 def clearance_eta(
-    values: np.ndarray, frame: Frame, robot: int, o: int, side: Side, block_distance: float
+    obstacle: float, robot: float, beyond: float, frame: Frame, block_distance: float
 ) -> float:
-    """Clearance available for swinging the robot of start entry ``robot``
-    around the obstacle of entry ``o`` of a tie table's comparison
-    ``values`` toward ``side``.
+    """Clearance available for swinging a robot around an obstacle toward a
+    side, from comparison values of a tie table: the obstacle's, the robot
+    start's and ``beyond``, the nearest value of any point strictly beyond
+    the obstacle's on that side (-inf or inf, left or right, if none is).
 
     The clearance is the minimum of
-      (a) the distance from the obstacle's projection to the nearest other
-          projection value strictly on the destination side,
+      (a) |beyond - obstacle|, the distance from the obstacle's projection to
+          the nearest other projection value strictly on the destination side,
       (b) ``block_distance``, the full-space distance to the nearest other
           obstacle sharing the same projection value (:func:`_block_distance`),
-      (c) the projection gap between the robot and the obstacle,
-    where (a) and (b) are skipped when their candidate sets are empty (inf).
-    The planner's sweep checks that the robot's start is the neighbour of the
-    obstacle's block on the far side of ``side`` in the start ordering.  The
+      (c) |robot - obstacle|, the projection gap between the robot and the
+          obstacle,
+    where (a) and (b) are inf when their candidate sets are empty.  The
+    planner's sweep checks that the robot's start is the neighbour of the
+    obstacle's block on the far side of that side in the start ordering.  The
     result is then strictly positive on generic queries and varies
     continuously while the ordering pair stays fixed.
     """
-    cmp_o = float(values[o])
-    far = values[values < cmp_o] if side is Side.LEFT else values[values > cmp_o]
-    nearest = float(np.min(np.abs(far - cmp_o), initial=math.inf))
-    gap = min(abs(float(values[robot]) - cmp_o), nearest)
+    gap = min(abs(robot - obstacle), abs(beyond - obstacle))
     return min(gap / frame._axis_norm, block_distance)
 
 

@@ -21,6 +21,7 @@ over 9(k + 1).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -237,11 +238,14 @@ def _play_swaps(
     ``query`` is valid and generic and is not checked again.  One sweep state
     carries it across the swaps: the running starts array, the comparison
     values of its tie table (the start values recomputed from the whole array
-    after each swap), each obstacle block's representative and its term (b)
-    of :func:`~parammp.geometry.clearance_eta`, and the start ordering as a
+    after each swap) and a list of them, the goal values as a set and
+    sorted, each obstacle block's representative and its term (b) of
+    :func:`~parammp.geometry.clearance_eta`, and the start ordering as a
     kinetic sorted list whose events are the swaps: robot indices and one
-    value index per obstacle block.  :func:`swap_case_b` reads its clearance
-    from the values.  Per swap it checks, in O(1), that:
+    value index per obstacle block.  A Case B swap's clearance reads, as the
+    nearest value beyond its block, the nearer of the block's list neighbour
+    and the goal value next to it on that side (a bisection).  Per swap the
+    sweep checks, in O(1), that:
 
     * before it, its lower entry's next list entry is its upper one (so its
       value is lower: the list is strictly sorted);
@@ -269,7 +273,9 @@ def _play_swaps(
     n, d = query.robot_count, query.dim
     starts = np.array(query.starts)
     values, rank = _ties(query, frame)
-    goals = set(values[n : 2 * n].tolist())
+    listed = values.tolist()
+    goals = set(listed[n : 2 * n])
+    ranked_goals = sorted(goals)
     blocks = {swap.block for swap in swaps if isinstance(swap, CaseBSwap)}
     reps = {block: _block_representative(query, block) for block in blocks}
     distances = {block: _block_distance(query.obstacles, reps[block], block) for block in blocks}
@@ -295,27 +301,50 @@ def _play_swaps(
             except InternalConsistencyError as exc:
                 raise InternalConsistencyError(f"swap {i}: {exc}") from None
         else:
-            obstacle = query.obstacles[reps[swap.block]]
+            # The block's neighbour beyond it, and the goal value next to it,
+            # on the side the robot moves to.
+            value = listed[o]
+            if swap.side is Side.LEFT:
+                goal = bisect_left(ranked_goals, value)
+                beyond = max(
+                    listed[order[p - 1]] if p else -np.inf,
+                    ranked_goals[goal - 1] if goal else -np.inf,
+                )
+            else:
+                goal = bisect_right(ranked_goals, value)
+                beyond = min(
+                    listed[order[p + 2]] if p + 2 < len(order) else np.inf,
+                    ranked_goals[goal] if goal < len(ranked_goals) else np.inf,
+                )
             stages = swap_case_b(
-                starts, values, frame, swap.robot, o, obstacle, swap.side, distances[swap.block]
+                starts,
+                frame,
+                swap.robot,
+                query.obstacles[reps[swap.block]],
+                swap.side,
+                (value, listed[swap.robot], beyond),
+                distances[swap.block],
             )
+        final = {}
         for j, stage in enumerate(stages):
             t0 = lo + _STAGES * i + j
             for robot, row in stage.items():
-                starts[robot] = row_final(row, d)
+                final[robot] = row
                 _append_segment(entries[robot], t0, t0 + 1, row, d)
+        for robot, row in final.items():
+            starts[robot] = row_final(row, d)
         values[:n] = starts @ frame.axis
+        listed[:n] = values[:n].tolist()
         order[p], order[p + 1] = above, below
         where[above], where[below] = p, p + 1
-        moved = {robot for stage in stages for robot in stage}
-        for robot in moved:
-            q, value = where[robot], float(values[robot])
+        for robot in final:
+            q, value = where[robot], listed[robot]
             if not (
-                (q == 0 or values[order[q - 1]] < value)
-                and (q + 1 == len(order) or value < values[order[q + 1]])
+                (q == 0 or listed[order[q - 1]] < value)
+                and (q + 1 == len(order) or value < listed[order[q + 1]])
                 and value not in goals  # a NaN is in no set, -0.0 in one with 0.0
             ):
-                raise _sweep_error(values, n, moved, above, below, i)
+                raise _sweep_error(values, n, set(final), above, below, i)
     if sorted(order, key=lambda k: rank[n + k] if k < n else rank[k]) != order:
         raise InternalConsistencyError(
             "the swaps did not sort the start ordering into the goal ordering"

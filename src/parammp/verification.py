@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Integral
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -47,16 +47,19 @@ __all__ = [
 # Bounds samples_per_segment: a fallback entry holds (samples + 1) x d floats.
 MAX_SAMPLES_PER_SEGMENT = 4096
 # (window, pair) entries per block of certification work, so that memory stays
-# flat however many pairs a path touches.
-_BLOCK = 1 << 10
+# flat however many pairs a path touches.  An entry's work arrays (its
+# gathered and relative positions, and some thirty arrays of one number per
+# entry) peak at about 240 + 60d bytes under tracemalloc: a block of 4096
+# stays under 2 MB at d <= 4, and takes the largest certificate of the
+# benchmark's verify-swaps corpus (n = m = 8, 3,653 entries) in one pass.
+_BLOCK = 1 << 12
 _EPS = float(np.finfo(float).eps)
 # Body kinds on a window: a pair's kind is its higher kind, then its lower.
 # A half turn is an arc that sweeps exactly float pi, as a Case A arc does.
 _POINT, _LINE, _ARC, _HALF_TURN = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class PairSeparation:
+class PairSeparation(NamedTuple):
     """Certified separation between one pair of bodies along the whole path.
 
     ``sampled_min`` is the smallest distance the certifier evaluated on the
@@ -173,10 +176,22 @@ def certify_separation(
       ``sampled_min``.
 
     Only the path's column table is read: the union grid is its distinct
-    stop ticks and the operands are its operand columns.  Entries are
-    gathered from the touched robots' pair rows and processed in blocks of
-    at most ``_BLOCK``, with no loop over windows and no windows-by-pairs
-    array.  An unsound path yields a failing certificate,
+    stop ticks and the operands are its operand columns.  All window-end
+    positions come from one call of the formula, into a position table: a
+    moving segment is evaluated once at each bound of its span, and a body
+    whose formula reads no time (a rest, a zero-sweep arc, an obstacle)
+    once, as it gives the same floats at every time from its start.  Each
+    entry reads its bodies' positions at both window ends from that table
+    by index.  Where the minimizer's time is a window end, the entry reuses
+    that end's positions: the same columns at the same float time give the
+    same floats.  Only entries whose minimizer lies strictly inside the
+    window evaluate the formula again, and only entries that read operand
+    columns (an arc against a point, an interior minimizer, a Case A check,
+    a fallback cone) gather them.  Entries are gathered from the touched
+    robots' pair rows and processed in blocks of at most ``_BLOCK``, with
+    no loop over windows and no windows-by-pairs array; an entry's
+    arithmetic reads only its own operands, so the block size changes no
+    float.  An unsound path yields a failing certificate,
     never an exception; so does a path whose arithmetic overflows, as a bound
     that is not finite becomes -inf.  ``samples_per_segment`` must be an
     integer, not a bool, from 2 to ``MAX_SAMPLES_PER_SEGMENT`` (ValueError).
@@ -204,13 +219,12 @@ def certify_separation(
     spans[columns.first] = ends[columns.first]
     # active[w, r] is the segment robot r follows on window w.
     active = np.repeat(np.arange(count), spans).reshape(n, -1).T
-    bounds = cuts / path.den
 
     pair_of, labels = _pairs(n, m)
     sampled = np.full(len(labels[0]), np.inf)
     certified = np.full(len(labels[0]), np.inf)
     with np.errstate(all="ignore"):
-        bodies = _Bodies(path)
+        bodies = _Bodies(path, cuts / path.den, spans, ends)
         rest = bodies.kind[:count] == _POINT
         touched = np.ones(active.shape, dtype=bool)
         touched[1:] = (active[1:] != active[:-1]) | ~rest[active[1:]]
@@ -228,9 +242,7 @@ def certify_separation(
             partner = np.where(
                 other < n, active[w, np.minimum(other, n - 1)], count + other - n
             )
-            low, bound = bodies.minima(
-                active[w, r], partner, bounds[w], bounds[w + 1], samples_per_segment
-            )
+            low, bound = bodies.minima(active[w, r], partner, w, samples_per_segment)
             pairs = pair_of[r, other]
             np.minimum.at(sampled, pairs, low)
             np.minimum.at(certified, pairs, bound)
@@ -238,8 +250,7 @@ def certify_separation(
 
     rows = zip(*labels, sampled.tolist(), certified.tolist())
     return SeparationCertificate(
-        pairs=tuple(PairSeparation(*row) for row in rows),
-        samples_per_segment=samples_per_segment,
+        pairs=tuple(map(PairSeparation._make, rows)), samples_per_segment=samples_per_segment
     )
 
 
@@ -291,9 +302,10 @@ def _nearest_tau(rel, final, f_lo, slack, lo, hi):
     dd, along = _dot(step, step), _dot(rel, step)
     length = np.sqrt(dd)
     tau = np.where(dd > 0, np.minimum(np.maximum(-along / dd, 0.0), 1.0), 0.0)
-    t = np.minimum(lo + tau * (hi - lo), hi)
-    span = np.abs(step).sum(axis=0)
-    delta = 7 * slack * (f_lo + length) / dd + 2 * _EPS / (hi - lo)
+    width = hi - lo
+    t = np.minimum(lo + tau * width, hi)
+    span = np.add.reduce(np.abs(step), axis=0)
+    delta = 7 * slack * (f_lo + length) / dd + 2 * _EPS / width
     return t, along, length, span * delta < span, 2 * span * delta, span
 
 
@@ -322,12 +334,17 @@ def _nearest_angle(c, point, beta, slack, lo, hi):
 
 class _Bodies:
     """Every segment of a path, then every obstacle, as the operand columns
-    of the path's position formula (an obstacle rests at its origin), so
-    that a block of entries gathers its operands with one ``take``.  Each
+    of the path's position formula (an obstacle rests at its origin).  Each
     body's kind and the rounding slack of one evaluation are kept beside
-    them, and ``beta`` and ``apart``, read for arcs alone."""
+    them, and ``beta``, read for arcs alone.
 
-    def __init__(self, path: PiecewisePath):
+    ``positions`` is the position table of :func:`certify_separation`: a
+    segment spanning ``spans`` windows up to bound ``ends`` has a column per
+    bound of its span, and a body whose formula reads no time (a point with
+    no sweep) one column.  A body's position at window bound w is column
+    ``offset + w * stride``."""
+
+    def __init__(self, path: PiecewisePath, bounds, spans, ends):
         columns, obstacles = path._columns, path.obstacles
         count, (m, d) = len(columns.stop), obstacles.shape
         self.table = table = np.zeros((VECTORS + 4 * d, count + m))
@@ -341,19 +358,17 @@ class _Bodies:
         exact = np.zeros(count + m, dtype=bool)
         exact[arcs] = _two_sum(columns.block[arcs, 3 * d + 2], -angle[arcs])[1] == 0
         # A velocity is a constant vector plus a part of bounded norm: a
-        # straight segment has no bounded part, an arc no constant part.
-        constant, bounded = step / duration, radius * np.abs(sweep) / duration
+        # straight segment has no bounded part, an arc no constant part.  The
+        # constant part, step / duration with duration <= 1, is 0 iff step is.
+        bounded = radius * np.abs(sweep) / duration
         arc = radius > 0
         self.kind = kind = np.where(arc, _ARC, _LINE)
         kind[exact & (sweep == np.pi)] = _HALF_TURN
-        kind[(bounded == 0) & ~constant.any(axis=0)] = _POINT
+        kind[(bounded == 0) & ~step.any(axis=0)] = _POINT
         # beta: how far an arc's basis is from orthonormal.
-        self.beta = beta = np.maximum.reduce(
-            [
-                abs(np.sqrt(_dot(basis_u, basis_u)) - 1),
-                abs(np.sqrt(_dot(basis_v, basis_v)) - 1),
-                abs(_dot(basis_u, basis_v)),
-            ]
+        lengths = np.sqrt(_dot(basis_u, basis_u)), np.sqrt(_dot(basis_v, basis_v))
+        self.beta = beta = np.maximum(
+            np.maximum(abs(lengths[0] - 1), abs(lengths[1] - 1)), abs(_dot(basis_u, basis_v))
         )
         beta[~arc] = 0.0
         size = np.sqrt(_dot(origin, origin)) + np.where(
@@ -362,49 +377,64 @@ class _Bodies:
             4 * np.sqrt(_dot(step, step)),
         )
         self.slack = (8 + d) * _EPS * size + 8 * radius * beta
-        # How far apart the two half turns of a Case A pair stay, rounded
-        # down (see certify_separation).
-        self.apart = 2 * radius * np.sqrt(np.maximum(0.0, 1 - 3 * (beta + (d + 4) * _EPS)))
-        self.apart *= 1 - 8 * _EPS
 
-    def minima(self, a, b, lo, hi, samples: int):
+        # Each body's last column is ``top``, at its last bound.
+        self.bounds = bounds
+        self.stride = stride = ((kind != _POINT) | (sweep != 0)).view(np.int8)
+        reps = np.ones(count + m, dtype=np.intp)
+        reps[:count] += stride[:count] * spans
+        last = np.zeros(count + m, dtype=np.intp)
+        last[:count] = ends
+        top = np.cumsum(reps) - 1
+        self.offset = top - last * stride
+        at = np.arange(top[-1] + 1) - np.repeat(top - last, reps)
+        self.positions = evaluate(np.repeat(table, reps, axis=1), bounds[at][None])[:, 0]
+
+    def minima(self, a, b, w, samples: int):
         """(smallest evaluated distance, certified lower bound) of bodies a
-        and b on each window [lo, hi]."""
+        and b on each window w, [bounds[w], bounds[w + 1]]."""
         k = len(a)
-        g = self.table.take(np.concatenate([a, b]), axis=1)
-        g_a, g_b = g[:, :k], g[:, k:]
-        kind_a, kind_b = self.kind[a], self.kind[b]
+        lo, hi = self.bounds[w], self.bounds[w + 1]
+        ab = np.concatenate([a, b])
+        kind, slack = self.kind[ab], self.slack[ab]
+        kind_a, kind_b = kind[:k], kind[k:]
         high, lowest = np.maximum(kind_a, kind_b), np.minimum(kind_a, kind_b)
-        slack = self.slack[a] + self.slack[b]
-        # The relative position at the window's start and end.  Arrays of
-        # d rows are dropped as soon as they are used, to bound peak memory.
-        start = evaluate(g, np.concatenate([lo, lo])[None])[:, 0]
-        rel = start[:, :k] - start[:, k:]
-        end = evaluate(g, np.concatenate([hi, hi])[None])[:, 0]
-        final = end[:, :k] - end[:, k:]
-        del end
+        slack = slack[:k] + slack[k:]
+        # Both bodies' positions at the window's start, then at its end.
+        stride = self.stride[ab]
+        start = self.offset[ab] + np.concatenate([w, w]) * stride
+        at = self.positions.take(np.concatenate([start, start + stride]), axis=1)
+        at = at.reshape(-1, 4, k)
+        rel, final = at[:, 0] - at[:, 1], at[:, 2] - at[:, 3]
         f_lo, f_hi = _norm(rel), _norm(final)
         t, along, length, quadratic, excess, variation = _nearest_tau(
             rel, final, f_lo, slack, lo, hi
         )
         del rel, final
         # An arc against a point: the angle nearest the point, if in range.
-        arc = np.flatnonzero((high >= _ARC) & (lowest == _POINT))
+        arc = ((high >= _ARC) & (lowest == _POINT)).nonzero()[0]
         if arc.size:
             first = kind_a[arc] >= _ARC
+            body = np.where(first, a[arc], b[arc])
             t[arc], excess[arc], variation[arc] = _nearest_angle(
-                g[:, np.where(first, arc, arc + k)],
-                start[:, np.where(first, arc + k, arc)],
-                self.beta[np.where(first, a[arc], b[arc])],
+                self.table[:, body],
+                at[:, first.view(np.int8), arc],
+                self.beta[body],
                 slack[arc],
                 lo[arc],
                 hi[arc],
             )
             quadratic[arc] = True
-        del start
+        del at
 
-        star = evaluate(g, np.concatenate([t, t])[None])[:, 0]
-        f_star = _norm(star[:, :k] - star[:, k:])
+        # The minimizer's distance: at a window end, the one evaluated there
+        # (the same columns at the same float time), else evaluated here.
+        f_star = np.where(t == hi, f_hi, f_lo)
+        inner = ((t != lo) & (t != hi)).nonzero()[0]
+        if inner.size:
+            g = self.table.take(ab.reshape(2, k)[:, inner].ravel(), axis=1)
+            star = evaluate(g, t[np.concatenate([inner, inner])][None])[:, 0]
+            f_star[inner] = _norm(star[:, : len(inner)] - star[:, len(inner) :])
         low = np.minimum(np.minimum(f_lo, f_hi), f_star)
         above = f_star - slack
         quadratic &= above > 0
@@ -422,19 +452,25 @@ class _Bodies:
         # A Case A pair: two half turns that agree on every operand from T0
         # on and start exactly float pi apart.
         fallback = (high >= _ARC) & (lowest != _POINT)
-        twin = np.flatnonzero(lowest == _HALF_TURN)
+        twin = (lowest == _HALF_TURN).nonzero()[0]
         if twin.size:
-            gap, error = _two_sum(g_a[ANGLE, twin], -g_b[ANGLE, twin])
-            same = (g_a[T0:, twin] == g_b[T0:, twin]).all(axis=0)
-            twin = twin[same & (np.abs(gap) == np.pi) & (error == 0)]
-            bound[twin] = np.minimum(low[twin], self.apart[a[twin]])
+            g_a, g_b = self.table[:, a[twin]], self.table[:, b[twin]]
+            gap, error = _two_sum(g_a[ANGLE], -g_b[ANGLE])
+            same = (g_a[T0:] == g_b[T0:]).all(axis=0)
+            keep = same & (np.abs(gap) == np.pi) & (error == 0)
+            twin, radius, beta = twin[keep], g_a[RADIUS, keep], self.beta[a[twin[keep]]]
+            # How far apart the two half turns stay, rounded down.
+            beta += (len(self.positions) + 4) * _EPS
+            apart = 2 * radius * np.sqrt(np.maximum(0.0, 1 - 3 * beta)) * (1 - 8 * _EPS)
+            bound[twin] = np.minimum(low[twin], apart)
             fallback[twin] = False
         # Other arc-arc and arc-line pairs: the sampled Lipschitz cone, less E.
-        fallback = np.flatnonzero(fallback)
+        fallback = fallback.nonzero()[0]
         chunk = max(1, _BLOCK // (samples + 1))
         for block in range(0, len(fallback), chunk):
             j = fallback[block : block + chunk]
-            low[j], bound[j] = self._cone(g[:, np.concatenate([j, j + k])], lo[j], hi[j], samples)
+            g = self.table.take(np.concatenate([a[j], b[j]]), axis=1)
+            low[j], bound[j] = self._cone(g, lo[j], hi[j], samples)
             bound[j] -= slack[j]
         return low, bound
 

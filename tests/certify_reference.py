@@ -3,7 +3,10 @@ and before its operands were stacked into one table: kept as a reference
 that the current kernel must match bit for bit on every pair without a Case
 A twin entry.  ``certify_separation`` runs it when ``verification._Bodies``
 is replaced by :func:`reference_bodies`, which builds it from the segment
-fields of the path's plan JSON rather than from the path's table.
+fields of the path's plan JSON rather than from the path's table.  It takes
+from the certifier only the float bounds of the union grid's windows, and
+evaluates every position itself, at both ends of every window and at every
+minimizer, with its own arithmetic.
 """
 
 from __future__ import annotations
@@ -29,16 +32,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum(x * y for x, y in zip(a, b))
 
 
-def reference_bodies(path) -> "ReferenceBodies":
+def reference_bodies(path, bounds, *spans) -> "ReferenceBodies":
     """:class:`ReferenceBodies` for ``certify_separation``, which constructs
-    its bodies from the path alone: from the segments its plan JSON writes,
-    robot after robot (the frame and region written beside them are not
-    read)."""
+    its bodies from the path and the window ``bounds`` of its union grid:
+    from the segments its plan JSON writes, robot after robot (the frame and
+    region written beside them are not read).  The segments' window spans,
+    which the certifier's own bodies read to lay out their positions, are
+    not needed."""
     frame = make_frame(path.query, FrameMode.FIXED)
     result = PlanResult(path=path, region=classify(path.query, frame), swaps=(), frame=frame)
     robots = json.loads(serialize_plan(result))["robots"]
     segments = [segment for robot in robots for segment in robot["segments"]]
-    return ReferenceBodies(segments, path.obstacles)
+    return ReferenceBodies(segments, path.obstacles, bounds)
 
 
 class ReferenceBodies:
@@ -46,9 +51,11 @@ class ReferenceBodies:
     (coordinates first): the body's kind, the operands of its position
     formula, and the rounding slack of one evaluation."""
 
-    def __init__(self, segments, obstacles: np.ndarray):
-        """``segments`` are plan-JSON segment objects."""
+    def __init__(self, segments, obstacles: np.ndarray, bounds: np.ndarray):
+        """``segments`` are plan-JSON segment objects; window w is [bounds[w],
+        bounds[w + 1]]."""
         count, (m, d) = len(segments), obstacles.shape
+        self.bounds = bounds
         lines = [i for i, seg in enumerate(segments) if seg["kind"] == "linear"]
         arcs = [i for i, seg in enumerate(segments) if seg["kind"] == "arc"]
         t0, t1 = ([Fraction(seg[name]) for seg in segments] for name in ("t0", "t1"))
@@ -106,9 +113,10 @@ class ReferenceBodies:
         out += radius * np.sin(theta) * self.basis_v.take(body, axis=1)
         return out
 
-    def minima(self, a, b, lo, hi, samples: int):
+    def minima(self, a, b, w, samples: int):
         """(smallest evaluated distance, certified lower bound) of bodies a
-        and b on each window [lo, hi]."""
+        and b on each window w."""
+        lo, hi = self.bounds[w], self.bounds[w + 1]
         # Put the higher kind first: point < line < arc.
         swap = self.kind[a] < self.kind[b]
         a, b = np.where(swap, b, a), np.where(swap, a, b)

@@ -4,7 +4,9 @@ The library forms take the planner's sweep state and leave the neighbour
 precondition to the sweep, which tests it on its own sorted list.  These
 forms test it independently, on ``orderings(query, frame).sigma``
 (PreconditionError), and then call the library with the arguments the sweep
-passes for ``query``.  Like the library forms they return stages of rows.
+passes for ``query``, its clearance values found by scanning every
+comparison value.  Like the library forms they return stages of rows.
+:func:`scanned_clearance` keeps the clearance's first, O(n + m) form.
 """
 
 from __future__ import annotations
@@ -30,29 +32,49 @@ def checked_case_a(query, frame, left, right):
 
 
 def _case_b_state(query, frame, robot, obstacle, side):
-    """The comparison values, the obstacle's entry in them and its block's
-    term (b), once the robot is checked to start next to the block, on the
-    side opposite ``side``."""
+    """The clearance values of :func:`~parammp.geometry.clearance_eta` (the
+    obstacle's, the robot's and the nearest beyond the obstacle's on
+    ``side``, by an O(n + m) scan of every comparison value) and the
+    block's term (b), once the robot is checked to start next to the block,
+    on the side opposite ``side``."""
     sigma = orderings(query, frame).sigma
     block = next(e for e in sigma if isinstance(e, frozenset) and obstacle in e)
     _check_neighbours(sigma, *((block, robot) if side is Side.LEFT else (robot, block)))
     values = np.concatenate(
         [points @ frame.axis for points in (query.starts, query.goals, query.obstacles)]
     )
+    cmp_o = float(values[2 * query.robot_count + obstacle])
+    if side is Side.LEFT:
+        beyond = float(np.max(values[values < cmp_o], initial=-math.inf))
+    else:
+        beyond = float(np.min(values[values > cmp_o], initial=math.inf))
     distance = min(
         (float(np.linalg.norm(query.obstacles[k] - query.obstacles[obstacle]))
          for k in block if k != obstacle),
         default=math.inf,
     )
-    return values, 2 * query.robot_count + obstacle, distance
+    return (cmp_o, float(values[robot]), beyond), distance
+
+
+def scanned_clearance(query, frame, robot, obstacle, side):
+    """The clearance as first written: term (a) the smallest |v - o| over
+    every comparison value v strictly beyond the obstacle's o, by a scan."""
+    (cmp_o, cmp_robot, _), distance = _case_b_state(query, frame, robot, obstacle, side)
+    values = np.concatenate(
+        [points @ frame.axis for points in (query.starts, query.goals, query.obstacles)]
+    )
+    far = values[values < cmp_o] if side is Side.LEFT else values[values > cmp_o]
+    nearest = float(np.min(np.abs(far - cmp_o), initial=math.inf))
+    gap = min(abs(cmp_robot - cmp_o), nearest)
+    return min(gap / frame._axis_norm, distance)
 
 
 def checked_clearance(query, frame, robot, obstacle, side):
-    values, o, distance = _case_b_state(query, frame, robot, obstacle, side)
-    return clearance_eta(values, frame, robot, o, side, distance)
+    values, distance = _case_b_state(query, frame, robot, obstacle, side)
+    return clearance_eta(*values, frame, distance)
 
 
 def checked_case_b(query, frame, robot, obstacle, side):
-    values, o, distance = _case_b_state(query, frame, robot, obstacle, side)
+    values, distance = _case_b_state(query, frame, robot, obstacle, side)
     point = query.obstacles[obstacle]
-    return swap_case_b(query.starts, values, frame, robot, o, point, side, distance)
+    return swap_case_b(query.starts, frame, robot, point, side, values, distance)

@@ -1,8 +1,8 @@
-"""Golden digests of serialized plans.
+"""Golden digests of serialized plans and of their separation certificates.
 
-A refactor that must not change any emitted plan keeps every sha256 below.
-A change that alters plans on purpose re-records them and says so; running
-this module as a script prints the current digests:
+A refactor that must not change any emitted plan or certificate keeps every
+sha256 below.  A change that alters them on purpose re-records them and says
+so; running this module as a script prints the current digests:
 
     PYTHONPATH=src python tests/test_golden_plans.py
 """
@@ -18,6 +18,7 @@ from parammp import (
     CaseBSwap,
     ConfigurationQuery,
     FrameMode,
+    certify_separation,
     degenerate_query,
     plan,
     serialize_plan,
@@ -79,8 +80,45 @@ DIGESTS = {
 }
 
 
+# The plan cases, and one whose certificate spans many blocks of work.
+CERTIFICATE_CASES = {
+    **{name: case[:2] for name, case in CASES.items()},
+    "float-n20-d3-fixed": (_query(13, 20, 20, 3, False), FIXED),
+}
+
+# Recorded at the commit before certification evaluated each segment once per
+# window bound.
+CERTIFICATE_DIGESTS = {
+    "degenerate-d4-pair": "b9a45ca057c84f89b0134163fcad81b86725d5a79ba9a3d61d3d2ca31e303b36",
+    "float-d2-fixed": "8216abb9fe74cc6ebd6f3376740d1cc7b01a6692a8014436f1467c5cfc3a9e1d",
+    "float-d2-pair": "f45ab301cd415667d4b4548e2b54b942a0635736896666f603b76420767b92ee",
+    "float-d3-both-kinds": "00846871193a283f9f51b71617b40d08bafcf42fdcdf98faaa5b415c535e0e63",
+    "float-d3-fixed": "7ae64d5471f83e638ea17fe92bd33e9d9b94259ac512fcba5410480d94e44bf0",
+    "float-d4-fixed": "c1c114683d0288a1cfc0a7e0c7b2c4c8a1c21bb3aa5ff03427505197896f95e3",
+    "float-d4-pair": "f84c3747296c6db7ef4480667d8894d762b84d7705d8be94a91ec19c7374ed2b",
+    "float-n20-d3-fixed": "c9f518e58baf7ee989c39650687b85126bcc67761da726c5d9cfa95314debe98",
+    "grid-d2-fixed": "2e9bc97748372f56fcedced5ba6f49c8686f76f7bb8e9d6f7df4c31619c4a951",
+    "grid-d2-pair": "89614a0f09a3a3af41968e9b71fee619235d40aa6c471b39b6e12337c7f999da",
+    "grid-d3-both-kinds": "768f57a06c7423e6622486a19e6e6658847d5c291e7f574946e195f9864a8048",
+    "grid-d3-fixed": "fe0961df3e9cf2611a5c606b7642ea4e32b8205f6386429c841d66f9e1eeb2d9",
+    "grid-d4-pair": "45a326a3532a8a63936ee9d1422d123c6ca4b4bb7cc66f9674a7d3601cae102f",
+    "grid-n8-d3-fixed": "45b4b8b988dbc49679f50b0812301539bd2ce98e093db48decc851bafc1c39c9",
+}
+
+
 def _digest(query, mode) -> str:
     return hashlib.sha256(serialize_plan(plan(query, mode)).encode()).hexdigest()
+
+
+def _certificate_digest(query, mode) -> str:
+    """Over every pair's kind, indices and both floats, exactly (hex), at
+    64 samples per segment."""
+    pairs = certify_separation(plan(query, mode).path, samples_per_segment=64).pairs
+    text = "".join(
+        f"{p.kind} {p.first} {p.second} {p.sampled_min.hex()} {p.certified_lower_bound.hex()}\n"
+        for p in pairs
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -93,7 +131,15 @@ def test_plan_digest_is_unchanged(name):
     assert _digest(query, mode) == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_CASES))
+def test_certificate_digest_is_unchanged(name):
+    assert _certificate_digest(*CERTIFICATE_CASES[name]) == CERTIFICATE_DIGESTS[name]
+
+
 if __name__ == "__main__":
     for name in sorted(CASES):
         query, mode, _, _ = CASES[name]
         print(f'    "{name}": "{_digest(query, mode)}",')
+    print()
+    for name in sorted(CERTIFICATE_CASES):
+        print(f'    "{name}": "{_certificate_digest(*CERTIFICATE_CASES[name])}",')

@@ -36,7 +36,7 @@ from parammp import (
     transposition_sequence,
 )
 from parammp import geometry, paths, planner
-from checked_swaps import checked_case_a, checked_case_b
+from checked_swaps import checked_case_a, checked_case_b, scanned_clearance
 from hand_built_paths import path_rows, row_fields
 from query_strategies import small_queries
 
@@ -580,6 +580,33 @@ class TestSweepState:
     def test_plans_match_the_per_swap_reference(self, case):
         query, mode = case
         assert serialize_plan(plan(query, mode=mode)) == _reference_plan_text(query, mode)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_queries())
+    def test_sweep_clearance_is_the_scanned_one(self, case):
+        # each Case B swap's clearance, whose term (a) the sweep reads from
+        # its list and its sorted goal values, is the float the O(n + m)
+        # scan gives on the configuration the swap starts from
+        query, mode = case
+        seen, original = [], planner.swap_case_b
+
+        def recording(starts, frame, robot, obstacle, side, values, distance):
+            eta = geometry.clearance_eta(*values, frame, distance)
+            seen.append((starts.copy(), frame, robot, side, eta))
+            return original(starts, frame, robot, obstacle, side, values, distance)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(planner, "swap_case_b", recording)
+            result = plan(query, mode=mode)
+        generic = query
+        if result.region.j < 2 * query.robot_count:
+            generic = desingularize(query, result.frame)
+        crossings = [swap for swap in result.swaps if isinstance(swap, CaseBSwap)]
+        assert len(seen) == len(crossings)
+        for (starts, frame, robot, side, eta), swap in zip(seen, crossings):
+            current = ConfigurationQuery(starts, generic.goals, generic.obstacles)
+            representative = planner._block_representative(generic, swap.block)
+            assert eta.hex() == scanned_clearance(current, frame, robot, representative, side).hex()
 
     def test_plan_matches_the_per_swap_reference_at_twenty_robots(self):
         q = random_query(np.random.default_rng(0), 20, 20, 3)

@@ -34,7 +34,7 @@ from parammp import arc_row, line_row, verification
 from parammp.paths import row_final, row_initial
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from certify_reference import reference_bodies
-from hand_built_paths import path_rows, row_at, row_fields
+from hand_built_paths import extreme_path, path_rows, row_at, row_fields
 from query_strategies import small_queries
 
 
@@ -707,6 +707,12 @@ def _fallback_pairs():
     )
 
 
+def _slide_to_an_obstacle():
+    # as a Case B slide does, a robot stops just short of an obstacle: its
+    # minimizer is the window's end, whose distance decides the margin
+    return _hand_path([[10.0, 1.0]], [[(0, 1, _line([9.5, 1.0], [10.0 - 1e-6, 1.0]))]])
+
+
 class TestReferenceKernel:
     @settings(max_examples=100, deadline=None)
     @given(small_queries(), st.sampled_from([2, 64]))
@@ -724,10 +730,64 @@ class TestReferenceKernel:
             _zero_sweep_arc,
             _case_a_twins,
             _fallback_pairs,
+            _slide_to_an_obstacle,
         ],
     )
     def test_hand_built_paths_match_the_reference_kernel(self, build, samples):
         _assert_matches_reference_kernel(build(), samples)
+
+
+def _assert_block_independent(path, samples):
+    # every float as the default block size gives it, whatever the block
+    # size: each entry's arithmetic reads its own operands alone
+    def floats(cert):
+        return [(p.sampled_min.hex(), p.certified_lower_bound.hex()) for p in cert.pairs]
+
+    expected = floats(certify_separation(path, samples))
+    for block in (1, 37):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verification, "_BLOCK", block)
+            assert floats(certify_separation(path, samples)) == expected
+
+
+class TestBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(), st.sampled_from([2, 64]))
+    def test_planner_paths_do_not_depend_on_the_block_size(self, case, samples):
+        query, mode = case
+        _assert_block_independent(plan(query, mode=mode).path, samples)
+
+    @pytest.mark.parametrize("samples", [2, 16])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _mover_split_by_others,
+            _back_to_back_rests,
+            _rest_on_whole_interval,
+            _zero_sweep_arc,
+            _case_a_twins,
+            _fallback_pairs,
+            extreme_path,
+        ],
+    )
+    def test_hand_built_paths_do_not_depend_on_the_block_size(self, build, samples):
+        _assert_block_independent(build(), samples)
+
+    def test_a_minimizer_at_a_window_end_is_not_evaluated_again(self, monkeypatch):
+        # the robot leaves the obstacle, so its minimizer is the window's
+        # start: one evaluation, of the position table, and none at t*
+        path = _hand_path([[0.0, 0.0]], [[(0, 1, _line([1.0, 0.0], [2.0, 0.0]))]])
+        columns = []
+        original = verification.evaluate
+
+        def counting(g, t):
+            columns.append(g.shape[1])
+            return original(g, t)
+
+        monkeypatch.setattr(verification, "evaluate", counting)
+        pair = certify_separation(path).pair("robot-obstacle", 0, 0)
+        assert pair.sampled_min == 1.0 and 1.0 - 1e-12 < pair.certified_lower_bound < 1.0
+        assert columns == [3]  # the robot at 0 and at 1, the obstacle once
 
 
 class TestCheckPartition:
