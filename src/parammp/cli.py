@@ -156,13 +156,9 @@ def _cmd_verify(args) -> int:
     samples = samples or document.options.samples_per_segment
     result = plan(query, mode=mode, snap_tol=document.options.snap_tolerance)
     certificate = certify_separation(result.path, samples_per_segment=samples)
-    start_err = max(
-        float(np.linalg.norm(result.path.position(r, 0.0) - query.starts[r]))
-        for r in range(query.robot_count)
-    )
-    goal_err = max(
-        float(np.linalg.norm(result.path.position(r, 1.0) - query.goals[r]))
-        for r in range(query.robot_count)
+    start_err, goal_err = (
+        max(float(np.linalg.norm(row)) for row in result.path.configuration(t) - points)
+        for t, points in ((0.0, query.starts), (1.0, query.goals))
     )
     obstacles_stationary = bool(np.array_equal(result.path.obstacles, query.obstacles))
     endpoints_ok = start_err <= 1e-9 and goal_err <= 1e-9
@@ -177,17 +173,7 @@ def _cmd_verify(args) -> int:
         "separation": {
             "passed": certificate.passed,
             "min_certified": certificate.min_certified,
-            "pairs": [
-                {
-                    "kind": p.kind,
-                    "first": p.first,
-                    "second": p.second,
-                    "sampled_min": p.sampled_min,
-                    "certified_lower_bound": p.certified_lower_bound,
-                    "pass": p.passes,
-                }
-                for p in certificate.pairs
-            ],
+            "pairs": [{**p._asdict(), "pass": p.passes} for p in certificate.pairs],
         },
         "passed": bool(certificate.passed and endpoints_ok and obstacles_stationary),
     }

@@ -56,31 +56,27 @@ def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
         ) from exc
 
 
-def swap_case_a(starts: np.ndarray, frame: Frame, left_robot: int, right_robot: int) -> Stages:
+def swap_case_a(
+    starts: np.ndarray,
+    frame: Frame,
+    left_robot: int,
+    right_robot: int,
+    values: tuple[float, float],
+) -> Stages:
     """Exchange the projection order of two adjacent robots, rows of the
     running ``starts``.
 
     The sweep checks that ``left_robot``'s start is next below
-    ``right_robot``'s in the start ordering.  Three stages: both robots drop
-    onto the projection line, trade places along a shared half-circle in the
-    (e, e_perp) plane (staying antipodal, so their distance is constantly the
-    full gap), then rise to each other's original position.  Goals never
-    move; every other robot rests.
-
-    Raises:
-        InternalConsistencyError: the left row does not project strictly
-            below the right one on ``e``: the sweep, which orders them on
-            ``frame.axis``, played a pair that rounds the other way on ``e``.
+    ``right_robot``'s in the start ordering; ``values`` are their comparison
+    values, which place them at ``value / |axis|`` along ``e``.  Three
+    stages: both robots drop onto the projection line, trade places along a
+    shared half-circle in the (e, e_perp) plane (staying antipodal, so their
+    distance is constantly the full gap), then rise to each other's original
+    position.  Goals never move; every other robot rests.
     """
-    z_left, z_right = starts[[left_robot, right_robot]]
-    q_left = float(np.dot(frame.e, z_left))
-    q_right = float(np.dot(frame.e, z_right))
-    if not q_left < q_right:
-        raise InternalConsistencyError(
-            f"starts[{left_robot}] does not project strictly below starts[{right_robot}] on e"
-        )
+    z_left, z_right = starts[[left_robot, right_robot]].tolist()
+    q_left, q_right = (value / frame._axis_norm for value in values)
     e, e_perp = frame.e.tolist(), frame.e_perp.tolist()
-    z_left, z_right = z_left.tolist(), z_right.tolist()
     a, b = [q_left * x for x in e], [q_right * x for x in e]
     mid = [0.5 * (x + y) for x, y in zip(a, b)]
     radius = 0.5 * (q_right - q_left)
@@ -114,23 +110,23 @@ def swap_case_b(
     values of the obstacle, of the robot's start and of the nearest point
     beyond the obstacle on ``side``) and ``block_distance``, the block's
     term (b), are what :func:`~parammp.geometry.clearance_eta` reads to give
-    the clearance eta.  Three stages move only this robot: drop onto the
-    parallel line through the obstacle, slide along it until eta/2 short of
-    the obstacle, then swing around the obstacle on the half-circle of
-    radius eta/2 in the (e, e_perp) plane, landing eta/2 past it.
+    the clearance eta, and they place the drop: (robot - obstacle) / |axis|
+    along ``e`` from the obstacle.  Three stages move only this robot: drop
+    onto the parallel line through the obstacle, slide along it until eta/2
+    short of the obstacle, then swing around the obstacle on the half-circle
+    of radius eta/2 in the (e, e_perp) plane, landing eta/2 past it.
     """
     eta = clearance_eta(*values, frame, block_distance)
-    z = starts[robot]
     e, center = frame.e.tolist(), obstacle.tolist()
-    # Orthogonal projection of z onto the line through the obstacle parallel to e.
-    along = float(np.dot(frame.e, z - obstacle))
+    # The start's foot on the line through the obstacle parallel to e.
+    along = (values[1] - values[0]) / frame._axis_norm
     drop = [c + along * x for c, x in zip(center, e)]
     sign = 1.0 if side is Side.LEFT else -1.0
     offset = sign * (eta / 2.0)
     near = [c + offset * x for c, x in zip(center, e)]
     arc = arc_row(center, eta / 2.0, [sign * x for x in e], frame.e_perp.tolist(), 0.0, math.pi)
     return (
-        {robot: line_row(z.tolist(), drop)},
+        {robot: line_row(starts[robot].tolist(), drop)},
         {robot: line_row(drop, near)},
         {robot: arc},
     )

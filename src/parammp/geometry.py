@@ -21,10 +21,15 @@ as starts move, and the start ordering as a list sorted by them, and
 which nearly equal values chain into one class, to report labels.
 
 Comparison values are *scale-free* dot products along ``Frame.axis`` (exact
-for coordinate-axis frames and for axis-aligned obstacle pairs), while all
-metric quantities (gaps, clearances) use the normalized direction
-``Frame.e``.  The two agree mathematically; separating them keeps the
-discrete decisions stable under floating-point noise in the normalization.
+for coordinate-axis frames and for axis-aligned obstacle pairs), so the
+discrete decisions do not see the rounding of the normalized direction
+``Frame.e``.  In the sweep ``e`` is only a direction: a length along the
+line is a difference of comparison values over ``|axis|``, as in
+``clearance_eta`` and in the places the swaps drop their robots, so every
+coordinate along the line comes from the one tie table.  The one projection
+on ``e`` left is ``desingularization_gap``: read from the tie table instead,
+the split it sizes failed to reach a generic configuration on a near-grid
+obstacle-pair query that plans with ``e`` (1 of 29,878 such queries tried).
 """
 
 from __future__ import annotations

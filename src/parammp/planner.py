@@ -242,10 +242,11 @@ def _play_swaps(
     sorted, each obstacle block's representative and its term (b) of
     :func:`~parammp.geometry.clearance_eta`, and the start ordering as a
     kinetic sorted list whose events are the swaps: robot indices and one
-    value index per obstacle block.  A Case B swap's clearance reads, as the
-    nearest value beyond its block, the nearer of the block's list neighbour
-    and the goal value next to it on that side (a bisection).  Per swap the
-    sweep checks, in O(1), that:
+    value index per obstacle block.  The swaps place their robots along
+    ``e`` by these values over ``|axis|``.  A Case B swap's clearance reads,
+    as the nearest value beyond its block, the nearer of the block's list
+    neighbour and the goal value next to it on that side (a bisection).  Per
+    swap the sweep checks, in O(1), that:
 
     * before it, its lower entry's next list entry is its upper one (so its
       value is lower: the list is strictly sorted);
@@ -266,9 +267,7 @@ def _play_swaps(
     is left to the path's own junction check (``PiecewisePath``).
 
     Raises:
-        InternalConsistencyError: one of these checks fails, or a Case A
-            pair the list orders on ``frame.axis`` rounds the other way on
-            ``frame.e`` (named by its swap).
+        InternalConsistencyError: one of these checks fails.
     """
     n, d = query.robot_count, query.dim
     starts = np.array(query.starts)
@@ -296,10 +295,7 @@ def _play_swaps(
         if order[p + 1 : p + 2] != [above]:
             raise _sweep_error(values, n, set(), below, above, i)
         if isinstance(swap, CaseASwap):
-            try:
-                stages = swap_case_a(starts, frame, swap.left, swap.right)
-            except InternalConsistencyError as exc:
-                raise InternalConsistencyError(f"swap {i}: {exc}") from None
+            stages = swap_case_a(starts, frame, below, above, (listed[below], listed[above]))
         else:
             # The block's neighbour beyond it, and the goal value next to it,
             # on the side the robot moves to.

@@ -28,7 +28,8 @@ def _check_neighbours(sigma, below, above):
 
 def checked_case_a(query, frame, left, right):
     _check_neighbours(orderings(query, frame).sigma, left, right)
-    return swap_case_a(query.starts, frame, left, right)
+    values = (query.starts @ frame.axis)[[left, right]].tolist()
+    return swap_case_a(query.starts, frame, left, right, values)
 
 
 def _case_b_state(query, frame, robot, obstacle, side):

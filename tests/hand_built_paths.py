@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from parammp import (
+    CaseASwap,
     ConfigurationQuery,
     FrameMode,
     PiecewisePath,
@@ -69,6 +70,19 @@ def path_rows(path: PiecewisePath) -> list:
     return [
         entries[lo : lo + count]
         for lo, count in zip(columns.first.tolist(), columns.counts.tolist())
+    ]
+
+
+def case_a_radii(result: PlanResult) -> list:
+    """The arc radius of each Case A swap of a generic query's plan, in swap
+    order: swap i's left robot plays its arc on tick 3i + 1."""
+    rows, d = path_rows(result.path), result.path.query.dim
+    return [
+        row_fields(row, d)["radius"]
+        for i, swap in enumerate(result.swaps)
+        if isinstance(swap, CaseASwap)
+        for start, _, row in rows[swap.left]
+        if start == 3 * i + 1
     ]
 
 

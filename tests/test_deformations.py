@@ -279,8 +279,8 @@ class TestStartNeighbours:
             else:
                 continue  # blocks never swap
             refusal = f"swap 0: {name(below)} is not next below {name(above)} in the start ordering"
-            # A swap the sweep plays may still fail later: at the straight
-            # line, or at Case A's own test on e, which refuses a near tie.
+            # A swap the sweep plays may still fail later, at the straight
+            # line.
             try:
                 play_swaps(query, f, [swap])
                 error = ""
@@ -705,7 +705,7 @@ class TestEndQuery:
         )
         assert plan(q, FrameMode.FIXED).swaps == (planner.CaseASwap(left=0, right=1),)
 
-        def stages(starts, frame, left_robot, right_robot):
+        def stages(starts, frame, left_robot, right_robot, values):
             return ({
                 left_robot: line_row(starts[left_robot].tolist(), left),
                 right_robot: line_row(starts[right_robot].tolist(), right),

@@ -62,20 +62,23 @@ CASES = {
 }
 
 # Recorded at the commit before desingularization moved onto the flat
-# schedule; that change left every plan byte-identical.
+# schedule; that change left every plan byte-identical.  The obstacle-pair
+# digests float-d2-pair, float-d4-pair and grid-d4-pair were re-recorded when
+# the swaps began placing robots along e by the sweep's comparison values over
+# |axis| instead of projecting on e: their floats moved at rounding level.
 DIGESTS = {
     "degenerate-d4-pair": "2bec55e8bda69e77affd8218e30f6c22fce40d2b66a72cae1f5fb9e1a7860f21",
     "float-d2-fixed": "f6c22caf5704361f703f227641b971493eb3fb429071c5e5c09a8a1bb67369a3",
-    "float-d2-pair": "9faa6908a4e4c252a121e15ea2f6bfdfbe7152f4b9803f42c5b3b80a4e432270",
+    "float-d2-pair": "40956d267a01177004e75fd46ec89e16f3da5e814d0e1fc72698268dbe573310",
     "float-d3-both-kinds": "f5e8c5cd16069ff045358184ea573d48de9a79b4ab615cc16f37ee3827049ec3",
     "float-d3-fixed": "c997b1c3737107604e79ace95e3c334e90e7e1ca005fb78aa347f71229ec4e8d",
     "float-d4-fixed": "ed4d10d5c6b8eb1a7eeddd68fdf6f471cc53c0c392bcae79c3c1e0009ffee1c1",
-    "float-d4-pair": "b9eab4c45cdf4d3aea2d157fec1a9df7927c9abaf98a7ca849c41b2e8e3074ba",
+    "float-d4-pair": "5e23282123d26f0d7dd4cfbffc85c0627e9d3e077f494ed16d5a0c01edb199d0",
     "grid-d2-fixed": "7a339edb6ab36cbfe5d39693ae4e6d791814eb4b695f8b77aa5a2ed55de3e5f4",
     "grid-d2-pair": "17f3c59c8ed70f053d3abce7374cbd6c851df9c6c93ec542957444e8b5e23ea4",
     "grid-d3-both-kinds": "65fd821b3373ed099d682eb893f509501132360e03307c6d136ba11ef3f1cbf9",
     "grid-d3-fixed": "4bfdc6cf9af0901bc49445751f3bbea87da27f47d2d310f662b91ac9264b885d",
-    "grid-d4-pair": "3357014f2453b9a3f67c8f3094814bf9f5adea30c74b31b33ff604731b8c3163",
+    "grid-d4-pair": "756e7a7a72b5ae4f9c0a0a0a7439ca0162ac1feda268e45c52b81fa33b4f5f40",
     "grid-n8-d3-fixed": "986a9abe555c612dd67f1b09fee3af223e2cdd06a06a0b51bf6c567e5128f162",
 }
 
@@ -87,15 +90,15 @@ CERTIFICATE_CASES = {
 }
 
 # Recorded at the commit before certification evaluated each segment once per
-# window bound.
+# window bound; float-d2-pair and float-d4-pair re-recorded with the plans.
 CERTIFICATE_DIGESTS = {
     "degenerate-d4-pair": "b9a45ca057c84f89b0134163fcad81b86725d5a79ba9a3d61d3d2ca31e303b36",
     "float-d2-fixed": "8216abb9fe74cc6ebd6f3376740d1cc7b01a6692a8014436f1467c5cfc3a9e1d",
-    "float-d2-pair": "f45ab301cd415667d4b4548e2b54b942a0635736896666f603b76420767b92ee",
+    "float-d2-pair": "7977c1dd0cbecaed91687fb18e40207eb3edd0f3a01376c8e5fc274377806c92",
     "float-d3-both-kinds": "00846871193a283f9f51b71617b40d08bafcf42fdcdf98faaa5b415c535e0e63",
     "float-d3-fixed": "7ae64d5471f83e638ea17fe92bd33e9d9b94259ac512fcba5410480d94e44bf0",
     "float-d4-fixed": "c1c114683d0288a1cfc0a7e0c7b2c4c8a1c21bb3aa5ff03427505197896f95e3",
-    "float-d4-pair": "f84c3747296c6db7ef4480667d8894d762b84d7705d8be94a91ec19c7374ed2b",
+    "float-d4-pair": "2794a53a327791d58465a09d2ec9a47a6d005abbfd56ea780e663898b7e763fb",
     "float-n20-d3-fixed": "c9f518e58baf7ee989c39650687b85126bcc67761da726c5d9cfa95314debe98",
     "grid-d2-fixed": "2e9bc97748372f56fcedced5ba6f49c8686f76f7bb8e9d6f7df4c31619c4a951",
     "grid-d2-pair": "89614a0f09a3a3af41968e9b71fee619235d40aa6c471b39b6e12337c7f999da",
