@@ -22,7 +22,7 @@ planner draws the straight shifts to and from it.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,14 +57,15 @@ def _checked_query(starts, goals, obstacles) -> ConfigurationQuery:
 
 
 def swap_case_a(
-    starts: np.ndarray,
+    points: Sequence[Sequence[float]],
     frame: Frame,
     left_robot: int,
     right_robot: int,
     values: tuple[float, float],
 ) -> Stages:
-    """Exchange the projection order of two adjacent robots, rows of the
-    running ``starts``.
+    """Exchange the projection order of two adjacent robots, whose running
+    positions are ``points[left_robot]`` and ``points[right_robot]`` (each a
+    sequence of floats).
 
     The sweep checks that ``left_robot``'s start is next below
     ``right_robot``'s in the start ordering; ``values`` are their comparison
@@ -74,9 +75,9 @@ def swap_case_a(
     distance is constantly the full gap), then rise to each other's original
     position.  Goals never move; every other robot rests.
     """
-    z_left, z_right = starts[[left_robot, right_robot]].tolist()
+    z_left, z_right = points[left_robot], points[right_robot]
     q_left, q_right = (value / frame._axis_norm for value in values)
-    e, e_perp = frame.e.tolist(), frame.e_perp.tolist()
+    e, e_perp = frame._e_floats, frame._e_perp_floats
     a, b = [q_left * x for x in e], [q_right * x for x in e]
     mid = [0.5 * (x + y) for x, y in zip(a, b)]
     radius = 0.5 * (q_right - q_left)
@@ -93,16 +94,17 @@ def swap_case_a(
 
 
 def swap_case_b(
-    starts: np.ndarray,
+    points: Sequence[Sequence[float]],
     frame: Frame,
     robot: int,
-    obstacle: np.ndarray,
+    obstacle: Sequence[float],
     side: Side,
     values: tuple[float, float, float],
     block_distance: float,
 ) -> Stages:
-    """Carry one robot, a row of the running ``starts``, across the obstacle
-    block of the obstacle point ``obstacle``.
+    """Carry one robot, whose running position is ``points[robot]``, across
+    the obstacle block of the obstacle point ``obstacle`` (sequences of
+    floats).
 
     ``side`` is the side of the obstacle's projection value the robot ends
     on.  The sweep checks that the robot's start is the block's neighbour in
@@ -117,16 +119,16 @@ def swap_case_b(
     of radius eta/2 in the (e, e_perp) plane, landing eta/2 past it.
     """
     eta = clearance_eta(*values, frame, block_distance)
-    e, center = frame.e.tolist(), obstacle.tolist()
+    e, center = frame._e_floats, obstacle
     # The start's foot on the line through the obstacle parallel to e.
     along = (values[1] - values[0]) / frame._axis_norm
     drop = [c + along * x for c, x in zip(center, e)]
     sign = 1.0 if side is Side.LEFT else -1.0
     offset = sign * (eta / 2.0)
     near = [c + offset * x for c, x in zip(center, e)]
-    arc = arc_row(center, eta / 2.0, [sign * x for x in e], frame.e_perp.tolist(), 0.0, math.pi)
+    arc = arc_row(center, eta / 2.0, [sign * x for x in e], frame._e_perp_floats, 0.0, math.pi)
     return (
-        {robot: line_row(starts[robot].tolist(), drop)},
+        {robot: line_row(points[robot], drop)},
         {robot: line_row(drop, near)},
         {robot: arc},
     )

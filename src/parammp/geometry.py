@@ -256,6 +256,16 @@ class Frame:
         lengths."""
         return float(np.linalg.norm(self.axis))
 
+    @cached_property
+    def _e_floats(self) -> list:
+        """``e`` as a list of floats, which the swaps build their rows from."""
+        return self.e.tolist()
+
+    @cached_property
+    def _e_perp_floats(self) -> list:
+        """``e_perp`` as a list of floats, as :attr:`_e_floats`."""
+        return self.e_perp.tolist()
+
 
 def quarter_turn(v: np.ndarray) -> np.ndarray:
     """(x1, x2, ..., x_{d-1}, x_d) -> (-x2, x1, ..., -x_d, x_{d-1}).
@@ -432,9 +442,10 @@ def desingularization_gap(query: ConfigurationQuery, frame: Frame) -> float:
     splitting shifts give starts and goals different offsets, so an
     originally positive start-goal gap must also exceed the total shift for
     the result to be generic; counting that family in the bound makes the
-    genericity guarantee unconditional.  When every counted gap vanishes the
-    fallback value 1.0 is returned, so the result is always strictly
-    positive.
+    genericity guarantee unconditional.  When every counted gap vanishes
+    (every point projects to one value) the fallback is the query's extent,
+    its largest coordinate magnitude, so that the split scales with the
+    query; it is positive, as a valid query's points are distinct.
     """
     _, rank = _ties(query, frame)
     n = query.robot_count
@@ -445,7 +456,7 @@ def desingularization_gap(query: ConfigurationQuery, frame: Frame) -> float:
     robot = np.arange(len(q)) < 2 * n
     counted = (robot[:, None] | robot) & (rank[:, None] != rank)
     gaps = np.abs(q[:, None] - q)[counted]
-    return float(gaps.min()) if gaps.size else 1.0
+    return float(gaps.min()) if gaps.size else query.extent
 
 
 def _block_distance(obstacles: np.ndarray, obstacle: int, block) -> float:

@@ -155,13 +155,19 @@ def _append_segment(entries: list[list], t0: int, t1: int, row: tuple, d: int):
     list of ``[start tick, stop tick, row]`` entries.
 
     A gap before t0 is filled with one rest where ``row`` begins, which is
-    where the robot's last row ended.  A rest that continues a rest at the
-    same position extends that entry's stop tick instead.
+    where the robot's last row ended (:func:`_extend` appends both).
     """
     end = entries[-1][1] if entries else 0
     if end < t0:
         point = row_initial(row, d)
-        _append_segment(entries, end, t0, line_row(point, point), d)
+        _extend(entries, end, t0, line_row(point, point), d)
+    _extend(entries, t0, t1, row, d)
+
+
+def _extend(entries: list[list], t0: int, t1: int, row: tuple, d: int):
+    """Append ``row`` on ticks [t0, t1] to ``entries``, whose last entry
+    stops at t0: a rest that continues a rest at the same position extends
+    that entry's stop tick instead."""
     if entries and extends_rest(entries[-1][2], row, d):
         entries[-1][1] = t1
     else:
@@ -231,18 +237,21 @@ def _play_swaps(
     With k swaps the window is 3(k + 1) ticks: stage j of swap i fills tick
     lo + 3i + j (each swap plays three stages), and the straight line fills
     the last three.  A robot gets rows only where it moves; each rest fills
-    the gap before its next move.  The ticks depend only on the swap
-    list, which is locally constant wherever the tie pattern is, so the
-    schedule keeps the rule continuous on each domain.
+    the gap before its next move, which only a swap's first stage can
+    follow, as each later stage moves the robots of the first.  The ticks
+    depend only on the swap list, which is locally constant wherever the
+    tie pattern is, so the schedule keeps the rule continuous on each
+    domain.
 
     ``query`` is valid and generic and is not checked again.  One sweep state
-    carries it across the swaps: the running starts array, the comparison
-    values of its tie table (the start values recomputed from the whole array
-    after each swap) and a list of them, the goal values as a set and
-    sorted, each obstacle block's representative and its term (b) of
-    :func:`~parammp.geometry.clearance_eta`, and the start ordering as a
-    kinetic sorted list whose events are the swaps: robot indices and one
-    value index per obstacle block.  The swaps place their robots along
+    carries it across the swaps: the running starts, as lists of floats
+    that the swaps read and as the array whose product with ``axis`` gives
+    the comparison values of its tie table (the start values, recomputed
+    from the whole array after each swap), a list of those values, the
+    goal values as a set and sorted, each obstacle block's representative
+    and its term (b) of :func:`~parammp.geometry.clearance_eta`, and the
+    start ordering as a kinetic sorted list whose events are the swaps:
+    robot indices and one value index per obstacle block.  The swaps place their robots along
     ``e`` by these values over ``|axis|``.  A Case B swap's clearance reads,
     as the nearest value beyond its block, the nearer of the block's list
     neighbour and the goal value next to it on that side (a bisection).  Per
@@ -271,6 +280,7 @@ def _play_swaps(
     """
     n, d = query.robot_count, query.dim
     starts = np.array(query.starts)
+    points = query.starts.tolist()
     values, rank = _ties(query, frame)
     listed = values.tolist()
     goals = set(listed[n : 2 * n])
@@ -278,6 +288,7 @@ def _play_swaps(
     blocks = {swap.block for swap in swaps if isinstance(swap, CaseBSwap)}
     reps = {block: _block_representative(query, block) for block in blocks}
     distances = {block: _block_distance(query.obstacles, reps[block], block) for block in blocks}
+    centers = {block: query.obstacles[rep].tolist() for block, rep in reps.items()}
     # One value index per obstacle block: the representative where a swap
     # crosses it.
     rank = rank.tolist()
@@ -295,7 +306,7 @@ def _play_swaps(
         if order[p + 1 : p + 2] != [above]:
             raise _sweep_error(values, n, set(), below, above, i)
         if isinstance(swap, CaseASwap):
-            stages = swap_case_a(starts, frame, below, above, (listed[below], listed[above]))
+            stages = swap_case_a(points, frame, below, above, (listed[below], listed[above]))
         else:
             # The block's neighbour beyond it, and the goal value next to it,
             # on the side the robot moves to.
@@ -313,10 +324,10 @@ def _play_swaps(
                     ranked_goals[goal] if goal < len(ranked_goals) else np.inf,
                 )
             stages = swap_case_b(
-                starts,
+                points,
                 frame,
                 swap.robot,
-                query.obstacles[reps[swap.block]],
+                centers[swap.block],
                 swap.side,
                 (value, listed[swap.robot], beyond),
                 distances[swap.block],
@@ -324,11 +335,12 @@ def _play_swaps(
         final = {}
         for j, stage in enumerate(stages):
             t0 = lo + _STAGES * i + j
+            append = _extend if j else _append_segment
             for robot, row in stage.items():
                 final[robot] = row
-                _append_segment(entries[robot], t0, t0 + 1, row, d)
+                append(entries[robot], t0, t0 + 1, row, d)
         for robot, row in final.items():
-            starts[robot] = row_final(row, d)
+            starts[robot] = points[robot] = row_final(row, d)
         values[:n] = starts @ frame.axis
         listed[:n] = values[:n].tolist()
         order[p], order[p + 1] = above, below
@@ -346,7 +358,7 @@ def _play_swaps(
             "the swaps did not sort the start ordering into the goal ordering"
         )
     start = lo + _STAGES * len(swaps)
-    for per_robot, point, goal in zip(entries, starts.tolist(), query.goals.tolist()):
+    for per_robot, point, goal in zip(entries, points, query.goals.tolist()):
         _append_segment(per_robot, start, start + _STAGES, line_row(point, goal), d)
 
 

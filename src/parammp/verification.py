@@ -46,12 +46,13 @@ __all__ = [
 
 # Bounds samples_per_segment: a fallback entry holds (samples + 1) x d floats.
 MAX_SAMPLES_PER_SEGMENT = 4096
-# (window, pair) entries per block of certification work, so that memory stays
-# flat however many pairs a path touches.  An entry's work arrays (its
+# (window, pair) entries per block of certification work, so that work memory
+# stays flat however many pairs a path touches.  An entry's work arrays (its
 # gathered and relative positions, and some thirty arrays of one number per
 # entry) peak at about 240 + 60d bytes under tracemalloc: a block of 4096
 # stays under 2 MB at d <= 4, and takes the largest certificate of the
 # benchmark's verify-swaps corpus (n = m = 8, 3,653 entries) in one pass.
+# Between the passes each entry that pass 1 keeps holds 56 + 32d bytes.
 _BLOCK = 1 << 12
 _EPS = float(np.finfo(float).eps)
 # Body kinds on a window: a pair's kind is its higher kind, then its lower.
@@ -175,6 +176,43 @@ def certify_separation(
       The entry keeps the larger of its two bounds, capped at
       ``sampled_min``.
 
+    Most entries cannot hold their pair's minimum: the rule keeps bodies
+    apart along the frame line, and in a stage only a swapping pair, or a
+    robot and the block it crosses, come close.  So the entries are read in
+    two passes, a broad phase (as in sort-and-sweep) before the closed forms:
+
+    - Pass 1 reads every entry's window-end positions and their distances
+      f_lo and f_hi, and takes each pair's smallest, S.  Every closed form
+      and the fallback evaluate both window ends, so S >= ``sampled_min``.
+    - Pass 2 runs the closed forms only on the entries whose cone bound
+      c = (f_lo + f_hi - V (hi - lo)) / 2 - 3E is at most their pair's S,
+      or is not finite (NaN or infinite); the others are skipped.  V = V_a +
+      V_b, a body's speed bound being |step| / duration + r |sweep| /
+      duration, 0 for a point: the bound the fallback cone reads.  Pass 1
+      drops an entry already when c exceeds its pair's smallest distance so
+      far, which is at least S, and keeps the window ends it read for pass 2.
+
+    The margin 3E.  The true distance D of two bodies (an arc's circle, from
+    which E keeps its formula) changes at most V (hi - lo) across the window
+    in total, so D(t) >= (D(lo) + D(hi) - V (hi - lo)) / 2 on it; and every
+    evaluated distance, f_lo and f_hi included, is within E of D at its
+    time.  So the true minimum, and every distance evaluated in the window,
+    is at least (f_lo + f_hi - V (hi - lo)) / 2 - 2E, for V and hi - lo
+    exact.  Rounding V (|step| in a d-term sum), hi - lo and the cone's sums
+    moves the half below E, by at most (2 + d / 16) eps (M_a + M_b): f_lo
+    and f_hi are at most M_a + M_b, and the window lies inside both bodies'
+    segments, so V (hi - lo) <= |step| + r |sweep| over both bodies, at
+    most (M_a + M_b) / 2.  The last subtraction and the comparison with S
+    round monotonically, so an entry is skipped only if its exact cone, less
+    2E, exceeds S.  Hence:
+
+    - ``sampled_min`` is unchanged bit for bit: a skipped entry's evaluated
+      distances all exceed S, and the end that attains S is a kept entry's;
+    - a ``certified_lower_bound`` can only rise, and only where a skipped
+      entry's margin decided it: a skipped entry's true minimum exceeds S,
+      which is at least every bound of the pair;
+    - the kept entries depend on S alone, not on the blocks.
+
     Only the path's column table is read: the union grid is its distinct
     stop ticks and the operands are its operand columns.  All window-end
     positions come from one call of the formula, into a position table: a
@@ -182,9 +220,9 @@ def certify_separation(
     whose formula reads no time (a rest, a zero-sweep arc, an obstacle)
     once, as it gives the same floats at every time from its start.  Each
     entry reads its bodies' positions at both window ends from that table
-    by index.  Where the minimizer's time is a window end, the entry reuses
-    that end's positions: the same columns at the same float time give the
-    same floats.  Only entries whose minimizer lies strictly inside the
+    by index, once, in pass 1.  Where the minimizer's time is a window end,
+    the entry reuses that end's positions: the same columns at the same
+    float time give the same floats.  Only entries whose minimizer lies strictly inside the
     window evaluate the formula again, and only entries that read operand
     columns (an arc against a point, an interior minimizer, a Case A check,
     a fallback cone) gather them.  Entries are gathered from the touched
@@ -233,19 +271,32 @@ def certify_separation(
         item_w, item_r = np.nonzero(touched)
         robots = np.arange(n)
         chunk = max(1, _BLOCK // (n + m))
+        # Pass 1: every entry's window-end distances, into sampled.  An entry
+        # whose cone already lies above its pair's smallest distance so far
+        # lies above the pair's final one too, and is dropped at once.
+        blocks = []
         for block in range(0, len(item_w), chunk):
             w, r = item_w[block : block + chunk], item_r[block : block + chunk]
             keep = np.ones((len(w), n + m), dtype=bool)
             keep[:, :n] = ~touched[w] | (robots > r[:, None])
             row, other = np.nonzero(keep)
             w, r = w[row], r[row]
-            partner = np.where(
-                other < n, active[w, np.minimum(other, n - 1)], count + other - n
-            )
-            low, bound = bodies.minima(active[w, r], partner, w, samples_per_segment)
+            a = active[w, r]
+            b = np.where(other < n, active[w, np.minimum(other, n - 1)], count + other - n)
             pairs = pair_of[r, other]
-            np.minimum.at(sampled, pairs, low)
-            np.minimum.at(certified, pairs, bound)
+            at, f_lo, f_hi, cone = bodies.ends(a, b, w)
+            np.minimum.at(sampled, pairs, np.minimum(f_lo, f_hi))
+            blocks.append(_kept([pairs, a, b, w, at, f_lo, f_hi, cone], sampled))
+        # Pass 2: the closed forms on the entries whose cone reaches their
+        # pair's smallest window-end distance over the whole path (a lone
+        # block was filtered against it in pass 1).
+        reach = sampled.copy() if len(blocks) > 1 else None
+        for entries in blocks:
+            pairs, *entries, _ = entries if reach is None else _kept(entries, reach)
+            if len(pairs):
+                low, bound = bodies.minima(*entries, samples_per_segment)
+                np.minimum.at(sampled, pairs, low)
+                np.minimum.at(certified, pairs, bound)
     certified[~np.isfinite(certified)] = -np.inf
 
     rows = zip(*labels, sampled.tolist(), certified.tolist())
@@ -270,6 +321,21 @@ def _pairs(n: int, m: int):
     kinds = np.where(second < n, "robot-robot", "robot-obstacle")
     labels = (kinds, first, np.where(second < n, second, second - n))
     return pair_of, tuple(tuple(label.tolist()) for label in labels)
+
+
+def _may_set_minimum(cone, reach) -> np.ndarray:
+    """Which entries :func:`certify_separation` certifies: those whose cone
+    bound is not above ``reach``, their pair's smallest window-end distance,
+    or is not finite."""
+    return ~((cone > reach) & (cone < np.inf))
+
+
+def _kept(entries, reach):
+    """The entries that :func:`_may_set_minimum` keeps against ``reach``,
+    of arrays whose last axis runs over entries: their pairs first, their
+    cone bounds last."""
+    kept = _may_set_minimum(entries[-1], reach[entries[0]]).nonzero()[0]
+    return [x[..., kept] for x in entries]
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -371,15 +437,17 @@ class _Bodies:
             np.maximum(abs(lengths[0] - 1), abs(lengths[1] - 1)), abs(_dot(basis_u, basis_v))
         )
         beta[~arc] = 0.0
+        length = np.sqrt(_dot(step, step))
         size = np.sqrt(_dot(origin, origin)) + np.where(
-            arc,
-            radius * (2 + np.abs(angle) + 2 * np.abs(sweep)),
-            4 * np.sqrt(_dot(step, step)),
+            arc, radius * (2 + np.abs(angle) + 2 * np.abs(sweep)), 4 * length
         )
-        self.slack = (8 + d) * _EPS * size + 8 * radius * beta
+        self.slack = slack = (8 + d) * _EPS * size + 8 * radius * beta
+        # Each body's terms of the cone bound of certify_separation: its
+        # speed bound V (0 for a point) and three times its slack.
+        self.cone_terms = np.stack([length / duration + bounded, 3 * slack])
 
         # Each body's last column is ``top``, at its last bound.
-        self.bounds = bounds
+        self.bounds, self.widths = bounds, bounds[1:] - bounds[:-1]
         self.stride = stride = ((kind != _POINT) | (sweep != 0)).view(np.int8)
         reps = np.ones(count + m, dtype=np.intp)
         reps[:count] += stride[:count] * spans
@@ -390,9 +458,25 @@ class _Bodies:
         at = np.arange(top[-1] + 1) - np.repeat(top - last, reps)
         self.positions = evaluate(np.repeat(table, reps, axis=1), bounds[at][None])[:, 0]
 
-    def minima(self, a, b, w, samples: int):
+    def ends(self, a, b, w):
+        """Bodies a and b at both ends of each window w, [bounds[w],
+        bounds[w + 1]], read from the position table as (d, 4, k) columns (a
+        and b at the start, then at the end), their distances f_lo and f_hi
+        there, and the cone bound of :func:`certify_separation`."""
+        k = len(a)
+        ab = np.concatenate([a, b])
+        stride = self.stride[ab]
+        start = self.offset[ab] + np.concatenate([w, w]) * stride
+        at = self.positions.take(np.concatenate([start, start + stride]), axis=1)
+        at = at.reshape(len(at), 4, k)
+        f_lo, f_hi = _norm(at[:, 0] - at[:, 1]), _norm(at[:, 2] - at[:, 3])
+        terms = self.cone_terms.take(ab, axis=1)
+        speed, margin = terms[:, :k] + terms[:, k:]
+        return at, f_lo, f_hi, 0.5 * (f_lo + f_hi - speed * self.widths[w]) - margin
+
+    def minima(self, a, b, w, at, f_lo, f_hi, samples: int):
         """(smallest evaluated distance, certified lower bound) of bodies a
-        and b on each window w, [bounds[w], bounds[w + 1]]."""
+        and b on each window w, from :meth:`ends`' positions and distances."""
         k = len(a)
         lo, hi = self.bounds[w], self.bounds[w + 1]
         ab = np.concatenate([a, b])
@@ -400,13 +484,7 @@ class _Bodies:
         kind_a, kind_b = kind[:k], kind[k:]
         high, lowest = np.maximum(kind_a, kind_b), np.minimum(kind_a, kind_b)
         slack = slack[:k] + slack[k:]
-        # Both bodies' positions at the window's start, then at its end.
-        stride = self.stride[ab]
-        start = self.offset[ab] + np.concatenate([w, w]) * stride
-        at = self.positions.take(np.concatenate([start, start + stride]), axis=1)
-        at = at.reshape(-1, 4, k)
         rel, final = at[:, 0] - at[:, 1], at[:, 2] - at[:, 3]
-        f_lo, f_hi = _norm(rel), _norm(final)
         t, along, length, quadratic, excess, variation = _nearest_tau(
             rel, final, f_lo, slack, lo, hi
         )

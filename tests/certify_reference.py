@@ -1,12 +1,13 @@
 """The certification kernel as it was before Case A pairs had a closed form
 and before its operands were stacked into one table: kept as a reference
 that the current kernel must match bit for bit on every pair without a Case
-A twin entry.  ``certify_separation`` runs it when ``verification._Bodies``
-is replaced by :func:`reference_bodies`, which builds it from the segment
-fields of the path's plan JSON rather than from the path's table.  It takes
-from the certifier only the float bounds of the union grid's windows, and
-evaluates every position itself, at both ends of every window and at every
-minimizer, with its own arithmetic.
+A twin entry, when both certify every entry (``verification._may_set_minimum``
+replaced by :func:`keep_all`).  ``certify_separation`` runs it when
+``verification._Bodies`` is replaced by :func:`reference_bodies`, which
+builds it from the segment fields of the path's plan JSON rather than from
+the path's table.  It takes from the certifier only the float bounds of the
+union grid's windows, and evaluates every position itself, at both ends of
+every window and at every minimizer, with its own arithmetic.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum(x * y for x, y in zip(a, b))
+
+
+def keep_all(cone, reach) -> np.ndarray:
+    """The unpruned pass: every entry is certified, whatever its cone bound."""
+    return np.ones(len(cone), dtype=bool)
 
 
 def reference_bodies(path, bounds, *spans) -> "ReferenceBodies":
@@ -84,6 +90,7 @@ class ReferenceBodies:
         # straight segment has no bounded part, an arc no constant part.
         self.constant = self.step / self.duration
         self.bounded = self.radius * np.abs(self.sweep) / self.duration
+        self.speed = np.sqrt(_dot(self.constant, self.constant)) + self.bounded
         arc = self.radius > 0
         self.kind = np.where(arc, _ARC, _LINE)
         self.kind[(self.bounded == 0) & ~self.constant.any(axis=0)] = _POINT
@@ -113,9 +120,23 @@ class ReferenceBodies:
         out += radius * np.sin(theta) * self.basis_v.take(body, axis=1)
         return out
 
-    def minima(self, a, b, w, samples: int):
+    def ends(self, a, b, w):
+        """Bodies a and b at both ends of each window w, as (d, 4, k) columns
+        (a and b at the start, then at the end), their distances there, and
+        the cone bound that decides which entries are certified."""
+        lo, hi = self.bounds[w], self.bounds[w + 1]
+        k, both = len(a), np.concatenate([a, b])
+        at = np.stack([self.at(both, np.concatenate([s, s])) for s in (lo, hi)], axis=1)
+        at = at.reshape(len(at), 4, k)
+        f_lo, f_hi = _distance(at[:, 0], at[:, 1]), _distance(at[:, 2], at[:, 3])
+        speed = self.speed[a] + self.speed[b]
+        slack = self.slack[a] + self.slack[b]
+        return at, f_lo, f_hi, 0.5 * (f_lo + f_hi - speed * (hi - lo)) - 3 * slack
+
+    def minima(self, a, b, w, at, f_lo, f_hi, samples: int):
         """(smallest evaluated distance, certified lower bound) of bodies a
-        and b on each window w."""
+        and b on each window w.  The window ends :meth:`ends` gave are
+        evaluated again."""
         lo, hi = self.bounds[w], self.bounds[w + 1]
         # Put the higher kind first: point < line < arc.
         swap = self.kind[a] < self.kind[b]

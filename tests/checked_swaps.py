@@ -29,7 +29,7 @@ def _check_neighbours(sigma, below, above):
 def checked_case_a(query, frame, left, right):
     _check_neighbours(orderings(query, frame).sigma, left, right)
     values = (query.starts @ frame.axis)[[left, right]].tolist()
-    return swap_case_a(query.starts, frame, left, right, values)
+    return swap_case_a(query.starts.tolist(), frame, left, right, values)
 
 
 def _case_b_state(query, frame, robot, obstacle, side):
@@ -77,5 +77,5 @@ def checked_clearance(query, frame, robot, obstacle, side):
 
 def checked_case_b(query, frame, robot, obstacle, side):
     values, distance = _case_b_state(query, frame, robot, obstacle, side)
-    point = query.obstacles[obstacle]
-    return swap_case_b(query.starts, frame, robot, point, side, values, distance)
+    point = query.obstacles[obstacle].tolist()
+    return swap_case_b(query.starts.tolist(), frame, robot, point, side, values, distance)

@@ -402,15 +402,16 @@ class TestSwapCaseBCoincidentBlock:
 
 class TestDesingularize:
     def test_single_robot_shift_multipliers(self):
-        # all projections coincide: gap falls back to 1, shifts are 1/3 and 2/3
+        # all projections coincide: the gap falls back to the query's extent,
+        # 2, and the shifts are 1/3 and 2/3 of it
         q = ConfigurationQuery(
             starts=[[0.0, 1.0, 0.0]], goals=[[0.0, 2.0, 0.0]], obstacles=[[0.0, 0.0, 1.0]]
         )
         f = fixed_frame(q)
-        assert desingularization_gap(q, f) == 1.0
+        assert desingularization_gap(q, f) == 2.0
         end = desingularize(q, f)
-        assert np.allclose(end.starts[0], q.starts[0] + (1.0 / 3.0) * f.e, atol=1e-15)
-        assert np.allclose(end.goals[0], q.goals[0] + (2.0 / 3.0) * f.e, atol=1e-15)
+        assert np.allclose(end.starts[0], q.starts[0] + (2.0 / 3.0) * f.e, atol=1e-15)
+        assert np.allclose(end.goals[0], q.goals[0] + (4.0 / 3.0) * f.e, atol=1e-15)
 
     def test_lands_in_generic_region_with_same_t(self):
         rng = np.random.default_rng(22)
@@ -677,7 +678,7 @@ class TestEndQuery:
         monkeypatch.setattr(
             planner,
             "swap_case_b",
-            lambda starts, *args: ({0: line_row(starts[0].tolist(), landing)},),
+            lambda points, *args: ({0: line_row(points[0], landing)},),
         )
         with pytest.raises(InternalConsistencyError, match=message):
             plan(q, FrameMode.FIXED)
@@ -705,10 +706,10 @@ class TestEndQuery:
         )
         assert plan(q, FrameMode.FIXED).swaps == (planner.CaseASwap(left=0, right=1),)
 
-        def stages(starts, frame, left_robot, right_robot, values):
+        def stages(points, frame, left_robot, right_robot, values):
             return ({
-                left_robot: line_row(starts[left_robot].tolist(), left),
-                right_robot: line_row(starts[right_robot].tolist(), right),
+                left_robot: line_row(points[left_robot], left),
+                right_robot: line_row(points[right_robot], right),
             },)
 
         monkeypatch.setattr(planner, "swap_case_a", stages)
@@ -736,7 +737,7 @@ class TestEndQuery:
         monkeypatch.setattr(
             planner,
             "swap_case_b",
-            lambda starts, *args: ({0: line_row(starts[0].tolist(), landing)},),
+            lambda points, *args: ({0: line_row(points[0], landing)},),
         )
         with pytest.raises(InternalConsistencyError, match=message):
             plan(q, FrameMode.FIXED)

@@ -393,9 +393,12 @@ class TestDesingularizationGap:
         q = q3([[0.0, 1.0, 0.0]], [[2.0, 0.0, 1.0]], [[3.0, 0.0, 0.0]])
         assert desingularization_gap(q, make_frame(q, FrameMode.FIXED)) == 1.0
 
-    def test_empty_positive_set_falls_back_to_one(self):
+    def test_empty_positive_set_falls_back_to_the_extent(self):
+        # every point projects to 0: the split scales with the query
         q = q3([[0.0, 1.0, 0.0]], [[0.0, 2.0, 0.0]], [[0.0, 0.0, 1.0]])
-        assert desingularization_gap(q, make_frame(q, FrameMode.FIXED)) == 1.0
+        assert desingularization_gap(q, make_frame(q, FrameMode.FIXED)) == 2.0
+        big = q3([[0.0, 1e12, 0.0]], [[0.0, 2e12, 0.0]], [[0.0, 0.0, 1e12]])
+        assert desingularization_gap(big, make_frame(big, FrameMode.FIXED)) == 2e12
 
     def test_desingularization_gap_includes_start_goal_family(self):
         q = q3(
@@ -530,7 +533,7 @@ class TestTieTable:
                 for k in range(len(cb))
                 if ca[i] != cb[k]
             ]
-            return min(gaps) if gaps else 1.0
+            return min(gaps) if gaps else query.extent
 
         listed = [(cs, qs, cs, qs), (cg, qg, cg, qg), (cs, qs, co, qo), (cg, qg, co, qo)]
         assert desingularization_gap(query, f) == gap(listed + [(cs, qs, cg, qg)])

@@ -5,12 +5,21 @@ sha256 below.  A change that alters them on purpose re-records them and says
 so; running this module as a script prints the current digests:
 
     PYTHONPATH=src python tests/test_golden_plans.py
+
+With ``--corpus`` it prints one line per document of a wider corpus instead
+(:func:`corpus_lines`), so that a diff of two checkouts' outputs shows every
+plan or certificate float a change moved:
+
+    PYTHONPATH=src python tests/test_golden_plans.py --corpus > after.txt
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from parammp import (
@@ -20,7 +29,9 @@ from parammp import (
     FrameMode,
     certify_separation,
     degenerate_query,
+    parse_problem,
     plan,
+    random_query,
     serialize_plan,
 )
 
@@ -139,7 +150,43 @@ def test_certificate_digest_is_unchanged(name):
     assert _certificate_digest(*CERTIFICATE_CASES[name]) == CERTIFICATE_DIGESTS[name]
 
 
-if __name__ == "__main__":
+def _corpus_line(name: str, query, mode) -> str:
+    """The sha256 of the plan's ``serialize_plan`` text, then every pair's
+    sampled_min and certified_lower_bound in float hex, at 64 samples; or
+    the exception, for a query that does not plan."""
+    try:
+        result = plan(query, mode)
+    except Exception as exc:
+        return f"{name} {type(exc).__name__}: {exc}"
+    digest = hashlib.sha256(serialize_plan(result).encode()).hexdigest()
+    pairs = certify_separation(result.path, samples_per_segment=64).pairs
+    floats = " ".join(f"{p.sampled_min.hex()}/{p.certified_lower_bound.hex()}" for p in pairs)
+    return f"{name} {digest} {floats}"
+
+
+def corpus_lines():
+    """One line per document: the benchmark's verify-small and verify-swaps
+    corpora at seeds 1-3 (bench/corpus.py), then random_query(default_rng(0),
+    n, n, 3) at n = 20 and 50, in fixed mode."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import corpus
+
+    for workload in ("verify-small", "verify-swaps"):
+        for seed in (1, 2, 3):
+            texts = corpus.generate(corpus.WORKLOADS[workload], seed)
+            for index, text in enumerate(texts):
+                document = parse_problem(text)
+                name = f"{workload}/{seed}/{index}"
+                yield _corpus_line(name, document.to_query(), document.frame_mode())
+    for n in (20, 50):
+        query = random_query(np.random.default_rng(0), n, n, 3)
+        yield _corpus_line(f"random/{n}", query, FIXED)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--corpus"]:
+    for line in corpus_lines():
+        print(line)
+elif __name__ == "__main__":
     for name in sorted(CASES):
         query, mode, _, _ = CASES[name]
         print(f'    "{name}": "{_digest(query, mode)}",')

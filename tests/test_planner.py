@@ -571,9 +571,9 @@ class TestScale:
         assert certify_separation(res.path, samples_per_segment=16).passed
 
     # A draw the property above once failed on at k = 12: start, goal and
-    # obstacle share x = 0, so every gap is tied, the split falls back to a
-    # gap of 1.0 whatever the scale, and the robot passes the obstacle 0.4
-    # apart at coordinates of 2e12.
+    # obstacle share x = 0, so every gap is tied.  The split fell back to a
+    # gap of 1.0 whatever the scale, and the robot passed the obstacle 0.4
+    # apart at coordinates of 2e12; it now falls back to the query's extent.
     ALL_TIED = ConfigurationQuery(
         starts=[[0.0, -0.5]], goals=[[0.0, 2.0]], obstacles=[[0.0, 0.0]]
     )
@@ -586,12 +586,6 @@ class TestScale:
         (pair,) = certify_separation(res.path, samples_per_segment=16).pairs
         assert pair.sampled_min > 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a clearance of 0.4 at coordinates of 2e12 is below the certifier's"
-        " rounding margin (ROADMAP items 14, certifier resolution, and 15, the"
-        " conditioning contract)",
-    )
     def test_all_tied_query_scaled_by_1e12_certifies(self):
         res = plan(_scaled(self.ALL_TIED, 1e12), mode="fixed")
         assert certify_separation(res.path, samples_per_segment=16).passed

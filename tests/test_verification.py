@@ -33,7 +33,7 @@ from parammp import (
 from parammp import arc_row, line_row, verification
 from parammp.paths import row_final, row_initial
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
-from certify_reference import reference_bodies
+from certify_reference import keep_all, reference_bodies
 from hand_built_paths import extreme_path, path_rows, row_at, row_fields
 from query_strategies import small_queries
 
@@ -480,11 +480,20 @@ def _cone_raises():
         yield
 
 
-def _assert_matches_reference_kernel(path, samples):
-    # every pair bit for bit as the reference kernel gives it, except pairs
-    # with a Case A twin entry, whose bounds may only rise, up to sampled_min
-    cert = certify_separation(path, samples)
+@contextmanager
+def _unpruned():
+    """Certification in this context certifies every touched entry."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verification, "_may_set_minimum", keep_all)
+        yield mp
+
+
+def _assert_matches_reference_kernel(path, samples):
+    # on the unpruned pass, every pair bit for bit as the reference kernel
+    # gives it, except pairs with a Case A twin entry, whose bounds may only
+    # rise, up to sampled_min
+    with _unpruned() as mp:
+        cert = certify_separation(path, samples)
         mp.setattr(verification, "_Bodies", reference_bodies)
         reference = certify_separation(path, samples)
     twins = _twin_pairs(path)
@@ -788,6 +797,96 @@ class TestBlocks:
         pair = certify_separation(path).pair("robot-obstacle", 0, 0)
         assert pair.sampled_min == 1.0 and 1.0 - 1e-12 < pair.certified_lower_bound < 1.0
         assert columns == [3]  # the robot at 0 and at 1, the obstacle once
+
+
+def _fast_pass():
+    # robot 0 sweeps past the obstacle at 1e-3 in the middle of its first
+    # window, whose ends lie about 1 away; its second window ends 0.5 away,
+    # below those ends, so only the cone's speed term keeps the first window
+    return _hand_path(
+        [[0.0, 0.0]],
+        [
+            [
+                (0, Fraction(1, 2), _line([-1.0, 1e-3], [1.0, 1e-3])),
+                (Fraction(1, 2), 1, _line([1.0, 1e-3], [0.5, 0.0])),
+            ]
+        ],
+    )
+
+
+def _assert_pruned_as_unpruned(path, samples):
+    # against the unpruned pass: every sampled_min the same float, and
+    # every bound at least the unpruned one and at most sampled_min
+    cert = certify_separation(path, samples)
+    with _unpruned():
+        unpruned = certify_separation(path, samples)
+    for pair, full in zip(cert.pairs, unpruned.pairs):
+        assert pair.sampled_min.hex() == full.sampled_min.hex()
+        assert full.certified_lower_bound <= pair.certified_lower_bound <= pair.sampled_min
+
+
+class TestBroadPhase:
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(), st.sampled_from([2, 64]))
+    def test_planner_paths_certify_as_unpruned(self, case, samples):
+        query, mode = case
+        _assert_pruned_as_unpruned(plan(query, mode=mode).path, samples)
+
+    @pytest.mark.parametrize("samples", [2, 16])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            _mover_split_by_others,
+            _back_to_back_rests,
+            _rest_on_whole_interval,
+            _zero_sweep_arc,
+            _case_a_twins,
+            _fallback_pairs,
+            _slide_to_an_obstacle,
+            _fast_pass,
+            extreme_path,
+        ],
+    )
+    def test_hand_built_paths_certify_as_unpruned(self, build, samples):
+        _assert_pruned_as_unpruned(build(), samples)
+
+    def test_a_fast_pass_between_far_window_ends_is_kept(self):
+        pair = certify_separation(_fast_pass(), 2).pair("robot-obstacle", 0, 0)
+        assert 1e-3 - 1e-12 <= pair.certified_lower_bound <= pair.sampled_min <= 1e-3
+
+    def test_a_cone_that_rounds_above_its_nearer_end_is_kept(self):
+        # straight away from the obstacle: the cone equals the start's
+        # distance exactly, and rounds 4.4e-16 above it; without the margin
+        # the pair's one entry would be skipped and its bound lost
+        start, end = [2.692, -1.129], [5.281704, -2.215098]
+        path = _hand_path([[0.0, 0.0]], [[(0, 1, _line(start, end))]])
+        pair = certify_separation(path, 2).pair("robot-obstacle", 0, 0)
+        assert pair.sampled_min == math.hypot(*start)
+        assert pair.sampled_min - 1e-12 < pair.certified_lower_bound < pair.sampled_min
+
+    def test_cones_that_are_not_finite_are_kept(self):
+        cone = np.array([np.nan, np.inf, -np.inf, 2.0, 1.0, 0.5])
+        kept = verification._may_set_minimum(cone, np.ones(len(cone)))
+        assert kept.tolist() == [True, True, True, False, True, True]
+
+    def test_most_entries_of_a_large_plan_are_skipped(self, monkeypatch):
+        # of the 40,831 touched entries of a 20-robot plan, the swapping
+        # pairs' and little else reach the closed forms (4,458)
+        path = plan(random_query(np.random.default_rng(0), 20, 20, 3), mode="fixed").path
+        sizes = []
+        original = verification._Bodies.minima
+
+        def counting(bodies, a, *args):
+            sizes.append(len(a))
+            return original(bodies, a, *args)
+
+        monkeypatch.setattr(verification._Bodies, "minima", counting)
+        certify_separation(path)
+        pruned = sum(sizes)
+        sizes.clear()
+        with _unpruned():
+            certify_separation(path)
+        assert pruned < sum(sizes) / 5
 
 
 class TestCheckPartition:
