@@ -8,10 +8,11 @@ scalar projection onto the line, and the combinatorics of which projections
 coincide determines the region label ``(j, t)`` and, in the generic case, the
 pair of generalized orderings that drives the planner.
 
-That combinatorics is worked out once per query, in one table (:func:`_ties`):
-the comparison values of the 2n + m points, starts | goals | obstacles, and a
-tie-class rank for each.  Two points are tied exactly when their ranks are
-equal, and ranks increase along the line.  Every discrete decision reads the
+That combinatorics is worked out once per query and frame, in one table
+(:func:`_ties`) that the query keeps: the comparison values of the 2n + m
+points, starts | goals | obstacles, and a tie-class rank for each.  Two
+points are tied exactly when their ranks are equal, and ranks increase
+along the line.  Every discrete decision reads the
 table: ``classify`` counts the ranks, ``orderings`` sorts robot indices and
 obstacle blocks (obstacles grouped by rank) by them, and the gap families
 skip pairs of equal rank.  Planning compares exactly, so there ranks and
@@ -202,6 +203,12 @@ class ConfigurationQuery:
         return self.obstacles.shape[0]
 
     @cached_property
+    def _tie_tables(self) -> dict:
+        """The tie tables (:func:`_ties`) worked out for this query, by the
+        bytes of the frame axis they project on."""
+        return {}
+
+    @cached_property
     def extent(self) -> float:
         """The largest coordinate magnitude of any point, computed once: the
         planner and the path's junction check both read it."""
@@ -355,26 +362,44 @@ def _ties(
     query: ConfigurationQuery, frame: Frame, snap_tol: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """The tie table of a query: comparison values of the 2n + m points in the
-    order starts | goals | obstacles, and the tie-class rank of each.
+    order starts | goals | obstacles, and the tie-class rank of each, both
+    read-only.
 
     Ranks are 0, 1, 2, ... along the line.  Sorted values more than the
     tolerance apart start a new class (single linkage); with ``snap_tol`` 0,
     as in planning, they are exact-equality classes.  ``classify`` alone takes
     a positive ``snap_tol``, in length units, scaled by the axis norm.
 
+    With ``snap_tol`` 0 the table is worked out once per query and frame
+    axis (:func:`_tie_table`) and kept on the query: a plan reads it in
+    ``classify``, ``orderings``, ``desingularization_gap`` and the sweep.
+
     Raises:
         QueryValidationError: ``snap_tol`` is negative, infinite or NaN.
     """
     if not 0 <= snap_tol < math.inf:
         raise QueryValidationError([f"snap_tol: expected a finite number >= 0, got {snap_tol!r}"])
+    if snap_tol:
+        return _tie_table(query, frame, snap_tol)
+    tables, axis = query._tie_tables, frame.axis.tobytes()
+    if axis not in tables:
+        tables[axis] = _tie_table(query, frame, 0.0)
+    return tables[axis]
+
+
+def _tie_table(query: ConfigurationQuery, frame: Frame, snap_tol: float):
+    """The tie table of :func:`_ties`, worked out."""
     values = np.concatenate(
         [query.starts @ frame.axis, query.goals @ frame.axis, query.obstacles @ frame.axis]
     )
     tol = snap_tol * frame._axis_norm if snap_tol else 0.0
-    order = np.argsort(values, kind="stable")
+    order = values.argsort(kind="stable")
+    ordered = values[order]
     rank = np.empty(len(values), dtype=np.intp)
     rank[order[0]] = 0
-    rank[order[1:]] = np.cumsum(np.diff(values[order]) > tol)
+    rank[order[1:]] = (ordered[1:] - ordered[:-1] > tol).cumsum()
+    values.setflags(write=False)
+    rank.setflags(write=False)
     return values, rank
 
 

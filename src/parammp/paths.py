@@ -7,12 +7,15 @@ denominator D per path: the planner places every stage on a tick, so the
 boundaries are exact, reproducible and shared by all robots without rational
 arithmetic.  Plan JSON writes each as the reduced rational tick / D.
 
-A path is one column table: per segment its ticks, its kind and its floats.
-It is built from one row of floats per segment (:func:`line_row`,
-:func:`arc_row`) by :meth:`PiecewisePath.from_rows`, which checks it once.
-Every reader evaluates it by one formula, :func:`evaluate`, over operand
-columns gathered from the table: the path's position methods, the plan's CSV
-and SVG, and the certifier.
+A path is one column table: per segment its ticks and its kind, and one
+body table of floats, a column per segment and then one per obstacle, with
+each column's basis deviation beta beside its operands.  It is built from
+one row of floats per segment (:func:`line_row`, :func:`arc_row`) by
+:meth:`PiecewisePath.from_rows`, which gathers every float into place once
+and checks the table once.  Every reader evaluates it by one formula,
+:func:`evaluate`, over columns of the body table: the path's position
+methods, the plan's CSV and SVG, and the certifier, which reads the table as
+it is.  The plan's writer reads the segments' plan-JSON fields back from it.
 """
 
 from __future__ import annotations
@@ -38,12 +41,17 @@ BASIS_TOL = 1e-12
 # The largest tick denominator: ticks up to 2**53 convert to floats exactly,
 # so tick / den divides as float(Fraction(tick, den)) rounds, in numpy too.
 MAX_DENOMINATOR = 1 << 53
-# Rows of an operand table (see evaluate), a column per segment: its start
-# angle, start time, duration, sweep and radius, then the vectors origin (a
-# line's start, an arc's center), step (a line's end - start), basis_u and
-# basis_v, d rows each from VECTORS on.  A line's angle, sweep and basis are
-# 0 and its radius -0.0; an arc's step is -0.0.
-ANGLE, T0, DURATION, SWEEP, RADIUS, VECTORS = range(6)
+# Rows of a path's body table, a column per body: each segment, then each
+# obstacle.  First an arc's end angle and its basis deviation beta (how far
+# its basis is from orthonormal), which evaluate does not read; then the
+# operands of evaluate: start angle, start time, duration, sweep and radius,
+# then the vectors origin (a line's start, an arc's center, an obstacle),
+# step (a line's end - start), basis_u and basis_v; then the body's initial
+# and final points, which evaluate does not read either: six vectors of d
+# rows each from VECTORS on.  A line's angles, sweep, beta and basis are 0
+# and its radius -0.0; an arc's step is -0.0.  An obstacle rests at its
+# origin from time 0 for duration 1, and its other floats are 0.
+END, BETA, ANGLE, T0, DURATION, SWEEP, RADIUS, VECTORS = range(8)
 
 # A row holds one segment's floats, as Python floats.  A line's are its
 # plan-JSON fields ``start, end`` (2d floats); an arc's are its plan-JSON
@@ -95,14 +103,14 @@ def extends_rest(before: tuple, row: tuple, d: int) -> bool:
 
 
 def evaluate(g: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Positions (d, s, c) at global times t (s, c) of the c segments whose
-    operand columns g holds: ``origin + u * step + radius * cos(theta) *
+    """Positions (d, s, c) at global times t (s, c) of the c bodies whose
+    body-table columns g holds: ``origin + u * step + radius * cos(theta) *
     basis_u + radius * sin(theta) * basis_v``, with local time ``u = (t -
     t0) / duration`` and ``theta = angle + u * sweep``.  The terms of the
     other kind, a line's radius and an arc's step, are -0.0, which adds to
     every float exactly: each segment's floats are those of its own formula
     (for u >= 0)."""
-    origin, step, basis_u, basis_v = g[VECTORS:].reshape(4, -1, 1, g.shape[1])
+    origin, step, basis_u, basis_v = g[VECTORS:].reshape(6, -1, 1, g.shape[1])[:4]
     u = (t - g[T0]) / g[DURATION]
     theta = g[ANGLE] + u * g[SWEEP]
     out = origin + u * step
@@ -113,24 +121,68 @@ def evaluate(g: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 @lru_cache
 def _row_masks(d: int) -> np.ndarray:
-    """The fields a line's row, then an arc's, uses in a path's table in R^d."""
-    masks = np.arange(5 * d + 3) < np.array([[2 * d], [5 * d + 3]])
+    """The fields of a line's row, then an arc's, among the 3d + 3 plan-JSON
+    fields a segment in R^d has room for (``_Columns.block``)."""
+    masks = np.arange(3 * d + 3) < np.array([[2 * d], [3 * d + 3]])
     masks.setflags(write=False)
     return masks
 
 
-def _arc_checks(fields: np.ndarray, d: int):
-    """Per row of arc ``fields`` in R^d (plan-JSON order, a row per arc):
-    whether its radius is positive, and whether its basis is orthonormal to
-    within ``BASIS_TOL``.  A NaN or an infinity fails."""
-    radius, u, v = fields[:, d], fields[:, d + 1 : 2 * d + 1], fields[:, 2 * d + 1 : 3 * d + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        basis = (
-            (abs(np.sqrt(np.add.reduce(u * u, axis=1)) - 1.0) <= BASIS_TOL)
-            & (abs(np.sqrt(np.add.reduce(v * v, axis=1)) - 1.0) <= BASIS_TOL)
-            & (abs(np.add.reduce(u * v, axis=1)) <= BASIS_TOL)
-        )
-    return radius > 0, basis
+# The floats a path's body table is gathered from begin with these, the
+# source of every float that is neither a row's nor an obstacle's.
+_CONSTANTS = (0.0, -0.0, 1.0)
+_ZERO, _MINUS_ZERO, _ONE = range(3)
+
+
+@lru_cache
+def _sources(d: int) -> np.ndarray:
+    """Where :meth:`PiecewisePath._table` gathers each row of a body table
+    in R^d from, by the length of a column's row of floats: d for an
+    obstacle (its coordinates), 2d for a line, 5d + 3 for an arc.  ``[0]``
+    is the source: where ``[1]`` is 0, the index of one of the
+    ``_CONSTANTS``; else the place of a float in the column's own row, less
+    that row's length, plus the number of constants, to which ``_table``
+    adds the summed lengths of the rows up to and with that one.  The
+    times, the sweep, a line's step and beta are written over what is
+    gathered."""
+
+    def fields(first, count=1):
+        return [(first + i, 1) for i in range(count)]
+
+    def constant(which, count=1):
+        return [(which, 0)] * count
+
+    line = (
+        constant(_ZERO, RADIUS) + constant(_MINUS_ZERO) + fields(0, d) + fields(d, d)
+        + constant(_ZERO, 2 * d) + fields(0, 2 * d)
+    )
+    arc = (
+        fields(3 * d + 2) + constant(_ZERO) + fields(3 * d + 1) + constant(_ZERO, 3) + fields(d)
+        + fields(0, d) + constant(_MINUS_ZERO, d) + fields(d + 1, 2 * d) + fields(3 * d + 3, 2 * d)
+    )
+    obstacle = (
+        constant(_ZERO, DURATION) + constant(_ONE) + constant(_ZERO, RADIUS - DURATION)
+        + fields(0, d) + constant(_ZERO, 5 * d)
+    )
+    sources = np.zeros((2, VECTORS + 6 * d, 5 * d + 4), dtype=np.intp)
+    for length, rows in ((d, obstacle), (2 * d, line), (5 * d + 3, arc)):
+        source, relative = np.array(rows).T
+        sources[:, :, length] = source + relative * (len(_CONSTANTS) - length), relative
+    sources.setflags(write=False)
+    return sources
+
+
+@lru_cache
+def _field_rows(d: int) -> np.ndarray:
+    """Per kind, a line then an arc, the rows of a body table in R^d that
+    hold a segment's 3d + 3 plan-JSON fields (``_Columns.block``); a line's
+    unused fields read its end angle, 0."""
+    final = VECTORS + 5 * d
+    line = [*range(VECTORS, VECTORS + d), *range(final, final + d)] + [END] * (d + 3)
+    arc = [*range(VECTORS, VECTORS + d), RADIUS, *range(VECTORS + 2 * d, VECTORS + 4 * d)]
+    rows = np.array([line, arc + [ANGLE, END]])
+    rows.setflags(write=False)
+    return rows
 
 
 def endpoint_tol(query: ConfigurationQuery) -> float:
@@ -165,38 +217,56 @@ class PathSegment(NamedTuple):
 class _Columns:
     """The segments of a path, robot after robot, as columns: integer start
     and stop ticks, whether each is an arc (else a straight line), the
-    segments per robot and the index of each robot's first, ``block``, one
-    read-only row of 3d + 3 floats per segment in plan-JSON field order (a
-    line's ``start, end``, the rest of its row 0; an arc's ``center, radius,
-    basis_u, basis_v, angle_start, angle_end``), and ``ends``, each segment's
-    initial and final points.  ``floats`` gathers the block's used fields in
-    row-major order, the order a plan writes them in (on demand, so that a
-    path does not keep them twice)."""
+    segments per robot and the index of each robot's first; ``table``, the
+    read-only body table (rows as END to VECTORS name them), a column per
+    segment and then one per obstacle; and ``ends``, a view of its rows of
+    each segment's initial and final points.  ``block`` reads each
+    segment's plan-JSON fields back from the table, one row of 3d + 3
+    floats (a line's ``start, end``, the rest of its row 0; an arc's
+    ``center, radius, basis_u, basis_v, angle_start, angle_end``), and
+    ``floats`` the used ones in row-major order, the order a plan writes
+    them in: on demand, for the plan's writer."""
 
     ticks: np.ndarray  # (2, segments): start, stop
     arc: np.ndarray
     counts: np.ndarray
     first: np.ndarray
-    block: np.ndarray
+    table: np.ndarray
     ends: np.ndarray
 
     start = property(lambda self: self.ticks[0])
     stop = property(lambda self: self.ticks[1])
 
+    def _fields(self) -> tuple:
+        """Where each segment's 3d + 3 fields lie in the flattened table, a
+        row per segment, and which of them its kind uses."""
+        d, kind = self.ends.shape[1] // 2, self.arc.view(np.int8)
+        index = _field_rows(d).take(kind, axis=0) * self.table.shape[1]
+        index += np.arange(len(kind))[:, None]
+        return index, _row_masks(d).take(kind, axis=0)
+
+    @property
+    def block(self) -> np.ndarray:
+        return self.table.take(self._fields()[0])
+
     @property
     def floats(self) -> np.ndarray:
-        d = self.block.shape[1] // 3 - 1
-        return self.block[_row_masks(d)[self.arc.view(np.int8), : 3 * d + 3]]
+        index, used = self._fields()
+        return self.table.take(index[used])
 
 
-def _row_floats(rows: tuple, d: int):
-    """Whether each row is an arc's, by its length, and the floats of the
-    rows in R^d, in order."""
-    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
-    arc = lengths == 5 * d + 3
+def _row_floats(rows: tuple, obstacles: np.ndarray):
+    """The length of each row of floats, then d per obstacle in R^d (a
+    length tells the kind); whether each row is an arc's; and the floats a
+    path's body table is gathered from: the ``_CONSTANTS``, then the rows'
+    floats in order, then the obstacles' coordinates."""
+    count, (m, d) = len(rows), obstacles.shape
+    length = np.fromiter(chain(map(len, rows), repeat(d, m)), np.intp, count + m)
+    arc = length[:count] == 5 * d + 3
     try:
-        if ((lengths == 2 * d) | arc).all():
-            return arc, np.fromiter(chain.from_iterable(rows), float, int(lengths.sum()))
+        if ((length[:count] == 2 * d) | arc).all():
+            floats = chain(_CONSTANTS, *rows, obstacles.ravel().tolist())
+            return length, arc, np.fromiter(floats, float, len(_CONSTANTS) + int(length.sum()))
     except (TypeError, ValueError):
         pass
     raise DimensionMismatchError(f"segment points must have {d} coordinates")
@@ -214,7 +284,7 @@ class PiecewisePath:
 
     The path is its column table (``_Columns``), written as rows by
     :meth:`from_rows` and checked once, when the path is built.  Positions
-    come from :func:`evaluate` over the table's operand columns; a segment
+    come from :func:`evaluate` over the columns of its body table; a segment
     at its own start or stop time gives its stored initial or final point.
     """
 
@@ -239,9 +309,11 @@ class PiecewisePath:
         entries = list(chain.from_iterable(rows))
         starts, stops, flat = zip(*entries) if entries else ((), (), ())
         ticks, first = self._ticks(counts, starts, stops, den)
-        arc, floats = _row_floats(flat, self.query.dim)
+        length, arc, floats = _row_floats(flat, self.query.obstacles)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_columns", self._table(ticks, first, arc, floats))
+        object.__setattr__(
+            self, "_columns", self._table(ticks, first, counts, length, arc, floats)
+        )
 
     @property
     def obstacles(self) -> np.ndarray:
@@ -276,37 +348,62 @@ class PiecewisePath:
             raise TypeError("segment time bounds must be integer ticks")
         return ticks.astype(np.int64, copy=False), np.array(first)
 
-    def _table(self, ticks: np.ndarray, first: np.ndarray, arc: np.ndarray, floats) -> _Columns:
+    def _table(self, ticks, first, counts: list, length, arc, floats) -> _Columns:
         """The path's column table, once its arcs and junctions pass:
         ``first`` holds the index of each robot's first segment, then the
-        segment count."""
-        query, d = self.query, self.query.dim
-        # One row per segment: a line's start and end; an arc's plan-JSON
-        # fields, then its initial and final points.
-        table = np.zeros((len(arc), 5 * d + 3))
-        table[_row_masks(d)[arc.view(np.int8)]] = floats
-        arcs = np.flatnonzero(arc)
-        if arcs.size:
-            radius, basis = _arc_checks(table[arcs], d)
-            if not (radius & basis).all():
-                bad = int(np.argmin(radius & basis))
-                raise self._arc_error(ticks, first, int(arcs[bad]), bool(radius[bad]))
-        ends = np.where(arc[:, None], table[:, 3 * d + 3 :], table[:, : 2 * d])
+        segment count, ``counts`` the segments per robot, and ``length``,
+        ``arc`` and ``floats`` are as :func:`_row_floats` gives them.
+
+        The body table and the segments' end points are gathered from the
+        floats in one take (:func:`_sources`); then the times, the sweep,
+        each line's step and each arc's beta are written in whole rows.
+        beta is the largest of | |basis_u| - 1 |, | |basis_v| - 1 | and
+        |basis_u.basis_v|, each dot product summed in coordinate order from
+        0.0."""
+        query, d, den = self.query, self.query.dim, self.den
+        count = len(arc)
+        source, relative = _sources(d).take(length, axis=2)
+        source += relative * length.cumsum()
+        table = floats.take(source)
+        initial, final = table[-2 * d : -d, :count], table[-d:, :count]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.divide(ticks[0], den, out=table[T0, :count])
+            np.divide(ticks[1] - ticks[0], den, out=table[DURATION, :count])
+            np.subtract(table[END], table[ANGLE], out=table[SWEEP])
+            step = table[VECTORS + d : VECTORS + 2 * d]
+            np.subtract(step, table[VECTORS : VECTORS + d], out=step, where=length == 2 * d)
+            if arc.any():
+                # |basis_u|^2, basis_u.basis_v, basis_v.basis_u, |basis_v|^2.
+                basis = table[VECTORS + 2 * d : VECTORS + 4 * d].reshape(2, d, -1)
+                sums = np.add.reduce(basis[:, None] * basis, axis=2, initial=0.0).reshape(4, -1)
+                lengths = sums[::3]
+                np.sqrt(lengths, out=lengths)
+                lengths -= 1.0
+                np.maximum.reduce(
+                    np.abs(sums, out=sums), axis=0, initial=0.0, where=length > 2 * d,
+                    out=table[BETA],
+                )
+                # An arc needs a positive radius and a basis orthonormal to
+                # within BASIS_TOL; a NaN fails.
+                radius = table[RADIUS, :count] > 0
+                fault = arc > (radius & (table[BETA, :count] <= BASIS_TOL))
+                if fault.any():
+                    row = int(fault.argmax())
+                    raise self._arc_error(ticks, first, row, bool(radius[row]))
         # Each segment's initial point against the final point before it, or
         # its robot's start; each robot's last final point against its goal.
-        first, counts = first[:-1], np.diff(first)
-        before = np.empty((len(arc), d))
-        before[1:], before[first] = ends[:-1, d:], query.starts
-        gap = np.concatenate([ends[:, :d] - before, ends[first + counts - 1, d:] - query.goals])
+        first, last = first[:-1], first[1:] - 1
+        gap = np.empty((d, count + len(counts)))
+        gap[:, 1:count], gap[:, first] = final[:, :-1], query.starts.T
+        np.subtract(initial, gap[:, :count], out=gap[:, :count])
+        np.subtract(final.take(last, axis=1), query.goals.T, out=gap[:, count:])
         # np.linalg.norm's sums, without its checks; tested as "not <=" so
         # that a NaN point fails.
-        near = np.sqrt(np.add.reduce(gap * gap, axis=1)) <= endpoint_tol(query)
+        near = np.sqrt(np.add.reduce(gap * gap, axis=0)) <= endpoint_tol(query)
         if not near.all():
             raise self._junction_error(near, ticks[0], first, counts)
-        block = table[:, : 3 * d + 3].copy()
-        block.setflags(write=False)
-        ends.setflags(write=False)
-        return _Columns(ticks, arc, counts, first, block, ends)
+        table.setflags(write=False)
+        return _Columns(ticks, arc, np.array(counts), first, table, table[-2 * d :, :count].T)
 
     def _arc_error(self, ticks, first, row: int, radius_ok: bool) -> InternalConsistencyError:
         """The error of the first arc, robot by robot and in time, that
@@ -321,7 +418,7 @@ class PiecewisePath:
         :meth:`_table` finds apart: ``near`` has a row per segment's initial
         point, then one per goal."""
         goals = len(near) - len(counts)
-        for robot, (lo, count) in enumerate(zip(first.tolist(), counts.tolist())):
+        for robot, (lo, count) in enumerate(zip(first.tolist(), counts)):
             for junction, row in enumerate([*range(lo, lo + count), goals + robot]):
                 if not near[row]:
                     at = (
@@ -351,33 +448,12 @@ class PiecewisePath:
             lo += count
         return InternalConsistencyError(f"tick denominator {den} is above 2**53")
 
-    @cached_property
-    def _operands(self) -> np.ndarray:
-        """The operand columns of :func:`evaluate`, one per table row."""
-        columns, d = self._columns, self.query.dim
-        block, arcs = columns.block, np.flatnonzero(columns.arc)
-        operands = np.zeros((VECTORS + 4 * d, len(block)))
-        origin, step, basis_u, basis_v = operands[VECTORS:].reshape(4, d, -1)
-        fields = block[arcs].T
-        operands[T0] = columns.start / self.den
-        operands[DURATION] = (columns.stop - columns.start) / self.den
-        operands[RADIUS] = -0.0
-        operands[RADIUS, arcs], operands[ANGLE, arcs] = fields[d], fields[3 * d + 1]
-        origin[:] = block[:, :d].T
-        basis_u[:, arcs] = fields[d + 1 : 2 * d + 1]
-        basis_v[:, arcs] = fields[2 * d + 1 : 3 * d + 1]
-        with np.errstate(over="ignore", invalid="ignore"):
-            step[:] = np.where(columns.arc, -0.0, (block[:, d : 2 * d] - block[:, :d]).T)
-            operands[SWEEP, arcs] = fields[3 * d + 2] - fields[3 * d + 1]
-        operands.setflags(write=False)
-        return operands
-
     def _at(self, rows: np.ndarray, ts: np.ndarray) -> np.ndarray:
         """Positions (len(ts), d) of table rows ``rows`` at float times
         ``ts``, by :func:`evaluate`; a row at its own start or stop time
         gives its stored initial or final point."""
         columns, d = self._columns, self.query.dim
-        g = self._operands.take(rows, axis=1)
+        g = columns.table.take(rows, axis=1)
         out = evaluate(g, ts[None])[:, 0].T
         ends = columns.ends[rows]
         out = np.where((ts == g[T0])[:, None], ends[:, :d], out)

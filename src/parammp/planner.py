@@ -282,6 +282,7 @@ def _play_swaps(
     starts = np.array(query.starts)
     points = query.starts.tolist()
     values, rank = _ties(query, frame)
+    values = values.copy()  # the sweep's own: the tie table is shared
     listed = values.tolist()
     goals = set(listed[n : 2 * n])
     ranked_goals = sorted(goals)
@@ -332,13 +333,24 @@ def _play_swaps(
                 (value, listed[swap.robot], beyond),
                 distances[swap.block],
             )
-        final = {}
+        # Each row on its tick, appended in place as _append_segment would:
+        # a rest at the row's initial point fills a gap before it (only a
+        # first stage follows one), and a rest that continues a rest at the
+        # same point extends it.
         for j, stage in enumerate(stages):
             t0 = lo + _STAGES * i + j
-            append = _extend if j else _append_segment
             for robot, row in stage.items():
-                final[robot] = row
-                append(entries[robot], t0, t0 + 1, row, d)
+                per_robot = entries[robot]
+                stop = per_robot[-1][1] if per_robot else 0
+                if stop < t0:
+                    point = row_initial(row, d)
+                    _extend(per_robot, stop, t0, line_row(point, point), d)
+                last = per_robot[-1] if per_robot else None
+                if last and len(row) == 2 * d and last[2] == row and row[:d] == row[d:]:
+                    last[1] = t0 + 1
+                else:
+                    per_robot.append([t0, t0 + 1, row])
+        final = stages[-1]  # the last stage moves every robot the swap moves
         for robot, row in final.items():
             starts[robot] = points[robot] = row_final(row, d)
         values[:n] = starts @ frame.axis

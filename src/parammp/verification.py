@@ -26,7 +26,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import ANGLE, DURATION, RADIUS, SWEEP, T0, VECTORS, PiecewisePath, evaluate
+from .paths import ANGLE, BETA, DURATION, END, RADIUS, SWEEP, T0, VECTORS, PiecewisePath, evaluate
 from .planner import plan
 
 __all__ = [
@@ -47,12 +47,12 @@ __all__ = [
 # Bounds samples_per_segment: a fallback entry holds (samples + 1) x d floats.
 MAX_SAMPLES_PER_SEGMENT = 4096
 # (window, pair) entries per block of certification work, so that work memory
-# stays flat however many pairs a path touches.  An entry's work arrays (its
-# gathered and relative positions, and some thirty arrays of one number per
-# entry) peak at about 240 + 60d bytes under tracemalloc: a block of 4096
-# stays under 2 MB at d <= 4, and takes the largest certificate of the
-# benchmark's verify-swaps corpus (n = m = 8, 3,653 entries) in one pass.
-# Between the passes each entry that pass 1 keeps holds 56 + 32d bytes.
+# stays flat however many pairs a path touches.  A block of 4096 takes the
+# largest certificate of the benchmark's verify-swaps corpus (n = m = 8,
+# 3,653 entries) in one pass, which peaks at about 1.3 MB under tracemalloc:
+# each entry's work arrays are its gathered positions and values and some
+# thirty arrays of one number per entry.  Between the passes each entry that
+# pass 1 keeps holds 56 + 32d bytes: its ids, values and cone bound.
 _BLOCK = 1 << 12
 _EPS = float(np.finfo(float).eps)
 # Body kinds on a window: a pair's kind is its higher kind, then its lower.
@@ -213,26 +213,32 @@ def certify_separation(
       which is at least every bound of the pair;
     - the kept entries depend on S alone, not on the blocks.
 
-    Only the path's column table is read: the union grid is its distinct
-    stop ticks and the operands are its operand columns.  All window-end
-    positions come from one call of the formula, into a position table: a
-    moving segment is evaluated once at each bound of its span, and a body
-    whose formula reads no time (a rest, a zero-sweep arc, an obstacle)
-    once, as it gives the same floats at every time from its start.  Each
-    entry reads its bodies' positions at both window ends from that table
-    by index, once, in pass 1.  Where the minimizer's time is a window end,
-    the entry reuses that end's positions: the same columns at the same
-    float time give the same floats.  Only entries whose minimizer lies strictly inside the
-    window evaluate the formula again, and only entries that read operand
-    columns (an arc against a point, an interior minimizer, a Case A check,
-    a fallback cone) gather them.  Entries are gathered from the touched
-    robots' pair rows and processed in blocks of at most ``_BLOCK``, with
-    no loop over windows and no windows-by-pairs array; an entry's
-    arithmetic reads only its own operands, so the block size changes no
-    float.  An unsound path yields a failing certificate,
-    never an exception; so does a path whose arithmetic overflows, as a bound
-    that is not finite becomes -inf.  ``samples_per_segment`` must be an
-    integer, not a bool, from 2 to ``MAX_SAMPLES_PER_SEGMENT`` (ValueError).
+    Only the path's column table is read, as the path built it: the union
+    grid is its distinct stop ticks, and the bodies are the columns of its
+    body table (each segment, then each obstacle), whose beta the path
+    worked out when it checked its arcs.  The terms of each body (its kind,
+    slack, speed bound and place in the position table) are a few
+    operations on whole rows of that table.  All window-end positions come
+    from one call of the formula, into a position table: a moving segment
+    is evaluated once at each bound of its span, and a body whose formula
+    reads no time (a rest, a zero-sweep arc, an obstacle) once, as it gives
+    the same floats at every time from its start.  In pass 1 each entry
+    gathers its bodies' cone terms and their positions at both window ends
+    once, into one array of values that pass 2 reads, with the kinds and
+    slacks of the entries it keeps.  Where the minimizer's time is a window
+    end, the entry reuses that end's positions: the same columns at the
+    same float time give the same floats.  Only entries
+    whose minimizer lies strictly inside the window evaluate the formula
+    again, and only entries that read body columns (an arc against a point,
+    an interior minimizer, a Case A check, a fallback cone) gather them.
+    Entries are gathered from the touched robots' pair rows and processed
+    in blocks of at most ``_BLOCK``, with no loop over windows and no
+    windows-by-pairs array; an entry's arithmetic reads only its own
+    operands, so the block size changes no float.  An unsound path yields a
+    failing certificate, never an exception; so does a path whose
+    arithmetic overflows, as a bound that is not finite becomes -inf.
+    ``samples_per_segment`` must be an integer, not a bool, from 2 to
+    ``MAX_SAMPLES_PER_SEGMENT`` (ValueError).
     """
     if isinstance(samples_per_segment, bool) or not (
         isinstance(samples_per_segment, Integral)
@@ -246,30 +252,41 @@ def certify_separation(
     columns = path._columns
     count = len(columns.stop)
     # The union grid on the path's integer ticks, which are below 2**53, so
-    # tick / den rounds exactly as float(Fraction(tick, den)) does.  Windows
-    # per segment: up to its end, from the previous segment's end or, for a
-    # robot's first segment, from 0.  (Asked for the inverse, np.unique sorts;
-    # its other path imports numpy.ma on first use, about 15 ms and 0.8 MB.)
-    cuts, ends = np.unique(np.append(columns.stop, 0), return_inverse=True)
-    ends = ends[:count]
+    # tick / den rounds exactly as float(Fraction(tick, den)) does: 0 and
+    # every distinct stop tick.  Each body spans windows up to its end
+    # bound: a segment from the previous segment's end or, for a robot's
+    # first segment, from 0; an obstacle all of them.  (np.unique would
+    # import numpy.ma on first use, about 15 ms and 0.8 MB.)
+    cuts = np.sort(columns.stop)
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    windows = len(cuts)
+    bounds = np.zeros(windows + 1)
+    np.divide(cuts, path.den, out=bounds[1:])
+    ends = np.empty(count + m, dtype=np.intp)
+    ends[:count], ends[count:] = cuts.searchsorted(columns.stop, "right"), windows
     spans = ends.copy()
-    spans[1:] -= ends[:-1]
+    spans[1:count] -= ends[: count - 1]
     spans[columns.first] = ends[columns.first]
-    # active[w, r] is the segment robot r follows on window w.
-    active = np.repeat(np.arange(count), spans).reshape(n, -1).T
+    # active[w, k] is the body robot k follows on window w, or obstacle
+    # k - n.
+    active = np.arange(count + m).repeat(spans).reshape(n + m, windows).T
 
     pair_of, labels = _pairs(n, m)
-    sampled = np.full(len(labels[0]), np.inf)
-    certified = np.full(len(labels[0]), np.inf)
+    sampled = np.empty(len(labels[0]))
+    sampled.fill(np.inf)
+    certified = sampled.copy()
     with np.errstate(all="ignore"):
-        bodies = _Bodies(path, cuts / path.den, spans, ends)
-        rest = bodies.kind[:count] == _POINT
-        touched = np.ones(active.shape, dtype=bool)
-        touched[1:] = (active[1:] != active[:-1]) | ~rest[active[1:]]
+        bodies = _Bodies(path, bounds, spans, ends)
+        robots = active[:, :n]
+        touched = np.empty((windows, n), dtype=bool)
+        touched[0] = True
+        np.not_equal(robots[1:], robots[:-1], out=touched[1:])
+        touched[1:] |= (bodies.kind != _POINT)[robots[1:]]
         # Each touched robot meets every obstacle and every robot that is
         # untouched or, touched too, comes after it: each entry once.
-        item_w, item_r = np.nonzero(touched)
-        robots = np.arange(n)
+        # (Obstacles, bodies n + j, come after every robot.)
+        item_w, item_r = touched.nonzero()
+        untouched, partner = ~touched, np.arange(n + m)
         chunk = max(1, _BLOCK // (n + m))
         # Pass 1: every entry's window-end distances, into sampled.  An entry
         # whose cone already lies above its pair's smallest distance so far
@@ -277,24 +294,23 @@ def certify_separation(
         blocks = []
         for block in range(0, len(item_w), chunk):
             w, r = item_w[block : block + chunk], item_r[block : block + chunk]
-            keep = np.ones((len(w), n + m), dtype=bool)
-            keep[:, :n] = ~touched[w] | (robots > r[:, None])
-            row, other = np.nonzero(keep)
+            keep = partner > r[:, None]
+            keep[:, :n] |= untouched[w]
+            row, other = keep.nonzero()
             w, r = w[row], r[row]
-            a = active[w, r]
-            b = np.where(other < n, active[w, np.minimum(other, n - 1)], count + other - n)
-            pairs = pair_of[r, other]
-            at, f_lo, f_hi, cone = bodies.ends(a, b, w)
-            np.minimum.at(sampled, pairs, np.minimum(f_lo, f_hi))
-            blocks.append(_kept([pairs, a, b, w, at, f_lo, f_hi, cone], sampled))
+            a, b = active[w, np.array((r, other))]
+            ids = np.array((pair_of[r, other], a, b, w))
+            values, nearest, cone = bodies.ends(a, b, w)
+            np.minimum.at(sampled, ids[0], nearest)
+            blocks.append(_kept([ids, values, cone], sampled))
         # Pass 2: the closed forms on the entries whose cone reaches their
         # pair's smallest window-end distance over the whole path (a lone
         # block was filtered against it in pass 1).
         reach = sampled.copy() if len(blocks) > 1 else None
         for entries in blocks:
-            pairs, *entries, _ = entries if reach is None else _kept(entries, reach)
+            (pairs, *ids), values, _ = entries if reach is None else _kept(entries, reach)
             if len(pairs):
-                low, bound = bodies.minima(*entries, samples_per_segment)
+                low, bound = bodies.minima(*ids, values, samples_per_segment)
                 np.minimum.at(sampled, pairs, low)
                 np.minimum.at(certified, pairs, bound)
     certified[~np.isfinite(certified)] = -np.inf
@@ -332,10 +348,10 @@ def _may_set_minimum(cone, reach) -> np.ndarray:
 
 def _kept(entries, reach):
     """The entries that :func:`_may_set_minimum` keeps against ``reach``,
-    of arrays whose last axis runs over entries: their pairs first, their
-    cone bounds last."""
-    kept = _may_set_minimum(entries[-1], reach[entries[0]]).nonzero()[0]
-    return [x[..., kept] for x in entries]
+    of arrays whose last axis runs over entries: their ids (pair, bodies a
+    and b, window) first, their cone bounds last."""
+    kept = _may_set_minimum(entries[-1], reach[entries[0][0]]).nonzero()[0]
+    return [x.take(kept, axis=-1) for x in entries]
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -345,10 +361,10 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(v * v, axis=0))
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise a.b of (d, ...) arrays, summed as :func:`_norm` sums, from
-    +0.0."""
-    return np.add.reduce(a * b, axis=0, initial=0.0)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise dot products of the (d, ...) arrays stacked in a with b,
+    summed as :func:`_norm` sums, from +0.0."""
+    return np.add.reduce(a * b, axis=1, initial=0.0)
 
 
 def _two_sum(x: np.ndarray, y: np.ndarray):
@@ -365,32 +381,32 @@ def _nearest_tau(rel, final, f_lo, slack, lo, hi):
     the quadratic excess applies, and the excess and variation bounds of
     :func:`certify_separation`."""
     step = final - rel
-    dd, along = _dot(step, step), _dot(rel, step)
+    dd, along = _dots(np.array((step, rel)), step)
+    span = np.add.reduce(np.abs(step), axis=0)
     length = np.sqrt(dd)
     tau = np.where(dd > 0, np.minimum(np.maximum(-along / dd, 0.0), 1.0), 0.0)
     width = hi - lo
     t = np.minimum(lo + tau * width, hi)
-    span = np.add.reduce(np.abs(step), axis=0)
     delta = 7 * slack * (f_lo + length) / dd + 2 * _EPS / width
     return t, along, length, span * delta < span, 2 * span * delta, span
 
 
-def _nearest_angle(c, point, beta, slack, lo, hi):
-    """For arcs (table columns c) against points (positions point): the time
-    of the arc's angle nearest the point if in [lo, hi], else lo, and the
-    excess and variation bounds of :func:`certify_separation`."""
-    angle, (t0, duration, sweep, radius) = c[ANGLE], c[T0:VECTORS]
-    origin, _, basis_u, basis_v = c[VECTORS:].reshape(4, -1, c.shape[1])
+def _nearest_angle(c, point, slack, lo, hi):
+    """For arcs (body table columns c) against points (positions point): the
+    time of the arc's angle nearest the point if in [lo, hi], else lo, and
+    the excess and variation bounds of :func:`certify_separation`."""
+    angle, beta, (t0, duration, sweep, radius) = c[ANGLE], c[BETA], c[T0:VECTORS]
+    origin, _, basis_u, basis_v = c[VECTORS:].reshape(6, -1, c.shape[1])[:4]
     p = point - origin
-    x, y = _dot(p, basis_u), _dot(p, basis_v)
+    x, y, square = _dots(np.array((basis_u, basis_v, p)), p)
     rho = np.hypot(x, y)
-    first = angle + (lo - t0) / duration * sweep
-    last = angle + (hi - t0) / duration * sweep
+    # The arc's angles at the window's ends.
+    first, last = angle + (np.array((lo, hi)) - t0) / duration * sweep
     theta = np.arctan2(y, x)
-    theta += 2 * np.pi * np.round((0.5 * (first + last) - theta) / (2 * np.pi))
+    theta += 2 * np.pi * np.rint((0.5 * (first + last) - theta) / (2 * np.pi))
     inside = (theta - first) * (theta - last) <= 0
     t = np.minimum(np.maximum(t0 + (theta - angle) / sweep * duration, lo), hi)
-    error = (2 * slack + 4 * beta * np.sqrt(_dot(p, p))) / rho + (8 + len(p)) * _EPS * (
+    error = (2 * slack + 4 * beta * np.sqrt(square)) / rho + (8 + len(p)) * _EPS * (
         4 + np.abs(angle) + np.abs(sweep) * (2 + 1 / duration)
     )
     excess = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
@@ -399,92 +415,94 @@ def _nearest_angle(c, point, beta, slack, lo, hi):
 
 
 class _Bodies:
-    """Every segment of a path, then every obstacle, as the operand columns
-    of the path's position formula (an obstacle rests at its origin).  Each
-    body's kind and the rounding slack of one evaluation are kept beside
-    them, and ``beta``, read for arcs alone.
+    """Every body of a path, as the columns of its body table (each segment,
+    then each obstacle, which rests at its origin), with the terms of
+    :func:`certify_separation` per body: its ``kind``, and in ``terms`` its
+    speed bound V (0 for a point) and three times its rounding slack, which
+    the cone reads, then that slack and its kind, which the closed forms
+    read.
 
     ``positions`` is the position table of :func:`certify_separation`: a
-    segment spanning ``spans`` windows up to bound ``ends`` has a column per
+    body spanning ``spans`` windows up to bound ``ends`` has a column per
     bound of its span, and a body whose formula reads no time (a point with
     no sweep) one column.  A body's position at window bound w is column
-    ``offset + w * stride``."""
+    ``offset + w * stride`` (``layout``)."""
 
     def __init__(self, path: PiecewisePath, bounds, spans, ends):
-        columns, obstacles = path._columns, path.obstacles
-        count, (m, d) = len(columns.stop), obstacles.shape
-        self.table = table = np.zeros((VECTORS + 4 * d, count + m))
-        table[:, :count] = path._operands
-        angle, (duration, sweep, radius) = table[ANGLE], table[DURATION:VECTORS]
-        origin, step, basis_u, basis_v = table[VECTORS:].reshape(4, d, -1)
-        duration[count:] = 1.0
-        origin[:, count:] = obstacles.T
-        # Whether sweep = angle_end - angle_start exactly.
-        arcs = np.flatnonzero(columns.arc)
-        exact = np.zeros(count + m, dtype=bool)
-        exact[arcs] = _two_sum(columns.block[arcs, 3 * d + 2], -angle[arcs])[1] == 0
+        self.table = table = path._columns.table
+        self.bounds, self.widths = bounds, bounds[1:] - bounds[:-1]
+        d = path.query.dim
+        angle, duration, sweep, radius = table[ANGLE], table[DURATION], table[SWEEP], table[RADIUS]
+        origin_step = table[VECTORS : VECTORS + 2 * d].reshape(2, d, -1)
+        size, length = np.sqrt(_dots(origin_step, origin_step))
         # A velocity is a constant vector plus a part of bounded norm: a
         # straight segment has no bounded part, an arc no constant part.  The
         # constant part, step / duration with duration <= 1, is 0 iff step is.
-        bounded = radius * np.abs(sweep) / duration
+        turn = np.abs(sweep)
+        bounded = radius * turn / duration
+        point = (bounded == 0) & ~np.logical_or.reduce(origin_step[1], axis=0)
         arc = radius > 0
         self.kind = kind = np.where(arc, _ARC, _LINE)
-        kind[exact & (sweep == np.pi)] = _HALF_TURN
-        kind[(bounded == 0) & ~step.any(axis=0)] = _POINT
-        # beta: how far an arc's basis is from orthonormal.
-        lengths = np.sqrt(_dot(basis_u, basis_u)), np.sqrt(_dot(basis_v, basis_v))
-        self.beta = beta = np.maximum(
-            np.maximum(abs(lengths[0] - 1), abs(lengths[1] - 1)), abs(_dot(basis_u, basis_v))
-        )
-        beta[~arc] = 0.0
-        length = np.sqrt(_dot(step, step))
-        size = np.sqrt(_dot(origin, origin)) + np.where(
-            arc, radius * (2 + np.abs(angle) + 2 * np.abs(sweep)), 4 * length
-        )
-        self.slack = slack = (8 + d) * _EPS * size + 8 * radius * beta
-        # Each body's terms of the cone bound of certify_separation: its
-        # speed bound V (0 for a point) and three times its slack.
-        self.cone_terms = np.stack([length / duration + bounded, 3 * slack])
+        # A half turn's sweep is float pi and angle_end - angle_start exactly.
+        kind[(sweep == np.pi) & (_two_sum(table[END], -angle)[1] == 0)] = _HALF_TURN
+        kind[point] = _POINT
+        size += np.where(arc, radius * (2 + np.abs(angle) + 2 * turn), 4 * length)
+        slack = (8 + d) * _EPS * size + 8 * radius * table[BETA]
+        self.terms = np.array((length / duration + bounded, 3 * slack, slack, kind))
 
         # Each body's last column is ``top``, at its last bound.
-        self.bounds, self.widths = bounds, bounds[1:] - bounds[:-1]
-        self.stride = stride = ((kind != _POINT) | (sweep != 0)).view(np.int8)
-        reps = np.ones(count + m, dtype=np.intp)
-        reps[:count] += stride[:count] * spans
-        last = np.zeros(count + m, dtype=np.intp)
-        last[:count] = ends
-        top = np.cumsum(reps) - 1
-        self.offset = top - last * stride
-        at = np.arange(top[-1] + 1) - np.repeat(top - last, reps)
-        self.positions = evaluate(np.repeat(table, reps, axis=1), bounds[at][None])[:, 0]
+        stride = ~point | (sweep != 0)
+        reps = stride * spans
+        reps += 1
+        top = reps.cumsum()
+        top -= 1
+        self.layout = np.array((top - ends * stride, stride))
+        at = np.arange(top[-1] + 1) - (top - ends).repeat(reps)
+        self.positions = evaluate(table.repeat(reps, axis=1), bounds.take(at)[None])[:, 0]
 
     def ends(self, a, b, w):
         """Bodies a and b at both ends of each window w, [bounds[w],
-        bounds[w + 1]], read from the position table as (d, 4, k) columns (a
-        and b at the start, then at the end), their distances f_lo and f_hi
-        there, and the cone bound of :func:`certify_separation`."""
-        k = len(a)
+        bounds[w + 1]], read from the position table: (4d + 2, k) values,
+        the positions as (d, 2, 2, k) columns (coordinate, window end, body)
+        and then their distances f_lo and f_hi there; the smaller distance;
+        and the cone bound of :func:`certify_separation`."""
+        k, d = len(a), len(self.positions)
         ab = np.concatenate([a, b])
-        stride = self.stride[ab]
-        start = self.offset[ab] + np.concatenate([w, w]) * stride
-        at = self.positions.take(np.concatenate([start, start + stride]), axis=1)
-        at = at.reshape(len(at), 4, k)
-        f_lo, f_hi = _norm(at[:, 0] - at[:, 1]), _norm(at[:, 2] - at[:, 3])
-        terms = self.cone_terms.take(ab, axis=1)
-        speed, margin = terms[:, :k] + terms[:, k:]
-        return at, f_lo, f_hi, 0.5 * (f_lo + f_hi - speed * self.widths[w]) - margin
+        speed, margin = self.terms[:2].take(ab, axis=1).reshape(2, 2, k).sum(axis=1)
+        # Each body's column at the window's start, then at its end.  Each
+        # block-sized temporary is freed before the next one is made, and
+        # mode "clip" (every index is in range) lets take write into the
+        # values without a buffer.
+        offset, stride = self.layout.take(ab, axis=1).reshape(2, 2, k)
+        index = np.empty((2, 2, k), dtype=np.intp)
+        np.multiply(w, stride, out=index[0])
+        index[0] += offset
+        np.add(index[0], stride, out=index[1])
+        del offset, stride
+        values = np.empty((4 * d + 2, k))
+        at = values[: 4 * d].reshape(d, 2, 2, k)
+        self.positions.take(index, axis=1, out=at, mode="clip")
+        del index
+        square = at[:, :, 0] - at[:, :, 1]
+        square *= square
+        f_lo, f_hi = f = values[4 * d :]
+        np.sqrt(np.add.reduce(square, axis=0), out=f)
+        del square
+        cone = 0.5 * (f_lo + f_hi - speed * self.widths[w]) - margin
+        return values, np.minimum(f_lo, f_hi), cone
 
-    def minima(self, a, b, w, at, f_lo, f_hi, samples: int):
+    def minima(self, a, b, w, values, samples: int):
         """(smallest evaluated distance, certified lower bound) of bodies a
-        and b on each window w, from :meth:`ends`' positions and distances."""
+        and b on each window w, from :meth:`ends`' values."""
         k = len(a)
         lo, hi = self.bounds[w], self.bounds[w + 1]
-        ab = np.concatenate([a, b])
-        kind, slack = self.kind[ab], self.slack[ab]
-        kind_a, kind_b = kind[:k], kind[k:]
+        at = values[:-2].reshape(-1, 2, 2, k)
+        f_lo, f_hi = values[-2:]
+        slack, kind = self.terms[2:].take(np.concatenate([a, b]), axis=1).reshape(2, 2, k)
+        slack = slack[0] + slack[1]
+        kind_a, kind_b = kind
         high, lowest = np.maximum(kind_a, kind_b), np.minimum(kind_a, kind_b)
-        slack = slack[:k] + slack[k:]
-        rel, final = at[:, 0] - at[:, 1], at[:, 2] - at[:, 3]
+        rel, final = (at[:, :, 0] - at[:, :, 1]).transpose(1, 0, 2)
         t, along, length, quadratic, excess, variation = _nearest_tau(
             rel, final, f_lo, slack, lo, hi
         )
@@ -493,11 +511,9 @@ class _Bodies:
         arc = ((high >= _ARC) & (lowest == _POINT)).nonzero()[0]
         if arc.size:
             first = kind_a[arc] >= _ARC
-            body = np.where(first, a[arc], b[arc])
             t[arc], excess[arc], variation[arc] = _nearest_angle(
-                self.table[:, body],
-                at[:, first.view(np.int8), arc],
-                self.beta[body],
+                self.table.take(np.where(first, a[arc], b[arc]), axis=1),
+                at[:, 0, first.view(np.int8), arc],
                 slack[arc],
                 lo[arc],
                 hi[arc],
@@ -510,7 +526,7 @@ class _Bodies:
         f_star = np.where(t == hi, f_hi, f_lo)
         inner = ((t != lo) & (t != hi)).nonzero()[0]
         if inner.size:
-            g = self.table.take(ab.reshape(2, k)[:, inner].ravel(), axis=1)
+            g = self.table.take(np.concatenate([a[inner], b[inner]]), axis=1)
             star = evaluate(g, t[np.concatenate([inner, inner])][None])[:, 0]
             f_star[inner] = _norm(star[:, : len(inner)] - star[:, len(inner) :])
         low = np.minimum(np.minimum(f_lo, f_hi), f_star)
@@ -524,19 +540,19 @@ class _Bodies:
         # Lines and points, also: |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).
         square = f_lo * f_lo + 2 * np.minimum(0.0, along)
         square -= 10 * slack * (f_lo + length + slack)
-        straight = high == _LINE
-        bound[straight] = np.fmax(bound[straight], np.minimum(low, np.sqrt(square))[straight])
+        np.fmax(bound, np.minimum(low, np.sqrt(square)), out=bound, where=high == _LINE)
 
         # A Case A pair: two half turns that agree on every operand from T0
-        # on and start exactly float pi apart.
+        # on (not on their end points) and start exactly float pi apart.
         fallback = (high >= _ARC) & (lowest != _POINT)
         twin = (lowest == _HALF_TURN).nonzero()[0]
         if twin.size:
-            g_a, g_b = self.table[:, a[twin]], self.table[:, b[twin]]
+            g_a, g_b = self.table.take(a[twin], axis=1), self.table.take(b[twin], axis=1)
             gap, error = _two_sum(g_a[ANGLE], -g_b[ANGLE])
-            same = (g_a[T0:] == g_b[T0:]).all(axis=0)
+            operands = slice(T0, VECTORS + 4 * len(self.positions))
+            same = (g_a[operands] == g_b[operands]).all(axis=0)
             keep = same & (np.abs(gap) == np.pi) & (error == 0)
-            twin, radius, beta = twin[keep], g_a[RADIUS, keep], self.beta[a[twin[keep]]]
+            twin, radius, beta = twin[keep], g_a[RADIUS, keep], g_a[BETA, keep]
             # How far apart the two half turns stay, rounded down.
             beta += (len(self.positions) + 4) * _EPS
             apart = 2 * radius * np.sqrt(np.maximum(0.0, 1 - 3 * beta)) * (1 - 8 * _EPS)
@@ -561,7 +577,7 @@ class _Bodies:
         ts = np.linspace(lo, hi, samples + 1)
         at = evaluate(g, np.concatenate([ts, ts], axis=1))
         f = _norm(at[..., :k] - at[..., k:])
-        step = g[VECTORS:].reshape(4, -1, 2 * k)[1]
+        step = g[VECTORS:].reshape(6, -1, 2 * k)[1]
         constant = step / g[DURATION]
         bounded = g[RADIUS] * np.abs(g[SWEEP]) / g[DURATION]
         speed = _norm(constant[:, :k] - constant[:, k:]) + bounded[:k] + bounded[k:]

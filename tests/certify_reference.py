@@ -8,11 +8,14 @@ builds it from the segment fields of the path's plan JSON rather than from
 the path's table.  It takes from the certifier only the float bounds of the
 union grid's windows, and evaluates every position itself, at both ends of
 every window and at every minimizer, with its own arithmetic.
+:func:`reference_table` builds the path's body table again from the same
+fields.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -38,18 +41,59 @@ def keep_all(cone, reach) -> np.ndarray:
     return np.ones(len(cone), dtype=bool)
 
 
-def reference_bodies(path, bounds, *spans) -> "ReferenceBodies":
-    """:class:`ReferenceBodies` for ``certify_separation``, which constructs
-    its bodies from the path and the window ``bounds`` of its union grid:
-    from the segments its plan JSON writes, robot after robot (the frame and
-    region written beside them are not read).  The segments' window spans,
-    which the certifier's own bodies read to lay out their positions, are
-    not needed."""
+def plan_segments(path) -> list:
+    """The segment objects the plan JSON of ``path`` writes, robot after
+    robot (the frame and region written beside them are not read)."""
     frame = make_frame(path.query, FrameMode.FIXED)
     result = PlanResult(path=path, region=classify(path.query, frame), swaps=(), frame=frame)
     robots = json.loads(serialize_plan(result))["robots"]
-    segments = [segment for robot in robots for segment in robot["segments"]]
-    return ReferenceBodies(segments, path.obstacles, bounds)
+    return [segment for robot in robots for segment in robot["segments"]]
+
+
+def reference_bodies(path, bounds, *spans) -> "ReferenceBodies":
+    """:class:`ReferenceBodies` for ``certify_separation``, which constructs
+    its bodies from the path and the window ``bounds`` of its union grid:
+    from the segments its plan JSON writes.  The segments' window spans,
+    which the certifier's own bodies read to lay out their positions, are
+    not needed."""
+    return ReferenceBodies(plan_segments(path), path.obstacles, bounds)
+
+
+def reference_table(path) -> np.ndarray:
+    """The body table of ``path`` (``paths`` names its rows), built again
+    in Python floats from the segments its plan JSON writes and from its
+    obstacles, by the rules the ``paths`` module states for each kind.  An
+    arc's end points are its formula's floats at local times 0 and 1, as
+    ``arc_row`` evaluates them."""
+    d = path.query.dim
+    columns = []
+    for seg in plan_segments(path):
+        t0, t1 = Fraction(seg["t0"]), Fraction(seg["t1"])
+        times = [float(t0), float(t1 - t0)]
+        if seg["kind"] == "linear":
+            start, end = seg["start"], seg["end"]
+            step = [b - a for a, b in zip(start, end)]
+            basis = [0.0] * 2 * d
+            columns.append([0.0] * 3 + times + [0.0, -0.0, *start, *step, *basis, *start, *end])
+            continue
+        center, radius, u, v = seg["center"], seg["radius"], seg["basis_u"], seg["basis_v"]
+        first, last = seg["angle_start"], seg["angle_end"]
+        beta = max(
+            abs(math.sqrt(sum(x * x for x in u)) - 1.0),
+            abs(math.sqrt(sum(x * x for x in v)) - 1.0),
+            abs(sum(x * y for x, y in zip(u, v))),
+        )
+        ends = []
+        for w in (0.0, 1.0):
+            theta = first + w * (last - first)
+            along, across = radius * math.cos(theta), radius * math.sin(theta)
+            ends += [c + along * x + across * y for c, x, y in zip(center, u, v)]
+        columns.append(
+            [last, beta, first, *times, last - first, radius, *center, *[-0.0] * d, *u, *v, *ends]
+        )
+    for obstacle in path.obstacles.tolist():
+        columns.append([0.0] * 4 + [1.0] + [0.0] * 2 + obstacle + [0.0] * 5 * d)
+    return np.array(columns).T
 
 
 class ReferenceBodies:
@@ -122,8 +166,9 @@ class ReferenceBodies:
 
     def ends(self, a, b, w):
         """Bodies a and b at both ends of each window w, as (d, 4, k) columns
-        (a and b at the start, then at the end), their distances there, and
-        the cone bound that decides which entries are certified."""
+        (a and b at the start, then at the end), the smaller of their
+        distances there, and the cone bound that decides which entries are
+        certified."""
         lo, hi = self.bounds[w], self.bounds[w + 1]
         k, both = len(a), np.concatenate([a, b])
         at = np.stack([self.at(both, np.concatenate([s, s])) for s in (lo, hi)], axis=1)
@@ -131,9 +176,10 @@ class ReferenceBodies:
         f_lo, f_hi = _distance(at[:, 0], at[:, 1]), _distance(at[:, 2], at[:, 3])
         speed = self.speed[a] + self.speed[b]
         slack = self.slack[a] + self.slack[b]
-        return at, f_lo, f_hi, 0.5 * (f_lo + f_hi - speed * (hi - lo)) - 3 * slack
+        cone = 0.5 * (f_lo + f_hi - speed * (hi - lo)) - 3 * slack
+        return at, np.minimum(f_lo, f_hi), cone
 
-    def minima(self, a, b, w, at, f_lo, f_hi, samples: int):
+    def minima(self, a, b, w, at, samples: int):
         """(smallest evaluated distance, certified lower bound) of bodies a
         and b on each window w.  The window ends :meth:`ends` gave are
         evaluated again."""

@@ -20,11 +20,13 @@ from parammp import (
     plan,
     planner,
     random_query,
+    random_rational_query,
     serialize_plan,
 )
 from parammp import paths
 from parammp.errors import DimensionMismatchError
 from parammp.paths import evaluate, row_final, row_initial
+from certify_reference import reference_table
 from hand_built_paths import extreme_path, extreme_rows, path_rows, row_at
 from query_strategies import small_queries
 
@@ -101,7 +103,7 @@ class TestRows:
             angles = tuple(map(np.float64, angles))
         row = arc_row(center, radius, basis_u, basis_v, *angles)
         path = one_segment_path(row, d)
-        ends = evaluate(path._operands, np.array([[0.0], [1.0]]))[:, :, 0].T
+        ends = evaluate(path._columns.table, np.array([[0.0], [1.0]]))[:, :, 0].T
         assert ends[0].tobytes() == np.array(row_initial(row, d)).tobytes()
         assert ends[1].tobytes() == np.array(row_final(row, d)).tobytes()
 
@@ -410,6 +412,15 @@ def _assert_table_holds_its_rows(path, rows):
     assert columns.floats.tobytes() == np.concatenate(fields).tobytes()
 
 
+def _assert_body_table_is_its_plan_json(path):
+    table, reference = path._columns.table, reference_table(path)
+    assert table.shape == reference.shape
+    assert [x.hex() for x in table.ravel().tolist()] == [
+        x.hex() for x in reference.ravel().tolist()
+    ]
+    assert not table.flags.writeable
+
+
 class TestColumns:
     @settings(max_examples=100, deadline=None)
     @given(small_queries())
@@ -438,6 +449,31 @@ class TestColumns:
         _assert_table_holds_its_rows(path, extreme_rows())
         assert path_rows(path) == extreme_rows()
         assert math.copysign(1.0, path._columns.block[0, -2]) == -1.0  # angle_start -0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries())
+    def test_body_table_is_its_plan_json(self, case):
+        # every float of the body table, beta and the obstacles' columns
+        # too, is what the segments' plan-JSON fields give, bit for bit
+        query, mode = case
+        _assert_body_table_is_its_plan_json(plan(query, mode=mode).path)
+
+    @pytest.mark.parametrize("mode", ["fixed", "obstacle_pair"])
+    @pytest.mark.parametrize("denominator", [None, 2], ids=["generic", "degenerate"])
+    def test_planned_body_tables_are_their_plan_json(self, mode, denominator):
+        rng = np.random.default_rng(3)
+        if denominator is None:
+            query = random_query(rng, 6, 6, 4)
+        else:  # half-units in [-3, 3]: coincidences, so a split
+            query = random_rational_query(rng, 6, 6, 4, denominator=2, span=6)
+        result = plan(query, mode=mode)
+        assert result.swap_count > 0
+        assert (result.region.j < 2 * query.robot_count) == (denominator is not None)
+        _assert_body_table_is_its_plan_json(result.path)
+
+    def test_hand_built_body_table_is_its_plan_json(self):
+        # a -0.0 angle, subnormal and 1e300 coordinates
+        _assert_body_table_is_its_plan_json(extreme_path())
 
     def test_plan_certify_and_write_build_no_segment_records(self, monkeypatch):
         # planning, certification and the plan text read the table alone:

@@ -710,6 +710,36 @@ class TestSweepState:
         assert res.swap_count == swap_count
         assert calls["validate"] <= validations and calls["ties"] <= tie_tables, calls
 
+    @pytest.mark.parametrize("mode", ["fixed", "obstacle_pair"])
+    @pytest.mark.parametrize(
+        "denominator, tables", [(None, 1), (2, 2)], ids=["generic", "degenerate"]
+    )
+    def test_one_tie_table_per_configuration(self, monkeypatch, mode, denominator, tables):
+        # classify, orderings, the gap and the sweep read one table for the
+        # query and one for its split; none of them writes it
+        rng = np.random.default_rng(0)
+        if denominator is None:
+            query = random_query(rng, 6, 6, 4)
+        else:
+            query = random_rational_query(rng, 6, 6, 4, denominator=2, span=6)
+        worked_out = []
+        original = geometry._tie_table
+
+        def counting(query, frame, snap_tol):
+            worked_out.append((query, frame))
+            return original(query, frame, snap_tol)
+
+        monkeypatch.setattr(geometry, "_tie_table", counting)
+        res = plan(query, mode=mode)
+        assert res.swap_count > 0 and len(worked_out) == tables
+        assert worked_out[0][0] is query
+        for configuration, frame in worked_out:
+            values, rank = geometry._ties(configuration, frame)
+            again = original(configuration, frame, 0.0)
+            assert (values.tobytes(), rank.tobytes()) == (again[0].tobytes(), again[1].tobytes())
+            assert not values.flags.writeable and not rank.flags.writeable
+        assert len(worked_out) == tables
+
 
 class TestTicks:
     """Segment bounds are integer ticks over one denominator per path."""
