@@ -173,8 +173,36 @@ def certify_separation(
       bounds the error of an evaluated relative position, so the rounding of
       that square is at most 10 E (|A| + |D| + E); the bound is the square
       root of the square less this margin (none where that is negative).
-      The entry keeps the larger of its two bounds, capped at
-      ``sampled_min``.
+    - Lines and points have a third bound, which holds up where their
+      distance is small next to their motion, as where a robot rounds an
+      obstacle: the distance from 0 to the segment from A to A + D, in real
+      arithmetic.  Where neither body is an arc, A and A + D are within
+      eps (M_a + M_b) of the true relative positions: a straight formula
+      rounds by at most eps M / 2 at a window end, a point's not at all,
+      and the subtraction by at most eps |A| / 2.  The true motion between
+      them is affine, so the true distance is at least the segment's less
+      eps (M_a + M_b).  The segment's distance is |A| where A.D >= 0 (it
+      moves away from 0 from its start), |A + D| where (A + D).D <= 0 (it
+      moves toward 0 up to its end), and else at least its line's,
+      |A - (A.D / D.D) D|.  The dot products round by less than
+      (d + 2) eps |D| times |A| or |A + D|, so the first two are taken
+      where they clear 0 by that much; rounding D and the residual moves
+      the third by at most eps |D| + (2d + 8) eps |A|, and each norm rounds
+      by less than (d + 2) eps of itself.  An arc, even one with no sweep,
+      has no such bound.
+      The entry keeps the larger of its first two bounds, capped at
+      ``sampled_min``; only where that is not positive does it take the
+      third where it is larger, so a certificate the first two pass keeps
+      its floats.
+    - An arc against a point has a second bound, which needs no minimizer
+      either: the point's distance from the arc's circle, at least
+      |rho - r|, less E + ((d + 8) eps + 4 beta) |p|.  E covers the point's
+      rounding and the arc's distance from a true circle; the basis is
+      within 3 beta of that circle's orthonormal one, which moves rho by at
+      most 3 beta |p|, and rounding p and rho moves it by less than
+      (d + 4) eps |p|.  As with the third bound of lines, the entry takes
+      it, capped at ``sampled_min``, only where its first bound is not
+      positive and it is larger.
 
     Most entries cannot hold their pair's minimum: the rule keeps bodies
     apart along the frame line, and in a stage only a swapping pair, or a
@@ -375,26 +403,33 @@ def _two_sum(x: np.ndarray, y: np.ndarray):
     return total, (x - (total - y_part)) + (y - y_part)
 
 
-def _nearest_tau(rel, final, f_lo, slack, lo, hi):
+def _nearest_tau(rel, final, f_lo, f_hi, slack, lo, hi):
     """For lines and points, whose relative position A + tau D runs from
-    rel to final: the time of the nearest tau in [0, 1], A.D, |D|, whether
-    the quadratic excess applies, and the excess and variation bounds of
+    rel to final: the time of the nearest tau in [0, 1], A.D, |D|, the
+    segment's distance from 0 less its rounding margin, whether the
+    quadratic excess applies, and the excess and variation bounds of
     :func:`certify_separation`."""
+    d = len(rel)
     step = final - rel
-    dd, along = _dots(np.array((step, rel)), step)
+    dd, along, ahead = _dots(np.array((step, rel, final)), step)
     span = np.add.reduce(np.abs(step), axis=0)
     length = np.sqrt(dd)
+    sure = (d + 2) * _EPS * length
+    line = _norm(rel - along / dd * step) - ((2 * d + 8) * _EPS * f_lo + _EPS * length)
+    segment = np.where(along >= sure * f_lo, f_lo, np.where(ahead <= -sure * f_hi, f_hi, line))
+    segment *= 1 - (d + 2) * _EPS
     tau = np.where(dd > 0, np.minimum(np.maximum(-along / dd, 0.0), 1.0), 0.0)
     width = hi - lo
     t = np.minimum(lo + tau * width, hi)
     delta = 7 * slack * (f_lo + length) / dd + 2 * _EPS / width
-    return t, along, length, span * delta < span, 2 * span * delta, span
+    return t, along, length, segment, span * delta < span, 2 * span * delta, span
 
 
 def _nearest_angle(c, point, slack, lo, hi):
     """For arcs (body table columns c) against points (positions point): the
-    time of the arc's angle nearest the point if in [lo, hi], else lo, and
-    the excess and variation bounds of :func:`certify_separation`."""
+    time of the arc's angle nearest the point if in [lo, hi], else lo, the
+    excess and variation bounds of :func:`certify_separation`, and its bound
+    by the arc's circle."""
     angle, beta, (t0, duration, sweep, radius) = c[ANGLE], c[BETA], c[T0:VECTORS]
     origin, _, basis_u, basis_v = c[VECTORS:].reshape(6, -1, c.shape[1])[:4]
     p = point - origin
@@ -411,7 +446,8 @@ def _nearest_angle(c, point, slack, lo, hi):
     )
     excess = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
     variation = np.minimum(radius * np.abs(last - first), 2 * np.minimum(radius, rho))
-    return np.where(inside, t, lo), excess, variation
+    circle = np.abs(rho - radius) - ((len(p) + 8) * _EPS + 4 * beta) * np.sqrt(square)
+    return np.where(inside, t, lo), excess, variation, circle - slack
 
 
 class _Bodies:
@@ -419,8 +455,8 @@ class _Bodies:
     then each obstacle, which rests at its origin), with the terms of
     :func:`certify_separation` per body: its ``kind``, and in ``terms`` its
     speed bound V (0 for a point) and three times its rounding slack, which
-    the cone reads, then that slack and its kind, which the closed forms
-    read.
+    the cone reads, then that slack, its kind and eps M (inf for an arc),
+    which the closed forms read.
 
     ``positions`` is the position table of :func:`certify_separation`: a
     body spanning ``spans`` windows up to bound ``ends`` has a column per
@@ -448,7 +484,8 @@ class _Bodies:
         kind[point] = _POINT
         size += np.where(arc, radius * (2 + np.abs(angle) + 2 * turn), 4 * length)
         slack = (8 + d) * _EPS * size + 8 * radius * table[BETA]
-        self.terms = np.array((length / duration + bounded, 3 * slack, slack, kind))
+        exact = np.where(arc, np.inf, _EPS * size)
+        self.terms = np.array((length / duration + bounded, 3 * slack, slack, kind, exact))
 
         # Each body's last column is ``top``, at its last bound.
         stride = ~point | (sweep != 0)
@@ -498,20 +535,23 @@ class _Bodies:
         lo, hi = self.bounds[w], self.bounds[w + 1]
         at = values[:-2].reshape(-1, 2, 2, k)
         f_lo, f_hi = values[-2:]
-        slack, kind = self.terms[2:].take(np.concatenate([a, b]), axis=1).reshape(2, 2, k)
-        slack = slack[0] + slack[1]
+        slack, kind, exact = self.terms[2:].take(np.concatenate([a, b]), axis=1).reshape(3, 2, k)
+        slack, exact = slack[0] + slack[1], exact[0] + exact[1]
         kind_a, kind_b = kind
         high, lowest = np.maximum(kind_a, kind_b), np.minimum(kind_a, kind_b)
         rel, final = (at[:, :, 0] - at[:, :, 1]).transpose(1, 0, 2)
-        t, along, length, quadratic, excess, variation = _nearest_tau(
-            rel, final, f_lo, slack, lo, hi
+        t, along, length, direct, quadratic, excess, variation = _nearest_tau(
+            rel, final, f_lo, f_hi, slack, lo, hi
         )
         del rel, final
-        # An arc against a point: the angle nearest the point, if in range.
+        # The segment's bound: -inf for an entry with an arc.
+        direct -= exact
+        # An arc against a point: the angle nearest the point, if in range,
+        # and the circle's bound.
         arc = ((high >= _ARC) & (lowest == _POINT)).nonzero()[0]
         if arc.size:
             first = kind_a[arc] >= _ARC
-            t[arc], excess[arc], variation[arc] = _nearest_angle(
+            t[arc], excess[arc], variation[arc], direct[arc] = _nearest_angle(
                 self.table.take(np.where(first, a[arc], b[arc]), axis=1),
                 at[:, 0, first.view(np.int8), arc],
                 slack[arc],
@@ -541,6 +581,9 @@ class _Bodies:
         square = f_lo * f_lo + 2 * np.minimum(0.0, along)
         square -= 10 * slack * (f_lo + length + slack)
         np.fmax(bound, np.minimum(low, np.sqrt(square)), out=bound, where=high == _LINE)
+        # Where these are not positive, the bound with no minimizer: the
+        # segment's or the circle's.
+        np.fmax(bound, np.minimum(low, direct), out=bound, where=bound <= 0)
 
         # A Case A pair: two half turns that agree on every operand from T0
         # on (not on their end points) and start exactly float pi apart.

@@ -150,6 +150,7 @@ class ReferenceBodies:
             4 * np.sqrt(_dot(self.step, self.step)),
         )
         self.slack = (8 + d) * _EPS * size + 8 * self.radius * self.beta
+        self.exact = np.where(arc, np.inf, _EPS * size)
 
     def at(self, body: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Positions (d, k) of the bodies at global times t, by the segments'
@@ -225,6 +226,9 @@ class ReferenceBodies:
                 8 + len(p)
             ) * _EPS * (4 + np.abs(angle) + np.abs(sweep) * (2 + 1 / duration))
             excess[arc] = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
+            circle = np.abs(rho - radius) - (
+                (len(p) + 8) * _EPS + 4 * self.beta[c]
+            ) * np.sqrt(_dot(p, p))
             variation[arc] = np.minimum(
                 radius * np.abs(last - first), 2 * np.minimum(radius, rho)
             )
@@ -245,6 +249,25 @@ class ReferenceBodies:
         square -= 10 * slack * (f_lo + np.sqrt(dd) + slack)
         straight = (kind_a != _ARC) & ~points
         bound[straight] = np.fmax(bound[straight], np.minimum(low, np.sqrt(square))[straight])
+        # And, where these are not positive, the distance from 0 to the
+        # segment from A to A + D, less its margins: at an end where the
+        # segment moves away from 0 there.
+        sure = (len(rel) + 2) * _EPS * np.sqrt(dd)
+        segment = _distance(rel, _dot(rel, step) / dd * step)
+        segment -= (2 * len(rel) + 8) * _EPS * f_lo + _EPS * np.sqrt(dd)
+        ahead = _dot(end_a - end_b, step) <= -sure * f_hi
+        segment[ahead] = f_hi[ahead]
+        segment[_dot(rel, step) >= sure * f_lo] = f_lo[_dot(rel, step) >= sure * f_lo]
+        segment *= 1 - (len(rel) + 2) * _EPS
+        segment -= self.exact[a] + self.exact[b]
+        weak = straight & (bound <= 0)
+        bound[weak] = np.fmax(bound[weak], np.minimum(low, segment)[weak])
+        # An arc against a point, also, where its bound is not positive: the
+        # point's distance from the circle.
+        if arc.size:
+            weak = bound[arc] <= 0
+            circle = np.fmax(bound[arc], np.minimum(low[arc], circle - slack[arc]))
+            bound[arc] = np.where(weak, circle, bound[arc])
 
         # Arc-arc and arc-line: the sampled Lipschitz cone, less E.
         fallback = np.flatnonzero((kind_a == _ARC) & (kind_b != _POINT))

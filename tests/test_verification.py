@@ -31,7 +31,7 @@ from parammp import (
     random_rational_query,
 )
 from parammp import arc_row, line_row, verification
-from parammp.paths import row_final, row_initial
+from parammp.paths import DURATION, T0, VECTORS, row_final, row_initial
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from certify_reference import keep_all, reference_bodies
 from hand_built_paths import extreme_path, path_rows, row_at, row_fields
@@ -512,6 +512,48 @@ def _dense_robot_distance(path, first, second):
     return np.linalg.norm(gap, axis=1).min()
 
 
+def _pair_query(starts, goals, obstacles):
+    """A ``small_queries`` case in the obstacle-pair frame."""
+    query = ConfigurationQuery(starts=starts, goals=goals, obstacles=obstacles)
+    return query, FrameMode.OBSTACLE_PAIR
+
+
+def _exact_straight_minima(path):
+    """Each pair's squared minimum distance on a path of straight segments,
+    in Fraction: on each window of the union grid, between the float bounds
+    the certifier reads, a robot follows one segment's formula origin + (t -
+    t0) / duration * step, so each pair's relative position is c + t v
+    there."""
+    columns, d, den = path._columns, path.query.dim, path.den
+    table, ticks = columns.table, sorted({0, *columns.stop.tolist()})
+
+    def affine(column):
+        g = [Fraction(x) for x in table[:, column]]
+        t0, duration = g[T0], g[DURATION]
+        steps = g[VECTORS + d : VECTORS + 2 * d]
+        return [(o - t0 / duration * s, s / duration) for o, s in zip(g[VECTORS:], steps)]
+
+    fixed = [[(Fraction(x), Fraction(0)) for x in o] for o in path.obstacles.tolist()]
+    n, least = path.robot_count, {}
+    for start, stop in zip(ticks, ticks[1:]):
+        lo, hi = (Fraction(float(np.float64(t) / den)) for t in (start, stop))
+        rows = [
+            next(k for k in range(lo_k, lo_k + count) if columns.stop[k] >= stop)
+            for lo_k, count in zip(columns.first.tolist(), columns.counts.tolist())
+        ]
+        bodies = [affine(k) for k in rows] + fixed
+        for first, second in [(i, k) for i in range(n) for k in range(i + 1, n + len(fixed))]:
+            c, v = zip(*[(a - b, x - y) for (a, x), (b, y) in zip(bodies[first], bodies[second])])
+            vv = sum(x * x for x in v)
+            times = [lo, hi]
+            if vv and lo < -sum(a * x for a, x in zip(c, v)) / vv < hi:
+                times.append(-sum(a * x for a, x in zip(c, v)) / vv)
+            square = min(sum((a + t * x) ** 2 for a, x in zip(c, v)) for t in times)
+            key = ("robot-robot", first, second) if second < n else ("robot-obstacle", first, second - n)
+            least[key] = min(least.get(key, square), square)
+    return least
+
+
 class TestClosedForms:
     def test_line_passing_an_obstacle_is_exact(self):
         # the nearest point, (0, 1e-3) at t = 1/3, lies between the samples;
@@ -662,11 +704,97 @@ class TestClosedForms:
 
     @settings(max_examples=100, deadline=None)
     @given(small_queries())
+    # Clearances of about 1e-13 next to motions of 1 to 7 (robots 6e-14
+    # apart leaving an obstacle, an arc of radius 1.5 passing a robot 5e-13
+    # off its circle, a robot stopping 2e-14 short of an obstacle it heads
+    # for): the closed forms' minimizer margins exceed them.
+    @example(
+        _pair_query([[0, 0], [0, 1], [0, 2]], [[0, 3.135286], [0, -1], [0, -6]], [[2, 0], [0, 1e-6]])
+    )
+    @example(
+        _pair_query([[0, 0], [0, 3], [3, 0]], [[0, -1], [1, 0], [0, 1]], [[0, 1e-6], [4, 0]])
+    )
+    @example(
+        _pair_query([[0, 1], [0, 7], [7, 0]], [[0, 0], [0, -1], [0, -2]], [[-4, 0], [0, 1e-6]])
+    )
     def test_planner_paths_never_reach_the_sampled_cone(self, case):
         query, mode = case
         path = plan(query, mode=mode).path
         with _cone_raises():
             assert certify_separation(path, 2).passed
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from(["beside", "stops short", "leaves", "stops beside"]),
+        st.floats(-16, -9),
+        st.sampled_from([1.0, 7.0, 20.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_straight_bounds_never_exceed_the_exact_minimum(self, d, place, power, scale, seed):
+        # robot 0 moves from p to q past an obstacle and robot 1 shadows it,
+        # each 10**power times the scale away, on random ticks: every bound
+        # is at most the exact minimum of the formula's floats
+        rng = np.random.default_rng(seed)
+        p, q = rng.uniform(-scale, scale, (2, d))
+        gap = scale * 10**power
+        along = (q - p) / np.linalg.norm(q - p)
+        side = rng.normal(size=d)
+        side -= side.dot(along) * along
+        side /= np.linalg.norm(side)
+        obstacle = {
+            "beside": p + rng.uniform(0.2, 0.8) * (q - p) + gap * side,
+            "stops short": q + gap * along,
+            "leaves": p - gap * along,
+            "stops beside": q + gap * side,
+        }[place]
+        shadow = gap * rng.choice([-1.5, 1.5, 3.0]) * (along if place == "stops short" else side)
+        far = [rng.uniform(-scale, scale, d) + 3 * scale * (i + 1) for i in range(4)]
+        den = int(rng.integers(3, 40))
+        k1, k2 = sorted(rng.choice(np.arange(1, den), size=2, replace=False).tolist())
+        robots = [
+            [(0, k1, _line(s, a)), (k1, k2, _line(a, b)), (k2, den, _line(b, g))]
+            for s, a, b, g in [
+                (far[0], p, q, far[1]),
+                (far[2], p + shadow, q + shadow, far[3]),
+            ]
+        ]
+        robots = [[(t0, t1, tuple(np.array(row).tolist())) for t0, t1, row in r] for r in robots]
+        query = ConfigurationQuery(
+            starts=[far[0], far[2]], goals=[far[1], far[3]], obstacles=[obstacle, p + 30 * scale]
+        )
+        path = PiecewisePath.from_rows(query, den, robots)
+        exact = _exact_straight_minima(path)
+        for pair in certify_separation(path, 2).pairs:
+            bound = pair.certified_lower_bound
+            assert bound <= 0 or Fraction(bound) ** 2 <= exact[pair.kind, pair.first, pair.second]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(-3, 3),
+        st.floats(0.1, 10),
+        st.floats(-np.pi, np.pi),
+        st.floats(0.3, 3.2),
+        st.floats(-16, -9),
+        st.booleans(),
+    )
+    def test_arc_point_bound_never_exceeds_the_circle_distance(
+        self, x, radius, angle, sweep, power, outside
+    ):
+        # a point 10**power times the radius off an arc's circle, at an
+        # angle inside its sweep, on the unit basis: the arc's minimum is
+        # | |point - center| - radius | exactly
+        center = [x, 1.0]
+        arc = _arc(center, radius, angle, angle + sweep)
+        away = radius * (1 + (10**power if outside else -(10**power)))
+        theta = angle + sweep / 2
+        point = [x + away * math.cos(theta), 1.0 + away * math.sin(theta)]
+        path = _hand_path([point], [[(0, 1, arc)]])
+        bound = Fraction(certify_separation(path, 2).pair("robot-obstacle", 0, 0).certified_lower_bound)
+        r = Fraction(radius)
+        square = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(point, center))
+        if bound > 0:
+            assert (r + bound) ** 2 <= square if outside else square <= (r - bound) ** 2
 
     def test_overflowing_distances_fail_quietly(self):
         # finite coordinates whose differences overflow: a failing
