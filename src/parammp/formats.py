@@ -69,11 +69,21 @@ class ProblemDocument:
 
     @cached_property
     def _query(self) -> ConfigurationQuery:
-        return ConfigurationQuery(
-            starts=_point_array(self.starts, self.dim),
-            goals=_point_array(self.goals, self.dim),
-            obstacles=_point_array(self.obstacles, self.dim),
-        )
+        # A hand-built document may hold points of the wrong length, which
+        # the one fill below would re-flow into other rows.
+        named = {"starts": self.starts, "goals": self.goals, "obstacles": self.obstacles}
+        errors = [
+            f"{name}[{idx}]: expected {self.dim} coordinates"
+            for name, points in named.items()
+            if set(map(len, points)) != {self.dim}
+            for idx, point in enumerate(points)
+            if len(point) != self.dim
+        ]
+        if errors:
+            raise QueryValidationError(errors)
+        table = _point_array((*self.starts, *self.goals, *self.obstacles), self.dim)
+        n, k = len(self.starts), len(self.starts) + len(self.goals)
+        return ConfigurationQuery(starts=table[:n], goals=table[n:k], obstacles=table[k:])
 
     def frame_mode(self) -> Optional[FrameMode]:
         if self.mode is None:

@@ -8,6 +8,10 @@ scalar projection onto the line, and the combinatorics of which projections
 coincide determines the region label ``(j, t)`` and, in the generic case, the
 pair of generalized orderings that drives the planner.
 
+A query keeps its points in one read-only point table, starts | goals |
+obstacles, which it checks and measures with a few whole-table operations;
+its three arrays are row blocks of that table.
+
 That combinatorics is worked out once per query and frame, in one table
 (:func:`_ties`) that the query keeps: the comparison values of the 2n + m
 points, starts | goals | obstacles, and a tie-class rank for each.  Two
@@ -37,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -80,9 +85,9 @@ class Side(enum.Enum):
 
 
 def _as_points(value, name: str, errors: list[str]) -> np.ndarray:
-    # A copy: the query freezes its arrays, and the caller keeps its own.
+    # No copy: the query copies its points once, into its point table.
     try:
-        arr = np.array(value, dtype=float)
+        arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):  # ragged, or an entry that is no number
         errors.append(f"{name}: expected a 2-d array of numbers")
         return np.empty((0, 0))
@@ -95,16 +100,17 @@ def _as_points(value, name: str, errors: list[str]) -> np.ndarray:
     return arr
 
 
-def _distinct(named: dict[str, np.ndarray]) -> bool:
-    """Whether no two points coincide as :func:`_coincidences` counts them:
-    within each array, and starts or goals with obstacles.  One set of row
-    tuples per array; tuple equality, like ``==`` on rows, takes -0.0 for
-    0.0."""
-    starts, goals, obstacles = (
-        set(map(tuple, named[name].tolist())) for name in ("starts", "goals", "obstacles")
-    )
+def _distinct(points: np.ndarray, n: int) -> bool:
+    """Whether no two points of a point table (starts | goals | obstacles,
+    ``n`` robots) coincide as :func:`_coincidences` counts them: within each
+    array, and starts or goals with obstacles.  Each row becomes one bytes
+    key, after ``+ 0.0`` turns -0.0 into 0.0, so that keys are equal exactly
+    when the rows are equal as tuples; one set of keys per array."""
+    rows = points + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    starts, goals, obstacles = set(keys[:n]), set(keys[n:2 * n]), set(keys[2 * n:])
     return (
-        len(starts) + len(goals) + len(obstacles) == sum(map(len, named.values()))
+        len(starts) + len(goals) + len(obstacles) == len(keys)
         and obstacles.isdisjoint(starts)
         and obstacles.isdisjoint(goals)
     )
@@ -139,13 +145,16 @@ class ConfigurationQuery:
         obstacles: (m, d) array, pairwise distinct.
 
     Every coordinate is finite.  Starts may coincide with goals (a robot that
-    does not need to move).  Arrays are made read-only; a query never changes
-    after construction.
+    does not need to move).  A query never changes after construction.
 
-    Validation is in bulk: finiteness on whole arrays, distinctness as the
-    sizes and overlaps of one set of row tuples per array.  The per-pair
-    listing of coinciding points runs only when that check fails, to word
-    the errors.
+    The points are copied once, into one read-only (2n + m, d) point table
+    in the order starts | goals | obstacles, the order of the tie table
+    (:func:`_ties`); ``starts``, ``goals`` and ``obstacles`` are its
+    read-only row blocks.  The caller's arrays are neither frozen nor shared.
+    Validation is a few operations on the whole table: finiteness in one
+    check, distinctness as the sizes and overlaps of one set of row keys per
+    array (:func:`_distinct`).  The per-row and per-pair listings run only
+    when a check fails, to word the errors.
     """
 
     starts: np.ndarray
@@ -174,18 +183,24 @@ class ConfigurationQuery:
                 )
             if len(obstacles) < 1:
                 errors.append("at least one obstacle is required")
-        named = {"starts": starts, "goals": goals, "obstacles": obstacles}
-        if not errors:
-            for name, arr in named.items():
-                if not np.isfinite(arr).all():
-                    for i in np.flatnonzero(~np.isfinite(arr).all(axis=1)):
-                        errors.append(f"{name}[{i}] has a non-finite coordinate")
-        if not errors and not _distinct(named):
-            errors.extend(_coincidences(named))
         if errors:
             raise QueryValidationError(errors)
-        for arr in (starts, goals, obstacles):
-            arr.setflags(write=False)
+        n = len(starts)
+        points = np.concatenate([starts, goals, obstacles])
+        points.setflags(write=False)
+        starts, goals, obstacles = points[:n], points[n:2 * n], points[2 * n:]
+        if not np.isfinite(points).all():
+            errors.extend(
+                f"{_entry_name(k, n)} has a non-finite coordinate"
+                for k in np.flatnonzero(~np.isfinite(points).all(axis=1)).tolist()
+            )
+        elif not _distinct(points, n):
+            errors.extend(
+                _coincidences({"starts": starts, "goals": goals, "obstacles": obstacles})
+            )
+        if errors:
+            raise QueryValidationError(errors)
+        object.__setattr__(self, "_points", points)
         object.__setattr__(self, "starts", starts)
         object.__setattr__(self, "goals", goals)
         object.__setattr__(self, "obstacles", obstacles)
@@ -212,7 +227,7 @@ class ConfigurationQuery:
     def extent(self) -> float:
         """The largest coordinate magnitude of any point, computed once: the
         planner and the path's junction check both read it."""
-        return max(float(np.abs(p).max()) for p in (self.starts, self.goals, self.obstacles))
+        return float(np.abs(self._points).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,14 +253,19 @@ class Frame:
         e = np.asarray(self.e, dtype=float)
         e_perp = np.asarray(self.e_perp, dtype=float)
         axis = np.asarray(self.axis, dtype=float)
+        # On Python floats, which cost less than numpy calls on d entries.
+        # The dot products zip the vectors, so their lengths are checked first.
+        if e.ndim != 1 or not e.shape == e_perp.shape == axis.shape:
+            raise ValueError("e, e_perp and axis must be vectors of one length")
+        e_floats, e_perp_floats = e.tolist(), e_perp.tolist()
         # Written as "not <= / not >" so that a NaN component fails them.
-        if not abs(np.linalg.norm(e) - 1.0) <= 1e-12:
+        if not abs(math.hypot(*e_floats) - 1.0) <= 1e-12:
             raise ValueError("e must be a unit vector")
-        if not abs(np.linalg.norm(e_perp) - 1.0) <= 1e-12:
+        if not abs(math.hypot(*e_perp_floats) - 1.0) <= 1e-12:
             raise ValueError("e_perp must be a unit vector")
-        if not abs(float(np.dot(e, e_perp))) <= 1e-12:
+        if not abs(sum(map(operator.mul, e_floats, e_perp_floats))) <= 1e-12:
             raise ValueError("e and e_perp must be orthogonal")
-        if not float(np.dot(axis, e)) > 0.0:
+        if not sum(map(operator.mul, axis.tolist(), e_floats)) > 0.0:
             raise ValueError("axis must point along e")
         for arr in (e, e_perp, axis):
             arr.setflags(write=False)
@@ -389,6 +409,12 @@ def _ties(
 
 def _tie_table(query: ConfigurationQuery, frame: Frame, snap_tol: float):
     """The tie table of :func:`_ties`, worked out."""
+    # Three products, one per row block of the point table, and not one
+    # product of the whole table: numpy and BLAS choose how to sum by the
+    # shape, and on 68 of the benchmark's 2,928 documents (its three
+    # workloads at seeds 1-3; all one-robot obstacle-pair queries) the
+    # stacked product differed in bits from the three, which match the
+    # products of standalone copies of the arrays on every document.
     values = np.concatenate(
         [query.starts @ frame.axis, query.goals @ frame.axis, query.obstacles @ frame.axis]
     )

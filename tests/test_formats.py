@@ -207,6 +207,37 @@ class TestParseProblem:
         assert (array.dtype, array.shape) == (reference.dtype, reference.shape)
         assert array.tobytes() == reference.tobytes()  # -0.0 included
 
+    @pytest.mark.parametrize(
+        "starts, errors",
+        [
+            (((1.0, 2.0, 3.0),), ["starts[0]: expected 2 coordinates"]),
+            (((1.0, 2.0, 3.0), (9.0,)),
+             ["starts[0]: expected 2 coordinates", "starts[1]: expected 2 coordinates"]),
+            (((1.0,),), ["starts[0]: expected 2 coordinates"]),
+            (((1.0, 2.0), ()), ["starts[1]: expected 2 coordinates"]),
+        ],
+        ids=["long", "long-then-short", "short", "empty-point"],
+    )
+    def test_hand_built_document_with_wrong_coordinate_counts(self, starts, errors):
+        # a point of the wrong length must not be truncated or re-flowed
+        document = ProblemDocument(
+            version="1", dim=2, mode=None, starts=starts,
+            goals=((5.0, 5.0), (6.0, 6.0))[: len(starts)], obstacles=((7.0, 7.0), (8.0,)),
+        )
+        with pytest.raises(QueryValidationError) as exc:
+            document.to_query()
+        assert exc.value.errors == errors + ["obstacles[1]: expected 2 coordinates"]
+
+    def test_hand_built_document_query_is_its_points(self):
+        document = ProblemDocument(
+            version="1", dim=3, mode=None, starts=((0.0, 1.0, 2.0), (-0.0, 1.0, 3.0)),
+            goals=((3.0, 4.0, 5.0), (6.0, 7.0, 8.0)), obstacles=((9.0, 9.0, 9.0),),
+        )
+        query = document.to_query()
+        for name in ("starts", "goals", "obstacles"):
+            expected = np.array(getattr(document, name), dtype=float)
+            assert getattr(query, name).tobytes() == expected.tobytes()
+
     def test_mode_hyphen_accepted(self):
         doc = dict(MINIMAL)
         doc["mode"] = "obstacle-pair"

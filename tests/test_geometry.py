@@ -28,8 +28,9 @@ from parammp import (
     make_frame,
     orderings,
     plan,
+    random_query,
 )
-from parammp.geometry import desingularization_gap
+from parammp.geometry import _ties, desingularization_gap
 from parammp.planner import CaseASwap, CaseBSwap, _play_swaps
 from checked_swaps import checked_clearance
 from hand_built_paths import case_a_radii
@@ -80,9 +81,28 @@ class TestQueryValidation:
         goals = np.array([[2.0, 3.0]])
         obstacles = np.array([[5.0, 5.0]])
         q = ConfigurationQuery(starts, goals, obstacles)
+        for arr in (starts, goals, obstacles):
+            assert arr.flags.writeable
+            assert not any(np.shares_memory(arr, mine) for mine in (q.starts, q.goals, q.obstacles))
         starts[0, 0] = 7.0
         assert q.starts[0, 0] == 0.0
-        assert goals.flags.writeable and obstacles.flags.writeable
+
+    def test_arrays_are_row_blocks_of_one_read_only_table(self):
+        q = q3([[0.0, 1.0], [1.0, 1.0]], [[2.0, 3.0], [0.0, 1.0]], [[5.0, 5.0]])
+        table = q._points
+        assert table.tolist() == [[0.0, 1.0], [1.0, 1.0], [2.0, 3.0], [0.0, 1.0], [5.0, 5.0]]
+        assert not table.flags.writeable
+        for arr in (q.starts, q.goals, q.obstacles):
+            assert arr.base is table and not arr.flags.writeable
+
+    def test_extent_is_the_largest_magnitude_of_the_three_arrays(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n, m, d = (int(k) for k in rng.integers((1, 1, 2), (30, 30, 5)))
+            scale = float(rng.choice([1e-300, 1.0, 1e300]))
+            q = random_query(rng, n, m, d, low=-scale, high=scale)
+            arrays = (q.starts, q.goals, q.obstacles)
+            assert q.extent == max(float(np.abs(np.array(a)).max()) for a in arrays)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coordinate_rejected(self, bad):
@@ -207,6 +227,31 @@ class TestMakeFrame:
     def test_frame_with_nan_component_rejected(self, e, e_perp, axis):
         with pytest.raises(ValueError):
             Frame(e=e, e_perp=e_perp, mode=FrameMode.FIXED, axis=axis)
+
+    @pytest.mark.parametrize(
+        "e,e_perp,axis,message",
+        [
+            ([1.0, 1e-5], [0.0, 1.0], [1.0, 0.0], "e must be a unit vector"),
+            ([1.0, 0.0], [0.0, 0.9], [1.0, 0.0], "e_perp must be a unit vector"),
+            ([0.6, 0.8], [0.0, 1.0], [0.6, 0.8], "e and e_perp must be orthogonal"),
+            ([1.0, 0.0], [0.0, 1.0], [-2.0, 0.0], "axis must point along e"),
+            ([1.0, 0.0], [0.0, 1.0], [0.0, 3.0], "axis must point along e"),
+            ([1.0, 0.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.0], "vectors of one length"),
+            ([1.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.0], "vectors of one length"),
+            ([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 0.0]], "vectors of one length"),
+        ],
+        ids=["e-not-unit", "e-perp-not-unit", "not-orthogonal", "axis-against-e",
+             "axis-across-e", "e-perp-short", "axis-long", "matrices"],
+    )
+    def test_frame_checks_reject(self, e, e_perp, axis, message):
+        with pytest.raises(ValueError, match=message):
+            Frame(e=e, e_perp=e_perp, mode=FrameMode.FIXED, axis=axis)
+
+    def test_frame_checks_accept_within_tolerance(self):
+        # 1e-13 off unit length and orthogonality is within the 1e-12 bounds
+        f = Frame(e=[1.0, 1e-13], e_perp=[-1e-13, 1.0 + 1e-13], mode=FrameMode.FIXED,
+                  axis=[1e-300, 0.0])
+        assert f.e.tolist() == [1.0, 1e-13] and f.axis.tolist() == [1e-300, 0.0]
 
 
 class TestFrameDirection:
@@ -503,6 +548,21 @@ class TestTieTable:
     definition on the comparison values ``x . axis``, the split's gap its
     formula on ``x . e`` and the clearance its formula on the comparison
     values over ``|axis|``."""
+
+    def test_values_are_the_products_of_the_three_arrays(self):
+        # One product per array, bit for bit as on standalone copies: one
+        # product of the whole point table rounds differently on some queries
+        # (one-robot obstacle-pair queries among them).
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            d = int(rng.choice([2, 3, 4]))
+            n, m = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            query = random_query(rng, n, m, d)
+            for mode in FrameMode if d % 2 == 0 else [FrameMode.FIXED]:
+                frame = make_frame(query, mode)
+                copies = (np.array(a) for a in (query.starts, query.goals, query.obstacles))
+                expected = np.concatenate([a @ frame.axis for a in copies])
+                assert _ties(query, frame)[0].tobytes() == expected.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(tie_queries())

@@ -8,7 +8,8 @@ so; running this module as a script prints the current digests:
 
 With ``--corpus`` it prints one line per document of a wider corpus instead
 (:func:`corpus_lines`), so that a diff of two checkouts' outputs shows every
-plan or certificate float a change moved:
+plan or certificate float, and every region label or tie table of the
+classify corpus, that a change moved:
 
     PYTHONPATH=src python tests/test_golden_plans.py --corpus > after.txt
 """
@@ -28,7 +29,11 @@ from parammp import (
     ConfigurationQuery,
     FrameMode,
     certify_separation,
+    classify,
+    default_mode,
     degenerate_query,
+    geometry,
+    make_frame,
     parse_problem,
     plan,
     random_query,
@@ -164,10 +169,27 @@ def _corpus_line(name: str, query, mode) -> str:
     return f"{name} {digest} {floats}"
 
 
+def _classify_line(name: str, document) -> str:
+    """The frame mode, the region label (j, t, c) and the sha256 of the tie
+    table's values and ranks, as ``parammp classify`` works them out; or the
+    exception, for a document that does not classify."""
+    try:
+        query = document.to_query()
+        frame = make_frame(query, document.frame_mode() or default_mode(query))
+        label = classify(query, frame, document.options.snap_tolerance)
+        values, rank = geometry._ties(query, frame, document.options.snap_tolerance)
+    except Exception as exc:
+        return f"{name} {type(exc).__name__}: {exc}"
+    digest = hashlib.sha256(values.tobytes() + rank.tobytes()).hexdigest()
+    return f"{name} {frame.mode.value} {label.j} {label.t} {label.c} {digest}"
+
+
 def corpus_lines():
     """One line per document: the benchmark's verify-small and verify-swaps
     corpora at seeds 1-3 (bench/corpus.py), then random_query(default_rng(0),
-    n, n, 3) at n = 20 and 50, in fixed mode."""
+    n, n, 3) at n = 20 and 50, in fixed mode, then the classify-large corpus
+    at seeds 1-3 (:func:`_classify_line`), after the plan lines so that those
+    keep their places in a diff against a checkout without it."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     import corpus
 
@@ -181,6 +203,10 @@ def corpus_lines():
     for n in (20, 50):
         query = random_query(np.random.default_rng(0), n, n, 3)
         yield _corpus_line(f"random/{n}", query, FIXED)
+    for seed in (1, 2, 3):
+        texts = corpus.generate(corpus.WORKLOADS["classify-large"], seed)
+        for index, text in enumerate(texts):
+            yield _classify_line(f"classify-large/{seed}/{index}", parse_problem(text))
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--corpus"]:

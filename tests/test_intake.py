@@ -76,7 +76,7 @@ def _reference(call, *args):
     """``_outcome`` with the point-by-point checks of the references."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formats, "_check_points", _reference_check_points)
-        patch.setattr(geometry, "_distinct", lambda named: False)
+        patch.setattr(geometry, "_distinct", lambda *args: False)
         patch.setattr(geometry, "_coincidences", _reference_coincidences)
         return _outcome(call, *args)
 
@@ -223,3 +223,65 @@ class TestQueryParity:
                 assert np.array_equal(getattr(got[1], name), getattr(ref[1], name))
         else:
             assert got[1] == ref[1]
+
+
+# Coordinates that tell equal rows from nearly equal ones: both zeros, the
+# smallest subnormals, a subnormal and the smallest normal, and one.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, 1.0]
+
+
+@st.composite
+def _point_arrays(draw):
+    """starts, goals and obstacles with n, m up to 200 and d in {2, 3, 4}:
+    random floats, some of them replaced by special values, then rows copied
+    within each array, from starts or goals to obstacles and back, and from
+    starts to goals (which is allowed), some with their zeros negated."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    n, m = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.uniform(-1.0, 1.0, size=(2 * n + m, dim))
+    special = rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    rows[special] = rng.choice(_SPECIAL, size=int(special.sum()))
+    blocks = {"starts": rows[:n], "goals": rows[n : 2 * n], "obstacles": rows[2 * n :]}
+    pairs = [(name, name) for name in blocks] + [
+        ("starts", "obstacles"), ("obstacles", "starts"),
+        ("goals", "obstacles"), ("obstacles", "goals"), ("starts", "goals"),
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = (blocks[name] for name in draw(st.sampled_from(pairs)))
+        i, k = draw(st.integers(0, len(src) - 1)), draw(st.integers(0, len(dst) - 1))
+        dst[k] = src[i]
+        if draw(st.booleans()):
+            dst[k][dst[k] == 0] = -0.0
+    return blocks
+
+
+class TestDistinctness:
+    @settings(max_examples=300, deadline=None)
+    @given(_point_arrays())
+    def test_accepts_and_rejects_as_the_reference(self, named):
+        expected = _reference_coincidences(named)
+        kind, value = _outcome(ConfigurationQuery, *named.values())
+        if expected:
+            assert (kind, value) == ("errors", expected)
+        else:
+            assert kind == "ok"
+            for name, arr in named.items():
+                assert getattr(value, name).tobytes() == arr.tobytes()
+
+    @pytest.mark.parametrize(
+        "start, obstacle, coincide",
+        [
+            ([0.0, 5e-324], [-0.0, 5e-324], True),
+            ([-0.0, -0.0], [0.0, 0.0], True),
+            ([1e-310, 0.0], [1e-310, -0.0], True),
+            ([0.0, 5e-324], [0.0, 1e-323], False),
+            ([5e-324, 1.0], [-5e-324, 1.0], False),
+        ],
+    )
+    def test_signed_zeros_and_subnormals(self, start, obstacle, coincide):
+        kind, value = _outcome(ConfigurationQuery, [start], [[2.0, 2.0]], [obstacle])
+        if coincide:
+            assert (kind, value) == ("errors", ["starts[0] coincides with obstacles[0]"])
+        else:
+            assert kind == "ok"
