@@ -250,9 +250,10 @@ class Frame:
     axis: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.e, dtype=float)
-        e_perp = np.asarray(self.e_perp, dtype=float)
-        axis = np.asarray(self.axis, dtype=float)
+        # One copy each, so that freezing them leaves the caller's arrays be.
+        e = np.array(self.e, dtype=float)
+        e_perp = np.array(self.e_perp, dtype=float)
+        axis = np.array(self.axis, dtype=float)
         # On Python floats, which cost less than numpy calls on d entries.
         # The dot products zip the vectors, so their lengths are checked first.
         if e.ndim != 1 or not e.shape == e_perp.shape == axis.shape:
@@ -330,7 +331,7 @@ def make_frame(query: ConfigurationQuery, mode: Union[FrameMode, str]) -> Frame:
         e[0] = 1.0
         e_perp = np.zeros(d)
         e_perp[1] = 1.0
-        return Frame(e=e, e_perp=e_perp, mode=mode, axis=e.copy())
+        return Frame(e=e, e_perp=e_perp, mode=mode, axis=e)
     if d % 2 != 0:
         raise ModeUnsupportedError(
             f"obstacle-pair frames need an even dimension, got d={d}"

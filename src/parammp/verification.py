@@ -64,12 +64,15 @@ class PairSeparation(NamedTuple):
     """Certified separation between one pair of bodies along the whole path.
 
     ``sampled_min`` is the smallest distance the certifier evaluated on the
-    path and ``certified_lower_bound`` a lower bound on the true minimum: the
-    closed-form minimum of each window less a rounding margin, or, for the
-    fallback pairs (an arc against a moving line, or against another arc
-    that is not its Case A twin), the sampled Lipschitz cone less that
-    margin (see :func:`certify_separation`).  The bound never exceeds
-    ``sampled_min`` and the pair passes iff it is strictly positive.
+    path and ``certified_lower_bound`` a lower bound on the true minimum,
+    the smallest of one bound per window (see :func:`certify_separation`):
+    for straight pairs (lines and points), the segment bound; for an arc
+    against a point, the closed-form minimum less its margin, else the
+    circle's bound; for a Case A pair, its closed form; for the fallback
+    pairs (an arc against a moving line, or against another arc that is not
+    its Case A twin), the sampled Lipschitz cone less a rounding margin.
+    The bound never exceeds ``sampled_min`` and the pair passes iff it is
+    strictly positive.
     """
 
     kind: str  # "robot-robot" or "robot-obstacle"
@@ -142,41 +145,21 @@ def certify_separation(
 
     Each closed form evaluates the distance at both window ends and at the
     minimizer's time, with the path's position formula, and ``sampled_min``
-    is the smallest distance evaluated.  The bound is ``sampled_min`` less a
-    margin; a point-point pair has none, as its distance is the same float
-    at every time.  The margin rule:
+    is the smallest distance evaluated.  A line's minimizer is evaluated
+    too, although its bound needs none: so ``sampled_min``, which caps every
+    bound, keeps the floats it had when lines had a minimizer bound.  Each
+    entry has one bound:
 
     - E = (8 + d) eps (M_a + M_b) bounds the rounding of one evaluated
       distance.  M is |x| for an obstacle, |start| + 4 |end - start| for a
       straight segment and |center| + r (2 + |angle_start| + 2 |sweep|) for
       an arc; an arc whose basis is beta away from orthonormal adds 8 r beta
       to E, its distance from a true circle.
-    - delta bounds the minimizer's error: for lines, in window fraction,
-      delta = 7 E (|A| + |D|) / |D|^2 + 2 eps / (hi - lo); for arcs, in angle,
-      delta = (2 E + 4 beta |p|) / rho + (8 + d) eps (4 + |angle_start| +
-      |sweep| (2 + 1 / duration)), rho being the length of p in the arc's
-      plane.  The distance at the evaluated time then exceeds the minimum by
-      at most s = 2 L delta (lines, L = |D| in the 1-norm) or
-      s = 2 delta sqrt(r max(r, rho)) (arcs), and its square by at most s^2.
-      The excess is thus at most min(s, s^2 / (f* - E), V), where f* is the
-      distance evaluated at the minimizer and V bounds the distance's
-      variation on the window: L for lines, and for arcs r times the angle
-      range or 2 min(r, rho).  The s^2 term is used only when f* > E, and
-      for lines only when delta < 1.
-    - The margin is E plus the excess; a fallback entry's is E alone.
-    - A Case A pair's bound is 2 r sqrt(1 - 3 (beta + (d + 4) eps)) (1 - 8
-      eps), capped at ``sampled_min``: the eps terms cover the rounding of
-      beta and of the bound, and sin(pi~ / 2) < 1.
-    - Lines and points have a second bound, which needs no minimizer and so
-      holds up where delta >= 1 (as when |D|^2 is near the rounding of A.D):
-      on tau in [0, 1], |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).  E also
-      bounds the error of an evaluated relative position, so the rounding of
-      that square is at most 10 E (|A| + |D| + E); the bound is the square
-      root of the square less this margin (none where that is negative).
-    - Lines and points have a third bound, which holds up where their
-      distance is small next to their motion, as where a robot rounds an
-      obstacle: the distance from 0 to the segment from A to A + D, in real
-      arithmetic.  Where neither body is an arc, A and A + D are within
+    - Two points: the distance, which is the same float at every time, with
+      no margin.
+    - Lines and points otherwise: the distance from 0 to the segment from A
+      to A + D, in real arithmetic, capped at ``sampled_min`` (a bound that
+      is NaN stays NaN there, and so fails).  Where neither body is an arc, A and A + D are within
       eps (M_a + M_b) of the true relative positions: a straight formula
       rounds by at most eps M / 2 at a window end, a point's not at all,
       and the subtraction by at most eps |A| / 2.  The true motion between
@@ -190,19 +173,27 @@ def certify_separation(
       the third by at most eps |D| + (2d + 8) eps |A|, and each norm rounds
       by less than (d + 2) eps of itself.  An arc, even one with no sweep,
       has no such bound.
-      The entry keeps the larger of its first two bounds, capped at
-      ``sampled_min``; only where that is not positive does it take the
-      third where it is larger, so a certificate the first two pass keeps
-      its floats.
-    - An arc against a point has a second bound, which needs no minimizer
-      either: the point's distance from the arc's circle, at least
-      |rho - r|, less E + ((d + 8) eps + 4 beta) |p|.  E covers the point's
-      rounding and the arc's distance from a true circle; the basis is
-      within 3 beta of that circle's orthonormal one, which moves rho by at
-      most 3 beta |p|, and rounding p and rho moves it by less than
-      (d + 4) eps |p|.  As with the third bound of lines, the entry takes
-      it, capped at ``sampled_min``, only where its first bound is not
-      positive and it is larger.
+    - An arc against a point: the distance evaluated at the minimizer less
+      E and its excess.  delta bounds the minimizer's angle error,
+      delta = (2 E + 4 beta |p|) / rho + (8 + d) eps (4 + |angle_start| +
+      |sweep| (2 + 1 / duration)), rho being the length of p in the arc's
+      plane.  The distance at the evaluated time then exceeds the minimum by
+      at most s = 2 delta sqrt(r max(r, rho)), and its square by at most
+      s^2.  The excess is thus at most min(s, s^2 / (f* - E), V), where f*
+      is the distance evaluated at the minimizer and V = min(r times the
+      angle range, 2 min(r, rho)) bounds the distance's variation on the
+      window; the s^2 term is used only when f* > E.  Where that bound is
+      not positive, the entry takes, capped at ``sampled_min``, the point's
+      distance from the arc's circle if it is larger: at least |rho - r|,
+      less E + ((d + 8) eps + 4 beta) |p|.  E covers the point's rounding
+      and the arc's distance from a true circle; the basis is within 3 beta
+      of that circle's orthonormal one, which moves rho by at most
+      3 beta |p|, and rounding p and rho moves it by less than
+      (d + 4) eps |p|.
+    - A Case A pair: 2 r sqrt(1 - 3 (beta + (d + 4) eps)) (1 - 8 eps),
+      capped at ``sampled_min``: the eps terms cover the rounding of beta
+      and of the bound, and sin(pi~ / 2) < 1.
+    - A fallback entry: its sampled cone less E.
 
     Most entries cannot hold their pair's minimum: the rule keeps bodies
     apart along the frame line, and in a stage only a swapping pair, or a
@@ -403,26 +394,21 @@ def _two_sum(x: np.ndarray, y: np.ndarray):
     return total, (x - (total - y_part)) + (y - y_part)
 
 
-def _nearest_tau(rel, final, f_lo, f_hi, slack, lo, hi):
+def _nearest_tau(rel, final, f_lo, f_hi, lo, hi):
     """For lines and points, whose relative position A + tau D runs from
-    rel to final: the time of the nearest tau in [0, 1], A.D, |D|, the
-    segment's distance from 0 less its rounding margin, whether the
-    quadratic excess applies, and the excess and variation bounds of
+    rel to final: the time of the nearest tau in [0, 1], and the segment's
+    distance from 0 less its rounding margin, the bound of
     :func:`certify_separation`."""
     d = len(rel)
     step = final - rel
     dd, along, ahead = _dots(np.array((step, rel, final)), step)
-    span = np.add.reduce(np.abs(step), axis=0)
     length = np.sqrt(dd)
     sure = (d + 2) * _EPS * length
     line = _norm(rel - along / dd * step) - ((2 * d + 8) * _EPS * f_lo + _EPS * length)
     segment = np.where(along >= sure * f_lo, f_lo, np.where(ahead <= -sure * f_hi, f_hi, line))
     segment *= 1 - (d + 2) * _EPS
     tau = np.where(dd > 0, np.minimum(np.maximum(-along / dd, 0.0), 1.0), 0.0)
-    width = hi - lo
-    t = np.minimum(lo + tau * width, hi)
-    delta = 7 * slack * (f_lo + length) / dd + 2 * _EPS / width
-    return t, along, length, segment, span * delta < span, 2 * span * delta, span
+    return np.minimum(lo + tau * (hi - lo), hi), segment
 
 
 def _nearest_angle(c, point, slack, lo, hi):
@@ -540,25 +526,22 @@ class _Bodies:
         kind_a, kind_b = kind
         high, lowest = np.maximum(kind_a, kind_b), np.minimum(kind_a, kind_b)
         rel, final = (at[:, :, 0] - at[:, :, 1]).transpose(1, 0, 2)
-        t, along, length, direct, quadratic, excess, variation = _nearest_tau(
-            rel, final, f_lo, f_hi, slack, lo, hi
-        )
+        t, bound = _nearest_tau(rel, final, f_lo, f_hi, lo, hi)
         del rel, final
         # The segment's bound: -inf for an entry with an arc.
-        direct -= exact
+        bound -= exact
         # An arc against a point: the angle nearest the point, if in range,
         # and the circle's bound.
         arc = ((high >= _ARC) & (lowest == _POINT)).nonzero()[0]
         if arc.size:
             first = kind_a[arc] >= _ARC
-            t[arc], excess[arc], variation[arc], direct[arc] = _nearest_angle(
+            t[arc], excess, variation, circle = _nearest_angle(
                 self.table.take(np.where(first, a[arc], b[arc]), axis=1),
                 at[:, 0, first.view(np.int8), arc],
                 slack[arc],
                 lo[arc],
                 hi[arc],
             )
-            quadratic[arc] = True
         del at
 
         # The minimizer's distance: at a window end, the one evaluated there
@@ -570,20 +553,17 @@ class _Bodies:
             star = evaluate(g, t[np.concatenate([inner, inner])][None])[:, 0]
             f_star[inner] = _norm(star[:, : len(inner)] - star[:, len(inner) :])
         low = np.minimum(np.minimum(f_lo, f_hi), f_star)
-        above = f_star - slack
-        quadratic &= above > 0
-        excess = np.fmin(
-            np.fmin(excess, np.where(quadratic, excess * excess / above, np.inf)), variation
-        )
-        points = high == _POINT
-        bound = low - np.where(points, 0.0, slack + excess)
-        # Lines and points, also: |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).
-        square = f_lo * f_lo + 2 * np.minimum(0.0, along)
-        square -= 10 * slack * (f_lo + length + slack)
-        np.fmax(bound, np.minimum(low, np.sqrt(square)), out=bound, where=high == _LINE)
-        # Where these are not positive, the bound with no minimizer: the
-        # segment's or the circle's.
-        np.fmax(bound, np.minimum(low, direct), out=bound, where=bound <= 0)
+        # Lines and points: the segment's bound, capped at sampled_min; two
+        # points, their distance.
+        bound = np.where(high == _POINT, low, np.minimum(low, bound))
+        # An arc against a point: the minimizer's distance less its margin,
+        # or where that is not positive the circle's bound if larger.
+        if arc.size:
+            above = f_star[arc] - slack[arc]
+            quadratic = np.where(above > 0, excess * excess / above, np.inf)
+            closed = low[arc] - (slack[arc] + np.fmin(np.fmin(excess, quadratic), variation))
+            circle = np.fmax(closed, np.minimum(low[arc], circle))
+            bound[arc] = np.where(closed <= 0, circle, closed)
 
         # A Case A pair: two half turns that agree on every operand from T0
         # on (not on their end points) and start exactly float pi apart.

@@ -1,15 +1,18 @@
-"""The certification kernel as it was before Case A pairs had a closed form
-and before its operands were stacked into one table: kept as a reference
-that the current kernel must match bit for bit on every pair without a Case
-A twin entry, when both certify every entry (``verification._may_set_minimum``
-replaced by :func:`keep_all`).  ``certify_separation`` runs it when
-``verification._Bodies`` is replaced by :func:`reference_bodies`, which
-builds it from the segment fields of the path's plan JSON rather than from
-the path's table.  It takes from the certifier only the float bounds of the
-union grid's windows, and evaluates every position itself, at both ends of
-every window and at every minimizer, with its own arithmetic.
-:func:`reference_table` builds the path's body table again from the same
-fields.
+"""The certification kernel in its plainest form, with no position table and
+no Case A closed form, kept as a reference that the current kernel must
+match bit for bit on every pair without a Case A twin entry, when both
+certify every entry (``verification._may_set_minimum`` replaced by
+:func:`keep_all`).  Straight pairs (lines and points) take the segment
+bound, capped at the smallest evaluated distance, and two points their
+distance; an arc against a point takes its closed form less its margin,
+else the circle's bound; the other pairs with an arc take the sampled cone.
+``certify_separation`` runs it when ``verification._Bodies`` is replaced by
+:func:`reference_bodies`, which builds it from the segment fields of the
+path's plan JSON rather than from the path's table.  It takes from the
+certifier only the float bounds of the union grid's windows, and evaluates
+every position itself, at both ends of every window and at every minimizer,
+with its own arithmetic.  :func:`reference_table` builds the path's body
+table again from the same fields.
 """
 
 from __future__ import annotations
@@ -195,16 +198,23 @@ class ReferenceBodies:
         slack = self.slack[a] + self.slack[b]
         f_lo, f_hi = _distance(start_a, start_b), _distance(end_a, end_b)
 
-        # Lines and points: the relative position A + tau D, tau in [0, 1].
+        # Lines and points: the relative position A + tau D, tau in [0, 1],
+        # nearest 0 at tau*; and the distance from 0 to the segment from A
+        # to A + D, less its margins: at an end where the segment moves away
+        # from 0 there.
         rel = start_a - start_b
         step = end_a - end_b - rel
-        dd = _dot(step, step)
-        tau = np.where(dd > 0, np.clip(-_dot(rel, step) / dd, 0.0, 1.0), 0.0)
+        dd, along = _dot(step, step), _dot(rel, step)
+        tau = np.where(dd > 0, np.clip(-along / dd, 0.0, 1.0), 0.0)
         t = np.minimum(lo + tau * (hi - lo), hi)
-        span = np.abs(step).sum(axis=0)
-        delta = 7 * slack * (f_lo + np.sqrt(dd)) / dd + 2 * _EPS / (hi - lo)
-        quadratic = span * delta < span
-        excess, variation = 2 * span * delta, span
+        sure = (len(rel) + 2) * _EPS * np.sqrt(dd)
+        segment = _distance(rel, along / dd * step)
+        segment -= (2 * len(rel) + 8) * _EPS * f_lo + _EPS * np.sqrt(dd)
+        ahead = _dot(end_a - end_b, step) <= -sure * f_hi
+        segment[ahead] = f_hi[ahead]
+        segment[along >= sure * f_lo] = f_lo[along >= sure * f_lo]
+        segment *= 1 - (len(rel) + 2) * _EPS
+        segment -= self.exact[a] + self.exact[b]
 
         # An arc against a point: the angle nearest the point, if in range.
         arc = np.flatnonzero((kind_a == _ARC) & (kind_b == _POINT))
@@ -225,49 +235,31 @@ class ReferenceBodies:
             error = (2 * slack[arc] + 4 * self.beta[c] * np.sqrt(_dot(p, p))) / rho + (
                 8 + len(p)
             ) * _EPS * (4 + np.abs(angle) + np.abs(sweep) * (2 + 1 / duration))
-            excess[arc] = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
+            excess = 2 * error * np.sqrt(radius * np.maximum(radius, rho))
             circle = np.abs(rho - radius) - (
                 (len(p) + 8) * _EPS + 4 * self.beta[c]
             ) * np.sqrt(_dot(p, p))
-            variation[arc] = np.minimum(
-                radius * np.abs(last - first), 2 * np.minimum(radius, rho)
-            )
-            quadratic[arc] = True
+            variation = np.minimum(radius * np.abs(last - first), 2 * np.minimum(radius, rho))
 
         star = self.at(both, np.concatenate([t, t]))
         f_star = _distance(star[:, :k], star[:, k:])
         low = np.minimum(np.minimum(f_lo, f_hi), f_star)
-        above = f_star - slack
-        quadratic &= above > 0
-        excess = np.fmin(
-            np.fmin(excess, np.where(quadratic, excess * excess / above, np.inf)), variation
-        )
+        # Lines and points: the segment's distance, capped at the smallest
+        # evaluated one; two points: their distance.
+        bound = np.minimum(low, segment)
         points = (kind_a == _POINT) & (kind_b == _POINT)
-        bound = low - np.where(points, 0.0, slack + excess)
-        # Lines and points, also: |A + tau D|^2 >= |A|^2 + 2 min(0, A.D).
-        square = f_lo * f_lo + 2 * np.minimum(0.0, _dot(rel, step))
-        square -= 10 * slack * (f_lo + np.sqrt(dd) + slack)
-        straight = (kind_a != _ARC) & ~points
-        bound[straight] = np.fmax(bound[straight], np.minimum(low, np.sqrt(square))[straight])
-        # And, where these are not positive, the distance from 0 to the
-        # segment from A to A + D, less its margins: at an end where the
-        # segment moves away from 0 there.
-        sure = (len(rel) + 2) * _EPS * np.sqrt(dd)
-        segment = _distance(rel, _dot(rel, step) / dd * step)
-        segment -= (2 * len(rel) + 8) * _EPS * f_lo + _EPS * np.sqrt(dd)
-        ahead = _dot(end_a - end_b, step) <= -sure * f_hi
-        segment[ahead] = f_hi[ahead]
-        segment[_dot(rel, step) >= sure * f_lo] = f_lo[_dot(rel, step) >= sure * f_lo]
-        segment *= 1 - (len(rel) + 2) * _EPS
-        segment -= self.exact[a] + self.exact[b]
-        weak = straight & (bound <= 0)
-        bound[weak] = np.fmax(bound[weak], np.minimum(low, segment)[weak])
-        # An arc against a point, also, where its bound is not positive: the
-        # point's distance from the circle.
+        bound[points] = low[points]
+        # An arc against a point: the minimizer's distance less its margin;
+        # where that is not positive, the point's distance from the circle
+        # if larger.
         if arc.size:
-            weak = bound[arc] <= 0
-            circle = np.fmax(bound[arc], np.minimum(low[arc], circle - slack[arc]))
-            bound[arc] = np.where(weak, circle, bound[arc])
+            above = f_star[arc] - slack[arc]
+            excess = np.fmin(
+                np.fmin(excess, np.where(above > 0, excess * excess / above, np.inf)), variation
+            )
+            closed = low[arc] - (slack[arc] + excess)
+            circle = np.fmax(closed, np.minimum(low[arc], circle - slack[arc]))
+            bound[arc] = np.where(closed <= 0, circle, closed)
 
         # Arc-arc and arc-line: the sampled Lipschitz cone, less E.
         fallback = np.flatnonzero((kind_a == _ARC) & (kind_b != _POINT))

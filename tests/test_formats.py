@@ -523,13 +523,15 @@ def _mixed_denominator_path():
 
 
 # (sampled_min, certified_lower_bound) per pair of the mixed-denominator
-# path, as the certifier gave them when it read bounds as Fractions.
+# path.  The sampled minima are as the certifier gave them when it read
+# bounds as Fractions; the bounds were re-recorded when its straight entries
+# took the segment bound alone, which raised each of them.
 _MIXED_BOUNDS = [
-    ("0x1.1e3779b97f4a8p+1", "0x1.1e3779b97f474p+1"),
-    ("0x1.0000000000000p+2", "0x1.fffffffffffd8p+1"),
-    ("0x1.cd82b446159f3p+1", "0x1.cd82b446159acp+1"),
-    ("0x1.94c583ada5b53p+1", "0x1.94c583ada5b11p+1"),
-    ("0x1.1e3779b97f4a8p+2", "0x1.1e3779b97f47ap+2"),
+    ("0x1.1e3779b97f4a8p+1", "0x1.1e3779b97f49fp+1"),
+    ("0x1.0000000000000p+2", "0x1.ffffffffffff4p+1"),
+    ("0x1.cd82b446159f3p+1", "0x1.cd82b446159e5p+1"),
+    ("0x1.94c583ada5b53p+1", "0x1.94c583ada5b46p+1"),
+    ("0x1.1e3779b97f4a8p+2", "0x1.1e3779b97f49fp+2"),
 ]
 
 

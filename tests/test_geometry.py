@@ -253,6 +253,16 @@ class TestMakeFrame:
                   axis=[1e-300, 0.0])
         assert f.e.tolist() == [1.0, 1e-13] and f.axis.tolist() == [1e-300, 0.0]
 
+    def test_callers_arrays_are_copied(self):
+        e, e_perp, axis = np.array([0.6, 0.8]), np.array([-0.8, 0.6]), np.array([3.0, 4.0])
+        f = Frame(e=e, e_perp=e_perp, mode=FrameMode.OBSTACLE_PAIR, axis=axis)
+        for arr, mine in ((e, f.e), (e_perp, f.e_perp), (axis, f.axis)):
+            assert arr.flags.writeable and not mine.flags.writeable
+            assert not any(np.shares_memory(arr, x) for x in (f.e, f.e_perp, f.axis))
+            assert mine.tolist() == arr.tolist()
+        e[0] = 1.0
+        assert f.e[0] == 0.6
+
 
 class TestFrameDirection:
     """The unit direction ``Frame.e`` that every metric quantity projects on."""

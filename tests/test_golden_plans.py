@@ -105,23 +105,23 @@ CERTIFICATE_CASES = {
     "float-n20-d3-fixed": (_query(13, 20, 20, 3, False), FIXED),
 }
 
-# Recorded at the commit before certification evaluated each segment once per
-# window bound; float-d2-pair and float-d4-pair re-recorded with the plans.
+# Re-recorded, all of them, when every entry with no arc took the segment
+# bound alone: only certified_lower_bound moved, no sampled_min and no plan.
 CERTIFICATE_DIGESTS = {
-    "degenerate-d4-pair": "b9a45ca057c84f89b0134163fcad81b86725d5a79ba9a3d61d3d2ca31e303b36",
-    "float-d2-fixed": "8216abb9fe74cc6ebd6f3376740d1cc7b01a6692a8014436f1467c5cfc3a9e1d",
-    "float-d2-pair": "7977c1dd0cbecaed91687fb18e40207eb3edd0f3a01376c8e5fc274377806c92",
-    "float-d3-both-kinds": "00846871193a283f9f51b71617b40d08bafcf42fdcdf98faaa5b415c535e0e63",
-    "float-d3-fixed": "7ae64d5471f83e638ea17fe92bd33e9d9b94259ac512fcba5410480d94e44bf0",
-    "float-d4-fixed": "c1c114683d0288a1cfc0a7e0c7b2c4c8a1c21bb3aa5ff03427505197896f95e3",
-    "float-d4-pair": "2794a53a327791d58465a09d2ec9a47a6d005abbfd56ea780e663898b7e763fb",
-    "float-n20-d3-fixed": "c9f518e58baf7ee989c39650687b85126bcc67761da726c5d9cfa95314debe98",
-    "grid-d2-fixed": "2e9bc97748372f56fcedced5ba6f49c8686f76f7bb8e9d6f7df4c31619c4a951",
-    "grid-d2-pair": "89614a0f09a3a3af41968e9b71fee619235d40aa6c471b39b6e12337c7f999da",
-    "grid-d3-both-kinds": "768f57a06c7423e6622486a19e6e6658847d5c291e7f574946e195f9864a8048",
-    "grid-d3-fixed": "fe0961df3e9cf2611a5c606b7642ea4e32b8205f6386429c841d66f9e1eeb2d9",
-    "grid-d4-pair": "45a326a3532a8a63936ee9d1422d123c6ca4b4bb7cc66f9674a7d3601cae102f",
-    "grid-n8-d3-fixed": "45b4b8b988dbc49679f50b0812301539bd2ce98e093db48decc851bafc1c39c9",
+    "degenerate-d4-pair": "83502941bca78ab9b4b5dfe2a764a75756bb7648bd022623c5faac328d5130c7",
+    "float-d2-fixed": "3c3481acdf11b44cb785ecd63991186fa974989560b63dbb8cc7b72940485f62",
+    "float-d2-pair": "b8598f018e902b18424ddc6d4cd2901c9abd378882a5be26bdb952d0bbcbce7b",
+    "float-d3-both-kinds": "bfe06527c8285b5e077c7b69abb16e96721c6a823b819053be345eda68078551",
+    "float-d3-fixed": "1f38f1683949e53ee52c9bfb7c6fb5d36c2429fb47faf35ab26700ef5d44c4e2",
+    "float-d4-fixed": "c9664d571510aa3d5fbb2fafe7ac469bd30cd3f954f297f85cb7a0011d944f28",
+    "float-d4-pair": "4df5da049b542662e1d05e7f41c9341e717706adb447be89edfe24bbd180a76e",
+    "float-n20-d3-fixed": "3214136069f040e173cdaccc140f31f9ee1b5ba45cf1155e2d74ad0520308189",
+    "grid-d2-fixed": "c6d9633a6c190c90b3724615845a0bd2d942b227612354099e102fa65ad6ebbc",
+    "grid-d2-pair": "d0ed7f556d8530a2e557657146c18b1f05ee7e08443035581cf4704f007c441d",
+    "grid-d3-both-kinds": "3aa062b715ac73513109713fdb090e3bf7f8bb7f1a88331ad212df6f73d7c72f",
+    "grid-d3-fixed": "05ca2b1059b4ddb0c1c590554f4dfff0d3c9f7a8e93feaf09aa6c9585cb49dbf",
+    "grid-d4-pair": "3a017341ce039f5d6ac78d0d94186e3456e4bc4d2738bc44a88f216ba6c74050",
+    "grid-n8-d3-fixed": "693d8d7aafd5a034a58a1e7e5c180d4323461e489e8f8470e0aba73fbb757633",
 }
 
 
