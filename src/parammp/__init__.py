@@ -15,7 +15,6 @@ from .errors import (
     ModeUnsupportedError,
     NotGenericError,
     ParammpError,
-    PreconditionError,
     QueryValidationError,
     RegionCrossingError,
 )

@@ -13,10 +13,11 @@ This module is geometry only and knows no time.  Each swap returns its
 row of its segment (:func:`~parammp.paths.line_row`,
 :func:`~parammp.paths.arc_row`), the floats the planner writes into the
 path's table; a robot absent from a stage rests.  The planner's sweep
-(``planner._play_swaps``) checks each swap's precondition, that its two
-entries are neighbours in the start ordering, and decides when each stage
-plays.  Splitting returns the split query (:func:`desingularize`), and the
-planner draws the straight shifts to and from it.
+(``planner._Sweep``) checks each swap's precondition, that its two entries
+are neighbours in the start ordering, and ``planner._play_swaps`` decides
+when each stage plays.  Splitting returns the split query
+(:func:`desingularize`), and the planner draws the straight shifts to and
+from it.
 """
 
 from __future__ import annotations

@@ -31,11 +31,6 @@ class NotGenericError(ParammpError):
     distinct from every obstacle projection."""
 
 
-class PreconditionError(ParammpError):
-    """An elementary motion was requested on a configuration that does not
-    satisfy its adjacency/side preconditions."""
-
-
 class InvalidOrderingPairError(ParammpError):
     """An ordering pair is malformed: an entry appears twice, the two
     orderings hold different entries, two obstacle blocks share an obstacle,

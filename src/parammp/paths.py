@@ -96,12 +96,6 @@ def row_final(row: tuple, d: int) -> tuple:
     return row[-d:]
 
 
-def extends_rest(before: tuple, row: tuple, d: int) -> bool:
-    """Whether ``row`` and ``before``, rows in R^d, are rests at one point
-    (-0.0 is 0.0 there)."""
-    return len(row) == 2 * d and row[:d] == row[d:] and before == row
-
-
 def evaluate(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Positions (d, s, c) at global times t (s, c) of the c bodies whose
     body-table columns g holds: ``origin + u * step + radius * cos(theta) *

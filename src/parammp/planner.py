@@ -48,7 +48,7 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import PiecewisePath, extends_rest, line_row, row_final, row_initial
+from .paths import PiecewisePath, line_row, row_final, row_initial
 
 __all__ = [
     "MAX_COORDINATE",
@@ -152,24 +152,23 @@ def _block_representative(query: ConfigurationQuery, block: frozenset[int]) -> i
 
 def _append_segment(entries: list[list], t0: int, t1: int, row: tuple, d: int):
     """Append a robot's ``row``, a segment in R^d, on ticks [t0, t1] to its
-    list of ``[start tick, stop tick, row]`` entries.
+    list of ``[start tick, stop tick, row]`` entries: the one writer of a
+    path's rows.
 
-    A gap before t0 is filled with one rest where ``row`` begins, which is
-    where the robot's last row ended (:func:`_extend` appends both).
+    A gap before t0 is filled with a rest where ``row`` begins, which is
+    where the robot's last row ended; a rest that continues a rest at the
+    same point (-0.0 is 0.0 there) extends that entry's stop tick instead.
     """
-    end = entries[-1][1] if entries else 0
-    if end < t0:
+    last = entries[-1] if entries else [0, 0, None]
+    if last[1] < t0:
         point = row_initial(row, d)
-        _extend(entries, end, t0, line_row(point, point), d)
-    _extend(entries, t0, t1, row, d)
-
-
-def _extend(entries: list[list], t0: int, t1: int, row: tuple, d: int):
-    """Append ``row`` on ticks [t0, t1] to ``entries``, whose last entry
-    stops at t0: a rest that continues a rest at the same position extends
-    that entry's stop tick instead."""
-    if entries and extends_rest(entries[-1][2], row, d):
-        entries[-1][1] = t1
+        rest = line_row(point, point)
+        if last[2] == rest:
+            last[1] = t0
+        else:
+            entries.append(last := [last[1], t0, rest])
+    if len(row) == 2 * d and last[2] == row and row[:d] == row[d:]:
+        last[1] = t1
     else:
         entries.append([t0, t1, row])
 
@@ -201,8 +200,8 @@ def compose_with_section(
 def _sweep_error(
     values: np.ndarray, n: int, moved: set[int], below: int, above: int, i: int
 ) -> InternalConsistencyError:
-    """The error of swap ``i`` when a list check of :func:`_play_swaps`
-    fails, worded by the O(n + m) checks it stands for: a start in ``moved``
+    """The error of swap ``i`` when a list check of :class:`_Sweep` fails,
+    worded by the O(n + m) checks it stands for: a start in ``moved``
     that ties another value, else entry ``below`` of ``values`` (a start or
     an obstacle) not next below entry ``above`` in the start ordering (not
     lower, or a start or obstacle value strictly between theirs), else (the
@@ -223,12 +222,113 @@ def _sweep_error(
     return InternalConsistencyError(f"swap {i} moved its pair out of place")
 
 
+class _Sweep:
+    """The start ordering of a valid, generic query as a kinetic sorted list
+    (Basch, Guibas and Hershberger) whose events are the swaps, and what the
+    swaps read beside it.
+
+    It holds the running starts, as float lists (``points``) for the swaps
+    and as the array ``starts`` whose product with the axis gives their
+    values; the tie table's comparison values (starts | goals | obstacles)
+    as an array (``values``) and as floats (``listed``); the goal values as
+    a set and sorted, between -inf and inf; each crossed block's value index,
+    center and term (b) of :func:`~parammp.geometry.clearance_eta`; and the
+    list ``order`` of the robots and one value index per obstacle block (a
+    crossed block's representative), with ``where`` inverting it.
+
+    The list is strictly sorted at the start, as the query is generic, and
+    only the starts a swap moves change value.  Per swap it checks, in O(1),
+    that:
+
+    * before it (:meth:`check_neighbours`), its lower entry's next list
+      entry is its upper one (so its value is lower: the list is strictly
+      sorted);
+    * after it (:meth:`swap`), with the two entries swapped, each moved
+      start's value lies strictly between its list neighbours' values and
+      equals no goal value (a NaN fails).
+
+    So these checks pass exactly when their O(n + m) forms over every value
+    do: the pair are neighbours before the swap, and after it no moved start
+    ties another point (the configuration stays generic) and the pair are
+    neighbours again, swapped, in the same place.  The O(n + m) forms run
+    only to word a failure (:func:`_sweep_error`).  As the list holds every
+    start value and every obstacle value, the nearest value beyond an entry
+    is its list neighbour's or the goal value next to it (:meth:`beyond`).
+    """
+
+    def __init__(self, query: ConfigurationQuery, frame: Frame, swaps: list[Swap]):
+        n = self.n = query.robot_count
+        self.d, self.axis = query.dim, frame.axis
+        self.starts, self.points = np.array(query.starts), query.starts.tolist()
+        values, rank = _ties(query, frame)
+        self.values = values.copy()  # the sweep's own: the tie table is shared
+        self.listed = self.values.tolist()
+        self.goals = set(self.listed[n : 2 * n])
+        self.goal_values = [-np.inf, *sorted(self.goals), np.inf]
+        self.rank = rank = rank.tolist()
+        self.blocks = {}
+        for block in {swap.block for swap in swaps if isinstance(swap, CaseBSwap)}:
+            rep = _block_representative(query, block)
+            distance = _block_distance(query.obstacles, rep, block)
+            self.blocks[block] = (2 * n + rep, query.obstacles[rep].tolist(), distance)
+        member = {rank[k]: k for k in range(2 * n, len(rank))}
+        member.update((rank[o], o) for o, _, _ in self.blocks.values())
+        self.order = sorted([*range(n), *member.values()], key=rank.__getitem__)
+        self.where = {k: p for p, k in enumerate(self.order)}
+
+    def check_neighbours(self, below: int, above: int, i: int):
+        """Check that ``above`` is next above ``below`` before swap ``i``."""
+        p = self.where[below]
+        if self.order[p + 1 : p + 2] != [above]:
+            raise _sweep_error(self.values, self.n, set(), below, above, i)
+
+    def beyond(self, place: int, side: Side) -> float:
+        """The nearest value strictly beyond the entry at ``place`` of the
+        list on ``side``: its list neighbour's or the goal value next to it,
+        whichever is nearer (-inf or inf if neither is)."""
+        listed, order, goals = self.listed, self.order, self.goal_values
+        value = listed[order[place]]
+        if side is Side.LEFT:
+            below = listed[order[place - 1]] if place else -np.inf
+            return max(below, goals[bisect_left(goals, value) - 1])
+        above = listed[order[place + 1]] if place + 1 < len(order) else np.inf
+        return min(above, goals[bisect_right(goals, value)])
+
+    def swap(self, below: int, above: int, final: dict, i: int):
+        """Move the starts to where ``final``, the last stage of swap ``i``,
+        ends (it moves every robot the swap moves), swap list entries
+        ``below`` and ``above``, and check each moved start's new place."""
+        n, listed, order, where = self.n, self.listed, self.order, self.where
+        for robot, row in final.items():
+            self.starts[robot] = self.points[robot] = row_final(row, self.d)
+        # From the whole array, as the tie table computed them: numpy rounds
+        # a product by its shape (geometry._tie_table).
+        self.values[:n] = self.starts @ self.axis
+        listed[:n] = self.values[:n].tolist()
+        p = where[below]
+        order[p], order[p + 1] = above, below
+        where[above], where[below] = p, p + 1
+        for robot in final:
+            q, value = where[robot], listed[robot]
+            if not (
+                (q == 0 or listed[order[q - 1]] < value)
+                and (q + 1 == len(order) or value < listed[order[q + 1]])
+                and value not in self.goals  # a NaN is in no set, -0.0 in one with 0.0
+            ):
+                raise _sweep_error(self.values, n, set(final), above, below, i)
+
+    def check_sorted(self):
+        """Check that the list is the goal ordering (sigma = sigma'): sorted
+        by the goal ranks of the tie table, it comes out unchanged."""
+        n, rank = self.n, self.rank
+        if sorted(self.order, key=lambda k: rank[n + k] if k < n else rank[k]) != self.order:
+            raise InternalConsistencyError(
+                "the swaps did not sort the start ordering into the goal ordering"
+            )
+
+
 def _play_swaps(
-    entries: list[list[list]],
-    query: ConfigurationQuery,
-    frame: Frame,
-    swaps: list[Swap],
-    lo: int,
+    entries: list[list[list]], query: ConfigurationQuery, frame: Frame, swaps: list[Swap], lo: int
 ):
     """Append ``swaps``, played in order from tick ``lo``, and then the
     straight line to the per-robot entry lists ``entries``
@@ -243,132 +343,35 @@ def _play_swaps(
     tie pattern is, so the schedule keeps the rule continuous on each
     domain.
 
-    ``query`` is valid and generic and is not checked again.  One sweep state
-    carries it across the swaps: the running starts, as lists of floats
-    that the swaps read and as the array whose product with ``axis`` gives
-    the comparison values of its tie table (the start values, recomputed
-    from the whole array after each swap), a list of those values, the
-    goal values as a set and sorted, each obstacle block's representative
-    and its term (b) of :func:`~parammp.geometry.clearance_eta`, and the
-    start ordering as a kinetic sorted list whose events are the swaps:
-    robot indices and one value index per obstacle block.  The swaps place their robots along
-    ``e`` by these values over ``|axis|``.  A Case B swap's clearance reads,
-    as the nearest value beyond its block, the nearer of the block's list
-    neighbour and the goal value next to it on that side (a bisection).  Per
-    swap the sweep checks, in O(1), that:
-
-    * before it, its lower entry's next list entry is its upper one (so its
-      value is lower: the list is strictly sorted);
-    * after it, with the two entries swapped, each moved start's value lies
-      strictly between its list neighbours' values and equals no goal value
-      (a NaN fails).
-
-    The list is strictly sorted at the start, as the query is generic, and
-    only moved starts change value.  So these checks pass exactly when their
-    O(n + m) forms over every value do: the pair are neighbours before the
-    swap, and after it no moved start ties another point (the configuration
-    stays generic) and the pair are neighbours again, swapped, in the same
-    place.  The O(n + m) forms run only to word a failure.
-
-    The straight line's precondition, sigma = sigma', is checked on the
-    list: sorted by the goal ranks of the tie table, it must come out
-    unchanged.  That each stage and the line begin where their robot stands
-    is left to the path's own junction check (``PiecewisePath``).
+    ``query`` is valid and generic and is not checked again.  The swaps play
+    on one :class:`_Sweep`, whose values place their robots along ``e``
+    (over ``|axis|``) and which checks each swap and, before the straight
+    line, sigma = sigma'.  That each stage and the line begin where their
+    robot stands is left to the path's own junction check (``PiecewisePath``).
 
     Raises:
-        InternalConsistencyError: one of these checks fails.
+        InternalConsistencyError: one of the sweep's checks fails.
     """
-    n, d = query.robot_count, query.dim
-    starts = np.array(query.starts)
-    points = query.starts.tolist()
-    values, rank = _ties(query, frame)
-    values = values.copy()  # the sweep's own: the tie table is shared
-    listed = values.tolist()
-    goals = set(listed[n : 2 * n])
-    ranked_goals = sorted(goals)
-    blocks = {swap.block for swap in swaps if isinstance(swap, CaseBSwap)}
-    reps = {block: _block_representative(query, block) for block in blocks}
-    distances = {block: _block_distance(query.obstacles, reps[block], block) for block in blocks}
-    centers = {block: query.obstacles[rep].tolist() for block, rep in reps.items()}
-    # One value index per obstacle block: the representative where a swap
-    # crosses it.
-    rank = rank.tolist()
-    member = {rank[k]: k for k in range(2 * n, len(rank))}
-    member.update((rank[2 * n + rep], 2 * n + rep) for rep in reps.values())
-    order = sorted([*range(n), *member.values()], key=rank.__getitem__)
-    where = {k: p for p, k in enumerate(order)}
+    sweep = _Sweep(query, frame, swaps)
+    points, d = sweep.points, query.dim  # the running starts, moved in place
     for i, swap in enumerate(swaps):
         if isinstance(swap, CaseASwap):
             below, above = swap.left, swap.right
+            sweep.check_neighbours(below, above, i)
+            values = (sweep.listed[below], sweep.listed[above])
+            stages = swap_case_a(points, frame, below, above, values)
         else:
-            o = 2 * n + reps[swap.block]
+            o, center, distance = sweep.blocks[swap.block]
             below, above = (swap.robot, o) if swap.side is Side.RIGHT else (o, swap.robot)
-        p = where[below]
-        if order[p + 1 : p + 2] != [above]:
-            raise _sweep_error(values, n, set(), below, above, i)
-        if isinstance(swap, CaseASwap):
-            stages = swap_case_a(points, frame, below, above, (listed[below], listed[above]))
-        else:
-            # The block's neighbour beyond it, and the goal value next to it,
-            # on the side the robot moves to.
-            value = listed[o]
-            if swap.side is Side.LEFT:
-                goal = bisect_left(ranked_goals, value)
-                beyond = max(
-                    listed[order[p - 1]] if p else -np.inf,
-                    ranked_goals[goal - 1] if goal else -np.inf,
-                )
-            else:
-                goal = bisect_right(ranked_goals, value)
-                beyond = min(
-                    listed[order[p + 2]] if p + 2 < len(order) else np.inf,
-                    ranked_goals[goal] if goal < len(ranked_goals) else np.inf,
-                )
-            stages = swap_case_b(
-                points,
-                frame,
-                swap.robot,
-                centers[swap.block],
-                swap.side,
-                (value, listed[swap.robot], beyond),
-                distances[swap.block],
-            )
-        # Each row on its tick, appended in place as _append_segment would:
-        # a rest at the row's initial point fills a gap before it (only a
-        # first stage follows one), and a rest that continues a rest at the
-        # same point extends it.
-        for j, stage in enumerate(stages):
-            t0 = lo + _STAGES * i + j
+            sweep.check_neighbours(below, above, i)
+            beyond = sweep.beyond(sweep.where[o], swap.side)
+            values = (sweep.listed[o], sweep.listed[swap.robot], beyond)
+            stages = swap_case_b(points, frame, swap.robot, center, swap.side, values, distance)
+        for t0, stage in enumerate(stages, lo + _STAGES * i):
             for robot, row in stage.items():
-                per_robot = entries[robot]
-                stop = per_robot[-1][1] if per_robot else 0
-                if stop < t0:
-                    point = row_initial(row, d)
-                    _extend(per_robot, stop, t0, line_row(point, point), d)
-                last = per_robot[-1] if per_robot else None
-                if last and len(row) == 2 * d and last[2] == row and row[:d] == row[d:]:
-                    last[1] = t0 + 1
-                else:
-                    per_robot.append([t0, t0 + 1, row])
-        final = stages[-1]  # the last stage moves every robot the swap moves
-        for robot, row in final.items():
-            starts[robot] = points[robot] = row_final(row, d)
-        values[:n] = starts @ frame.axis
-        listed[:n] = values[:n].tolist()
-        order[p], order[p + 1] = above, below
-        where[above], where[below] = p, p + 1
-        for robot in final:
-            q, value = where[robot], listed[robot]
-            if not (
-                (q == 0 or listed[order[q - 1]] < value)
-                and (q + 1 == len(order) or value < listed[order[q + 1]])
-                and value not in goals  # a NaN is in no set, -0.0 in one with 0.0
-            ):
-                raise _sweep_error(values, n, set(final), above, below, i)
-    if sorted(order, key=lambda k: rank[n + k] if k < n else rank[k]) != order:
-        raise InternalConsistencyError(
-            "the swaps did not sort the start ordering into the goal ordering"
-        )
+                _append_segment(entries[robot], t0, t0 + 1, row, d)
+        sweep.swap(below, above, stages[-1], i)
+    sweep.check_sorted()
     start = lo + _STAGES * len(swaps)
     for per_robot, point, goal in zip(entries, points, query.goals.tolist()):
         _append_segment(per_robot, start, start + _STAGES, line_row(point, goal), d)
@@ -424,13 +427,9 @@ def plan(
 
     The query is validated once, when it is built, and its split once more;
     the :func:`orderings` call that reads the split checks it is generic.
-    The swaps play on one sweep state (:func:`_play_swaps`) that keeps the
-    start ordering as a sorted list.  Per swap it checks in O(1), against
-    list neighbours, that its pair are adjacent before it, and after it that
-    each moved start lies strictly between its new neighbours and on no goal
-    value: so no points coincide and the pair is swapped in place.  The
-    straight line's sigma = sigma' is checked on the same list, and the path
-    checks its junctions once, when it is built.
+    The swaps play on one :class:`_Sweep`, whose O(1) checks stand for a
+    full check of each swap and of sigma = sigma'; the path checks its
+    junctions once, when it is built.
 
     Planning is exact, so ``snap_tol`` (``options.snap_tolerance``) must be
     0: a snap tolerance only labels queries (:func:`classify`).

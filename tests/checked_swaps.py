@@ -3,9 +3,9 @@
 The library forms take the planner's sweep state and leave the neighbour
 precondition to the sweep, which tests it on its own sorted list.  These
 forms test it independently, on ``orderings(query, frame).sigma``
-(PreconditionError), and then call the library with the arguments the sweep
-passes for ``query``, its clearance values found by scanning every
-comparison value.  Like the library forms they return stages of rows.
+(:class:`PreconditionError`), and then call the library with the arguments
+the sweep passes for ``query``, its clearance values found by scanning
+every comparison value.  Like the library forms they return stages of rows.
 :func:`scanned_clearance` keeps the clearance's first, O(n + m) form.
 """
 
@@ -15,9 +15,14 @@ import math
 
 import numpy as np
 
-from parammp import PreconditionError, Side, orderings
+from parammp import ParammpError, Side, orderings
 from parammp.deformations import swap_case_a, swap_case_b
 from parammp.geometry import clearance_eta
+
+
+class PreconditionError(ParammpError):
+    """A swap was asked of two entries that are not next to each other, in
+    that order, in the start ordering."""
 
 
 def _check_neighbours(sigma, below, above):

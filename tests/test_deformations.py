@@ -1,7 +1,7 @@
 """Elementary motions: straight-line sections, the two swap manoeuvres,
 projection splitting, and how the planner draws the straight shifts to and
 from the split query around its swaps.  Swaps are built by the checked forms
-of ``checked_swaps``; the sweep's own checks run in ``planner._play_swaps``."""
+of ``checked_swaps``; the sweep's own checks run in ``planner._Sweep``."""
 
 from __future__ import annotations
 
@@ -772,6 +772,33 @@ class TestEndQuery:
         )
         with pytest.raises(InternalConsistencyError, match="did not sort"):
             plan(q, FrameMode.FIXED)
+
+    # One Case A swap: robots 0 and 1 trade places above obstacle 0.
+    ABOVE_AN_OBSTACLE = ConfigurationQuery(
+        starts=[[1.0, 0.0], [2.0, 0.0]], goals=[[5.0, 1.0], [4.0, 1.0]], obstacles=[[0.0, 3.0]]
+    )
+
+    def test_a_pair_that_lands_swapped_but_elsewhere_fails_at_its_swap(self, monkeypatch):
+        # The pair land in their swapped order, but both below the obstacle:
+        # neither ties a value and they stay next to each other.
+        q = self.ABOVE_AN_OBSTACLE
+        assert plan(q, FrameMode.FIXED).swaps == (planner.CaseASwap(left=0, right=1),)
+
+        def stages(points, frame, left_robot, right_robot, values):
+            return ({
+                left_robot: line_row(points[left_robot], (-1.0, 0.0)),
+                right_robot: line_row(points[right_robot], (-2.0, 0.0)),
+            },)
+
+        monkeypatch.setattr(planner, "swap_case_a", stages)
+        with pytest.raises(InternalConsistencyError, match=r"^swap 0 moved its pair out of place$"):
+            plan(q, FrameMode.FIXED)
+
+    def test_an_empty_swap_list_where_one_is_needed_fails_before_the_straight_line(self):
+        q = self.ABOVE_AN_OBSTACLE
+        message = r"^the swaps did not sort the start ordering into the goal ordering$"
+        with pytest.raises(InternalConsistencyError, match=message):
+            planner._play_swaps([[], []], q, fixed_frame(q), [], 0)
 
     def test_a_split_that_is_not_generic_is_internal_error(self, monkeypatch):
         # Start 0 ties obstacle 0; a split that leaves it there is at fault.

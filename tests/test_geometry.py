@@ -17,7 +17,6 @@ from parammp import (
     InternalConsistencyError,
     ModeUnsupportedError,
     NotGenericError,
-    PreconditionError,
     QueryValidationError,
     RegionLabel,
     Side,
@@ -32,7 +31,7 @@ from parammp import (
 )
 from parammp.geometry import _ties, desingularization_gap
 from parammp.planner import CaseASwap, CaseBSwap, _play_swaps
-from checked_swaps import checked_clearance
+from checked_swaps import PreconditionError, checked_clearance
 from hand_built_paths import case_a_radii
 
 

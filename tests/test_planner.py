@@ -741,6 +741,65 @@ class TestSweepState:
         assert len(worked_out) == tables
 
 
+def _check_slots(sweep, query, frame):
+    """The sweep's list, ``where`` and ``beyond`` against O(n + m) scans of
+    the comparison values of its running starts, the goals and the
+    obstacles."""
+    n = query.robot_count
+    tables = (np.array(sweep.points), query.goals, query.obstacles)
+    values = np.concatenate([points @ frame.axis for points in tables])
+    assert sweep.values.tobytes() == values.tobytes() and sweep.listed == values.tolist()
+    order = sweep.order
+    # every start and one obstacle per block, a crossed block's representative
+    assert sorted(k for k in order if k < n) == list(range(n))
+    assert all(k >= 2 * n for k in order if k >= n)
+    for block, (o, _, _) in sweep.blocks.items():
+        assert o == 2 * n + planner._block_representative(query, block) and o in order
+    assert [values[k] for k in order] == sorted({*values[:n], *values[2 * n:]})
+    assert sweep.where == {k: p for p, k in enumerate(order)}
+    for place, k in enumerate(order):
+        left = float(np.max(values[values < values[k]], initial=-np.inf))
+        right = float(np.min(values[values > values[k]], initial=np.inf))
+        assert sweep.beyond(place, Side.LEFT).hex() == left.hex()
+        assert sweep.beyond(place, Side.RIGHT).hex() == right.hex()
+
+
+def _play_with_slot_checks(query, mode):
+    """Play ``query``'s swaps in the sweep, checking its slots after each;
+    return how many swaps were checked and played."""
+    result = plan(query, mode=mode)
+    frame = result.frame
+    if result.region.j < 2 * query.robot_count:
+        query = desingularize(query, frame)
+    checked, original = [], planner._Sweep.swap
+
+    def swap(sweep, *args):
+        original(sweep, *args)
+        _check_slots(sweep, query, frame)
+        checked.append(args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner._Sweep, "swap", swap)
+        entries = [[] for _ in range(query.robot_count)]
+        planner._play_swaps(entries, query, frame, list(result.swaps), 0)
+    return len(checked), result.swap_count
+
+
+class TestSlotStructure:
+    """The sweep's sorted list stays the start ordering of the running
+    starts, and answers what is next to each entry, after every swap."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_queries())
+    def test_slots_match_the_scans_after_every_swap(self, case):
+        checked, played = _play_with_slot_checks(*case)
+        assert checked == played
+
+    def test_slots_match_the_scans_at_twenty_robots(self):
+        q = random_query(np.random.default_rng(0), 20, 20, 3)
+        assert _play_with_slot_checks(q, "fixed") == (205, 205)
+
+
 class TestTicks:
     """Segment bounds are integer ticks over one denominator per path."""
 
