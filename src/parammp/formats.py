@@ -310,8 +310,8 @@ def serialize_plan(result: PlanResult) -> str:
     ``json.dumps(document, indent=2)`` gives.  Cached templates, one for
     the head and one per segment kind, are joined in the path's order with
     the time bounds' texts in between, and one ``%`` pass fills in the
-    floats: the head's, then those of the path's column table, whose used
-    fields are the segments' floats in template order.  Each distinct
+    floats: the head's, then the segments' plan-JSON fields in template
+    order, read from the rows the path was built from.  Each distinct
     float, told apart by its bit pattern so that 0.0 and -0.0 stay
     distinct, is written once by ``float.__repr__``, as ``json`` writes it;
     each distinct tick's reduced rational is written once too.  Every float

@@ -15,7 +15,8 @@ one row of floats per segment (:func:`line_row`, :func:`arc_row`) by
 and checks the table once.  Every reader evaluates it by one formula,
 :func:`evaluate`, over columns of the body table: the path's position
 methods, the plan's CSV and SVG, and the certifier, which reads the table as
-it is.  The plan's writer reads the segments' plan-JSON fields back from it.
+it is.  The path keeps the rows too, and the plan's writer reads their
+plan-JSON fields from them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
+from numbers import Rational
 from typing import NamedTuple
 
 import numpy as np
@@ -113,15 +115,6 @@ def evaluate(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache
-def _row_masks(d: int) -> np.ndarray:
-    """The fields of a line's row, then an arc's, among the 3d + 3 plan-JSON
-    fields a segment in R^d has room for (``_Columns.block``)."""
-    masks = np.arange(3 * d + 3) < np.array([[2 * d], [3 * d + 3]])
-    masks.setflags(write=False)
-    return masks
-
-
 # The floats a path's body table is gathered from begin with these, the
 # source of every float that is neither a row's nor an obstacle's.
 _CONSTANTS = (0.0, -0.0, 1.0)
@@ -166,19 +159,6 @@ def _sources(d: int) -> np.ndarray:
     return sources
 
 
-@lru_cache
-def _field_rows(d: int) -> np.ndarray:
-    """Per kind, a line then an arc, the rows of a body table in R^d that
-    hold a segment's 3d + 3 plan-JSON fields (``_Columns.block``); a line's
-    unused fields read its end angle, 0."""
-    final = VECTORS + 5 * d
-    line = [*range(VECTORS, VECTORS + d), *range(final, final + d)] + [END] * (d + 3)
-    arc = [*range(VECTORS, VECTORS + d), RADIUS, *range(VECTORS + 2 * d, VECTORS + 4 * d)]
-    rows = np.array([line, arc + [ANGLE, END]])
-    rows.setflags(write=False)
-    return rows
-
-
 def endpoint_tol(query: ConfigurationQuery) -> float:
     """``ENDPOINT_TOL`` times the query's largest coordinate magnitude where
     that exceeds 1: arc endpoints round in proportion to the coordinates."""
@@ -213,13 +193,12 @@ class _Columns:
     and stop ticks, whether each is an arc (else a straight line), the
     segments per robot and the index of each robot's first; ``table``, the
     read-only body table (rows as END to VECTORS name them), a column per
-    segment and then one per obstacle; and ``ends``, a view of its rows of
-    each segment's initial and final points.  ``block`` reads each
-    segment's plan-JSON fields back from the table, one row of 3d + 3
-    floats (a line's ``start, end``, the rest of its row 0; an arc's
-    ``center, radius, basis_u, basis_v, angle_start, angle_end``), and
-    ``floats`` the used ones in row-major order, the order a plan writes
-    them in: on demand, for the plan's writer."""
+    segment and then one per obstacle; ``ends``, a view of its rows of
+    each segment's initial and final points; and ``rows``, a read-only view
+    of the segments' rows of floats, the table's source, one after another.
+    ``floats`` is the rows without each arc's end points: the segments'
+    plan-JSON fields, in the order a plan writes them in, on demand for the
+    plan's writer."""
 
     ticks: np.ndarray  # (2, segments): start, stop
     arc: np.ndarray
@@ -227,26 +206,18 @@ class _Columns:
     first: np.ndarray
     table: np.ndarray
     ends: np.ndarray
+    rows: np.ndarray
 
     start = property(lambda self: self.ticks[0])
     stop = property(lambda self: self.ticks[1])
 
-    def _fields(self) -> tuple:
-        """Where each segment's 3d + 3 fields lie in the flattened table, a
-        row per segment, and which of them its kind uses."""
-        d, kind = self.ends.shape[1] // 2, self.arc.view(np.int8)
-        index = _field_rows(d).take(kind, axis=0) * self.table.shape[1]
-        index += np.arange(len(kind))[:, None]
-        return index, _row_masks(d).take(kind, axis=0)
-
-    @property
-    def block(self) -> np.ndarray:
-        return self.table.take(self._fields()[0])
-
     @property
     def floats(self) -> np.ndarray:
-        index, used = self._fields()
-        return self.table.take(index[used])
+        d = self.ends.shape[1] // 2
+        stops = np.where(self.arc, 5 * d + 3, 2 * d).cumsum()[self.arc]
+        used = np.ones(len(self.rows), dtype=bool)
+        used[stops[:, None] - np.arange(1, 2 * d + 1)] = False
+        return self.rows[used]
 
 
 def _row_floats(rows: tuple, obstacles: np.ndarray):
@@ -353,7 +324,7 @@ class PiecewisePath:
         each line's step and each arc's beta are written in whole rows.
         beta is the largest of | |basis_u| - 1 |, | |basis_v| - 1 | and
         |basis_u.basis_v|, each dot product summed in coordinate order from
-        0.0."""
+        0.0.  The rows' floats are kept, read-only, as ``_Columns.rows``."""
         query, d, den = self.query, self.query.dim, self.den
         count = len(arc)
         source, relative = _sources(d).take(length, axis=2)
@@ -397,7 +368,11 @@ class PiecewisePath:
         if not near.all():
             raise self._junction_error(near, ticks[0], first, counts)
         table.setflags(write=False)
-        return _Columns(ticks, arc, np.array(counts), first, table, table[-2 * d :, :count].T)
+        rows = floats[len(_CONSTANTS) : len(floats) - query.obstacles.size]
+        rows.setflags(write=False)
+        return _Columns(
+            ticks, arc, np.array(counts), first, table, table[-2 * d :, :count].T, rows
+        )
 
     def _arc_error(self, ticks, first, row: int, radius_ok: bool) -> InternalConsistencyError:
         """The error of the first arc, robot by robot and in time, that
@@ -469,12 +444,14 @@ class PiecewisePath:
 
     def segment_at(self, robot: int, t) -> PathSegment:
         """The segment ``robot`` follows at time ``t``: its first whose stop
-        tick exceeds t * den, exactly, else its last."""
+        tick exceeds t * den, exactly, else its last.  A time that is not a
+        Rational, a numpy float32 say, is taken as ``float(t)``, exactly."""
         _check_time(t)
         columns = self._columns
         # By bisection on the robot's stop ticks: t * den < stop iff
         # floor(t * den) < stop.
-        num, den = (Fraction(t) * self.den).as_integer_ratio()
+        exact = Fraction(t if isinstance(t, Rational) else float(t))
+        num, den = (exact * self.den).as_integer_ratio()
         lo = int(columns.first[robot])
         count = int(columns.counts[robot])
         row = lo + min(bisect_right(columns.stop, num // den, lo, lo + count) - lo, count - 1)

@@ -5,6 +5,7 @@ readers of a path's rows, shared by the test modules."""
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from parammp import (
     line_row,
     make_frame,
 )
-from parammp.paths import row_final, row_initial
+from parammp.paths import ANGLE, END, RADIUS, VECTORS, row_final, row_initial
 
 TINY = 5e-324  # the smallest subnormal
 
@@ -56,15 +57,23 @@ def extreme_plan() -> PlanResult:
 
 def path_rows(path: PiecewisePath) -> list:
     """Per robot, the ``(start tick, stop tick, row)`` entries that
-    ``from_rows`` builds ``path`` from, read back from its table."""
-    columns = path._columns
+    ``from_rows`` builds ``path`` from, read back from its body table by
+    named rows: a line's origin, then its final point; an arc's origin (its
+    center), radius, basis_u, basis_v, start angle and end angle, then its
+    initial and final points.  The rows the path keeps are not read."""
+    columns, d = path._columns, path.query.dim
+
+    def vector(k):
+        return range(VECTORS + k * d, VECTORS + (k + 1) * d)
+
+    line = itemgetter(*vector(0), *vector(5))
+    arc = itemgetter(*vector(0), RADIUS, *vector(2), *vector(3), ANGLE, END, *vector(4), *vector(5))
     entries = [
-        (start, stop, tuple(block + ends) if arc else tuple(ends))
-        for start, stop, arc, block, ends in zip(
+        (start, stop, (arc if is_arc else line)(column))
+        for start, stop, is_arc, column in zip(
             *columns.ticks.tolist(),
             columns.arc.tolist(),
-            columns.block.tolist(),
-            columns.ends.tolist(),
+            columns.table[:, : len(columns.arc)].T.tolist(),
         )
     ]
     return [

@@ -386,16 +386,16 @@ def _scan(path, robot, t):
 def _assert_same_table(path, other):
     """Whether two paths have the same table, bit for bit."""
     assert path.den == other.den
-    for name in ("ticks", "arc", "counts", "first", "block", "ends"):
+    for name in ("ticks", "arc", "counts", "first", "rows", "ends"):
         mine, theirs = getattr(path._columns, name), getattr(other._columns, name)
         assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
         assert mine.tobytes() == theirs.tobytes(), name
 
 
 def _assert_table_holds_its_rows(path, rows):
-    # the table holds every entry's ticks, kind and floats bit for bit: a
-    # line's row, zeros after it in the block; an arc's fields, then its end
-    # points beside the block
+    # the table holds every entry's ticks, kind and floats bit for bit: its
+    # rows, read-only, their end points, and the plan-JSON fields (a line's
+    # row, an arc's without its end points) that the writer reads
     columns, d = path._columns, path.query.dim
     entries = [entry for per_robot in rows for entry in per_robot]
     assert columns.start.tolist() == [start for start, _, _ in entries]
@@ -403,12 +403,11 @@ def _assert_table_holds_its_rows(path, rows):
     assert columns.arc.tolist() == [len(row) == 5 * d + 3 for _, _, row in entries]
     assert columns.counts.tolist() == list(map(len, rows))
     assert columns.first.tolist() == np.cumsum([0] + columns.counts.tolist()[:-1]).tolist()
-    fields = [np.array(row[: 3 * d + 3] if len(row) > 2 * d else row) for _, _, row in entries]
-    for row_fields, block_row in zip(fields, columns.block):
-        assert block_row[: len(row_fields)].tobytes() == row_fields.tobytes()
-        assert not block_row[len(row_fields) :].any()
+    assert columns.rows.tobytes() == np.concatenate([row for _, _, row in entries]).tobytes()
+    assert not columns.rows.flags.writeable
     ends = np.array([row[-2 * d :] for _, _, row in entries])
     assert columns.ends.tobytes() == ends.tobytes()
+    fields = [row[: 3 * d + 3] if len(row) > 2 * d else row for _, _, row in entries]
     assert columns.floats.tobytes() == np.concatenate(fields).tobytes()
 
 
@@ -448,7 +447,9 @@ class TestColumns:
         path = extreme_path()
         _assert_table_holds_its_rows(path, extreme_rows())
         assert path_rows(path) == extreme_rows()
-        assert math.copysign(1.0, path._columns.block[0, -2]) == -1.0  # angle_start -0.0
+        # robot 0's arc comes first: center, radius, basis_u, basis_v, then
+        # angle_start -0.0
+        assert math.copysign(1.0, path._columns.floats[7]) == -1.0
 
     @settings(max_examples=100, deadline=None)
     @given(small_queries())
@@ -548,6 +549,20 @@ class TestSegmentAt:
         for robot in range(path.robot_count):
             for t in times:
                 assert path.segment_at(robot, t) == _scan(path, robot, t), (robot, t)
+
+    @pytest.mark.parametrize("path", _PATHS, ids=["planned", "hand-built"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_narrow_float_times_are_their_floats(self, path, dtype):
+        # a float32 or float16 time picks the segment and gives the position
+        # bits of its exact float value
+        times = np.concatenate([path._columns.stop / path.den, np.linspace(0.0, 1.0, 33)])
+        for t in times.astype(dtype):
+            wide = float(t)
+            for robot in range(path.robot_count):
+                assert path.segment_at(robot, t) == path.segment_at(robot, wide), (robot, t)
+                mine, theirs = path.position(robot, t), path.position(robot, wide)
+                assert mine.tobytes() == theirs.tobytes(), (robot, t)
+            assert path.configuration(t).tobytes() == path.configuration(wide).tobytes()
 
 
 def _assert_one_formula(path, randoms):
