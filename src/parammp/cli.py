@@ -55,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", help="write the main result here instead of stdout")
 
-    p_plan = sub.add_parser("plan", help="plan a motion and emit the exact path as JSON")
+    p_plan = sub.add_parser("plan", help="plan and certify a motion, emit the exact path as JSON")
     add_common(p_plan)
-    p_plan.add_argument("--samples", type=int, help="CSV resolution (default 256)")
+    p_plan.add_argument("--samples", type=int, default=256, help="CSV resolution (default 256)")
     p_plan.add_argument("--svg", help="also write an SVG rendering to this file")
     p_plan.add_argument("--csv", help="also write a sampled trajectory CSV to this file")
 
@@ -68,14 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="plan, certify separation and check endpoint/obstacle contracts"
     )
     add_common(p_verify)
-    p_verify.add_argument(
-        "--samples",
-        type=int,
-        help="samples per window of the union of all robots' segment bounds, "
-        "taken only for pairs without a closed-form minimum (an arc against a "
-        "moving line or an arc that is not its Case A twin; a planned path has "
-        "none; default: from the document)",
-    )
 
     p_comp = sub.add_parser("components", help="count generic ordering pairs exactly")
     p_comp.add_argument("n", type=int, help="number of robots")
@@ -92,12 +84,12 @@ def _emit(text: str, output: Optional[str]):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _samples(args) -> Optional[int]:
-    """The ``--samples`` value of plan and verify, in [2, MAX_SAMPLES_PER_SEGMENT]."""
-    if args.samples is not None and not 2 <= args.samples <= MAX_SAMPLES_PER_SEGMENT:
+def _samples(args) -> int:
+    """The CSV resolution ``plan --samples``, in the range ``sample_csv`` takes."""
+    if not 1 <= args.samples <= MAX_SAMPLES_PER_SEGMENT:
         raise QueryValidationError(
             [
-                "--samples: expected an integer >= 2 and "
+                "--samples: expected an integer >= 1 and "
                 f"<= {MAX_SAMPLES_PER_SEGMENT}, got {args.samples}"
             ]
         )
@@ -117,17 +109,30 @@ def _load(args):
     return document, document.to_query(), mode
 
 
-def _cmd_plan(args) -> int:
-    resolution = _samples(args) or 256
+def _certified_plan(args):
+    """Load, plan with the document's snap tolerance, certify: plan and verify."""
     document, query, mode = _load(args)
     result = plan(query, mode=mode, snap_tol=document.options.snap_tolerance)
+    return query, result, certify_separation(result.path)
+
+
+def _cmd_plan(args) -> int:
+    resolution = _samples(args)
+    _, result, certificate = _certified_plan(args)
+    if not certificate.passed:
+        worst = min(certificate.pairs, key=lambda pair: pair.certified_lower_bound)
+        raise InternalConsistencyError(
+            f"plan: the path does not certify: {worst.kind} pair "
+            f"({worst.first}, {worst.second}) has sampled_min {worst.sampled_min!r} "
+            f"and certified lower bound {worst.certified_lower_bound!r}"
+        )
+    # Every text is built before any file is written.
+    svg = args.svg and render_svg(result)
+    csv = args.csv and sample_csv(result, resolution=resolution)
     _emit(serialize_plan(result), args.output)
-    if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as handle:
-            handle.write(render_svg(result))
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write(sample_csv(result, resolution=resolution))
+    for text, name in ((svg, args.svg), (csv, args.csv)):
+        if name:
+            _emit(text, name)
     return EXIT_OK
 
 
@@ -151,11 +156,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    samples = _samples(args)
-    document, query, mode = _load(args)
-    samples = samples or document.options.samples_per_segment
-    result = plan(query, mode=mode, snap_tol=document.options.snap_tolerance)
-    certificate = certify_separation(result.path, samples_per_segment=samples)
+    query, result, certificate = _certified_plan(args)
     start_err, goal_err = (
         max(float(np.linalg.norm(row)) for row in result.path.configuration(t) - points)
         for t, points in ((0.0, query.starts), (1.0, query.goals))
@@ -167,7 +168,6 @@ def _cmd_verify(args) -> int:
         "mode": result.mode.value,
         "region": {"j": result.region.j, "t": result.region.t, "c": result.region.c},
         "swap_count": result.swap_count,
-        "samples_per_segment": samples,
         "endpoint_error": {"start": start_err, "goal": goal_err},
         "obstacles_stationary": obstacles_stationary,
         "separation": {

@@ -47,7 +47,6 @@ _MODES = {"fixed", "obstacle_pair", "obstacle-pair"}
 @dataclass(frozen=True)
 class ProblemOptions:
     snap_tolerance: float = 0.0
-    samples_per_segment: int = 64
 
 
 @dataclass(frozen=True)
@@ -212,6 +211,8 @@ def parse_problem(text: str) -> ProblemDocument:
                 f"options.snap_tolerance: expected a finite number >= 0, got {snap!r}"
             )
             snap = 0.0
+        # Checked, so no document changes validity, but read by nothing: a
+        # planned path has no sampled pair.
         samples = raw_options.get("samples_per_segment", 64)
         if (
             isinstance(samples, bool)
@@ -222,8 +223,7 @@ def parse_problem(text: str) -> ProblemDocument:
                 "options.samples_per_segment: expected an integer >= 2 and "
                 f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples!r}"
             )
-            samples = 64
-        options = ProblemOptions(snap_tolerance=float(snap), samples_per_segment=samples)
+        options = ProblemOptions(snap_tolerance=float(snap))
 
     if not errors:
         try:

@@ -6,14 +6,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 import parammp
+from parammp import plan, serialize_plan
 from parammp.cli import main
+from parammp.verification import PairSeparation, SeparationCertificate
+from query_strategies import small_queries
 
 PROBLEM = {
     "version": "1",
@@ -77,29 +82,24 @@ def test_verify_passes(problem_file, capsys):
     assert report["obstacles_stationary"] is True
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["verify", "--samples", "1"], ["plan", "--csv", "unused.csv", "--samples", "0"]],
-)
-def test_samples_below_two_is_validation_error(
-    problem_file, tmp_path, capsys, monkeypatch, argv
+@pytest.mark.parametrize("samples", ["0", "-1", "4097"])
+def test_samples_out_of_range_is_validation_error(
+    problem_file, tmp_path, capsys, monkeypatch, samples
 ):
     monkeypatch.chdir(tmp_path)
-    assert main([argv[0], "--input", str(problem_file), *argv[1:]]) == 1
-    assert "--samples: expected an integer >= 2" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["verify", "--samples", "4097"], ["plan", "--csv", "unused.csv", "--samples", "4097"]],
-)
-def test_samples_above_bound_is_validation_error(
-    problem_file, tmp_path, capsys, monkeypatch, argv
-):
-    monkeypatch.chdir(tmp_path)
-    assert main([argv[0], "--input", str(problem_file), *argv[1:]]) == 1
-    assert "--samples: expected an integer >= 2 and <= 4096" in capsys.readouterr().err
+    argv = ["plan", "--input", str(problem_file), "--csv", "unused.csv", "--samples", samples]
+    assert main(argv) == 1
+    assert "--samples: expected an integer >= 1 and <= 4096" in capsys.readouterr().err
     assert not (tmp_path / "unused.csv").exists()
+
+
+def test_one_sample_per_unit_time_gives_both_ends(problem_file, tmp_path, capsys):
+    csv = tmp_path / "plan.csv"
+    argv = ["plan", "--input", str(problem_file), "--csv", str(csv), "--samples", "1"]
+    assert main(argv) == 0
+    header, *rows = csv.read_text().strip().split("\n")
+    assert header == "t,robot,x_1,x_2,x_3"
+    assert [row.split(",")[:2] for row in rows] == [["0.0", "0"], ["1.0", "0"]]
 
 
 def test_samples_option_above_bound_is_validation_error(tmp_path, capsys):
@@ -207,7 +207,13 @@ def test_snap_tolerance_is_classify_only(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["classify", "--bogus"], ["classify", "--samples", "64"], ["frobnicate"]]
+    "argv",
+    [
+        ["classify", "--bogus"],
+        ["classify", "--samples", "64"],
+        ["verify", "--samples", "64"],
+        ["frobnicate"],
+    ],
 )
 def test_usage_error_exit_code(problem_file, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -286,25 +292,96 @@ def test_mode_unsupported_exit_code(tmp_path, capsys):
     assert main(["plan", "--input", str(path)]) == 1
 
 
-def test_internal_failure_exit_code(problem_file, monkeypatch, capsys):
-    from parammp.verification import SeparationCertificate, PairSeparation
-
-    def failing_certificate(path, samples_per_segment=64):
-        return SeparationCertificate(
-            pairs=(
-                PairSeparation(
-                    kind="robot-obstacle",
-                    first=0,
-                    second=0,
-                    sampled_min=0.0,
-                    certified_lower_bound=-1.0,
-                ),
+def _failing_certificate(path, samples_per_segment=64):
+    return SeparationCertificate(
+        pairs=(
+            PairSeparation(
+                kind="robot-obstacle",
+                first=0,
+                second=1,
+                sampled_min=0.5,
+                certified_lower_bound=-1.0,
             ),
-            samples_per_segment=samples_per_segment,
-        )
+            PairSeparation(
+                kind="robot-obstacle",
+                first=0,
+                second=0,
+                sampled_min=2.0,
+                certified_lower_bound=1.0,
+            ),
+        ),
+        samples_per_segment=samples_per_segment,
+    )
 
-    monkeypatch.setattr("parammp.cli.certify_separation", failing_certificate)
+
+def test_internal_failure_exit_code(problem_file, monkeypatch, capsys):
+    monkeypatch.setattr("parammp.cli.certify_separation", _failing_certificate)
     assert main(["verify", "--input", str(problem_file)]) == 2
+
+
+def test_plan_that_does_not_certify_writes_nothing(problem_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("parammp.cli.certify_separation", _failing_certificate)
+    files = {flag: tmp_path / f"plan.{flag}" for flag in ("output", "svg", "csv")}
+    argv = ["plan", "--input", str(problem_file)]
+    for flag, path in files.items():
+        argv += [f"--{flag}", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "internal error: plan: the path does not certify: robot-obstacle pair (0, 1) "
+        "has sampled_min 0.5 and certified lower bound -1.0\n"
+    )
+    assert [path for path in files.values() if path.exists()] == []
+
+
+def _same_exit_code(problem, directory):
+    """The exit codes of plan and verify on ``problem``, and the plan file."""
+    source, output = Path(directory) / "problem.json", Path(directory) / "plan.json"
+    source.write_text(json.dumps(problem))
+    output.unlink(missing_ok=True)
+    planned = main(["plan", "--input", str(source), "--output", str(output)])
+    verified = main(["verify", "--input", str(source), "--output", os.devnull])
+    assert planned == verified
+    assert output.exists() == (planned == 0)
+    return planned, output
+
+
+def test_plan_and_verify_agree_on_near_grid_draw_2503(tmp_path, capsys):
+    # Draw 2503 of tests/near_grid.py seed-11: the plan's Case B drop lands
+    # on obstacle 1 (sampled_min 0.0, bound -1.09e-14), so its certificate
+    # fails, and plan refuses the path that verify fails.  Both exit 0 once
+    # the drop keeps off the frame obstacle (ROADMAP item 13).
+    problem = {
+        "version": "1",
+        "dim": 2,
+        "mode": "obstacle-pair",
+        "starts": [[-0.999999999999, -2.499999999999999]],
+        "goals": [[2.5000000000003, 1e-12]],
+        "obstacles": [[1e-15, 1e-15], [0.0, -2.499999999999999], [-0.999999999999999, 3.0000000000003]],
+    }
+    code, _ = _same_exit_code(problem, tmp_path)
+    assert code in (0, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_queries())
+def test_cli_gates_a_plan_and_never_changes_it(case):
+    # plan and verify exit alike, and a plan that passes is written as the
+    # library serializes it, byte for byte
+    query, mode = case
+    problem = {
+        "version": "1",
+        "dim": query.dim,
+        "mode": mode.value,
+        "starts": query.starts.tolist(),
+        "goals": query.goals.tolist(),
+        "obstacles": query.obstacles.tolist(),
+    }
+    with tempfile.TemporaryDirectory() as directory:
+        code, output = _same_exit_code(problem, directory)
+        if code == 0:
+            assert output.read_text() == serialize_plan(plan(query, mode))
 
 
 def _run_module(*args):

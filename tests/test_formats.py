@@ -155,7 +155,7 @@ class TestParseProblem:
             starts=((0.0, 1.0, 0.0),),
             goals=((2.0, 0.0, 1.0),),
             obstacles=((1.0, 0.0, 0.0), (3.0, 0.0, 0.0)),
-            options=ProblemOptions(snap_tolerance=0.0, samples_per_segment=64),
+            options=ProblemOptions(snap_tolerance=0.0),
         )
 
     def test_round_trip_property_on_random_documents(self):
@@ -183,7 +183,7 @@ class TestParseProblem:
                 starts=tuple(map(tuple, starts)),
                 goals=tuple(map(tuple, goals)),
                 obstacles=tuple(map(tuple, obstacles)),
-                options=ProblemOptions(snap_tolerance=snap, samples_per_segment=samples),
+                options=ProblemOptions(snap_tolerance=snap),
             )
 
     @settings(max_examples=100, deadline=None)
@@ -287,14 +287,16 @@ class TestParseProblem:
             parse_problem(text.replace("0.5", token))
         assert "options.snap_tolerance: expected a finite number >= 0" in str(exc.value)
 
-    @pytest.mark.parametrize("samples", [4097, 10**30])
-    def test_samples_per_segment_above_bound_rejected(self, samples):
+    @pytest.mark.parametrize("samples", [4097, 10**30, 1, 0, True, 2.5, "64", None])
+    def test_samples_per_segment_out_of_range_rejected(self, samples):
+        # read by nothing, but still checked: no document changes validity
         text = json.dumps({**MINIMAL, "options": {"samples_per_segment": samples}})
         with pytest.raises(QueryValidationError) as exc:
             parse_problem(text)
-        assert f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples}" in str(exc.value)
-        bound = json.dumps({**MINIMAL, "options": {"samples_per_segment": 4096}})
-        assert parse_problem(bound).options.samples_per_segment == 4096
+        assert f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples!r}" in str(exc.value)
+        for bound in (2, 4096):
+            text = json.dumps({**MINIMAL, "options": {"samples_per_segment": bound}})
+            assert parse_problem(text).options == ProblemOptions()
 
 
 class TestSerializePlan:
