@@ -21,6 +21,7 @@ from numbers import Integral
 from typing import Optional
 
 import numpy as np
+import orjson
 
 from .errors import QueryValidationError
 from .geometry import ConfigurationQuery, Frame, FrameMode
@@ -149,8 +150,25 @@ def _word_points(name: str, value, dim: int, errors: list[str]) -> tuple:
     return tuple(points)
 
 
+# The fast reading of a problem text; ``json.loads`` is the reference.
+_loads = orjson.loads
+
+
 def parse_problem(text: str) -> ProblemDocument:
     """Parse and validate a problem document.
+
+    The text is read with ``orjson`` and validated.  The ``json`` module is
+    the reference reading: if orjson refuses the text, or the document it
+    gives fails any check, the text is read again with ``json.loads`` and
+    that reading is validated, so every error is worded from json's reading
+    and no document is accepted or refused otherwise than by json alone.
+    orjson refuses what only json reads (``NaN``, ``Infinity``, numbers
+    beyond float range such as ``1e400``, lone surrogate escapes); on every
+    other text the two give equal documents.  orjson's floats are correctly
+    rounded, as json's are, and it reads an integer beyond 64 bits as the
+    float that ``float()`` of json's integer gives, which a document accepts
+    only where it converts a number to float (a coordinate, the snap
+    tolerance).
 
     Collects every validation problem before raising, so one round trip shows
     all errors; JSON syntax errors report line and column.  Point arrays are
@@ -163,7 +181,19 @@ def parse_problem(text: str) -> ProblemDocument:
         QueryValidationError: syntax or semantic errors (all of them listed).
     """
     try:
-        raw = json.loads(text)
+        return _document(_loads(text))
+    except (ValueError, QueryValidationError, RecursionError):
+        # orjson refused the text (its JSONDecodeError is a ValueError), or
+        # its document fails a check or nests too deep to word: json decides.
+        pass
+    return _document(_json_reading(text))
+
+
+def _json_reading(text: str):
+    """The ``json`` module's reading of a problem text, with its decoding
+    errors worded as validation errors."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise QueryValidationError(
             [f"JSON syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
@@ -172,6 +202,15 @@ def parse_problem(text: str) -> ProblemDocument:
         raise QueryValidationError([f"JSON number error: {exc}"]) from exc
     except RecursionError as exc:  # arrays or objects nested too deep
         raise QueryValidationError([f"JSON nesting error: {exc}"]) from exc
+
+
+def _document(raw) -> ProblemDocument:
+    """The validated document of a decoded problem text, whichever module
+    decoded it.
+
+    Raises:
+        QueryValidationError: every semantic error, all of them listed.
+    """
     errors: list[str] = []
     if not isinstance(raw, dict):
         raise QueryValidationError(["top level: expected a JSON object"])
@@ -186,7 +225,7 @@ def parse_problem(text: str) -> ProblemDocument:
         errors.append(f"dim: expected an integer >= 2, got {dim!r}")
         dim = 2
     mode = raw.get("mode")
-    if mode is not None and mode not in _MODES:
+    if mode is not None and not (isinstance(mode, str) and mode in _MODES):
         errors.append(f"mode: expected one of {sorted(_MODES)}, got {mode!r}")
         mode = None
     starts = _check_points("starts", raw.get("starts"), dim, errors)

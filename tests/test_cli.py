@@ -182,6 +182,27 @@ def test_number_a_float_cannot_hold_is_validation_error(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"dim": 3', '"dim": @'),
+        ('"version": "1"', '"version": @'),
+        ('"dim": 3', '"dim": 3, "mode": @'),
+        ('"dim": 3', '"dim": 3, "options": {"snap_tolerance": @}'),
+        ("[0.0, 1.0, 0.0]", "[@, 1.0, 0.0]"),
+    ],
+    ids=["dim", "version", "mode", "option", "coordinate"],
+)
+def test_nesting_too_deep_in_a_field_is_validation_error(tmp_path, capsys, command, old, new):
+    path = tmp_path / "problem.json"
+    deep = "[" * 100_000 + "]" * 100_000
+    path.write_text(json.dumps(PROBLEM).replace(old, new.replace("@", deep)))
+    assert main([command, "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: JSON nesting error: ") and "Traceback" not in err
+
+
 def test_snap_tolerance_is_classify_only(tmp_path, capsys):
     # classify reports the snapped label (the start at 0.16 ties to the
     # obstacle through the start at 0.08); plan and verify are exact and

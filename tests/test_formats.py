@@ -277,6 +277,44 @@ class TestParseProblem:
             parse_problem("[" * 100_000 + "]" * 100_000)
 
     @pytest.mark.parametrize(
+        "old, new",
+        [
+            ('"dim": 2', '"dim": @'),
+            ('"version": "1"', '"version": @'),
+            ('"dim": 2', '"dim": 2, "mode": @'),
+            ('"dim": 2', '"dim": 2, "options": {"snap_tolerance": @}'),
+            ("[0.0, 1.0]", "[@, 1.0]"),
+        ],
+        ids=["dim", "version", "mode", "option", "coordinate"],
+    )
+    def test_nesting_too_deep_in_a_field_rejected(self, old, new):
+        # orjson reads any depth, and wording the value's repr would overflow;
+        # the error is json's, which cannot read the text
+        deep = "[" * 100_000 + "]" * 100_000
+        text = json.dumps(MINIMAL).replace(old, new.replace("@", deep))
+        with pytest.raises(QueryValidationError) as exc:
+            parse_problem(text)
+        assert len(exc.value.errors) == 1
+        assert exc.value.errors[0].startswith("JSON nesting error: ")
+
+    @pytest.mark.parametrize("field", ["dim", "version", "mode"])
+    def test_nesting_either_side_of_the_json_limit_rejected(self, field):
+        # Around the depth where json.loads stops reading, a value is worded
+        # from json's reading or refused by it: no RecursionError escapes.
+        def refused(depth):
+            try:
+                json.loads("[" * depth + "]" * depth)
+            except RecursionError:
+                return True
+            return False
+
+        limit = next(depth for depth in range(1, 10 * sys.getrecursionlimit()) if refused(depth))
+        for depth in range(limit - 30, limit + 30):
+            deep = "[" * depth + "]" * depth
+            with pytest.raises(QueryValidationError):
+                parse_problem(json.dumps({**MINIMAL, field: "@"}).replace('"@"', deep))
+
+    @pytest.mark.parametrize(
         "token",
         ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, "-1"],
         ids=["nan", "inf", "-inf", "huge-integer", "negative"],

@@ -3,17 +3,21 @@
 ``parse_problem`` and ``ConfigurationQuery`` decide on whole arrays and word
 errors only when a check fails.  The references below are the checks as they
 ran before, on every input: each coordinate through ``isinstance`` and
-``float()``, and the pairwise coincidence listing for every query.  Random
-documents with injected defects must give an equal document or the identical
-error list either way.
+``float()``, and the pairwise coincidence listing for every query, on a text
+read by ``json.loads`` alone.  Random documents with injected defects, and a
+battery of tokens that orjson reads otherwise than json or not at all, must
+give an equal document or the identical error list either way.  orjson's
+numbers must have the bits of json's on every text both read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import find, given, settings
 from hypothesis import strategies as st
@@ -73,12 +77,26 @@ def _outcome(call, *args):
 
 
 def _reference(call, *args):
-    """``_outcome`` with the point-by-point checks of the references."""
+    """``_outcome`` with the point-by-point checks of the references, and
+    problem texts read by ``json.loads`` alone."""
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_loads", json.loads)
         patch.setattr(formats, "_check_points", _reference_check_points)
         patch.setattr(geometry, "_distinct", lambda *args: False)
         patch.setattr(geometry, "_coincidences", _reference_coincidences)
         return _outcome(call, *args)
+
+
+def _same_outcome(text):
+    """``parse_problem``'s outcome on ``text``, checked against the reference's."""
+    got, ref = _outcome(parse_problem, text), _reference(parse_problem, text)
+    assert got[0] == ref[0]
+    if got[0] == "ok":
+        # repr tells 1 from 1.0 and -0.0 from 0.0, which == does not
+        assert repr(got[1]) == repr(ref[1])
+    else:
+        assert got[1] == ref[1]
+    return got
 
 
 # Coordinates a defect puts in place of one coordinate.
@@ -176,13 +194,7 @@ class TestParseParity:
     @settings(max_examples=300, deadline=None)
     @given(_documents())
     def test_documents_and_errors_match_the_reference(self, text):
-        got, ref = _outcome(parse_problem, text), _reference(parse_problem, text)
-        assert got[0] == ref[0]
-        if got[0] == "ok":
-            # repr tells 1 from 1.0 and -0.0 from 0.0, which == does not
-            assert repr(got[1]) == repr(ref[1])
-        else:
-            assert got[1] == ref[1]
+        _same_outcome(text)
 
     @pytest.mark.parametrize(
         "message",
@@ -198,6 +210,146 @@ class TestParseParity:
             return kind == "errors" and any(message in e for e in value)
 
         find(_documents(max_size=6), reached, settings=_SEARCH)
+
+
+# Tokens orjson refuses, reads as another type, or reads as json does, put
+# in place of one scalar of a valid document.
+_TOKENS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e-400",
+    str(2**63), str(2**64), str(-(2**63) - 1), str(10**20), str(10**30), str(10**400),
+    "1" + "0" * 4999,  # json refuses integers above 4300 digits
+    str(2**1024 - 2**970), str(2**1024 - 2**970 - 1),  # float() overflows; the largest float
+    str(2**53 + 1), "-0", "-0.0", "2", "64", "0.5",
+    '"\\ud800"', '"1"', '"fixed"', "null", "true", "[]", "{}",
+    "01", "-01", "00.5",  # leading zeros
+]
+
+# A valid document as (key, JSON text) fields, its options as one field.
+_FIELDS = [
+    ("version", '"1"'), ("dim", "2"), ("mode", '"fixed"'), ("starts", "[[0.0, 1.0]]"),
+    ("goals", "[[2.0, 0.0]]"), ("obstacles", "[[1.0, 0.0], [3.0, 0.0]]"),
+]
+_OPTIONS = [("snap_tolerance", "0.0"), ("samples_per_segment", "64")]
+
+
+def _object(fields) -> str:
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields) + "}"
+
+
+def _battery(token: str) -> dict[str, str]:
+    """Documents with ``token`` at each scalar position, as a coordinate, and
+    beside the valid value under the same key (first and last), by name."""
+    texts = {}
+    for at, (key, value) in enumerate(_FIELDS[:3] + _OPTIONS):
+        for order, pair in (("", [(key, token)]), (" first", [(key, token), (key, value)]),
+                            (" last", [(key, value), (key, token)])):
+            if at < 3:
+                fields, options = _FIELDS[:at] + pair + _FIELDS[at + 1 :], _OPTIONS
+            else:
+                fields, options = _FIELDS, [o for o in _OPTIONS if o[0] != key] + pair
+            texts[key + order] = _object(fields + [("options", _object(options))])
+    texts["coordinate"] = _object(
+        [("starts", f"[[{token}, 1.0]]") if key == "starts" else (key, value)
+         for key, value in _FIELDS]
+    )
+    return texts
+
+
+class TestTokenBattery:
+    @pytest.mark.parametrize(
+        "token", _TOKENS, ids=lambda token: token if len(token) < 25 else f"{len(token)}-digits"
+    )
+    def test_each_position_matches_the_json_reading(self, token):
+        for where, text in _battery(token).items():
+            try:
+                _same_outcome(text)
+            except AssertionError as exc:
+                raise AssertionError(f"{token[:20]} at {where}") from exc
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\ufeff" + _object(_FIELDS),  # a UTF-8 BOM
+            _object(_FIELDS) + " x",
+            _object(_FIELDS) + " {}",
+            _object(_FIELDS) + "\n",
+            "[" + _object(_FIELDS) + "]",
+            _object(_FIELDS)[:-1],
+            _object(_FIELDS).replace("0.0", "0.", 1),
+        ],
+        ids=["bom", "trailing-word", "trailing-object", "trailing-newline", "array", "truncated",
+             "bare-point"],
+    )
+    def test_whole_text_variants_match_the_json_reading(self, text):
+        _same_outcome(text)
+
+    def test_the_battery_reaches_every_kind_of_outcome(self):
+        # Accepted documents, a wide integer orjson reads as a float, and
+        # errors worded from json's reading of a text orjson refuses.
+        assert _same_outcome(_battery(str(10**20))["coordinate"])[1].starts == ((1e20, 1.0),)
+        errors = _same_outcome(_battery(str(10**30))["samples_per_segment"])[1]
+        assert errors[0].endswith(f"got {10**30}")
+        assert isinstance(orjson.loads(str(10**30)), float)
+        errors = _same_outcome(_battery("NaN")["snap_tolerance"])[1]
+        assert errors == ["options.snap_tolerance: expected a finite number >= 0, got nan"]
+
+
+def _bits_equal_or_refused(text: str):
+    """orjson reads ``text`` to the bits of json's float, or refuses the
+    text where json reads an infinity."""
+    expected = float(json.loads(text))
+    if not math.isfinite(expected):
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(text)
+    else:
+        assert float(orjson.loads(text)).hex() == expected.hex(), text
+
+
+def _exact_decimal(value: Fraction) -> str:
+    """The exact decimal text of a dyadic rational, as digits and an
+    exponent."""
+    k = value.denominator.bit_length() - 1
+    return f"{value.numerator * 5**k}e-{k}"
+
+
+@st.composite
+def _near_midpoints(draw):
+    """The exact midpoint of two adjacent doubles (subnormals included), as
+    many digits as it takes, or its first 17-40 significant digits (just below it), or those digits
+    plus one in the last place (just above it)."""
+    low = draw(st.floats(min_value=0.0, allow_infinity=False))
+    high = math.nextafter(low, math.inf)
+    # above the largest double, the midpoint with 2**1024, where json overflows
+    mid = (Fraction(low) + (Fraction(high) if high < math.inf else Fraction(2**1024))) / 2
+    digits, exponent = _exact_decimal(mid).split("e")
+    cut = draw(st.integers(17, 40))
+    if len(digits) > cut and draw(st.booleans()):
+        digits, exponent = digits[:cut], int(exponent) + len(digits) - cut
+        digits = str(int(digits) + draw(st.integers(0, 1)))
+    return draw(st.sampled_from(["", "-"])) + f"{digits}e{exponent}"
+
+
+class TestDecoderBits:
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_repr_of_a_double(self, value):
+        _bits_equal_or_refused(repr(value))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(10**16, 10**40 - 1), st.integers(-370, 300), st.sampled_from(["", "-"]))
+    def test_decimal_strings_of_17_to_40_digits(self, digits, exponent, sign):
+        _bits_equal_or_refused(f"{sign}{digits}e{exponent}")
+
+    @settings(max_examples=500, deadline=None)
+    @given(_near_midpoints())
+    def test_midpoints_of_adjacent_doubles(self, text):
+        _bits_equal_or_refused(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(2**53, 2**1023), st.sampled_from([1, -1]))
+    def test_integer_literals_read_as_float_does(self, value, sign):
+        # json reads an integer, orjson a float beyond 64 bits: as float()
+        _bits_equal_or_refused(str(sign * value))
 
 
 class TestQueryParity:
