@@ -415,12 +415,10 @@ def sample_csv(result: PlanResult, resolution: int = 256) -> str:
     query = result.path.query
     header = "t,robot," + ",".join(f"x_{k + 1}" for k in range(query.dim))
     lines = [header]
-    ts = np.linspace(0.0, 1.0, resolution + 1)
-    for robot in range(query.robot_count):
-        positions = result.path.positions_at(robot, ts)
-        for t, pos in zip(ts, positions):
-            coords = ",".join(repr(float(x)) for x in pos)
-            lines.append(f"{repr(float(t))},{robot},{coords}")
+    ts = np.linspace(0.0, 1.0, resolution + 1).tolist()
+    positions = result.path._positions(range(query.robot_count), ts).transpose(1, 0, 2)
+    for robot, samples in enumerate(positions.tolist()):
+        lines += (f"{t!r},{robot}," + ",".join(map(repr, x)) for t, x in zip(ts, samples))
     return "\n".join(lines) + "\n"
 
 

@@ -302,9 +302,6 @@ def quarter_turn(v: np.ndarray) -> np.ndarray:
     this is what lets the perpendicular direction vary continuously with the
     obstacle-pair direction.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] % 2 != 0:
-        raise ValueError("quarter_turn requires an even dimension")
     out = np.empty_like(v)
     out[0::2] = -v[1::2]
     out[1::2] = v[0::2]
@@ -338,7 +335,11 @@ def make_frame(query: ConfigurationQuery, mode: Union[FrameMode, str]) -> Frame:
         )
     if query.obstacle_count < 2:
         raise ModeUnsupportedError("obstacle-pair frames need at least two obstacles")
-    w = query.obstacles[1] - query.obstacles[0]
+    o0, o1 = query.obstacles[:2]
+    with np.errstate(over="ignore"):
+        w = o1 - o0
+    if not np.isfinite(w).all():  # half of it, which the scaling takes out again
+        w = o1 / 2 - o0 / 2
     w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
     e = w / np.linalg.norm(w)
     return Frame(e=e, e_perp=quarter_turn(e), mode=mode, axis=w)
@@ -396,7 +397,8 @@ def _ties(
     ``classify``, ``orderings``, ``desingularization_gap`` and the sweep.
 
     Raises:
-        QueryValidationError: ``snap_tol`` is negative, infinite or NaN.
+        QueryValidationError: ``snap_tol`` is negative, infinite or NaN, or a
+            comparison value overflows (``plan`` refuses such coordinates).
     """
     if not 0 <= snap_tol < math.inf:
         raise QueryValidationError([f"snap_tol: expected a finite number >= 0, got {snap_tol!r}"])
@@ -416,12 +418,15 @@ def _tie_table(query: ConfigurationQuery, frame: Frame, snap_tol: float):
     # workloads at seeds 1-3; all one-robot obstacle-pair queries) the
     # stacked product differed in bits from the three, which match the
     # products of standalone copies of the arrays on every document.
-    values = np.concatenate(
-        [query.starts @ frame.axis, query.goals @ frame.axis, query.obstacles @ frame.axis]
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.concatenate(
+            [query.starts @ frame.axis, query.goals @ frame.axis, query.obstacles @ frame.axis]
+        )
     tol = snap_tol * frame._axis_norm if snap_tol else 0.0
     order = values.argsort(kind="stable")
     ordered = values[order]
+    if not -math.inf < ordered[0] <= ordered[-1] < math.inf:  # a NaN sorts last
+        raise QueryValidationError(["a comparison value along the frame's axis overflows"])
     rank = np.empty(len(values), dtype=np.intp)
     rank[order[0]] = 0
     rank[order[1:]] = (ordered[1:] - ordered[:-1] > tol).cumsum()

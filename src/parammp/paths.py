@@ -15,15 +15,14 @@ one row of floats per segment (:func:`line_row`, :func:`arc_row`) by
 and checks the table once.  Every reader evaluates it by one formula,
 :func:`evaluate`, over columns of the body table: the path's position
 methods, the plan's CSV and SVG, and the certifier, which reads the table as
-it is.  The path keeps the rows too, and the plan's writer reads their
-plan-JSON fields from them.
+it is; every reader at a time takes a robot's row by one exact rule, on the
+time's tick floor(t * den).  The plan's writer reads the rows the path keeps.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -106,7 +105,8 @@ def evaluate(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     other kind, a line's radius and an arc's step, are -0.0, which adds to
     every float exactly: each segment's floats are those of its own formula
     (for u >= 0)."""
-    origin, step, basis_u, basis_v = g[VECTORS:].reshape(6, -1, 1, g.shape[1])[:4]
+    d = (len(g) - VECTORS) // 6
+    origin, step, basis_u, basis_v = g[VECTORS:].reshape(6, d, 1, g.shape[1])[:4]
     u = (t - g[T0]) / g[DURATION]
     theta = g[ANGLE] + u * g[SWEEP]
     out = origin + u * step
@@ -163,12 +163,6 @@ def endpoint_tol(query: ConfigurationQuery) -> float:
     """``ENDPOINT_TOL`` times the query's largest coordinate magnitude where
     that exceeds 1: arc endpoints round in proportion to the coordinates."""
     return ENDPOINT_TOL * max(1.0, query.extent)
-
-
-def _check_time(t):
-    """ValueError unless 0 <= t <= 1 (a NaN fails too)."""
-    if not 0 <= t <= 1:
-        raise ValueError(f"time {t} outside [0, 1]")
 
 
 class PathSegment(NamedTuple):
@@ -442,44 +436,50 @@ class PiecewisePath:
             for lo, count in zip(columns.first.tolist(), columns.counts.tolist())
         )
 
-    def segment_at(self, robot: int, t) -> PathSegment:
-        """The segment ``robot`` follows at time ``t``: its first whose stop
-        tick exceeds t * den, exactly, else its last.  A time that is not a
-        Rational, a numpy float32 say, is taken as ``float(t)``, exactly."""
-        _check_time(t)
+    def _tick(self, t) -> int:
+        """floor(t * den), exactly, from a Rational's numerator and
+        denominator, else from ``float(t)``'s, so that a numpy float32 time
+        is its exact float; ValueError unless 0 <= t <= 1 (a NaN fails too)."""
+        if not 0 <= t <= 1:
+            raise ValueError(f"time {t} outside [0, 1]")
+        rational = isinstance(t, Rational)
+        num, den = (t.numerator, t.denominator) if rational else float(t).as_integer_ratio()
+        return int(num) * self.den // int(den)
+
+    def _rows(self, robots, times) -> np.ndarray:
+        """The rows (len(times), len(robots)) ``robots`` follow at ``times``,
+        by the one rule of every reader: per robot, its first row whose stop
+        tick exceeds the time's :meth:`_tick`, else its last."""
         columns = self._columns
-        # By bisection on the robot's stop ticks: t * den < stop iff
-        # floor(t * den) < stop.
-        exact = Fraction(t if isinstance(t, Rational) else float(t))
-        num, den = (exact * self.den).as_integer_ratio()
-        lo = int(columns.first[robot])
-        count = int(columns.counts[robot])
-        row = lo + min(bisect_right(columns.stop, num // den, lo, lo + count) - lo, count - 1)
-        start, stop = columns.ticks[:, row].tolist()
-        return PathSegment(start, stop, self.den, row)
+        ticks = np.array([self._tick(t) for t in times], dtype=np.int64)
+        rows = np.empty((len(ticks), len(robots)), dtype=np.intp)
+        for k, robot in enumerate(robots):
+            lo, count = int(columns.first[robot]), int(columns.counts[robot])
+            index = np.searchsorted(columns.stop[lo : lo + count], ticks, side="right")
+            rows[:, k] = lo + np.minimum(index, count - 1)
+        return rows
+
+    def _positions(self, robots, times) -> np.ndarray:
+        """Positions (len(times), len(robots), d) of ``robots`` at
+        ``times``, on the rows of :meth:`_rows`, by one :meth:`_at`."""
+        rows = self._rows(robots, times)
+        ts = np.repeat(np.array(times, dtype=float), len(robots))
+        return self._at(rows.ravel(), ts).reshape(*rows.shape, self.query.dim)
+
+    def segment_at(self, robot: int, t) -> PathSegment:
+        """The segment ``robot`` follows at time ``t``, by the one rule of
+        every reader (:meth:`_rows`): its first whose stop tick exceeds
+        floor(t * den), exactly, else its last."""
+        row = int(self._rows([robot], [t])[0, 0])
+        return PathSegment(*self._columns.ticks[:, row].tolist(), self.den, row)
 
     def position(self, robot: int, t) -> np.ndarray:
-        return self._at(np.array([self.segment_at(robot, t).row]), np.array([float(t)]))[0]
+        return self._positions([robot], [t])[0, 0]
 
     def configuration(self, t) -> np.ndarray:
-        rows = [self.segment_at(robot, t).row for robot in range(self.robot_count)]
-        return self._at(np.array(rows), np.full(len(rows), float(t)))
+        return self._positions(range(self.robot_count), [t])[0]
 
-    def positions_at(self, robot: int, ts: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation of one robot at many times (ascending or
-        not), on the segments :meth:`segment_at` picks; ValueError if any
-        time lies outside [0, 1] or is NaN."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.size:
-            _check_time(ts.min())
-            _check_time(ts.max())
-        columns, den = self._columns, self.den
-        lo, count = int(columns.first[robot]), int(columns.counts[robot])
-        stops = columns.stop[lo : lo + count]
-        # The least float at or past each stop tick: the float of a tick that
-        # rounds down still lies before it.
-        bounds = stops / den
-        below = [Fraction(b) < Fraction(s, den) for b, s in zip(bounds.tolist(), stops.tolist())]
-        bounds[below] = np.nextafter(bounds[below], 2.0)
-        index = np.minimum(np.searchsorted(bounds, ts, side="right"), count - 1)
-        return self._at(lo + index, ts)
+    def positions_at(self, robot: int, ts) -> np.ndarray:
+        """One robot at many times, in any order, on the rows :meth:`segment_at`
+        gives; ValueError if any time lies outside [0, 1] or is NaN."""
+        return self._positions([robot], np.asarray(ts).tolist())[:, 0]

@@ -55,6 +55,7 @@ MAX_SAMPLES_PER_SEGMENT = 4096
 # pass 1 keeps holds 56 + 32d bytes: its ids, values and cone bound.
 _BLOCK = 1 << 12
 _EPS = float(np.finfo(float).eps)
+PROBE_TIMES = 256  # continuity_probe's times, evenly spaced over [0, 1]
 # Body kinds on a window: a pair's kind is its higher kind, then its lower.
 # A half turn is an arc that sweeps exactly float pi, as a Case A arc does.
 _POINT, _LINE, _ARC, _HALF_TURN = 0, 1, 2, 3
@@ -749,7 +750,6 @@ def continuity_probe(
     direction: QueryPerturbation,
     epsilons: Sequence[float],
     mode: Union[FrameMode, str, None] = None,
-    time_samples: int = 256,
 ) -> list[float]:
     """Sup-distance between the base path and paths of perturbed queries.
 
@@ -758,7 +758,7 @@ def continuity_probe(
     continuity and raises :class:`RegionCrossingError`.
 
     Returns one sup-distance D(eps) per epsilon, where the supremum runs over
-    the sampled times and all robots.
+    ``PROBE_TIMES`` evenly spaced times in [0, 1] and all robots.
     """
     base = plan(query, mode=mode)
     frame = base.frame
@@ -768,8 +768,8 @@ def continuity_probe(
         base_pair = orderings(query, frame)
     except ParammpError:
         pass
-    ts = np.linspace(0.0, 1.0, time_samples)
-    base_samples = [base.path.positions_at(r, ts) for r in range(query.robot_count)]
+    robots, ts = range(query.robot_count), np.linspace(0.0, 1.0, PROBE_TIMES).tolist()
+    base_samples = base.path._positions(robots, ts)
 
     out: list[float] = []
     for eps in epsilons:
@@ -782,12 +782,8 @@ def continuity_probe(
             )
         if base_pair is not None and orderings(perturbed, p_frame) != base_pair:
             raise RegionCrossingError(f"perturbation eps={eps} changed the ordering pair")
-        result = plan(perturbed, mode=base.mode)
-        worst = 0.0
-        for r in range(query.robot_count):
-            delta = result.path.positions_at(r, ts) - base_samples[r]
-            worst = max(worst, float(np.max(np.linalg.norm(delta, axis=1))))
-        out.append(worst)
+        delta = plan(perturbed, mode=base.mode).path._positions(robots, ts) - base_samples
+        out.append(float(np.linalg.norm(delta, axis=2).max()))
     return out
 
 

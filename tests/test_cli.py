@@ -132,6 +132,39 @@ def test_overflowing_coordinates_are_validation_error(tmp_path, capsys):
     assert "must not exceed 1e+150 in magnitude" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "obstacles, region",
+    [
+        ([[-1.7e308, 0.0], [1.7e308, 0.0]], {"j": 2, "t": 2, "c": 4}),
+        ([[-1.7e308, -1.7e308], [1.7e308, 1.7e308]], None),
+    ],
+    ids=["difference-overflows", "comparison-value-overflows"],
+)
+def test_classify_far_obstacle_pair(tmp_path, capsys, obstacles, region):
+    # o1 - o0 overflows: classify labels from the obstacles' halves, as the
+    # exact oracle does, or refuses a comparison value that overflows by
+    # name; never a traceback or a RuntimeWarning (warnings are errors here)
+    path = tmp_path / "problem.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": "1",
+                "dim": 2,
+                "mode": "obstacle-pair",
+                "starts": [[0.0, 1.0]],
+                "goals": [[2.0, 0.0]],
+                "obstacles": obstacles,
+            }
+        )
+    )
+    if region is None:
+        assert main(["classify", "--input", str(path)]) == 1
+        assert "a comparison value along the frame's axis overflows" in capsys.readouterr().err
+    else:
+        assert main(["classify", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["region"] == region
+
+
 # Valid and generic, but the two starts project one subnormal apart: the
 # Case A arc's radius, half of that gap, rounds to 0.
 ZERO_RADIUS_PROBLEM = {

@@ -263,6 +263,44 @@ class TestMakeFrame:
         assert f.e[0] == 0.6
 
 
+class TestFarObstaclePair:
+    """Obstacle-pair frames on obstacles near the largest float, where o1 - o0
+    overflows.  Warnings are errors here, so an overflow that warns fails."""
+
+    STARTS, GOALS = [[0.0, 1.0]], [[2.0, 0.0]]
+
+    def test_axis_from_halves_labels_as_the_oracle(self):
+        q = q3(self.STARTS, self.GOALS, [[-1.7e308, 0.0], [1.7e308, 0.0]])
+        f = make_frame(q, FrameMode.OBSTACLE_PAIR)
+        assert f.e.tolist() == [1.0, 0.0]
+        assert classify(q, f) == classify_oracle(q, f) == RegionLabel(j=2, t=2)
+
+    def test_overflowing_comparison_value_rejected(self):
+        q = q3(self.STARTS, self.GOALS, [[-1.7e308, -1.7e308], [1.7e308, 1.7e308]])
+        f = make_frame(q, FrameMode.OBSTACLE_PAIR)
+        for read in (classify, orderings):
+            with pytest.raises(QueryValidationError, match="along the frame.s axis overflows"):
+                read(q, f)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.floats(-1.7e308, 1.7e308, allow_subnormal=True), min_size=4, max_size=4
+        ).filter(lambda c: c[:2] != c[2:])
+    )
+    def test_a_finite_difference_gives_its_own_axis(self, coords):
+        # bit for bit the difference scaled by a power of two, as before the
+        # halves; obstacles up to 1.7e308 apart overflow now and then
+        o0, o1 = np.array(coords[:2]), np.array(coords[2:])
+        with np.errstate(over="ignore"):
+            w = o1 - o0
+        if not np.isfinite(w).all():
+            return
+        q = q3([[0.5, 0.25]], [[0.25, 0.5]], [o0, o1])
+        axis = make_frame(q, FrameMode.OBSTACLE_PAIR).axis
+        assert axis.tobytes() == np.ldexp(w, -np.frexp(np.abs(w).max())[1]).tobytes()
+
+
 class TestFrameDirection:
     """The unit direction ``Frame.e`` that every metric quantity projects on."""
 

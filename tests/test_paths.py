@@ -565,35 +565,59 @@ class TestSegmentAt:
             assert path.configuration(t).tobytes() == path.configuration(wide).tobytes()
 
 
+def _reader_times(path, randoms) -> list:
+    """Times of every kind a reader takes: 0, every stop tick as a Fraction,
+    the float nearest it and the floats one ulp either side that lie in
+    [0, 1]; numpy int64, bool and float16 times; and ``randoms``."""
+    stops = path._columns.stop.tolist()
+    ticks = sorted({Fraction(0), *(Fraction(stop, path.den) for stop in stops)})
+    floats = np.array([float(t) for t in ticks])
+    near = np.concatenate([floats, np.nextafter(floats, -1.0), np.nextafter(floats, 2.0)])
+    near = near[(near >= 0.0) & (near <= 1.0)]
+    numpy_times = [np.int64(0), np.int64(1), np.bool_(False), np.bool_(True)]
+    numpy_times += list(np.concatenate([floats, np.linspace(0.0, 1.0, 33)]).astype(np.float16))
+    return [*ticks, *near.tolist(), *numpy_times, *randoms]
+
+
 def _assert_one_formula(path, randoms):
-    """Every position reader of ``path`` gives the same floats: positions_at
-    and position at t = 0, 1, every stop tick and ``randoms``; each row at
-    its own start and stop time, its stored end points; configuration, the
-    stack of position; and all of them what the line and arc formulas give,
-    to rounding."""
+    """Every position reader of ``path`` gives the same floats on the row
+    segment_at picks: position, positions_at, configuration and the formula
+    at segment_at's row agree bit for bit at every time of
+    :func:`_reader_times`; at each stop tick the robot is at its next row's
+    initial point; each row at its own start and stop time gives its stored
+    end points; and all of them are what the line and arc formulas give, to
+    rounding."""
     columns, d, den = path._columns, path.query.dim, path.den
     stops = columns.stop.tolist()
     ends = columns.ends
-    ticks = sorted({Fraction(0), *(Fraction(stop, den) for stop in stops)})
-    times = np.array([float(t) for t in ticks] + list(randoms))
+    times = _reader_times(path, randoms)
+    floats = np.array([float(t) for t in times])
+    configurations = [path.configuration(t) for t in times]
     for robot in range(path.robot_count):
+        rows = [path.segment_at(robot, t).row for t in times]
+        expected = path._at(np.array(rows), floats)
         batch = path.positions_at(robot, times)
-        for t, row in zip(times.tolist(), batch):
-            assert path.position(robot, t).tobytes() == row.tobytes(), (robot, t)
+        assert batch.tobytes() == expected.tobytes(), robot
+        for t, at, configuration in zip(times, expected, configurations):
+            assert path.position(robot, t).tobytes() == at.tobytes(), (robot, t)
+            assert configuration[robot].tobytes() == at.tobytes(), (robot, t)
+        # read as numpy arrays of one kind too
+        for kind in (np.int64, np.bool_, np.float16):
+            chosen = [k for k, t in enumerate(times) if isinstance(t, kind)]
+            read = path.positions_at(robot, np.array([times[k] for k in chosen], dtype=kind))
+            assert read.tobytes() == expected[chosen].tobytes(), (robot, kind)
         lo, count = int(columns.first[robot]), int(columns.counts[robot])
         # at each stop tick the robot is at the next row's initial point,
         # and at t = 1 at its last row's final point
         for row in range(lo, lo + count):
-            at = path.position(robot, Fraction(stops[row], den))
+            tick = Fraction(stops[row], den)
             point = ends[row + 1, :d] if row + 1 < lo + count else ends[row, d:]
-            assert at.tobytes() == point.tobytes(), (robot, row)
+            assert path.position(robot, tick).tobytes() == point.tobytes(), (robot, row)
+            assert path.positions_at(robot, [tick])[0].tobytes() == point.tobytes(), (robot, row)
     rows = np.arange(len(stops))
     starts, finals = columns.start / den, columns.stop / den
     assert path._at(rows, starts).tobytes() == ends[:, :d].tobytes()
     assert path._at(rows, finals).tobytes() == ends[:, d:].tobytes()
-    for t in times.tolist():
-        stacked = np.stack([path.position(robot, t) for robot in range(path.robot_count)])
-        assert path.configuration(t).tobytes() == stacked.tobytes()
     # the formula, against the formulas written out: each row at times
     # inside its window
     entries = [entry for per_robot in path_rows(path) for entry in per_robot]
@@ -622,3 +646,11 @@ class TestOneFormula:
     def test_large_plan(self):
         path = plan(random_query(np.random.default_rng(0), 20, 20, 3), mode="fixed").path
         _assert_one_formula(path, np.random.default_rng(1).uniform(0, 1, 64))
+
+    def test_a_stop_tick_whose_float_lies_before_it(self):
+        # robot 1 stops row 9 at t = 1/3, whose float lies before it: every
+        # reader gives row 10's start there, and row 9's end at float(1/3)
+        path = plan(random_query(np.random.default_rng(0), 2, 2, 3)).path
+        assert path.segment_at(1, Fraction(1, 3)).row == 10
+        assert path.segment_at(1, 1 / 3).row == 9
+        _assert_one_formula(path, [1 / 3])
