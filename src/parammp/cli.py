@@ -20,10 +20,13 @@ from .errors import (
     ParammpError,
     QueryValidationError,
 )
-from .formats import FORMAT_VERSION, parse_problem, render_svg, sample_csv, serialize_plan
+from .formats import (
+    FORMAT_VERSION, _check_resolution, parse_problem, render_svg, sample_csv, serialize_plan,
+)
 from .geometry import classify, component_count, make_frame
+from .paths import ENDPOINT_TOL
 from .planner import default_mode, plan
-from .verification import MAX_SAMPLES_PER_SEGMENT, certify_separation
+from .verification import certify_separation
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -84,18 +87,6 @@ def _emit(text: str, output: Optional[str]):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _samples(args) -> int:
-    """The CSV resolution ``plan --samples``, in the range ``sample_csv`` takes."""
-    if not 1 <= args.samples <= MAX_SAMPLES_PER_SEGMENT:
-        raise QueryValidationError(
-            [
-                "--samples: expected an integer >= 1 and "
-                f"<= {MAX_SAMPLES_PER_SEGMENT}, got {args.samples}"
-            ]
-        )
-    return args.samples
-
-
 def _load(args):
     try:
         with open(args.input, "r", encoding="utf-8") as handle:
@@ -117,7 +108,7 @@ def _certified_plan(args):
 
 
 def _cmd_plan(args) -> int:
-    resolution = _samples(args)
+    resolution = _check_resolution(args.samples, "--samples")  # before planning
     _, result, certificate = _certified_plan(args)
     if not certificate.passed:
         worst = min(certificate.pairs, key=lambda pair: pair.certified_lower_bound)
@@ -162,7 +153,7 @@ def _cmd_verify(args) -> int:
         for t, points in ((0.0, query.starts), (1.0, query.goals))
     )
     obstacles_stationary = bool(np.array_equal(result.path.obstacles, query.obstacles))
-    endpoints_ok = start_err <= 1e-9 and goal_err <= 1e-9
+    endpoints_ok = start_err <= ENDPOINT_TOL and goal_err <= ENDPOINT_TOL
     report = {
         "version": FORMAT_VERSION,
         "mode": result.mode.value,

@@ -393,6 +393,17 @@ def serialize_plan(result: PlanResult) -> str:
     return template % tuple(texts[which].tolist())
 
 
+def _check_resolution(resolution, name: str) -> int:
+    """``resolution``, the CSV resolution given as ``name``, if it is an
+    integer from 1 to MAX_SAMPLES_PER_SEGMENT (a bool is not one)."""
+    if isinstance(resolution, bool) or not (
+        isinstance(resolution, Integral) and 1 <= resolution <= MAX_SAMPLES_PER_SEGMENT
+    ):
+        bound = f">= 1 and <= {MAX_SAMPLES_PER_SEGMENT}"
+        raise QueryValidationError([f"{name}: expected an integer {bound}, got {resolution!r}"])
+    return resolution
+
+
 def sample_csv(result: PlanResult, resolution: int = 256) -> str:
     """Sampled trajectory table: columns t, robot, x_1..x_d.
 
@@ -403,15 +414,7 @@ def sample_csv(result: PlanResult, resolution: int = 256) -> str:
         QueryValidationError: ``resolution`` is not an integer from 1 to
             MAX_SAMPLES_PER_SEGMENT (a bool is not one).
     """
-    if isinstance(resolution, bool) or not (
-        isinstance(resolution, Integral) and 1 <= resolution <= MAX_SAMPLES_PER_SEGMENT
-    ):
-        raise QueryValidationError(
-            [
-                "resolution: expected an integer >= 1 and "
-                f"<= {MAX_SAMPLES_PER_SEGMENT}, got {resolution!r}"
-            ]
-        )
+    _check_resolution(resolution, "resolution")
     query = result.path.query
     header = "t,robot," + ",".join(f"x_{k + 1}" for k in range(query.dim))
     lines = [header]

@@ -96,7 +96,7 @@ def _as_points(value, name: str, errors: list[str]) -> np.ndarray:
         return np.empty((0, 0))
     if arr.ndim != 2:
         errors.append(f"{name}: expected a 2-d array of points, got shape {arr.shape}")
-        arr = arr.reshape(arr.shape[0] if arr.ndim >= 1 else 0, -1)
+        return np.empty((0, 0))
     return arr
 
 

@@ -115,6 +115,13 @@ def evaluate(g: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Column-wise |v| of a (d, ...) array, summing squares in coordinate
+    order as np.linalg.norm does, without its checks.  (numpy sums a single
+    column of more than eight coordinates pairwise, which rounds no worse.)"""
+    return np.sqrt(np.add.reduce(v * v, axis=0))
+
+
 # The floats a path's body table is gathered from begin with these, the
 # source of every float that is neither a row's nor an obstacle's.
 _CONSTANTS = (0.0, -0.0, 1.0)
@@ -239,7 +246,7 @@ class PiecewisePath:
     segments agree at their junction, the path starts at ``query.starts`` and
     ends at ``query.goals``.  Their ticks share one denominator, ``den``, of
     at most ``MAX_DENOMINATOR``.  Every arc has a positive radius and an
-    orthonormal basis.  Obstacles are those of the query, untouched.
+    orthonormal basis.  Obstacles rest where the query puts them.
 
     The path is its column table (``_Columns``), written as rows by
     :meth:`from_rows` and checked once, when the path is built.  Positions
@@ -276,7 +283,10 @@ class PiecewisePath:
 
     @property
     def obstacles(self) -> np.ndarray:
-        return self.query.obstacles
+        """The obstacles the certifier reads: a read-only (m, d) view of the
+        origins of the body table's last m columns."""
+        columns, d = self._columns, self.query.dim
+        return columns.table[VECTORS : VECTORS + d, len(columns.arc) :].T
 
     @property
     def robot_count(self) -> int:
@@ -356,9 +366,8 @@ class PiecewisePath:
         gap[:, 1:count], gap[:, first] = final[:, :-1], query.starts.T
         np.subtract(initial, gap[:, :count], out=gap[:, :count])
         np.subtract(final.take(last, axis=1), query.goals.T, out=gap[:, count:])
-        # np.linalg.norm's sums, without its checks; tested as "not <=" so
-        # that a NaN point fails.
-        near = np.sqrt(np.add.reduce(gap * gap, axis=0)) <= endpoint_tol(query)
+        # Tested as "not <=" so that a NaN point fails.
+        near = _norm(gap) <= endpoint_tol(query)
         if not near.all():
             raise self._junction_error(near, ticks[0], first, counts)
         table.setflags(write=False)

@@ -198,15 +198,16 @@ def compose_with_section(
 
 
 def _sweep_error(
-    values: np.ndarray, n: int, moved: set[int], below: int, above: int, i: int
+    listed: list[float], n: int, moved: set[int], below: int, above: int, i: int
 ) -> InternalConsistencyError:
     """The error of swap ``i`` when a list check of :class:`_Sweep` fails,
-    worded by the O(n + m) checks it stands for: a start in ``moved``
-    that ties another value, else entry ``below`` of ``values`` (a start or
-    an obstacle) not next below entry ``above`` in the start ordering (not
-    lower, or a start or obstacle value strictly between theirs), else (the
-    one case left, as the stages move only the pair's starts) the pair out of
-    place."""
+    worded by the O(n + m) checks it stands for over the comparison values
+    ``listed``: a start in ``moved`` that ties another value, else entry
+    ``below`` (a start or an obstacle) not next below entry ``above`` in the
+    start ordering (not lower, or a start or obstacle value strictly between
+    theirs), else (the one case left, as the stages move only the pair's
+    starts) the pair out of place."""
+    values = np.array(listed)
     for robot in moved:
         ties = np.flatnonzero(values == values[robot])
         if len(ties) != 1:  # a NaN equals no value, its own included
@@ -230,15 +231,15 @@ class _Sweep:
     It holds the running starts, as float lists (``points``) for the swaps
     and as the array ``starts`` whose product with the axis gives their
     values; the tie table's comparison values (starts | goals | obstacles)
-    as an array (``values``) and as floats (``listed``); the goal values as
-    a set and sorted, between -inf and inf; each crossed block's value index,
-    center and term (b) of :func:`~parammp.geometry.clearance_eta`; and the
-    list ``order`` of the robots and one value index per obstacle block (a
-    crossed block's representative), with ``where`` inverting it.
+    as one list of floats (``listed``); the goal values as a set and sorted,
+    between -inf and inf; each crossed block's value index, center and term
+    (b) of :func:`~parammp.geometry.clearance_eta`; and the list ``order`` of
+    the robots and one value index per obstacle block (a crossed block's
+    representative), with ``where`` inverting it.
 
     The list is strictly sorted at the start, as the query is generic, and
-    only the starts a swap moves change value.  Per swap it checks, in O(1),
-    that:
+    only the starts a swap moves change value, so an event rewrites only the
+    values of the robots it moved.  Per swap it checks, in O(1), that:
 
     * before it (:meth:`check_neighbours`), its lower entry's next list
       entry is its upper one (so its value is lower: the list is strictly
@@ -261,8 +262,7 @@ class _Sweep:
         self.d, self.axis = query.dim, frame.axis
         self.starts, self.points = np.array(query.starts), query.starts.tolist()
         values, rank = _ties(query, frame)
-        self.values = values.copy()  # the sweep's own: the tie table is shared
-        self.listed = self.values.tolist()
+        self.listed = values.tolist()
         self.goals = set(self.listed[n : 2 * n])
         self.goal_values = [-np.inf, *sorted(self.goals), np.inf]
         self.rank = rank = rank.tolist()
@@ -280,7 +280,7 @@ class _Sweep:
         """Check that ``above`` is next above ``below`` before swap ``i``."""
         p = self.where[below]
         if self.order[p + 1 : p + 2] != [above]:
-            raise _sweep_error(self.values, self.n, set(), below, above, i)
+            raise _sweep_error(self.listed, self.n, set(), below, above, i)
 
     def beyond(self, place: int, side: Side) -> float:
         """The nearest value strictly beyond the entry at ``place`` of the
@@ -302,9 +302,11 @@ class _Sweep:
         for robot, row in final.items():
             self.starts[robot] = self.points[robot] = row_final(row, self.d)
         # From the whole array, as the tie table computed them: numpy rounds
-        # a product by its shape (geometry._tie_table).
-        self.values[:n] = self.starts @ self.axis
-        listed[:n] = self.values[:n].tolist()
+        # a product by its shape (geometry._tie_table).  Only the moved rows'
+        # products change, so only their values are rewritten.
+        values = self.starts @ self.axis
+        for robot in final:
+            listed[robot] = values[robot].item()
         p = where[below]
         order[p], order[p + 1] = above, below
         where[above], where[below] = p, p + 1
@@ -315,7 +317,7 @@ class _Sweep:
                 and (q + 1 == len(order) or value < listed[order[q + 1]])
                 and value not in self.goals  # a NaN is in no set, -0.0 in one with 0.0
             ):
-                raise _sweep_error(self.values, n, set(final), above, below, i)
+                raise _sweep_error(listed, n, set(final), above, below, i)
 
     def check_sorted(self):
         """Check that the list is the goal ordering (sigma = sigma'): sorted

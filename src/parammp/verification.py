@@ -26,7 +26,9 @@ from .geometry import (
     make_frame,
     orderings,
 )
-from .paths import ANGLE, BETA, DURATION, END, RADIUS, SWEEP, T0, VECTORS, PiecewisePath, evaluate
+from .paths import (
+    ANGLE, BETA, DURATION, END, RADIUS, SWEEP, T0, VECTORS, PiecewisePath, _norm, evaluate,
+)
 from .planner import plan
 
 __all__ = [
@@ -89,12 +91,9 @@ class PairSeparation(NamedTuple):
 
 @dataclass(frozen=True)
 class SeparationCertificate:
-    """One :class:`PairSeparation` per pair of bodies.  ``samples_per_segment``
-    counts samples per window of the union of all robots' segment bounds;
-    only fallback pairs are sampled."""
+    """One :class:`PairSeparation` per pair of bodies."""
 
     pairs: tuple[PairSeparation, ...]
-    samples_per_segment: int
 
     @property
     def passed(self) -> bool:
@@ -336,9 +335,7 @@ def certify_separation(
     certified[~np.isfinite(certified)] = -np.inf
 
     rows = zip(*labels, sampled.tolist(), certified.tolist())
-    return SeparationCertificate(
-        pairs=tuple(map(PairSeparation._make, rows)), samples_per_segment=samples_per_segment
-    )
+    return SeparationCertificate(pairs=tuple(map(PairSeparation._make, rows)))
 
 
 @lru_cache(maxsize=32)
@@ -372,13 +369,6 @@ def _kept(entries, reach):
     and b, window) first, their cone bounds last."""
     kept = _may_set_minimum(entries[-1], reach[entries[0][0]]).nonzero()[0]
     return [x.take(kept, axis=-1) for x in entries]
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Column-wise |v| of a (d, ...) array, summing squares in coordinate
-    order.  (numpy sums a single column of more than eight coordinates
-    pairwise, which rounds no worse.)"""
-    return np.sqrt(np.add.reduce(v * v, axis=0))
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -626,15 +616,7 @@ def random_query(
     high: float = 10.0,
 ) -> ConfigurationQuery:
     """Uniform random query in a box, resampled until structurally valid."""
-    while True:
-        try:
-            return ConfigurationQuery(
-                starts=rng.uniform(low, high, size=(n, d)),
-                goals=rng.uniform(low, high, size=(n, d)),
-                obstacles=rng.uniform(low, high, size=(m, d)),
-            )
-        except QueryValidationError:  # pragma: no cover - measure-zero event
-            continue
+    return _resampled(lambda shape: rng.uniform(low, high, size=shape), n, m, d)
 
 
 def random_rational_query(
@@ -651,14 +633,20 @@ def random_rational_query(
     what exercises the degenerate classification branches, while every
     coordinate and every fixed-axis dot product stays exactly representable.
     """
+    return _resampled(
+        lambda shape: rng.integers(-span, span + 1, size=shape) / denominator, n, m, d
+    )
+
+
+def _resampled(draw, n: int, m: int, d: int) -> ConfigurationQuery:
+    """The first structurally valid query whose starts, goals and obstacles
+    ``draw(shape)`` draws, in that order."""
     while True:
         try:
             return ConfigurationQuery(
-                starts=rng.integers(-span, span + 1, size=(n, d)) / denominator,
-                goals=rng.integers(-span, span + 1, size=(n, d)) / denominator,
-                obstacles=rng.integers(-span, span + 1, size=(m, d)) / denominator,
+                starts=draw((n, d)), goals=draw((n, d)), obstacles=draw((m, d))
             )
-        except QueryValidationError:
+        except QueryValidationError:  # an invalid draw: draw again
             continue
 
 

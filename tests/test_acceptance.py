@@ -147,10 +147,7 @@ class TestAcceptance:
                 goal_err = float(np.abs(result.path.configuration(1.0) - q.goals).max())
                 if start_err > 1e-9 or goal_err > 1e-9:
                     failures.append(f"endpoints {n},{m},{d},{mode.value}#{k}")
-                if not (
-                    result.path.obstacles is q.obstacles
-                    or np.array_equal(result.path.obstacles, q.obstacles)
-                ):
+                if not np.array_equal(result.path.obstacles, q.obstacles):
                     failures.append(f"obstacles {n},{m},{d},{mode.value}#{k}")
         elapsed = time.perf_counter() - started
         ok = not failures and elapsed < 60.0

@@ -346,7 +346,7 @@ def test_mode_unsupported_exit_code(tmp_path, capsys):
     assert main(["plan", "--input", str(path)]) == 1
 
 
-def _failing_certificate(path, samples_per_segment=64):
+def _failing_certificate(path):
     return SeparationCertificate(
         pairs=(
             PairSeparation(
@@ -364,7 +364,6 @@ def _failing_certificate(path, samples_per_segment=64):
                 certified_lower_bound=1.0,
             ),
         ),
-        samples_per_segment=samples_per_segment,
     )
 
 

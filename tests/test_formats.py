@@ -639,6 +639,23 @@ class TestRenderSvg:
         }
         assert got == expected
 
+    def test_planar_obstacle_markers_at_raw_coordinates(self):
+        # an obstacle-pair frame in the plane: e runs along (1, 1), so the
+        # projection on (e, e_perp) would draw (1, 1) at (sqrt(2), 0)
+        q = ConfigurationQuery(
+            starts=[[0.0, 2.0]], goals=[[3.0, -1.0]], obstacles=[[0.0, 0.0], [1.0, 1.0]]
+        )
+        res = plan(q, mode="obstacle_pair")
+        assert res.frame.mode is FrameMode.OBSTACLE_PAIR
+        assert res.frame.e.tolist() != [1.0, 0.0]
+        root = ET.fromstring(render_svg(res))
+        got = [
+            (c.get("cx"), c.get("cy"))
+            for c in root.iter("{http://www.w3.org/2000/svg}circle")
+            if c.get("class") == "obstacle"
+        ]
+        assert got == [(f"{x:.6f}", f"{y:.6f}") for x, y in q.obstacles.tolist()]
+
     def test_deterministic(self):
         res = crossing_plan()
         assert render_svg(res) == render_svg(res)

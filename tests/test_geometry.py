@@ -125,6 +125,45 @@ class TestQueryValidation:
             q3(starts, goals, [[5.0, 5.0]])
         assert exc.value.errors == [message]
 
+    @pytest.mark.parametrize(
+        "starts, goals, obstacles, errors",
+        [
+            ([[0.0]], [[1.0]], [[5.0]], ["dimension must be at least 2, got 1"]),
+            (
+                [[0.0, 0.0]], [[1.0, 1.0, 1.0]], [[5.0, 5.0]],
+                ["inconsistent dimensions: starts (1, 2), goals (1, 3), obstacles (1, 2)"],
+            ),
+            (
+                [[0.0, 0.0], [1.0, 0.0]], [[2.0, 2.0]], [[5.0, 5.0]],
+                ["starts and goals must pair up: 2 starts, 1 goals"],
+            ),
+            ([[0.0, 0.0]], [[1.0, 1.0]], np.zeros((0, 2)), ["at least one obstacle is required"]),
+            (
+                [], [], [[0.0, 0.0]],
+                [
+                    "starts: expected a 2-d array of points, got shape (0,)",
+                    "goals: expected a 2-d array of points, got shape (0,)",
+                ],
+            ),
+            (
+                [[0.0, 0.0]], [[1.0, 1.0]], [],
+                ["obstacles: expected a 2-d array of points, got shape (0,)"],
+            ),
+            (
+                5.0, [[1.0, 1.0]], [[5.0, 5.0]],
+                ["starts: expected a 2-d array of points, got shape ()"],
+            ),
+        ],
+        ids=["one-dimension", "dimensions-differ", "unpaired", "no-obstacle", "empty-robots",
+             "empty-obstacles", "scalar"],
+    )
+    def test_malformed_arrays_rejected(self, starts, goals, obstacles, errors):
+        # each refusal names its array; the document parser refuses empty
+        # arrays before they get here, so only the library API reaches these
+        with pytest.raises(QueryValidationError) as exc:
+            q3(starts, goals, obstacles)
+        assert exc.value.errors == errors
+
     def test_coincidence_messages_match_pairwise_loops(self):
         # Reference: every pair compared with np.array_equal, in index order.
         def pairs(a, b, within):

@@ -192,6 +192,19 @@ class TestRows:
         with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
             make_path([[entry]], [[0.0, 0.0]], [[1.0, 1.0]], [[9.0, 9.0]], den=den)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([], "one segment list per robot is required"),
+            ([[], [(0, 1, line_row([1.0, 0.0], [1.0, 1.0]))]], "robot 0 has no segments"),
+        ],
+        ids=["no-list", "empty-list"],
+    )
+    def test_each_robot_needs_segments(self, rows, message):
+        starts, goals = [[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 1.0]]
+        with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+            make_path(rows, starts, goals, [[9.0, 9.0]], den=1)
+
 
 class TestPiecewisePath:
     def _two_piece(self):
@@ -363,9 +376,18 @@ class TestPiecewisePath:
         for t, row in zip(ts, batch):
             assert np.allclose(row, path.position(0, t), atol=1e-14)
 
-    def test_obstacles_shared_with_query(self):
-        path = self._two_piece()
-        assert path.obstacles is path.query.obstacles
+    def test_obstacles_are_the_table_columns(self):
+        # the obstacles the certifier reads, not the query's array: so a
+        # check that they stayed where the query put them compares two copies
+        rows = ((linear_entry(0, 1, [0.0, 0.0], [2.0, 0.0]),),)
+        obstacles = [[9.0, -0.0], [-1.5, 5e-324]]
+        path = make_path(rows, [[0.0, 0.0]], [[2.0, 0.0]], obstacles)
+        assert path.obstacles.tobytes() == path.query.obstacles.tobytes()
+        assert path.obstacles is not path.query.obstacles
+        assert not path.obstacles.flags.writeable
+        table = path._columns.table
+        assert path.obstacles.base is table
+        assert path.obstacles.tobytes() == table[paths.VECTORS : paths.VECTORS + 2, -2:].T.tobytes()
 
     def test_denominator_above_2_53_rejected(self):
         den = 2**53 + 1

@@ -748,7 +748,7 @@ def _check_slots(sweep, query, frame):
     n = query.robot_count
     tables = (np.array(sweep.points), query.goals, query.obstacles)
     values = np.concatenate([points @ frame.axis for points in tables])
-    assert sweep.values.tobytes() == values.tobytes() and sweep.listed == values.tolist()
+    assert np.array(sweep.listed).tobytes() == values.tobytes()
     order = sweep.order
     # every start and one obstacle per block, a crossed block's representative
     assert sorted(k for k in order if k < n) == list(range(n))

@@ -1079,6 +1079,20 @@ class TestContinuityProbe:
         with pytest.raises(RegionCrossingError):
             continuity_probe(q, direction, [1.0], mode="fixed")
 
+    def test_ordering_change_within_one_region_raises(self):
+        q = self._generic_query()
+        # the start projection moves from below the first obstacle's value
+        # to between the two: still generic, so the label stays (2, 2)
+        direction = QueryPerturbation(
+            dstarts=np.array([[1.5, 0.0, 0.0]]),
+            dgoals=np.zeros((1, 3)),
+            dobstacles=np.zeros((2, 3)),
+        )
+        frame = make_frame(q, FrameMode.FIXED)
+        assert classify(direction.apply(q, 1.0), frame) == classify(q, frame)
+        with pytest.raises(RegionCrossingError, match="eps=1.0 changed the ordering pair"):
+            continuity_probe(q, direction, [1.0], mode="fixed")
+
 
 class TestClassifyOracle:
     def test_agreement_on_random_rational_queries(self):
