@@ -43,6 +43,7 @@ FORMAT_VERSION = "1"
 _TOP_LEVEL_FIELDS = {"version", "dim", "mode", "starts", "goals", "obstacles", "options"}
 _OPTION_FIELDS = {"snap_tolerance", "samples_per_segment"}
 _MODES = {"fixed", "obstacle_pair", "obstacle-pair"}
+_POINT_FIELDS = ("starts", "goals", "obstacles")
 
 
 @dataclass(frozen=True)
@@ -69,21 +70,20 @@ class ProblemDocument:
 
     @cached_property
     def _query(self) -> ConfigurationQuery:
-        # A hand-built document may hold points of the wrong length, which
-        # the one fill below would re-flow into other rows.
+        # parse_problem sets the query of the documents it reads.  A
+        # hand-built document may hold points of the wrong length, which the
+        # one fill would re-flow into other rows.
         named = {"starts": self.starts, "goals": self.goals, "obstacles": self.obstacles}
         errors = [
             f"{name}[{idx}]: expected {self.dim} coordinates"
             for name, points in named.items()
-            if set(map(len, points)) != {self.dim}
             for idx, point in enumerate(points)
             if len(point) != self.dim
         ]
         if errors:
             raise QueryValidationError(errors)
-        table = _point_array((*self.starts, *self.goals, *self.obstacles), self.dim)
-        n, k = len(self.starts), len(self.starts) + len(self.goals)
-        return ConfigurationQuery(starts=table[:n], goals=table[n:k], obstacles=table[k:])
+        flat = list(chain.from_iterable(chain(*named.values())))
+        return _point_query(flat, self.dim, len(self.starts), len(self.goals))
 
     def frame_mode(self) -> Optional[FrameMode]:
         if self.mode is None:
@@ -91,11 +91,24 @@ class ProblemDocument:
         return FrameMode(self.mode.replace("-", "_"))
 
 
-def _point_array(points: tuple, dim: int) -> np.ndarray:
-    """A document's tuple of ``dim``-float tuples as a (count, dim) array,
-    filled from the coordinates in one pass."""
-    flat = np.fromiter(chain.from_iterable(points), float, count=len(points) * dim)
-    return flat.reshape(-1, dim)
+def _point_query(flat: list, dim: int, n: int, goals: int) -> ConfigurationQuery:
+    """The query of a flat list of coordinates, ``dim`` to a point: ``n``
+    starts, ``goals`` goals, then the obstacles, in a table filled in one
+    pass."""
+    table, k = np.fromiter(flat, float, count=len(flat)).reshape(-1, dim), n + goals
+    return ConfigurationQuery(starts=table[:n], goals=table[n:k], obstacles=table[k:])
+
+
+def _flat_points(arrays: list, dim: int) -> Optional[list]:
+    """The coordinates of ``arrays`` in one flat list if each is a non-empty
+    list of ``dim``-element lists of floats, else None: one walk."""
+    if not all(type(value) is list and value for value in arrays):
+        return None
+    points = list(chain.from_iterable(arrays))
+    if set(map(type, points)) != {list} or set(map(len, points)) != {dim}:
+        return None
+    flat = list(chain.from_iterable(points))
+    return flat if set(map(type, flat)) == {float} else None
 
 
 def _finite(number) -> bool:
@@ -107,27 +120,9 @@ def _finite(number) -> bool:
 
 
 def _check_points(name: str, value, dim: int, errors: list[str]) -> tuple:
-    """The points of array ``name`` as a tuple of float tuples.
-
-    A non-empty list of ``dim``-element lists of floats is accepted with a
-    few whole-array checks and needs no conversion.  Any other value, one
-    with integer coordinates included, goes to :func:`_word_points`, which
-    converts it point by point and writes the errors.
-    """
-    if (
-        type(value) is list
-        and value
-        and set(map(type, value)) == {list}
-        and set(map(len, value)) == {dim}
-        and set(map(type, chain.from_iterable(value))) == {float}
-    ):
-        return tuple(map(tuple, value))
-    return _word_points(name, value, dim, errors)
-
-
-def _word_points(name: str, value, dim: int, errors: list[str]) -> tuple:
-    """:func:`_check_points` point by point: one error per malformed point or
-    coordinate, and the points that have none."""
+    """The points of array ``name`` as a tuple of float tuples, read point by
+    point where the one walk (:func:`_flat_points`) fails: one error per
+    malformed point or coordinate, and the points that have none."""
     if not isinstance(value, list) or not value:
         errors.append(f"{name}: expected a non-empty array of points")
         return ()
@@ -171,11 +166,11 @@ def parse_problem(text: str) -> ProblemDocument:
     tolerance).
 
     Collects every validation problem before raising, so one round trip shows
-    all errors; JSON syntax errors report line and column.  Point arrays are
-    checked in bulk, by whole-array type and length checks, and so is the
-    query (see :class:`~parammp.geometry.ConfigurationQuery`); the
-    per-coordinate and per-pair loops run only on an input that fails, to
-    word its errors.
+    all errors; JSON syntax errors report line and column.  The point arrays
+    are checked together in one walk, whose flat list of coordinates fills
+    the query's point table, and the query in bulk (see
+    :class:`~parammp.geometry.ConfigurationQuery`); the per-coordinate and
+    per-pair loops run only on an input that fails, to word its errors.
 
     Raises:
         QueryValidationError: syntax or semantic errors (all of them listed).
@@ -228,9 +223,11 @@ def _document(raw) -> ProblemDocument:
     if mode is not None and not (isinstance(mode, str) and mode in _MODES):
         errors.append(f"mode: expected one of {sorted(_MODES)}, got {mode!r}")
         mode = None
-    starts = _check_points("starts", raw.get("starts"), dim, errors)
-    goals = _check_points("goals", raw.get("goals"), dim, errors)
-    obstacles = _check_points("obstacles", raw.get("obstacles"), dim, errors)
+    arrays = [raw.get(name) for name in _POINT_FIELDS]
+    flat = _flat_points(arrays, dim)
+    if flat is None:  # word the errors, point by point; integers become floats
+        arrays = [_check_points(name, raw.get(name), dim, errors) for name in _POINT_FIELDS]
+        flat = list(chain.from_iterable(chain(*arrays)))
 
     options = ProblemOptions()
     raw_options = raw.get("options", {})
@@ -265,20 +262,15 @@ def _document(raw) -> ProblemDocument:
         options = ProblemOptions(snap_tolerance=float(snap))
 
     if not errors:
+        starts, goals, obstacles = (tuple(map(tuple, points)) for points in arrays)
         try:
-            document = ProblemDocument(
-                version=version,
-                dim=dim,
-                mode=mode,
-                starts=starts,
-                goals=goals,
-                obstacles=obstacles,
-                options=options,
-            )
-            document.to_query()  # validates; the query is kept for callers
-            return document
+            query = _point_query(flat, dim, len(starts), len(goals))
         except QueryValidationError as exc:
             errors.extend(exc.errors)
+        else:
+            document = ProblemDocument(version, dim, mode, starts, goals, obstacles, options)
+            object.__setattr__(document, "_query", query)  # to_query's cached value
+            return document
     raise QueryValidationError(errors)
 
 

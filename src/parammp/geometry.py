@@ -103,9 +103,14 @@ def _as_points(value, name: str, errors: list[str]) -> np.ndarray:
 def _distinct(points: np.ndarray, n: int) -> bool:
     """Whether no two points of a point table (starts | goals | obstacles,
     ``n`` robots) coincide as :func:`_coincidences` counts them: within each
-    array, and starts or goals with obstacles.  Each row becomes one bytes
+    array, and starts or goals with obstacles.  Equal rows tie in the first
+    column (-0.0 ties 0.0), so one sort of it accepts a table without ties.
+    A table with a tie is decided on row keys: each row becomes one bytes
     key, after ``+ 0.0`` turns -0.0 into 0.0, so that keys are equal exactly
     when the rows are equal as tuples; one set of keys per array."""
+    first = np.sort(points[:, 0])
+    if (first[1:] != first[:-1]).all():
+        return True
     rows = points + 0.0
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
     starts, goals, obstacles = set(keys[:n]), set(keys[n:2 * n]), set(keys[2 * n:])
@@ -152,9 +157,10 @@ class ConfigurationQuery:
     (:func:`_ties`); ``starts``, ``goals`` and ``obstacles`` are its
     read-only row blocks.  The caller's arrays are neither frozen nor shared.
     Validation is a few operations on the whole table: finiteness in one
-    check, distinctness as the sizes and overlaps of one set of row keys per
-    array (:func:`_distinct`).  The per-row and per-pair listings run only
-    when a check fails, to word the errors.
+    check, distinctness as one sort of the first column, and for a table
+    with a tie there one set of row keys per array (:func:`_distinct`).
+    The per-row and per-pair listings run only when a check fails, to word
+    the errors.
     """
 
     starts: np.ndarray

@@ -640,7 +640,9 @@ def random_rational_query(
 
 def _resampled(draw, n: int, m: int, d: int) -> ConfigurationQuery:
     """The first structurally valid query whose starts, goals and obstacles
-    ``draw(shape)`` draws, in that order."""
+    ``draw(shape)`` draws, in that order; ValueError where no draw is one."""
+    if n < 1 or m < 1 or d < 2:
+        raise ValueError(f"no query has n={n}, m={m}, d={d}: needs n, m >= 1 and d >= 2")
     while True:
         try:
             return ConfigurationQuery(

@@ -8,7 +8,9 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,8 @@ from parammp import (
     sample_csv,
     serialize_plan,
 )
-from parammp.formats import ProblemDocument, ProblemOptions, _point_array
+from parammp import formats
+from parammp.formats import ProblemDocument, ProblemOptions, _point_query
 from parammp.verification import MAX_SAMPLES_PER_SEGMENT
 from parammp.paths import PiecewisePath, arc_row, line_row
 from hand_built_paths import extreme_plan, path_rows, row_at, row_fields
@@ -195,6 +198,7 @@ class TestParseProblem:
                     st.tuples(*[st.sampled_from([-0.0, 5e-324, -1e300]) | st.floats(-1e6, 1e6)] * d),
                     min_size=1,
                     max_size=6,
+                    unique=True,  # the query refuses coinciding points, and -0.0 == 0.0 as tuples
                 ),
             )
         )
@@ -202,8 +206,9 @@ class TestParseProblem:
     def test_query_arrays_are_the_points_as_arrays(self, case):
         # one pass over the coordinates gives the array np.array gives
         dim, points = case
-        points = tuple(points)
-        array, reference = _point_array(points, dim), np.array(points, dtype=float)
+        flat = [*[1e7] * dim, *[2e7] * dim, *chain.from_iterable(points)]
+        array = _point_query(flat, dim, 1, 1).obstacles
+        reference = np.array(points, dtype=float)
         assert (array.dtype, array.shape) == (reference.dtype, reference.shape)
         assert array.tobytes() == reference.tobytes()  # -0.0 included
 
@@ -335,6 +340,96 @@ class TestParseProblem:
         for bound in (2, 4096):
             text = json.dumps({**MINIMAL, "options": {"samples_per_segment": bound}})
             assert parse_problem(text).options == ProblemOptions()
+
+
+# Coordinates that tell one reading of a float from another: both zeros,
+# subnormals and the smallest normal.
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]
+
+
+@st.composite
+def _float_documents(draw):
+    """Valid problem texts of floats with n = m up to 200 and d in {2, 3, 4}:
+    random floats, some replaced by special values, and a last column of
+    distinct multiples of the smallest subnormal that keeps the points
+    apart."""
+    dim, n = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.uniform(-1e3, 1e3, size=(3 * n, dim))
+    special = rng.random(rows.shape) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    rows[special] = rng.choice(_SPECIAL, size=int(special.sum()))
+    rows[:, -1] = (rng.permutation(3 * n) - n) * 5e-324
+    arrays = dict(zip(("starts", "goals", "obstacles"), rows.reshape(3, n, dim).tolist()))
+    return json.dumps({"version": "1", "dim": dim, **arrays})
+
+
+_SCALARS = st.one_of(
+    st.floats(allow_nan=False), st.integers(-3, 3), st.booleans(), st.none(), st.text(max_size=2)
+)
+_POINT_VALUES = st.one_of(
+    st.lists(_SCALARS, max_size=4), st.lists(st.floats(-9, 9), min_size=2, max_size=3), _SCALARS,
+    st.dictionaries(st.text(max_size=1), _SCALARS, max_size=2),
+)
+_ARRAY_VALUES = st.one_of(st.lists(_POINT_VALUES, max_size=3), _POINT_VALUES)
+
+
+@st.composite
+def _point_array_values(draw):
+    """A dimension and three values for the point arrays: each a valid array
+    of floats, one with a coordinate replaced by another scalar, or anything
+    a JSON text decodes to there."""
+    dim = draw(st.sampled_from([2, 3]))
+    point = st.lists(st.floats(-9, 9), min_size=dim, max_size=dim)
+    arrays = []
+    for kind in (draw(st.sampled_from(["valid", "scalar", "other"])) for _ in range(3)):
+        if kind == "other":
+            arrays.append(draw(_ARRAY_VALUES))
+            continue
+        value = draw(st.lists(point, min_size=1, max_size=3))
+        if kind == "scalar":
+            i, k = draw(st.integers(0, len(value) - 1)), draw(st.integers(0, dim - 1))
+            value[i][k] = draw(_SCALARS)
+        arrays.append(value)
+    return dim, arrays
+
+
+class TestIntakeTable:
+    @settings(max_examples=500, deadline=None)
+    @given(_point_array_values())
+    def test_the_walk_takes_only_what_needs_no_wording(self, case):
+        # The one walk accepts exactly the arrays that the point-by-point
+        # reading takes without an error or a conversion, and reads the
+        # same coordinates.
+        dim, arrays = case
+        errors = []
+        read = [formats._check_points(name, value, dim, errors)
+                for name, value in zip(("starts", "goals", "obstacles"), arrays)]
+        floats_only = not errors and all(
+            type(coord) is float for value in arrays for point in value for coord in point
+        )
+        flat = formats._flat_points(arrays, dim)
+        assert (flat is not None) == floats_only
+        if flat is not None:
+            assert flat == list(chain.from_iterable(chain(*read)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_float_documents(), st.data())
+    def test_table_is_the_decoded_floats_bit_for_bit(self, text, data):
+        raw = json.loads(text)
+        document = parse_problem(text)
+        table = document.to_query()._points
+        reference = np.array(raw["starts"] + raw["goals"] + raw["obstacles"])
+        assert (table.dtype, table.shape) == (reference.dtype, reference.shape)
+        assert table.tobytes() == reference.tobytes()
+        # The document's points, one cut or lengthened, built by hand: the
+        # query names that point.
+        name = data.draw(st.sampled_from(["starts", "goals", "obstacles"]))
+        points = list(getattr(document, name))
+        idx = data.draw(st.integers(0, len(points) - 1))
+        points[idx] = data.draw(st.sampled_from([points[idx][:-1], points[idx] + (0.5,)]))
+        with pytest.raises(QueryValidationError) as exc:
+            replace(document, **{name: tuple(points)}).to_query()
+        assert exc.value.errors == [f"{name}[{idx}]: expected {document.dim} coordinates"]
 
 
 class TestSerializePlan:

@@ -29,6 +29,7 @@ from parammp import (
     plan,
     random_query,
 )
+from parammp import geometry
 from parammp.geometry import _ties, desingularization_gap
 from parammp.planner import CaseASwap, CaseBSwap, _play_swaps
 from checked_swaps import PreconditionError, checked_clearance
@@ -42,6 +43,58 @@ def q3(starts, goals, obstacles):
 def _blocks(sequence):
     """The obstacle blocks of an ordering, in order."""
     return [entry for entry in sequence if isinstance(entry, frozenset)]
+
+
+def _pairwise_coincidences(starts, goals, obstacles) -> list[str]:
+    """The coincidence messages, every pair compared with np.array_equal,
+    in index order."""
+    def pairs(a, b, within):
+        return [
+            (i, k)
+            for i in range(len(a))
+            for k in range(i + 1 if within else 0, len(b))
+            if np.array_equal(a[i], b[k])
+        ]
+
+    return [
+        f"{name}[{i}] coincides with {name}[{k}]"
+        for name, arr in (("starts", starts), ("goals", goals), ("obstacles", obstacles))
+        for i, k in pairs(arr, arr, True)
+    ] + [
+        f"{name}[{i}] coincides with obstacles[{k}]"
+        for name, arr in (("starts", starts), ("goals", goals))
+        for i, k in pairs(arr, obstacles, False)
+    ]
+
+
+def _query_errors(starts, goals, obstacles) -> list[str]:
+    try:
+        ConfigurationQuery(starts, goals, obstacles)
+    except QueryValidationError as exc:
+        return exc.errors
+    return []
+
+
+@st.composite
+def _tied_tables(draw):
+    """(n, point table) with n, m up to 50 and d in {2, 3, 4}: the first
+    column on a coarse grid, so that many rows share it and differ later,
+    zeros signed at random in every column, and rows copied within and
+    across starts, goals and obstacles (starts to goals too, which is
+    allowed)."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n, m = draw(st.integers(1, 50)), draw(st.integers(1, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.integers(1, 40))
+    table = rng.integers(-spread, spread + 1, size=(2 * n + m, d)) / 2
+    table[:, 0] = rng.integers(-2, 3, size=2 * n + m)
+    table[(table == 0) & (rng.random(table.shape) < 0.5)] = -0.0
+    blocks = {"starts": range(n), "goals": range(n, 2 * n), "obstacles": range(2 * n, len(table))}
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = (blocks[draw(st.sampled_from(sorted(blocks)))] for _ in range(2))
+        row = table[draw(st.sampled_from(src))]
+        table[draw(st.sampled_from(dst))] = np.where(row == 0, -row, row)
+    return n, table
 
 
 class TestQueryValidation:
@@ -165,15 +218,6 @@ class TestQueryValidation:
         assert exc.value.errors == errors
 
     def test_coincidence_messages_match_pairwise_loops(self):
-        # Reference: every pair compared with np.array_equal, in index order.
-        def pairs(a, b, within):
-            return [
-                (i, k)
-                for i in range(len(a))
-                for k in range(i + 1 if within else 0, len(b))
-                if np.array_equal(a[i], b[k])
-            ]
-
         rng = np.random.default_rng(9)
         checked = 0
         for _ in range(500):
@@ -181,23 +225,21 @@ class TestQueryValidation:
             pts = rng.integers(-1, 2, size=(2 * n + m, 2)).astype(float)
             pts[rng.random(pts.shape) < 0.2] = -0.0
             starts, goals, obstacles = pts[:n], pts[n:2 * n], pts[2 * n:]
-            expected = [
-                f"{name}[{i}] coincides with {name}[{k}]"
-                for name, arr in (("starts", starts), ("goals", goals), ("obstacles", obstacles))
-                for i, k in pairs(arr, arr, True)
-            ] + [
-                f"{name}[{i}] coincides with obstacles[{k}]"
-                for name, arr in (("starts", starts), ("goals", goals))
-                for i, k in pairs(arr, obstacles, False)
-            ]
-            try:
-                ConfigurationQuery(starts, goals, obstacles)
-                errors = []
-            except QueryValidationError as exc:
-                errors = exc.errors
-            assert errors == expected
+            expected = _pairwise_coincidences(starts, goals, obstacles)
+            assert _query_errors(starts, goals, obstacles) == expected
             checked += bool(expected)
         assert checked > 300
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tied_tables())
+    def test_distinctness_matches_pairwise_loops(self, case):
+        # Tables full of first-coordinate ties, rows that share it and differ
+        # later: the decision and the messages are the pairwise loops'.
+        n, table = case
+        starts, goals, obstacles = table[:n], table[n:2 * n], table[2 * n:]
+        expected = _pairwise_coincidences(starts, goals, obstacles)
+        assert geometry._distinct(table, n) == (not expected)
+        assert _query_errors(starts, goals, obstacles) == expected
 
 
 class TestMakeFrame:

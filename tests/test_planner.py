@@ -477,6 +477,16 @@ class TestPlannerFaults:
         pairs = certify_separation(result.path, samples_per_segment=16).pairs
         assert all(p.sampled_min != 0 for p in pairs)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalConsistencyError,
+        reason="swap 3384: starts[23] coincides with obstacles[60], a clearance"
+        " halved to nothing below the n = m = 100 of ROADMAP item 1 (clearances that"
+        " do not halve with each crossing)",
+    )
+    def test_eighty_robots_and_obstacles_plan(self):
+        plan(random_query(np.random.default_rng(1), 80, 80, 3))
+
 
 class TestPlanResultSwaps:
     @settings(max_examples=150, deadline=None)

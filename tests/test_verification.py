@@ -1094,6 +1094,18 @@ class TestContinuityProbe:
             continuity_probe(q, direction, [1.0], mode="fixed")
 
 
+class TestRandomQueries:
+    @pytest.mark.parametrize("draw", [random_query, random_rational_query])
+    @pytest.mark.parametrize(
+        "n, m, d", [(1, 0, 3), (0, 1, 3), (1, 1, 1), (0, 0, 0)],
+        ids=["no-obstacle", "no-robot", "one-dimension", "nothing"],
+    )
+    def test_a_shape_no_query_has_is_refused_before_drawing(self, draw, n, m, d):
+        # Every draw would be invalid, so resampling would never end.
+        with pytest.raises(ValueError, match=f"^no query has n={n}, m={m}, d={d}:"):
+            draw(np.random.default_rng(0), n, m, d)
+
+
 class TestClassifyOracle:
     def test_agreement_on_random_rational_queries(self):
         rng = np.random.default_rng(45)
