@@ -8,15 +8,14 @@ produce identical outputs; the construction consults nothing but the query.
 
 This module alone knows the global schedule and writes the path's table:
 per robot, a list of ``[start tick, stop tick, row]`` entries, with rows as
-the swaps (:mod:`parammp.deformations`) and :mod:`parammp.paths` give them.  A
-generic query plays its k swaps and the straight line on [0, 1], in k + 1
-equal windows; the stages of a swap (:mod:`parammp.deformations`) split its
-window equally.  A degenerate query is split into a generic one
-(:func:`desingularize`): each robot moves straight from its start to its
-split start on [0, 1/3], the swaps and the straight line of the split query
-fill [1/3, 2/3], and each robot moves straight from its split goal back to
-its goal on [2/3, 1], all into one set of per-robot entry lists, on ticks
-over 9(k + 1).
+the swaps (:mod:`parammp.deformations`) and :mod:`parammp.paths` give them.
+One schedule serves every query, in windows of three ticks: each of the k
+swaps fills one window, a tick per stage, and the straight line one more, so
+a generic query plays on 3(k + 1) ticks.  A degenerate query is split into a
+generic one (:func:`desingularize`) and plays the split's schedule between
+two one-window shifts: each robot moves straight from its start to its split
+start on the first window and from its split goal back to its goal on the
+last, on 3(k + 3) ticks in all (:func:`compose_with_section`).
 """
 
 from __future__ import annotations
@@ -64,7 +63,8 @@ __all__ = [
 # and arcs built from the query, and the squared distances a certificate
 # sums, all stay finite.
 MAX_COORDINATE = 1e150
-# Every swap plays three stages, one tick each (deformations).
+# The ticks of one window: every swap plays three stages, one tick each
+# (deformations), and the straight line and each shift fill as many.
 _STAGES = 3
 
 
@@ -179,22 +179,23 @@ def compose_with_section(
     frame: Frame,
     swaps: list[Swap],
 ) -> PiecewisePath:
-    """Path for a degenerate ``query`` that :func:`desingularize` split into
-    ``split``.  ``swaps`` must be :func:`transposition_sequence`'s list for
-    ``split``, as in :func:`plan`, its one caller: their indices are not
-    checked.  Each robot moves straight from its start to its split start on
-    [0, 1/3], the swaps and the straight line of ``split`` fill [1/3, 2/3],
-    and each robot moves straight from its split goal back to its goal on
-    [2/3, 1].  Times are ticks over 9(k + 1) for k swaps.
+    """The path of ``query`` on the one schedule (see the module docstring),
+    played by ``split``: the generic query :func:`desingularize` split it
+    into, or ``query`` itself, then with no shifts.  ``swaps`` must be
+    :func:`transposition_sequence`'s list for ``split``, as in :func:`plan`,
+    its one caller: their indices are not checked.
     """
-    third, d = _STAGES * (len(swaps) + 1), query.dim
+    d, lo = query.dim, 0 if split is query else _STAGES
+    hi = lo + _STAGES * (len(swaps) + 1)
     entries = [[] for _ in range(query.robot_count)]
-    for per_robot, start, split_start in zip(entries, query.starts.tolist(), split.starts.tolist()):
-        _append_segment(per_robot, 0, third, line_row(start, split_start), d)
-    _play_swaps(entries, split, frame, swaps, third)
-    for per_robot, split_goal, goal in zip(entries, split.goals.tolist(), query.goals.tolist()):
-        _append_segment(per_robot, 2 * third, 3 * third, line_row(split_goal, goal), d)
-    return PiecewisePath.from_rows(query, 3 * third, entries)
+    if lo:
+        for per_robot, start, shifted in zip(entries, query.starts.tolist(), split.starts.tolist()):
+            _append_segment(per_robot, 0, lo, line_row(start, shifted), d)
+    _play_swaps(entries, split, frame, swaps, lo)
+    if lo:
+        for per_robot, shifted, goal in zip(entries, split.goals.tolist(), query.goals.tolist()):
+            _append_segment(per_robot, hi, hi + lo, line_row(shifted, goal), d)
+    return PiecewisePath.from_rows(query, hi + lo, entries)
 
 
 def _sweep_error(
@@ -336,7 +337,7 @@ def _play_swaps(
     straight line to the per-robot entry lists ``entries``
     (:func:`_append_segment`).
 
-    With k swaps the window is 3(k + 1) ticks: stage j of swap i fills tick
+    With k swaps they fill 3(k + 1) ticks: stage j of swap i fills tick
     lo + 3i + j (each swap plays three stages), and the straight line fills
     the last three.  A robot gets rows only where it moves; each rest fills
     the gap before its next move, which only a swap's first stage can
@@ -424,8 +425,8 @@ def plan(
     Degenerate queries are first split into generic ones
     (:func:`desingularize`).  The ordering pair and the swap list of the
     generic configuration (the query itself, or its split) are computed once
-    and played on [0, 1], or, for a degenerate query, on [1/3, 2/3] between
-    the straight shifts to and from the split (:func:`compose_with_section`).
+    and played on one schedule, between the straight shifts to and from the
+    split for a degenerate query (:func:`compose_with_section`).
 
     The query is validated once, when it is built, and its split once more;
     the :func:`orderings` call that reads the split checks it is generic.
@@ -456,9 +457,7 @@ def plan(
     mode = default_mode(query) if mode is None else FrameMode(mode)
     frame = make_frame(query, mode)
     label = classify(query, frame)
-    n = query.robot_count
-
-    generic_query = query if label.j == 2 * n else desingularize(query, frame)
+    generic_query = query if label.j == 2 * query.robot_count else desingularize(query, frame)
     try:
         pair = orderings(generic_query, frame)
     except NotGenericError as exc:  # only a split can fail: the query is generic
@@ -466,10 +465,5 @@ def plan(
             f"desingularization failed to reach a generic configuration: {exc}"
         ) from exc
     swaps = transposition_sequence(pair.sigma, pair.sigma_prime)
-    if generic_query is query:
-        entries = [[] for _ in range(n)]
-        _play_swaps(entries, query, frame, swaps, 0)
-        path = PiecewisePath.from_rows(query, _STAGES * (len(swaps) + 1), entries)
-    else:
-        path = compose_with_section(query, generic_query, frame, swaps)
+    path = compose_with_section(query, generic_query, frame, swaps)
     return PlanResult(path=path, region=label, swaps=tuple(swaps), frame=frame)

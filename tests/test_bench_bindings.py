@@ -40,13 +40,13 @@ def test_every_traced_binding_resolves(monkeypatch):
 
 def test_traced_verify_op_builds_one_path_per_plan(monkeypatch):
     # paths.path_build_s and paths.path_builds read the span of
-    # PiecewisePath.__post_init__: each plan must pass through it once,
-    # whether the planner writes the path's rows or compose_with_section does.
+    # PiecewisePath.__post_init__, and deformations.compose_self_s and
+    # deformations.compose_calls the span of compose_with_section, the one
+    # path assembler: each plan must pass through each once.
     tracing = _load("tracing", monkeypatch)
     corpus = _load("corpus", monkeypatch)
     ops = _load("ops", monkeypatch)
     tracer = tracing.Tracer()
-    degenerate = 0
     for name in ("verify-small", "verify-swaps"):
         for op_id, text in enumerate(corpus.generate(corpus.WORKLOADS[name], 1)[:8]):
             with tracer.op(op_id):
@@ -54,8 +54,7 @@ def test_traced_verify_op_builds_one_path_per_plan(monkeypatch):
             assert outcome.error is None, (name, op_id, outcome.error)
             names = [span.name for span in tracer.spans]
             assert names.count("planner.plan") == names.count("paths.path_build") == 1
-            degenerate += names.count("deformations.compose")
-    assert degenerate > 0  # both ways to the path
+            assert names.count("deformations.compose") == 1
 
 
 def test_traced_swap_names_are_on_the_plan_path(monkeypatch):

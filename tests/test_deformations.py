@@ -573,31 +573,68 @@ def _degenerate_plans():
         yield query, desingularize(query, result.frame), result.path
 
 
+def _bits(entries: list) -> list:
+    """``(start tick, stop tick, row)`` entries with each row's floats in
+    hex, so that equal entries are equal bit for bit."""
+    return [(start, stop, tuple(map(float.hex, row))) for start, stop, row in entries]
+
+
+def _split_plan_matches(query, mode) -> bool:
+    """Whether ``query`` is degenerate; if it is, check that its plan is the
+    plan of its split, which is generic and plans alone on 3(k + 1) ticks,
+    framed by the two one-window shifts: the same swaps, and per robot the
+    same rows between the shifts, 3 ticks later."""
+    result = plan(query, mode)
+    if result.region.j == 2 * query.robot_count:
+        return False
+    alone = plan(desingularize(query, result.frame), mode)
+    assert alone.region.j == 2 * query.robot_count
+    assert alone.swaps == result.swaps
+    assert alone.path.den == result.path.den - 6
+    d = query.dim
+    for framed, own in zip(path_rows(result.path), path_rows(alone.path)):
+        if any(row[:d] == row[d:] for _, _, row in (framed[0], framed[-1])):
+            continue  # a shift that rounds to a rest merged with the rest after it
+        shifted = [(start - 3, stop - 3, row) for start, stop, row in framed[1:-1]]
+        assert _bits(shifted) == _bits(own)
+    return True
+
+
 class TestCompose:
-    def test_thirds_boundaries_in_every_robot(self):
+    def test_shift_boundaries_in_every_robot(self):
         for _, _, path in _degenerate_plans():
+            window = Fraction(3, path.den)
             for per_robot in path.segments:
                 bounds = {seg.t0 for seg in per_robot} | {per_robot[-1].t1}
-                assert {Fraction(1, 3), Fraction(2, 3)} <= bounds
+                assert {window, 1 - window} <= bounds
 
-    def test_value_at_one_third_is_deformed_start(self):
+    def test_value_after_the_first_shift_is_the_split_start(self):
         for query, split, path in _degenerate_plans():
             for robot in range(query.robot_count):
-                at = path.position(robot, Fraction(1, 3))
+                at = path.position(robot, Fraction(3, path.den))
                 assert np.array_equal(at, split.starts[robot])
                 assert np.array_equal(path.position(robot, 0), query.starts[robot])
                 assert np.array_equal(path.position(robot, 1), query.goals[robot])
 
-    def test_goal_shifts_play_backward_on_last_third(self):
+    def test_goal_shifts_play_backward_on_the_last_window(self):
         for query, split, path in _degenerate_plans():
             d = query.dim
             for robot, per_robot in enumerate(path_rows(path)):
                 start, stop, last = per_robot[-1]
-                assert Fraction(start, path.den) == Fraction(2, 3) and stop == path.den
+                assert start == path.den - 3 and stop == path.den
                 assert np.array_equal(row_fields(last, d)["start"], split.goals[robot])
                 assert np.array_equal(row_fields(last, d)["end"], query.goals[robot])
-                assert Fraction(per_robot[-2][1], path.den) == Fraction(2, 3)
+                assert per_robot[-2][1] == path.den - 3
                 assert np.array_equal(row_final(per_robot[-2][2], d), split.goals[robot])
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_queries(half_grid=True))
+    def test_a_degenerate_plan_is_its_splits_plan_between_the_shifts(self, case):
+        assume(_split_plan_matches(*case))
+
+    @pytest.mark.parametrize("index", range(len(DEGENERATE_QUERIES)))
+    def test_each_degenerate_query_is_its_splits_plan_between_the_shifts(self, index):
+        assert _split_plan_matches(*DEGENERATE_QUERIES[index])
 
     def test_stage_windows_split_the_given_window(self):
         # One swap and the straight line split [0, 1] in halves; the swap's
@@ -629,9 +666,9 @@ class TestCompose:
         for robot, (per_robot, entries) in enumerate(
             zip(result.path.segments, path_rows(result.path))
         ):
-            first, last = per_robot[0], per_robot[-1]
-            assert (first.t0, first.t1) == (Fraction(0), Fraction(1, 3))
-            assert (last.t0, last.t1) == (Fraction(2, 3), Fraction(1))
+            first, last, window = per_robot[0], per_robot[-1], Fraction(3, result.path.den)
+            assert (first.t0, first.t1) == (Fraction(0), window)
+            assert (last.t0, last.t1) == (1 - window, Fraction(1))
             first, last = (row_fields(entries[k][2], d) for k in (0, -1))
             assert first["kind"] == last["kind"] == "linear"
             assert np.array_equal(first["start"], query.starts[robot])

@@ -298,9 +298,9 @@ class TestPlan:
         )
         res = plan(q, mode="fixed")
         assert res.domain_index == 1
-        # the first third of the motion is the desingularization shift along e
+        # the first window of the motion is the desingularization shift along e
         first = res.path.segments[0][0]
-        assert first.t1 <= 1
+        assert first.t1 == Fraction(3, 3 * (res.swap_count + 3))
         fields = row_fields(path_rows(res.path)[0][0][2], 3)
         direction = fields["end"] - fields["start"]
         assert np.allclose(direction - (direction @ res.frame.e) * res.frame.e, 0.0)
@@ -510,12 +510,12 @@ class TestFlatSchedule:
     @given(small_queries())
     def test_min_segment_duration_bound(self, case):
         # k swaps fill k + 1 equal windows, one third per stage; a degenerate
-        # query squeezes that schedule into the middle third of one more wrap
+        # query plays that schedule between two more windows, its shifts
         query, mode = case
         res = plan(query, mode=mode)
         windows = 3 * (res.swap_count + 1)
         if res.region.j < 2 * query.robot_count:
-            windows *= 3
+            windows += 6
         durations = [seg.duration for per in res.path.segments for seg in per]
         assert min(durations) >= Fraction(1, windows)
         for per in path_rows(res.path):
@@ -818,12 +818,13 @@ class TestTicks:
     @given(data=st.data())
     def test_every_bound_is_a_tick_over_the_schedule_denominator(self, half_grid, data):
         # k swaps of three stages, then the straight line: 3(k + 1) ticks; a
-        # degenerate query plays them in the middle third of 9(k + 1)
+        # degenerate query plays them between its two shifts of three ticks,
+        # on 3(k + 3)
         query, mode = data.draw(small_queries(half_grid=half_grid))
         res = plan(query, mode=mode)
         den = 3 * (res.swap_count + 1)
         if res.region.j < 2 * query.robot_count:
-            den *= 3
+            den += 6
         assert res.path.den == den
         for per in res.path.segments:
             for seg in per:
@@ -837,7 +838,7 @@ class TestTicks:
         rng = np.random.default_rng(0)
         if denominator is None:
             query = random_query(rng, 8, 8, 3)
-        else:  # half-units in [-3, 3]: coincidences, so a split and 9(k + 1) ticks
+        else:  # half-units in [-3, 3]: coincidences, so a split and 3(k + 3) ticks
             query = random_rational_query(rng, 8, 8, 3, denominator=2, span=6)
         calls = []
 
@@ -853,5 +854,5 @@ class TestTicks:
         finally:
             sys.setprofile(None)
         assert result.swap_count > 0
-        assert result.path.den == 3 * (result.swap_count + 1) * (1 if denominator is None else 3)
+        assert result.path.den == 3 * (result.swap_count + (1 if denominator is None else 3))
         assert calls == []
