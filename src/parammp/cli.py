@@ -94,10 +94,7 @@ def _load(args):
     except UnicodeDecodeError as exc:
         raise QueryValidationError([f"{args.input}: not UTF-8 text: {exc}"]) from exc
     document = parse_problem(text)
-    mode = args.mode.replace("-", "_") if args.mode else None
-    if mode is None and document.mode is not None:
-        mode = document.frame_mode()
-    return document, document.to_query(), mode
+    return document, document.query, args.mode or document.mode
 
 
 def _certified_plan(args):

@@ -1,13 +1,15 @@
 """Wire formats: JSON problem documents, JSON plan serialization, sampled CSV
 export and a minimal SVG renderer for visual inspection.
 
-One versioned JSON schema carries problems in; plan JSON carries the exact
-segment algebra out (time bounds as ``"num/den"`` strings so no precision is
-lost across implementations).  A plan's text has the layout
-``json.dumps(indent=2)`` gives, built from a template per segment kind and
-dimension and filled from the path's column table, each distinct float
-written once; every float in it is finite.  The SVG paints
-trajectories in the frame plane with obstacles, starts and goals marked.
+One versioned JSON schema carries problems in: a document holds its frame
+mode, options and query, whose one point table is the only copy of its
+points.  Plan JSON carries the exact segment algebra out (time bounds as
+``"num/den"`` strings so no precision is lost across implementations).  A
+plan's text has the layout ``json.dumps(indent=2)`` gives, built from a
+template per segment kind and dimension and filled from the path's column
+table, each distinct float written once; every float in it is finite.  The
+SVG paints trajectories in the frame plane with obstacles, starts and goals
+marked.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, repeat
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,7 @@ import orjson
 from .errors import QueryValidationError
 from .geometry import ConfigurationQuery, Frame, FrameMode
 from .planner import PlanResult
-from .verification import MAX_SAMPLES_PER_SEGMENT
+from .verification import MAX_SAMPLES_PER_SEGMENT, _is_sample_count
 
 __all__ = [
     "FORMAT_VERSION",
@@ -51,44 +52,27 @@ class ProblemOptions:
     snap_tolerance: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemDocument:
-    """Validated planning problem as read from JSON."""
+    """Validated planning problem as read from JSON: its version, frame mode
+    (None where the document names none), query and options."""
 
     version: str
-    dim: int
-    mode: Optional[str]
-    starts: tuple
-    goals: tuple
-    obstacles: tuple
+    mode: Optional[FrameMode]
+    query: ConfigurationQuery
     options: ProblemOptions = field(default_factory=ProblemOptions)
 
-    def to_query(self) -> ConfigurationQuery:
-        """The document's query, validated once and then shared: queries are
-        immutable."""
-        return self._query
+    @property
+    def dim(self) -> int:
+        return self.query.dim
 
-    @cached_property
-    def _query(self) -> ConfigurationQuery:
-        # parse_problem sets the query of the documents it reads.  A
-        # hand-built document may hold points of the wrong length, which the
-        # one fill would re-flow into other rows.
-        named = {"starts": self.starts, "goals": self.goals, "obstacles": self.obstacles}
-        errors = [
-            f"{name}[{idx}]: expected {self.dim} coordinates"
-            for name, points in named.items()
-            for idx, point in enumerate(points)
-            if len(point) != self.dim
-        ]
-        if errors:
-            raise QueryValidationError(errors)
-        flat = list(chain.from_iterable(chain(*named.values())))
-        return _point_query(flat, self.dim, len(self.starts), len(self.goals))
+    def to_query(self) -> ConfigurationQuery:
+        """The document's query, validated once when the document was read
+        and then shared: queries are immutable."""
+        return self.query
 
     def frame_mode(self) -> Optional[FrameMode]:
-        if self.mode is None:
-            return None
-        return FrameMode(self.mode.replace("-", "_"))
+        return self.mode
 
 
 def _point_query(flat: list, dim: int, n: int, goals: int) -> ConfigurationQuery:
@@ -220,9 +204,10 @@ def _document(raw) -> ProblemDocument:
         errors.append(f"dim: expected an integer >= 2, got {dim!r}")
         dim = 2
     mode = raw.get("mode")
-    if mode is not None and not (isinstance(mode, str) and mode in _MODES):
+    if isinstance(mode, str) and mode in _MODES:
+        mode = FrameMode(mode)
+    elif mode is not None:
         errors.append(f"mode: expected one of {sorted(_MODES)}, got {mode!r}")
-        mode = None
     arrays = [raw.get(name) for name in _POINT_FIELDS]
     flat = _flat_points(arrays, dim)
     if flat is None:  # word the errors, point by point; integers become floats
@@ -250,11 +235,7 @@ def _document(raw) -> ProblemDocument:
         # Checked, so no document changes validity, but read by nothing: a
         # planned path has no sampled pair.
         samples = raw_options.get("samples_per_segment", 64)
-        if (
-            isinstance(samples, bool)
-            or not isinstance(samples, int)
-            or not 2 <= samples <= MAX_SAMPLES_PER_SEGMENT
-        ):
+        if not _is_sample_count(samples, 2):
             errors.append(
                 "options.samples_per_segment: expected an integer >= 2 and "
                 f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples!r}"
@@ -262,15 +243,12 @@ def _document(raw) -> ProblemDocument:
         options = ProblemOptions(snap_tolerance=float(snap))
 
     if not errors:
-        starts, goals, obstacles = (tuple(map(tuple, points)) for points in arrays)
         try:
-            query = _point_query(flat, dim, len(starts), len(goals))
+            query = _point_query(flat, dim, len(arrays[0]), len(arrays[1]))
         except QueryValidationError as exc:
             errors.extend(exc.errors)
         else:
-            document = ProblemDocument(version, dim, mode, starts, goals, obstacles, options)
-            object.__setattr__(document, "_query", query)  # to_query's cached value
-            return document
+            return ProblemDocument(version, mode, query, options)
     raise QueryValidationError(errors)
 
 
@@ -388,9 +366,7 @@ def serialize_plan(result: PlanResult) -> str:
 def _check_resolution(resolution, name: str) -> int:
     """``resolution``, the CSV resolution given as ``name``, if it is an
     integer from 1 to MAX_SAMPLES_PER_SEGMENT (a bool is not one)."""
-    if isinstance(resolution, bool) or not (
-        isinstance(resolution, Integral) and 1 <= resolution <= MAX_SAMPLES_PER_SEGMENT
-    ):
+    if not _is_sample_count(resolution, 1):
         bound = f">= 1 and <= {MAX_SAMPLES_PER_SEGMENT}"
         raise QueryValidationError([f"{name}: expected an integer {bound}, got {resolution!r}"])
     return resolution

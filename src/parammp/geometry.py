@@ -6,7 +6,9 @@ with ``m`` stationary point obstacles in ``R^d``.  All classification in this
 module happens along a single oriented line: every point is reduced to its
 scalar projection onto the line, and the combinatorics of which projections
 coincide determines the region label ``(j, t)`` and, in the generic case, the
-pair of generalized orderings that drives the planner.
+pair of generalized orderings that drives the planner.  A frame is its mode
+and its axis, the line's direction; the unit vectors ``e`` and ``e_perp``
+derive from the axis.
 
 A query keeps its points in one read-only point table, starts | goals |
 obstacles, which it checks and measures with a few whole-table operations;
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -71,10 +72,19 @@ class FrameMode(enum.Enum):
     every dimension).  OBSTACLE_PAIR aims the line from the first obstacle at
     the second and is only available in even dimensions with at least two
     obstacles, where a perpendicular unit vector can be assigned continuously.
+
+    ``FrameMode("obstacle-pair")``, the CLI's and problem JSON's spelling,
+    reads as OBSTACLE_PAIR; a name of no mode raises ModeUnsupportedError.
     """
 
     FIXED = "fixed"
     OBSTACLE_PAIR = "obstacle_pair"
+
+    @classmethod
+    def _missing_(cls, value):
+        if value == "obstacle-pair":
+            return cls.OBSTACLE_PAIR
+        raise ModeUnsupportedError(f"unknown frame mode {value!r}")
 
 
 class Side(enum.Enum):
@@ -238,57 +248,47 @@ class ConfigurationQuery:
 
 @dataclass(frozen=True, eq=False)
 class Frame:
-    """An oriented projection line through the origin.
+    """An oriented projection line through the origin: its mode and axis.
 
     Attributes:
-        e: unit vector along the line (defines orientation and the scalar
-            projection ``q(x) = e . x``).
-        e_perp: unit vector orthogonal to ``e``; the plane span(e, e_perp)
-            hosts every circular avoidance manoeuvre.
         mode: how the frame was chosen.
         axis: unnormalized direction used for equality/order decisions on
-            projection values.  Parallel to ``e`` with positive scale.
+            projection values: exactly e1 in fixed mode; of even length and
+            a norm in (0, inf) in obstacle-pair mode (else ValueError).
+
+    Derived, read-only: ``e = axis / |axis|``, the unit vector along the line
+    (the scalar projection ``q(x) = e . x``), and ``e_perp``, orthogonal to
+    it, whose plane span(e, e_perp) hosts every circular avoidance
+    manoeuvre: e2 in fixed mode, ``quarter_turn(e)`` otherwise.
     """
 
-    e: np.ndarray
-    e_perp: np.ndarray
     mode: FrameMode
     axis: np.ndarray
 
     def __post_init__(self):
-        # One copy each, so that freezing them leaves the caller's arrays be.
-        e = np.array(self.e, dtype=float)
-        e_perp = np.array(self.e_perp, dtype=float)
-        axis = np.array(self.axis, dtype=float)
-        # On Python floats, which cost less than numpy calls on d entries.
-        # The dot products zip the vectors, so their lengths are checked first.
-        if e.ndim != 1 or not e.shape == e_perp.shape == axis.shape:
-            raise ValueError("e, e_perp and axis must be vectors of one length")
-        e_floats, e_perp_floats = e.tolist(), e_perp.tolist()
-        # Written as "not <= / not >" so that a NaN component fails them.
-        if not abs(math.hypot(*e_floats) - 1.0) <= 1e-12:
-            raise ValueError("e must be a unit vector")
-        if not abs(math.hypot(*e_perp_floats) - 1.0) <= 1e-12:
-            raise ValueError("e_perp must be a unit vector")
-        if not abs(sum(map(operator.mul, e_floats, e_perp_floats))) <= 1e-12:
-            raise ValueError("e and e_perp must be orthogonal")
-        if not sum(map(operator.mul, axis.tolist(), e_floats)) > 0.0:
-            raise ValueError("axis must point along e")
-        for arr in (e, e_perp, axis):
-            arr.setflags(write=False)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "e_perp", e_perp)
-        object.__setattr__(self, "axis", axis)
+        mode = FrameMode(self.mode)
+        axis = np.array(self.axis, dtype=float)  # a copy, frozen below
+        if axis.ndim != 1 or len(axis) < 2 or not np.isfinite(axis).all():
+            raise ValueError("axis must be a finite vector of length at least 2")
+        e1, e2 = np.eye(2, len(axis))
+        if mode is FrameMode.FIXED and axis.tobytes() != e1.tobytes():
+            raise ValueError("a fixed frame's axis must be the first coordinate axis")
+        with np.errstate(over="ignore"):  # an infinite norm is refused below
+            norm = np.linalg.norm(axis)
+        if mode is FrameMode.OBSTACLE_PAIR and (len(axis) % 2 or not 0 < norm < math.inf):
+            raise ValueError("an obstacle-pair axis must be of even length and norm in (0, inf)")
+        e = axis / norm
+        e_perp = e2 if mode is FrameMode.FIXED else quarter_turn(e)
+        for name, value in (("axis", axis), ("e", e), ("e_perp", e_perp)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "mode", mode)
+        # The length of ``axis``, which turns comparison-value gaps into lengths.
+        object.__setattr__(self, "_axis_norm", float(norm))
 
     @property
     def dim(self) -> int:
-        return self.e.shape[0]
-
-    @cached_property
-    def _axis_norm(self) -> float:
-        """The length of ``axis``, which turns comparison-value gaps into
-        lengths."""
-        return float(np.linalg.norm(self.axis))
+        return self.axis.shape[0]
 
     @cached_property
     def _e_floats(self) -> list:
@@ -325,20 +325,15 @@ def make_frame(query: ConfigurationQuery, mode: Union[FrameMode, str]) -> Frame:
     neither underflows nor overflows however close or far the obstacles are.
 
     Raises:
-        ModeUnsupportedError: OBSTACLE_PAIR with odd dimension or m < 2.
+        ModeUnsupportedError: OBSTACLE_PAIR with odd dimension or m < 2, or
+            ``mode`` names no mode.
     """
     mode = FrameMode(mode)
     d = query.dim
     if mode is FrameMode.FIXED:
-        e = np.zeros(d)
-        e[0] = 1.0
-        e_perp = np.zeros(d)
-        e_perp[1] = 1.0
-        return Frame(e=e, e_perp=e_perp, mode=mode, axis=e)
+        return Frame(mode, np.eye(1, d)[0])
     if d % 2 != 0:
-        raise ModeUnsupportedError(
-            f"obstacle-pair frames need an even dimension, got d={d}"
-        )
+        raise ModeUnsupportedError(f"obstacle-pair frames need an even dimension, got d={d}")
     if query.obstacle_count < 2:
         raise ModeUnsupportedError("obstacle-pair frames need at least two obstacles")
     o0, o1 = query.obstacles[:2]
@@ -346,9 +341,7 @@ def make_frame(query: ConfigurationQuery, mode: Union[FrameMode, str]) -> Frame:
         w = o1 - o0
     if not np.isfinite(w).all():  # half of it, which the scaling takes out again
         w = o1 / 2 - o0 / 2
-    w = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
-    e = w / np.linalg.norm(w)
-    return Frame(e=e, e_perp=quarter_turn(e), mode=mode, axis=w)
+    return Frame(mode, np.ldexp(w, -np.frexp(np.abs(w).max())[1]))
 
 
 @dataclass(frozen=True)

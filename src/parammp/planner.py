@@ -441,7 +441,8 @@ def plan(
         QueryValidationError: ``snap_tol`` is not 0, a coordinate is above
             ``MAX_COORDINATE`` in magnitude, or via ConfigurationQuery
             construction upstream.
-        ModeUnsupportedError: obstacle-pair mode in odd dimension or m < 2.
+        ModeUnsupportedError: obstacle-pair mode in odd dimension or m < 2,
+            or ``mode`` names no mode (see :class:`FrameMode`).
         InternalConsistencyError: a check of the swaps, of the split or of
             the path fails.
     """

@@ -48,6 +48,16 @@ __all__ = [
 
 # Bounds samples_per_segment: a fallback entry holds (samples + 1) x d floats.
 MAX_SAMPLES_PER_SEGMENT = 4096
+
+
+def _is_sample_count(value, low: int) -> bool:
+    """Whether ``value`` is an integer, not a bool, from ``low`` to
+    MAX_SAMPLES_PER_SEGMENT: the rule of every sample count."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        return False
+    return low <= value <= MAX_SAMPLES_PER_SEGMENT
+
+
 # (window, pair) entries per block of certification work, so that work memory
 # stays flat however many pairs a path touches.  A block of 4096 takes the
 # largest certificate of the benchmark's verify-swaps corpus (n = m = 8,
@@ -259,10 +269,7 @@ def certify_separation(
     ``samples_per_segment`` must be an integer, not a bool, from 2 to
     ``MAX_SAMPLES_PER_SEGMENT`` (ValueError).
     """
-    if isinstance(samples_per_segment, bool) or not (
-        isinstance(samples_per_segment, Integral)
-        and 2 <= samples_per_segment <= MAX_SAMPLES_PER_SEGMENT
-    ):
+    if not _is_sample_count(samples_per_segment, 2):
         raise ValueError(
             "samples_per_segment must be an integer >= 2 and "
             f"<= {MAX_SAMPLES_PER_SEGMENT}, got {samples_per_segment!r}"

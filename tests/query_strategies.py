@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies, and the key of a problem document, shared by the
+test modules."""
 
 from __future__ import annotations
 
@@ -36,3 +37,15 @@ def small_queries(draw, max_size=4, half_grid=None):
         starts=points[:n], goals=points[n : 2 * n], obstacles=points[2 * n :]
     )
     return query, mode
+
+
+def document_key(document) -> tuple:
+    """What a problem document holds, bit for bit: its version, mode and
+    options, its robot count, and the dtype, shape and bytes of its query's
+    point table.  The bytes tell -0.0 from 0.0, which == does not."""
+    query = document.to_query()
+    table = query._points
+    return (
+        document.version, document.mode, document.options, query.robot_count,
+        table.dtype, table.shape, table.tobytes(),
+    )

@@ -21,6 +21,7 @@ from parammp import (
     RegionLabel,
     Side,
     certify_separation,
+    check_partition,
     classify,
     classify_oracle,
     component_count,
@@ -297,51 +298,67 @@ class TestMakeFrame:
         assert res.swap_count == 2
 
     @pytest.mark.parametrize(
-        "e,e_perp,axis",
+        "mode,axis,message",
         [
-            ([math.nan, 0.0], [0.0, 1.0], [1.0, 0.0]),
-            ([1.0, 0.0], [0.0, math.nan], [1.0, 0.0]),
-            ([1.0, 0.0], [0.0, 1.0], [math.nan, 0.0]),
+            # As a fixed frame, [3, 4] labelled starts [[4, 0]], goals [[0, 3]]
+            # and obstacles [[1, 7]] j=1 in classify and j=2 in the oracle.
+            (FrameMode.FIXED, [3.0, 4.0], "first coordinate axis"),
+            (FrameMode.FIXED, [2.0, 0.0], "first coordinate axis"),
+            (FrameMode.FIXED, [1.0, -0.0], "first coordinate axis"),
+            (FrameMode.FIXED, [math.nan, 0.0], "finite vector"),
+            (FrameMode.OBSTACLE_PAIR, [3.0, math.nan], "finite vector"),
+            (FrameMode.OBSTACLE_PAIR, [math.inf, 0.0], "finite vector"),
+            (FrameMode.FIXED, [[1.0, 0.0]], "finite vector"),
+            (FrameMode.OBSTACLE_PAIR, [[3.0, 4.0]], "finite vector"),
+            (FrameMode.FIXED, [1.0], "finite vector"),
+            (FrameMode.OBSTACLE_PAIR, [3.0, 4.0, 5.0], "even length"),
+            (FrameMode.OBSTACLE_PAIR, [0.0, -0.0], "norm in"),
+            (FrameMode.OBSTACLE_PAIR, [5e-324, 0.0], "norm in"),
+            (FrameMode.OBSTACLE_PAIR, [1.7e308, 1.7e308], "norm in"),
         ],
+        ids=["fixed-tilted", "fixed-long", "fixed-negative-zero", "fixed-nan", "pair-nan",
+             "pair-inf", "fixed-2d", "pair-2d", "one-entry", "pair-odd", "pair-zero",
+             "pair-norm-underflows", "pair-norm-overflows"],
     )
-    def test_frame_with_nan_component_rejected(self, e, e_perp, axis):
-        with pytest.raises(ValueError):
-            Frame(e=e, e_perp=e_perp, mode=FrameMode.FIXED, axis=axis)
-
-    @pytest.mark.parametrize(
-        "e,e_perp,axis,message",
-        [
-            ([1.0, 1e-5], [0.0, 1.0], [1.0, 0.0], "e must be a unit vector"),
-            ([1.0, 0.0], [0.0, 0.9], [1.0, 0.0], "e_perp must be a unit vector"),
-            ([0.6, 0.8], [0.0, 1.0], [0.6, 0.8], "e and e_perp must be orthogonal"),
-            ([1.0, 0.0], [0.0, 1.0], [-2.0, 0.0], "axis must point along e"),
-            ([1.0, 0.0], [0.0, 1.0], [0.0, 3.0], "axis must point along e"),
-            ([1.0, 0.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.0], "vectors of one length"),
-            ([1.0, 0.0], [0.0, 1.0], [1.0, 0.0, 0.0], "vectors of one length"),
-            ([[1.0, 0.0]], [[0.0, 1.0]], [[1.0, 0.0]], "vectors of one length"),
-        ],
-        ids=["e-not-unit", "e-perp-not-unit", "not-orthogonal", "axis-against-e",
-             "axis-across-e", "e-perp-short", "axis-long", "matrices"],
-    )
-    def test_frame_checks_reject(self, e, e_perp, axis, message):
+    def test_frame_refuses_an_axis_it_cannot_derive_from(self, mode, axis, message):
         with pytest.raises(ValueError, match=message):
-            Frame(e=e, e_perp=e_perp, mode=FrameMode.FIXED, axis=axis)
+            Frame(mode, axis)
 
-    def test_frame_checks_accept_within_tolerance(self):
-        # 1e-13 off unit length and orthogonality is within the 1e-12 bounds
-        f = Frame(e=[1.0, 1e-13], e_perp=[-1e-13, 1.0 + 1e-13], mode=FrameMode.FIXED,
-                  axis=[1e-300, 0.0])
-        assert f.e.tolist() == [1.0, 1e-13] and f.axis.tolist() == [1e-300, 0.0]
+    def test_frame_derives_e_and_e_perp_from_its_axis(self):
+        f = Frame(FrameMode.OBSTACLE_PAIR, [3.0, 4.0])
+        assert (f.e.tolist(), f.e_perp.tolist(), f._axis_norm) == ([0.6, 0.8], [-0.8, 0.6], 5.0)
+        f = Frame("fixed", [1.0, 0.0, 0.0])
+        assert f.mode is FrameMode.FIXED
+        assert (f.e.tolist(), f.e_perp.tolist()) == ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
 
-    def test_callers_arrays_are_copied(self):
-        e, e_perp, axis = np.array([0.6, 0.8]), np.array([-0.8, 0.6]), np.array([3.0, 4.0])
-        f = Frame(e=e, e_perp=e_perp, mode=FrameMode.OBSTACLE_PAIR, axis=axis)
-        for arr, mine in ((e, f.e), (e_perp, f.e_perp), (axis, f.axis)):
-            assert arr.flags.writeable and not mine.flags.writeable
-            assert not any(np.shares_memory(arr, x) for x in (f.e, f.e_perp, f.axis))
-            assert mine.tolist() == arr.tolist()
-        e[0] = 1.0
-        assert f.e[0] == 0.6
+    @pytest.mark.parametrize("mode", ["obstacle-pair", "obstacle_pair", FrameMode.OBSTACLE_PAIR])
+    def test_mode_names_read_as_the_cli_and_problem_json_spell_them(self, mode):
+        q = q3([[0.0, 1.0]], [[2.0, 0.0]], [[1.0, 0.0], [3.0, 0.0]])
+        assert FrameMode(mode) is FrameMode.OBSTACLE_PAIR
+        assert make_frame(q, mode).mode is plan(q, mode=mode).mode is FrameMode.OBSTACLE_PAIR
+
+    @pytest.mark.parametrize("name", ["spline", "Fixed", "", None])
+    def test_unknown_mode_name_is_refused_as_unsupported(self, name):
+        q = q3([[0.0, 1.0]], [[2.0, 0.0]], [[1.0, 0.0], [3.0, 0.0]])
+        calls = [
+            lambda: FrameMode(name), lambda: make_frame(q, name),
+            lambda: check_partition(1, 2, 2, mode=name, trials=1),
+            lambda: Frame(name, [1.0, 0.0]),
+        ]
+        if name is not None:  # plan reads None as "choose a mode"
+            calls.append(lambda: plan(q, mode=name))
+        for call in calls:
+            with pytest.raises(ModeUnsupportedError, match=f"unknown frame mode {name!r}"):
+                call()
+
+    def test_callers_axis_is_copied(self):
+        axis = np.array([3.0, 4.0])
+        f = Frame(FrameMode.OBSTACLE_PAIR, axis)
+        mine = (f.axis, f.e, f.e_perp)
+        assert axis.flags.writeable and not any(x.flags.writeable for x in mine)
+        assert not any(np.shares_memory(axis, x) for x in mine)
+        axis[0] = 1.0
+        assert f.axis.tolist() == [3.0, 4.0]
 
 
 class TestFarObstaclePair:
